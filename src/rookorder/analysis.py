@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 from . import order, renner, rpoly, weyl
@@ -25,25 +24,11 @@ from .renner import Word
 from .reports import Report
 
 __all__ = [
-    "descent_sets", "descent_sets_raw", "check_nonempty_descent",
+    "descent_sets", "check_nonempty_descent",
     "linear_length2_pairs", "find_linear_length2",
     "embeddable_in_weyl_necessary", "check_lifting", "lifting_violations",
     "verify_putcha_conjecture", "IntervalClassification", "classify_interval",
 ]
-
-
-def descent_sets_raw(sigma: Word) -> tuple[frozenset[int], frozenset[int]]:
-    """Descents straight from the definition: s with l(s sigma) < l(sigma),
-    respectively l(sigma s) < l(sigma)."""
-    n = len(sigma)
-    ls = renner.length(sigma)
-    left = frozenset(
-        i for i in range(1, n)
-        if renner.length(renner.multiply(weyl.simple_reflection(n, i), sigma)) < ls)
-    right = frozenset(
-        i for i in range(1, n)
-        if renner.length(renner.multiply(sigma, weyl.simple_reflection(n, i))) < ls)
-    return left, right
 
 
 def descent_sets(sigma: Word) -> tuple[frozenset[int], frozenset[int]]:
@@ -52,9 +37,9 @@ def descent_sets(sigma: Word) -> tuple[frozenset[int], frozenset[int]]:
     Left descents are the left descents of x.  A simple reflection s is
     a right descent iff l(sy) > l(y) and either sy is again a minimal
     coset representative for W(e), or sy = y s' with s' a simple
-    reflection inside W(e) and l(x s') < l(x).  Agreement with the raw
-    definition is a tested property, and the raw definition is what the
-    R-polynomial recurrence uses.
+    reflection inside W(e) and l(x s') < l(x).  Agreement with the
+    length-based ``renner.descents``, which the R-polynomial recurrence
+    uses, is a tested property.
     """
     n = len(sigma)
     x, e, y = renner.standard_form(sigma)
@@ -86,7 +71,7 @@ def check_nonempty_descent(orbit_elements) -> Report:
     zero_length = []
     for sigma in orbit_elements:
         report.checked += 1
-        left, right = descent_sets_raw(sigma)
+        left, right = renner.descents(sigma, "left"), renner.descents(sigma, "right")
         if renner.length(sigma) == 0:
             zero_length.append(sigma)
             if left or right:
@@ -110,22 +95,16 @@ def check_nonempty_descent(orbit_elements) -> Report:
     return report
 
 
-@lru_cache(maxsize=None)
-def linear_length2_pairs(n: int, k: int) -> tuple[tuple[Word, Word], ...]:
-    """All pairs (alpha, beta) in the rank-k orbit whose interval is a
-    linear length-2 one (3 elements in total)."""
-    elems = renner.orbit(n, k)
-    by_length: dict[int, list[Word]] = {}
-    for w in elems:
-        by_length.setdefault(renner.length(w), []).append(w)
-    pairs = []
-    for low, alphas in by_length.items():
-        for alpha in alphas:
-            for beta in by_length.get(low + 2, ()):
-                if order.leq(alpha, beta) and \
-                        len(order.interval_elements(alpha, beta)) == 3:
-                    pairs.append((alpha, beta))
-    return tuple(pairs)
+def linear_length2_pairs(theta: Word, sigma: Word) -> tuple[tuple[Word, Word], ...]:
+    """All pairs (alpha, beta) inside [theta, sigma] whose interval is a
+    linear length-2 one (3 elements in total), by (length, word) of alpha
+    and then of beta."""
+    elems = order.interval_elements(theta, sigma)
+    return tuple(
+        (alpha, beta) for alpha in elems for beta in elems
+        if renner.length(beta) - renner.length(alpha) == 2
+        and order.leq(alpha, beta)
+        and len(order.interval_elements(alpha, beta)) == 3)
 
 
 def find_linear_length2(theta: Word, sigma: Word) -> Optional[tuple[Word, Word]]:
@@ -134,13 +113,10 @@ def find_linear_length2(theta: Word, sigma: Word) -> Optional[tuple[Word, Word]]
     Existence is equivalent to R[theta, sigma](0) = 0, which is what
     makes the interval impossible to embed in a Weyl group.
     """
-    n, k = len(theta), renner.rank(theta)
     if not order.leq(theta, sigma):
         raise ValueError("find_linear_length2 requires theta <= sigma")
-    for alpha, beta in linear_length2_pairs(n, k):
-        if order.leq(theta, alpha) and order.leq(beta, sigma):
-            return alpha, beta
-    return None
+    pairs = linear_length2_pairs(theta, sigma)
+    return pairs[0] if pairs else None
 
 
 def embeddable_in_weyl_necessary(theta: Word, sigma: Word) -> bool:
@@ -218,7 +194,8 @@ def verify_putcha_conjecture(orbit_elements,
     n = len(elems[0])
     k = renner.rank(elems[0])
     above = {w: frozenset(v for v in elems if order.leq(w, v)) for w in elems}
-    lin_pairs = linear_length2_pairs(n, k)
+    lin_pairs = linear_length2_pairs(renner.orbit_minimum(n, k),
+                                     renner.orbit_maximum(n, k))
     for theta in elems:
         for sigma in above[theta]:
             report.checked += 1

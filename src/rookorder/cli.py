@@ -20,7 +20,7 @@ DESCENT_TABLE_ELEMENTS = ("0012", "0013", "1002", "3002", "0420")
 LENGTH2_TABLE_INTERVALS = (("0001", "0003"), ("0012", "0023"))
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -33,10 +33,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _parse_element(text: str) -> renner.Word:
-    try:
-        word = renner.parse_element(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    word = renner.parse_element(text)
     if not 1 <= len(word) <= MAX_N:
         raise UsageError(f"rank {len(word)} outside desk scale 1..{MAX_N}")
     return word
@@ -48,13 +45,6 @@ def _parse_pair(a: str, b: str) -> tuple[renner.Word, renner.Word]:
     if len(theta) != len(sigma):
         raise UsageError("elements must have the same rank n")
     return theta, sigma
-
-
-def _require_same_orbit(theta, sigma) -> None:
-    if renner.rank(theta) != renner.rank(sigma):
-        raise UsageError(
-            f"{renner.format_element(theta)} and {renner.format_element(sigma)}"
-            " lie in different orbits")
 
 
 def _check_n_k(n: int, k: int | None) -> None:
@@ -122,7 +112,6 @@ def cmd_orbit(args) -> int:
 
 
 def _rpoly_record(theta, sigma) -> dict:
-    _require_same_orbit(theta, sigma)
     poly = rpoly.rpoly(theta, sigma)
     if theta != sigma and not order.leq(theta, sigma):
         shape = "incomparable"
@@ -158,7 +147,6 @@ def cmd_rpoly(args) -> int:
 
 def cmd_mobius(args) -> int:
     theta, sigma = _parse_pair(args.theta, args.sigma)
-    _require_same_orbit(theta, sigma)
     mu = order.mobius_direct(theta, sigma)
     r0 = rpoly.mobius_via_r(theta, sigma)
     if args.format == "json":
@@ -204,7 +192,7 @@ def cmd_order(args) -> int:
 def cmd_hasse(args) -> int:
     if args.theta is not None and args.sigma is not None:
         theta, sigma = _parse_pair(args.theta, args.sigma)
-        _require_same_orbit(theta, sigma)
+        order.require_same_orbit(theta, sigma)
         if not order.leq(theta, sigma):
             raise UsageError("endpoints are incomparable")
         poset = order.interval(theta, sigma)
@@ -340,7 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # a UsageError, or input the library rejected
         print(f"rookorder: error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,8 +32,8 @@ HeckeElt = dict  # Word -> Laurent, zero coefficients absent
 
 __all__ = [
     "HeckeElt", "add_scaled", "canonical", "elements_equal", "mult_As_left",
-    "mult_Anu_left", "mult_Aw_left", "bar_on_W", "bar_Ae", "bar_Asigma",
-    "bar_element", "rpoly_via_bar", "hecke_to_json",
+    "mult_Aw_left", "bar_on_W", "bar_Asigma", "bar_element", "rpoly_via_bar",
+    "hecke_to_json",
 ]
 
 _Q_INV = Laurent.q_power(-1)
@@ -78,22 +78,6 @@ def mult_As_left(i: int, h: HeckeElt, min_rank: int | None = None) -> HeckeElt:
             if _guard(sw, min_rank):
                 add_scaled(out, {sw: c * _Q_INV})
             add_scaled(out, {word: c * _ONE_MINUS_Q_INV})
-    return canonical(out)
-
-
-def mult_Anu_left(nu: Word, h: HeckeElt, min_rank: int) -> HeckeElt:
-    """Left multiplication by A_nu for a length-0 element nu.
-
-    This is where the lower-orbit discard actually bites: nu sigma can
-    drop rank, and such terms are killed by the quotient.
-    """
-    if renner.length(nu) != 0:
-        raise ValueError(f"{renner.format_element(nu)} does not have length 0")
-    out: HeckeElt = {}
-    for word, c in h.items():
-        nw = renner.multiply(nu, word)
-        if _guard(nw, min_rank):
-            add_scaled(out, {nw: c})
     return canonical(out)
 
 
@@ -148,12 +132,17 @@ def _orbit_sum(n: int, k: int, t: Word) -> HeckeElt:
     return canonical(out)
 
 
-def bar_Ae(n: int, k: int) -> HeckeElt:
-    """bar of the basis element of the rank-k idempotent itself."""
-    return _orbit_sum(n, k, weyl.identity(n))
-
-
-_bar_sigma_cache: dict[Word, HeckeElt] = {}
+@lru_cache(maxsize=None)
+def _bar_Asigma(sigma: Word) -> tuple[tuple[Word, Laurent], ...]:
+    n = len(sigma)
+    k = renner.rank(sigma)
+    x, _, t = renner.standard_form(sigma)
+    core = _orbit_sum(n, k, t)
+    out: HeckeElt = {}
+    for w, cw in bar_on_W(x).items():
+        add_scaled(out, mult_Aw_left(w, core, k), cw)
+    shift = Laurent.q_power(-weyl.length(t))
+    return tuple((word, c * shift) for word, c in canonical(out).items())
 
 
 def bar_Asigma(sigma: Word) -> HeckeElt:
@@ -165,19 +154,7 @@ def bar_Asigma(sigma: Word) -> HeckeElt:
 
     the unique extension of the involution from H(W).
     """
-    cached = _bar_sigma_cache.get(sigma)
-    if cached is None:
-        n = len(sigma)
-        k = renner.rank(sigma)
-        x, _, t = renner.standard_form(sigma)
-        core = _orbit_sum(n, k, t)
-        out: HeckeElt = {}
-        for w, cw in bar_on_W(x).items():
-            add_scaled(out, mult_Aw_left(w, core, k), cw)
-        shift = Laurent.q_power(-weyl.length(t))
-        cached = canonical({word: c * shift for word, c in out.items()})
-        _bar_sigma_cache[sigma] = cached
-    return dict(cached)
+    return dict(_bar_Asigma(sigma))
 
 
 def bar_element(h: HeckeElt) -> HeckeElt:

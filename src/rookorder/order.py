@@ -24,8 +24,9 @@ from .renner import Word
 from .reports import Report
 
 __all__ = [
-    "leq", "dominance_leq", "interval_elements", "IntervalPoset", "interval",
-    "mobius_direct", "transitive_reduction", "check_graded", "hasse_dot",
+    "leq", "dominance_leq", "require_same_orbit", "interval_elements",
+    "IntervalPoset", "interval", "mobius_direct", "transitive_reduction",
+    "check_graded", "hasse_dot",
 ]
 
 
@@ -84,7 +85,8 @@ def dominance_leq(theta: Word, sigma: Word) -> bool:
     return True
 
 
-def _require_same_orbit(theta: Word, sigma: Word) -> tuple[int, int]:
+def require_same_orbit(theta: Word, sigma: Word) -> tuple[int, int]:
+    """(n, k) of the orbit holding both elements; ValueError otherwise."""
     if len(theta) != len(sigma):
         raise ValueError(f"rank mismatch: {len(theta)} vs {len(sigma)}")
     k = renner.rank(theta)
@@ -98,7 +100,7 @@ def _require_same_orbit(theta: Word, sigma: Word) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def interval_elements(theta: Word, sigma: Word) -> tuple[Word, ...]:
     """All tau in the common orbit with theta <= tau <= sigma, by (length, word)."""
-    n, k = _require_same_orbit(theta, sigma)
+    n, k = require_same_orbit(theta, sigma)
     return tuple(tau for tau in renner.orbit(n, k)
                  if leq(theta, tau) and leq(tau, sigma))
 
@@ -118,7 +120,7 @@ def interval(theta: Word, sigma: Word) -> IntervalPoset:
     transitive reduction because length is the orbit rank function (the
     tests cross-check this against a generic reduction at small n).
     """
-    _require_same_orbit(theta, sigma)
+    require_same_orbit(theta, sigma)
     if not leq(theta, sigma):
         raise ValueError(
             f"{renner.format_element(theta)} is not below "
@@ -138,7 +140,7 @@ def mobius_direct(theta: Word, sigma: Word) -> int:
 
     Returns 0 when theta is not below sigma.
     """
-    _require_same_orbit(theta, sigma)
+    require_same_orbit(theta, sigma)
     if theta == sigma:
         return 1
     if not leq(theta, sigma):

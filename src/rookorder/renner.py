@@ -23,12 +23,11 @@ from . import weyl
 Word = tuple[int, ...]
 
 __all__ = [
-    "is_partial_perm", "check_element", "multiply", "rank", "zero_element",
-    "rank_idempotent", "cross_section_lattice", "idempotent_leq",
-    "centralizer_gens", "stabilizer_gens", "parabolics_of", "StandardForm",
-    "standard_form", "assemble", "idempotent_length", "length", "orbit",
+    "is_partial_perm", "check_element", "multiply", "rank", "rank_idempotent",
+    "centralizer_gens", "stabilizer_gens", "StandardForm", "standard_form",
+    "assemble", "idempotent_length", "length", "descents", "orbit",
     "orbit_minimum", "orbit_maximum", "monoid_elements", "parse_element",
-    "format_element", "element_to_json", "element_from_json",
+    "format_element", "element_to_json",
 ]
 
 
@@ -36,10 +35,12 @@ def is_partial_perm(word) -> bool:
     """
     >>> is_partial_perm((0, 4, 2, 0)), is_partial_perm((1, 1, 0))
     (True, False)
+    >>> is_partial_perm((True, 0))
+    False
     """
     n = len(word)
     nonzero = [a for a in word if a != 0]
-    return (all(isinstance(a, int) and 0 <= a <= n for a in word)
+    return (all(type(a) is int and 0 <= a <= n for a in word)
             and len(set(nonzero)) == len(nonzero))
 
 
@@ -65,27 +66,11 @@ def rank(f: Word) -> int:
     return sum(1 for a in f if a)
 
 
-def zero_element(n: int) -> Word:
-    return (0,) * n
-
-
 def rank_idempotent(n: int, k: int) -> Word:
     """The idempotent e_k = (1, ..., k, 0, ..., 0)."""
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} out of range for n={n}")
     return tuple(range(1, k + 1)) + (0,) * (n - k)
-
-
-def cross_section_lattice(n: int) -> tuple[Word, ...]:
-    """The chain e_0 < e_1 < ... < e_n of orbit representatives."""
-    return tuple(rank_idempotent(n, k) for k in range(n + 1))
-
-
-def idempotent_leq(e: Word, f: Word) -> bool:
-    """The idempotent order: e <= f iff ef = e = fe."""
-    if len(e) != len(f):
-        raise ValueError(f"rank mismatch: {len(e)} vs {len(f)}")
-    return multiply(e, f) == e and multiply(f, e) == e
 
 
 @lru_cache(maxsize=None)
@@ -107,15 +92,6 @@ def stabilizer_gens(e: Word) -> frozenset[int]:
         i for i in range(1, n)
         if multiply(weyl.simple_reflection(n, i), e) == e
     )
-
-
-def parabolics_of(e: Word) -> tuple[frozenset[int], frozenset[int]]:
-    """Generator sets for the centralizer W(e) and the stabilizer W_e.
-
-    The test suite verifies by full-group filtering that these simple
-    reflections really generate {x : xe = ex} and {x : xe = e}.
-    """
-    return centralizer_gens(e), stabilizer_gens(e)
 
 
 class StandardForm(NamedTuple):
@@ -175,6 +151,24 @@ def length(sigma: Word) -> int:
     """
     x, e, y = standard_form(sigma)
     return weyl.length(x) + idempotent_length(len(sigma), rank(e)) - weyl.length(y)
+
+
+def descents(sigma: Word, side: str) -> frozenset[int]:
+    """Indices i with l(s_i sigma) < l(sigma) (side "left") or
+    l(sigma s_i) < l(sigma) (side "right"), straight from the length.
+
+    >>> [sorted(descents((0, 4, 2, 0), side)) for side in ("left", "right")]
+    [[1, 3], [2, 3]]
+    """
+    n = len(sigma)
+    ls = length(sigma)
+    if side == "left":
+        return frozenset(i for i in range(1, n)
+                         if length(multiply(weyl.simple_reflection(n, i), sigma)) < ls)
+    if side == "right":
+        return frozenset(i for i in range(1, n)
+                         if length(multiply(sigma, weyl.simple_reflection(n, i))) < ls)
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 @lru_cache(maxsize=None)
@@ -244,11 +238,3 @@ def format_element(word: Word) -> str:
 
 def element_to_json(word: Word) -> dict:
     return {"n": len(word), "one_line": list(word)}
-
-
-def element_from_json(data: dict) -> Word:
-    word = tuple(data["one_line"])
-    if len(word) != data.get("n", len(word)):
-        raise ValueError(f"inconsistent element record: {data!r}")
-    check_element(word)
-    return word

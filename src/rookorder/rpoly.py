@@ -7,13 +7,15 @@ For a left descent s of sigma (an s with l(s sigma) < l(sigma)):
                     = (q-1) R[theta, s sigma] + q R[s theta, s sigma]
                                                                if s theta > theta
 
-and the mirror rules on right descents when no left descent exists;
-every element of positive length has a descent on at least one side.
+and the same rules with theta s, sigma s for a right descent s; every
+element of positive length has a descent on at least one side.  One
+step serves both sides, with descents from ``renner.descents``.
 Base cases: R[theta, theta] = 1 and R[theta, sigma] = 0 when theta is
 not below sigma.  The result does not depend on the descent chosen; the
 deterministic policy here (smallest-index left descent, else smallest
-right) exists so that memoization is sound, and the tests check
-left/right confluence explicitly.
+right, so right descents are computed only when there is no left one)
+exists so that memoization is sound, and the tests check left/right
+confluence explicitly.
 
 The constant term R[theta, sigma](0) equals the Mobius function of the
 interval.
@@ -27,22 +29,8 @@ from . import order, renner, weyl
 from .polynomials import IntPoly, Laurent, ONE, Q, Q_MINUS_1, ZERO
 from .renner import Word
 
-__all__ = ["rpoly", "mobius_via_r", "bar", "delta_identity_sum",
+__all__ = ["rpoly", "mobius_via_r", "delta_identity_sum",
            "verify_delta_identity"]
-
-
-def _left_descents(sigma: Word) -> list[int]:
-    n = len(sigma)
-    ls = renner.length(sigma)
-    return [i for i in range(1, n)
-            if renner.length(renner.multiply(weyl.simple_reflection(n, i), sigma)) < ls]
-
-
-def _right_descents(sigma: Word) -> list[int]:
-    n = len(sigma)
-    ls = renner.length(sigma)
-    return [i for i in range(1, n)
-            if renner.length(renner.multiply(sigma, weyl.simple_reflection(n, i))) < ls]
 
 
 @lru_cache(maxsize=None)
@@ -54,34 +42,26 @@ def rpoly(theta: Word, sigma: Word) -> IntPoly:
     >>> print(rpoly((0, 0, 1, 2), (0, 0, 2, 3)))
     q^2 - 2q + 1
     """
-    n = len(theta)
-    if renner.rank(theta) != renner.rank(sigma) or n != len(sigma):
-        raise ValueError("R-polynomials are defined for same-orbit pairs")
+    n, _ = order.require_same_orbit(theta, sigma)
     if theta == sigma:
         return ONE
     if not order.leq(theta, sigma):
         return ZERO
     # theta < sigma forces l(sigma) > 0, so a descent exists on some side.
-    lds = _left_descents(sigma)
-    if lds:
-        s = weyl.simple_reflection(n, min(lds))
-        s_sigma = renner.multiply(s, sigma)
-        s_theta = renner.multiply(s, theta)
-        diff = renner.length(s_theta) - renner.length(theta)
-        if diff < 0:
-            return rpoly(s_theta, s_sigma)
-        if diff == 0:
-            return Q * rpoly(theta, s_sigma)
-        return Q_MINUS_1 * rpoly(theta, s_sigma) + Q * rpoly(s_theta, s_sigma)
-    s = weyl.simple_reflection(n, min(_right_descents(sigma)))
-    sigma_s = renner.multiply(sigma, s)
-    theta_s = renner.multiply(theta, s)
-    diff = renner.length(theta_s) - renner.length(theta)
+    side, ds = "left", renner.descents(sigma, "left")
+    if not ds:
+        side, ds = "right", renner.descents(sigma, "right")
+    s = weyl.simple_reflection(n, min(ds))
+    if side == "left":
+        s_theta, s_sigma = renner.multiply(s, theta), renner.multiply(s, sigma)
+    else:
+        s_theta, s_sigma = renner.multiply(theta, s), renner.multiply(sigma, s)
+    diff = renner.length(s_theta) - renner.length(theta)
     if diff < 0:
-        return rpoly(theta_s, sigma_s)
+        return rpoly(s_theta, s_sigma)
     if diff == 0:
-        return Q * rpoly(theta, sigma_s)
-    return Q_MINUS_1 * rpoly(theta, sigma_s) + Q * rpoly(theta_s, sigma_s)
+        return Q * rpoly(theta, s_sigma)
+    return Q_MINUS_1 * rpoly(theta, s_sigma) + Q * rpoly(s_theta, s_sigma)
 
 
 def mobius_via_r(theta: Word, sigma: Word) -> int:
@@ -89,18 +69,12 @@ def mobius_via_r(theta: Word, sigma: Word) -> int:
     return rpoly(theta, sigma).constant_term
 
 
-def bar(p: Laurent) -> Laurent:
-    """The bar involution v -> v^-1 (q -> q^-1) on Laurent polynomials."""
-    return p.bar()
-
-
 def delta_identity_sum(theta: Word, sigma: Word) -> Laurent:
     """sum over theta <= nu <= sigma of R[theta,nu] q^(l(sigma)-l(nu)) bar(R[nu,sigma]).
 
     The sum telescopes to 1 when theta = sigma and to 0 otherwise.
     """
-    if renner.rank(theta) != renner.rank(sigma) or len(theta) != len(sigma):
-        raise ValueError("the identity applies to same-orbit pairs")
+    order.require_same_orbit(theta, sigma)
     total = Laurent(0, ())
     if not order.leq(theta, sigma):
         return total

@@ -56,3 +56,13 @@ def mobius_bruteforce(elements, leq_fn, bottom, top):
                    for i in range(len(chain) - 1)):
                 total += (-1) ** (m + 1)
     return total
+
+
+def linear_length2_bruteforce(elements, leq_fn, bottom, top):
+    """The pairs a < b inside [bottom, top] whose interval has exactly 3
+    elements (a linear length-2 interval), found from the order
+    relation alone, without the length function."""
+    inside = [c for c in elements if leq_fn(bottom, c) and leq_fn(c, top)]
+    above = {a: {c for c in inside if leq_fn(a, c)} for a in inside}
+    return {(a, b) for a in inside for b in above[a]
+            if sum(1 for c in above[a] if b in above[c]) == 3}

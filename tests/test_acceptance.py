@@ -120,23 +120,12 @@ def test_criterion_06_linear_interval_criterion():
 def test_criterion_07_delta_identity():
     bad = []
     checked = 0
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for k in range(n + 1):
             for theta, sigma in same_orbit_pairs(n, k):
                 checked += 1
                 if not rpoly.verify_delta_identity(theta, sigma):
                     bad.append((theta, sigma))
-    for k in (1, 3):
-        for theta, sigma in same_orbit_pairs(4, k):
-            checked += 1
-            if not rpoly.verify_delta_identity(theta, sigma):
-                bad.append((theta, sigma))
-    sampled = verify.delta_pairs(4, 2)
-    assert len(sampled) >= 1000
-    for theta, sigma in sampled:
-        checked += 1
-        if not rpoly.verify_delta_identity(theta, sigma):
-            bad.append((theta, sigma))
     report(7, "delta-identity", not bad, f" ({checked} pairs)")
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import linear_length2_bruteforce
 from rookorder import analysis, order, renner, weyl
 
 DESCENT_TABLE = {
@@ -20,10 +21,11 @@ def test_descent_table_rows():
         assert set(got_right) == right, sigma
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_descent_rule_agrees_with_raw_definition(n):
     for sigma in renner.monoid_elements(n):
-        assert analysis.descent_sets(sigma) == analysis.descent_sets_raw(sigma)
+        assert analysis.descent_sets(sigma) == \
+            (renner.descents(sigma, "left"), renner.descents(sigma, "right"))
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (4, 4), (2, 1)])
@@ -40,6 +42,27 @@ def test_find_linear_length2():
     assert analysis.find_linear_length2((0, 1), (0, 1)) is None
     with pytest.raises(ValueError):
         analysis.find_linear_length2((0, 0, 1, 0), (0, 0, 0, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_linear_length2_scan_matches_bruteforce_on_orbits(n):
+    for k in range(n + 1):
+        bottom, top = renner.orbit_minimum(n, k), renner.orbit_maximum(n, k)
+        pairs = analysis.linear_length2_pairs(bottom, top)
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == linear_length2_bruteforce(
+            renner.orbit(n, k), order.dominance_leq, bottom, top), (n, k)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_linear_length2_scan_matches_bruteforce_on_intervals(n):
+    # every same-orbit pair; incomparable ones have an empty interval
+    for k in range(n + 1):
+        elems = renner.orbit(n, k)
+        for theta, sigma in itertools.product(elems, repeat=2):
+            assert set(analysis.linear_length2_pairs(theta, sigma)) == \
+                linear_length2_bruteforce(elems, order.dominance_leq,
+                                          theta, sigma), (theta, sigma)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -63,10 +63,12 @@ def test_rpoly_trivial_and_incomparable(capsys):
     assert out == "R = 0\nR(0) = 0\nmu = 0\nshape = incomparable\n"
 
 
-def test_rpoly_different_orbits_exits_2(capsys):
-    code, _, err = run(capsys, "rpoly", "0001", "0012")
+@pytest.mark.parametrize("command", ["rpoly", "mobius", "hasse"])
+def test_rpoly_different_orbits_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "0001", "0012")
     assert code == 2
-    assert "different orbits" in err
+    assert out == ""
+    assert "0001 and 0012 lie in different orbits" in err
 
 
 def test_rpoly_json(capsys):
