@@ -13,7 +13,6 @@ The headline facts being checked at desk scale:
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -99,12 +98,14 @@ def linear_length2_pairs(theta: Word, sigma: Word) -> tuple[tuple[Word, Word], .
     """All pairs (alpha, beta) inside [theta, sigma] whose interval is a
     linear length-2 one (3 elements in total), by (length, word) of alpha
     and then of beta."""
-    elems = order.interval_elements(theta, sigma)
-    return tuple(
-        (alpha, beta) for alpha in elems for beta in elems
-        if renner.length(beta) - renner.length(alpha) == 2
-        and order.leq(alpha, beta)
-        and len(order.interval_elements(alpha, beta)) == 3)
+    poset, inside = order.interval_mask(theta, sigma)
+    pairs = []
+    for a in order.bits(inside):
+        up = poset.up(a)
+        for b in order.bits(up & inside & poset.level(poset.lengths[a] + 2)):
+            if (up & poset.down(b)).bit_count() == 3:
+                pairs.append((poset.elements[a], poset.elements[b]))
+    return tuple(pairs)
 
 
 def find_linear_length2(theta: Word, sigma: Word) -> Optional[tuple[Word, Word]]:
@@ -133,9 +134,12 @@ def check_lifting(theta: Word, sigma: Word, i: int) -> dict:
     Clause (a): theta < s theta and sigma < s sigma imply
     s theta < s sigma.  Clause (b): s theta >= theta and
     s sigma <= sigma imply theta <= s sigma and s theta <= sigma.
+    The pair must lie in one orbit, whose ``order.OrbitPoset`` answers
+    the comparisons.
     """
-    n = len(theta)
-    if not (order.leq(theta, sigma) and theta != sigma):
+    n, k = order.require_same_orbit(theta, sigma)
+    poset = order.orbit_poset(n, k)
+    if not (poset.leq(theta, sigma) and theta != sigma):
         raise ValueError("check_lifting requires theta < sigma")
     s = weyl.simple_reflection(n, i)
     s_theta = renner.multiply(s, theta)
@@ -149,10 +153,10 @@ def check_lifting(theta: Word, sigma: Word, i: int) -> dict:
     }
     if d_theta > 0 and d_sigma > 0:
         result["clause"] = "a"
-        result["holds"] = order.leq(s_theta, s_sigma) and s_theta != s_sigma
+        result["holds"] = poset.leq(s_theta, s_sigma) and s_theta != s_sigma
     elif d_theta >= 0 and d_sigma <= 0:
         result["clause"] = "b"
-        result["holds"] = order.leq(theta, s_sigma) and order.leq(s_theta, sigma)
+        result["holds"] = poset.leq(theta, s_sigma) and poset.leq(s_theta, sigma)
     else:
         result["clause"] = "not applicable"
         result["holds"] = True
@@ -163,15 +167,14 @@ def lifting_violations(n: int, k: int) -> Report:
     """Sweep all comparable pairs and simple reflections of one orbit."""
     start = time.perf_counter()
     report = Report(name="lifting")
-    elems = renner.orbit(n, k)
-    for theta, sigma in itertools.product(elems, repeat=2):
-        if theta == sigma or not order.leq(theta, sigma):
-            continue
-        for i in range(1, n):
-            report.checked += 1
-            outcome = check_lifting(theta, sigma, i)
-            if not outcome["holds"]:
-                report.violations.append(outcome)
+    poset = order.orbit_poset(n, k)
+    for a, theta in enumerate(poset.elements):
+        for b in order.bits(poset.up(a) & ~(1 << a)):
+            for i in range(1, n):
+                report.checked += 1
+                outcome = check_lifting(theta, poset.elements[b], i)
+                if not outcome["holds"]:
+                    report.violations.append(outcome)
     report.runtime_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -182,27 +185,36 @@ def verify_putcha_conjecture(orbit_elements,
     """Check mu = (-1)^(length difference) on intervals all of whose
     length-2 subintervals are diamonds, and mu = 0 on the rest.
 
-    ``mobius_fn`` exists for harness mutation tests; the default is the
-    direct poset Mobius function.
+    Only pairs among the given elements are checked; they must lie in
+    one orbit.  ``mobius_fn`` exists for harness mutation tests; the
+    default is the direct poset Mobius function.
     """
     start = time.perf_counter()
     mob = mobius_fn or order.mobius_direct
     report = Report(name="putcha")
-    elems = sorted(orbit_elements, key=lambda w: (renner.length(w), w))
+    elems = list(orbit_elements)
     if not elems:
         return report
-    n = len(elems[0])
-    k = renner.rank(elems[0])
-    above = {w: frozenset(v for v in elems if order.leq(w, v)) for w in elems}
-    lin_pairs = linear_length2_pairs(renner.orbit_minimum(n, k),
-                                     renner.orbit_maximum(n, k))
-    for theta in elems:
-        for sigma in above[theta]:
+    poset = order.orbit_poset(len(elems[0]), renner.rank(elems[0]))
+    given = sorted({poset.locate(w) for w in elems})
+    given_mask = sum(1 << a for a in given)
+    # tops[a]: everything above the top of a linear pair with bottom a
+    tops: dict[int, int] = {}
+    for alpha, beta in linear_length2_pairs(poset.elements[0], poset.elements[-1]):
+        a = poset.index[alpha]
+        tops[a] = tops.get(a, 0) | poset.up(poset.index[beta])
+    for a in given:
+        theta, up = poset.elements[a], poset.up(a)
+        # sigma >= theta lies above a linear pair inside [theta, sigma]
+        reach = 0
+        for bottom, above in tops.items():
+            if (up >> bottom) & 1:
+                reach |= above
+        for b in order.bits(up & given_mask):
+            sigma = poset.elements[b]
             report.checked += 1
-            has_linear = any(alpha in above[theta] and sigma in above[beta]
-                             for alpha, beta in lin_pairs)
-            expected = 0 if has_linear else \
-                (-1) ** (renner.length(sigma) - renner.length(theta))
+            expected = 0 if (reach >> b) & 1 else \
+                (-1) ** (poset.lengths[b] - poset.lengths[a])
             actual = mob(theta, sigma)
             if actual != expected:
                 report.violations.append({

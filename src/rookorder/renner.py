@@ -209,8 +209,8 @@ def monoid_elements(n: int) -> tuple[Word, ...]:
 def parse_element(text: str) -> Word:
     """Parse an element from compact digits ('0420') or a bracketed list.
 
-    The compact form is only unambiguous for n <= 9; the bracketed form
-    '[0,4,2,0]' is accepted for all n.
+    The compact form is only unambiguous for n <= 9 and takes ASCII
+    digits only; the bracketed form '[0,4,2,0]' is accepted for all n.
     """
     text = text.strip()
     if text.startswith("["):
@@ -221,7 +221,7 @@ def parse_element(text: str) -> Word:
         if not isinstance(data, list) or not all(isinstance(a, int) for a in data):
             raise ValueError(f"bad element literal {text!r}")
         word = tuple(data)
-    elif text.isdigit():
+    elif text.isascii() and text.isdigit():
         word = tuple(int(ch) for ch in text)
     else:
         raise ValueError(f"bad element literal {text!r}")

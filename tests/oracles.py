@@ -2,8 +2,9 @@
 library code paths they are used to check."""
 
 import itertools
+from functools import lru_cache
 
-from rookorder import renner, weyl
+from rookorder import order, renner, weyl
 
 
 def bruhat_leq_subword(u, v):
@@ -66,3 +67,25 @@ def linear_length2_bruteforce(elements, leq_fn, bottom, top):
     above = {a: {c for c in inside if leq_fn(a, c)} for a in inside}
     return {(a, b) for a in inside for b in above[a]
             if sum(1 for c in above[a] if b in above[c]) == 3}
+
+
+@lru_cache(maxsize=None)
+def interval_elements_scan(theta, sigma):
+    """All tau in the orbit of theta with theta <= tau <= sigma, by
+    (length, word): a scan of the whole orbit with the coset-witness
+    ``order.leq``."""
+    n, k = order.require_same_orbit(theta, sigma)
+    return tuple(tau for tau in renner.orbit(n, k)
+                 if order.leq(theta, tau) and order.leq(tau, sigma))
+
+
+@lru_cache(maxsize=None)
+def mobius_recursive(theta, sigma):
+    """Mobius value by the defining recursion over ``interval_elements_scan``."""
+    if theta == sigma:
+        return 1
+    if not order.leq(theta, sigma):
+        return 0
+    return -sum(mobius_recursive(theta, tau)
+                for tau in interval_elements_scan(theta, sigma)
+                if tau != sigma)

@@ -51,7 +51,7 @@ def test_linear_length2_scan_matches_bruteforce_on_orbits(n):
         pairs = analysis.linear_length2_pairs(bottom, top)
         assert len(set(pairs)) == len(pairs)
         assert set(pairs) == linear_length2_bruteforce(
-            renner.orbit(n, k), order.dominance_leq, bottom, top), (n, k)
+            renner.orbit(n, k), order.leq, bottom, top), (n, k)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -61,7 +61,7 @@ def test_linear_length2_scan_matches_bruteforce_on_intervals(n):
         elems = renner.orbit(n, k)
         for theta, sigma in itertools.product(elems, repeat=2):
             assert set(analysis.linear_length2_pairs(theta, sigma)) == \
-                linear_length2_bruteforce(elems, order.dominance_leq,
+                linear_length2_bruteforce(elems, order.leq,
                                           theta, sigma), (theta, sigma)
 
 

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import rookorder
 from rookorder import cli
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -215,3 +218,23 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().count("->") == 2
+
+
+@pytest.mark.parametrize("command", ["rpoly", "mobius"])
+def test_whole_orbit_interval_finishes(command):
+    # [123456, 654321] is all of S_6: a cold process must answer within
+    # the timeout, with mu = R(0) = -1 on a higher-length interval
+    src = os.path.dirname(os.path.dirname(rookorder.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "rookorder", command, "123456", "654321",
+         "--format", "json"],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout)
+    if command == "rpoly":
+        assert record["constant_term"] == record["mobius"] == -1
+        assert record["shape"] == "higher-length"
+    else:
+        assert record == {"mobius": -1, "r_constant_term": -1}

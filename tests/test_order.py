@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import mobius_bruteforce
+from oracles import interval_elements_scan, mobius_bruteforce, mobius_recursive
 from rookorder import order, renner, weyl
 
 
@@ -65,9 +66,43 @@ def test_dominance_oracle_calibration(n):
 
 
 def test_dominance_oracle_cross_validates_n4():
+    # the pairwise rank-matrix test and, on same-orbit pairs, the orbit
+    # poset's up- and down-set rows must both coincide with the
+    # coset-witness criterion
     elems = renner.monoid_elements(4)
     for a, b in itertools.product(elems, repeat=2):
-        assert order.dominance_leq(a, b) == order.leq(a, b), (a, b)
+        expected = order.leq(a, b)
+        assert order.dominance_leq(a, b) == expected, (a, b)
+        if renner.rank(a) == renner.rank(b):
+            poset = order.orbit_poset(4, renner.rank(a))
+            i, j = poset.index[a], poset.index[b]
+            assert (poset.up(i) >> j) & 1 == expected, (a, b)
+            assert (poset.down(j) >> i) & 1 == expected, (a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_intervals_and_mobius_match_scan_oracles(n):
+    # every same-orbit pair, incomparable ones included
+    for k in range(n + 1):
+        for theta, sigma in itertools.product(renner.orbit(n, k), repeat=2):
+            assert order.interval_elements(theta, sigma) == \
+                interval_elements_scan(theta, sigma), (theta, sigma)
+            assert order.mobius_direct(theta, sigma) == \
+                mobius_recursive(theta, sigma), (theta, sigma)
+
+
+@pytest.mark.parametrize("k", range(6))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_orbit_poset_matches_leq_n5(k, data):
+    poset = order.orbit_poset(5, k)
+    pick = st.integers(0, len(poset.elements) - 1)
+    i, j = data.draw(pick), data.draw(pick)
+    theta, sigma = poset.elements[i], poset.elements[j]
+    expected = order.leq(theta, sigma)
+    assert (poset.up(i) >> j) & 1 == expected
+    assert (poset.down(j) >> i) & 1 == expected
+    assert poset.leq(theta, sigma) == expected
 
 
 def test_orbit_has_unique_min_and_max():

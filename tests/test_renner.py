@@ -203,7 +203,7 @@ def test_parse_and_format():
     long_word = tuple(range(1, 11))
     assert renner.format_element(long_word) == "[1,2,3,4,5,6,7,8,9,10]"
     assert renner.parse_element("[1,2,3,4,5,6,7,8,9,10]") == long_word
-    for bad in ["12x", "[1,1]", "(1,2)", "122", "[true,0]"]:
+    for bad in ["12x", "[1,1]", "(1,2)", "122", "[true,0]", "\u0661\u0662"]:
         with pytest.raises(ValueError):
             renner.parse_element(bad)
 
