@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import order, renner, rpoly, weyl
 from .order import IntervalPoset
@@ -128,14 +128,15 @@ def embeddable_in_weyl_necessary(theta: Word, sigma: Word) -> bool:
     return rpoly.rpoly(theta, sigma).constant_term != 0
 
 
-def check_lifting(theta: Word, sigma: Word, i: int) -> dict:
+def check_lifting(theta: Word, sigma: Word, i: int) -> tuple[str, bool]:
     """Evaluate the lifting property for the triple (theta, sigma, s_i).
 
     Clause (a): theta < s theta and sigma < s sigma imply
     s theta < s sigma.  Clause (b): s theta >= theta and
     s sigma <= sigma imply theta <= s sigma and s theta <= sigma.
-    The pair must lie in one orbit, whose ``order.OrbitPoset`` answers
-    the comparisons.
+    Returns the clause that applies ("a", "b" or "not applicable") and
+    whether it holds.  The pair must lie in one orbit, whose
+    ``order.OrbitPoset`` answers the comparisons.
     """
     n, k = order.require_same_orbit(theta, sigma)
     poset = order.orbit_poset(n, k)
@@ -146,21 +147,11 @@ def check_lifting(theta: Word, sigma: Word, i: int) -> dict:
     s_sigma = renner.multiply(s, sigma)
     d_theta = renner.length(s_theta) - renner.length(theta)
     d_sigma = renner.length(s_sigma) - renner.length(sigma)
-    result = {
-        "theta": renner.format_element(theta),
-        "sigma": renner.format_element(sigma),
-        "s": i,
-    }
     if d_theta > 0 and d_sigma > 0:
-        result["clause"] = "a"
-        result["holds"] = poset.leq(s_theta, s_sigma) and s_theta != s_sigma
-    elif d_theta >= 0 and d_sigma <= 0:
-        result["clause"] = "b"
-        result["holds"] = poset.leq(theta, s_sigma) and poset.leq(s_theta, sigma)
-    else:
-        result["clause"] = "not applicable"
-        result["holds"] = True
-    return result
+        return "a", poset.leq(s_theta, s_sigma) and s_theta != s_sigma
+    if d_theta >= 0 and d_sigma <= 0:
+        return "b", poset.leq(theta, s_sigma) and poset.leq(s_theta, sigma)
+    return "not applicable", True
 
 
 def lifting_violations(n: int, k: int) -> Report:
@@ -170,27 +161,28 @@ def lifting_violations(n: int, k: int) -> Report:
     poset = order.orbit_poset(n, k)
     for a, theta in enumerate(poset.elements):
         for b in order.bits(poset.up(a) & ~(1 << a)):
+            sigma = poset.elements[b]
             for i in range(1, n):
                 report.checked += 1
-                outcome = check_lifting(theta, poset.elements[b], i)
-                if not outcome["holds"]:
-                    report.violations.append(outcome)
+                clause, holds = check_lifting(theta, sigma, i)
+                if not holds:
+                    report.violations.append({
+                        "theta": renner.format_element(theta),
+                        "sigma": renner.format_element(sigma),
+                        "s": i, "clause": clause, "holds": holds,
+                    })
     report.runtime_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
-def verify_putcha_conjecture(orbit_elements,
-                             mobius_fn: Callable[[Word, Word], int] | None = None,
-                             ) -> Report:
+def verify_putcha_conjecture(orbit_elements) -> Report:
     """Check mu = (-1)^(length difference) on intervals all of whose
     length-2 subintervals are diamonds, and mu = 0 on the rest.
 
     Only pairs among the given elements are checked; they must lie in
-    one orbit.  ``mobius_fn`` exists for harness mutation tests; the
-    default is the direct poset Mobius function.
+    one orbit.  mu comes from ``order.mobius_direct``.
     """
     start = time.perf_counter()
-    mob = mobius_fn or order.mobius_direct
     report = Report(name="putcha")
     elems = list(orbit_elements)
     if not elems:
@@ -215,7 +207,7 @@ def verify_putcha_conjecture(orbit_elements,
             report.checked += 1
             expected = 0 if (reach >> b) & 1 else \
                 (-1) ** (poset.lengths[b] - poset.lengths[a])
-            actual = mob(theta, sigma)
+            actual = order.mobius_direct(theta, sigma)
             if actual != expected:
                 report.violations.append({
                     "theta": renner.format_element(theta),

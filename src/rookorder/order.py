@@ -1,19 +1,18 @@
 """Bruhat-Chevalley order on the rook monoid.
 
-``leq`` computes the order from standard forms: for theta = u e v^-1
-and sigma = x f y^-1,
+``leq`` is the order: theta <= sigma iff every count of entries >= j
+among the first k columns of theta is at most the same count for sigma
+(Pennell-Putcha-Renner's rank-matrix characterisation for R_n).  Each
+rank matrix packs into one int, so one subtract-and-mask compares all
+n^2 counts.  Questions inside one W x W orbit (intervals, covers,
+Mobius values) go to that orbit's ``OrbitPoset``, which answers them
+with int bitsets built from the same packed test.
 
-    theta <= sigma  iff  e <= f and, for some w in W(f) W_e,
-                         u <= xw and yw <= v  in Bruhat order on W.
-
-Questions inside one W x W orbit (intervals, covers, Mobius values) go
-to that orbit's ``OrbitPoset`` instead, which answers them with int
-bitsets built from the rank-matrix test ``dominance_leq``: theta <=
-sigma iff every count of entries >= j among the first k columns of
-theta is at most the same count for sigma.  The two criteria are
-independent; the tests require them to agree on all of R_2, R_3 and
-R_4 and on sampled pairs of R_5, and ``rpoly`` keeps using ``leq``, so
-every R-polynomial compared with a Mobius value compares the two.
+The coset-witness criterion on standard forms (theta = u e v^-1 <=
+sigma = x f y^-1 iff e <= f and u <= xw, yw <= v for some w in
+W(f) W_e) is kept in the test suite as the independent oracle: the
+tests require it to agree with ``leq`` on all of R_1 to R_4 and on
+sampled pairs of R_5, within one orbit and across orbits.
 
 Within a single orbit W e W the monoid length function is the rank
 function of the induced poset, which licenses building cover relations
@@ -27,7 +26,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import renner, weyl
+from . import renner
 from .renner import Word
 from .reports import Report
 
@@ -37,41 +36,6 @@ __all__ = [
     "interval", "mobius_direct", "transitive_reduction", "check_graded",
     "hasse_dot",
 ]
-
-
-@lru_cache(maxsize=None)
-def _witness_set(n: int, kf: int, ke: int) -> tuple[Word, ...]:
-    """The set product W(f) W_e, deduplicated, shortest elements first."""
-    wf = weyl.parabolic_subgroup(
-        renner.centralizer_gens(renner.rank_idempotent(n, kf)), n)
-    we = weyl.parabolic_subgroup(
-        renner.stabilizer_gens(renner.rank_idempotent(n, ke)), n)
-    prod = {weyl.compose(a, b) for a in wf for b in we}
-    return tuple(sorted(prod, key=lambda w: (weyl.length(w), w)))
-
-
-@lru_cache(maxsize=None)
-def leq(theta: Word, sigma: Word) -> bool:
-    """Bruhat-Chevalley order on R_n.
-
-    >>> leq((0, 0, 0, 1), (0, 0, 0, 3))
-    True
-    """
-    if len(theta) != len(sigma):
-        raise ValueError(f"rank mismatch: {len(theta)} vs {len(sigma)}")
-    if theta == sigma:
-        return True
-    ke = renner.rank(theta)
-    kf = renner.rank(sigma)
-    if ke > kf:
-        return False
-    u, _, v = renner.standard_form(theta)
-    x, _, y = renner.standard_form(sigma)
-    for w in _witness_set(len(theta), kf, ke):
-        if weyl.bruhat_leq(u, weyl.compose(x, w)) and \
-                weyl.bruhat_leq(weyl.compose(y, w), v):
-            return True
-    return False
 
 
 @lru_cache(maxsize=None)
@@ -102,24 +66,27 @@ def _pack(word: Word) -> int:
     return sum(column[a] for column, a in zip(columns, word))
 
 
-def dominance_leq(theta: Word, sigma: Word) -> bool:
-    """Rank-matrix order on R_n, in one subtract-and-mask.
+def leq(theta: Word, sigma: Word) -> bool:
+    """Bruhat-Chevalley order on R_n, in one subtract-and-mask.
 
     theta <= sigma iff for all k, j the count of entries >= j among the
     first k columns of theta is at most the same count for sigma.  With
     the guard bits set on sigma's packed counts, the subtraction clears
-    a guard exactly where theta's count is the larger one.  The
-    orientation is calibrated against ``leq`` on all of R_2 and R_3
-    before being trusted at n = 4 (see the test suite); ``OrbitPoset``
-    builds its rows from the same test.
+    a guard exactly where theta's count is the larger one.  The tests
+    check this against the coset-witness criterion (``witness_leq`` in
+    the test oracles) on every pair of R_1 to R_4 and on sampled pairs
+    of R_5; ``OrbitPoset`` builds its rows from the same test.
 
-    >>> dominance_leq((0, 0, 0, 1), (0, 0, 0, 3)), dominance_leq((1, 0), (0, 1))
+    >>> leq((0, 0, 0, 1), (0, 0, 0, 3)), leq((1, 0), (0, 1))
     (True, False)
     """
     if len(theta) != len(sigma):
         raise ValueError(f"rank mismatch: {len(theta)} vs {len(sigma)}")
     _, guard = _rank_packing(len(theta))
     return ((_pack(sigma) | guard) - _pack(theta)) & guard == guard
+
+
+dominance_leq = leq  # the name the benchmark's answer checks call
 
 
 def require_same_orbit(theta: Word, sigma: Word) -> tuple[int, int]:

@@ -29,8 +29,7 @@ from . import order, renner, weyl
 from .polynomials import IntPoly, Laurent, ONE, Q, Q_MINUS_1, ZERO
 from .renner import Word
 
-__all__ = ["rpoly", "mobius_via_r", "delta_identity_sum",
-           "verify_delta_identity"]
+__all__ = ["rpoly", "delta_identity_sum", "verify_delta_identity"]
 
 
 @lru_cache(maxsize=None)
@@ -62,11 +61,6 @@ def rpoly(theta: Word, sigma: Word) -> IntPoly:
     if diff == 0:
         return Q * rpoly(theta, s_sigma)
     return Q_MINUS_1 * rpoly(theta, s_sigma) + Q * rpoly(s_theta, s_sigma)
-
-
-def mobius_via_r(theta: Word, sigma: Word) -> int:
-    """Mobius function as the constant term of the R-polynomial."""
-    return rpoly(theta, sigma).constant_term
 
 
 def delta_identity_sum(theta: Word, sigma: Word) -> Laurent:

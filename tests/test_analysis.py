@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import linear_length2_bruteforce
+from oracles import linear_length2_bruteforce, witness_leq
 from rookorder import analysis, order, renner, weyl
 
 DESCENT_TABLE = {
@@ -51,7 +51,7 @@ def test_linear_length2_scan_matches_bruteforce_on_orbits(n):
         pairs = analysis.linear_length2_pairs(bottom, top)
         assert len(set(pairs)) == len(pairs)
         assert set(pairs) == linear_length2_bruteforce(
-            renner.orbit(n, k), order.leq, bottom, top), (n, k)
+            renner.orbit(n, k), witness_leq, bottom, top), (n, k)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -61,7 +61,7 @@ def test_linear_length2_scan_matches_bruteforce_on_intervals(n):
         elems = renner.orbit(n, k)
         for theta, sigma in itertools.product(elems, repeat=2):
             assert set(analysis.linear_length2_pairs(theta, sigma)) == \
-                linear_length2_bruteforce(elems, order.leq,
+                linear_length2_bruteforce(elems, witness_leq,
                                           theta, sigma), (theta, sigma)
 
 
@@ -100,9 +100,7 @@ def test_length2_interval_dichotomy(n):
 
 
 def test_check_lifting_clause_b_example():
-    outcome = analysis.check_lifting((0, 1), (0, 2), 1)
-    assert outcome["clause"] == "b"
-    assert outcome["holds"]
+    assert analysis.check_lifting((0, 1), (0, 2), 1) == ("b", True)
 
 
 def test_check_lifting_clause_a_witnessed():
@@ -113,9 +111,9 @@ def test_check_lifting_clause_a_witnessed():
             if theta == sigma or not order.leq(theta, sigma):
                 continue
             for i in (1, 2):
-                outcome = analysis.check_lifting(theta, sigma, i)
-                assert outcome["holds"], outcome
-                if outcome["clause"] == "a":
+                clause, holds = analysis.check_lifting(theta, sigma, i)
+                assert holds, (theta, sigma, i, clause)
+                if clause == "a":
                     seen += 1
     assert seen > 0
 
@@ -126,11 +124,9 @@ def test_check_lifting_not_applicable():
     s1 = weyl.simple_reflection(2, 1)
     assert renner.length(renner.multiply(s1, theta)) < renner.length(theta)
     assert renner.length(renner.multiply(s1, sigma)) < renner.length(sigma)
-    outcome = analysis.check_lifting((1, 0), (2, 0), 1)
-    assert outcome["clause"] == "b"
-    not_applicable = analysis.check_lifting(theta, sigma, 1)
-    assert not_applicable["clause"] == "not applicable"
-    assert not_applicable["holds"]
+    clause, _ = analysis.check_lifting((1, 0), (2, 0), 1)
+    assert clause == "b"
+    assert analysis.check_lifting(theta, sigma, 1) == ("not applicable", True)
 
 
 def test_check_lifting_requires_strict_pair():
@@ -150,16 +146,18 @@ def test_putcha_conjecture_orbits(n, k):
     assert report.passed, report.violations[:3]
 
 
-def test_putcha_mutation_is_caught():
+def test_putcha_mutation_is_caught(monkeypatch):
     # a corrupted Mobius function must produce violation certificates
+    original = order.mobius_direct
+
     def corrupted(theta, sigma):
-        value = order.mobius_direct(theta, sigma)
+        value = original(theta, sigma)
         if renner.length(sigma) - renner.length(theta) == 2:
             return value + 1
         return value
 
-    report = analysis.verify_putcha_conjecture(renner.orbit(3, 2),
-                                               mobius_fn=corrupted)
+    monkeypatch.setattr(order, "mobius_direct", corrupted)
+    report = analysis.verify_putcha_conjecture(renner.orbit(3, 2))
     assert not report.passed
     cert = report.violations[0]
     assert set(cert) >= {"theta", "sigma", "mobius", "expected", "interval"}

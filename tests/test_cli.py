@@ -220,17 +220,20 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().count("->") == 2
 
 
+def run_cold(*argv):
+    """Run the CLI in a fresh interpreter under a 30 s timeout."""
+    src = os.path.dirname(os.path.dirname(rookorder.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "rookorder", *argv],
+                          capture_output=True, text=True, timeout=30, env=env)
+
+
 @pytest.mark.parametrize("command", ["rpoly", "mobius"])
 def test_whole_orbit_interval_finishes(command):
     # [123456, 654321] is all of S_6: a cold process must answer within
     # the timeout, with mu = R(0) = -1 on a higher-length interval
-    src = os.path.dirname(os.path.dirname(rookorder.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "rookorder", command, "123456", "654321",
-         "--format", "json"],
-        capture_output=True, text=True, timeout=30, env=env)
+    done = run_cold(command, "123456", "654321", "--format", "json")
     assert done.returncode == 0, done.stderr
     record = json.loads(done.stdout)
     if command == "rpoly":
@@ -238,3 +241,18 @@ def test_whole_orbit_interval_finishes(command):
         assert record["shape"] == "higher-length"
     else:
         assert record == {"mobius": -1, "r_constant_term": -1}
+
+
+@pytest.mark.parametrize("theta,sigma,expected", [
+    # full rank against the zero matrix, where the coset-witness
+    # criterion would range over all of S_8 x S_8
+    ("87654321", "00000000",
+     "87654321 <= 00000000: false\n00000000 <= 87654321: true\n"),
+    # two rank-1 elements of R_8
+    ("10000000", "00000001",
+     "10000000 <= 00000001: false\n00000001 <= 10000000: true\n"),
+], ids=["rank8-zero", "rank1-rank1"])
+def test_order_at_n8_finishes(theta, sigma, expected):
+    done = run_cold("order", theta, sigma)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import interval_elements_scan, mobius_bruteforce, mobius_recursive
+from oracles import (interval_elements_scan, mobius_bruteforce,
+                     mobius_recursive, witness_leq)
 from rookorder import order, renner, weyl
 
 
@@ -56,23 +57,24 @@ def test_leq_strictly_increases_length(n):
                 assert renner.length(a) < renner.length(b)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_dominance_oracle_calibration(n):
-    # the rank-matrix dominance test must coincide with the coset-witness
-    # criterion on the whole monoid before being trusted at n = 4
+    # the rank-matrix order must coincide with the coset-witness
+    # criterion on the whole monoid, cross-orbit pairs included
+    assert order.dominance_leq is order.leq
     elems = renner.monoid_elements(n)
     for a, b in itertools.product(elems, repeat=2):
-        assert order.dominance_leq(a, b) == order.leq(a, b), (a, b)
+        assert order.leq(a, b) == witness_leq(a, b), (a, b)
 
 
 def test_dominance_oracle_cross_validates_n4():
-    # the pairwise rank-matrix test and, on same-orbit pairs, the orbit
-    # poset's up- and down-set rows must both coincide with the
-    # coset-witness criterion
+    # the pairwise rank-matrix test on every pair and, on same-orbit
+    # pairs, the orbit poset's up- and down-set rows must both coincide
+    # with the coset-witness criterion
     elems = renner.monoid_elements(4)
     for a, b in itertools.product(elems, repeat=2):
-        expected = order.leq(a, b)
-        assert order.dominance_leq(a, b) == expected, (a, b)
+        expected = witness_leq(a, b)
+        assert order.leq(a, b) == expected, (a, b)
         if renner.rank(a) == renner.rank(b):
             poset = order.orbit_poset(4, renner.rank(a))
             i, j = poset.index[a], poset.index[b]
@@ -99,10 +101,22 @@ def test_orbit_poset_matches_leq_n5(k, data):
     pick = st.integers(0, len(poset.elements) - 1)
     i, j = data.draw(pick), data.draw(pick)
     theta, sigma = poset.elements[i], poset.elements[j]
-    expected = order.leq(theta, sigma)
+    expected = witness_leq(theta, sigma)
+    assert order.leq(theta, sigma) == expected
     assert (poset.up(i) >> j) & 1 == expected
     assert (poset.down(j) >> i) & 1 == expected
     assert poset.leq(theta, sigma) == expected
+
+
+@pytest.mark.parametrize("ke,kf", list(itertools.combinations(range(6), 2)))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_leq_matches_witness_across_orbits_n5(ke, kf, data):
+    # pairs from two different orbits of R_5, compared both ways
+    theta = data.draw(st.sampled_from(renner.orbit(5, ke)))
+    sigma = data.draw(st.sampled_from(renner.orbit(5, kf)))
+    assert order.leq(theta, sigma) == witness_leq(theta, sigma)
+    assert order.leq(sigma, theta) == witness_leq(sigma, theta)
 
 
 def test_orbit_has_unique_min_and_max():
@@ -139,10 +153,10 @@ def test_covers_match_generic_transitive_reduction(n):
     for k in range(n + 1):
         elems = renner.orbit(n, k)
         for theta, sigma in itertools.product(elems, repeat=2):
-            if not order.leq(theta, sigma):
+            if not witness_leq(theta, sigma):
                 continue
             poset = order.interval(theta, sigma)
-            generic = order.transitive_reduction(poset.elements, order.leq)
+            generic = order.transitive_reduction(poset.elements, witness_leq)
             assert set(poset.covers) == set(generic), (theta, sigma)
 
 
@@ -163,11 +177,11 @@ def test_mobius_direct_matches_chain_count_oracle(n):
     for k in range(n + 1):
         elems = renner.orbit(n, k)
         for theta, sigma in itertools.product(elems, repeat=2):
-            if not order.leq(theta, sigma):
+            if not witness_leq(theta, sigma):
                 continue
-            inside = order.interval_elements(theta, sigma)
+            inside = interval_elements_scan(theta, sigma)
             if len(inside) - 2 <= 5:
-                expected = mobius_bruteforce(inside, order.leq, theta, sigma)
+                expected = mobius_bruteforce(inside, witness_leq, theta, sigma)
                 assert order.mobius_direct(theta, sigma) == expected
 
 
