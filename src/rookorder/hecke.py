@@ -9,13 +9,18 @@ reflection s is
                 = A_{s sigma}                             if l(s sigma) = l(sigma) + 1
                 = q^-1 A_{s sigma} + (1 - q^-1) A_sigma   if l(s sigma) = l(sigma) - 1
 
-together with A_nu A_sigma = A_{nu sigma} for l(nu) = 0; products that
-fall into a strictly lower orbit are discarded, which realizes the
-quotient by the ideal spanned by lower orbits.
+together with A_nu A_sigma = A_{nu sigma} for l(nu) = 0.  Left
+multiplication by a permutation keeps the rank, so these products stay
+in the orbit of sigma and never reach the lower orbits that the orbit
+algebra quotients out.
 
 The bar involution fixes integers, sends q^(1/2) to q^(-1/2), and on
-the unit group acts by bar(A_w) = (A_{w^-1})^-1.  It extends uniquely
-to the augmented orbit algebra; expanding bar(A_sigma) in the A-basis
+the unit group acts by bar(A_w) = (A_{w^-1})^-1.  Over a reduced word
+w = s_1 ... s_m this is bar(A_w) = bar(A_s_1) ... bar(A_s_m) with
+bar(A_s) = A_s^-1 = q A_s - (q - 1), so bar(A_w) acts on an element by
+m such steps, rightmost letter first; the bar of a unit basis element
+is that action on A_id.  The involution extends uniquely to the
+augmented orbit algebra; expanding bar(A_sigma) in the A-basis
 recovers the R-polynomials, which is used as an oracle for the
 recurrence in ``rpoly``.
 """
@@ -36,18 +41,25 @@ __all__ = [
     "hecke_to_json",
 ]
 
+_Q = Laurent.q_power(1)
 _Q_INV = Laurent.q_power(-1)
+_ONE_MINUS_Q = Laurent.from_int(1) - _Q
 _ONE_MINUS_Q_INV = Laurent.from_int(1) - _Q_INV
+
+
+def _add_term(acc: HeckeElt, word: Word, c: Laurent) -> None:
+    old = acc.get(word)
+    acc[word] = c if old is None else old + c
 
 
 def add_scaled(acc: HeckeElt, h: HeckeElt, c: Laurent | int = 1) -> None:
     """acc += c * h, in place."""
-    if isinstance(c, int):
-        c = Laurent.from_int(c)
-    if c.is_zero():
-        return
-    for word, coeff in h.items():
-        acc[word] = acc.get(word, Laurent(0, ())) + c * coeff
+    if c == 1:
+        for word, coeff in h.items():
+            _add_term(acc, word, coeff)
+    elif c:
+        for word, coeff in h.items():
+            _add_term(acc, word, c * coeff)
 
 
 def canonical(h: HeckeElt) -> HeckeElt:
@@ -58,11 +70,7 @@ def elements_equal(a: HeckeElt, b: HeckeElt) -> bool:
     return canonical(a) == canonical(b)
 
 
-def _guard(word: Word, min_rank: int | None) -> bool:
-    return min_rank is None or renner.rank(word) >= min_rank
-
-
-def mult_As_left(i: int, h: HeckeElt, min_rank: int | None = None) -> HeckeElt:
+def mult_As_left(i: int, h: HeckeElt) -> HeckeElt:
     """Left multiplication by the basis element of the simple reflection s_i."""
     out: HeckeElt = {}
     for word, c in h.items():
@@ -70,37 +78,36 @@ def mult_As_left(i: int, h: HeckeElt, min_rank: int | None = None) -> HeckeElt:
         sw = renner.multiply(s, word)
         diff = renner.length(sw) - renner.length(word)
         if diff == 0:
-            add_scaled(out, {word: c})
+            _add_term(out, word, c)
         elif diff == 1:
-            if _guard(sw, min_rank):
-                add_scaled(out, {sw: c})
+            _add_term(out, sw, c)
         else:
-            if _guard(sw, min_rank):
-                add_scaled(out, {sw: c * _Q_INV})
-            add_scaled(out, {word: c * _ONE_MINUS_Q_INV})
+            _add_term(out, sw, c * _Q_INV)
+            _add_term(out, word, c * _ONE_MINUS_Q_INV)
     return canonical(out)
 
 
-def mult_Aw_left(w: Word, h: HeckeElt, min_rank: int | None = None) -> HeckeElt:
+def mult_Aw_left(w: Word, h: HeckeElt) -> HeckeElt:
     """Left multiplication by A_w for a permutation w, via a reduced word."""
     for i in reversed(weyl.reduced_word(w)):
-        h = mult_As_left(i, h, min_rank)
+        h = mult_As_left(i, h)
+    return h
+
+
+def _bar_Aw_left(w: Word, h: HeckeElt) -> HeckeElt:
+    # bar(A_w) h, one bar(A_s) = q A_s - (q - 1) step per letter of a
+    # reduced word of w, the rightmost letter first
+    for i in reversed(weyl.reduced_word(w)):
+        out: HeckeElt = {}
+        add_scaled(out, mult_As_left(i, h), _Q)
+        add_scaled(out, h, _ONE_MINUS_Q)
+        h = canonical(out)
     return h
 
 
 @lru_cache(maxsize=None)
 def _bar_on_W(w: Word) -> tuple[tuple[Word, Laurent], ...]:
-    # bar(A_w) = bar(A_s1) ... bar(A_sk) over a reduced word, where
-    # bar(A_s) = A_s^-1 = q A_s - (q-1) A_id from the quadratic relation.
-    n = len(w)
-    q = Laurent.q_power(1)
-    q_minus_1 = q - Laurent.from_int(1)
-    h: HeckeElt = {weyl.identity(n): Laurent.from_int(1)}
-    for i in reversed(weyl.reduced_word(w)):
-        out: HeckeElt = {}
-        add_scaled(out, mult_As_left(i, h), q)
-        add_scaled(out, h, -q_minus_1)
-        h = canonical(out)
+    h = _bar_Aw_left(w, {weyl.identity(len(w)): Laurent.from_int(1)})
     return tuple(sorted(h.items()))
 
 
@@ -128,7 +135,7 @@ def _orbit_sum(n: int, k: int, t: Word) -> HeckeElt:
             r = weyl.classical_rpoly(tz, y)
             if r.is_zero():
                 continue
-            add_scaled(out, {renner.multiply(zey, weyl.inverse(y)): r.bar()})
+            _add_term(out, renner.multiply(zey, weyl.inverse(y)), r.bar())
     return canonical(out)
 
 
@@ -137,12 +144,9 @@ def _bar_Asigma(sigma: Word) -> tuple[tuple[Word, Laurent], ...]:
     n = len(sigma)
     k = renner.rank(sigma)
     x, _, t = renner.standard_form(sigma)
-    core = _orbit_sum(n, k, t)
-    out: HeckeElt = {}
-    for w, cw in bar_on_W(x).items():
-        add_scaled(out, mult_Aw_left(w, core, k), cw)
+    out = _bar_Aw_left(x, _orbit_sum(n, k, t))
     shift = Laurent.q_power(-weyl.length(t))
-    return tuple((word, c * shift) for word, c in canonical(out).items())
+    return tuple((word, c * shift) for word, c in out.items())
 
 
 def bar_Asigma(sigma: Word) -> HeckeElt:
@@ -152,7 +156,14 @@ def bar_Asigma(sigma: Word) -> HeckeElt:
 
         q^(-l(t)) bar(A_x) sum_{z, y} bar(R[t z, y]) A_{z e y^-1},
 
-    the unique extension of the involution from H(W).
+    the unique extension of the involution from H(W), with bar(A_x)
+    applied to the sum along a reduced word of x.  For the rank-1
+    idempotent of R_2, W(e) is trivial and D(e) = {id, s}:
+
+    >>> for word, c in sorted(bar_Asigma((1, 0)).items()):
+    ...     print(renner.format_element(word), c)
+    01 -1 + v^-2
+    10 1
     """
     return dict(_bar_Asigma(sigma))
 

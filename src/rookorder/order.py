@@ -63,7 +63,7 @@ def _rank_packing(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 def _pack(word: Word) -> int:
     """The rank matrix of ``word`` in the layout of ``_rank_packing``."""
     columns, _ = _rank_packing(len(word))
-    return sum(column[a] for column, a in zip(columns, word))
+    return sum(map(tuple.__getitem__, columns, word))
 
 
 def leq(theta: Word, sigma: Word) -> bool:

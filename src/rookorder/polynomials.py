@@ -5,11 +5,28 @@ and Laurent polynomials in ``v`` with ``v**2 = q`` (for Hecke algebra
 coefficients, which live in Z[q**(-1/2), q**(1/2)]).  Both are immutable
 and hashable; coefficients are plain Python ints, so all arithmetic is
 exact.
+
+Every ``Laurent`` is canonical: either ``coeffs == ()`` with
+``min_exp == 0`` (zero), or both end coefficients are nonzero.  Equality
+and hashing compare the fields, so they rely on it, and the arithmetic
+keeps it without re-stripping where it cannot break: Z has no zero
+divisors, so a product of canonical factors has nonzero ends; negation
+and ``bar`` only flip signs or reverse; only a sum can cancel an end.
 """
 
 from __future__ import annotations
 
+import operator
+
 __all__ = ["IntPoly", "Laurent", "ZERO", "ONE", "Q", "Q_MINUS_1"]
+
+
+def _laurent(min_exp: int, coeffs: tuple[int, ...]) -> "Laurent":
+    """A Laurent from fields already in canonical form, unchecked."""
+    out = object.__new__(Laurent)
+    out.min_exp = min_exp
+    out.coeffs = coeffs
+    return out
 
 
 def _strip(coeffs: list[int]) -> tuple[int, ...]:
@@ -119,12 +136,13 @@ class IntPoly:
 
     def to_laurent(self) -> "Laurent":
         """Embed Z[q] into Z[v, v^-1] via q = v^2."""
-        if not self.coeffs:
-            return Laurent(0, ())
-        out = [0] * (2 * len(self.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            out[2 * i] = c
-        return Laurent(0, out)
+        cs = self.coeffs
+        if not cs:
+            return _laurent(0, ())
+        low = next(i for i, c in enumerate(cs) if c)
+        out = [0] * (2 * (len(cs) - low) - 1)
+        out[::2] = cs[low:]
+        return _laurent(2 * low, tuple(out))
 
     def bar(self) -> "Laurent":
         """The image under q -> q^-1, as a Laurent polynomial in v."""
@@ -165,16 +183,15 @@ class Laurent:
     __slots__ = ("min_exp", "coeffs")
 
     def __init__(self, min_exp: int = 0, coeffs=()):
-        cs = list(coeffs)
-        lead = 0
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            lead += 1
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if cs:
-            self.min_exp = min_exp + lead
-            self.coeffs = tuple(cs)
+        cs = tuple(coeffs)
+        lo, hi = 0, len(cs)
+        while lo < hi and cs[lo] == 0:
+            lo += 1
+        while lo < hi and cs[hi - 1] == 0:
+            hi -= 1
+        if lo < hi:
+            self.min_exp = min_exp + lo
+            self.coeffs = cs[lo:hi]
         else:
             self.min_exp = 0
             self.coeffs = ()
@@ -209,19 +226,21 @@ class Laurent:
             return other
         if not other.coeffs:
             return self
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs))
-        out = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_exp - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.min_exp - lo + i] += c
-        return Laurent(lo, out)
+        a, b = (self, other) if self.min_exp <= other.min_exp else (other, self)
+        out = list(a.coeffs)
+        off = b.min_exp - a.min_exp
+        end = off + len(b.coeffs)
+        if end > len(out):
+            out += [0] * (end - len(out))
+        out[off:end] = map(operator.add, out[off:end], b.coeffs)
+        if out[0] and out[-1]:
+            return _laurent(a.min_exp, tuple(out))
+        return Laurent(a.min_exp, out)  # an end cancelled: strip
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent(self.min_exp, [-c for c in self.coeffs])
+        return _laurent(self.min_exp, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         other = _coerce_laurent(other)
@@ -233,17 +252,33 @@ class Laurent:
         return _coerce_laurent(other) + (-self)
 
     def __mul__(self, other):
+        """The product, canonical as built: its end coefficients are the
+        products of the factors' end coefficients, nonzero in Z.
+
+        >>> p = Laurent(0, (1, 0, -1))   # 1 - q
+        >>> p * p                        # 1 - 2q + q^2, zeros at odd v-powers
+        Laurent(0, [1, 0, -2, 0, 1])
+        >>> Laurent.q_power(-1) * p      # a monic monomial only shifts
+        Laurent(-2, [1, 0, -1])
+        """
         other = _coerce_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Laurent(0, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Laurent(self.min_exp + other.min_exp, out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _laurent(0, ())
+        shift = self.min_exp + other.min_exp
+        if b == (1,):
+            return _laurent(shift, a)
+        if a == (1,):
+            return _laurent(shift, b)
+        out = [0] * (len(a) + len(b) - 1)
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in b_terms:
+                    out[i + j] += x * y
+        return _laurent(shift, tuple(out))
 
     __rmul__ = __mul__
 
@@ -269,8 +304,7 @@ class Laurent:
         """The involution v -> v^-1 (hence q -> q^-1)."""
         if not self.coeffs:
             return self
-        return Laurent(-(self.min_exp + len(self.coeffs) - 1),
-                       list(reversed(self.coeffs)))
+        return _laurent(-(self.min_exp + len(self.coeffs) - 1), self.coeffs[::-1])
 
     def to_int_poly(self) -> IntPoly:
         """Convert back to Z[q]; fails if any exponent is odd or negative."""

@@ -4,7 +4,8 @@ library code paths they are used to check."""
 import itertools
 from functools import lru_cache
 
-from rookorder import order, renner, weyl
+from rookorder import hecke, order, renner, weyl
+from rookorder.polynomials import Laurent
 
 
 def bruhat_leq_subword(u, v):
@@ -123,3 +124,66 @@ def mobius_recursive(theta, sigma):
     return -sum(mobius_recursive(theta, tau)
                 for tau in interval_elements_scan(theta, sigma)
                 if tau != sigma)
+
+
+def laurent_terms(p):
+    """{exponent: coefficient} of a ``Laurent``, nonzero entries only."""
+    return {p.min_exp + i: c for i, c in enumerate(p.coeffs) if c}
+
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def terms_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _nonzero(out)
+
+
+def terms_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def terms_mul(a, b):
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            out[e + f] = out.get(e + f, 0) + c * d
+    return _nonzero(out)
+
+
+def terms_bar(a):
+    return {-e: c for e, c in a.items()}
+
+
+def int_poly_terms(p):
+    """{v-exponent: coefficient} of an ``IntPoly`` under q = v^2."""
+    return {2 * i: c for i, c in enumerate(p.coeffs) if c}
+
+
+def bar_Asigma_by_support(sigma):
+    """bar(A_sigma) as the sum over the support of bar(A_x): with
+    sigma = x e t^-1 in standard form,
+
+        q^(-l(t)) sum_w c_w A_w sum_{z, y} bar(R[t z, y]) A_{z e y^-1}
+
+    where bar(A_x) = sum_w c_w A_w, each A_w applied with
+    ``hecke.mult_Aw_left``.  Its cost grows with the Bruhat cone below
+    x, not with the length of x."""
+    n, k = len(sigma), renner.rank(sigma)
+    x, e, t = renner.standard_form(sigma)
+    core = {}
+    for z in weyl.parabolic_subgroup(renner.centralizer_gens(e), n):
+        zey = renner.multiply(z, e)
+        for y in weyl.coset_minima(renner.centralizer_gens(e), n):
+            r = weyl.classical_rpoly(weyl.compose(t, z), y)
+            if not r.is_zero():
+                word = renner.multiply(zey, weyl.inverse(y))
+                core[word] = core.get(word, 0) + r.bar()
+    out = {}
+    for w, cw in hecke.bar_on_W(x).items():
+        hecke.add_scaled(out, hecke.mult_Aw_left(w, hecke.canonical(core)), cw)
+    shift = Laurent.q_power(-weyl.length(t))
+    return {word: c * shift for word, c in hecke.canonical(out).items()}

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import bar_Asigma_by_support
 from rookorder import hecke, order, renner, rpoly, verify, weyl
 from rookorder.polynomials import Laurent, ONE
 
@@ -134,6 +135,15 @@ def test_bar_Asigma_at_minimum():
     nu = renner.orbit_minimum(2, 1)
     out = hecke.bar_Asigma(nu)
     assert out == {nu: Q_INV}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bar_Asigma_matches_sum_over_support(n):
+    # bar(A_x) along a reduced word of x against the sum of A_w over
+    # the support of bar(A_x), on every element of every orbit of R_n
+    for k in range(n + 1):
+        for sigma in renner.orbit(n, k):
+            assert hecke.bar_Asigma(sigma) == bar_Asigma_by_support(sigma), sigma
 
 
 def test_bar_Asigma_involutive_on_R2_orbit():

@@ -1,3 +1,7 @@
+from hypothesis import given, settings, strategies as st
+
+from oracles import (int_poly_terms, laurent_terms, terms_add, terms_bar,
+                     terms_mul, terms_neg)
 from rookorder.polynomials import IntPoly, Laurent, ONE, Q, Q_MINUS_1, ZERO
 
 
@@ -91,3 +95,53 @@ def test_laurent_json_roundtrip():
     p = Laurent(-2, (1, 0, 3))
     assert p.to_json() == {"var": "v", "min_exp": -2, "coeffs": [1, 0, 3]}
     assert Laurent.from_json(p.to_json()) == p
+
+
+ints = st.integers(min_value=-3, max_value=3)
+exps = st.integers(min_value=-6, max_value=6)
+laurents = st.one_of(
+    st.builds(Laurent, exps, st.lists(ints, max_size=6)),  # zero, interior zeros
+    st.builds(Laurent.v_power, exps),                       # monic monomials
+    st.builds(lambda e, c: Laurent(e, (c,)), exps, ints),   # any monomial
+)
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Independent pairs (a, c); pairs (a, c - a), whose sum c cancels
+    terms of a at the low end, the high end or throughout; and (a, a),
+    (a, -a)."""
+    a, c = draw(laurents), draw(laurents)
+    return a, draw(st.sampled_from((c, c - a, a, -a)))
+
+
+def assert_canonical(p, terms):
+    assert isinstance(p.coeffs, tuple)
+    if p.coeffs:
+        assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
+    else:
+        assert p.min_exp == 0
+    assert laurent_terms(p) == terms
+    rebuilt = Laurent(p.min_exp, p.coeffs)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(laurent_pairs())
+def test_laurent_arithmetic_matches_term_dict_oracle(pair):
+    a, b = pair
+    ta, tb = laurent_terms(a), laurent_terms(b)
+    assert_canonical(a + b, terms_add(ta, tb))
+    assert_canonical(a - b, terms_add(ta, terms_neg(tb)))
+    assert_canonical(-a, terms_neg(ta))
+    assert_canonical(a * b, terms_mul(ta, tb))
+    assert_canonical(b * a, terms_mul(ta, tb))
+    assert_canonical(a.bar(), terms_bar(ta))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(ints, max_size=6))
+def test_int_poly_to_laurent_matches_term_dict_oracle(coeffs):
+    p = IntPoly(coeffs)
+    assert_canonical(p.to_laurent(), int_poly_terms(p))
+    assert_canonical(p.bar(), terms_bar(int_poly_terms(p)))
