@@ -36,9 +36,9 @@ def descent_sets(sigma: Word) -> tuple[frozenset[int], frozenset[int]]:
     Left descents are the left descents of x.  A simple reflection s is
     a right descent iff l(sy) > l(y) and either sy is again a minimal
     coset representative for W(e), or sy = y s' with s' a simple
-    reflection inside W(e) and l(x s') < l(x).  Agreement with the
-    length-based ``renner.descents``, which the R-polynomial recurrence
-    uses, is a tested property.
+    reflection inside W(e) and l(x s') < l(x).  Agreement with
+    ``renner.descents`` (the local rule ``renner.length_step``), which
+    the R-polynomial recurrence uses, is a tested property.
     """
     n = len(sigma)
     x, e, y = renner.standard_form(sigma)
@@ -198,7 +198,8 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
     given_mask = sum(1 << a for a in given)
     # tops[a]: everything above the top of a linear pair with bottom a
     tops: dict[int, int] = {}
-    for alpha, beta in linear_length2_pairs(poset.elements[0], poset.elements[-1]):
+    for alpha, beta in linear_length2_pairs(renner.orbit_minimum(poset.n, poset.k),
+                                            renner.orbit_maximum(poset.n, poset.k)):
         a = poset.index[alpha]
         tops[a] = tops.get(a, 0) | poset.up(poset.index[beta])
     for a in given:

@@ -76,7 +76,6 @@ def _orbit_rows(n: int, k: int) -> list[dict]:
             "des_L": sorted(left),
             "des_R": sorted(right),
         })
-    rows.sort(key=lambda r: (r["length"], r["sigma"]))
     return rows
 
 
@@ -268,52 +267,53 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, default=4, help="rank (1..8)")
     common.add_argument("--k", type=int, default=None, help="orbit rank")
-    common.add_argument("--format", choices=("text", "json", "tsv", "dot"),
-                        default="text")
     common.add_argument("--out", default=None, metavar="FILE")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("orbit", parents=[common],
-                       help="list an orbit with lengths, standard forms, descents")
+    def add(name, formats, summary):
+        """A subcommand whose --format takes the formats it writes, the
+        first one by default."""
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        return p
+
+    p = add("orbit", ("text", "json", "tsv"),
+            "list an orbit with lengths, standard forms, descents")
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("rpoly", parents=[common],
-                       help="R-polynomial of a same-orbit pair")
+    p = add("rpoly", ("text", "json"), "R-polynomial of a same-orbit pair")
     p.add_argument("theta")
     p.add_argument("sigma")
     p.set_defaults(func=cmd_rpoly)
 
-    p = sub.add_parser("mobius", parents=[common],
-                       help="Mobius function of a same-orbit pair")
+    p = add("mobius", ("text", "json"), "Mobius function of a same-orbit pair")
     p.add_argument("theta")
     p.add_argument("sigma")
     p.set_defaults(func=cmd_mobius)
 
-    p = sub.add_parser("descents", parents=[common],
-                       help="descent sets of one element")
+    p = add("descents", ("text", "json"), "descent sets of one element")
     p.add_argument("sigma")
     p.set_defaults(func=cmd_descents)
 
-    p = sub.add_parser("order", parents=[common],
-                       help="compare two elements in Bruhat-Chevalley order")
+    p = add("order", ("text", "json"),
+            "compare two elements in Bruhat-Chevalley order")
     p.add_argument("theta")
     p.add_argument("sigma")
     p.set_defaults(func=cmd_order)
 
-    p = sub.add_parser("hasse", parents=[common],
-                       help="DOT Hasse diagram of an interval or a whole orbit")
+    p = add("hasse", ("dot",),
+            "DOT Hasse diagram of an interval or a whole orbit")
     p.add_argument("theta", nargs="?", default=None)
     p.add_argument("sigma", nargs="?", default=None)
     p.set_defaults(func=cmd_hasse)
 
-    p = sub.add_parser("table", parents=[common],
-                       help="reference tables (descents, length2)")
+    p = add("table", ("tsv",), "reference tables (descents, length2)")
     p.add_argument("name", choices=("descents", "length2"))
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a verification suite, exit 1 on violations")
+    p = add("verify", ("json",),
+            "run a verification suite, exit 1 on violations")
     p.add_argument("suite", choices=verify.SUITES)
     p.set_defaults(func=cmd_verify)
 

@@ -74,9 +74,8 @@ def mult_As_left(i: int, h: HeckeElt) -> HeckeElt:
     """Left multiplication by the basis element of the simple reflection s_i."""
     out: HeckeElt = {}
     for word, c in h.items():
-        s = weyl.simple_reflection(len(word), i)
-        sw = renner.multiply(s, word)
-        diff = renner.length(sw) - renner.length(word)
+        sw = renner.multiply(weyl.simple_reflection(len(word), i), word)
+        diff = renner.length_step(word, i, "left")
         if diff == 0:
             _add_term(out, word, c)
         elif diff == 1:

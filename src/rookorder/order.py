@@ -170,10 +170,6 @@ class OrbitPoset:
             self._down[j] = row
         return row
 
-    def leq(self, theta: Word, sigma: Word) -> bool:
-        """theta <= sigma, read off the up-set row of theta."""
-        return (self.up(self.locate(theta)) >> self.locate(sigma)) & 1 == 1
-
     def level(self, length: int) -> int:
         """Bitset of the elements of the given length."""
         return self._levels.get(length, 0)

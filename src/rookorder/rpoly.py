@@ -9,7 +9,8 @@ For a left descent s of sigma (an s with l(s sigma) < l(sigma)):
 
 and the same rules with theta s, sigma s for a right descent s; every
 element of positive length has a descent on at least one side.  One
-step serves both sides, with descents from ``renner.descents``.
+step serves both sides, with descents from ``renner.descents`` and
+the change of length under s from ``renner.length_step``.
 Base cases: R[theta, theta] = 1 and R[theta, sigma] = 0 when theta is
 not below sigma.  The result does not depend on the descent chosen; the
 deterministic policy here (smallest-index left descent, else smallest
@@ -50,12 +51,13 @@ def rpoly(theta: Word, sigma: Word) -> IntPoly:
     side, ds = "left", renner.descents(sigma, "left")
     if not ds:
         side, ds = "right", renner.descents(sigma, "right")
-    s = weyl.simple_reflection(n, min(ds))
+    i = min(ds)
+    s = weyl.simple_reflection(n, i)
     if side == "left":
         s_theta, s_sigma = renner.multiply(s, theta), renner.multiply(s, sigma)
     else:
         s_theta, s_sigma = renner.multiply(theta, s), renner.multiply(sigma, s)
-    diff = renner.length(s_theta) - renner.length(theta)
+    diff = renner.length_step(theta, i, side)
     if diff < 0:
         return rpoly(s_theta, s_sigma)
     if diff == 0:
@@ -68,11 +70,13 @@ def delta_identity_sum(theta: Word, sigma: Word) -> Laurent:
 
     The sum telescopes to 1 when theta = sigma and to 0 otherwise.
     """
+    poset, inside = order.interval_mask(theta, sigma)
+    l_sigma = poset.lengths[poset.index[sigma]]
     total = Laurent(0, ())
-    l_sigma = renner.length(sigma)
-    for nu in order.interval_elements(theta, sigma):
+    for a in order.bits(inside):
+        nu = poset.elements[a]
         total = total + (rpoly(theta, nu).to_laurent()
-                         * Laurent.q_power(l_sigma - renner.length(nu))
+                         * Laurent.q_power(l_sigma - poset.lengths[a])
                          * rpoly(nu, sigma).bar())
     return total
 

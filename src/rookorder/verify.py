@@ -58,8 +58,7 @@ def delta_suite(n: int) -> list[Report]:
 
 def descents_suite(n: int) -> list[Report]:
     """Every positive-length element must descend somewhere, and the
-    standard-form descent rule must agree with the length-based
-    ``renner.descents``."""
+    standard-form descent rule must agree with ``renner.descents``."""
     reports = []
     for k in range(n + 1):
         elems = renner.orbit(n, k)

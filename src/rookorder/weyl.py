@@ -20,30 +20,15 @@ from .polynomials import IntPoly, ONE, Q, Q_MINUS_1, ZERO
 Word = tuple[int, ...]
 
 __all__ = [
-    "identity", "is_permutation", "check_permutation", "inverse", "compose",
-    "simple_reflection", "length", "descents", "left_descents",
-    "right_descents", "bruhat_leq", "all_permutations", "reduced_word",
-    "parabolic_subgroup", "min_coset_rep", "coset_minima", "longest_element",
+    "identity", "inverse", "compose", "simple_reflection", "length",
+    "left_descents", "right_descents", "bruhat_leq", "all_permutations",
+    "reduced_word", "parabolic_subgroup", "min_coset_rep", "coset_minima",
     "classical_rpoly", "coset_factorization_violations",
 ]
 
 
 def identity(n: int) -> Word:
     return tuple(range(1, n + 1))
-
-
-def is_permutation(word) -> bool:
-    """True if word is a permutation of 1..n in one-line notation.
-
-    >>> is_permutation((3, 4, 1, 2)), is_permutation((1, 1, 2))
-    (True, False)
-    """
-    return sorted(word) == list(range(1, len(word) + 1))
-
-
-def check_permutation(word: Word) -> None:
-    if not is_permutation(word):
-        raise ValueError(f"not a permutation in one-line notation: {word!r}")
 
 
 def inverse(w: Word) -> Word:
@@ -95,14 +80,6 @@ def right_descents(w: Word) -> frozenset[int]:
 def left_descents(w: Word) -> frozenset[int]:
     """Indices i with l(s_i w) < l(w); these are the right descents of w^-1."""
     return right_descents(inverse(w))
-
-
-def descents(w: Word, side: str) -> frozenset[int]:
-    if side == "right":
-        return right_descents(w)
-    if side == "left":
-        return left_descents(w)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def bruhat_leq(u: Word, v: Word) -> bool:
@@ -190,29 +167,6 @@ def coset_minima(gens: frozenset[int], n: int) -> tuple[Word, ...]:
     Computed by filtering the full group; fine at desk scale.
     """
     return tuple(w for w in all_permutations(n) if not (right_descents(w) & gens))
-
-
-@lru_cache(maxsize=None)
-def longest_element(gens: frozenset[int], n: int) -> Word:
-    """The longest element of the standard parabolic subgroup W_I.
-
-    Reverses each window of positions spanned by a maximal run of
-    consecutive generator indices.
-
-    >>> longest_element(frozenset({1, 3}), 4)
-    (2, 1, 4, 3)
-    """
-    w = list(range(1, n + 1))
-    run_start = None
-    prev = None
-    for i in sorted(gens) + [None]:
-        if run_start is not None and (i is None or i != prev + 1):
-            w[run_start - 1:prev + 1] = reversed(w[run_start - 1:prev + 1])
-            run_start = None
-        if i is not None and run_start is None:
-            run_start = i
-        prev = i
-    return tuple(w)
 
 
 @lru_cache(maxsize=None)

@@ -58,6 +58,52 @@ def witness_leq(theta, sigma):
     return False
 
 
+@lru_cache(maxsize=None)
+def longest_element(gens, n):
+    """The longest element of the standard parabolic subgroup W_I:
+    each window of positions spanned by a maximal run of consecutive
+    generator indices, reversed."""
+    w = list(range(1, n + 1))
+    run_start = None
+    prev = None
+    for i in sorted(gens) + [None]:
+        if run_start is not None and (i is None or i != prev + 1):
+            w[run_start - 1:prev + 1] = reversed(w[run_start - 1:prev + 1])
+            run_start = None
+        if i is not None and run_start is None:
+            run_start = i
+        prev = i
+    return tuple(w)
+
+
+@lru_cache(maxsize=None)
+def standard_form_length(sigma):
+    """l(sigma) = l(x) + l(e) - l(y) on the standard form sigma = x e y^-1,
+    with l(e) = l(w_0) - l(v_0) for v_0 longest in W(e)."""
+    n = len(sigma)
+    x, e, y = renner.standard_form(sigma)
+    w0 = longest_element(frozenset(range(1, n)), n)
+    v0 = longest_element(renner.centralizer_gens(e), n)
+    return (weyl.length(x) + weyl.length(w0) - weyl.length(v0)
+            - weyl.length(y))
+
+
+def length_step_by_products(sigma, i, side):
+    """l(s_i sigma) - l(sigma) or l(sigma s_i) - l(sigma), from the
+    product and ``standard_form_length``."""
+    s = weyl.simple_reflection(len(sigma), i)
+    moved = renner.multiply(s, sigma) if side == "left" \
+        else renner.multiply(sigma, s)
+    return standard_form_length(moved) - standard_form_length(sigma)
+
+
+def descents_by_length(sigma, side):
+    """The i whose simple reflection on the given side lowers
+    ``standard_form_length``."""
+    return frozenset(i for i in range(1, len(sigma))
+                     if length_step_by_products(sigma, i, side) < 0)
+
+
 def standard_forms_bruteforce(sigma):
     """All (x, e, y) with x e y^-1 = sigma, x minimal in x W_e and y
     minimal in y W(e), found by exhausting W x W."""

@@ -146,6 +146,21 @@ def test_table_length2_matches_fixture(capsys):
         assert out == fh.read()
 
 
+@pytest.mark.parametrize("argv", [
+    ["rpoly", "012", "210", "--format", "tsv"],
+    ["hasse", "--n", "2", "--k", "1", "--format", "json"],
+    ["orbit", "--n", "2", "--k", "1", "--format", "dot"],
+    ["verify", "putcha", "--n", "2", "--format", "text"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_unsupported_format_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format" in captured.err
+
+
 def test_table_unknown_name_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["table", "nonsense"])

@@ -4,8 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import standard_forms_bruteforce
+from oracles import (descents_by_length, length_step_by_products,
+                     standard_form_length, standard_forms_bruteforce)
 from rookorder import renner, weyl
 
 
@@ -186,6 +188,63 @@ def test_length_examples():
 def test_length_specializes_on_units(n):
     for w in weyl.all_permutations(n):
         assert renner.length(w) == weyl.length(w)
+
+
+def _check_length_rules(sigma):
+    # the closed-form length, each local step and both descent sets
+    # against the standard-form length and the products it is taken on
+    n = len(sigma)
+    assert renner.length(sigma) == standard_form_length(sigma), sigma
+    for side in ("left", "right"):
+        for i in range(1, n):
+            s = weyl.simple_reflection(n, i)
+            moved = renner.multiply(s, sigma) if side == "left" \
+                else renner.multiply(sigma, s)
+            step = renner.length_step(sigma, i, side)
+            assert step == length_step_by_products(sigma, i, side), \
+                (sigma, i, side)
+            assert (step == 0) == (moved == sigma), (sigma, i, side)
+        assert renner.descents(sigma, side) == \
+            descents_by_length(sigma, side), (sigma, side)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_length_rules_match_standard_form_oracles(n):
+    # all 15126 elements of R_0 to R_6, every i, both sides
+    for sigma in renner.monoid_elements(n):
+        _check_length_rules(sigma)
+    for k in range(n + 1):
+        assert renner.idempotent_length(n, k) == \
+            standard_form_length(renner.rank_idempotent(n, k))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_length_rules_match_standard_form_oracles_sampled(n, data):
+    values = data.draw(st.permutations(range(1, n + 1)))
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    _check_length_rules(tuple(a if kept else 0 for a, kept in zip(values, keep)))
+
+
+def test_length_step_errors():
+    for bad in (0, 4):
+        with pytest.raises(ValueError):
+            renner.length_step((0, 4, 2, 0), bad, "left")
+    with pytest.raises(ValueError):
+        renner.length_step((0, 4, 2, 0), 1, "up")
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_orbit_endpoints_closed_form(n):
+    for k in range(n + 1):
+        assert renner.orbit_minimum(n, k) == renner.orbit(n, k)[0]
+        assert renner.orbit_maximum(n, k) == renner.orbit(n, k)[-1]
+    for bad in (-1, n + 1):
+        with pytest.raises(ValueError):
+            renner.orbit_minimum(n, bad)
+        with pytest.raises(ValueError):
+            renner.orbit_maximum(n, bad)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
