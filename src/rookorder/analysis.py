@@ -142,16 +142,17 @@ def check_lifting(theta: Word, sigma: Word, i: int) -> tuple[str, bool]:
     a, b = poset.locate(theta), poset.locate(sigma)
     if a == b or not (poset.up(a) >> b) & 1:
         raise ValueError("check_lifting requires theta < sigma")
-    return _lifting_clause(poset, a, b, i)
+    s = weyl.simple_reflection(poset.n, i)
+    sa = poset.index[renner.multiply(s, theta)]
+    sb = poset.index[renner.multiply(s, sigma)]
+    return _lifting_clause(poset, a, b, sa, sb)
 
 
 def _lifting_clause(poset: order.OrbitPoset, a: int, b: int,
-                    i: int) -> tuple[str, bool]:
-    # check_lifting on elements a < b of the poset.  Left multiplication
-    # by s keeps the rank, so s theta and s sigma lie in the same orbit.
-    s = weyl.simple_reflection(poset.n, i)
-    sa = poset.index[renner.multiply(s, poset.elements[a])]
-    sb = poset.index[renner.multiply(s, poset.elements[b])]
+                    sa: int, sb: int) -> tuple[str, bool]:
+    # check_lifting on elements a < b of the poset, with sa and sb the
+    # indices of s theta and s sigma.  Left multiplication by s keeps
+    # the rank, so s theta and s sigma lie in the same orbit.
     d_theta = poset.lengths[sa] - poset.lengths[a]
     d_sigma = poset.lengths[sb] - poset.lengths[b]
     if d_theta > 0 and d_sigma > 0:
@@ -166,11 +167,15 @@ def lifting_violations(n: int, k: int) -> Report:
     start = time.perf_counter()
     report = Report(name="lifting")
     poset = order.orbit_poset(n, k)
+    # s_action[i - 1][a]: the index of s_i elements[a]
+    reflections = (weyl.simple_reflection(n, i) for i in range(1, n))
+    s_action = [[poset.index[renner.multiply(s, w)] for w in poset.elements]
+                for s in reflections]
     for a, theta in enumerate(poset.elements):
         for b in order.bits(poset.up(a) & ~(1 << a)):
-            for i in range(1, n):
+            for i, s_row in enumerate(s_action, 1):
                 report.checked += 1
-                clause, holds = _lifting_clause(poset, a, b, i)
+                clause, holds = _lifting_clause(poset, a, b, s_row[a], s_row[b])
                 if not holds:
                     report.violations.append({
                         "theta": renner.format_element(theta),

@@ -14,8 +14,8 @@ multiplication by a permutation keeps the rank, so these products stay
 in the orbit of sigma and never reach the lower orbits that the orbit
 algebra quotients out.
 
-The bar involution fixes integers, sends q^(1/2) to q^(-1/2), and on
-the unit group acts by bar(A_w) = (A_{w^-1})^-1.  Over a reduced word
+The bar involution fixes integers, sends q to q^-1, and on the unit
+group acts by bar(A_w) = (A_{w^-1})^-1.  Over a reduced word
 w = s_1 ... s_m this is bar(A_w) = bar(A_s_1) ... bar(A_s_m) with
 bar(A_s) = A_s^-1 = q A_s - (q - 1), so bar(A_w) acts on an element by
 m such steps, rightmost letter first; the bar of a unit basis element
@@ -161,7 +161,7 @@ def bar_Asigma(sigma: Word) -> HeckeElt:
 
     >>> for word, c in sorted(bar_Asigma((1, 0)).items()):
     ...     print(renner.format_element(word), c)
-    01 -1 + v^-2
+    01 -1 + q^-1
     10 1
     """
     return dict(_bar_Asigma(sigma))

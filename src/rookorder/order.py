@@ -22,19 +22,16 @@ linear extension.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import renner
 from .renner import Word
-from .reports import Report
 
 __all__ = [
     "leq", "dominance_leq", "require_same_orbit", "bits", "OrbitPoset",
     "orbit_poset", "interval_mask", "interval_elements", "IntervalPoset",
-    "interval", "mobius_direct", "transitive_reduction", "check_graded",
-    "hasse_dot",
+    "interval", "mobius_direct", "hasse_dot",
 ]
 
 
@@ -250,74 +247,6 @@ def mobius_direct(theta: Word, sigma: Word) -> int:
     """
     poset = orbit_poset(*require_same_orbit(theta, sigma))
     return poset.mobius(poset.locate(theta), poset.locate(sigma))
-
-
-def transitive_reduction(elements, leq_fn) -> list[tuple]:
-    """Generic Hasse edges of a finite poset: a < b with nothing between."""
-    elements = list(elements)
-    edges = []
-    for a in elements:
-        for b in elements:
-            if a == b or not leq_fn(a, b):
-                continue
-            if any(c != a and c != b and leq_fn(a, c) and leq_fn(c, b)
-                   for c in elements):
-                continue
-            edges.append((a, b))
-    return edges
-
-
-def check_graded(orbit_elements) -> Report:
-    """Verify that length is the rank function of a full-orbit poset.
-
-    Uses the generic transitive reduction (independent of length) and
-    checks every cover step raises length by exactly 1, that heights
-    computed from covers agree with length, and that the orbit has a
-    unique minimum and maximum.
-    """
-    start = time.perf_counter()
-    elems = sorted(orbit_elements, key=lambda w: (renner.length(w), w))
-    report = Report(name="graded")
-    covers = transitive_reduction(elems, leq)
-    ups: dict[Word, list[Word]] = {w: [] for w in elems}
-    downs: dict[Word, list[Word]] = {w: [] for w in elems}
-    for a, b in covers:
-        ups[a].append(b)
-        downs[b].append(a)
-        report.checked += 1
-        if renner.length(b) - renner.length(a) != 1:
-            report.violations.append({
-                "kind": "cover-step",
-                "lower": renner.format_element(a),
-                "upper": renner.format_element(b),
-                "lengths": [renner.length(a), renner.length(b)],
-            })
-    minima = [w for w in elems if not downs[w]]
-    maxima = [w for w in elems if not ups[w]]
-    for kind, found in (("minimum", minima), ("maximum", maxima)):
-        report.checked += 1
-        if len(found) != 1:
-            report.violations.append({
-                "kind": f"non-unique-{kind}",
-                "elements": [renner.format_element(w) for w in found],
-            })
-    # elems come sorted by length, so lower covers are ready when needed;
-    # .get keeps the sweep total even on a broken poset being reported
-    height = {elems[0]: 0}
-    for w in elems[1:]:
-        height[w] = max((height.get(a, 0) + 1 for a in downs[w]), default=0)
-    base = renner.length(elems[0])
-    for w in elems:
-        report.checked += 1
-        if height[w] != renner.length(w) - base:
-            report.violations.append({
-                "kind": "height-vs-length",
-                "element": renner.format_element(w),
-                "height": height[w],
-                "length": renner.length(w),
-            })
-    report.runtime_ms = (time.perf_counter() - start) * 1000.0
-    return report
 
 
 def hasse_dot(poset: IntervalPoset) -> str:

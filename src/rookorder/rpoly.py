@@ -75,7 +75,7 @@ def delta_identity_sum(theta: Word, sigma: Word) -> Laurent:
     total = Laurent(0, ())
     for a in order.bits(inside):
         nu = poset.elements[a]
-        total = total + (rpoly(theta, nu).to_laurent()
+        total = total + (rpoly(theta, nu)
                          * Laurent.q_power(l_sigma - poset.lengths[a])
                          * rpoly(nu, sigma).bar())
     return total

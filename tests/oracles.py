@@ -6,6 +6,7 @@ from functools import lru_cache
 
 from rookorder import hecke, order, renner, weyl
 from rookorder.polynomials import Laurent
+from rookorder.reports import Report
 
 
 def bruhat_leq_subword(u, v):
@@ -204,9 +205,10 @@ def terms_bar(a):
     return {-e: c for e, c in a.items()}
 
 
-def int_poly_terms(p):
-    """{v-exponent: coefficient} of an ``IntPoly`` under q = v^2."""
-    return {2 * i: c for i, c in enumerate(p.coeffs) if c}
+def int_poly_terms(coeffs):
+    """{exponent: coefficient} of the polynomial in q with the dense
+    ascending coefficients ``coeffs``, nonzero entries only."""
+    return {i: c for i, c in enumerate(coeffs) if c}
 
 
 def bar_Asigma_by_support(sigma):
@@ -233,3 +235,69 @@ def bar_Asigma_by_support(sigma):
         hecke.add_scaled(out, hecke.mult_Aw_left(w, hecke.canonical(core)), cw)
     shift = Laurent.q_power(-weyl.length(t))
     return {word: c * shift for word, c in hecke.canonical(out).items()}
+
+
+def transitive_reduction(elements, leq_fn) -> list[tuple]:
+    """Generic Hasse edges of a finite poset: a < b with nothing between."""
+    elements = list(elements)
+    edges = []
+    for a in elements:
+        for b in elements:
+            if a == b or not leq_fn(a, b):
+                continue
+            if any(c != a and c != b and leq_fn(a, c) and leq_fn(c, b)
+                   for c in elements):
+                continue
+            edges.append((a, b))
+    return edges
+
+
+def check_graded(orbit_elements) -> Report:
+    """Verify that length is the rank function of a full-orbit poset.
+
+    Uses the generic transitive reduction (independent of length) and
+    checks every cover step raises length by exactly 1, that heights
+    computed from covers agree with length, and that the orbit has a
+    unique minimum and maximum.
+    """
+    elems = sorted(orbit_elements, key=lambda w: (renner.length(w), w))
+    report = Report(name="graded")
+    covers = transitive_reduction(elems, order.leq)
+    ups = {w: [] for w in elems}
+    downs = {w: [] for w in elems}
+    for a, b in covers:
+        ups[a].append(b)
+        downs[b].append(a)
+        report.checked += 1
+        if renner.length(b) - renner.length(a) != 1:
+            report.violations.append({
+                "kind": "cover-step",
+                "lower": renner.format_element(a),
+                "upper": renner.format_element(b),
+                "lengths": [renner.length(a), renner.length(b)],
+            })
+    minima = [w for w in elems if not downs[w]]
+    maxima = [w for w in elems if not ups[w]]
+    for kind, found in (("minimum", minima), ("maximum", maxima)):
+        report.checked += 1
+        if len(found) != 1:
+            report.violations.append({
+                "kind": f"non-unique-{kind}",
+                "elements": [renner.format_element(w) for w in found],
+            })
+    # elems come sorted by length, so lower covers are ready when needed;
+    # .get keeps the sweep total even on a broken poset being reported
+    height = {elems[0]: 0}
+    for w in elems[1:]:
+        height[w] = max((height.get(a, 0) + 1 for a in downs[w]), default=0)
+    base = renner.length(elems[0])
+    for w in elems:
+        report.checked += 1
+        if height[w] != renner.length(w) - base:
+            report.violations.append({
+                "kind": "height-vs-length",
+                "element": renner.format_element(w),
+                "height": height[w],
+                "length": renner.length(w),
+            })
+    return report

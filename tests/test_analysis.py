@@ -195,3 +195,8 @@ def test_classification_constant_term_equals_mobius():
             if order.leq(theta, sigma):
                 info = analysis.classify_interval(theta, sigma)
                 assert info.r_constant_term == info.mobius
+
+
+def test_lifting_sweep_checked_count():
+    # one check per comparable pair theta < sigma and simple reflection
+    assert analysis.lifting_violations(5, 2).checked == 34300

@@ -128,7 +128,7 @@ def test_bar_Ae_properties(n, k):
     # support stays inside the orbit, coefficients lie in Z[q^-1]
     for word, coeff in out.items():
         assert renner.rank(word) == k
-        assert all(exp <= 0 and exp % 2 == 0 for exp, _ in coeff.terms())
+        assert all(exp <= 0 for exp, _ in coeff.terms())
 
 
 def test_bar_Asigma_at_minimum():
@@ -175,4 +175,4 @@ def test_hecke_to_json_sorted():
     h = hecke.bar_Asigma(renner.rank_idempotent(2, 1))
     data = hecke.hecke_to_json(h)
     assert [d["element"]["one_line"] for d in data] == [[0, 1], [1, 0]]
-    assert data[0]["laurent"] == {"var": "v", "min_exp": -2, "coeffs": [1, 0, -1]}
+    assert data[0]["laurent"] == {"var": "q", "min_exp": -1, "coeffs": [1, -1]}

@@ -1,3 +1,6 @@
+import itertools
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (int_poly_terms, laurent_terms, terms_add, terms_bar,
@@ -19,6 +22,7 @@ def test_int_poly_basics():
     assert ONE == 1
     assert (Q * Q - Q)(0) == 0
     assert (Q * Q - Q)(3) == 6
+    assert (Q * Q).degree == 2 and (Q * Q).constant_term == 0
 
 
 def test_int_poly_canonical_form():
@@ -26,6 +30,8 @@ def test_int_poly_canonical_form():
     assert IntPoly([0, 0, 0]).coeffs == ()
     assert IntPoly([1, 2]) == IntPoly((1, 2, 0))
     assert hash(IntPoly([1, 2])) == hash(IntPoly((1, 2, 0)))
+    assert IntPoly([0, 0, 5]) == Laurent(2, (5,))
+    assert repr(IntPoly([0, 0, 5])) == "IntPoly([0, 0, 5])"
 
 
 def test_int_poly_str():
@@ -40,18 +46,19 @@ def test_int_poly_str():
 def test_int_poly_json_roundtrip():
     p = Q_MINUS_1 * Q_MINUS_1
     assert p.to_json() == {"var": "q", "coeffs": [1, -2, 1]}
-    assert IntPoly.from_json(p.to_json()) == p
+    assert IntPoly(p.to_json()["coeffs"]) == p
+    assert (Q * Q - Q).to_json() == {"var": "q", "coeffs": [0, -1, 1]}
+    assert ZERO.to_json() == {"var": "q", "coeffs": []}
 
 
 def test_laurent_arithmetic():
-    v = Laurent.v_power(1)
     q = Laurent.q_power(1)
-    assert v * v == q
     assert q * Laurent.q_power(-1) == Laurent.from_int(1)
-    assert (v + 1) * (v - 1) == q - 1
+    assert (q + 1) * (q - 1) == q * q - 1
     assert (q - 1) - (q - 1) == Laurent.from_int(0)
     assert Laurent(0, ()).is_zero()
     assert Laurent(5, (0, 0)).is_zero()
+    assert str(Laurent.q_power(-1) - 1) == "-1 + q^-1"
 
 
 def test_laurent_normalization():
@@ -73,49 +80,69 @@ def test_laurent_bar_is_involutive_and_multiplicative():
 def test_bar_of_q_minus_1():
     barred = Q_MINUS_1.bar()
     assert barred == Laurent.q_power(-1) - Laurent.from_int(1)
+    assert type(barred) is Laurent and type(ONE.bar()) is Laurent
 
 
 def test_laurent_int_poly_conversion():
     p = Q * Q - 2 * Q + 1
-    assert p.to_laurent().to_int_poly() == p
-    assert p.to_laurent().min_exp == 0
-    try:
-        Laurent.v_power(1).to_int_poly()
-        raise AssertionError("odd exponent must not convert")
-    except ValueError:
-        pass
-    try:
+    assert Laurent(0, (1, -2, 1)).to_int_poly() == p
+    assert type(Laurent.q_power(2).to_int_poly()) is IntPoly
+    assert Laurent.q_power(2).to_int_poly().to_json() == {"var": "q", "coeffs": [0, 0, 1]}
+    with pytest.raises(ValueError):
         Laurent.q_power(-1).to_int_poly()
-        raise AssertionError("negative exponent must not convert")
-    except ValueError:
-        pass
+    with pytest.raises(ValueError):
+        Laurent(-1, (1, 0, 1)).to_int_poly()
 
 
 def test_laurent_json_roundtrip():
     p = Laurent(-2, (1, 0, 3))
-    assert p.to_json() == {"var": "v", "min_exp": -2, "coeffs": [1, 0, 3]}
-    assert Laurent.from_json(p.to_json()) == p
+    data = p.to_json()
+    assert data == {"var": "q", "min_exp": -2, "coeffs": [1, 0, 3]}
+    assert Laurent(data["min_exp"], data["coeffs"]) == p
+
+
+def test_equal_values_across_classes_hash_equally():
+    assert IntPoly([0, 1]) == Laurent.q_power(1)
+    assert len({IntPoly([0, 1]), Laurent.q_power(1)}) == 1
+    assert hash(ONE) == hash(1) and hash(ZERO) == hash(0)
+    assert hash(Laurent.from_int(-7)) == hash(-7)
+    assert len({ONE, 1, Laurent.from_int(1), Q.bar() * Q}) == 1
+
+
+def test_monomials_hash_apart():
+    # a hash that ignored min_exp would send every q^k to one bucket
+    # (exponents >= 0 only: in Python, hash(-1) == hash(-2))
+    assert len({hash(Laurent.q_power(k)) for k in range(10)}) == 10
+    assert len({hash(Q_MINUS_1 * Laurent.q_power(k)) for k in range(10)}) == 10
 
 
 ints = st.integers(min_value=-3, max_value=3)
 exps = st.integers(min_value=-6, max_value=6)
+# (value, {exponent: coefficient}), the terms read off the construction
 laurents = st.one_of(
-    st.builds(Laurent, exps, st.lists(ints, max_size=6)),  # zero, interior zeros
-    st.builds(Laurent.v_power, exps),                       # monic monomials
-    st.builds(lambda e, c: Laurent(e, (c,)), exps, ints),   # any monomial
+    st.builds(lambda e, cs: (Laurent(e, cs), {e + i: c for i, c in enumerate(cs) if c}),
+              exps, st.lists(ints, max_size=6)),           # zero, interior zeros
+    st.builds(lambda e: (Laurent.q_power(e), {e: 1}), exps),  # monic monomials
+    st.builds(lambda e, c: (Laurent(e, (c,)), {e: c} if c else {}),
+              exps, ints),                                   # any monomial
 )
+int_polys = st.one_of(
+    st.builds(lambda cs: (IntPoly(cs), int_poly_terms(cs)), st.lists(ints, max_size=6)),
+    st.builds(lambda e: (IntPoly([0] * e + [1]), {e: 1}), st.integers(0, 6)),
+)
+plain_ints = st.builds(lambda c: (c, {0: c} if c else {}), ints)
+polys = st.one_of(laurents, int_polys)
 
 
-@st.composite
-def laurent_pairs(draw):
-    """Independent pairs (a, c); pairs (a, c - a), whose sum c cancels
-    terms of a at the low end, the high end or throughout; and (a, a),
-    (a, -a)."""
-    a, c = draw(laurents), draw(laurents)
-    return a, draw(st.sampled_from((c, c - a, a, -a)))
+def ring(*operands):
+    """The class of a sum or product of the operands."""
+    if all(type(x) in (IntPoly, int) for x in operands):
+        return IntPoly
+    return Laurent
 
 
-def assert_canonical(p, terms):
+def assert_canonical(p, terms, cls):
+    assert type(p) is cls
     assert isinstance(p.coeffs, tuple)
     if p.coeffs:
         assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
@@ -127,21 +154,62 @@ def assert_canonical(p, terms):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(laurent_pairs())
-def test_laurent_arithmetic_matches_term_dict_oracle(pair):
-    a, b = pair
-    ta, tb = laurent_terms(a), laurent_terms(b)
-    assert_canonical(a + b, terms_add(ta, tb))
-    assert_canonical(a - b, terms_add(ta, terms_neg(tb)))
-    assert_canonical(-a, terms_neg(ta))
-    assert_canonical(a * b, terms_mul(ta, tb))
-    assert_canonical(b * a, terms_mul(ta, tb))
-    assert_canonical(a.bar(), terms_bar(ta))
+@given(polys, st.one_of(polys, plain_ints), st.sampled_from(("c", "c - a", "a", "-a")))
+def test_laurent_arithmetic_matches_term_dict_oracle(a_pair, c_pair, kind):
+    """Operands a and b mix Laurent, IntPoly and int; b is c itself, or
+    c - a, whose sum with a cancels terms of a at the low end, the high
+    end or throughout, or a, or -a."""
+    (a, ta), (c, tc) = a_pair, c_pair
+    if kind == "c":
+        b, tb = c, tc
+    elif kind == "c - a":
+        b, tb = c - a, terms_add(tc, terms_neg(ta))
+        assert_canonical(b, tb, ring(c, a))
+    elif kind == "a":
+        b, tb = a, ta
+    else:
+        b, tb = -a, terms_neg(ta)
+    cls = ring(a, b)
+    assert_canonical(a + b, terms_add(ta, tb), cls)
+    assert_canonical(b + a, terms_add(ta, tb), cls)
+    assert_canonical(a - b, terms_add(ta, terms_neg(tb)), cls)
+    assert_canonical(b - a, terms_add(tb, terms_neg(ta)), cls)
+    assert_canonical(a * b, terms_mul(ta, tb), cls)
+    assert_canonical(b * a, terms_mul(ta, tb), cls)
+    assert_canonical(-a, terms_neg(ta), type(a))
+    assert_canonical(a.bar(), terms_bar(ta), Laurent)
+    if all(e >= 0 for e in ta):
+        assert_canonical(a.to_int_poly(), ta, IntPoly)
+    else:
+        with pytest.raises(ValueError):
+            a.to_int_poly()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(ints, max_size=6))
-def test_int_poly_to_laurent_matches_term_dict_oracle(coeffs):
-    p = IntPoly(coeffs)
-    assert_canonical(p.to_laurent(), int_poly_terms(p))
-    assert_canonical(p.bar(), terms_bar(int_poly_terms(p)))
+def test_int_poly_matches_term_dict_oracle(coeffs):
+    p, terms = IntPoly(coeffs), int_poly_terms(coeffs)
+    assert_canonical(p, terms, IntPoly)
+    assert_canonical(p.bar(), terms_bar(terms), Laurent)
+    assert p.degree == max(terms, default=-1)
+    assert p.constant_term == terms.get(0, 0)
+    assert p.leading_coefficient == terms.get(p.degree, 0)
+    assert p(2) == sum(c * 2 ** e for e, c in terms.items())
+    dense = [terms.get(e, 0) for e in range(p.degree + 1)]
+    assert p.to_json() == {"var": "q", "coeffs": dense}
+
+
+small_values = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.builds(IntPoly, st.lists(st.integers(min_value=-1, max_value=1), max_size=3)),
+    st.builds(Laurent, st.integers(min_value=-2, max_value=2),
+              st.lists(st.integers(min_value=-1, max_value=1), max_size=3)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.tuples(small_values, small_values, small_values))
+def test_equality_implies_equal_hashes(triple):
+    for a, b in itertools.permutations(triple, 2):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)

@@ -162,7 +162,7 @@ def test_classical_rpoly_delta_identity():
         total = Laurent(0, ())
         for w in perms:
             if weyl.bruhat_leq(u, w) and weyl.bruhat_leq(w, v):
-                total = total + (weyl.classical_rpoly(u, w).to_laurent()
+                total = total + (weyl.classical_rpoly(u, w)
                                  * Laurent.q_power(weyl.length(v) - weyl.length(w))
                                  * weyl.classical_rpoly(w, v).bar())
         assert total == Laurent.from_int(1 if u == v else 0), (u, v)
