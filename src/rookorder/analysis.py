@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import order, renner, rpoly, weyl
-from .order import IntervalPoset
+from .order import IntervalPoset, bits
 from .renner import Word
 from .reports import Report
 
@@ -98,14 +98,18 @@ def linear_length2_pairs(theta: Word, sigma: Word) -> tuple[tuple[Word, Word], .
     """All pairs (alpha, beta) inside [theta, sigma] whose interval is a
     linear length-2 one (3 elements in total), by (length, word) of alpha
     and then of beta."""
-    poset, inside = order.interval_mask(theta, sigma)
-    pairs = []
-    for a in order.bits(inside):
+    poset = IntervalPoset(theta, sigma)
+    return tuple((poset.elements[a], poset.elements[b])
+                 for a, b in _linear_pairs(poset))
+
+
+def _linear_pairs(poset: IntervalPoset):
+    # index pairs (a, b) of the poset whose interval has 3 elements
+    for a, length in enumerate(poset.lengths):
         up = poset.up(a)
-        for b in order.bits(up & inside & poset.level(poset.lengths[a] + 2)):
+        for b in bits(up & poset.level(length + 2)):
             if (up & poset.down(b)).bit_count() == 3:
-                pairs.append((poset.elements[a], poset.elements[b]))
-    return tuple(pairs)
+                yield a, b
 
 
 def find_linear_length2(theta: Word, sigma: Word) -> Optional[tuple[Word, Word]]:
@@ -135,30 +139,28 @@ def check_lifting(theta: Word, sigma: Word, i: int) -> tuple[str, bool]:
     s theta < s sigma.  Clause (b): s theta >= theta and
     s sigma <= sigma imply theta <= s sigma and s theta <= sigma.
     Returns the clause that applies ("a", "b" or "not applicable") and
-    whether it holds.  The pair must lie in one orbit, whose
-    ``order.OrbitPoset`` answers the comparisons.
+    whether it holds.  The pair must lie in one orbit; ``order.leq``
+    answers the comparisons.
     """
-    poset = order.orbit_poset(*order.require_same_orbit(theta, sigma))
-    a, b = poset.locate(theta), poset.locate(sigma)
-    if a == b or not (poset.up(a) >> b) & 1:
+    order.require_same_orbit(theta, sigma)
+    if theta == sigma or not order.leq(theta, sigma):
         raise ValueError("check_lifting requires theta < sigma")
-    s = weyl.simple_reflection(poset.n, i)
-    sa = poset.index[renner.multiply(s, theta)]
-    sb = poset.index[renner.multiply(s, sigma)]
-    return _lifting_clause(poset, a, b, sa, sb)
+    s = weyl.simple_reflection(len(theta), i)
+    return _lifting_clause(order.leq, theta, sigma,
+                           renner.multiply(s, theta), renner.multiply(s, sigma),
+                           renner.length_step(theta, i, "left"),
+                           renner.length_step(sigma, i, "left"))
 
 
-def _lifting_clause(poset: order.OrbitPoset, a: int, b: int,
-                    sa: int, sb: int) -> tuple[str, bool]:
-    # check_lifting on elements a < b of the poset, with sa and sb the
-    # indices of s theta and s sigma.  Left multiplication by s keeps
-    # the rank, so s theta and s sigma lie in the same orbit.
-    d_theta = poset.lengths[sa] - poset.lengths[a]
-    d_sigma = poset.lengths[sb] - poset.lengths[b]
+def _lifting_clause(below, theta, sigma, s_theta, s_sigma,
+                    d_theta: int, d_sigma: int) -> tuple[str, bool]:
+    # check_lifting on theta < sigma, given as words or as poset indices
+    # with ``below`` the order on them, and the length changes d under s.
+    # Left multiplication by s keeps the rank, so all four share an orbit.
     if d_theta > 0 and d_sigma > 0:
-        return "a", sa != sb and (poset.up(sa) >> sb) & 1 == 1
+        return "a", s_theta != s_sigma and below(s_theta, s_sigma)
     if d_theta >= 0 and d_sigma <= 0:
-        return "b", (poset.up(a) >> sb) & 1 == 1 and (poset.up(sa) >> b) & 1 == 1
+        return "b", below(theta, s_sigma) and below(s_theta, sigma)
     return "not applicable", True
 
 
@@ -167,15 +169,22 @@ def lifting_violations(n: int, k: int) -> Report:
     start = time.perf_counter()
     report = Report(name="lifting")
     poset = order.orbit_poset(n, k)
-    # s_action[i - 1][a]: the index of s_i elements[a]
-    reflections = (weyl.simple_reflection(n, i) for i in range(1, n))
-    s_action = [[poset.index[renner.multiply(s, w)] for w in poset.elements]
-                for s in reflections]
+    ups = [poset.up(a) for a in range(len(poset.elements))]
+
+    def below(a: int, b: int) -> bool:
+        return (ups[a] >> b) & 1 == 1
+
+    # per s_i: to[a] is the index of s_i elements[a], d[a] the length change
+    s_action = []
+    for i in range(1, n):
+        s = weyl.simple_reflection(n, i)
+        s_action.append(([poset.index[renner.multiply(s, w)] for w in poset.elements],
+                         [renner.length_step(w, i, "left") for w in poset.elements]))
     for a, theta in enumerate(poset.elements):
-        for b in order.bits(poset.up(a) & ~(1 << a)):
-            for i, s_row in enumerate(s_action, 1):
+        for b in bits(ups[a] & ~(1 << a)):
+            for i, (to, d) in enumerate(s_action, 1):
                 report.checked += 1
-                clause, holds = _lifting_clause(poset, a, b, s_row[a], s_row[b])
+                clause, holds = _lifting_clause(below, a, b, to[a], to[b], d[a], d[b])
                 if not holds:
                     report.violations.append({
                         "theta": renner.format_element(theta),
@@ -191,7 +200,8 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
     length-2 subintervals are diamonds, and mu = 0 on the rest.
 
     Only pairs among the given elements are checked; they must lie in
-    one orbit.  mu comes from ``order.mobius_direct``.
+    one orbit.  mu and the linear length-2 subintervals come from the
+    orbit's ``order.orbit_poset``.
     """
     start = time.perf_counter()
     report = Report(name="putcha")
@@ -203,10 +213,8 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
     given_mask = sum(1 << a for a in given)
     # tops[a]: everything above the top of a linear pair with bottom a
     tops: dict[int, int] = {}
-    for alpha, beta in linear_length2_pairs(renner.orbit_minimum(poset.n, poset.k),
-                                            renner.orbit_maximum(poset.n, poset.k)):
-        a = poset.index[alpha]
-        tops[a] = tops.get(a, 0) | poset.up(poset.index[beta])
+    for a, b in _linear_pairs(poset):
+        tops[a] = tops.get(a, 0) | poset.up(b)
     for a in given:
         theta, up = poset.elements[a], poset.up(a)
         # sigma >= theta lies above a linear pair inside [theta, sigma]
@@ -214,20 +222,19 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
         for bottom, above in tops.items():
             if (up >> bottom) & 1:
                 reach |= above
-        for b in order.bits(up & given_mask):
-            sigma = poset.elements[b]
+        for b in bits(up & given_mask):
             report.checked += 1
             expected = 0 if (reach >> b) & 1 else \
                 (-1) ** (poset.lengths[b] - poset.lengths[a])
-            actual = order.mobius_direct(theta, sigma)
+            actual = poset.mobius(a, b)
             if actual != expected:
                 report.violations.append({
                     "theta": renner.format_element(theta),
-                    "sigma": renner.format_element(sigma),
+                    "sigma": renner.format_element(poset.elements[b]),
                     "mobius": actual,
                     "expected": expected,
-                    "interval": [renner.format_element(w)
-                                 for w in order.interval_elements(theta, sigma)],
+                    "interval": [renner.format_element(poset.elements[t])
+                                 for t in bits(up & poset.down(b))],
                 })
     report.runtime_ms = (time.perf_counter() - start) * 1000.0
     return report
@@ -247,19 +254,19 @@ def classify_interval(theta: Word, sigma: Word) -> IntervalClassification:
     three-way equivalence (mu != 0, mu = (-1)^length, all-diamond)
     re-checked on the fly."""
     poset = order.interval(theta, sigma)
-    gap = renner.length(sigma) - renner.length(theta)
-    elems = poset.elements
-    chain = len(elems) == gap + 1 and all(
-        order.leq(elems[i], elems[i + 1]) for i in range(len(elems) - 1))
-    if chain:
+    size, gap = len(poset.elements), poset.lengths[-1] - poset.lengths[0]
+    # length is the rank function, so the interval is a chain exactly
+    # when it has one element per length
+    if size == gap + 1:
         shape = "linear"
-    elif gap == 2 and len(elems) == 4:
+    elif gap == 2 and size == 4:
         shape = "diamond"
     else:
         shape = "higher-length"
     r0 = rpoly.rpoly(theta, sigma).constant_term
-    mu = order.mobius_direct(theta, sigma)
-    witness = find_linear_length2(theta, sigma)
+    mu = poset.mobius(0, size - 1)
+    witness = next(((poset.elements[a], poset.elements[b])
+                    for a, b in _linear_pairs(poset)), None)
     if mu != r0:
         raise RuntimeError(f"mu = {mu} but R(0) = {r0} on "
                            f"[{renner.format_element(theta)}, "

@@ -62,21 +62,18 @@ def _json_dumps(data) -> str:
     return json.dumps(data, indent=2, sort_keys=False) + "\n"
 
 
-def _orbit_rows(n: int, k: int) -> list[dict]:
-    rows = []
-    for sigma in renner.orbit(n, k):
-        x, e, y = renner.standard_form(sigma)
-        left, right = analysis.descent_sets(sigma)
-        rows.append({
-            "sigma": renner.format_element(sigma),
-            "length": renner.length(sigma),
-            "x": renner.format_element(x),
-            "e": renner.format_element(e),
-            "y_inv": renner.format_element(weyl.inverse(y)),
-            "des_L": sorted(left),
-            "des_R": sorted(right),
-        })
-    return rows
+def _element_row(sigma: renner.Word) -> dict:
+    x, e, y = renner.standard_form(sigma)
+    left, right = analysis.descent_sets(sigma)
+    return {
+        "sigma": renner.format_element(sigma),
+        "length": renner.length(sigma),
+        "x": renner.format_element(x),
+        "e": renner.format_element(e),
+        "y_inv": renner.format_element(weyl.inverse(y)),
+        "des_L": sorted(left),
+        "des_R": sorted(right),
+    }
 
 
 def _rows_to_tsv(header: list[str], rows: list[list[str]]) -> str:
@@ -89,7 +86,7 @@ def cmd_orbit(args) -> int:
     _check_n_k(args.n, args.k)
     if args.k is None:
         raise UsageError("orbit requires --k")
-    rows = _orbit_rows(args.n, args.k)
+    rows = [_element_row(sigma) for sigma in renner.orbit(args.n, args.k)]
     if args.format == "json":
         text = _json_dumps(rows)
     else:
@@ -112,13 +109,10 @@ def cmd_orbit(args) -> int:
 
 def _rpoly_record(theta, sigma) -> dict:
     poly = rpoly.rpoly(theta, sigma)
-    if theta != sigma and not order.leq(theta, sigma):
-        shape = "incomparable"
-        mu = 0
-    else:
-        classification = analysis.classify_interval(theta, sigma)
-        shape = classification.shape
-        mu = classification.mobius
+    shape, mu = "incomparable", 0
+    if order.leq(theta, sigma):
+        info = analysis.classify_interval(theta, sigma)
+        shape, mu = info.shape, info.mobius
     return {
         "theta": renner.format_element(theta),
         "sigma": renner.format_element(sigma),
@@ -196,9 +190,8 @@ def cmd_hasse(args) -> int:
         _check_n_k(args.n, args.k)
         if args.k is None:
             raise UsageError("hasse requires either two elements or --k")
-        nu = renner.orbit_minimum(args.n, args.k)
-        top = renner.orbit_maximum(args.n, args.k)
-        poset = order.interval(nu, top)
+        poset = order.interval(renner.orbit_minimum(args.n, args.k),
+                               renner.orbit_maximum(args.n, args.k))
     else:
         raise UsageError("hasse takes zero or two element arguments")
     _emit(order.hasse_dot(poset), args.out)
@@ -207,15 +200,10 @@ def cmd_hasse(args) -> int:
 
 def descent_table() -> str:
     header = ["sigma", "x", "e", "y_inv", "des_L", "des_R"]
-    body = []
-    for text in DESCENT_TABLE_ELEMENTS:
-        sigma = renner.parse_element(text)
-        x, e, y = renner.standard_form(sigma)
-        left, right = analysis.descent_sets(sigma)
-        body.append([text, renner.format_element(x), renner.format_element(e),
-                     renner.format_element(weyl.inverse(y)),
-                     _descents_str(left), _descents_str(right)])
-    return _rows_to_tsv(header, body)
+    rows = [_element_row(renner.parse_element(text)) for text in DESCENT_TABLE_ELEMENTS]
+    return _rows_to_tsv(header, [
+        [r["sigma"], r["x"], r["e"], r["y_inv"],
+         _descents_str(r["des_L"]), _descents_str(r["des_R"])] for r in rows])
 
 
 def length2_table() -> str:

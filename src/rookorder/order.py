@@ -4,34 +4,32 @@
 among the first k columns of theta is at most the same count for sigma
 (Pennell-Putcha-Renner's rank-matrix characterisation for R_n).  Each
 rank matrix packs into one int, so one subtract-and-mask compares all
-n^2 counts.  Questions inside one W x W orbit (intervals, covers,
-Mobius values) go to that orbit's ``OrbitPoset``, which answers them
-with int bitsets built from the same packed test.
+n^2 counts.  Questions about one interval [theta, sigma] of one W x W
+orbit (elements, covers, Mobius values) go to an ``IntervalPoset``,
+which indexes exactly that interval; sweeps over a whole orbit share
+``orbit_poset(n, k)``, the poset of [min, max].
 
 The coset-witness criterion on standard forms (theta = u e v^-1 <=
 sigma = x f y^-1 iff e <= f and u <= xw, yw <= v for some w in
-W(f) W_e) is kept in the test suite as the independent oracle: the
-tests require it to agree with ``leq`` on all of R_1 to R_4 and on
-sampled pairs of R_5, within one orbit and across orbits.
-
-Within a single orbit W e W the monoid length function is the rank
-function of the induced poset, which licenses building cover relations
-from length gaps of one and ordering an orbit by (length, word) as a
-linear extension.
+W(f) W_e) is kept in the test suite as the independent oracle that
+``leq`` and the poset rows must agree with.  Within one orbit the
+length function is the rank function of the order, which licenses
+covers at length gap one and (length, word) as a linear extension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from bisect import bisect_left, bisect_right
+from functools import lru_cache, reduce
+from operator import and_
 
 from . import renner
 from .renner import Word
 
 __all__ = [
-    "leq", "dominance_leq", "require_same_orbit", "bits", "OrbitPoset",
-    "orbit_poset", "interval_mask", "interval_elements", "IntervalPoset",
-    "interval", "mobius_direct", "hasse_dot",
+    "leq", "dominance_leq", "require_same_orbit", "bits", "IntervalPoset",
+    "orbit_poset", "interval_elements", "interval", "mobius_direct",
+    "hasse_dot",
 ]
 
 
@@ -40,17 +38,15 @@ def _rank_packing(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """How rank matrices of R_n pack into one int.
 
     The count for (k, j) sits in its own field of ``n.bit_length() + 1``
-    bits, whose top bit is a guard that no count reaches.  Returns, per
-    column c and value a, the packed contribution of an entry a in
-    column c (one to every field with k > c and j <= a), and the mask
-    of all guard bits.
+    bits, whose top bit is a guard that no count reaches; the fields of
+    one k (one prefix row) are adjacent.  Returns, per column c and
+    value a, the packed contribution of an entry a in column c (one to
+    every field with k > c and j <= a), and the mask of all guard bits.
     """
     width = n.bit_length() + 1
-    fields = [[width * ((k - 1) * n + (j - 1)) for j in range(1, n + 1)]
-              for k in range(1, n + 1)]
-    guard = sum(1 << (shift + width - 1) for row in fields for shift in row)
+    guard = sum(1 << (width * (field + 1) - 1) for field in range(n * n))
     columns = tuple(
-        tuple(sum(1 << fields[k - 1][j - 1]
+        tuple(sum(1 << width * ((k - 1) * n + j - 1)
                   for k in range(c + 1, n + 1) for j in range(1, a + 1))
               for a in range(n + 1))
         for c in range(n))
@@ -72,7 +68,7 @@ def leq(theta: Word, sigma: Word) -> bool:
     a guard exactly where theta's count is the larger one.  The tests
     check this against the coset-witness criterion (``witness_leq`` in
     the test oracles) on every pair of R_1 to R_4 and on sampled pairs
-    of R_5; ``OrbitPoset`` builds its rows from the same test.
+    of R_5.
 
     >>> leq((0, 0, 0, 1), (0, 0, 0, 3)), leq((1, 0), (0, 1))
     (True, False)
@@ -106,158 +102,164 @@ def bits(mask: int):
         mask ^= low
 
 
-class OrbitPoset:
-    """The orbit of e_k in R_n, indexed once, as a poset over int bitsets.
+def _between(theta: Word, sigma: Word) -> list[tuple[Word, int]]:
+    """Every tau with theta <= tau <= sigma and its packed rank matrix, by
+    a search over the columns from left to right: once column c is set,
+    prefix row c + 1 is final and must lie between theta's and sigma's."""
+    n = len(theta)
+    columns, guard = _rank_packing(n)
+    span = (n.bit_length() + 1) * n
+    row_guards = [guard & (((1 << span) - 1) << (span * c)) for c in range(n)]
+    low, high = _pack(theta), _pack(sigma) | guard
+    found: list[tuple[Word, int]] = []
+    word = [0] * n
 
-    Element i is ``elements[i]``, in (length, word) order, which is a
-    linear extension of the order.  Bit j of ``up(i)`` is set iff
+    def extend(c: int, used: int, packed: int) -> None:
+        if c == n:
+            found.append((tuple(word), packed))
+            return
+        row = row_guards[c]
+        for a, step in enumerate(columns[c]):
+            if a and (used >> a) & 1:
+                continue
+            p = packed + step
+            if (high - p) & row == row and ((p | guard) - low) & row == row:
+                word[c] = a
+                extend(c + 1, used | (1 << a), p)
+
+    extend(0, 0, 0)
+    return found
+
+
+class IntervalPoset:
+    """The interval [theta, sigma] of one orbit as a poset over int
+    bitsets; empty when theta is not below sigma.
+
+    Element i is ``elements[i]``, in (length, word) order, so theta is
+    element 0 and sigma the last.  Bit j of ``up(i)`` is set iff
     elements[i] <= elements[j], and bit i of ``down(j)`` likewise.  Rows
-    are built on first use, one O(|orbit|) scan of packed rank matrices
-    each, and kept, as are the Mobius values computed from them, so the
-    memory held is bounded by the orbit, not by the queries asked.
+    are bit-sliced (O'Neil-Quass): for each rank-matrix count that
+    varies over the interval and each value v, one bitset holds the
+    elements whose count is >= v and one those whose count is <= v.  A
+    row is the AND of one of them per count, and each element keeps the
+    ones its rows need; rows are not kept, Mobius values of a bottom are.
     """
 
-    def __init__(self, n: int, k: int):
-        self.n, self.k = n, k
-        self.elements = renner.orbit(n, k)
+    def __init__(self, theta: Word, sigma: Word):
+        self.n, self.k = require_same_orbit(theta, sigma)
+        self.bottom, self.top = theta, sigma
+        found = sorted((renner.length(w), w, p) for w, p in _between(theta, sigma))
+        self.lengths = tuple(length for length, _, _ in found)
+        self.elements = tuple(w for _, w, _ in found)
         self.index = {w: i for i, w in enumerate(self.elements)}
-        self.lengths = tuple(renner.length(w) for w in self.elements)
-        bounds: dict[int, list[int]] = {}
-        for i, length in enumerate(self.lengths):
-            bounds.setdefault(length, [i, i])[1] = i + 1
-        self._levels = {length: (1 << hi) - (1 << lo)
-                        for length, (lo, hi) in bounds.items()}
-        _, self._guard = _rank_packing(n)
-        self._packed = [_pack(w) for w in self.elements]
-        self._lifted = [p | self._guard for p in self._packed]
-        size = len(self.elements)
-        self._up: list[int | None] = [None] * size
-        self._down: list[int | None] = [None] * size
-        self._mobius: dict[int, tuple[int, dict[int, int]]] = {}
+        everything = self._everything = (1 << len(found)) - 1
+        width = self.n.bit_length() + 1
+        count = (1 << (width - 1)) - 1
+        low, high = _pack(theta), _pack(sigma)
+        varying = [shift for shift in range(0, width * self.n * self.n, width)
+                   if (low >> shift) & count < (high >> shift) & count] if found else []
+        # counts[i]: the varying counts of element i, one byte each
+        counts = [bytes([(p >> shift) & count for shift in varying])
+                  for _, _, p in found]
+        table = b"".join(counts)
+        at_least_sets, at_most_sets = [], []
+        for f, shift in enumerate(varying):
+            lo, hi = (low >> shift) & count, (high >> shift) & count
+            # one count of every element as a base-2 numeral, element 0
+            # last; a translation to '1' where it is >= v gives that set
+            column = table[f::len(varying)][::-1]
+            at_least = [everything] * (lo + 1) + [
+                int(column.translate(b"0" * v + b"1" * (256 - v)), 2)
+                for v in range(lo + 1, hi + 1)] + [0]
+            at_least_sets.append(at_least)
+            at_most_sets.append([everything ^ above for above in at_least[1:]])
+        # the sets each row ANDs, leaving out those that hold every element
+        self._up_sets, self._down_sets = (
+            [tuple(filter(everything.__ne__, map(list.__getitem__, sets, row)))
+             for row in counts] for sets in (at_least_sets, at_most_sets))
+        self._mobius: dict[int, dict[int, int]] = {}  # bottom -> {mu: bitset}
 
     def locate(self, word: Word) -> int:
-        """Index of ``word``; ValueError if it lies outside the orbit."""
+        """Index of ``word``; ValueError if it lies outside the interval."""
         try:
             return self.index[word]
         except KeyError:
-            raise ValueError(
-                f"{renner.format_element(word)} is not in the rank-{self.k} "
-                f"orbit of R_{self.n}"
-            ) from None
+            ends = map(renner.format_element, (word, self.bottom, self.top))
+            raise ValueError("{} lies outside [{}, {}]".format(*ends)) from None
 
     def up(self, i: int) -> int:
         """Bitset of the j with elements[i] <= elements[j]."""
-        row = self._up[i]
-        if row is None:
-            p, guard, row = self._packed[i], self._guard, 0
-            for j in range(i, len(self._lifted)):
-                if (self._lifted[j] - p) & guard == guard:
-                    row |= 1 << j
-            self._up[i] = row
-        return row
+        return reduce(and_, self._up_sets[i], self._everything)
 
     def down(self, j: int) -> int:
         """Bitset of the i with elements[i] <= elements[j]."""
-        row = self._down[j]
-        if row is None:
-            lifted, guard, row = self._lifted[j], self._guard, 0
-            for i in range(j + 1):
-                if (lifted - self._packed[i]) & guard == guard:
-                    row |= 1 << i
-            self._down[j] = row
-        return row
+        return reduce(and_, self._down_sets[j], self._everything)
 
     def level(self, length: int) -> int:
         """Bitset of the elements of the given length."""
-        return self._levels.get(length, 0)
+        lo, hi = bisect_left(self.lengths, length), bisect_right(self.lengths, length)
+        return (1 << hi) - (1 << lo)
 
-    def members(self, mask: int) -> tuple[Word, ...]:
-        """The elements whose bits are set, in index order."""
-        return tuple(self.elements[i] for i in bits(mask))
+    def covers(self):
+        """Index pairs (a, b), by a then b, with elements[b] covering
+        elements[a]: the comparable pairs at length gap one."""
+        for a, length in enumerate(self.lengths):
+            for b in bits(self.up(a) & self.level(length + 1)):
+                yield a, b
 
     def mobius(self, i: int, j: int) -> int:
         """mu(elements[i], elements[j]), by the defining recursion.
 
-        The values for one bottom i form one row, filled in index order
-        as far as each query needs and kept: mu(i, t) is minus the sum
-        of mu(i, r) over the r in [i, t), all of which come before t.
+        The first query with bottom i fills its row in index order:
+        mu(i, t) = -sum over r in [i, t) of mu(i, r), which is minus the
+        sum of v * |M_v & down(t)| over the bitsets M_v of the r done so
+        far with mu(i, r) = v; only those bitsets are kept.
         """
-        if i not in self._mobius:
-            self._mobius[i] = (1 << i, {i: 1})
-        done, row = self._mobius[i]
-        up = self.up(i)
-        if (up >> j) & 1 and not (done >> j) & 1:
-            todo = up & self.down(j) & ~done
-            for t in bits(todo):
-                row[t] = -sum(row[r] for r in bits(up & self.down(t) & ~(1 << t)))
-            self._mobius[i] = (done | todo, row)
-        return row.get(j, 0)
+        by_value = self._mobius.get(i)
+        if by_value is None:
+            by_value = {1: 1 << i}
+            for t in bits(self.up(i) & ~(1 << i)):
+                below = self.down(t)
+                mu = -sum(v * (m & below).bit_count() for v, m in by_value.items())
+                by_value[mu] = by_value.get(mu, 0) | (1 << t)
+            self._mobius[i] = by_value
+        return next((v for v, m in by_value.items() if (m >> j) & 1), 0)
 
 
 @lru_cache(maxsize=None)
-def orbit_poset(n: int, k: int) -> OrbitPoset:
-    """The one ``OrbitPoset`` of the rank-k orbit of R_n."""
-    return OrbitPoset(n, k)
-
-
-def interval_mask(theta: Word, sigma: Word) -> tuple[OrbitPoset, int]:
-    """The poset of the orbit holding both elements, and the bitset of
-    [theta, sigma] in it (0 when theta is not below sigma)."""
-    poset = orbit_poset(*require_same_orbit(theta, sigma))
-    return poset, poset.up(poset.locate(theta)) & poset.down(poset.locate(sigma))
+def orbit_poset(n: int, k: int) -> IntervalPoset:
+    """The poset of the whole rank-k orbit of R_n, [min, max], shared by
+    the sweeps that visit every pair of the orbit."""
+    return IntervalPoset(renner.orbit_minimum(n, k), renner.orbit_maximum(n, k))
 
 
 def interval_elements(theta: Word, sigma: Word) -> tuple[Word, ...]:
     """All tau in the common orbit with theta <= tau <= sigma, by (length, word)."""
-    poset, inside = interval_mask(theta, sigma)
-    return poset.members(inside)
-
-
-@dataclass(frozen=True)
-class IntervalPoset:
-    bottom: Word
-    top: Word
-    elements: tuple[Word, ...]
-    covers: tuple[tuple[Word, Word], ...]
+    return IntervalPoset(theta, sigma).elements
 
 
 def interval(theta: Word, sigma: Word) -> IntervalPoset:
-    """The interval [theta, sigma] inside one orbit, with cover relations.
-
-    Covers are the comparable pairs at length gap one, which is the
-    transitive reduction because length is the orbit rank function (the
-    tests cross-check this against a generic reduction at small n).
-    """
-    poset, inside = interval_mask(theta, sigma)
-    if not inside:
-        raise ValueError(
-            f"{renner.format_element(theta)} is not below "
-            f"{renner.format_element(sigma)}")
-    covers = tuple(
-        (poset.elements[a], poset.elements[b])
-        for a in bits(inside)
-        for b in bits(poset.up(a) & inside & poset.level(poset.lengths[a] + 1)))
-    return IntervalPoset(theta, sigma, poset.members(inside), covers)
+    """The poset of [theta, sigma]; ValueError unless theta <= sigma in
+    one orbit."""
+    poset = IntervalPoset(theta, sigma)
+    if not poset.elements:
+        raise ValueError(f"{renner.format_element(theta)} is not below "
+                         f"{renner.format_element(sigma)}")
+    return poset
 
 
 def mobius_direct(theta: Word, sigma: Word) -> int:
-    """Mobius function of an orbit poset, by the defining recursion.
-
-    Returns 0 when theta is not below sigma.
-    """
-    poset = orbit_poset(*require_same_orbit(theta, sigma))
-    return poset.mobius(poset.locate(theta), poset.locate(sigma))
+    """mu(theta, sigma) in one orbit; 0 when theta is not below sigma."""
+    poset = IntervalPoset(theta, sigma)
+    return poset.mobius(0, len(poset.elements) - 1) if poset.elements else 0
 
 
 def hasse_dot(poset: IntervalPoset) -> str:
-    """DOT digraph of a Hasse diagram; edges point from lower to higher."""
+    """DOT digraph of a Hasse diagram; edges point from lower to higher,
+    by (length, word) of the lower end and then word of the upper."""
+    names = [renner.format_element(w) for w in poset.elements]
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for w in poset.elements:
-        lines.append(
-            f'  "{renner.format_element(w)}" [len={renner.length(w)}];')
-    for a, b in sorted(poset.covers,
-                       key=lambda e: (renner.length(e[0]), e[0], e[1])):
-        lines.append(
-            f'  "{renner.format_element(a)}" -> "{renner.format_element(b)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f'  "{name}" [len={length}];'
+              for name, length in zip(names, poset.lengths)]
+    lines += [f'  "{names[a]}" -> "{names[b]}";' for a, b in poset.covers()]
+    return "\n".join(lines + ["}"]) + "\n"

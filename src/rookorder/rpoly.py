@@ -70,13 +70,15 @@ def delta_identity_sum(theta: Word, sigma: Word) -> Laurent:
 
     The sum telescopes to 1 when theta = sigma and to 0 otherwise.
     """
-    poset, inside = order.interval_mask(theta, sigma)
-    l_sigma = poset.lengths[poset.index[sigma]]
-    total = Laurent(0, ())
-    for a in order.bits(inside):
+    poset = order.orbit_poset(*order.require_same_orbit(theta, sigma))
+    bottom, top = poset.index[theta], poset.index[sigma]
+    above, total = poset.up(bottom), Laurent(0, ())
+    if not (above >> top) & 1:  # theta is not below sigma: an empty sum
+        return total
+    for a in order.bits(above & poset.down(top)):
         nu = poset.elements[a]
         total = total + (rpoly(theta, nu)
-                         * Laurent.q_power(l_sigma - poset.lengths[a])
+                         * Laurent.q_power(poset.lengths[top] - poset.lengths[a])
                          * rpoly(nu, sigma).bar())
     return total
 

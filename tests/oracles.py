@@ -152,25 +152,50 @@ def linear_length2_bruteforce(elements, leq_fn, bottom, top):
             if sum(1 for c in above[a] if b in above[c]) == 3}
 
 
+def interval_by_scan(elements, leq_fn, theta, sigma):
+    """The tau among ``elements`` with theta <= tau <= sigma under
+    ``leq_fn``, in the order given."""
+    return tuple(tau for tau in elements
+                 if leq_fn(theta, tau) and leq_fn(tau, sigma))
+
+
+def mobius_by_recursion(inside, leq_fn, theta, sigma):
+    """mu(theta, sigma) by the defining recursion, with ``inside`` the
+    elements of [theta, sigma] and ``leq_fn`` the order among them:
+    mu(theta, tau) is minus the sum of mu(theta, r) over r < tau."""
+    @lru_cache(maxsize=None)
+    def mu(tau):
+        if tau == theta:
+            return 1
+        return -sum(mu(r) for r in inside if r != tau and leq_fn(r, tau))
+    return mu(sigma) if sigma in inside else 0
+
+
 @lru_cache(maxsize=None)
 def interval_elements_scan(theta, sigma):
     """All tau in the orbit of theta with theta <= tau <= sigma, by
     (length, word): a scan of the whole orbit with ``witness_leq``."""
     n, k = order.require_same_orbit(theta, sigma)
-    return tuple(tau for tau in renner.orbit(n, k)
-                 if witness_leq(theta, tau) and witness_leq(tau, sigma))
+    return interval_by_scan(renner.orbit(n, k), witness_leq, theta, sigma)
 
 
 @lru_cache(maxsize=None)
 def mobius_recursive(theta, sigma):
-    """Mobius value by the defining recursion over ``interval_elements_scan``."""
-    if theta == sigma:
-        return 1
-    if not witness_leq(theta, sigma):
-        return 0
-    return -sum(mobius_recursive(theta, tau)
-                for tau in interval_elements_scan(theta, sigma)
-                if tau != sigma)
+    """Mobius value by the defining recursion over ``interval_elements_scan``,
+    compared with ``witness_leq``."""
+    return mobius_by_recursion(interval_elements_scan(theta, sigma),
+                               witness_leq, theta, sigma)
+
+
+def scan_rows(elements, leq_fn):
+    """Up- and down-set rows of ``elements`` as int bitsets (bit i for
+    elements[i]), by testing every pair with ``leq_fn``: how the orbit
+    poset once built its rows, kept as the oracle for the bit-sliced ones."""
+    ups = [sum(1 << j for j, b in enumerate(elements) if leq_fn(a, b))
+           for a in elements]
+    downs = [sum(1 << i for i, a in enumerate(elements) if leq_fn(a, b))
+             for b in elements]
+    return ups, downs
 
 
 def laurent_terms(p):

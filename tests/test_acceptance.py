@@ -97,13 +97,12 @@ def test_criterion_05_putcha_conjecture(monkeypatch):
             result = analysis.verify_putcha_conjecture(renner.orbit(n, k))
             bad.extend(result.violations)
     # mutation check: a corrupted Mobius value must be caught
-    original = order.mobius_direct
+    original = order.IntervalPoset.mobius
 
-    def corrupted(theta, sigma):
-        value = original(theta, sigma)
-        return -value if renner.length(sigma) - renner.length(theta) == 1 \
-            else value
-    monkeypatch.setattr(order, "mobius_direct", corrupted)
+    def corrupted(poset, i, j):
+        value = original(poset, i, j)
+        return -value if poset.lengths[j] - poset.lengths[i] == 1 else value
+    monkeypatch.setattr(order.IntervalPoset, "mobius", corrupted)
     mutated = analysis.verify_putcha_conjecture(renner.orbit(4, 2))
     report(5, "putcha-conjecture", not bad and not mutated.passed)
 

@@ -148,15 +148,15 @@ def test_putcha_conjecture_orbits(n, k):
 
 def test_putcha_mutation_is_caught(monkeypatch):
     # a corrupted Mobius function must produce violation certificates
-    original = order.mobius_direct
+    original = order.IntervalPoset.mobius
 
-    def corrupted(theta, sigma):
-        value = original(theta, sigma)
-        if renner.length(sigma) - renner.length(theta) == 2:
+    def corrupted(poset, i, j):
+        value = original(poset, i, j)
+        if poset.lengths[j] - poset.lengths[i] == 2:
             return value + 1
         return value
 
-    monkeypatch.setattr(order, "mobius_direct", corrupted)
+    monkeypatch.setattr(order.IntervalPoset, "mobius", corrupted)
     report = analysis.verify_putcha_conjecture(renner.orbit(3, 2))
     assert not report.passed
     cert = report.violations[0]

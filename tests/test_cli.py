@@ -235,13 +235,62 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().count("->") == 2
 
 
+def _cold_env():
+    src = os.path.dirname(os.path.dirname(rookorder.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_cold(*argv):
     """Run the CLI in a fresh interpreter under a 30 s timeout."""
-    src = os.path.dirname(os.path.dirname(rookorder.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "rookorder", *argv],
-                          capture_output=True, text=True, timeout=30, env=env)
+                          capture_output=True, text=True, timeout=30,
+                          env=_cold_env())
+
+
+# Runs ``python -m rookorder`` and then writes the process's peak RSS to
+# stderr.  VmHWM belongs to the memory image made by exec, so unlike the
+# rusage of the child it does not count the test process it was forked from.
+PEAK_RSS = """\
+import runpy, sys
+try:
+    runpy.run_module("rookorder", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status") as status:
+        sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def run_cold_with_peak_rss(*argv):
+    """(exit code, stdout, peak RSS in MB) of the CLI in a fresh
+    interpreter under a 30 s timeout."""
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv],
+                          capture_output=True, text=True, timeout=30,
+                          env=_cold_env())
+    peak_kb = int(done.stderr.splitlines()[-1].split()[1])
+    return done.returncode, done.stdout, peak_kb / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+@pytest.mark.parametrize("argv,expected", [
+    # two-element intervals of R_8 in orbits of 564480 and 322560
+    # elements; stdout as recorded when every query indexed its orbit
+    pytest.param(("rpoly", "12345600", "12346500"),
+                 "R = q - 1\nR(0) = -1\nmu = -1\nshape = linear\n", id="rpoly"),
+    pytest.param(("mobius", "12345600", "12346500"),
+                 "mu = -1\nR(0) = -1\n", id="mobius"),
+    pytest.param(("hasse", "12345600", "12346500"),
+                 'digraph hasse {\n  rankdir=BT;\n  "12345600" [len=12];\n'
+                 '  "12346500" [len=13];\n  "12345600" -> "12346500";\n}\n',
+                 id="hasse"),
+    pytest.param(("mobius", "12345670", "12345760"),
+                 "mu = -1\nR(0) = -1\n", id="mobius-k7"),
+])
+def test_small_interval_at_n8_indexes_only_the_interval(argv, expected):
+    code, out, peak_mb = run_cold_with_peak_rss(*argv)
+    assert (code, out) == (0, expected)
+    assert peak_mb < 40, f"peak RSS {peak_mb:.1f} MB"
 
 
 @pytest.mark.parametrize("command", ["rpoly", "mobius"])

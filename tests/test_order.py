@@ -3,8 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (check_graded, interval_elements_scan, mobius_bruteforce,
-                     mobius_recursive, transitive_reduction, witness_leq)
+from oracles import (check_graded, interval_by_scan, interval_elements_scan,
+                     mobius_bruteforce, mobius_by_recursion, mobius_recursive,
+                     scan_rows, transitive_reduction, witness_leq)
 from rookorder import order, renner, weyl
 
 
@@ -84,17 +85,77 @@ def test_dominance_oracle_cross_validates_n4():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_intervals_and_mobius_match_scan_oracles(n):
-    # every same-orbit pair, incomparable ones included
+    # every same-orbit pair, incomparable ones included: the elements,
+    # the bit-sliced up- and down-set rows and the Mobius value of the
+    # interval poset against scans with the coset-witness criterion
     for k in range(n + 1):
         for theta, sigma in itertools.product(renner.orbit(n, k), repeat=2):
-            assert order.interval_elements(theta, sigma) == \
-                interval_elements_scan(theta, sigma), (theta, sigma)
+            poset = order.IntervalPoset(theta, sigma)
+            assert poset.elements == interval_elements_scan(theta, sigma), \
+                (theta, sigma)
+            ups, downs = scan_rows(poset.elements, witness_leq)
+            assert [poset.up(i) for i in range(len(ups))] == ups, (theta, sigma)
+            assert [poset.down(i) for i in range(len(downs))] == downs, (theta, sigma)
             assert order.mobius_direct(theta, sigma) == \
                 mobius_recursive(theta, sigma), (theta, sigma)
 
 
+def _near(poset, i, gap):
+    """Indices at most ``gap`` longer than element i, comparable or not."""
+    return [j for j, length in enumerate(poset.lengths)
+            if 0 <= length - poset.lengths[i] <= gap]
+
+
+def _other_orbit(n, k):
+    return st.sampled_from([w for other in range(n + 1) if other != k
+                            for w in renner.orbit(n, other)])
+
+
 @pytest.mark.parametrize("k", range(6))
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_interval_poset_matches_scan_oracles_n5(k, data):
+    # the top lies at most 3 above the bottom in length, so the
+    # coset-witness recursion stays small; most such pairs are incomparable
+    orbit = order.orbit_poset(5, k)
+    i = data.draw(st.integers(0, len(orbit.elements) - 1))
+    theta = orbit.elements[i]
+    sigma = orbit.elements[data.draw(st.sampled_from(_near(orbit, i, 3)))]
+    poset = order.IntervalPoset(theta, sigma)
+    assert poset.elements == interval_elements_scan(theta, sigma)
+    assert bool(poset.elements) == witness_leq(theta, sigma)
+    assert order.mobius_direct(theta, sigma) == mobius_recursive(theta, sigma)
+    with pytest.raises(ValueError):
+        order.IntervalPoset(theta, data.draw(_other_orbit(5, k)))
+
+
+@pytest.mark.parametrize("k", range(7))
+@settings(max_examples=15)
+@given(data=st.data())
+def test_interval_poset_matches_leq_scan_n6(k, data):
+    # any pair for the elements, against a scan of the whole orbit with
+    # order.leq; a pair at most 4 apart in length for rows and Mobius
+    orbit = order.orbit_poset(6, k)
+    assert orbit.elements == renner.orbit(6, k)
+    pick = st.integers(0, len(orbit.elements) - 1)
+    i, j = data.draw(pick), data.draw(pick)
+    theta, sigma = orbit.elements[i], orbit.elements[j]
+    assert order.interval_elements(theta, sigma) == \
+        interval_by_scan(orbit.elements, order.leq, theta, sigma)
+    sigma = orbit.elements[data.draw(st.sampled_from(_near(orbit, i, 4)))]
+    poset = order.IntervalPoset(theta, sigma)
+    assert poset.elements == interval_by_scan(orbit.elements, order.leq, theta, sigma)
+    ups, downs = scan_rows(poset.elements, order.leq)
+    assert [poset.up(a) for a in range(len(ups))] == ups
+    assert [poset.down(a) for a in range(len(downs))] == downs
+    assert order.mobius_direct(theta, sigma) == \
+        mobius_by_recursion(poset.elements, order.leq, theta, sigma)
+    with pytest.raises(ValueError):
+        order.interval_elements(theta, data.draw(_other_orbit(6, k)))
+
+
+@pytest.mark.parametrize("k", range(6))
+@settings(max_examples=100)
 @given(data=st.data())
 def test_orbit_poset_matches_leq_n5(k, data):
     poset = order.orbit_poset(5, k)
@@ -109,7 +170,7 @@ def test_orbit_poset_matches_leq_n5(k, data):
 
 
 @pytest.mark.parametrize("ke,kf", list(itertools.combinations(range(6), 2)))
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_leq_matches_witness_across_orbits_n5(ke, kf, data):
     # pairs from two different orbits of R_5, compared both ways
@@ -132,13 +193,14 @@ def test_orbit_has_unique_min_and_max():
 def test_interval_examples():
     linear = order.interval((0, 0, 0, 1), (0, 0, 0, 3))
     assert len(linear.elements) == 3
-    assert len(linear.covers) == 2
+    assert list(linear.covers()) == [(0, 1), (1, 2)]
     diamond = order.interval((0, 0, 1, 2), (0, 0, 2, 3))
     assert len(diamond.elements) == 4
-    assert len(diamond.covers) == 4
+    assert len(list(diamond.covers())) == 4
+    assert diamond.elements[0] == (0, 0, 1, 2) and diamond.elements[-1] == (0, 0, 2, 3)
     point = order.interval((0, 1), (0, 1))
     assert point.elements == ((0, 1),)
-    assert point.covers == ()
+    assert list(point.covers()) == []
 
 
 def test_interval_errors():
@@ -146,6 +208,13 @@ def test_interval_errors():
         order.interval((0, 0, 1, 0), (0, 0, 0, 3))  # incomparable, same orbit
     with pytest.raises(ValueError):
         order.interval((0, 0, 0, 1), (0, 0, 1, 2))  # different orbits
+    # the poset of an incomparable pair is empty; cross-orbit pairs raise
+    assert order.IntervalPoset((0, 0, 1, 0), (0, 0, 0, 3)).elements == ()
+    assert order.interval_elements((0, 0, 1, 0), (0, 0, 0, 3)) == ()
+    with pytest.raises(ValueError):
+        order.IntervalPoset((0, 0, 0, 1), (0, 0, 1, 2))
+    with pytest.raises(ValueError, match="outside"):
+        order.interval((0, 0, 0, 1), (0, 0, 0, 3)).locate((0, 0, 0, 4))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -157,7 +226,9 @@ def test_covers_match_generic_transitive_reduction(n):
                 continue
             poset = order.interval(theta, sigma)
             generic = transitive_reduction(poset.elements, witness_leq)
-            assert set(poset.covers) == set(generic), (theta, sigma)
+            covers = {(poset.elements[a], poset.elements[b])
+                      for a, b in poset.covers()}
+            assert covers == set(generic), (theta, sigma)
 
 
 def test_mobius_direct_examples():

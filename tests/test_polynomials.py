@@ -153,7 +153,7 @@ def assert_canonical(p, terms, cls):
     assert p == rebuilt and hash(p) == hash(rebuilt)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(polys, st.one_of(polys, plain_ints), st.sampled_from(("c", "c - a", "a", "-a")))
 def test_laurent_arithmetic_matches_term_dict_oracle(a_pair, c_pair, kind):
     """Operands a and b mix Laurent, IntPoly and int; b is c itself, or
@@ -185,7 +185,7 @@ def test_laurent_arithmetic_matches_term_dict_oracle(a_pair, c_pair, kind):
             a.to_int_poly()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.lists(ints, max_size=6))
 def test_int_poly_matches_term_dict_oracle(coeffs):
     p, terms = IntPoly(coeffs), int_poly_terms(coeffs)
@@ -207,7 +207,7 @@ small_values = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(st.tuples(small_values, small_values, small_values))
 def test_equality_implies_equal_hashes(triple):
     for a, b in itertools.permutations(triple, 2):

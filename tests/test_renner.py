@@ -219,7 +219,7 @@ def test_length_rules_match_standard_form_oracles(n):
 
 
 @pytest.mark.parametrize("n", [7, 8])
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_length_rules_match_standard_form_oracles_sampled(n, data):
     values = data.draw(st.permutations(range(1, n + 1)))
