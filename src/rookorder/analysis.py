@@ -13,7 +13,6 @@ The headline facts being checked at desk scale:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,7 +64,6 @@ def descent_sets(sigma: Word) -> tuple[frozenset[int], frozenset[int]]:
 def check_nonempty_descent(orbit_elements) -> Report:
     """Every positive-length element descends somewhere; the unique
     length-0 element has both descent sets empty."""
-    start = time.perf_counter()
     report = Report(name="nonempty-descent")
     zero_length = []
     for sigma in orbit_elements:
@@ -90,7 +88,6 @@ def check_nonempty_descent(orbit_elements) -> Report:
             "kind": "length-zero-count",
             "elements": [renner.format_element(w) for w in zero_length],
         })
-    report.runtime_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
@@ -166,7 +163,6 @@ def _lifting_clause(below, theta, sigma, s_theta, s_sigma,
 
 def lifting_violations(n: int, k: int) -> Report:
     """Sweep all comparable pairs and simple reflections of one orbit."""
-    start = time.perf_counter()
     report = Report(name="lifting")
     poset = order.orbit_poset(n, k)
     ups = [poset.up(a) for a in range(len(poset.elements))]
@@ -191,7 +187,6 @@ def lifting_violations(n: int, k: int) -> Report:
                         "sigma": renner.format_element(poset.elements[b]),
                         "s": i, "clause": clause, "holds": holds,
                     })
-    report.runtime_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
@@ -203,7 +198,6 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
     one orbit.  mu and the linear length-2 subintervals come from the
     orbit's ``order.orbit_poset``.
     """
-    start = time.perf_counter()
     report = Report(name="putcha")
     elems = list(orbit_elements)
     if not elems:
@@ -236,7 +230,6 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
                     "interval": [renner.format_element(poset.elements[t])
                                  for t in bits(up & poset.down(b))],
                 })
-    report.runtime_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 

@@ -105,7 +105,6 @@ class StandardForm(NamedTuple):
     y: Word
 
 
-@lru_cache(maxsize=None)
 def standard_form(sigma: Word) -> StandardForm:
     """Standard form of an element of R_n.
 

@@ -15,15 +15,3 @@ class Report:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "violations": self.violations,
-            "runtime_ms": self.runtime_ms,
-        }
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else f"FAIL ({len(self.violations)} violations)"
-        return f"{self.name}: {status}, {self.checked} cases checked"

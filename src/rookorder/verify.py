@@ -1,8 +1,9 @@
 """Verification sweeps over whole ranks, grouped into named suites.
 
-Each suite covers every orbit of R_n and returns one Report per check.
-Every suite is exhaustive: the delta identity runs on all same-orbit
-pairs and the Hecke oracle on every orbit.
+One table, ``_CHECKS``, maps each suite to ``(label, check)`` pairs,
+where a check is an ``(n, k) -> Report`` function on one orbit.  The
+one loop, ``run_suite``, runs them; only it names a report
+``"<label> n=<n> k=<k>"`` and times it.  Every check is exhaustive.
 """
 
 from __future__ import annotations
@@ -14,79 +15,44 @@ from . import analysis, hecke, renner, rpoly
 from .polynomials import Laurent, ZERO
 from .reports import Report
 
-SUITES = ("all", "putcha", "lifting", "delta", "descents", "hecke")
-
-__all__ = ["SUITES", "putcha_suite", "lifting_suite", "delta_suite",
-           "descents_suite", "hecke_suite", "run_suite"]
+__all__ = ["SUITES", "hecke_oracle_report", "run_suite"]
 
 
-def putcha_suite(n: int) -> list[Report]:
-    reports = []
-    for k in range(n + 1):
-        report = analysis.verify_putcha_conjecture(renner.orbit(n, k))
-        report.name = f"putcha n={n} k={k}"
-        reports.append(report)
-    return reports
+def _delta_identity(n: int, k: int) -> Report:
+    """The delta identity on every ordered pair of the orbit, one sum each."""
+    report = Report(name="delta")
+    for theta, sigma in itertools.product(renner.orbit(n, k), repeat=2):
+        report.checked += 1
+        total = rpoly.delta_identity_sum(theta, sigma)
+        if total != Laurent.from_int(1 if theta == sigma else 0):
+            report.violations.append({
+                "theta": renner.format_element(theta),
+                "sigma": renner.format_element(sigma),
+                "sum": str(total),
+            })
+    return report
 
 
-def lifting_suite(n: int) -> list[Report]:
-    reports = []
-    for k in range(n + 1):
-        report = analysis.lifting_violations(n, k)
-        report.name = f"lifting n={n} k={k}"
-        reports.append(report)
-    return reports
-
-
-def delta_suite(n: int) -> list[Report]:
-    reports = []
-    for k in range(n + 1):
-        start = time.perf_counter()
-        report = Report(name=f"delta n={n} k={k}")
-        for theta, sigma in itertools.product(renner.orbit(n, k), repeat=2):
-            report.checked += 1
-            if not rpoly.verify_delta_identity(theta, sigma):
-                report.violations.append({
-                    "theta": renner.format_element(theta),
-                    "sigma": renner.format_element(sigma),
-                    "sum": str(rpoly.delta_identity_sum(theta, sigma)),
-                })
-        report.runtime_ms = (time.perf_counter() - start) * 1000.0
-        reports.append(report)
-    return reports
-
-
-def descents_suite(n: int) -> list[Report]:
-    """Every positive-length element must descend somewhere, and the
-    standard-form descent rule must agree with ``renner.descents``."""
-    reports = []
-    for k in range(n + 1):
-        elems = renner.orbit(n, k)
-        report = analysis.check_nonempty_descent(elems)
-        report.name = f"nonempty-descent n={n} k={k}"
-        reports.append(report)
-        start = time.perf_counter()
-        agree = Report(name=f"descent-rule n={n} k={k}")
-        for sigma in elems:
-            agree.checked += 1
-            via_rule = analysis.descent_sets(sigma)
-            raw = renner.descents(sigma, "left"), renner.descents(sigma, "right")
-            if via_rule != raw:
-                agree.violations.append({
-                    "element": renner.format_element(sigma),
-                    "standard_form_rule": [sorted(via_rule[0]), sorted(via_rule[1])],
-                    "raw": [sorted(raw[0]), sorted(raw[1])],
-                })
-        agree.runtime_ms = (time.perf_counter() - start) * 1000.0
-        reports.append(agree)
-    return reports
+def _descent_rule(n: int, k: int) -> Report:
+    """The standard-form descent rule agrees with ``renner.descents``."""
+    report = Report(name="descent-rule")
+    for sigma in renner.orbit(n, k):
+        report.checked += 1
+        via_rule = analysis.descent_sets(sigma)
+        raw = renner.descents(sigma, "left"), renner.descents(sigma, "right")
+        if via_rule != raw:
+            report.violations.append({
+                "element": renner.format_element(sigma),
+                "standard_form_rule": [sorted(via_rule[0]), sorted(via_rule[1])],
+                "raw": [sorted(raw[0]), sorted(raw[1])],
+            })
+    return report
 
 
 def hecke_oracle_report(n: int, k: int) -> Report:
     """Compare the bar-involution expansion with the recurrence on one
     orbit, and check that bar is an involution there."""
-    start = time.perf_counter()
-    report = Report(name=f"hecke n={n} k={k}")
+    report = Report(name="hecke")
     elems = renner.orbit(n, k)
     for sigma in elems:
         expansion = hecke.rpoly_via_bar(sigma)
@@ -109,26 +75,41 @@ def hecke_oracle_report(n: int, k: int) -> Report:
                 "sigma": renner.format_element(sigma),
                 "bar_squared": hecke.hecke_to_json(back),
             })
-    report.runtime_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
-def hecke_suite(n: int) -> list[Report]:
-    return [hecke_oracle_report(n, k) for k in range(n + 1)]
+# The lambdas look each sweep up when they run, so a patched one runs.
+_CHECKS = {
+    "putcha": [("putcha", lambda n, k:
+                analysis.verify_putcha_conjecture(renner.orbit(n, k)))],
+    "lifting": [("lifting", lambda n, k: analysis.lifting_violations(n, k))],
+    "delta": [("delta", _delta_identity)],
+    "descents": [("nonempty-descent", lambda n, k:
+                  analysis.check_nonempty_descent(renner.orbit(n, k))),
+                 ("descent-rule", _descent_rule)],
+    "hecke": [("hecke", lambda n, k: hecke_oracle_report(n, k))],
+}
+
+SUITES = ("all", *_CHECKS)
 
 
 def run_suite(name: str, n: int) -> list[Report]:
+    """One report per check and orbit of R_n: suite by suite (every
+    suite for ``"all"``), then rank by rank, then check by check.
+
+    >>> [r.name for r in run_suite("descents", 1)]  # doctest: +NORMALIZE_WHITESPACE
+    ['nonempty-descent n=1 k=0', 'descent-rule n=1 k=0',
+     'nonempty-descent n=1 k=1', 'descent-rule n=1 k=1']
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     reports = []
-    if name in ("all", "putcha"):
-        reports += putcha_suite(n)
-    if name in ("all", "lifting"):
-        reports += lifting_suite(n)
-    if name in ("all", "delta"):
-        reports += delta_suite(n)
-    if name in ("all", "descents"):
-        reports += descents_suite(n)
-    if name in ("all", "hecke"):
-        reports += hecke_suite(n)
+    for checks in _CHECKS.values() if name == "all" else [_CHECKS[name]]:
+        for k in range(n + 1):
+            for label, check in checks:
+                start = time.perf_counter()
+                report = check(n, k)
+                report.runtime_ms = (time.perf_counter() - start) * 1000.0
+                report.name = f"{label} n={n} k={k}"
+                reports.append(report)
     return reports

@@ -199,6 +199,89 @@ def test_verify_reports_violations_with_exit_1(capsys, monkeypatch):
     assert payload["reports"][0]["violations"]
 
 
+def _first_violation(capsys, suite, label):
+    """Run ``verify <suite> --n 3``, which must exit 1, and return the first
+    violation certificate of the first failing report."""
+    code, out, _ = run(capsys, "verify", suite, "--n", "3")
+    assert code == 1
+    failing = [r for r in json.loads(out)["reports"] if r["violations"]]
+    assert failing
+    assert failing[0]["name"].startswith(f"{label} n=3 k=")
+    return failing[0]["violations"][0]
+
+
+def test_verify_lifting_certificate(capsys, monkeypatch):
+    from rookorder import analysis
+    monkeypatch.setattr(analysis, "_lifting_clause", lambda *args: ("a", False))
+    cert = _first_violation(capsys, "lifting", "lifting")
+    assert set(cert) == {"theta", "sigma", "s", "clause", "holds"}
+    assert (cert["clause"], cert["holds"]) == ("a", False)
+
+
+def test_verify_nonempty_descent_certificate(capsys, monkeypatch):
+    from rookorder import renner
+    monkeypatch.setattr(renner, "descents", lambda sigma, side: frozenset())
+    cert = _first_violation(capsys, "descents", "nonempty-descent")
+    assert cert["kind"] == "no-descent"
+    assert set(cert) == {"kind", "element", "length"}
+
+
+def test_verify_delta_certificate_carries_the_one_sum(capsys, monkeypatch):
+    # only the first call on the pair is off by one, so the certificate
+    # shows the corrupted sum only if each pair's sum is computed once
+    from rookorder import renner, rpoly
+    from rookorder.polynomials import Laurent
+    original = rpoly.delta_identity_sum
+    pair = (renner.orbit_minimum(3, 1), renner.orbit_maximum(3, 1))
+    corrupted = []
+
+    def off_by_one(theta, sigma):
+        total = original(theta, sigma)
+        if (theta, sigma) == pair and not corrupted:
+            total = total + Laurent.from_int(1)
+            corrupted.append(str(total))
+        return total
+
+    monkeypatch.setattr(rpoly, "delta_identity_sum", off_by_one)
+    cert = _first_violation(capsys, "delta", "delta")
+    assert set(cert) == {"theta", "sigma", "sum"}
+    assert (cert["theta"], cert["sigma"]) == tuple(map(renner.format_element, pair))
+    assert [cert["sum"]] == corrupted
+
+
+def test_verify_descent_rule_certificate(capsys, monkeypatch):
+    from rookorder import analysis
+    monkeypatch.setattr(analysis, "descent_sets",
+                        lambda sigma: (frozenset(), frozenset()))
+    cert = _first_violation(capsys, "descents", "descent-rule")
+    assert set(cert) == {"element", "standard_form_rule", "raw"}
+    assert cert["standard_form_rule"] == [[], []]
+
+
+def test_verify_hecke_expansion_certificate(capsys, monkeypatch):
+    from rookorder import hecke
+    original = hecke.rpoly_via_bar
+
+    def dropped(sigma):
+        expansion = original(sigma)
+        del expansion[sigma]
+        return expansion
+
+    monkeypatch.setattr(hecke, "rpoly_via_bar", dropped)
+    cert = _first_violation(capsys, "hecke", "hecke")
+    assert set(cert) == {"theta", "sigma", "via_bar", "via_recurrence"}
+    assert cert["theta"] == cert["sigma"]
+    assert cert["via_bar"] != cert["via_recurrence"]
+
+
+def test_verify_hecke_involution_certificate(capsys, monkeypatch):
+    from rookorder import hecke
+    monkeypatch.setattr(hecke, "bar_element", lambda h: {})
+    cert = _first_violation(capsys, "hecke", "hecke")
+    assert cert["kind"] == "not-involutive"
+    assert set(cert) == {"kind", "sigma", "bar_squared"}
+
+
 def test_verify_out_of_range_exits_2(capsys):
     code, _, err = run(capsys, "verify", "all", "--n", "9")
     assert code == 2

@@ -1,13 +1,17 @@
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-from rookorder import hecke, order, polynomials, renner, rpoly, weyl
+import rookorder
+
+MODULES = [f"rookorder.{info.name}"
+           for info in pkgutil.iter_modules(rookorder.__path__)
+           if info.name != "__main__"]
 
 
-@pytest.mark.parametrize("module",
-                         [polynomials, weyl, renner, order, rpoly, hecke],
-                         ids=lambda m: m.__name__)
-def test_doctests(module):
-    failures, _ = doctest.testmod(module)
+@pytest.mark.parametrize("name", MODULES)
+def test_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name))
     assert failures == 0

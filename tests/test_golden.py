@@ -3,7 +3,8 @@
 Every query of the benchmark's golden pool (``bench/cli_golden.json``)
 is replayed in-process through ``cli.main``; its exit code and the
 SHA-256 of its stdout must match the recorded ones.  The JSON reports
-of ``rookorder verify all --n N`` for N = 1..4 are pinned the same way.
+of ``rookorder verify all --n N`` for N = 1..4, and of each single suite
+at n = 4, are pinned the same way.
 Nothing is written under ``bench/``.
 """
 
@@ -25,6 +26,15 @@ VERIFY_ALL_SHA256 = {
     2: "66f85ded376e196581a1c0aacf1cf683bb37686453d9cfbcd0bf69f8f0c5aa24",
     3: "b8a6ded291709d16e036655ca10a9b401e5502bf36a1f052b173e0456d1fee4e",
     4: "9b999c3e2f4c223daa7e9d146cd511b3877cdfd238e8d9db41761f0fdd880559",
+}
+
+# ``verify <suite> --n 4``: pins the order of one suite's reports
+VERIFY_SUITE_SHA256 = {
+    "putcha": "a1592d119cb253bab725edfdcad8967aa01be46d55700a03042a336e0017c5b1",
+    "lifting": "a26d771356ab12f1450d095181ee9ff32e5547287529be0e45324175b4e19958",
+    "delta": "c34d5d5d8abb2f2112f4a98914b711878e925bcce44073d1acd90a6e98fc7fd2",
+    "descents": "d6a29340220cbed6e909b299918d23bc4a67f747fda7b8a1221ccb6a68bd725e",
+    "hecke": "50ed536216c5efb7251c1e3c498d0bbe0f7da6274bbb481194c9f8e264a34ad6",
 }
 
 
@@ -52,3 +62,8 @@ def test_golden_queries_byte_identical(entries):
 @pytest.mark.parametrize("n", sorted(VERIFY_ALL_SHA256))
 def test_verify_all_json_byte_identical(n):
     assert run_cli(["verify", "all", "--n", str(n)]) == (0, VERIFY_ALL_SHA256[n])
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_SUITE_SHA256))
+def test_verify_suite_json_byte_identical(suite):
+    assert run_cli(["verify", suite, "--n", "4"]) == (0, VERIFY_SUITE_SHA256[suite])
