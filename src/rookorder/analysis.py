@@ -13,8 +13,7 @@ The headline facts being checked at desk scale:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import order, renner, rpoly, weyl
 from .order import IntervalPoset, bits
@@ -171,11 +170,7 @@ def lifting_violations(n: int, k: int) -> Report:
         return (ups[a] >> b) & 1 == 1
 
     # per s_i: to[a] is the index of s_i elements[a], d[a] the length change
-    s_action = []
-    for i in range(1, n):
-        s = weyl.simple_reflection(n, i)
-        s_action.append(([poset.index[renner.multiply(s, w)] for w in poset.elements],
-                         [renner.length_step(w, i, "left") for w in poset.elements]))
+    s_action = order.orbit_action(n, k, "left")
     for a, theta in enumerate(poset.elements):
         for b in bits(ups[a] & ~(1 << a)):
             for i, (to, d) in enumerate(s_action, 1):
@@ -233,8 +228,7 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
     return report
 
 
-@dataclass(frozen=True)
-class IntervalClassification:
+class IntervalClassification(NamedTuple):
     interval: IntervalPoset
     shape: str  # "linear" | "diamond" | "higher-length"
     r_constant_term: int

@@ -64,7 +64,7 @@ def _json_dumps(data) -> str:
 
 def _element_row(sigma: renner.Word) -> dict:
     x, e, y = renner.standard_form(sigma)
-    left, right = analysis.descent_sets(sigma)
+    left, right = renner.descents(sigma, "left"), renner.descents(sigma, "right")
     return {
         "sigma": renner.format_element(sigma),
         "length": renner.length(sigma),
@@ -152,7 +152,7 @@ def cmd_mobius(args) -> int:
 
 def cmd_descents(args) -> int:
     sigma = _parse_element(args.sigma)
-    left, right = analysis.descent_sets(sigma)
+    left, right = renner.descents(sigma, "left"), renner.descents(sigma, "right")
     if args.format == "json":
         text = _json_dumps({
             "element": renner.element_to_json(sigma),

@@ -23,6 +23,15 @@ is that action on A_id.  The involution extends uniquely to the
 augmented orbit algebra; expanding bar(A_sigma) in the A-basis
 recovers the R-polynomials, which is used as an oracle for the
 recurrence in ``rpoly``.
+
+That bar is an involution is checked orbit by orbit in integer
+arithmetic: ``verify.packed_bar_squared`` packs the coefficients of
+every bar(A_theta) of the orbit once, at q = 2^B after a shift by q^D
+that makes their exponents >= 0 (``polynomials.Kronecker``, with B
+computed from the orbit's own coefficients), and sums each coefficient
+of bar(bar(A_sigma)) as ints with ``rpoly.triple_sums``.  ``bar_element``
+is the Laurent path: it builds the certificate of a failing sigma, and
+the tests compare it with the packed sums.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from .renner import Word
 HeckeElt = dict  # Word -> Laurent, zero coefficients absent
 
 __all__ = [
-    "HeckeElt", "add_scaled", "canonical", "elements_equal", "mult_As_left",
+    "HeckeElt", "add_scaled", "canonical", "mult_As_left",
     "mult_Aw_left", "bar_on_W", "bar_Asigma", "bar_element", "rpoly_via_bar",
     "hecke_to_json",
 ]
@@ -64,10 +73,6 @@ def add_scaled(acc: HeckeElt, h: HeckeElt, c: Laurent | int = 1) -> None:
 
 def canonical(h: HeckeElt) -> HeckeElt:
     return {word: c for word, c in h.items() if not c.is_zero()}
-
-
-def elements_equal(a: HeckeElt, b: HeckeElt) -> bool:
-    return canonical(a) == canonical(b)
 
 
 def mult_As_left(i: int, h: HeckeElt) -> HeckeElt:

@@ -23,13 +23,13 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache, reduce
 from operator import and_
 
-from . import renner
+from . import renner, weyl
 from .renner import Word
 
 __all__ = [
     "leq", "dominance_leq", "require_same_orbit", "bits", "IntervalPoset",
-    "orbit_poset", "interval_elements", "interval", "mobius_direct",
-    "hasse_dot",
+    "orbit_poset", "orbit_action", "interval_elements", "interval",
+    "mobius_direct", "hasse_dot",
 ]
 
 
@@ -231,6 +231,27 @@ def orbit_poset(n: int, k: int) -> IntervalPoset:
     """The poset of the whole rank-k orbit of R_n, [min, max], shared by
     the sweeps that visit every pair of the orbit."""
     return IntervalPoset(renner.orbit_minimum(n, k), renner.orbit_maximum(n, k))
+
+
+@lru_cache(maxsize=None)
+def orbit_action(n: int, k: int, side: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The simple reflections acting on ``orbit_poset(n, k)`` from one
+    side, by index.
+
+    Entry i - 1 is a pair (to, step): ``to[a]`` is the index of
+    s_i elements[a] (side "left") or elements[a] s_i (side "right"), and
+    ``step[a]`` is ``renner.length_step`` of elements[a] under s_i on
+    that side.  Either product keeps the rank, so it stays in the orbit.
+    """
+    poset = orbit_poset(n, k)
+    action = []
+    for i in range(1, n):
+        s = weyl.simple_reflection(n, i)
+        moved = (renner.multiply(s, w) if side == "left" else renner.multiply(w, s)
+                 for w in poset.elements)
+        action.append((tuple(map(poset.index.__getitem__, moved)),
+                       tuple(renner.length_step(w, i, side) for w in poset.elements)))
+    return tuple(action)
 
 
 def interval_elements(theta: Word, sigma: Word) -> tuple[Word, ...]:

@@ -16,13 +16,16 @@ break: Z has no zero divisors, so a product of canonical factors has
 nonzero ends; negation and ``bar`` only flip signs or reverse; only a
 sum can cancel an end.  A sum or product is an ``IntPoly`` exactly when
 both operands are ``IntPoly`` or int; ``bar`` always gives a ``Laurent``.
+
+``Kronecker`` maps values to plain ints by evaluating at q = 2^B, with B
+large enough that sums of products can be read back exactly.
 """
 
 from __future__ import annotations
 
 import operator
 
-__all__ = ["IntPoly", "Laurent", "ZERO", "ONE", "Q", "Q_MINUS_1"]
+__all__ = ["IntPoly", "Laurent", "Kronecker", "ZERO", "ONE", "Q", "Q_MINUS_1"]
 
 
 def _new(cls, min_exp: int, coeffs: tuple[int, ...]):
@@ -258,6 +261,65 @@ class IntPoly(Laurent):
 
     def to_json(self) -> dict:
         return {"var": "q", "coeffs": self._dense()}
+
+
+class Kronecker:
+    """Exact integer images of sums of products, by the Kronecker
+    substitution q = 2^B (Harvey, J. Symbolic Comput. 2009).
+
+    A value p packs to the int (q^D p)(2^B), with one offset D >= 0 that
+    lifts every exponent of the given values to >= 0.  A sum of at most
+    ``terms`` products of two packed values is then the image of one
+    polynomial P = q^(2D) * (the sum), and each coefficient of P is at
+    most terms * L^2 in absolute value, L the largest L1 norm (sum of
+    absolute coefficients) among the values.  B is computed from the
+    values, never fixed: B = bitlen(terms * L^2 + 1) + 1, so every
+    coefficient of P lies strictly between -2^(B-1) and 2^(B-1), the
+    range of a balanced base-2^B digit.  An int has one expansion in such
+    digits, so ``unpack`` reads P back exactly, and two such sums are
+    equal as ints iff they are equal as polynomials; in particular a sum
+    is 1 iff its image is ``one``.  (A comparison with 0 or 1 alone
+    would need one bit less; decoding, and comparing two sums, need
+    this one.)
+
+    >>> p = Laurent(-1, (1, -1))          # q^-1 - 1
+    >>> packing = Kronecker([p], terms=2)
+    >>> packing.offset, packing.bits
+    (1, 5)
+    >>> x = packing.pack(p)
+    >>> print(packing.unpack(x * x + x * x))
+    2 - 4q^-1 + 2q^-2
+    """
+
+    def __init__(self, values, terms: int):
+        offset = norm = 0
+        for p in values:
+            if p.coeffs:
+                offset = max(offset, -p.min_exp)
+                norm = max(norm, sum(map(abs, p.coeffs)))
+        self.offset = offset
+        self.bits = (terms * norm * norm + 1).bit_length() + 1
+        self.one = 1 << (2 * offset * self.bits)  # the image of 1
+
+    def pack(self, p: Laurent) -> int:
+        """(q^D p)(2^B); p must be one of the values or no wider."""
+        total = 0
+        for c in reversed(p.coeffs):
+            total = (total << self.bits) + c
+        return total << (self.bits * (p.min_exp + self.offset))
+
+    def unpack(self, total: int) -> Laurent:
+        """The sum of products whose image is ``total``, read off its
+        balanced base-2^B digits and shifted back by 2D."""
+        base = 1 << self.bits
+        digits = []
+        while total:
+            digit = total & (base - 1)
+            if digit >= base >> 1:
+                digit -= base
+            digits.append(digit)
+            total = (total - digit) >> self.bits
+        return Laurent(-2 * self.offset, digits)
 
 
 ZERO = IntPoly()

@@ -63,7 +63,7 @@ def multiply(f: Word, g: Word) -> Word:
 
 def rank(f: Word) -> int:
     """Number of nonzero entries (the rank of the matrix)."""
-    return sum(1 for a in f if a)
+    return len(f) - f.count(0)
 
 
 def _check_rank(n: int, k: int) -> None:

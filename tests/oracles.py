@@ -4,7 +4,7 @@ library code paths they are used to check."""
 import itertools
 from functools import lru_cache
 
-from rookorder import hecke, order, renner, weyl
+from rookorder import hecke, order, renner, rpoly, weyl
 from rookorder.polynomials import Laurent
 from rookorder.reports import Report
 
@@ -260,6 +260,22 @@ def bar_Asigma_by_support(sigma):
         hecke.add_scaled(out, hecke.mult_Aw_left(w, hecke.canonical(core)), cw)
     shift = Laurent.q_power(-weyl.length(t))
     return {word: c * shift for word, c in hecke.canonical(out).items()}
+
+
+def delta_identity_sum_laurent(theta, sigma):
+    """sum over theta <= nu <= sigma of R[theta,nu] q^(l(sigma)-l(nu)) bar(R[nu,sigma])
+    in ``Laurent`` arithmetic, with R from the memoised recursion on
+    words, ``rpoly.rpoly``: the oracle of the packed sum over the
+    orbit's R table."""
+    poset = order.orbit_poset(*order.require_same_orbit(theta, sigma))
+    bottom, top = poset.index[theta], poset.index[sigma]
+    total = Laurent(0, ())
+    for a in order.bits(poset.up(bottom) & poset.down(top)):
+        nu = poset.elements[a]
+        total = total + (rpoly.rpoly(theta, nu)
+                         * Laurent.q_power(poset.lengths[top] - poset.lengths[a])
+                         * rpoly.rpoly(nu, sigma).bar())
+    return total
 
 
 def transitive_reduction(elements, leq_fn) -> list[tuple]:

@@ -227,26 +227,23 @@ def test_verify_nonempty_descent_certificate(capsys, monkeypatch):
 
 
 def test_verify_delta_certificate_carries_the_one_sum(capsys, monkeypatch):
-    # only the first call on the pair is off by one, so the certificate
-    # shows the corrupted sum only if each pair's sum is computed once
+    # the fault sits in the packed input of the sums: R[min, max] of the
+    # orbit's R table is off by q, which changes exactly one sum, and the
+    # certificate carries that sum decoded
     from rookorder import renner, rpoly
-    from rookorder.polynomials import Laurent
-    original = rpoly.delta_identity_sum
-    pair = (renner.orbit_minimum(3, 1), renner.orbit_maximum(3, 1))
-    corrupted = []
-
-    def off_by_one(theta, sigma):
-        total = original(theta, sigma)
-        if (theta, sigma) == pair and not corrupted:
-            total = total + Laurent.from_int(1)
-            corrupted.append(str(total))
-        return total
-
-    monkeypatch.setattr(rpoly, "delta_identity_sum", off_by_one)
+    from rookorder.polynomials import Q
+    table = rpoly.orbit_table(3, 1)
+    packing, rows, reversed_rows = table.delta
+    top = len(rows) - 1
+    bottom_row = [(b, x + packing.pack(Q) if b == top else x) for b, x in rows[0]]
+    monkeypatch.setitem(vars(table), "delta",
+                        (packing, [bottom_row, *rows[1:]], reversed_rows))
+    monkeypatch.setattr(table, "_last_delta_row", (None, []))  # drop a kept row
     cert = _first_violation(capsys, "delta", "delta")
     assert set(cert) == {"theta", "sigma", "sum"}
-    assert (cert["theta"], cert["sigma"]) == tuple(map(renner.format_element, pair))
-    assert [cert["sum"]] == corrupted
+    ends = renner.orbit_minimum(3, 1), renner.orbit_maximum(3, 1)
+    assert (cert["theta"], cert["sigma"]) == tuple(map(renner.format_element, ends))
+    assert cert["sum"] == "q"
 
 
 def test_verify_descent_rule_certificate(capsys, monkeypatch):
@@ -275,11 +272,27 @@ def test_verify_hecke_expansion_certificate(capsys, monkeypatch):
 
 
 def test_verify_hecke_involution_certificate(capsys, monkeypatch):
-    from rookorder import hecke
-    monkeypatch.setattr(hecke, "bar_element", lambda h: {})
-    cert = _first_violation(capsys, "hecke", "hecke")
-    assert cert["kind"] == "not-involutive"
-    assert set(cert) == {"kind", "sigma", "bar_squared"}
+    # the fault sits in the packed input of bar o bar: one coefficient of
+    # bar(A_max) is off, so bar(bar(A_max)) is not A_max
+    from rookorder import hecke, renner
+    from rookorder.polynomials import Laurent
+    original = hecke.bar_Asigma
+    bottom, top = renner.orbit_minimum(3, 1), renner.orbit_maximum(3, 1)
+
+    def corrupted(sigma):
+        h = original(sigma)
+        if sigma == top:
+            h[bottom] = h[bottom] + Laurent.q_power(-1)
+        return h
+
+    monkeypatch.setattr(hecke, "bar_Asigma", corrupted)
+    code, out, _ = run(capsys, "verify", "hecke", "--n", "3")
+    assert code == 1
+    certs = [v for r in json.loads(out)["reports"] for v in r["violations"]
+             if v.get("kind") == "not-involutive"]
+    assert [cert["sigma"] for cert in certs] == [renner.format_element(top)]
+    assert set(certs[0]) == {"kind", "sigma", "bar_squared"}
+    assert certs[0]["bar_squared"] != hecke.hecke_to_json({top: Laurent.from_int(1)})
 
 
 def test_verify_out_of_range_exits_2(capsys):

@@ -14,6 +14,10 @@ def basis(word):
     return {word: ONE_L}
 
 
+def elements_equal(a, b):
+    return hecke.canonical(a) == hecke.canonical(b)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_quadratic_relation_on_units(n):
     # A_s A_s = q^-1 A_id + (1 - q^-1) A_s as operators on H(W)
@@ -24,7 +28,7 @@ def test_quadratic_relation_on_units(n):
             hecke.add_scaled(expected, hecke.mult_As_left(i, basis(w)),
                              ONE_L - Q_INV)
             hecke.add_scaled(expected, basis(w), Q_INV)
-            assert hecke.elements_equal(twice, expected), (i, w)
+            assert elements_equal(twice, expected), (i, w)
 
 
 def test_mult_rules_on_orbit_elements():
@@ -47,7 +51,7 @@ def test_bar_on_W_generator():
     assert barred == {s: q, weyl.identity(n): ONE_L - q}
     # defining property: A_s bar(A_s) = A_id
     prod = hecke.mult_As_left(1, barred)
-    assert hecke.elements_equal(prod, basis(weyl.identity(n)))
+    assert elements_equal(prod, basis(weyl.identity(n)))
 
 
 def test_bar_on_W_identity():
@@ -86,14 +90,14 @@ def test_bar_on_W_confluent_across_reduced_words():
                 hecke.add_scaled(out, hecke.mult_As_left(i, h), q)
                 hecke.add_scaled(out, h, -(q - ONE_L))
                 h = hecke.canonical(out)
-            assert hecke.elements_equal(h, reference), (w, word)
+            assert elements_equal(h, reference), (w, word)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_bar_on_W_involutive(n):
     for w in weyl.all_permutations(n):
         back = hecke.bar_element(hecke.bar_on_W(w))
-        assert hecke.elements_equal(back, basis(w)), w
+        assert elements_equal(back, basis(w)), w
 
 
 def _mult_elements(h1, h2):
@@ -110,7 +114,7 @@ def test_bar_on_W_is_ring_homomorphism():
         product = _mult_elements(basis(u), basis(v))
         lhs = hecke.bar_element(product)
         rhs = _mult_elements(hecke.bar_on_W(u), hecke.bar_on_W(v))
-        assert hecke.elements_equal(lhs, rhs), (u, v)
+        assert elements_equal(lhs, rhs), (u, v)
 
 
 def test_bar_Ae_small():
@@ -149,7 +153,7 @@ def test_bar_Asigma_matches_sum_over_support(n):
 def test_bar_Asigma_involutive_on_R2_orbit():
     for sigma in renner.orbit(2, 1):
         back = hecke.bar_element(hecke.bar_Asigma(sigma))
-        assert hecke.elements_equal(back, basis(sigma)), sigma
+        assert elements_equal(back, basis(sigma)), sigma
 
 
 def test_rpoly_via_bar_entries():
@@ -169,6 +173,60 @@ def test_rpoly_via_bar_entries():
 def test_oracle_agreement(n, k):
     report = verify.hecke_oracle_report(n, k)
     assert report.passed, report.violations[:3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packed_bar_squared_matches_bar_element(n):
+    for k in range(n + 1):
+        packing, sums = verify.packed_bar_squared(n, k)
+        elements = renner.orbit(n, k)
+        for sigma, row in zip(elements, sums):
+            decoded = {nu: packing.unpack(x) for nu, x in zip(elements, row) if x}
+            assert decoded == hecke.canonical(
+                hecke.bar_element(hecke.bar_Asigma(sigma))), sigma
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 3)])
+def test_packed_bar_squared_follows_a_corrupted_input(n, k, monkeypatch):
+    # with one coefficient of one bar(A_sigma) off, bar o bar is no longer
+    # the identity; both paths must read the same wrong value
+    elements = renner.orbit(n, k)
+    top, bottom = elements[-1], elements[0]
+    original = hecke.bar_Asigma
+
+    def corrupted(sigma):
+        h = original(sigma)
+        if sigma == top:
+            h[bottom] = h[bottom] + Laurent.q_power(-1)
+        return h
+
+    monkeypatch.setattr(hecke, "bar_Asigma", corrupted)
+    packing, sums = verify.packed_bar_squared(n, k)
+    laurent = hecke.canonical(hecke.bar_element(hecke.bar_Asigma(top)))
+    assert laurent != basis(top)
+    assert {nu: packing.unpack(x) for nu, x in zip(elements, sums[-1]) if x} == laurent
+
+
+def test_hecke_report_flags_every_sigma_a_corrupted_bar_reaches(monkeypatch):
+    # bar(A_id) of H(W) gains a term at the longest element w0, which
+    # moves the coefficient of A_w0 in bar(bar(A_sigma)) for every sigma
+    # (each bar(A_sigma) has a coefficient at id); for every sigma but w0
+    # that entry lies past the diagonal of the packed rows
+    n = 3
+    identity, longest = weyl.identity(n), tuple(range(n, 0, -1))
+    original = hecke.bar_on_W
+
+    def corrupted(w):
+        h = original(w)
+        if w == identity:
+            h[longest] = Q_INV
+        return h
+
+    monkeypatch.setattr(hecke, "bar_on_W", corrupted)
+    report = verify.hecke_oracle_report(n, n)
+    flagged = [v["sigma"] for v in report.violations
+               if v.get("kind") == "not-involutive"]
+    assert flagged == [renner.format_element(w) for w in renner.orbit(n, n)]
 
 
 def test_hecke_to_json_sorted():

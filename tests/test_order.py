@@ -269,3 +269,19 @@ def test_hasse_dot_shape():
     assert dot.count("[len=") == 3
     assert '"0001" [len=0];' in dot
     assert dot.startswith("digraph hasse {")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_action_is_the_product_and_the_length_step(n):
+    for k in range(n + 1):
+        elements = order.orbit_poset(n, k).elements
+        for side in ("left", "right"):
+            action = order.orbit_action(n, k, side)
+            assert len(action) == n - 1
+            for i, (to, step) in enumerate(action, 1):
+                s = weyl.simple_reflection(n, i)
+                for w, t, d in zip(elements, to, step):
+                    moved = (renner.multiply(s, w) if side == "left"
+                             else renner.multiply(w, s))
+                    assert elements[t] == moved
+                    assert d == renner.length(moved) - renner.length(w)

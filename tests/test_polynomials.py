@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (int_poly_terms, laurent_terms, terms_add, terms_bar,
                      terms_mul, terms_neg)
-from rookorder.polynomials import IntPoly, Laurent, ONE, Q, Q_MINUS_1, ZERO
+from rookorder.polynomials import IntPoly, Kronecker, Laurent, ONE, Q, Q_MINUS_1, ZERO
 
 
 def test_int_poly_basics():
@@ -213,3 +213,18 @@ def test_equality_implies_equal_hashes(triple):
     for a, b in itertools.permutations(triple, 2):
         if a == b:
             assert hash(a) == hash(b), (a, b)
+
+
+_SMALL_LAURENT = st.builds(Laurent, st.integers(-4, 4),
+                           st.lists(st.integers(-9, 9), max_size=5))
+
+
+@settings(max_examples=200)
+@given(pairs=st.lists(st.tuples(_SMALL_LAURENT, _SMALL_LAURENT), max_size=6))
+def test_kronecker_sums_of_products_are_exact(pairs):
+    packing = Kronecker([p for pair in pairs for p in pair], terms=len(pairs))
+    total = sum(packing.pack(x) * packing.pack(y) for x, y in pairs)
+    expected = sum((x * y for x, y in pairs), Laurent(0, ()))
+    assert packing.unpack(total) == expected
+    assert (total == packing.one) == (expected == 1)
+    assert (total == 0) == (expected == 0)

@@ -1,10 +1,12 @@
+import copy
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import witness_leq
+from oracles import delta_identity_sum_laurent, witness_leq
 from rookorder import order, renner, rpoly, weyl
-from rookorder.polynomials import IntPoly, Laurent, ONE, Q, Q_MINUS_1, ZERO
+from rookorder.polynomials import IntPoly, Kronecker, Laurent, ONE, Q, Q_MINUS_1, ZERO
 
 
 def all_same_orbit_pairs(n, k):
@@ -139,6 +141,82 @@ def test_delta_identity_exhaustive(n):
     for k in range(n + 1):
         for theta, sigma in all_same_orbit_pairs(n, k):
             assert rpoly.verify_delta_identity(theta, sigma), (theta, sigma)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_table_matches_rpoly(n):
+    for k in range(n + 1):
+        table = rpoly.orbit_table(n, k)
+        assert table.poset.elements == renner.orbit(n, k)
+        for (a, theta), (b, sigma) in itertools.product(
+                enumerate(table.poset.elements), repeat=2):
+            assert table.r(a, b) == rpoly.rpoly(theta, sigma), (theta, sigma)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packed_delta_matches_laurent_delta(n):
+    for k in range(n + 1):
+        for theta, sigma in all_same_orbit_pairs(n, k):
+            assert rpoly.delta_identity_sum(theta, sigma) == \
+                delta_identity_sum_laurent(theta, sigma), (theta, sigma)
+
+
+@pytest.mark.parametrize("k", range(6))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_packed_delta_matches_laurent_delta_at_n5(k, data):
+    orbit = renner.orbit(5, k)
+    pick = st.sampled_from(orbit)
+    theta, sigma = data.draw(pick), data.draw(pick)
+    # half the draws trade an incomparable pair for (min, sigma), so
+    # that most sums are not empty
+    if data.draw(st.booleans()) and not order.leq(theta, sigma):
+        theta, sigma = renner.orbit_minimum(5, k), sigma
+    assert rpoly.delta_identity_sum(theta, sigma) == \
+        delta_identity_sum_laurent(theta, sigma)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_packed_sums_decode_to_the_laurent_sums(n):
+    # sum over nu of R[theta, nu] R[nu, sigma], sums that are neither 0
+    # nor 1, through the table's packing and the kernel
+    for k in range(n + 1):
+        table = rpoly.orbit_table(n, k)
+        packing, rows, _ = table.delta
+        size = len(table.columns)
+        for a in range(size):
+            sums = rpoly.triple_sums(rows[a], rows)
+            for b in range(size):
+                expected = Laurent(0, ())
+                for m in range(size):
+                    expected = expected + table.r(a, m) * table.r(m, b)
+                assert packing.unpack(sums[b]) == expected
+
+
+def test_packing_width_comes_from_the_table():
+    for n, k in [(3, 1), (4, 2), (4, 3)]:
+        table = rpoly.orbit_table(n, k)
+        packing = table.delta[0]
+        norm = max(sum(map(abs, r.coeffs)) for column in table.columns
+                   for r in column.values())
+        assert packing.offset == 0
+        assert packing.bits == (len(table.columns) * norm ** 2 + 1).bit_length() + 1
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_one_bit_short_packing_misreads_the_worst_case(sign):
+    # 3 terms, each a product of two values of L1 norm 3 and one sign:
+    # the coefficient 27 of q^-2 is the largest the bound allows
+    value = Laurent.q_power(-1) * 3
+    terms = 3
+    packing = Kronecker([value], terms)
+    mutant = copy.copy(packing)
+    mutant.bits -= 1
+    expected = Laurent.q_power(-2) * (sign * 27)
+    for kind, outcome in ((packing, True), (mutant, False)):
+        left = rpoly.pack_rows([{m: value for m in range(terms)}], kind)[0]
+        rows = rpoly.pack_rows([{0: sign * value}] * terms, kind)
+        assert (kind.unpack(rpoly.triple_sums(left, rows)[0]) == expected) is outcome
 
 
 @pytest.mark.parametrize("n", [2, 3])
