@@ -14,31 +14,38 @@ multiplication by a permutation keeps the rank, so these products stay
 in the orbit of sigma and never reach the lower orbits that the orbit
 algebra quotients out.
 
-The bar involution fixes integers, sends q to q^-1, and on the unit
-group acts by bar(A_w) = (A_{w^-1})^-1.  Over a reduced word
-w = s_1 ... s_m this is bar(A_w) = bar(A_s_1) ... bar(A_s_m) with
-bar(A_s) = A_s^-1 = q A_s - (q - 1), so bar(A_w) acts on an element by
-m such steps, rightmost letter first; the bar of a unit basis element
-is that action on A_id.  The involution extends uniquely to the
-augmented orbit algebra; expanding bar(A_sigma) in the A-basis
-recovers the R-polynomials, which is used as an oracle for the
-recurrence in ``rpoly``.
+The bar involution fixes integers, sends q to q^-1, and is a ring
+homomorphism with bar(A_s) = A_s^-1 = q A_s - (q - 1) (Putcha's
+extension of KL79 to the orbit algebra).  ``orbit_bars(n, k)`` expands
+bar(A_sigma) in the A-basis for every sigma of one orbit, by the
+indices of ``order.orbit_poset(n, k)``, as ``rpoly.OrbitTable`` fills
+R.  For the smallest left descent s of sigma, A_sigma = A_s A_{s sigma},
+so
+
+    bar(A_sigma) = (q A_s - (q - 1)) bar(A_{s sigma}),
+
+and row sigma is one such step applied to the shorter, earlier row of
+s sigma, with s acting on indices through ``order.orbit_action``.  An
+element with no left descent is e t^-1, whose bar is the orbit sum
+
+    q^(-l(t)) sum over z in W(e), y in D(e) of bar(R[t z, y]) A_{z e y^-1}
+
+with classical R-polynomials of the symmetric group; at k = n that is
+A_id alone.  So the oracle never reads the R recurrence of ``rpoly``:
+expanding bar(A_sigma) recovers the R-polynomials (``rpoly_via_bar``),
+which the Hecke suite compares with the R table.
 
 That bar is an involution is checked orbit by orbit in integer
-arithmetic: ``verify.packed_bar_squared`` packs the coefficients of
-every bar(A_theta) of the orbit once, at q = 2^B after a shift by q^D
-that makes their exponents >= 0 (``polynomials.Kronecker``, with B
-computed from the orbit's own coefficients), and sums each coefficient
-of bar(bar(A_sigma)) as ints with ``rpoly.triple_sums``.  ``bar_element``
-is the Laurent path: it builds the certificate of a failing sigma, and
-the tests compare it with the packed sums.
+arithmetic over the same table (``verify.packed_bar_squared``).
+``bar_element`` is the Laurent path: it builds the certificate of a
+failing sigma, and the tests compare it with the packed sums.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from . import renner, weyl
+from . import order, renner, weyl
 from .polynomials import IntPoly, Laurent
 from .renner import Word
 
@@ -46,7 +53,7 @@ HeckeElt = dict  # Word -> Laurent, zero coefficients absent
 
 __all__ = [
     "HeckeElt", "add_scaled", "canonical", "mult_As_left",
-    "mult_Aw_left", "bar_on_W", "bar_Asigma", "bar_element", "rpoly_via_bar",
+    "mult_Aw_left", "orbit_bars", "bar_Asigma", "bar_element", "rpoly_via_bar",
     "hecke_to_json",
 ]
 
@@ -98,91 +105,85 @@ def mult_Aw_left(w: Word, h: HeckeElt) -> HeckeElt:
     return h
 
 
-def _bar_Aw_left(w: Word, h: HeckeElt) -> HeckeElt:
-    # bar(A_w) h, one bar(A_s) = q A_s - (q - 1) step per letter of a
-    # reduced word of w, the rightmost letter first
-    for i in reversed(weyl.reduced_word(w)):
-        out: HeckeElt = {}
-        add_scaled(out, mult_As_left(i, h), _Q)
-        add_scaled(out, h, _ONE_MINUS_Q)
-        h = canonical(out)
-    return h
-
-
-@lru_cache(maxsize=None)
-def _bar_on_W(w: Word) -> tuple[tuple[Word, Laurent], ...]:
-    h = _bar_Aw_left(w, {weyl.identity(len(w)): Laurent.from_int(1)})
-    return tuple(sorted(h.items()))
-
-
-def bar_on_W(w: Word) -> HeckeElt:
-    """The bar involution applied to a basis element A_w of H(W)."""
-    return dict(_bar_on_W(w))
-
-
-@lru_cache(maxsize=None)
-def _orbit_groups(n: int, k: int):
+def _orbit_sum(n: int, k: int, t: Word, index: dict) -> dict[int, Laurent]:
+    # q^(-l(t)) sum over z in W(e), y in D(e) of bar(R[t z, y]) A_{z e y^-1}
     e = renner.rank_idempotent(n, k)
-    w_of_e = sorted(weyl.parabolic_subgroup(renner.centralizer_gens(e), n))
-    d_of_e = weyl.coset_minima(renner.centralizer_gens(e), n)
-    return e, w_of_e, d_of_e
-
-
-def _orbit_sum(n: int, k: int, t: Word) -> HeckeElt:
-    # sum over z in W(e), y in D(e) of bar(R[t z, y]) A_{z e y^-1}
-    e, w_of_e, d_of_e = _orbit_groups(n, k)
-    out: HeckeElt = {}
-    for z in w_of_e:
-        tz = weyl.compose(t, z)
+    gens = renner.centralizer_gens(e)
+    shift = Laurent.q_power(-weyl.length(t))
+    out: dict[int, Laurent] = {}
+    for z in sorted(weyl.parabolic_subgroup(gens, n)):
         zey = renner.multiply(z, e)
-        for y in d_of_e:
-            r = weyl.classical_rpoly(tz, y)
-            if r.is_zero():
-                continue
-            _add_term(out, renner.multiply(zey, weyl.inverse(y)), r.bar())
-    return canonical(out)
+        for y in weyl.coset_minima(gens, n):
+            r = weyl.classical_rpoly(weyl.compose(t, z), y)
+            if r:
+                word = renner.multiply(zey, weyl.inverse(y))
+                _add_term(out, index[word], shift * r.bar())
+    return {a: c for a, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
-def _bar_Asigma(sigma: Word) -> tuple[tuple[Word, Laurent], ...]:
-    n = len(sigma)
-    k = renner.rank(sigma)
-    x, _, t = renner.standard_form(sigma)
-    out = _bar_Aw_left(x, _orbit_sum(n, k, t))
-    shift = Laurent.q_power(-weyl.length(t))
-    return tuple((word, c * shift) for word, c in out.items())
+def orbit_bars(n: int, k: int) -> list[dict[int, Laurent]]:
+    """bar(A_sigma) for every sigma of the rank-k orbit of R_n: row b
+    maps each index a of ``order.orbit_poset(n, k)`` to the coefficient
+    of A_(elements[a]) in bar(A_(elements[b])), nonzero entries only.
+
+    Row b is filled from the earlier row of s sigma, s the smallest left
+    descent of sigma; a term c A_a of that row gives c A_a if s fixes a,
+    c A_(s a) if s lowers a, and q c A_(s a) + (1 - q) c A_a if s raises
+    it.  Rows without a left descent are the orbit sums of e t^-1.  The
+    rows are shared by every caller, like the R table of ``rpoly``.
+    """
+    poset = order.orbit_poset(n, k)
+    left = order.orbit_action(n, k, "left")
+    rows: list[dict[int, Laurent]] = []
+    for b, sigma in enumerate(poset.elements):
+        descents = renner.descents(sigma, "left")
+        if not descents:
+            t = renner.standard_form(sigma).y
+            rows.append(_orbit_sum(n, k, t, poset.index))
+            continue
+        to, step = left[min(descents) - 1]
+        row: dict[int, Laurent] = {}
+        for a, c in rows[to[b]].items():
+            if step[a] == 0:
+                _add_term(row, a, c)
+            elif step[a] < 0:
+                _add_term(row, to[a], c)
+            else:
+                _add_term(row, to[a], _Q * c)
+                _add_term(row, a, _ONE_MINUS_Q * c)
+        rows.append({a: c for a, c in row.items() if c})
+    return rows
 
 
 def bar_Asigma(sigma: Word) -> HeckeElt:
-    """bar(A_sigma) for an orbit element, expanded in the A-basis.
+    """bar(A_sigma) for an element of any rank, expanded in the A-basis:
+    row sigma of ``orbit_bars``, keyed by words.
 
     With sigma = x e t^-1 in standard form this is
 
         q^(-l(t)) bar(A_x) sum_{z, y} bar(R[t z, y]) A_{z e y^-1},
 
-    the unique extension of the involution from H(W), with bar(A_x)
-    applied to the sum along a reduced word of x.  For the rank-1
-    idempotent of R_2, W(e) is trivial and D(e) = {id, s}:
+    the unique extension of the involution from H(W); on a permutation
+    it is the bar of H(W).  For the rank-1 idempotent of R_2, W(e) is
+    trivial and D(e) = {id, s}:
 
     >>> for word, c in sorted(bar_Asigma((1, 0)).items()):
     ...     print(renner.format_element(word), c)
     01 -1 + q^-1
     10 1
     """
-    return dict(_bar_Asigma(sigma))
+    n, k = len(sigma), renner.rank(sigma)
+    poset = order.orbit_poset(n, k)
+    return {poset.elements[a]: c
+            for a, c in orbit_bars(n, k)[poset.locate(sigma)].items()}
 
 
 def bar_element(h: HeckeElt) -> HeckeElt:
-    """bar of a general element of the augmented orbit algebra.
-
-    Keys of full rank are unit-group elements and use the H(W) bar;
-    lower-rank keys use the orbit expansion.
-    """
+    """bar of a general element of the augmented orbit algebra."""
     out: HeckeElt = {}
     for word, c in h.items():
-        barred = bar_on_W(word) if renner.rank(word) == len(word) \
-            else bar_Asigma(word)
-        add_scaled(out, barred, c.bar())
+        add_scaled(out, bar_Asigma(word), c.bar())
     return canonical(out)
 
 

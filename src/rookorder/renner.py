@@ -24,10 +24,9 @@ Word = tuple[int, ...]
 
 __all__ = [
     "is_partial_perm", "check_element", "multiply", "rank", "rank_idempotent",
-    "centralizer_gens", "stabilizer_gens", "StandardForm", "standard_form",
-    "assemble", "idempotent_length", "length", "length_step", "descents", "orbit",
-    "orbit_minimum", "orbit_maximum", "monoid_elements", "parse_element",
-    "format_element", "element_to_json",
+    "centralizer_gens", "StandardForm", "standard_form", "idempotent_length",
+    "length", "length_step", "descents", "orbit", "orbit_minimum",
+    "orbit_maximum", "parse_element", "format_element", "element_to_json",
 ]
 
 
@@ -88,16 +87,6 @@ def centralizer_gens(e: Word) -> frozenset[int]:
     )
 
 
-@lru_cache(maxsize=None)
-def stabilizer_gens(e: Word) -> frozenset[int]:
-    """Simple reflections s with se = e; they generate W_e."""
-    n = len(e)
-    return frozenset(
-        i for i in range(1, n)
-        if multiply(weyl.simple_reflection(n, i), e) == e
-    )
-
-
 class StandardForm(NamedTuple):
     """The unique factorization sigma = x e y^-1 with x in D_e, y in D(e)."""
     x: Word
@@ -127,11 +116,6 @@ def standard_form(sigma: Word) -> StandardForm:
     rest_vals = sorted(set(range(1, n + 1)) - set(vals))
     x = tuple(vals + rest_vals)
     return StandardForm(x, rank_idempotent(n, k), y)
-
-
-def assemble(form: StandardForm) -> Word:
-    """Multiply a standard form back out: x e y^-1."""
-    return multiply(form.x, multiply(form.e, weyl.inverse(form.y)))
 
 
 def idempotent_length(n: int, k: int) -> int:
@@ -229,11 +213,6 @@ def orbit_maximum(n: int, k: int) -> Word:
     (n, n-1, ..., n-k+1, 0, ..., 0)."""
     _check_rank(n, k)
     return tuple(range(n, n - k, -1)) + (0,) * (n - k)
-
-
-def monoid_elements(n: int) -> tuple[Word, ...]:
-    """All of R_n, by increasing rank then (length, word)."""
-    return tuple(w for k in range(n + 1) for w in orbit(n, k))
 
 
 def parse_element(text: str) -> Word:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 
-from . import analysis, hecke, order, renner, rpoly
+from . import analysis, hecke, renner, rpoly
 from .polynomials import Kronecker, Laurent, ZERO
 from .reports import Report
 
@@ -58,17 +58,12 @@ def packed_bar_squared(n: int, k: int) -> tuple[Kronecker, list[list[int]]]:
     bar(bar(A_sigma)) = sum over theta of bar(c_theta(sigma)) bar(A_theta),
     so row sigma is one ``rpoly.triple_sums`` of the packed row
     {theta: bar(c_theta(sigma))} against the packed rows
-    {nu: c_nu(theta)}.  Every bar(A_theta) is expanded and packed once,
-    by ``hecke.bar_on_W`` at k = n as ``hecke.bar_element`` takes it.
-    The supports are those of the expansions, so the sums assume
-    nothing about them.
+    {nu: c_nu(theta)}, both read off ``hecke.orbit_bars(n, k)``, which
+    ``hecke.bar_element`` reads too.  The supports are those of the
+    table, so the sums assume nothing about them.
     """
-    poset = order.orbit_poset(n, k)
-    index = poset.index
-    expansions = [hecke.bar_Asigma(sigma) for sigma in poset.elements]
-    inner = expansions if k < n else [hecke.bar_on_W(w) for w in poset.elements]
-    barred = [{index[w]: c.bar() for w, c in h.items()} for h in expansions]
-    bars = [{index[w]: c for w, c in h.items()} for h in inner]
+    bars = hecke.orbit_bars(n, k)
+    barred = [{a: c.bar() for a, c in row.items()} for row in bars]
     packing = Kronecker(itertools.chain(*(row.values() for row in barred),
                                         *(row.values() for row in bars)),
                         terms=len(bars))

@@ -9,6 +9,24 @@ from rookorder.polynomials import Laurent
 from rookorder.reports import Report
 
 
+def monoid_elements(n):
+    """All of R_n, by increasing rank then (length, word)."""
+    return tuple(w for k in range(n + 1) for w in renner.orbit(n, k))
+
+
+@lru_cache(maxsize=None)
+def stabilizer_gens(e):
+    """Simple reflections s with se = e; they generate W_e."""
+    n = len(e)
+    return frozenset(i for i in range(1, n)
+                     if renner.multiply(weyl.simple_reflection(n, i), e) == e)
+
+
+def assemble(form):
+    """Multiply a standard form back out: x e y^-1."""
+    return renner.multiply(form.x, renner.multiply(form.e, weyl.inverse(form.y)))
+
+
 def bruhat_leq_subword(u, v):
     """u <= v iff u is the product of some subword of a reduced word of v."""
     n = len(v)
@@ -30,7 +48,7 @@ def _witness_set(n, kf, ke):
     wf = weyl.parabolic_subgroup(
         renner.centralizer_gens(renner.rank_idempotent(n, kf)), n)
     we = weyl.parabolic_subgroup(
-        renner.stabilizer_gens(renner.rank_idempotent(n, ke)), n)
+        stabilizer_gens(renner.rank_idempotent(n, ke)), n)
     prod = {weyl.compose(a, b) for a in wf for b in we}
     return tuple(sorted(prod, key=lambda w: (weyl.length(w), w)))
 
@@ -111,7 +129,7 @@ def standard_forms_bruteforce(sigma):
     n = len(sigma)
     k = renner.rank(sigma)
     e = renner.rank_idempotent(n, k)
-    d_e = set(weyl.coset_minima(renner.stabilizer_gens(e), n))
+    d_e = set(weyl.coset_minima(stabilizer_gens(e), n))
     d_of_e = set(weyl.coset_minima(renner.centralizer_gens(e), n))
     found = []
     for x in d_e:
@@ -236,16 +254,25 @@ def int_poly_terms(coeffs):
     return {i: c for i, c in enumerate(coeffs) if c}
 
 
-def bar_Asigma_by_support(sigma):
-    """bar(A_sigma) as the sum over the support of bar(A_x): with
-    sigma = x e t^-1 in standard form,
+def bar_Aw_by_reduced_word(w, h):
+    """bar(A_w) h for a permutation w: one bar(A_s) = q A_s - (q - 1)
+    step per letter of a reduced word of w, the rightmost letter first,
+    each a ``hecke.mult_As_left`` with a word product per term."""
+    q = Laurent.q_power(1)
+    for i in reversed(weyl.reduced_word(w)):
+        out = {}
+        hecke.add_scaled(out, hecke.mult_As_left(i, h), q)
+        hecke.add_scaled(out, h, 1 - q)
+        h = hecke.canonical(out)
+    return h
 
-        q^(-l(t)) sum_w c_w A_w sum_{z, y} bar(R[t z, y]) A_{z e y^-1}
 
-    where bar(A_x) = sum_w c_w A_w, each A_w applied with
-    ``hecke.mult_Aw_left``.  Its cost grows with the Bruhat cone below
-    x, not with the length of x."""
-    n, k = len(sigma), renner.rank(sigma)
+def _orbit_core(sigma):
+    """(x, core, shift) with bar(A_sigma) = shift bar(A_x) core: for
+    sigma = x e t^-1 in standard form, core is
+    sum over z in W(e), y in D(e) of bar(R[t z, y]) A_{z e y^-1}
+    and shift is q^(-l(t))."""
+    n = len(sigma)
     x, e, t = renner.standard_form(sigma)
     core = {}
     for z in weyl.parabolic_subgroup(renner.centralizer_gens(e), n):
@@ -255,10 +282,27 @@ def bar_Asigma_by_support(sigma):
             if not r.is_zero():
                 word = renner.multiply(zey, weyl.inverse(y))
                 core[word] = core.get(word, 0) + r.bar()
+    return x, hecke.canonical(core), Laurent.q_power(-weyl.length(t))
+
+
+def bar_Asigma_by_reduced_word(sigma):
+    """bar(A_sigma) with bar(A_x) applied to the core along a reduced
+    word of x.  Its cost grows with l(x)."""
+    x, core, shift = _orbit_core(sigma)
+    return {word: c * shift
+            for word, c in bar_Aw_by_reduced_word(x, core).items()}
+
+
+def bar_Asigma_by_support(sigma):
+    """bar(A_sigma) as the sum over the support of bar(A_x) =
+    sum_w c_w A_w, each A_w applied to the core with
+    ``hecke.mult_Aw_left``.  Its cost grows with the Bruhat cone below
+    x, not with the length of x."""
+    x, core, shift = _orbit_core(sigma)
+    unit = {weyl.identity(len(sigma)): Laurent.from_int(1)}
     out = {}
-    for w, cw in hecke.bar_on_W(x).items():
-        hecke.add_scaled(out, hecke.mult_Aw_left(w, hecke.canonical(core)), cw)
-    shift = Laurent.q_power(-weyl.length(t))
+    for w, cw in bar_Aw_by_reduced_word(x, unit).items():
+        hecke.add_scaled(out, hecke.mult_Aw_left(w, core), cw)
     return {word: c * shift for word, c in hecke.canonical(out).items()}
 
 

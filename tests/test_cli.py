@@ -276,16 +276,9 @@ def test_verify_hecke_involution_certificate(capsys, monkeypatch):
     # bar(A_max) is off, so bar(bar(A_max)) is not A_max
     from rookorder import hecke, renner
     from rookorder.polynomials import Laurent
-    original = hecke.bar_Asigma
-    bottom, top = renner.orbit_minimum(3, 1), renner.orbit_maximum(3, 1)
-
-    def corrupted(sigma):
-        h = original(sigma)
-        if sigma == top:
-            h[bottom] = h[bottom] + Laurent.q_power(-1)
-        return h
-
-    monkeypatch.setattr(hecke, "bar_Asigma", corrupted)
+    top = renner.orbit_maximum(3, 1)
+    row = hecke.orbit_bars(3, 1)[-1]  # bar(A_max); index 0 is the minimum
+    monkeypatch.setitem(row, 0, row[0] + Laurent.q_power(-1))
     code, out, _ = run(capsys, "verify", "hecke", "--n", "3")
     assert code == 1
     certs = [v for r in json.loads(out)["reports"] for v in r["violations"]

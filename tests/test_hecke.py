@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import bar_Asigma_by_support
+from oracles import bar_Asigma_by_reduced_word, bar_Asigma_by_support
 from rookorder import hecke, order, renner, rpoly, verify, weyl
 from rookorder.polynomials import Laurent, ONE
 
@@ -46,7 +46,7 @@ def test_mult_rules_on_orbit_elements():
 def test_bar_on_W_generator():
     n = 2
     s = weyl.simple_reflection(n, 1)
-    barred = hecke.bar_on_W(s)
+    barred = hecke.bar_Asigma(s)
     q = Laurent.q_power(1)
     assert barred == {s: q, weyl.identity(n): ONE_L - q}
     # defining property: A_s bar(A_s) = A_id
@@ -55,12 +55,12 @@ def test_bar_on_W_generator():
 
 
 def test_bar_on_W_identity():
-    assert hecke.bar_on_W(weyl.identity(3)) == basis(weyl.identity(3))
+    assert hecke.bar_Asigma(weyl.identity(3)) == basis(weyl.identity(3))
 
 
 def test_bar_on_W_support_is_lower_cone():
     w = weyl.compose(weyl.simple_reflection(3, 1), weyl.simple_reflection(3, 2))
-    support = set(hecke.bar_on_W(w))
+    support = set(hecke.bar_Asigma(w))
     assert support == {u for u in weyl.all_permutations(3)
                        if weyl.bruhat_leq(u, w)}
     assert len(support) == 4
@@ -82,7 +82,7 @@ def test_bar_on_W_confluent_across_reduced_words():
     n = 3
     q = Laurent.q_power(1)
     for w in weyl.all_permutations(n):
-        reference = hecke.bar_on_W(w)
+        reference = hecke.bar_Asigma(w)
         for word in _all_reduced_words(w):
             h = basis(weyl.identity(n))
             for i in reversed(word):
@@ -96,7 +96,7 @@ def test_bar_on_W_confluent_across_reduced_words():
 @pytest.mark.parametrize("n", [2, 3])
 def test_bar_on_W_involutive(n):
     for w in weyl.all_permutations(n):
-        back = hecke.bar_element(hecke.bar_on_W(w))
+        back = hecke.bar_element(hecke.bar_Asigma(w))
         assert elements_equal(back, basis(w)), w
 
 
@@ -113,7 +113,7 @@ def test_bar_on_W_is_ring_homomorphism():
     for u, v in itertools.product(perms, repeat=2):
         product = _mult_elements(basis(u), basis(v))
         lhs = hecke.bar_element(product)
-        rhs = _mult_elements(hecke.bar_on_W(u), hecke.bar_on_W(v))
+        rhs = _mult_elements(hecke.bar_Asigma(u), hecke.bar_Asigma(v))
         assert elements_equal(lhs, rhs), (u, v)
 
 
@@ -143,11 +143,23 @@ def test_bar_Asigma_at_minimum():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bar_Asigma_matches_sum_over_support(n):
-    # bar(A_x) along a reduced word of x against the sum of A_w over
-    # the support of bar(A_x), on every element of every orbit of R_n
+    # the table against the sum of A_w over the support of bar(A_x), on
+    # every element of every orbit of R_n
     for k in range(n + 1):
         for sigma in renner.orbit(n, k):
             assert hecke.bar_Asigma(sigma) == bar_Asigma_by_support(sigma), sigma
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5) for k in range(n + 1)]
+                         + [(5, 2), (5, 5)])
+def test_orbit_bars_match_reduced_word_oracle(n, k):
+    # every row of the table against bar(A_x) applied to the orbit sum
+    # along a reduced word of x
+    poset = order.orbit_poset(n, k)
+    for sigma, row in zip(poset.elements, hecke.orbit_bars(n, k)):
+        expected = {poset.index[w]: c
+                    for w, c in bar_Asigma_by_reduced_word(sigma).items()}
+        assert row == expected, sigma
 
 
 def test_bar_Asigma_involutive_on_R2_orbit():
@@ -191,16 +203,9 @@ def test_packed_bar_squared_follows_a_corrupted_input(n, k, monkeypatch):
     # with one coefficient of one bar(A_sigma) off, bar o bar is no longer
     # the identity; both paths must read the same wrong value
     elements = renner.orbit(n, k)
-    top, bottom = elements[-1], elements[0]
-    original = hecke.bar_Asigma
-
-    def corrupted(sigma):
-        h = original(sigma)
-        if sigma == top:
-            h[bottom] = h[bottom] + Laurent.q_power(-1)
-        return h
-
-    monkeypatch.setattr(hecke, "bar_Asigma", corrupted)
+    top = elements[-1]
+    row = hecke.orbit_bars(n, k)[-1]
+    monkeypatch.setitem(row, 0, row[0] + Laurent.q_power(-1))
     packing, sums = verify.packed_bar_squared(n, k)
     laurent = hecke.canonical(hecke.bar_element(hecke.bar_Asigma(top)))
     assert laurent != basis(top)
@@ -214,15 +219,8 @@ def test_hecke_report_flags_every_sigma_a_corrupted_bar_reaches(monkeypatch):
     # that entry lies past the diagonal of the packed rows
     n = 3
     identity, longest = weyl.identity(n), tuple(range(n, 0, -1))
-    original = hecke.bar_on_W
-
-    def corrupted(w):
-        h = original(w)
-        if w == identity:
-            h[longest] = Q_INV
-        return h
-
-    monkeypatch.setattr(hecke, "bar_on_W", corrupted)
+    index = order.orbit_poset(n, n).index
+    monkeypatch.setitem(hecke.orbit_bars(n, n)[index[identity]], index[longest], Q_INV)
     report = verify.hecke_oracle_report(n, n)
     flagged = [v["sigma"] for v in report.violations
                if v.get("kind") == "not-involutive"]

@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (descents_by_length, length_step_by_products,
-                     standard_form_length, standard_forms_bruteforce)
+from oracles import (assemble, descents_by_length, length_step_by_products,
+                     monoid_elements, stabilizer_gens, standard_form_length,
+                     standard_forms_bruteforce)
 from rookorder import renner, weyl
 
 
@@ -29,7 +30,7 @@ def test_multiplication_conformance_rows():
 
 
 def test_multiply_identity_and_errors():
-    for f in renner.monoid_elements(3):
+    for f in monoid_elements(3):
         assert renner.multiply(f, weyl.identity(3)) == f
         assert renner.multiply(weyl.identity(3), f) == f
     with pytest.raises(ValueError):
@@ -38,14 +39,14 @@ def test_multiply_identity_and_errors():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_multiply_associative_exhaustive(n):
-    elems = renner.monoid_elements(n)
+    elems = monoid_elements(n)
     for f, g, h in itertools.product(elems, repeat=3):
         assert renner.multiply(renner.multiply(f, g), h) == \
             renner.multiply(f, renner.multiply(g, h))
 
 
 def test_multiply_associative_sampled_n4():
-    elems = renner.monoid_elements(4)
+    elems = monoid_elements(4)
     rng = random.Random(170859)
     for _ in range(2000):
         f, g, h = (rng.choice(elems) for _ in range(3))
@@ -59,7 +60,7 @@ def test_rank():
     assert renner.rank((0, 0, 0, 0)) == 0
     # invariant under multiplication by units
     for w in weyl.all_permutations(3):
-        for f in renner.monoid_elements(3):
+        for f in monoid_elements(3):
             assert renner.rank(renner.multiply(w, f)) == renner.rank(f)
             assert renner.rank(renner.multiply(f, w)) == renner.rank(f)
 
@@ -68,12 +69,12 @@ def test_rank():
 def test_monoid_size(n):
     expected = sum(math.comb(n, k) ** 2 * math.factorial(k)
                    for k in range(n + 1))
-    assert len(renner.monoid_elements(n)) == expected
-    assert len(set(renner.monoid_elements(n))) == expected
+    assert len(monoid_elements(n)) == expected
+    assert len(set(monoid_elements(n))) == expected
 
 
 def test_monoid_size_209_at_n4():
-    assert len(renner.monoid_elements(4)) == 209
+    assert len(monoid_elements(4)) == 209
 
 
 def test_cross_section_lattice():
@@ -95,16 +96,16 @@ def test_parabolics_match_definition_filtering(n):
         stabilizer = {x for x in weyl.all_permutations(n)
                       if renner.multiply(x, e) == e}
         assert weyl.parabolic_subgroup(renner.centralizer_gens(e), n) == centralizer
-        assert weyl.parabolic_subgroup(renner.stabilizer_gens(e), n) == stabilizer
+        assert weyl.parabolic_subgroup(stabilizer_gens(e), n) == stabilizer
 
 
 def test_parabolics_examples():
     e = renner.rank_idempotent(4, 2)
     assert renner.centralizer_gens(e) == frozenset({1, 3})  # W(e) = S_2 x S_2
-    assert renner.stabilizer_gens(e) == frozenset({3})
+    assert stabilizer_gens(e) == frozenset({3})
     full = renner.rank_idempotent(4, 4)
     assert renner.centralizer_gens(full) == frozenset({1, 2, 3})
-    assert renner.stabilizer_gens(full) == frozenset()
+    assert stabilizer_gens(full) == frozenset()
 
 
 def test_orbit_examples():
@@ -125,7 +126,7 @@ def test_orbit_equals_two_sided_products(n):
 
 
 def test_orbits_partition_monoid():
-    elems = renner.monoid_elements(4)
+    elems = monoid_elements(4)
     assert len(elems) == sum(len(renner.orbit(4, k)) for k in range(5))
 
 
@@ -141,16 +142,16 @@ def test_standard_form_examples():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_standard_form_roundtrip_and_coset_minimality(n):
-    for sigma in renner.monoid_elements(n):
+    for sigma in monoid_elements(n):
         x, e, y = renner.standard_form(sigma)
-        assert renner.assemble(renner.StandardForm(x, e, y)) == sigma
-        assert weyl.min_coset_rep(x, renner.stabilizer_gens(e)) == x
+        assert assemble(renner.StandardForm(x, e, y)) == sigma
+        assert weyl.min_coset_rep(x, stabilizer_gens(e)) == x
         assert weyl.min_coset_rep(y, renner.centralizer_gens(e)) == y
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_standard_form_unique_by_bruteforce(n):
-    for sigma in renner.monoid_elements(n):
+    for sigma in monoid_elements(n):
         found = standard_forms_bruteforce(sigma)
         assert found == [renner.standard_form(sigma)]
 
@@ -160,10 +161,10 @@ def test_standard_form_inverts_assembly(n):
     # assembling any admissible (x, e, y) and re-factoring gives it back
     for k in range(n + 1):
         e = renner.rank_idempotent(n, k)
-        for x in weyl.coset_minima(renner.stabilizer_gens(e), n):
+        for x in weyl.coset_minima(stabilizer_gens(e), n):
             for y in weyl.coset_minima(renner.centralizer_gens(e), n):
                 form = renner.StandardForm(x, e, y)
-                assert renner.standard_form(renner.assemble(form)) == form
+                assert renner.standard_form(assemble(form)) == form
 
 
 def test_standard_form_is_bijective_onto_coset_minima():
@@ -171,7 +172,7 @@ def test_standard_form_is_bijective_onto_coset_minima():
     e = renner.rank_idempotent(n, k)
     forms = {renner.standard_form(sigma) for sigma in renner.orbit(n, k)}
     assert len(forms) == len(renner.orbit(n, k))
-    d_e = set(weyl.coset_minima(renner.stabilizer_gens(e), n))
+    d_e = set(weyl.coset_minima(stabilizer_gens(e), n))
     d_of_e = set(weyl.coset_minima(renner.centralizer_gens(e), n))
     assert {f.x for f in forms} == d_e
     assert {f.y for f in forms} == d_of_e
@@ -211,11 +212,21 @@ def _check_length_rules(sigma):
 @pytest.mark.parametrize("n", range(7))
 def test_length_rules_match_standard_form_oracles(n):
     # all 15126 elements of R_0 to R_6, every i, both sides
-    for sigma in renner.monoid_elements(n):
+    for sigma in monoid_elements(n):
         _check_length_rules(sigma)
     for k in range(n + 1):
         assert renner.idempotent_length(n, k) == \
             standard_form_length(renner.rank_idempotent(n, k))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_no_left_descent_iff_standard_form_starts_at_identity(n):
+    # the base case of ``hecke.orbit_bars``: on all 15126 elements of R_0
+    # to R_6, sigma = x e t^-1 has no left descent exactly when x = id
+    identity = weyl.identity(n)
+    for sigma in monoid_elements(n):
+        assert (not renner.descents(sigma, "left")) == \
+            (renner.standard_form(sigma).x == identity), sigma
 
 
 @pytest.mark.parametrize("n", [7, 8])
