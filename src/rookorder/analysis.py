@@ -23,7 +23,7 @@ from .reports import Report
 __all__ = [
     "descent_sets", "check_nonempty_descent",
     "linear_length2_pairs", "find_linear_length2",
-    "embeddable_in_weyl_necessary", "check_lifting", "lifting_violations",
+    "lifting_violations",
     "verify_putcha_conjecture", "IntervalClassification", "classify_interval",
 ]
 
@@ -120,39 +120,14 @@ def find_linear_length2(theta: Word, sigma: Word) -> Optional[tuple[Word, Word]]
     return pairs[0] if pairs else None
 
 
-def embeddable_in_weyl_necessary(theta: Word, sigma: Word) -> bool:
-    """Necessary condition for [theta, sigma] to be a Weyl group
-    subinterval: R(0) != 0.  False certifies non-embeddability."""
-    if not order.leq(theta, sigma):
-        raise ValueError("embeddable_in_weyl_necessary requires theta <= sigma")
-    return rpoly.rpoly(theta, sigma).constant_term != 0
-
-
-def check_lifting(theta: Word, sigma: Word, i: int) -> tuple[str, bool]:
-    """Evaluate the lifting property for the triple (theta, sigma, s_i).
-
-    Clause (a): theta < s theta and sigma < s sigma imply
-    s theta < s sigma.  Clause (b): s theta >= theta and
-    s sigma <= sigma imply theta <= s sigma and s theta <= sigma.
-    Returns the clause that applies ("a", "b" or "not applicable") and
-    whether it holds.  The pair must lie in one orbit; ``order.leq``
-    answers the comparisons.
-    """
-    order.require_same_orbit(theta, sigma)
-    if theta == sigma or not order.leq(theta, sigma):
-        raise ValueError("check_lifting requires theta < sigma")
-    s = weyl.simple_reflection(len(theta), i)
-    return _lifting_clause(order.leq, theta, sigma,
-                           renner.multiply(s, theta), renner.multiply(s, sigma),
-                           renner.length_step(theta, i, "left"),
-                           renner.length_step(sigma, i, "left"))
-
-
 def _lifting_clause(below, theta, sigma, s_theta, s_sigma,
                     d_theta: int, d_sigma: int) -> tuple[str, bool]:
-    # check_lifting on theta < sigma, given as words or as poset indices
-    # with ``below`` the order on them, and the length changes d under s.
-    # Left multiplication by s keeps the rank, so all four share an orbit.
+    # The lifting property for theta < sigma and s, given as poset
+    # indices with ``below`` the order on them, and the length changes d
+    # under s.  Clause (a): theta < s theta and sigma < s sigma imply
+    # s theta < s sigma.  Clause (b): s theta >= theta and s sigma <=
+    # sigma imply theta <= s sigma and s theta <= sigma.  Left
+    # multiplication by s keeps the rank, so all four share an orbit.
     if d_theta > 0 and d_sigma > 0:
         return "a", s_theta != s_sigma and below(s_theta, s_sigma)
     if d_theta >= 0 and d_sigma <= 0:

@@ -252,22 +252,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rookorder",
         description="Bruhat-Chevalley order, R-polynomials and Mobius "
                     "functions on rook monoid orbits.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=4, help="rank (1..8)")
-    common.add_argument("--k", type=int, default=None, help="orbit rank")
-    common.add_argument("--out", default=None, metavar="FILE")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, formats, summary):
+    def add(name, formats, summary, flags=()):
         """A subcommand whose --format takes the formats it writes, the
-        first one by default."""
-        p = sub.add_parser(name, parents=[common], help=summary)
+        first one by default.  Of --n and --k it takes the ``flags`` it
+        reads, so argparse refuses the others with exit code 2."""
+        p = sub.add_parser(name, help=summary)
+        if "--n" in flags:
+            p.add_argument("--n", type=int, default=4, help="rank (1..8)")
+        if "--k" in flags:
+            p.add_argument("--k", type=int, default=None, help="orbit rank")
+        p.add_argument("--out", default=None, metavar="FILE")
         p.add_argument("--format", choices=formats, default=formats[0])
         return p
 
     p = add("orbit", ("text", "json", "tsv"),
-            "list an orbit with lengths, standard forms, descents")
+            "list an orbit with lengths, standard forms, descents", ("--n", "--k"))
     p.set_defaults(func=cmd_orbit)
 
     p = add("rpoly", ("text", "json"), "R-polynomial of a same-orbit pair")
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_order)
 
     p = add("hasse", ("dot",),
-            "DOT Hasse diagram of an interval or a whole orbit")
+            "DOT Hasse diagram of an interval or a whole orbit", ("--n", "--k"))
     p.add_argument("theta", nargs="?", default=None)
     p.add_argument("sigma", nargs="?", default=None)
     p.set_defaults(func=cmd_hasse)
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = add("verify", ("json",),
-            "run a verification suite, exit 1 on violations")
+            "run a verification suite, exit 1 on violations", ("--n",))
     p.add_argument("suite", choices=verify.SUITES)
     p.set_defaults(func=cmd_verify)
 

@@ -17,10 +17,10 @@ algebra quotients out.
 The bar involution fixes integers, sends q to q^-1, and is a ring
 homomorphism with bar(A_s) = A_s^-1 = q A_s - (q - 1) (Putcha's
 extension of KL79 to the orbit algebra).  ``orbit_bars(n, k)`` expands
-bar(A_sigma) in the A-basis for every sigma of one orbit, by the
-indices of ``order.orbit_poset(n, k)``, as ``rpoly.OrbitTable`` fills
-R.  For the smallest left descent s of sigma, A_sigma = A_s A_{s sigma},
-so
+bar(A_sigma) = sum over theta of c_theta(sigma) A_theta in the A-basis
+for every sigma of one orbit, by the indices of
+``order.orbit_poset(n, k)``, as ``rpoly.OrbitTable`` fills R.  For the
+smallest left descent s of sigma, A_sigma = A_s A_{s sigma}, so
 
     bar(A_sigma) = (q A_s - (q - 1)) bar(A_{s sigma}),
 
@@ -35,31 +35,57 @@ A_id alone.  So the oracle never reads the R recurrence of ``rpoly``:
 expanding bar(A_sigma) recovers the R-polynomials (``rpoly_via_bar``),
 which the Hecke suite compares with the R table.
 
+The table holds ints, packed by ``polynomials.Kronecker`` at q = 2^B,
+and each entry is scaled by a power of q that puts it in Z[q]: row b
+holds q^(l(e) - l(a)) c_a(b) at a, and the barred row b holds
+q^(l(b) - l(e)) bar(c_a(b)), which must be R[a, b] (the relation
+``rpoly_via_bar`` reads).  Under these scales the step, and its bar
+(q^-1 A_s - (q^-1 - 1)) on the barred row, take a term x at a to
+
+    s fixes a:   x at a                           (barred: q x at a)
+    s lowers a:  q x at s a                       (barred: q x at s a)
+    s raises a:  x at s a and (1 - q) x at a      (barred: x at s a and (q - 1) x at a)
+
+so q x is ``x << B`` and no step divides by q: the barred row scale
+gains a q from s sigma to sigma, which absorbs the q^-1 of the barred
+step.  The rows without a left descent are scaled and packed from their
+orbit sums, and packing raises on a scaled coefficient outside Z[q];
+every step keeps the scaled entries in Z[q], so no offset is needed.
+Unscaled, the entries would need an offset of up to
+max(l(e) - l(min), l(max) - l(e)) powers of q, and the products in the
+triple sums would carry its zero digits.
+
+Width: the fill run over non-negative ints with q -> 1 and subtraction
+-> addition bounds the L1 norm of every entry.  Both tables of an orbit
+share one width B, so the Hecke suite compares them by int equality;
+it is the R table's (``rpoly.orbit_norm``), which the Hecke bounds must
+not exceed.  They never do on R_1 to R_6, but the table raises
+ValueError rather than pack past the width.
+
 That bar is an involution is checked orbit by orbit in integer
 arithmetic over the same table (``verify.packed_bar_squared``).
-``bar_element`` is the Laurent path: it builds the certificate of a
-failing sigma, and the tests compare it with the packed sums.
+``bar_Asigma`` and ``bar_element`` decode: they are the Laurent path,
+which builds the certificate of a failing sigma, and the tests compare
+it with the packed sums.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from . import order, renner, weyl
-from .polynomials import IntPoly, Laurent
+from . import order, renner, rpoly, weyl
+from .polynomials import IntPoly, Kronecker, Laurent
 from .renner import Word
 
 HeckeElt = dict  # Word -> Laurent, zero coefficients absent
 
 __all__ = [
     "HeckeElt", "add_scaled", "canonical", "mult_As_left",
-    "mult_Aw_left", "orbit_bars", "bar_Asigma", "bar_element", "rpoly_via_bar",
-    "hecke_to_json",
+    "mult_Aw_left", "orbit_bars", "bar_Asigma", "bar_element",
+    "rpoly_via_bar", "hecke_to_json",
 ]
 
-_Q = Laurent.q_power(1)
 _Q_INV = Laurent.q_power(-1)
-_ONE_MINUS_Q = Laurent.from_int(1) - _Q
 _ONE_MINUS_Q_INV = Laurent.from_int(1) - _Q_INV
 
 
@@ -121,39 +147,67 @@ def _orbit_sum(n: int, k: int, t: Word, index: dict) -> dict[int, Laurent]:
     return {a: c for a, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
-def orbit_bars(n: int, k: int) -> list[dict[int, Laurent]]:
-    """bar(A_sigma) for every sigma of the rank-k orbit of R_n: row b
-    maps each index a of ``order.orbit_poset(n, k)`` to the coefficient
-    of A_(elements[a]) in bar(A_(elements[b])), nonzero entries only.
+def _bar_step(row: dict[int, int], to, step, bits: int, sign: int,
+              barred: bool) -> dict[int, int]:
+    """The scaled row of (q A_s - (q - 1)) h from the scaled row of h, by
+    the table of the module docstring, s acting by ``to`` and ``step``;
+    sign is -1, or 1 for bounds."""
+    out: dict[int, int] = {}
+    for a, x in row.items():
+        qx = x << bits
+        if step[a] > 0:
+            out[to[a]] = out.get(to[a], 0) + x
+            out[a] = out.get(a, 0) + (qx + sign * x if barred else x + sign * qx)
+        elif step[a] < 0:
+            out[to[a]] = out.get(to[a], 0) + qx
+        else:
+            out[a] = out.get(a, 0) + (qx if barred else x)
+    return {a: x for a, x in out.items() if x}
 
-    Row b is filled from the earlier row of s sigma, s the smallest left
-    descent of sigma; a term c A_a of that row gives c A_a if s fixes a,
-    c A_(s a) if s lowers a, and q c A_(s a) + (1 - q) c A_a if s raises
-    it.  Rows without a left descent are the orbit sums of e t^-1.  The
-    rows are shared by every caller, like the R table of ``rpoly``.
-    """
+
+def _fill(n: int, k: int,
+          packing: Kronecker | None = None) -> tuple[rpoly.Rows, rpoly.Rows]:
+    """The scaled rows of c and of bar(c) over the rank-k orbit of R_n,
+    packed by ``packing``; without one, the L1 bounds of their entries
+    (q -> 1, subtraction -> addition)."""
     poset = order.orbit_poset(n, k)
     left = order.orbit_action(n, k, "left")
-    rows: list[dict[int, Laurent]] = []
+    e = renner.idempotent_length(n, k)
+    bits, sign, convert = (packing.bits, -1, packing.pack) if packing else (
+        0, 1, lambda p: sum(map(abs, p.coeffs)))
+    rows: rpoly.Rows = []
+    barred: rpoly.Rows = []
     for b, sigma in enumerate(poset.elements):
         descents = renner.descents(sigma, "left")
-        if not descents:
-            t = renner.standard_form(sigma).y
-            rows.append(_orbit_sum(n, k, t, poset.index))
+        if descents:
+            to, step = left[min(descents) - 1]
+            rows.append(_bar_step(rows[to[b]], to, step, bits, sign, False))
+            barred.append(_bar_step(barred[to[b]], to, step, bits, sign, True))
             continue
-        to, step = left[min(descents) - 1]
-        row: dict[int, Laurent] = {}
-        for a, c in rows[to[b]].items():
-            if step[a] == 0:
-                _add_term(row, a, c)
-            elif step[a] < 0:
-                _add_term(row, to[a], c)
-            else:
-                _add_term(row, to[a], _Q * c)
-                _add_term(row, a, _ONE_MINUS_Q * c)
-        rows.append({a: c for a, c in row.items() if c})
-    return rows
+        base = _orbit_sum(n, k, renner.standard_form(sigma).y, poset.index)
+        rows.append({a: convert(c * Laurent.q_power(e - poset.lengths[a]))
+                     for a, c in base.items()})
+        shift = Laurent.q_power(poset.lengths[b] - e)
+        barred.append({a: convert(c.bar() * shift) for a, c in base.items()})
+    return rows, barred
+
+
+@lru_cache(maxsize=None)
+def orbit_bars(n: int, k: int) -> tuple[Kronecker, rpoly.Rows, rpoly.Rows]:
+    """The Hecke table of the rank-k orbit of R_n, packed and scaled,
+    shared by every caller like the R table of ``rpoly``: the packing,
+    at the width of the R table, and the rows and the barred rows.  Row
+    b maps each index a of ``order.orbit_poset(n, k)`` to the packed
+    q^(l(e) - l(a)) c_a(b), c_a(b) the coefficient of A_(elements[a]) in
+    bar(A_(elements[b])), and barred row b to the packed
+    q^(l(b) - l(e)) bar(c_a(b)); nonzero entries only."""
+    norm = rpoly.orbit_norm(n, k)
+    bounds = _fill(n, k)
+    if any(bound > norm for rows in bounds for row in rows for bound in row.values()):
+        raise ValueError(f"the Hecke bounds of the rank-{k} orbit of R_{n} "
+                         f"exceed the width of its R table")
+    packing = Kronecker(norm, terms=len(order.orbit_poset(n, k).elements))
+    return (packing, *_fill(n, k, packing))
 
 
 def bar_Asigma(sigma: Word) -> HeckeElt:
@@ -175,8 +229,10 @@ def bar_Asigma(sigma: Word) -> HeckeElt:
     """
     n, k = len(sigma), renner.rank(sigma)
     poset = order.orbit_poset(n, k)
-    return {poset.elements[a]: c
-            for a, c in orbit_bars(n, k)[poset.locate(sigma)].items()}
+    packing, rows, _ = orbit_bars(n, k)
+    e = renner.idempotent_length(n, k)
+    return {poset.elements[a]: packing.unpack(x) * Laurent.q_power(poset.lengths[a] - e)
+            for a, x in rows[poset.locate(sigma)].items()}
 
 
 def bar_element(h: HeckeElt) -> HeckeElt:
@@ -191,23 +247,15 @@ def rpoly_via_bar(sigma: Word) -> dict[Word, IntPoly]:
     """Read the R-polynomials {theta: R[theta, sigma]} off bar(A_sigma).
 
     bar(A_sigma) = q^(l(sigma) - l(e)) sum_theta bar(R[theta, sigma]) A_theta,
-    so each coefficient is shifted back and un-barred; a coefficient
-    that fails to land in Z[q] signals a convention fault and raises.
+    so R[theta, sigma] is the barred coefficient scaled by
+    q^(l(sigma) - l(e)): the barred row of ``orbit_bars``, decoded.  That
+    every such value lies in Z[q] is checked as the table is filled.
     """
-    n = len(sigma)
-    k = renner.rank(sigma)
-    shift = renner.length(sigma) - renner.idempotent_length(n, k)
-    unshift = Laurent.q_power(-shift)
-    out: dict[Word, IntPoly] = {}
-    for theta, c in bar_Asigma(sigma).items():
-        try:
-            out[theta] = (c * unshift).bar().to_int_poly()
-        except ValueError as exc:
-            raise ValueError(
-                f"coefficient of {renner.format_element(theta)} in "
-                f"bar(A_{renner.format_element(sigma)}) is not in Z[q]: {exc}"
-            ) from exc
-    return out
+    n, k = len(sigma), renner.rank(sigma)
+    poset = order.orbit_poset(n, k)
+    packing, _, barred = orbit_bars(n, k)
+    return {poset.elements[a]: packing.unpack(x)
+            for a, x in barred[poset.locate(sigma)].items()}
 
 
 def hecke_to_json(h: HeckeElt) -> list[dict]:

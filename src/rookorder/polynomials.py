@@ -18,7 +18,8 @@ sum can cancel an end.  A sum or product is an ``IntPoly`` exactly when
 both operands are ``IntPoly`` or int; ``bar`` always gives a ``Laurent``.
 
 ``Kronecker`` maps values to plain ints by evaluating at q = 2^B, with B
-large enough that sums of products can be read back exactly.
+set from a bound on the values so that sums of products can be read
+back exactly.
 """
 
 from __future__ import annotations
@@ -264,53 +265,57 @@ class IntPoly(Laurent):
 
 
 class Kronecker:
-    """Exact integer images of sums of products, by the Kronecker
-    substitution q = 2^B (Harvey, J. Symbolic Comput. 2009).
+    """Exact integer images of polynomials in Z[q] and of sums of their
+    products, by the Kronecker substitution q = 2^B (Harvey, J. Symbolic
+    Comput. 2009).
 
-    A value p packs to the int (q^D p)(2^B), with one offset D >= 0 that
-    lifts every exponent of the given values to >= 0.  A sum of at most
-    ``terms`` products of two packed values is then the image of one
-    polynomial P = q^(2D) * (the sum), and each coefficient of P is at
-    most terms * L^2 in absolute value, L the largest L1 norm (sum of
-    absolute coefficients) among the values.  B is computed from the
-    values, never fixed: B = bitlen(terms * L^2 + 1) + 1, so every
-    coefficient of P lies strictly between -2^(B-1) and 2^(B-1), the
-    range of a balanced base-2^B digit.  An int has one expansion in such
-    digits, so ``unpack`` reads P back exactly, and two such sums are
-    equal as ints iff they are equal as polynomials; in particular a sum
-    is 1 iff its image is ``one``.  (A comparison with 0 or 1 alone
-    would need one bit less; decoding, and comparing two sums, need
-    this one.)
+    A polynomial p packs to the int p(2^B).  Packing is a ring map
+    Z[q] -> Z, so a table of polynomials can be filled packed from a few
+    packed starting values: a sum packs to the sum of the images, and
+    q p to ``pack(p) << B``.  There is no offset: a Laurent value is
+    scaled into Z[q] by a power of q before it is packed (``hecke``
+    scales each entry of its table so), and then no fill divides by q.
+    (q^-1 p would pack to ``pack(p) >> B`` exactly only when p has no
+    constant term, for only then is pack(p) a multiple of 2^B.)
 
-    >>> p = Laurent(-1, (1, -1))          # q^-1 - 1
-    >>> packing = Kronecker([p], terms=2)
-    >>> packing.offset, packing.bits
-    (1, 5)
+    A sum of at most ``terms`` products of two packed values is the image
+    of one polynomial P, and each coefficient of P is at most
+    terms * L^2 in absolute value when ``norm`` = L bounds the L1 norm
+    (sum of absolute coefficients) of every value.  The width comes from
+    that bound, never from the values: B = bitlen(terms * L^2 + 1) + 1,
+    so every coefficient of P, and of each value, lies strictly between
+    -2^(B-1) and 2^(B-1), the range of a balanced base-2^B digit.  An
+    int has one expansion in such digits, so ``unpack`` reads P back
+    exactly, and two sums (or two values) are equal as ints iff they are
+    equal as polynomials; in particular a sum is 1 iff its image is 1.
+    (A comparison with 0 or 1 alone would need one bit less; decoding,
+    and comparing two sums, need this one.)
+
+    >>> p = IntPoly([-1, 1])               # q - 1, L1 norm 2
+    >>> packing = Kronecker(norm=2, terms=2)
+    >>> packing.bits
+    5
     >>> x = packing.pack(p)
     >>> print(packing.unpack(x * x + x * x))
-    2 - 4q^-1 + 2q^-2
+    2q^2 - 4q + 2
+    >>> print(packing.unpack(x << packing.bits))   # q p
+    q^2 - q
     """
 
-    def __init__(self, values, terms: int):
-        offset = norm = 0
-        for p in values:
-            if p.coeffs:
-                offset = max(offset, -p.min_exp)
-                norm = max(norm, sum(map(abs, p.coeffs)))
-        self.offset = offset
+    def __init__(self, norm: int, terms: int):
         self.bits = (terms * norm * norm + 1).bit_length() + 1
-        self.one = 1 << (2 * offset * self.bits)  # the image of 1
 
     def pack(self, p: Laurent) -> int:
-        """(q^D p)(2^B); p must be one of the values or no wider."""
+        """p(2^B), for p in Z[q]; a negative exponent raises ValueError
+        (as a negative shift)."""
         total = 0
         for c in reversed(p.coeffs):
             total = (total << self.bits) + c
-        return total << (self.bits * (p.min_exp + self.offset))
+        return total << (self.bits * p.min_exp)
 
-    def unpack(self, total: int) -> Laurent:
-        """The sum of products whose image is ``total``, read off its
-        balanced base-2^B digits and shifted back by 2D."""
+    def unpack(self, total: int) -> IntPoly:
+        """The polynomial whose image is ``total``, read off its balanced
+        base-2^B digits."""
         base = 1 << self.bits
         digits = []
         while total:
@@ -319,7 +324,7 @@ class Kronecker:
                 digit -= base
             digits.append(digit)
             total = (total - digit) >> self.bits
-        return Laurent(-2 * self.offset, digits)
+        return IntPoly(digits)
 
 
 ZERO = IntPoly()

@@ -20,26 +20,39 @@ left/right confluence explicitly.
 
 The step and the policy have two callers.  ``rpoly`` recurses on words
 with a memo, for single queries.  ``orbit_table(n, k)`` fills the R
-table of a whole orbit, indexed by ``order.orbit_poset(n, k)``: column
-sigma is filled from column s sigma, whose smaller length puts it
-earlier in index order, with s read as indices from
+table of a whole orbit, indexed by ``order.orbit_poset(n, k)``: the
+entries R[., sigma] come from those at s sigma, whose smaller length
+puts it earlier in index order, with s read as indices from
 ``order.orbit_action``.  The sweeps read the table, so they keep one
 value per comparable pair of the orbit and no memo keyed by words.
 
+The table holds ints, filled packed at q = 2^B with
+``polynomials.Kronecker``: q x is ``x << B``, (q - 1) x + q y is
+``((x + y) << B) - x``; every R lies in Z[q], so packing needs no
+offset and no step divides by q.  Beside R it fills the reversed
+polynomials
+
+    R'[theta, sigma] = q^(l(sigma) - l(theta)) bar(R[theta, sigma]),
+
+also in Z[q], by the barred steps: R'[s theta, s sigma],
+R'[theta, s sigma], and (1 - q) R'[theta, s sigma] + q R'[s theta, s sigma].
+
+B is fixed before the fill, from bounds and never from values.  The
+same fill run over non-negative ints with q -> 1 and subtraction ->
+addition, so that |(q - 1) x + q y| <= 2|x| + |y| (and likewise for the
+barred step), bounds the L1 norm of every entry of both tables.  With L
+the largest bound (``orbit_norm``), B = bitlen(|orbit| * L^2 + 1) + 1.
+
 The delta identity, the inversion formula of the R-polynomials,
 
-    sum over theta <= nu <= sigma of
-        R[theta, nu] q^(l(sigma) - l(nu)) bar(R[nu, sigma]) = delta(theta, sigma),
+    sum over theta <= nu <= sigma of R[theta, nu] R'[nu, sigma] = delta(theta, sigma),
 
-is checked in integer arithmetic.  Both factors of a term lie in Z[q]
-(q^d bar(R) with d = l(sigma) - l(nu) = deg R reverses R), so the table
-packs them at q = 2^B with ``polynomials.Kronecker``, where
-B = bitlen(|orbit| * L^2 + 1) + 1 and L is the largest L1 norm in the
-table.  A sum has at most |orbit| terms, so each of its coefficients is
-at most |orbit| * L^2 < 2^(B-1) in absolute value: a balanced base-2^B
-digit.  The sums of one theta are one row of ``triple_sums`` of ints;
-each int determines its polynomial, and an int equal to 0 or 1
-certifies the polynomial 0 or 1 exactly.
+is one row of ``triple_sums`` per theta over the two tables.  A sum has
+at most |orbit| terms, so each of its coefficients is at most
+|orbit| * L^2 < 2^(B-1) in absolute value: a balanced base-2^B digit.
+So each int determines its polynomial, and an int equal to 0 or 1
+certifies the polynomial 0 or 1 exactly.  Entries and sums are decoded
+only on read (``OrbitTable.r``) and for a failing sum.
 
 The constant term R[theta, sigma](0) equals the Mobius function of the
 interval.
@@ -47,15 +60,16 @@ interval.
 
 from __future__ import annotations
 
-import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import order, renner, weyl
 from .polynomials import IntPoly, Kronecker, Laurent, ONE, Q, Q_MINUS_1, ZERO
 from .renner import Word
 
-__all__ = ["rpoly", "PackedRows", "pack_rows", "triple_sums", "OrbitTable",
-           "orbit_table", "delta_identity_sum", "verify_delta_identity"]
+__all__ = ["rpoly", "triple_sums", "OrbitTable", "orbit_norm", "orbit_table",
+           "delta_identity_sum", "verify_delta_identity"]
+
+Rows = list[dict[int, int]]  # per index a: {index b: packed value at (a, b)}
 
 
 def _descent(sigma: Word) -> tuple[str, int]:
@@ -102,15 +116,7 @@ def rpoly(theta: Word, sigma: Word) -> IntPoly:
                  lambda moved: rpoly(s_theta if moved else theta, s_sigma))
 
 
-PackedRows = list[list[tuple[int, int]]]  # per index: its (index, packed value) entries
-
-
-def pack_rows(rows: list[dict[int, Laurent]], packing: Kronecker) -> PackedRows:
-    """The rows {index: value} of a sparse orbit matrix, packed."""
-    return [[(j, packing.pack(p)) for j, p in row.items()] for row in rows]
-
-
-def triple_sums(left: list[tuple[int, int]], rows: PackedRows) -> list[int]:
+def triple_sums(left: dict[int, int], rows: Rows) -> list[int]:
     """Row ``left`` of a product of two packed orbit matrices (square,
     one row and column per element): entry j is the sum over m of
     left[m] * rows[m][j], one multiply-add per triple (i, m, j) with
@@ -121,65 +127,74 @@ def triple_sums(left: list[tuple[int, int]], rows: PackedRows) -> list[int]:
     against the packed identity.
     """
     out = [0] * len(rows)
-    for m, x in left:
-        for j, y in rows[m]:
+    for m, x in left.items():
+        for j, y in rows[m].items():
             out[j] += x * y
     return out
 
 
+def _fill(n: int, k: int, packing: Kronecker | None = None) -> tuple[Rows, Rows]:
+    """The rows of R and of R' over the rank-k orbit of R_n, by the
+    indices of ``order.orbit_poset(n, k)``, packed by ``packing``;
+    without one, the L1 bounds of their entries (q -> 1, subtraction ->
+    addition).  Row a holds every b >= a; the minimum (index 0) has no
+    descent, and every other b is filled from s b by the step of
+    ``_step``, packed.
+    """
+    poset = order.orbit_poset(n, k)
+    bits, sign = (packing.bits, -1) if packing else (0, 1)
+    rows: Rows = [{b: 1} for b in range(len(poset.elements))]
+    reversed_rows: Rows = [{b: 1} for b in range(len(poset.elements))]
+    for b, sigma in enumerate(poset.elements[1:], 1):
+        side, i = _descent(sigma)
+        to, step = order.orbit_action(n, k, side)[i - 1]
+        lower = to[b]  # s sigma
+        for a in order.bits(poset.down(b) ^ (1 << b)):
+            row, rev, moved = rows[a], reversed_rows[a], to[a]
+            if step[a] < 0:
+                row[b] = rows[moved].get(lower, 0)
+                rev[b] = reversed_rows[moved].get(lower, 0)
+            elif step[a] == 0:
+                row[b] = row.get(lower, 0) << bits
+                rev[b] = rev.get(lower, 0)
+            else:
+                x, y = row.get(lower, 0), rows[moved].get(lower, 0)
+                row[b] = ((x + y) << bits) + sign * x
+                x, y = rev.get(lower, 0), reversed_rows[moved].get(lower, 0)
+                rev[b] = x + ((y + sign * x) << bits)
+    return rows, reversed_rows
+
+
+@lru_cache(maxsize=None)
+def orbit_norm(n: int, k: int) -> int:
+    """The largest L1 bound of the R fill of the rank-k orbit of R_n: it
+    fixes the one width of every packed table of the orbit, the R table
+    here and the Hecke table of ``hecke.orbit_bars``."""
+    bounds, _ = _fill(n, k)
+    return max(max(row.values()) for row in bounds)
+
+
 class OrbitTable:
     """R[theta, sigma] for every pair of the rank-k orbit of R_n, by the
-    indices of ``order.orbit_poset(n, k)``.
+    indices of ``order.orbit_poset(n, k)``, packed.
 
-    ``columns[b]`` maps each a <= b to R[a, b]; the other values are 0.
-    The minimum (index 0) has no descent; every other column is filled
-    from the column of s sigma by ``_step``.
+    ``rows[a]`` maps each b >= a to the packed R[a, b] and
+    ``reversed_rows[a]`` to the packed R'[a, b]; the other values are 0.
     """
 
     def __init__(self, n: int, k: int):
-        self.poset = poset = order.orbit_poset(n, k)
-        self.columns: list[dict[int, IntPoly]] = []
-        for b, sigma in enumerate(poset.elements):
-            column = {b: ONE}
-            if b:
-                side, i = _descent(sigma)
-                to, step = order.orbit_action(n, k, side)[i - 1]
-                lower = self.columns[to[b]]  # R[., s sigma]
-                for a in order.bits(poset.down(b) ^ (1 << b)):
-                    column[a] = _step(step[a], lambda moved: lower.get(
-                        to[a] if moved else a, ZERO))
-            self.columns.append(column)
+        self.poset = order.orbit_poset(n, k)
+        self.packing = Kronecker(orbit_norm(n, k), terms=len(self.poset.elements))
+        self.rows, self.reversed_rows = _fill(n, k, self.packing)
         self._last_delta_row: tuple[int | None, list[int]] = (None, [])
 
     def r(self, a: int, b: int) -> IntPoly:
-        """R[elements[a], elements[b]]."""
-        return self.columns[b].get(a, ZERO)
-
-    @cached_property
-    def delta(self) -> tuple[Kronecker, PackedRows, PackedRows]:
-        """The packing and the two packed factors of the delta sums:
-        row a of the first is {nu: R[a, nu]}, row nu of the second is
-        {b: q^(l(b) - l(nu)) bar(R[nu, b])}."""
-        lengths = self.poset.lengths
-        rows: list[dict[int, IntPoly]] = [{} for _ in self.columns]
-        reversed_rows: list[dict[int, Laurent]] = [{} for _ in self.columns]
-        for b, column in enumerate(self.columns):
-            for a, r in column.items():
-                rows[a][b] = r
-                reversed_rows[a][b] = Laurent.q_power(lengths[b] - lengths[a]) * r.bar()
-        packing = Kronecker(itertools.chain(*(row.values() for row in rows),
-                                            *(row.values() for row in reversed_rows)),
-                            terms=len(rows))
-        return packing, pack_rows(rows, packing), pack_rows(reversed_rows, packing)
+        """R[elements[a], elements[b]], decoded."""
+        return self.packing.unpack(self.rows[a].get(b, 0))
 
     def delta_row(self, a: int) -> list[int]:
-        """The packed delta sums of elements[a] against every sigma.  The
-        last row asked for is kept, as the sweeps ask row by row."""
-        last = self._last_delta_row
-        if last[0] != a:
-            _, rows, reversed_rows = self.delta
-            last = self._last_delta_row = (a, triple_sums(rows[a], reversed_rows))
-        return last[1]
+        """The packed delta sums of elements[a] against every sigma."""
+        return triple_sums(self.rows[a], self.reversed_rows)
 
 
 @lru_cache(maxsize=None)
@@ -200,13 +215,15 @@ def delta_identity_sum(theta: Word, sigma: Word) -> Laurent:
     """
     table = orbit_table(*order.require_same_orbit(theta, sigma))
     index = table.poset.index
-    total = table.delta_row(index[theta])[index[sigma]]
-    packing = table.delta[0]
+    a = index[theta]
+    if table._last_delta_row[0] != a:  # a per-pair loop asks row by row
+        table._last_delta_row = (a, table.delta_row(a))
+    total = table._last_delta_row[1][index[sigma]]
     if total == 0:
         return _SUM_ZERO
-    if total == packing.one:
+    if total == 1:
         return _SUM_ONE
-    return packing.unpack(total)
+    return table.packing.unpack(total)
 
 
 def verify_delta_identity(theta: Word, sigma: Word) -> bool:

@@ -8,28 +8,33 @@ one loop, ``run_suite``, runs them; only it names a report
 
 from __future__ import annotations
 
-import itertools
 import time
 
-from . import analysis, hecke, renner, rpoly
-from .polynomials import Kronecker, Laurent, ZERO
+from . import analysis, hecke, order, renner, rpoly
+from .polynomials import Kronecker, ZERO
 from .reports import Report
 
 __all__ = ["SUITES", "packed_bar_squared", "hecke_oracle_report", "run_suite"]
 
 
 def _delta_identity(n: int, k: int) -> Report:
-    """The delta identity on every ordered pair of the orbit, one sum each."""
+    """The delta identity on every ordered pair of the orbit, one packed
+    row of sums per theta; only a failing sum is decoded."""
     report = Report(name="delta")
-    for theta, sigma in itertools.product(renner.orbit(n, k), repeat=2):
-        report.checked += 1
-        total = rpoly.delta_identity_sum(theta, sigma)
-        if total != Laurent.from_int(1 if theta == sigma else 0):
-            report.violations.append({
-                "theta": renner.format_element(theta),
-                "sigma": renner.format_element(sigma),
-                "sum": str(total),
-            })
+    table = rpoly.orbit_table(n, k)
+    elements = table.poset.elements
+    for a, theta in enumerate(elements):
+        row = table.delta_row(a)
+        report.checked += len(row)
+        if row[a] == 1 and row.count(0) == len(row) - 1:
+            continue
+        for b, total in enumerate(row):
+            if total != (1 if a == b else 0):
+                report.violations.append({
+                    "theta": renner.format_element(theta),
+                    "sigma": renner.format_element(elements[b]),
+                    "sum": str(table.packing.unpack(total)),
+                })
     return report
 
 
@@ -51,55 +56,58 @@ def _descent_rule(n: int, k: int) -> Report:
 
 def packed_bar_squared(n: int, k: int) -> tuple[Kronecker, list[list[int]]]:
     """bar(bar(A_sigma)) for every sigma of one orbit, packed: entry
-    [b][nu] is the packed coefficient of A_nu in bar(bar(A_b)), by the
-    indices of ``order.orbit_poset(n, k)``.
+    [b][nu] is the packed q^(l(b) - l(nu)) times the coefficient of A_nu
+    in bar(bar(A_b)), by the indices of ``order.orbit_poset(n, k)``.
 
     With bar(A_sigma) = sum over theta of c_theta(sigma) A_theta,
     bar(bar(A_sigma)) = sum over theta of bar(c_theta(sigma)) bar(A_theta),
-    so row sigma is one ``rpoly.triple_sums`` of the packed row
-    {theta: bar(c_theta(sigma))} against the packed rows
-    {nu: c_nu(theta)}, both read off ``hecke.orbit_bars(n, k)``, which
-    ``hecke.bar_element`` reads too.  The supports are those of the
-    table, so the sums assume nothing about them.
+    so row sigma is one ``rpoly.triple_sums`` of the barred row
+    {theta: bar(c_theta(sigma))} against the rows {nu: c_nu(theta)},
+    both read straight off ``hecke.orbit_bars(n, k)``.  Their scales
+    multiply to q^(l(sigma) - l(nu)) in every term, which is 1 at
+    nu = sigma.  The supports are those of the table, so the sums assume
+    nothing about them.
     """
-    bars = hecke.orbit_bars(n, k)
-    barred = [{a: c.bar() for a, c in row.items()} for row in bars]
-    packing = Kronecker(itertools.chain(*(row.values() for row in barred),
-                                        *(row.values() for row in bars)),
-                        terms=len(bars))
-    inner_rows = rpoly.pack_rows(bars, packing)
-    return packing, [rpoly.triple_sums(row, inner_rows)
-                     for row in rpoly.pack_rows(barred, packing)]
+    packing, rows, barred = hecke.orbit_bars(n, k)
+    return packing, [rpoly.triple_sums(row, rows) for row in barred]
 
 
 def hecke_oracle_report(n: int, k: int) -> Report:
     """Compare the bar-involution expansion with the R table on one
     orbit, and check that bar is an involution there.
 
-    The involution is checked packed (``packed_bar_squared``): with the
-    offset D of the packing, row sigma must hold the packed q^(2D) at
-    sigma and 0 elsewhere.  ``hecke.bar_element`` builds the certificate
-    of a failing sigma.
+    Both tables are packed at one width B, and the barred row of sigma
+    holds q^(l(sigma) - l(e)) bar(c_theta(sigma)), which must be
+    R[theta, sigma]: so it must equal the column of sigma in the R
+    table, int for int, at every theta <= sigma and hold nothing else.
+    The involution is checked packed (``packed_bar_squared``): row sigma
+    must be 1 at sigma and 0 elsewhere.  Only a failing sigma is
+    decoded: ``hecke.rpoly_via_bar`` and ``hecke.bar_element`` build its
+    certificates.
     """
     report = Report(name="hecke")
     table = rpoly.orbit_table(n, k)
-    packing, bar_squared = packed_bar_squared(n, k)
-    for b, sigma in enumerate(table.poset.elements):
-        expansion = hecke.rpoly_via_bar(sigma)
-        for a, theta in enumerate(table.poset.elements):
-            report.checked += 1
-            from_bar = expansion.get(theta, ZERO)
-            from_recurrence = table.r(a, b)
-            if from_bar != from_recurrence:
-                report.violations.append({
-                    "theta": renner.format_element(theta),
-                    "sigma": renner.format_element(sigma),
-                    "via_bar": from_bar.to_json(),
-                    "via_recurrence": from_recurrence.to_json(),
-                })
+    _, _, barred = hecke.orbit_bars(n, k)
+    _, bar_squared = packed_bar_squared(n, k)
+    poset = table.poset
+    size = len(poset.elements)
+    for b, sigma in enumerate(poset.elements):
+        report.checked += size
+        if barred[b] != {a: table.rows[a][b] for a in order.bits(poset.down(b))}:
+            expansion = hecke.rpoly_via_bar(sigma)
+            for a, theta in enumerate(poset.elements):
+                from_bar = expansion.get(theta, ZERO)
+                from_recurrence = table.r(a, b)
+                if from_bar != from_recurrence:
+                    report.violations.append({
+                        "theta": renner.format_element(theta),
+                        "sigma": renner.format_element(sigma),
+                        "via_bar": from_bar.to_json(),
+                        "via_recurrence": from_recurrence.to_json(),
+                    })
         report.checked += 1
         row = bar_squared[b]
-        if row[b] != packing.one or any(row[:b]) or any(row[b + 1:]):
+        if row[b] != 1 or row.count(0) != size - 1:
             report.violations.append({
                 "kind": "not-involutive",
                 "sigma": renner.format_element(sigma),

@@ -5,7 +5,7 @@ import itertools
 from functools import lru_cache
 
 from rookorder import hecke, order, renner, rpoly, weyl
-from rookorder.polynomials import Laurent
+from rookorder.polynomials import Kronecker, Laurent
 from rookorder.reports import Report
 
 
@@ -320,6 +320,51 @@ def delta_identity_sum_laurent(theta, sigma):
                          * Laurent.q_power(poset.lengths[top] - poset.lengths[a])
                          * rpoly.rpoly(nu, sigma).bar())
     return total
+
+
+def kronecker_for(values, terms):
+    """The packing whose bound is the largest L1 norm among ``values``,
+    read off the values themselves."""
+    norm = max((sum(map(abs, p.coeffs)) for p in values), default=0)
+    return Kronecker(norm, terms)
+
+
+def pack_rows(rows, packing):
+    """The rows {index: value} of a sparse matrix of polynomials, packed."""
+    return [{j: packing.pack(p) for j, p in row.items()} for row in rows]
+
+
+def check_lifting(theta, sigma, i):
+    """The lifting property for the triple (theta, sigma, s_i), on words.
+
+    Clause (a): theta < s theta and sigma < s sigma imply
+    s theta < s sigma.  Clause (b): s theta >= theta and
+    s sigma <= sigma imply theta <= s sigma and s theta <= sigma.
+    Returns the clause that applies ("a", "b" or "not applicable") and
+    whether it holds.  ``order.leq`` answers the comparisons and
+    ``renner.length`` the length changes; theta < sigma must lie in one
+    orbit.
+    """
+    order.require_same_orbit(theta, sigma)
+    if theta == sigma or not order.leq(theta, sigma):
+        raise ValueError("check_lifting requires theta < sigma")
+    s = weyl.simple_reflection(len(theta), i)
+    s_theta, s_sigma = renner.multiply(s, theta), renner.multiply(s, sigma)
+    d_theta = renner.length(s_theta) - renner.length(theta)
+    d_sigma = renner.length(s_sigma) - renner.length(sigma)
+    if d_theta > 0 and d_sigma > 0:
+        return "a", s_theta != s_sigma and order.leq(s_theta, s_sigma)
+    if d_theta >= 0 and d_sigma <= 0:
+        return "b", order.leq(theta, s_sigma) and order.leq(s_theta, sigma)
+    return "not applicable", True
+
+
+def embeddable_in_weyl_necessary(theta, sigma):
+    """Necessary condition for [theta, sigma] to be a Weyl group
+    subinterval: R(0) != 0.  False certifies non-embeddability."""
+    if not order.leq(theta, sigma):
+        raise ValueError("embeddable_in_weyl_necessary requires theta <= sigma")
+    return rpoly.rpoly(theta, sigma).constant_term != 0
 
 
 def transitive_reduction(elements, leq_fn) -> list[tuple]:

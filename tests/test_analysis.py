@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from oracles import linear_length2_bruteforce, monoid_elements, witness_leq
+from oracles import (check_lifting, embeddable_in_weyl_necessary,
+                     linear_length2_bruteforce, monoid_elements, witness_leq)
 from rookorder import analysis, order, renner, weyl
 
 DESCENT_TABLE = {
@@ -83,9 +84,9 @@ def test_linear_witness_iff_zero_constant_term(n):
 
 
 def test_embeddability_necessary_condition():
-    assert not analysis.embeddable_in_weyl_necessary((0, 0, 0, 1), (0, 0, 0, 3))
-    assert analysis.embeddable_in_weyl_necessary((0, 0, 1, 2), (0, 0, 2, 3))
-    assert analysis.embeddable_in_weyl_necessary((0, 1), (0, 1))
+    assert not embeddable_in_weyl_necessary((0, 0, 0, 1), (0, 0, 0, 3))
+    assert embeddable_in_weyl_necessary((0, 0, 1, 2), (0, 0, 2, 3))
+    assert embeddable_in_weyl_necessary((0, 1), (0, 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -100,7 +101,7 @@ def test_length2_interval_dichotomy(n):
 
 
 def test_check_lifting_clause_b_example():
-    assert analysis.check_lifting((0, 1), (0, 2), 1) == ("b", True)
+    assert check_lifting((0, 1), (0, 2), 1) == ("b", True)
 
 
 def test_check_lifting_clause_a_witnessed():
@@ -111,7 +112,7 @@ def test_check_lifting_clause_a_witnessed():
             if theta == sigma or not order.leq(theta, sigma):
                 continue
             for i in (1, 2):
-                clause, holds = analysis.check_lifting(theta, sigma, i)
+                clause, holds = check_lifting(theta, sigma, i)
                 assert holds, (theta, sigma, i, clause)
                 if clause == "a":
                     seen += 1
@@ -124,14 +125,14 @@ def test_check_lifting_not_applicable():
     s1 = weyl.simple_reflection(2, 1)
     assert renner.length(renner.multiply(s1, theta)) < renner.length(theta)
     assert renner.length(renner.multiply(s1, sigma)) < renner.length(sigma)
-    clause, _ = analysis.check_lifting((1, 0), (2, 0), 1)
+    clause, _ = check_lifting((1, 0), (2, 0), 1)
     assert clause == "b"
-    assert analysis.check_lifting(theta, sigma, 1) == ("not applicable", True)
+    assert check_lifting(theta, sigma, 1) == ("not applicable", True)
 
 
 def test_check_lifting_requires_strict_pair():
     with pytest.raises(ValueError):
-        analysis.check_lifting((0, 1), (0, 1), 1)
+        check_lifting((0, 1), (0, 1), 1)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2)])

@@ -233,12 +233,8 @@ def test_verify_delta_certificate_carries_the_one_sum(capsys, monkeypatch):
     from rookorder import renner, rpoly
     from rookorder.polynomials import Q
     table = rpoly.orbit_table(3, 1)
-    packing, rows, reversed_rows = table.delta
-    top = len(rows) - 1
-    bottom_row = [(b, x + packing.pack(Q) if b == top else x) for b, x in rows[0]]
-    monkeypatch.setitem(vars(table), "delta",
-                        (packing, [bottom_row, *rows[1:]], reversed_rows))
-    monkeypatch.setattr(table, "_last_delta_row", (None, []))  # drop a kept row
+    top = len(table.rows) - 1
+    monkeypatch.setitem(table.rows[0], top, table.rows[0][top] + table.packing.pack(Q))
     cert = _first_violation(capsys, "delta", "delta")
     assert set(cert) == {"theta", "sigma", "sum"}
     ends = renner.orbit_minimum(3, 1), renner.orbit_maximum(3, 1)
@@ -256,15 +252,11 @@ def test_verify_descent_rule_certificate(capsys, monkeypatch):
 
 
 def test_verify_hecke_expansion_certificate(capsys, monkeypatch):
+    # the fault sits in the packed barred row of the rank-0 element: its
+    # diagonal entry, R[sigma, sigma] read off bar(A_sigma), is dropped
     from rookorder import hecke
-    original = hecke.rpoly_via_bar
-
-    def dropped(sigma):
-        expansion = original(sigma)
-        del expansion[sigma]
-        return expansion
-
-    monkeypatch.setattr(hecke, "rpoly_via_bar", dropped)
+    _, _, barred = hecke.orbit_bars(3, 0)
+    monkeypatch.delitem(barred[0], 0)
     cert = _first_violation(capsys, "hecke", "hecke")
     assert set(cert) == {"theta", "sigma", "via_bar", "via_recurrence"}
     assert cert["theta"] == cert["sigma"]
@@ -277,8 +269,9 @@ def test_verify_hecke_involution_certificate(capsys, monkeypatch):
     from rookorder import hecke, renner
     from rookorder.polynomials import Laurent
     top = renner.orbit_maximum(3, 1)
-    row = hecke.orbit_bars(3, 1)[-1]  # bar(A_max); index 0 is the minimum
-    monkeypatch.setitem(row, 0, row[0] + Laurent.q_power(-1))
+    _, rows, _ = hecke.orbit_bars(3, 1)
+    row = rows[-1]  # bar(A_max), scaled; index 0 is the minimum
+    monkeypatch.setitem(row, 0, row[0] + 1)
     code, out, _ = run(capsys, "verify", "hecke", "--n", "3")
     assert code == 1
     certs = [v for r in json.loads(out)["reports"] for v in r["violations"]
@@ -286,6 +279,24 @@ def test_verify_hecke_involution_certificate(capsys, monkeypatch):
     assert [cert["sigma"] for cert in certs] == [renner.format_element(top)]
     assert set(certs[0]) == {"kind", "sigma", "bar_squared"}
     assert certs[0]["bar_squared"] != hecke.hecke_to_json({top: Laurent.from_int(1)})
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "delta", "--n", "2", "--k", "5"], "--k"),
+    (["table", "descents", "--n", "3"], "--n"),
+    (["table", "descents", "--k", "9"], "--k"),
+    (["rpoly", "0001", "0003", "--k", "7"], "--k"),
+    (["mobius", "0012", "0023", "--n", "4"], "--n"),
+    (["descents", "0420", "--n", "4"], "--n"),
+    (["order", "0001", "0012", "--k", "1"], "--k"),
+])
+def test_flags_a_command_does_not_read_exit_2(capsys, argv, flag):
+    # only orbit and hasse read --n and --k, and verify reads --n: any
+    # other use of either flag is refused by name
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_verify_out_of_range_exits_2(capsys):

@@ -153,13 +153,15 @@ def test_bar_Asigma_matches_sum_over_support(n):
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5) for k in range(n + 1)]
                          + [(5, 2), (5, 5)])
 def test_orbit_bars_match_reduced_word_oracle(n, k):
-    # every row of the table against bar(A_x) applied to the orbit sum
-    # along a reduced word of x
-    poset = order.orbit_poset(n, k)
-    for sigma, row in zip(poset.elements, hecke.orbit_bars(n, k)):
-        expected = {poset.index[w]: c
-                    for w, c in bar_Asigma_by_reduced_word(sigma).items()}
-        assert row == expected, sigma
+    # every row of the table, decoded, against bar(A_x) applied to the
+    # orbit sum along a reduced word of x; the barred row decodes to the
+    # bars of the same coefficients
+    for sigma in renner.orbit(n, k):
+        expected = bar_Asigma_by_reduced_word(sigma)
+        assert hecke.bar_Asigma(sigma) == expected, sigma
+        shift = Laurent.q_power(renner.length(sigma) - renner.idempotent_length(n, k))
+        assert hecke.rpoly_via_bar(sigma) == {w: c.bar() * shift
+                                              for w, c in expected.items()}, sigma
 
 
 def test_bar_Asigma_involutive_on_R2_orbit():
@@ -189,13 +191,33 @@ def test_oracle_agreement(n, k):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_packed_bar_squared_matches_bar_element(n):
+    # entry [sigma][nu] is q^(l(sigma) - l(nu)) times the coefficient
     for k in range(n + 1):
         packing, sums = verify.packed_bar_squared(n, k)
         elements = renner.orbit(n, k)
         for sigma, row in zip(elements, sums):
-            decoded = {nu: packing.unpack(x) for nu, x in zip(elements, row) if x}
-            assert decoded == hecke.canonical(
+            assert _decode_bar_squared(packing, sigma, row) == hecke.canonical(
                 hecke.bar_element(hecke.bar_Asigma(sigma))), sigma
+
+
+def _decode_bar_squared(packing, sigma, row):
+    elements = renner.orbit(len(sigma), renner.rank(sigma))
+    scale = renner.length(sigma)
+    return {nu: packing.unpack(x) * Laurent.q_power(renner.length(nu) - scale)
+            for nu, x in zip(elements, row) if x}
+
+
+def _corrupt(monkeypatch, n, k, b, a, delta, barred=True):
+    """Add ``delta`` to the coefficient c_a(b) of A_a in bar(A_b) in the
+    packed Hecke table, scaled as the table stores it: in the rows of c
+    and, unless ``barred`` is false, in the rows of bar(c)."""
+    packing, rows, bars = hecke.orbit_bars(n, k)
+    lengths, e = order.orbit_poset(n, k).lengths, renner.idempotent_length(n, k)
+    monkeypatch.setitem(rows[b], a, rows[b].get(a, 0) + packing.pack(
+        delta * Laurent.q_power(e - lengths[a])))
+    if barred:
+        monkeypatch.setitem(bars[b], a, bars[b].get(a, 0) + packing.pack(
+            delta.bar() * Laurent.q_power(lengths[b] - e)))
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (3, 3)])
@@ -204,23 +226,24 @@ def test_packed_bar_squared_follows_a_corrupted_input(n, k, monkeypatch):
     # the identity; both paths must read the same wrong value
     elements = renner.orbit(n, k)
     top = elements[-1]
-    row = hecke.orbit_bars(n, k)[-1]
-    monkeypatch.setitem(row, 0, row[0] + Laurent.q_power(-1))
+    _corrupt(monkeypatch, n, k, len(elements) - 1, 0, ONE_L)
     packing, sums = verify.packed_bar_squared(n, k)
     laurent = hecke.canonical(hecke.bar_element(hecke.bar_Asigma(top)))
     assert laurent != basis(top)
-    assert {nu: packing.unpack(x) for nu, x in zip(elements, sums[-1]) if x} == laurent
+    assert _decode_bar_squared(packing, top, sums[-1]) == laurent
 
 
 def test_hecke_report_flags_every_sigma_a_corrupted_bar_reaches(monkeypatch):
     # bar(A_id) of H(W) gains a term at the longest element w0, which
     # moves the coefficient of A_w0 in bar(bar(A_sigma)) for every sigma
     # (each bar(A_sigma) has a coefficient at id); for every sigma but w0
-    # that entry lies past the diagonal of the packed rows
+    # that entry lies past the diagonal of the packed rows.  The term,
+    # q^3, is one the scaled rows of c can hold (their bars cannot).
     n = 3
     identity, longest = weyl.identity(n), tuple(range(n, 0, -1))
     index = order.orbit_poset(n, n).index
-    monkeypatch.setitem(hecke.orbit_bars(n, n)[index[identity]], index[longest], Q_INV)
+    _corrupt(monkeypatch, n, n, index[identity], index[longest],
+             Laurent.q_power(3), barred=False)
     report = verify.hecke_oracle_report(n, n)
     flagged = [v["sigma"] for v in report.violations
                if v.get("kind") == "not-involutive"]

@@ -4,8 +4,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import delta_identity_sum_laurent, witness_leq
-from rookorder import order, renner, rpoly, weyl
+from oracles import delta_identity_sum_laurent, pack_rows, witness_leq
+from rookorder import hecke, order, renner, rpoly, weyl
 from rookorder.polynomials import IntPoly, Kronecker, Laurent, ONE, Q, Q_MINUS_1, ZERO
 
 
@@ -182,40 +182,68 @@ def test_packed_sums_decode_to_the_laurent_sums(n):
     # nor 1, through the table's packing and the kernel
     for k in range(n + 1):
         table = rpoly.orbit_table(n, k)
-        packing, rows, _ = table.delta
-        size = len(table.columns)
+        size = len(table.rows)
         for a in range(size):
-            sums = rpoly.triple_sums(rows[a], rows)
+            sums = rpoly.triple_sums(table.rows[a], table.rows)
             for b in range(size):
                 expected = Laurent(0, ())
                 for m in range(size):
                     expected = expected + table.r(a, m) * table.r(m, b)
-                assert packing.unpack(sums[b]) == expected
+                assert table.packing.unpack(sums[b]) == expected
+
+
+def _l1(p):
+    return sum(map(abs, p.coeffs))
 
 
 def test_packing_width_comes_from_the_table():
-    for n, k in [(3, 1), (4, 2), (4, 3)]:
+    # on every orbit of R_1 to R_4 and on R_5 at k = 2 and 5: the fill
+    # over non-negative ints (q -> 1, subtraction -> addition) bounds
+    # every decoded entry of the R table and of the Hecke table, the R
+    # bounds cover the Hecke bounds, and the one width of both is
+    # bitlen(|orbit| L^2 + 1) + 1 for L the largest R bound
+    for n, k in [(n, k) for n in range(1, 5) for k in range(n + 1)] + [(5, 2), (5, 5)]:
         table = rpoly.orbit_table(n, k)
-        packing = table.delta[0]
-        norm = max(sum(map(abs, r.coeffs)) for column in table.columns
-                   for r in column.values())
-        assert packing.offset == 0
-        assert packing.bits == (len(table.columns) * norm ** 2 + 1).bit_length() + 1
+        bounds = rpoly._fill(n, k)
+        norm = max(max(row.values()) for row in bounds[0])
+        for values, limits in zip((table.rows, table.reversed_rows), bounds):
+            for row, limit in zip(values, limits):
+                assert row.keys() == limit.keys()
+                for b, x in row.items():
+                    assert _l1(table.packing.unpack(x)) <= limit[b] <= norm, (n, k)
+        assert table.packing.bits == (len(table.rows) * norm ** 2 + 1).bit_length() + 1
+        packing, *bars = hecke.orbit_bars(n, k)
+        assert packing.bits == table.packing.bits
+        for values, limits in zip(bars, hecke._fill(n, k)):
+            for row, limit in zip(values, limits):
+                for a, x in row.items():
+                    assert _l1(packing.unpack(x)) <= limit[a] <= norm, (n, k)
+
+
+def test_reversed_rows_are_the_reversed_polynomials():
+    # R'[theta, sigma] = q^(l(sigma) - l(theta)) bar(R[theta, sigma])
+    for n, k in [(3, 1), (4, 2), (4, 4)]:
+        table = rpoly.orbit_table(n, k)
+        lengths = table.poset.lengths
+        for a, row in enumerate(table.reversed_rows):
+            for b, x in row.items():
+                expected = Laurent.q_power(lengths[b] - lengths[a]) * table.r(a, b).bar()
+                assert table.packing.unpack(x) == expected
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_one_bit_short_packing_misreads_the_worst_case(sign):
     # 3 terms, each a product of two values of L1 norm 3 and one sign:
-    # the coefficient 27 of q^-2 is the largest the bound allows
-    value = Laurent.q_power(-1) * 3
+    # the coefficient 27 of q^2 is the largest the bound allows
+    value = Q * 3
     terms = 3
-    packing = Kronecker([value], terms)
+    packing = Kronecker(norm=3, terms=terms)
     mutant = copy.copy(packing)
     mutant.bits -= 1
-    expected = Laurent.q_power(-2) * (sign * 27)
+    expected = Q * Q * (sign * 27)
     for kind, outcome in ((packing, True), (mutant, False)):
-        left = rpoly.pack_rows([{m: value for m in range(terms)}], kind)[0]
-        rows = rpoly.pack_rows([{0: sign * value}] * terms, kind)
+        left = pack_rows([{m: value for m in range(terms)}], kind)[0]
+        rows = pack_rows([{0: sign * value}] * terms, kind)
         assert (kind.unpack(rpoly.triple_sums(left, rows)[0]) == expected) is outcome
 
 
