@@ -8,7 +8,30 @@ The headline facts being checked at desk scale:
   constant term R(0) vanishes iff a linear length-2 subinterval exists,
   so intervals with R(0) = 0 cannot appear as Weyl group subintervals;
 * the Mobius function of an orbit interval is (-1)^(length difference)
-  when every length-2 subinterval is a diamond and 0 otherwise.
+  when every length-2 subinterval is a diamond and 0 otherwise;
+* the lifting property holds for every comparable pair and simple
+  reflection of an orbit.
+
+The last two are swept over whole orbits one bottom theta at a time,
+as bitsets over the indices of ``order.orbit_poset``, with up the up
+row of theta.  Putcha: with reach the elements above the top of a
+linear length-2 pair inside [theta, max], the Mobius row of theta
+(``order.mobius_row``) must have the three value sets
+
+    M_0 = up & reach,
+    M_(+1) = up & ~reach & (lengths of theta's parity),
+    M_(-1) = up & ~reach & (the other parity),
+
+and no other value, all masked to the elements checked.  The row does
+not store M_0, the rest of up: it is right exactly when M_(+1) and
+M_(-1) are and no other value occurs, so the row is compared as the
+dict {+1: M_(+1), -1: M_(-1)} without its empty sets.  Lifting: for
+each s, the tops sigma > theta split by their length step under s.
+Clause (a) is a bit test s sigma in up(s theta) on the raised tops;
+clause (b) is one containment, the tops s does not raise inside
+up(s theta), and a bit test theta <= s sigma on the lowered tops, as
+s fixes the tops of step 0.  Only a row that fails is checked again
+pair by pair, for the certificates.
 """
 
 from __future__ import annotations
@@ -96,15 +119,16 @@ def linear_length2_pairs(theta: Word, sigma: Word) -> tuple[tuple[Word, Word], .
     and then of beta."""
     poset = IntervalPoset(theta, sigma)
     return tuple((poset.elements[a], poset.elements[b])
-                 for a, b in _linear_pairs(poset))
+                 for a, b in _linear_pairs(poset, poset.up, poset.down))
 
 
-def _linear_pairs(poset: IntervalPoset):
-    # index pairs (a, b) of the poset whose interval has 3 elements
+def _linear_pairs(poset: IntervalPoset, up, down):
+    # index pairs (a, b) of the poset whose interval has 3 elements, with
+    # up(a) and down(b) its rows
     for a, length in enumerate(poset.lengths):
-        up = poset.up(a)
-        for b in bits(up & poset.level(length + 2)):
-            if (up & poset.down(b)).bit_count() == 3:
+        above = up(a)
+        for b in bits(above & poset.level(length + 2)):
+            if (above & down(b)).bit_count() == 3:
                 yield a, b
 
 
@@ -120,42 +144,45 @@ def find_linear_length2(theta: Word, sigma: Word) -> Optional[tuple[Word, Word]]
     return pairs[0] if pairs else None
 
 
-def _lifting_clause(below, theta, sigma, s_theta, s_sigma,
-                    d_theta: int, d_sigma: int) -> tuple[str, bool]:
-    # The lifting property for theta < sigma and s, given as poset
-    # indices with ``below`` the order on them, and the length changes d
-    # under s.  Clause (a): theta < s theta and sigma < s sigma imply
-    # s theta < s sigma.  Clause (b): s theta >= theta and s sigma <=
-    # sigma imply theta <= s sigma and s theta <= sigma.  Left
+def _lifting_holds(ups, a: int, tops: int, to, raised: int, lowered: int) -> bool:
+    # The lifting property for theta = a, one s and every sigma in
+    # ``tops``, as poset indices with ``ups`` their up rows, s acting by
+    # ``to``, and ``raised`` and ``lowered`` the elements s raises and
+    # lowers; s fixes the others.  Clause (a): theta < s theta and
+    # sigma < s sigma imply s theta < s sigma.  Clause (b):
+    # s theta >= theta and s sigma <= sigma imply s theta <= sigma and
+    # theta <= s sigma, which holds already where s sigma = sigma.  Left
     # multiplication by s keeps the rank, so all four share an orbit.
-    if d_theta > 0 and d_sigma > 0:
-        return "a", s_theta != s_sigma and below(s_theta, s_sigma)
-    if d_theta >= 0 and d_sigma <= 0:
-        return "b", below(theta, s_sigma) and below(s_theta, sigma)
-    return "not applicable", True
+    up_s = ups[to[a]]
+    if (raised >> a) & 1 and not all((up_s >> to[b]) & 1 for b in bits(tops & raised)):
+        return False
+    return (lowered >> a) & 1 == 1 or not tops & ~raised & ~up_s and all(
+        (ups[a] >> to[b]) & 1 for b in bits(tops & lowered))
 
 
 def lifting_violations(n: int, k: int) -> Report:
-    """Sweep all comparable pairs and simple reflections of one orbit."""
+    """Sweep all comparable pairs and simple reflections of one orbit,
+    one row per bottom and s (see the module docstring)."""
     report = Report(name="lifting")
     poset = order.orbit_poset(n, k)
     ups = [poset.up(a) for a in range(len(poset.elements))]
-
-    def below(a: int, b: int) -> bool:
-        return (ups[a] >> b) & 1 == 1
-
-    # per s_i: to[a] is the index of s_i elements[a], d[a] the length change
-    s_action = order.orbit_action(n, k, "left")
+    # per s_i: to[a] is the index of s_i elements[a], and the bitsets of
+    # the elements s_i raises and lowers
+    s_action = [(to, sum(1 << a for a, x in enumerate(d) if x > 0),
+                 sum(1 << a for a, x in enumerate(d) if x < 0))
+                for to, d in order.orbit_action(n, k, "left")]
     for a, theta in enumerate(poset.elements):
-        for b in bits(ups[a] & ~(1 << a)):
-            for i, (to, d) in enumerate(s_action, 1):
-                report.checked += 1
-                clause, holds = _lifting_clause(below, a, b, to[a], to[b], d[a], d[b])
-                if not holds:
+        tops = ups[a] & ~(1 << a)
+        report.checked += tops.bit_count() * len(s_action)
+        if all(_lifting_holds(ups, a, tops, *s) for s in s_action):
+            continue
+        for b in bits(tops):
+            for i, s in enumerate(s_action, 1):
+                if not _lifting_holds(ups, a, 1 << b, *s):
                     report.violations.append({
                         "theta": renner.format_element(theta),
                         "sigma": renner.format_element(poset.elements[b]),
-                        "s": i, "clause": clause, "holds": holds,
+                        "s": i, "clause": "a" if (s[1] >> b) & 1 else "b", "holds": False,
                     })
     return report
 
@@ -166,39 +193,44 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
 
     Only pairs among the given elements are checked; they must lie in
     one orbit.  mu and the linear length-2 subintervals come from the
-    orbit's ``order.orbit_poset``.
+    orbit's ``order.orbit_poset``, one row per bottom (see the module
+    docstring).  The down rows of the whole orbit are built once per
+    call and dropped with it.
     """
     report = Report(name="putcha")
     elems = list(orbit_elements)
     if not elems:
         return report
     poset = order.orbit_poset(len(elems[0]), renner.rank(elems[0]))
-    given = sorted({poset.locate(w) for w in elems})
-    given_mask = sum(1 << a for a in given)
-    # tops[a]: everything above the top of a linear pair with bottom a
+    given = sum(1 << a for a in {poset.locate(w) for w in elems})
+    ups = [poset.up(a) for a in range(len(poset.elements))]
+    downs = [poset.down(b) for b in range(len(poset.elements))]
+    # tops[c]: everything above the top of a linear pair with bottom c
     tops: dict[int, int] = {}
-    for a, b in _linear_pairs(poset):
-        tops[a] = tops.get(a, 0) | poset.up(b)
-    for a in given:
-        theta, up = poset.elements[a], poset.up(a)
-        # sigma >= theta lies above a linear pair inside [theta, sigma]
-        reach = 0
-        for bottom, above in tops.items():
-            if (up >> bottom) & 1:
-                reach |= above
-        for b in bits(up & given_mask):
-            report.checked += 1
-            expected = 0 if (reach >> b) & 1 else \
-                (-1) ** (poset.lengths[b] - poset.lengths[a])
-            actual = poset.mobius(a, b)
-            if actual != expected:
+    for c, b in _linear_pairs(poset, ups.__getitem__, downs.__getitem__):
+        tops[c] = tops.get(c, 0) | ups[b]
+    bottoms = sum(1 << c for c in tops)
+    odd = sum(1 << t for t, length in enumerate(poset.lengths) if length % 2)
+    for a in bits(given):
+        up, reach = ups[a] & given, 0
+        for c in bits(ups[a] & bottoms):
+            reach |= tops[c]
+        report.checked += up.bit_count()
+        flat, same = up & ~reach, odd if poset.lengths[a] % 2 else ~odd
+        expected = {mu: m for mu, m in ((1, flat & same), (-1, flat & ~same)) if m}
+        row = order.mobius_row(a, ups[a], downs.__getitem__)
+        actual = {mu: m & given for mu, m in row.items() if m & given}
+        if actual == expected:
+            continue
+        for b in bits(up):
+            mu, want = order.mobius_at(actual, b), order.mobius_at(expected, b)
+            if mu != want:
                 report.violations.append({
-                    "theta": renner.format_element(theta),
+                    "theta": renner.format_element(poset.elements[a]),
                     "sigma": renner.format_element(poset.elements[b]),
-                    "mobius": actual,
-                    "expected": expected,
+                    "mobius": mu, "expected": want,
                     "interval": [renner.format_element(poset.elements[t])
-                                 for t in bits(up & poset.down(b))],
+                                 for t in bits(ups[a] & downs[b])],
                 })
     return report
 
@@ -228,7 +260,7 @@ def classify_interval(theta: Word, sigma: Word) -> IntervalClassification:
     r0 = rpoly.rpoly(theta, sigma).constant_term
     mu = poset.mobius(0, size - 1)
     witness = next(((poset.elements[a], poset.elements[b])
-                    for a, b in _linear_pairs(poset)), None)
+                    for a, b in _linear_pairs(poset, poset.up, poset.down)), None)
     if mu != r0:
         raise RuntimeError(f"mu = {mu} but R(0) = {r0} on "
                            f"[{renner.format_element(theta)}, "

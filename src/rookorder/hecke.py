@@ -56,11 +56,13 @@ max(l(e) - l(min), l(max) - l(e)) powers of q, and the products in the
 triple sums would carry its zero digits.
 
 Width: the fill run over non-negative ints with q -> 1 and subtraction
--> addition bounds the L1 norm of every entry.  Both tables of an orbit
-share one width B, so the Hecke suite compares them by int equality;
-it is the R table's (``rpoly.orbit_norm``), which the Hecke bounds must
-not exceed.  They never do on R_1 to R_6, but the table raises
-ValueError rather than pack past the width.
+-> addition bounds the L1 norm of every entry; a barred step and its
+unbarred one have the same bounds, so one bound table serves the rows
+and the barred rows.  Both tables of an orbit share one width B, so
+the Hecke suite compares them by int equality; it is the R table's
+(``rpoly.orbit_norm``), which the Hecke bounds must not exceed.  They
+never do on R_1 to R_6, but the table raises ValueError rather than
+pack past the width.
 
 That bar is an involution is checked orbit by orbit in integer
 arithmetic over the same table (``verify.packed_bar_squared``).
@@ -165,31 +167,31 @@ def _bar_step(row: dict[int, int], to, step, bits: int, sign: int,
     return {a: x for a, x in out.items() if x}
 
 
-def _fill(n: int, k: int,
-          packing: Kronecker | None = None) -> tuple[rpoly.Rows, rpoly.Rows]:
+def _fill(n: int, k: int, packing: Kronecker | None = None) -> list[rpoly.Rows]:
     """The scaled rows of c and of bar(c) over the rank-k orbit of R_n,
-    packed by ``packing``; without one, the L1 bounds of their entries
-    (q -> 1, subtraction -> addition)."""
+    packed by ``packing``; without one, one table of the L1 bounds of
+    their entries (q -> 1, subtraction -> addition), which both share
+    entry for entry."""
     poset = order.orbit_poset(n, k)
     left = order.orbit_action(n, k, "left")
     e = renner.idempotent_length(n, k)
     bits, sign, convert = (packing.bits, -1, packing.pack) if packing else (
         0, 1, lambda p: sum(map(abs, p.coeffs)))
-    rows: rpoly.Rows = []
-    barred: rpoly.Rows = []
+    tables = [([], barred) for barred in ((False, True) if packing else (False,))]
     for b, sigma in enumerate(poset.elements):
         descents = renner.descents(sigma, "left")
         if descents:
             to, step = left[min(descents) - 1]
-            rows.append(_bar_step(rows[to[b]], to, step, bits, sign, False))
-            barred.append(_bar_step(barred[to[b]], to, step, bits, sign, True))
+            for rows, barred in tables:
+                rows.append(_bar_step(rows[to[b]], to, step, bits, sign, barred))
             continue
         base = _orbit_sum(n, k, renner.standard_form(sigma).y, poset.index)
-        rows.append({a: convert(c * Laurent.q_power(e - poset.lengths[a]))
-                     for a, c in base.items()})
         shift = Laurent.q_power(poset.lengths[b] - e)
-        barred.append({a: convert(c.bar() * shift) for a, c in base.items()})
-    return rows, barred
+        for rows, barred in tables:
+            rows.append({a: convert(c.bar() * shift if barred
+                                    else c * Laurent.q_power(e - poset.lengths[a]))
+                         for a, c in base.items()})
+    return [rows for rows, _ in tables]
 
 
 @lru_cache(maxsize=None)
@@ -202,8 +204,7 @@ def orbit_bars(n: int, k: int) -> tuple[Kronecker, rpoly.Rows, rpoly.Rows]:
     bar(A_(elements[b])), and barred row b to the packed
     q^(l(b) - l(e)) bar(c_a(b)); nonzero entries only."""
     norm = rpoly.orbit_norm(n, k)
-    bounds = _fill(n, k)
-    if any(bound > norm for rows in bounds for row in rows for bound in row.values()):
+    if any(bound > norm for row in _fill(n, k)[0] for bound in row.values()):
         raise ValueError(f"the Hecke bounds of the rank-{k} orbit of R_{n} "
                          f"exceed the width of its R table")
     packing = Kronecker(norm, terms=len(order.orbit_poset(n, k).elements))

@@ -28,8 +28,8 @@ from .renner import Word
 
 __all__ = [
     "leq", "dominance_leq", "require_same_orbit", "bits", "IntervalPoset",
-    "orbit_poset", "orbit_action", "interval_elements", "interval",
-    "mobius_direct", "hasse_dot",
+    "mobius_row", "mobius_at", "orbit_poset", "orbit_action",
+    "interval_elements", "interval", "mobius_direct", "hasse_dot",
 ]
 
 
@@ -208,22 +208,36 @@ class IntervalPoset:
                 yield a, b
 
     def mobius(self, i: int, j: int) -> int:
-        """mu(elements[i], elements[j]), by the defining recursion.
+        """mu(elements[i], elements[j]), by the defining recursion: the
+        first query with bottom i fills and keeps its ``mobius_row``."""
+        if i not in self._mobius:
+            self._mobius[i] = mobius_row(i, self.up(i), self.down)
+        return mobius_at(self._mobius[i], j)
 
-        The first query with bottom i fills its row in index order:
-        mu(i, t) = -sum over r in [i, t) of mu(i, r), which is minus the
-        sum of v * |M_v & down(t)| over the bitsets M_v of the r done so
-        far with mu(i, r) = v; only those bitsets are kept.
-        """
-        by_value = self._mobius.get(i)
-        if by_value is None:
-            by_value = {1: 1 << i}
-            for t in bits(self.up(i) & ~(1 << i)):
-                below = self.down(t)
-                mu = -sum(v * (m & below).bit_count() for v, m in by_value.items())
-                by_value[mu] = by_value.get(mu, 0) | (1 << t)
-            self._mobius[i] = by_value
-        return next((v for v, m in by_value.items() if (m >> j) & 1), 0)
+
+def mobius_row(bottom: int, up: int, down) -> dict[int, int]:
+    """The Mobius row of ``bottom`` in a poset indexed by a linear
+    extension, as {mu: bitset M_mu}: bit t of M_mu is set iff
+    mu(bottom, t) = mu != 0.  ``up`` is the up row of bottom and
+    ``down(t)`` the down row of t.
+
+    The row is filled in index order: mu(bottom, t) = -sum over r in
+    [bottom, t) of mu(bottom, r), which is minus the sum of
+    v * |M_v & down(t)| over the bitsets of the r done so far.  The
+    r with mu = 0 add nothing, so M_0 is not kept.
+    """
+    row = {1: 1 << bottom}
+    for t in bits(up & ~(1 << bottom)):
+        below = down(t)
+        mu = -sum([v * (m & below).bit_count() for v, m in row.items()])
+        if mu:
+            row[mu] = row.get(mu, 0) | (1 << t)
+    return row
+
+
+def mobius_at(row: dict[int, int], j: int) -> int:
+    """mu(bottom, elements[j]) read off a ``mobius_row``."""
+    return next((v for v, m in row.items() if (m >> j) & 1), 0)
 
 
 @lru_cache(maxsize=None)

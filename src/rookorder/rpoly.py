@@ -28,9 +28,9 @@ value per comparable pair of the orbit and no memo keyed by words.
 
 The table holds ints, filled packed at q = 2^B with
 ``polynomials.Kronecker``: q x is ``x << B``, (q - 1) x + q y is
-``((x + y) << B) - x``; every R lies in Z[q], so packing needs no
-offset and no step divides by q.  Beside R it fills the reversed
-polynomials
+``(y << B) + (2^B - 1) * x``; every R lies in Z[q], so packing needs no
+offset and no step divides by q.  In the same pass it fills the
+reversed polynomials
 
     R'[theta, sigma] = q^(l(sigma) - l(theta)) bar(R[theta, sigma]),
 
@@ -39,9 +39,10 @@ R'[theta, s sigma], and (1 - q) R'[theta, s sigma] + q R'[s theta, s sigma].
 
 B is fixed before the fill, from bounds and never from values.  The
 same fill run over non-negative ints with q -> 1 and subtraction ->
-addition, so that |(q - 1) x + q y| <= 2|x| + |y| (and likewise for the
-barred step), bounds the L1 norm of every entry of both tables.  With L
-the largest bound (``orbit_norm``), B = bitlen(|orbit| * L^2 + 1) + 1.
+addition, so that |(q - 1) x + q y| <= 2|x| + |y|, bounds the L1 norm
+of every entry.  The barred steps have the same bounds, so one bound
+table serves both tables.  With L the largest bound (``orbit_norm``),
+B = bitlen(|orbit| * L^2 + 1) + 1.
 
 The delta identity, the inversion formula of the R-polynomials,
 
@@ -63,7 +64,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import order, renner, weyl
-from .polynomials import IntPoly, Kronecker, Laurent, ONE, Q, Q_MINUS_1, ZERO
+from .polynomials import IntPoly, Kronecker, ONE, Q, Q_MINUS_1, ZERO
 from .renner import Word
 
 __all__ = ["rpoly", "triple_sums", "OrbitTable", "orbit_norm", "orbit_table",
@@ -133,36 +134,38 @@ def triple_sums(left: dict[int, int], rows: Rows) -> list[int]:
     return out
 
 
-def _fill(n: int, k: int, packing: Kronecker | None = None) -> tuple[Rows, Rows]:
+def _fill(n: int, k: int, packing: Kronecker | None = None) -> list[Rows]:
     """The rows of R and of R' over the rank-k orbit of R_n, by the
     indices of ``order.orbit_poset(n, k)``, packed by ``packing``;
-    without one, the L1 bounds of their entries (q -> 1, subtraction ->
-    addition).  Row a holds every b >= a; the minimum (index 0) has no
-    descent, and every other b is filled from s b by the step of
-    ``_step``, packed.
+    without one, one table of the L1 bounds of their entries (q -> 1,
+    subtraction -> addition), which R and R' share entry for entry.  Row
+    a holds every b >= a; the minimum (index 0) has no descent, and every
+    other b is filled from s b by the step of ``_step``, or for R' by its
+    barred step, packed.
     """
     poset = order.orbit_poset(n, k)
-    bits, sign = (packing.bits, -1) if packing else (0, 1)
-    rows: Rows = [{b: 1} for b in range(len(poset.elements))]
-    reversed_rows: Rows = [{b: 1} for b in range(len(poset.elements))]
+    bits = packing.bits if packing else 0
+    # per table, where s raises theta the factor c of x in the step
+    # q y + c x (q - 1 for R, 1 - q for R'; both bound to 2), and where s
+    # fixes theta the shift of x (q x for R, x for R')
+    kinds = (((1 << bits) - 1, bits), (1 - (1 << bits), 0)) if packing else ((2, 0),)
+    tables = [([{b: 1} for b in range(len(poset.elements))], c, fixed)
+              for c, fixed in kinds]
     for b, sigma in enumerate(poset.elements[1:], 1):
         side, i = _descent(sigma)
         to, step = order.orbit_action(n, k, side)[i - 1]
         lower = to[b]  # s sigma
         for a in order.bits(poset.down(b) ^ (1 << b)):
-            row, rev, moved = rows[a], reversed_rows[a], to[a]
-            if step[a] < 0:
-                row[b] = rows[moved].get(lower, 0)
-                rev[b] = reversed_rows[moved].get(lower, 0)
-            elif step[a] == 0:
-                row[b] = row.get(lower, 0) << bits
-                rev[b] = rev.get(lower, 0)
-            else:
-                x, y = row.get(lower, 0), rows[moved].get(lower, 0)
-                row[b] = ((x + y) << bits) + sign * x
-                x, y = rev.get(lower, 0), reversed_rows[moved].get(lower, 0)
-                rev[b] = x + ((y + sign * x) << bits)
-    return rows, reversed_rows
+            moved, d = to[a], step[a]
+            for rows, c, fixed in tables:
+                row = rows[a]
+                if d < 0:
+                    row[b] = rows[moved].get(lower, 0)
+                elif d == 0:
+                    row[b] = row.get(lower, 0) << fixed
+                else:
+                    row[b] = (rows[moved].get(lower, 0) << bits) + c * row.get(lower, 0)
+    return [rows for rows, _, _ in tables]
 
 
 @lru_cache(maxsize=None)
@@ -170,8 +173,7 @@ def orbit_norm(n: int, k: int) -> int:
     """The largest L1 bound of the R fill of the rank-k orbit of R_n: it
     fixes the one width of every packed table of the orbit, the R table
     here and the Hecke table of ``hecke.orbit_bars``."""
-    bounds, _ = _fill(n, k)
-    return max(max(row.values()) for row in bounds)
+    return max(max(row.values()) for row in _fill(n, k)[0])
 
 
 class OrbitTable:
@@ -203,33 +205,32 @@ def orbit_table(n: int, k: int) -> OrbitTable:
     return OrbitTable(n, k)
 
 
-_SUM_ZERO, _SUM_ONE = Laurent(0, ()), Laurent.from_int(1)  # the expected sums
+def _packed_delta_sum(theta: Word, sigma: Word) -> tuple[OrbitTable, int]:
+    # The orbit's R table and the packed delta sum of the pair, found
+    # through the table's index: a sigma outside theta's orbit is refused
+    # there.  The delta sweep asks row by row, so the last row is kept.
+    table = orbit_table(len(theta), renner.rank(theta))
+    a, b = map(table.poset.locate, (theta, sigma))
+    if table._last_delta_row[0] != a:
+        table._last_delta_row = (a, table.delta_row(a))
+    return table, table._last_delta_row[1][b]
 
 
-def delta_identity_sum(theta: Word, sigma: Word) -> Laurent:
+def delta_identity_sum(theta: Word, sigma: Word) -> IntPoly:
     """sum over theta <= nu <= sigma of R[theta,nu] q^(l(sigma)-l(nu)) bar(R[nu,sigma]).
 
     The sum telescopes to 1 when theta = sigma and to 0 otherwise.  It
-    is summed packed over the orbit's R table and decoded only when it
-    is neither.
+    is summed packed over the orbit's R table and decoded.
     """
-    table = orbit_table(*order.require_same_orbit(theta, sigma))
-    index = table.poset.index
-    a = index[theta]
-    if table._last_delta_row[0] != a:  # a per-pair loop asks row by row
-        table._last_delta_row = (a, table.delta_row(a))
-    total = table._last_delta_row[1][index[sigma]]
-    if total == 0:
-        return _SUM_ZERO
-    if total == 1:
-        return _SUM_ONE
+    table, total = _packed_delta_sum(theta, sigma)
     return table.packing.unpack(total)
 
 
 def verify_delta_identity(theta: Word, sigma: Word) -> bool:
-    """
+    """Whether the packed delta sum is the int 1 (theta = sigma) or 0
+    (otherwise); the packing makes that exact, so nothing is decoded.
+
     >>> verify_delta_identity((0, 1), (2, 0))
     True
     """
-    expected = _SUM_ONE if theta == sigma else _SUM_ZERO
-    return delta_identity_sum(theta, sigma) == expected
+    return _packed_delta_sum(theta, sigma)[1] == int(theta == sigma)

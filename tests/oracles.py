@@ -4,7 +4,7 @@ library code paths they are used to check."""
 import itertools
 from functools import lru_cache
 
-from rookorder import hecke, order, renner, rpoly, weyl
+from rookorder import analysis, hecke, order, renner, rpoly, weyl
 from rookorder.polynomials import Kronecker, Laurent
 from rookorder.reports import Report
 
@@ -334,6 +334,47 @@ def pack_rows(rows, packing):
     return [{j: packing.pack(p) for j, p in row.items()} for row in rows]
 
 
+def rpoly_bound_tables(n, k):
+    """The L1 bounds of the entries of R and of R' over the rank-k orbit
+    of R_n, as two tables filled side by side: each packed step of
+    ``rpoly`` (q R, (q - 1) x + q y, and the barred (1 - q) x + q y)
+    evaluated at q = 1 with subtraction turned into addition.  The
+    oracle of the one bound table ``rpoly._fill`` fills."""
+    poset = order.orbit_poset(n, k)
+    rows = [{b: 1} for b in range(len(poset.elements))]
+    reversed_rows = [{b: 1} for b in range(len(poset.elements))]
+    for b, sigma in enumerate(poset.elements[1:], 1):
+        side, i = rpoly._descent(sigma)
+        to, step = order.orbit_action(n, k, side)[i - 1]
+        for a in order.bits(poset.down(b) ^ (1 << b)):
+            for table in (rows, reversed_rows):
+                x, y = table[a].get(to[b], 0), table[to[a]].get(to[b], 0)
+                table[a][b] = y if step[a] < 0 else x if step[a] == 0 else x + y + x
+    return rows, reversed_rows
+
+
+def hecke_bound_tables(n, k):
+    """The L1 bounds of the scaled rows of c and of bar(c) over the
+    rank-k orbit of R_n, as two tables filled side by side by
+    ``hecke._bar_step`` at q = 1 with subtraction turned into addition,
+    from the L1 norms of the orbit sums.  The oracle of the one bound
+    table ``hecke._fill`` fills."""
+    poset = order.orbit_poset(n, k)
+    left = order.orbit_action(n, k, "left")
+    rows, barred = [], []
+    for b, sigma in enumerate(poset.elements):
+        descents = renner.descents(sigma, "left")
+        if descents:
+            to, step = left[min(descents) - 1]
+            rows.append(hecke._bar_step(rows[to[b]], to, step, 0, 1, False))
+            barred.append(hecke._bar_step(barred[to[b]], to, step, 0, 1, True))
+            continue
+        base = hecke._orbit_sum(n, k, renner.standard_form(sigma).y, poset.index)
+        rows.append({a: sum(map(abs, c.coeffs)) for a, c in base.items()})
+        barred.append({a: sum(map(abs, c.bar().coeffs)) for a, c in base.items()})
+    return rows, barred
+
+
 def check_lifting(theta, sigma, i):
     """The lifting property for the triple (theta, sigma, s_i), on words.
 
@@ -357,6 +398,84 @@ def check_lifting(theta, sigma, i):
     if d_theta >= 0 and d_sigma <= 0:
         return "b", order.leq(theta, s_sigma) and order.leq(s_theta, sigma)
     return "not applicable", True
+
+
+def lifting_by_pairs(n, k):
+    """The lifting sweep of one orbit pair by pair: one clause per
+    comparable pair theta < sigma and simple reflection s_i, on the
+    indices of ``order.orbit_poset(n, k)`` with s_i from
+    ``order.orbit_action``, as ``check_lifting`` states it on words.
+    The oracle of the row sweep ``analysis.lifting_violations``."""
+    report = Report(name="lifting")
+    poset = order.orbit_poset(n, k)
+    ups = [poset.up(a) for a in range(len(poset.elements))]
+
+    def below(a, b):
+        return (ups[a] >> b) & 1 == 1
+
+    s_action = order.orbit_action(n, k, "left")
+    for a, theta in enumerate(poset.elements):
+        for b in order.bits(ups[a] & ~(1 << a)):
+            for i, (to, d) in enumerate(s_action, 1):
+                report.checked += 1
+                if d[a] > 0 and d[b] > 0:
+                    clause, holds = "a", to[a] != to[b] and below(to[a], to[b])
+                elif d[a] >= 0 and d[b] <= 0:
+                    clause, holds = "b", below(a, to[b]) and below(to[a], b)
+                else:
+                    clause, holds = "not applicable", True
+                if not holds:
+                    report.violations.append({
+                        "theta": renner.format_element(theta),
+                        "sigma": renner.format_element(poset.elements[b]),
+                        "s": i, "clause": clause, "holds": holds,
+                    })
+    return report
+
+
+def putcha_by_pairs(orbit_elements):
+    """The Putcha check pair by pair: for every comparable pair of the
+    given elements, ``order.IntervalPoset.mobius`` against 0 when a
+    linear length-2 pair (``analysis.linear_length2_pairs`` of the
+    whole orbit) lies inside the interval and (-1)^(length difference)
+    otherwise.  The oracle of the row sweep
+    ``analysis.verify_putcha_conjecture``."""
+    report = Report(name="putcha")
+    elems = list(orbit_elements)
+    if not elems:
+        return report
+    n, k = len(elems[0]), renner.rank(elems[0])
+    poset = order.orbit_poset(n, k)
+    given = sorted({poset.locate(w) for w in elems})
+    given_mask = sum(1 << a for a in given)
+    # tops[c]: everything above the top of a linear pair with bottom c
+    tops = {}
+    for alpha, beta in analysis.linear_length2_pairs(
+            renner.orbit_minimum(n, k), renner.orbit_maximum(n, k)):
+        c = poset.index[alpha]
+        tops[c] = tops.get(c, 0) | poset.up(poset.index[beta])
+    for a in given:
+        theta, up = poset.elements[a], poset.up(a)
+        # sigma >= theta lies above a linear pair inside [theta, sigma]
+        reach = 0
+        for bottom, above in tops.items():
+            if (up >> bottom) & 1:
+                reach |= above
+        for b in order.bits(up & given_mask):
+            report.checked += 1
+            expected = 0 if (reach >> b) & 1 else \
+                (-1) ** (poset.lengths[b] - poset.lengths[a])
+            actual = poset.mobius(a, b)
+            if actual != expected:
+                report.violations.append({
+                    "theta": renner.format_element(theta),
+                    "sigma": renner.format_element(poset.elements[b]),
+                    "mobius": actual,
+                    "expected": expected,
+                    "interval": [renner.format_element(poset.elements[t])
+                                 for t in order.bits(up & poset.down(b))],
+                })
+    return report
 
 
 def embeddable_in_weyl_necessary(theta, sigma):

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from oracles import (check_lifting, embeddable_in_weyl_necessary,
-                     linear_length2_bruteforce, monoid_elements, witness_leq)
+                     lifting_by_pairs, linear_length2_bruteforce, monoid_elements,
+                     putcha_by_pairs, witness_leq)
 from rookorder import analysis, order, renner, weyl
 
 DESCENT_TABLE = {
@@ -147,21 +148,71 @@ def test_putcha_conjecture_orbits(n, k):
     assert report.passed, report.violations[:3]
 
 
-def test_putcha_mutation_is_caught(monkeypatch):
+def test_putcha_mutation_is_caught(corrupt_mobius):
     # a corrupted Mobius function must produce violation certificates
-    original = order.IntervalPoset.mobius
-
-    def corrupted(poset, i, j):
-        value = original(poset, i, j)
-        if poset.lengths[j] - poset.lengths[i] == 2:
-            return value + 1
-        return value
-
-    monkeypatch.setattr(order.IntervalPoset, "mobius", corrupted)
+    corrupt_mobius(order.orbit_poset(3, 2), lambda mu, gap: mu + 1 if gap == 2 else mu)
     report = analysis.verify_putcha_conjecture(renner.orbit(3, 2))
     assert not report.passed
     cert = report.violations[0]
     assert set(cert) >= {"theta", "sigma", "mobius", "expected", "interval"}
+
+
+def assert_same_report(got, expected):
+    assert (got.name, got.checked) == (expected.name, expected.checked)
+    assert got.violations == expected.violations
+
+
+@pytest.mark.parametrize("n,ks", [pytest.param(n, range(n + 1), id=f"R{n}")
+                                  for n in range(1, 6)]
+                         + [pytest.param(6, [2], id="R6-k2")])
+def test_row_sweeps_match_pair_oracles(n, ks, monkeypatch):
+    # every row of a correct orbit passes its row check, so no pair is
+    # checked one by one (no Mobius value is read off a row, and lifting
+    # is tested once per bottom and s), and the reports are the
+    # pair-by-pair oracles'
+    def expanded(*args):
+        raise AssertionError("a row of a correct orbit was checked pair by pair")
+
+    row_holds, lifting_tests = analysis._lifting_holds, []
+    for k in ks:
+        with monkeypatch.context() as patch:
+            patch.setattr(order, "mobius_at", expanded)
+            patch.setattr(analysis, "_lifting_holds",
+                          lambda *args: lifting_tests.append(args) or row_holds(*args))
+            putcha = analysis.verify_putcha_conjecture(renner.orbit(n, k))
+            lifting_tests.clear()
+            lifting = analysis.lifting_violations(n, k)
+        assert len(lifting_tests) == len(renner.orbit(n, k)) * (n - 1)
+        assert_same_report(putcha, putcha_by_pairs(renner.orbit(n, k)))
+        assert_same_report(lifting, lifting_by_pairs(n, k))
+
+
+def test_putcha_failing_rows_expand_like_the_oracle(corrupt_mobius):
+    # linear length-2 intervals read mu = 2: no M_(+1) or M_(-1) changes,
+    # so only the no-other-value part of the row check sees the fault;
+    # on a whole orbit and on every other element of it
+    poset = order.orbit_poset(4, 2)
+    corrupt_mobius(poset, lambda mu, gap: 2 if gap == 2 and mu == 0 else mu)
+    for elements in (renner.orbit(4, 2), renner.orbit(4, 2)[::2]):
+        report = analysis.verify_putcha_conjecture(elements)
+        assert report.violations
+        assert_same_report(report, putcha_by_pairs(elements))
+
+
+def test_lifting_failing_rows_expand_like_the_oracle(monkeypatch):
+    # s_1 sends every element it lowers to the minimum: of the row
+    # checks, only the bit test theta <= s_1 sigma on the sigma that s_1
+    # lowers sees the fault
+    original = order.orbit_action
+
+    def corrupted(n, k, side):
+        (to, step), *rest = original(n, k, side)
+        return ((tuple(0 if d < 0 else t for t, d in zip(to, step)), step), *rest)
+
+    monkeypatch.setattr(order, "orbit_action", corrupted)
+    report = analysis.lifting_violations(4, 2)
+    assert report.violations
+    assert_same_report(report, lifting_by_pairs(4, 2))
 
 
 def test_classify_interval():

@@ -211,8 +211,16 @@ def _first_violation(capsys, suite, label):
 
 
 def test_verify_lifting_certificate(capsys, monkeypatch):
-    from rookorder import analysis
-    monkeypatch.setattr(analysis, "_lifting_clause", lambda *args: ("a", False))
+    # s_1 reads as raising every element, so clause (a) applies to every
+    # pair under s_1, and fails where s_1 swaps theta and sigma
+    from rookorder import order
+    original = order.orbit_action
+
+    def corrupted(n, k, side):
+        (to, _), *rest = original(n, k, side)
+        return ((to, (1,) * len(to)), *rest)
+
+    monkeypatch.setattr(order, "orbit_action", corrupted)
     cert = _first_violation(capsys, "lifting", "lifting")
     assert set(cert) == {"theta", "sigma", "s", "clause", "holds"}
     assert (cert["clause"], cert["holds"]) == ("a", False)

@@ -164,6 +164,13 @@ def test_orbit_bars_match_reduced_word_oracle(n, k):
                                               for w, c in expected.items()}, sigma
 
 
+def test_orbit_bars_refuse_bounds_past_the_width(monkeypatch):
+    # the one Hecke bound table is held to the width of the R table
+    monkeypatch.setattr(rpoly, "orbit_norm", lambda n, k: 1)
+    with pytest.raises(ValueError, match="exceed the width"):
+        hecke.orbit_bars.__wrapped__(3, 1)
+
+
 def test_bar_Asigma_involutive_on_R2_orbit():
     for sigma in renner.orbit(2, 1):
         back = hecke.bar_element(hecke.bar_Asigma(sigma))

@@ -286,3 +286,14 @@ def test_orbit_action_is_the_product_and_the_length_step(n):
                              else renner.multiply(w, s))
                     assert elements[t] == moved
                     assert d == renner.length(moved) - renner.length(w)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_zero_length_step_iff_fixed(n):
+    # s_i keeps the length of an element exactly when it fixes it, on
+    # both sides: the row lifting check reads a step of 0 as s sigma = sigma
+    for k in range(n + 1):
+        for side in ("left", "right"):
+            for to, step in order.orbit_action(n, k, side):
+                assert all((d == 0) == (t == a)
+                           for a, (t, d) in enumerate(zip(to, step))), (n, k, side)

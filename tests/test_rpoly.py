@@ -4,7 +4,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import delta_identity_sum_laurent, pack_rows, witness_leq
+from oracles import (delta_identity_sum_laurent, hecke_bound_tables, pack_rows,
+                     rpoly_bound_tables, witness_leq)
 from rookorder import hecke, order, renner, rpoly, weyl
 from rookorder.polynomials import IntPoly, Kronecker, Laurent, ONE, Q, Q_MINUS_1, ZERO
 
@@ -136,6 +137,19 @@ def test_delta_identity_small_cases():
         rpoly.delta_identity_sum((0, 0, 0, 1), (0, 0, 1, 2))
 
 
+def test_verify_delta_identity_reads_the_packed_sum(monkeypatch):
+    # R[min, max] of the R_3 k = 1 table off by 1 turns the sum at
+    # (min, max) from 0 into 1, which is right only on the diagonal
+    table = rpoly.orbit_table(3, 1)
+    top = len(table.rows) - 1
+    monkeypatch.setitem(table.rows[0], top, table.rows[0][top] + 1)
+    monkeypatch.setattr(table, "_last_delta_row", (None, []))
+    bottom, maximum = table.poset.elements[0], table.poset.elements[top]
+    assert rpoly.delta_identity_sum(bottom, maximum) == 1
+    assert not rpoly.verify_delta_identity(bottom, maximum)
+    assert rpoly.verify_delta_identity(bottom, bottom)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_delta_identity_exhaustive(n):
     for k in range(n + 1):
@@ -197,27 +211,40 @@ def _l1(p):
 
 
 def test_packing_width_comes_from_the_table():
-    # on every orbit of R_1 to R_4 and on R_5 at k = 2 and 5: the fill
-    # over non-negative ints (q -> 1, subtraction -> addition) bounds
-    # every decoded entry of the R table and of the Hecke table, the R
+    # on every orbit of R_1 to R_4 and on R_5 at k = 2 and 5: the one
+    # bound table of each module (q -> 1, subtraction -> addition)
+    # bounds every decoded entry of both of its stored tables, the R
     # bounds cover the Hecke bounds, and the one width of both is
     # bitlen(|orbit| L^2 + 1) + 1 for L the largest R bound
     for n, k in [(n, k) for n in range(1, 5) for k in range(n + 1)] + [(5, 2), (5, 5)]:
         table = rpoly.orbit_table(n, k)
-        bounds = rpoly._fill(n, k)
-        norm = max(max(row.values()) for row in bounds[0])
-        for values, limits in zip((table.rows, table.reversed_rows), bounds):
-            for row, limit in zip(values, limits):
+        [bounds] = rpoly._fill(n, k)
+        norm = max(max(row.values()) for row in bounds)
+        for values in (table.rows, table.reversed_rows):
+            for row, limit in zip(values, bounds):
                 assert row.keys() == limit.keys()
                 for b, x in row.items():
                     assert _l1(table.packing.unpack(x)) <= limit[b] <= norm, (n, k)
         assert table.packing.bits == (len(table.rows) * norm ** 2 + 1).bit_length() + 1
         packing, *bars = hecke.orbit_bars(n, k)
         assert packing.bits == table.packing.bits
-        for values, limits in zip(bars, hecke._fill(n, k)):
-            for row, limit in zip(values, limits):
+        [hecke_bounds] = hecke._fill(n, k)
+        for values in bars:
+            for row, limit in zip(values, hecke_bounds):
                 for a, x in row.items():
                     assert _l1(packing.unpack(x)) <= limit[a] <= norm, (n, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_bound_table_serves_both_tables(n):
+    # filled side by side, the bounds of R and R', and those of the Hecke
+    # rows and barred rows, agree entry for entry, so each module fills
+    # one bound table
+    for k in range(n + 1):
+        r_bounds, reversed_bounds = rpoly_bound_tables(n, k)
+        assert [r_bounds] == [reversed_bounds] == rpoly._fill(n, k), (n, k)
+        row_bounds, barred_bounds = hecke_bound_tables(n, k)
+        assert [row_bounds] == [barred_bounds] == hecke._fill(n, k), (n, k)
 
 
 def test_reversed_rows_are_the_reversed_polynomials():
