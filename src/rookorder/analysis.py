@@ -154,10 +154,21 @@ def _lifting_holds(ups, a: int, tops: int, to, raised: int, lowered: int) -> boo
     # theta <= s sigma, which holds already where s sigma = sigma.  Left
     # multiplication by s keeps the rank, so all four share an orbit.
     up_s = ups[to[a]]
-    if (raised >> a) & 1 and not all((up_s >> to[b]) & 1 for b in bits(tops & raised)):
+    if (raised >> a) & 1 and not _maps_into(tops & raised, to, up_s):
         return False
-    return (lowered >> a) & 1 == 1 or not tops & ~raised & ~up_s and all(
-        (ups[a] >> to[b]) & 1 for b in bits(tops & lowered))
+    return (lowered >> a) & 1 == 1 or not tops & ~raised & ~up_s and _maps_into(
+        tops & lowered, to, ups[a])
+
+
+def _maps_into(mask: int, to, row: int) -> bool:
+    # whether row holds to[b] for every b in mask: a walk over the bits
+    # of mask that stops at the first miss, with no generator per bit
+    while mask:
+        low = mask & -mask
+        if not (row >> to[low.bit_length() - 1]) & 1:
+            return False
+        mask ^= low
+    return True
 
 
 def lifting_violations(n: int, k: int) -> Report:

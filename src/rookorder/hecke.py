@@ -167,11 +167,21 @@ def _bar_step(row: dict[int, int], to, step, bits: int, sign: int,
     return {a: x for a, x in out.items() if x}
 
 
-def _fill(n: int, k: int, packing: Kronecker | None = None) -> list[rpoly.Rows]:
+def _orbit_sums(n: int, k: int) -> dict[int, dict[int, Laurent]]:
+    """The orbit sum of each element of the rank-k orbit of R_n with no
+    left descent, by the indices of ``order.orbit_poset(n, k)``."""
+    poset = order.orbit_poset(n, k)
+    return {b: _orbit_sum(n, k, renner.standard_form(sigma).y, poset.index)
+            for b, sigma in enumerate(poset.elements)
+            if not renner.descents(sigma, "left")}
+
+
+def _fill(n: int, k: int, bases: dict[int, dict[int, Laurent]],
+          packing: Kronecker | None = None) -> list[rpoly.Rows]:
     """The scaled rows of c and of bar(c) over the rank-k orbit of R_n,
-    packed by ``packing``; without one, one table of the L1 bounds of
-    their entries (q -> 1, subtraction -> addition), which both share
-    entry for entry."""
+    from its ``_orbit_sums`` ``bases``, packed by ``packing``; without
+    one, one table of the L1 bounds of their entries (q -> 1,
+    subtraction -> addition), which both share entry for entry."""
     poset = order.orbit_poset(n, k)
     left = order.orbit_action(n, k, "left")
     e = renner.idempotent_length(n, k)
@@ -179,13 +189,12 @@ def _fill(n: int, k: int, packing: Kronecker | None = None) -> list[rpoly.Rows]:
         0, 1, lambda p: sum(map(abs, p.coeffs)))
     tables = [([], barred) for barred in ((False, True) if packing else (False,))]
     for b, sigma in enumerate(poset.elements):
-        descents = renner.descents(sigma, "left")
-        if descents:
-            to, step = left[min(descents) - 1]
+        base = bases.get(b)
+        if base is None:
+            to, step = left[min(renner.descents(sigma, "left")) - 1]
             for rows, barred in tables:
                 rows.append(_bar_step(rows[to[b]], to, step, bits, sign, barred))
             continue
-        base = _orbit_sum(n, k, renner.standard_form(sigma).y, poset.index)
         shift = Laurent.q_power(poset.lengths[b] - e)
         for rows, barred in tables:
             rows.append({a: convert(c.bar() * shift if barred
@@ -203,12 +212,12 @@ def orbit_bars(n: int, k: int) -> tuple[Kronecker, rpoly.Rows, rpoly.Rows]:
     q^(l(e) - l(a)) c_a(b), c_a(b) the coefficient of A_(elements[a]) in
     bar(A_(elements[b])), and barred row b to the packed
     q^(l(b) - l(e)) bar(c_a(b)); nonzero entries only."""
-    norm = rpoly.orbit_norm(n, k)
-    if any(bound > norm for row in _fill(n, k)[0] for bound in row.values()):
+    norm, bases = rpoly.orbit_norm(n, k), _orbit_sums(n, k)
+    if any(bound > norm for row in _fill(n, k, bases)[0] for bound in row.values()):
         raise ValueError(f"the Hecke bounds of the rank-{k} orbit of R_{n} "
                          f"exceed the width of its R table")
     packing = Kronecker(norm, terms=len(order.orbit_poset(n, k).elements))
-    return (packing, *_fill(n, k, packing))
+    return (packing, *_fill(n, k, bases, packing))
 
 
 def bar_Asigma(sigma: Word) -> HeckeElt:

@@ -224,14 +224,31 @@ def mobius_row(bottom: int, up: int, down) -> dict[int, int]:
     The row is filled in index order: mu(bottom, t) = -sum over r in
     [bottom, t) of mu(bottom, r), which is minus the sum of
     v * |M_v & down(t)| over the bitsets of the r done so far.  The
-    r with mu = 0 add nothing, so M_0 is not kept.
+    r with mu = 0 add nothing, so M_0 is not kept.  M_(+1) and M_(-1)
+    are two ints; any other value goes to a dict, which stays empty on
+    every orbit of the rook monoid (there mu is 0 or +-1).  Bottom 0
+    below three atoms below a top:
+
+    >>> mobius_row(0, 0b11111, [0b1, 0b11, 0b101, 0b1001, 0b11111].__getitem__)
+    {1: 1, -1: 14, 2: 16}
     """
-    row = {1: 1 << bottom}
-    for t in bits(up & ~(1 << bottom)):
-        below = down(t)
-        mu = -sum([v * (m & below).bit_count() for v, m in row.items()])
-        if mu:
-            row[mu] = row.get(mu, 0) | (1 << t)
+    plus, minus, other = 1 << bottom, 0, {}
+    rest = up & ~plus
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        below = down(low.bit_length() - 1)
+        mu = (minus & below).bit_count() - (plus & below).bit_count()
+        if other:
+            mu -= sum([v * (m & below).bit_count() for v, m in other.items()])
+        if mu == 1:
+            plus |= low
+        elif mu == -1:
+            minus |= low
+        elif mu:
+            other[mu] = other.get(mu, 0) | low
+    row = {1: plus, -1: minus} if minus else {1: plus}
+    row.update(other)
     return row
 
 

@@ -55,6 +55,12 @@ So each int determines its polynomial, and an int equal to 0 or 1
 certifies the polynomial 0 or 1 exactly.  Entries and sums are decoded
 only on read (``OrbitTable.r``) and for a failing sum.
 
+The per-pair callers, ``verify_delta_identity`` and
+``delta_identity_sum``, read one row that the orbit's table keeps: that
+of the last theta asked for, as {sigma word: packed sum}.  A pair of the
+same theta costs the table lookup, one tuple compare and one dict
+lookup; a sigma outside the row is refused by the orbit's index.
+
 The constant term R[theta, sigma](0) equals the Mobius function of the
 interval.
 """
@@ -188,7 +194,8 @@ class OrbitTable:
         self.poset = order.orbit_poset(n, k)
         self.packing = Kronecker(orbit_norm(n, k), terms=len(self.poset.elements))
         self.rows, self.reversed_rows = _fill(n, k, self.packing)
-        self._last_delta_row: tuple[int | None, list[int]] = (None, [])
+        # the delta row of the last theta asked for, by words
+        self._delta_by_word: tuple[Word | None, dict[Word, int]] = (None, {})
 
     def r(self, a: int, b: int) -> IntPoly:
         """R[elements[a], elements[b]], decoded."""
@@ -206,14 +213,18 @@ def orbit_table(n: int, k: int) -> OrbitTable:
 
 
 def _packed_delta_sum(theta: Word, sigma: Word) -> tuple[OrbitTable, int]:
-    # The orbit's R table and the packed delta sum of the pair, found
-    # through the table's index: a sigma outside theta's orbit is refused
-    # there.  The delta sweep asks row by row, so the last row is kept.
+    # The orbit's R table and the packed delta sum of the pair, off the
+    # one row the table keeps (see the module docstring).
     table = orbit_table(len(theta), renner.rank(theta))
-    a, b = map(table.poset.locate, (theta, sigma))
-    if table._last_delta_row[0] != a:
-        table._last_delta_row = (a, table.delta_row(a))
-    return table, table._last_delta_row[1][b]
+    last, row = table._delta_by_word
+    if last != theta:
+        row = dict(zip(table.poset.elements,
+                       table.delta_row(table.poset.locate(theta))))
+        table._delta_by_word = theta, row
+    total = row.get(sigma)
+    if total is None:
+        table.poset.locate(sigma)
+    return table, total
 
 
 def delta_identity_sum(theta: Word, sigma: Word) -> IntPoly:

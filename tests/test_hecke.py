@@ -171,6 +171,17 @@ def test_orbit_bars_refuse_bounds_past_the_width(monkeypatch):
         hecke.orbit_bars.__wrapped__(3, 1)
 
 
+def test_orbit_bars_sum_each_base_row_once(monkeypatch):
+    # the bound fill and the packed fill share the orbit sums: one per
+    # element with no left descent
+    summed, orbit_sum = [], hecke._orbit_sum
+    monkeypatch.setattr(hecke, "_orbit_sum",
+                        lambda *args: summed.append(args[2]) or orbit_sum(*args))
+    hecke.orbit_bars.__wrapped__(4, 2)
+    bases = [w for w in renner.orbit(4, 2) if not renner.descents(w, "left")]
+    assert len(summed) == len(set(summed)) == len(bases) > 1
+
+
 def test_bar_Asigma_involutive_on_R2_orbit():
     for sigma in renner.orbit(2, 1):
         back = hecke.bar_element(hecke.bar_Asigma(sigma))

@@ -143,11 +143,56 @@ def test_verify_delta_identity_reads_the_packed_sum(monkeypatch):
     table = rpoly.orbit_table(3, 1)
     top = len(table.rows) - 1
     monkeypatch.setitem(table.rows[0], top, table.rows[0][top] + 1)
-    monkeypatch.setattr(table, "_last_delta_row", (None, []))
+    monkeypatch.setattr(table, "_delta_by_word", (None, {}))
     bottom, maximum = table.poset.elements[0], table.poset.elements[top]
     assert rpoly.delta_identity_sum(bottom, maximum) == 1
     assert not rpoly.verify_delta_identity(bottom, maximum)
     assert rpoly.verify_delta_identity(bottom, bottom)
+
+
+def test_delta_row_cache_follows_theta_across_orbits():
+    # thetas of two orbits, and of one orbit, interleaved pair by pair:
+    # every answer is the one a fresh row gives, as each table keeps the
+    # row of the theta it was last asked about
+    first, second = renner.orbit(3, 1), renner.orbit(3, 2)
+    queries = [query for thetas in zip(first, second[::-1], first[::-1])
+               for sigmas in zip(first * 2, second, first * 2)
+               for query in zip(thetas, sigmas)]
+    for theta, sigma in queries:
+        assert rpoly.verify_delta_identity(theta, sigma), (theta, sigma)
+        assert rpoly.delta_identity_sum(theta, sigma) == \
+            delta_identity_sum_laurent(theta, sigma), (theta, sigma)
+
+
+def test_delta_row_cache_refuses_a_sigma_from_another_orbit():
+    # with the row of theta kept, a sigma outside its orbit, of the same
+    # rank or not, is still refused, and the kept row still answers
+    theta = renner.orbit(3, 1)[2]
+    assert rpoly.verify_delta_identity(theta, theta)
+    for sigma in (renner.orbit(3, 2)[0], renner.orbit(4, 1)[0], (0, 0, 0)):
+        with pytest.raises(ValueError):
+            rpoly.verify_delta_identity(theta, sigma)
+        with pytest.raises(ValueError):
+            rpoly.delta_identity_sum(theta, sigma)
+    assert rpoly.verify_delta_identity(theta, theta)
+
+
+def test_delta_row_cache_follows_the_table(monkeypatch):
+    # the kept row is the table's: a corrupted entry shows once the row
+    # of its theta is filled again, and a cleared table cache answers
+    # from a fresh table
+    table = rpoly.orbit_table(3, 1)
+    top = len(table.rows) - 1
+    bottom, maximum = table.poset.elements[0], table.poset.elements[top]
+    assert rpoly.verify_delta_identity(bottom, maximum)
+    monkeypatch.setitem(table.rows[0], top, table.rows[0][top] + 1)
+    assert rpoly.verify_delta_identity(maximum, maximum)  # another theta
+    assert rpoly.delta_identity_sum(bottom, maximum) == 1
+    assert not rpoly.verify_delta_identity(bottom, maximum)
+    rpoly.orbit_table.cache_clear()
+    assert rpoly.orbit_table(3, 1) is not table
+    assert rpoly.delta_identity_sum(bottom, maximum) == 0
+    assert rpoly.verify_delta_identity(bottom, maximum)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -228,7 +273,7 @@ def test_packing_width_comes_from_the_table():
         assert table.packing.bits == (len(table.rows) * norm ** 2 + 1).bit_length() + 1
         packing, *bars = hecke.orbit_bars(n, k)
         assert packing.bits == table.packing.bits
-        [hecke_bounds] = hecke._fill(n, k)
+        [hecke_bounds] = hecke._fill(n, k, hecke._orbit_sums(n, k))
         for values in bars:
             for row, limit in zip(values, hecke_bounds):
                 for a, x in row.items():
@@ -244,7 +289,8 @@ def test_one_bound_table_serves_both_tables(n):
         r_bounds, reversed_bounds = rpoly_bound_tables(n, k)
         assert [r_bounds] == [reversed_bounds] == rpoly._fill(n, k), (n, k)
         row_bounds, barred_bounds = hecke_bound_tables(n, k)
-        assert [row_bounds] == [barred_bounds] == hecke._fill(n, k), (n, k)
+        assert [row_bounds] == [barred_bounds] == \
+            hecke._fill(n, k, hecke._orbit_sums(n, k)), (n, k)
 
 
 def test_reversed_rows_are_the_reversed_polynomials():
