@@ -176,7 +176,7 @@ def lifting_violations(n: int, k: int) -> Report:
     one row per bottom and s (see the module docstring)."""
     report = Report(name="lifting")
     poset = order.orbit_poset(n, k)
-    ups = [poset.up(a) for a in range(len(poset.elements))]
+    ups = poset.ups
     # per s_i: to[a] is the index of s_i elements[a], and the bitsets of
     # the elements s_i raises and lowers
     s_action = [(to, sum(1 << a for a, x in enumerate(d) if x > 0),
@@ -198,6 +198,20 @@ def lifting_violations(n: int, k: int) -> Report:
     return report
 
 
+def _reach(tops: list[int], covers) -> list[int]:
+    """reach[a] = tops[a] OR reach[b] for each b in the bitset covers(a)
+    (all b > a), in place of ``tops`` from the last a down: the Putcha
+    reach, as a pair's bottom c > a lies above a cover of a.
+
+    >>> _reach([0, 8, 16, 0, 0], [0b110, 0b1000, 0b10000, 0, 0].__getitem__)
+    [24, 8, 16, 0, 0]
+    """
+    for a in reversed(range(len(tops))):
+        for b in bits(covers(a)):
+            tops[a] |= tops[b]
+    return tops
+
+
 def verify_putcha_conjecture(orbit_elements) -> Report:
     """Check mu = (-1)^(length difference) on intervals all of whose
     length-2 subintervals are diamonds, and mu = 0 on the rest.
@@ -205,8 +219,7 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
     Only pairs among the given elements are checked; they must lie in
     one orbit.  mu and the linear length-2 subintervals come from the
     orbit's ``order.orbit_poset``, one row per bottom (see the module
-    docstring).  The down rows of the whole orbit are built once per
-    call and dropped with it.
+    docstring).
     """
     report = Report(name="putcha")
     elems = list(orbit_elements)
@@ -214,20 +227,17 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
         return report
     poset = order.orbit_poset(len(elems[0]), renner.rank(elems[0]))
     given = sum(1 << a for a in {poset.locate(w) for w in elems})
-    ups = [poset.up(a) for a in range(len(poset.elements))]
-    downs = [poset.down(b) for b in range(len(poset.elements))]
+    ups, downs, lengths = poset.ups, poset.downs, poset.lengths
     # tops[c]: everything above the top of a linear pair with bottom c
-    tops: dict[int, int] = {}
+    tops = [0] * len(ups)
     for c, b in _linear_pairs(poset, ups.__getitem__, downs.__getitem__):
-        tops[c] = tops.get(c, 0) | ups[b]
-    bottoms = sum(1 << c for c in tops)
-    odd = sum(1 << t for t, length in enumerate(poset.lengths) if length % 2)
+        tops[c] |= ups[b]
+    reach = _reach(tops, lambda a: ups[a] & poset.level(lengths[a] + 1))
+    odd = sum(1 << t for t, length in enumerate(lengths) if length % 2)
     for a in bits(given):
-        up, reach = ups[a] & given, 0
-        for c in bits(ups[a] & bottoms):
-            reach |= tops[c]
+        up = ups[a] & given
         report.checked += up.bit_count()
-        flat, same = up & ~reach, odd if poset.lengths[a] % 2 else ~odd
+        flat, same = up & ~reach[a], odd if lengths[a] % 2 else ~odd
         expected = {mu: m for mu, m in ((1, flat & same), (-1, flat & ~same)) if m}
         row = order.mobius_row(a, ups[a], downs.__getitem__)
         actual = {mu: m & given for mu, m in row.items() if m & given}

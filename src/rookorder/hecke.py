@@ -73,8 +73,6 @@ it with the packed sums.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import order, renner, rpoly, weyl
 from .polynomials import IntPoly, Kronecker, Laurent
 from .renner import Word
@@ -203,10 +201,10 @@ def _fill(n: int, k: int, bases: dict[int, dict[int, Laurent]],
     return [rows for rows, _ in tables]
 
 
-@lru_cache(maxsize=None)
+@order.resident
 def orbit_bars(n: int, k: int) -> tuple[Kronecker, rpoly.Rows, rpoly.Rows]:
     """The Hecke table of the rank-k orbit of R_n, packed and scaled,
-    shared by every caller like the R table of ``rpoly``: the packing,
+    kept on the orbit's poset like the R table of ``rpoly``: the packing,
     at the width of the R table, and the rows and the barred rows.  Row
     b maps each index a of ``order.orbit_poset(n, k)`` to the packed
     q^(l(e) - l(a)) c_a(b), c_a(b) the coefficient of A_(elements[a]) in

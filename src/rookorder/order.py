@@ -7,7 +7,9 @@ rank matrix packs into one int, so one subtract-and-mask compares all
 n^2 counts.  Questions about one interval [theta, sigma] of one W x W
 orbit (elements, covers, Mobius values) go to an ``IntervalPoset``,
 which indexes exactly that interval; sweeps over a whole orbit share
-``orbit_poset(n, k)``, the poset of [min, max].
+``orbit_poset(n, k)``, the poset of [min, max].  It is the one per-orbit
+cache: it keeps the last orbit asked for, and ``resident`` keeps what
+is derived from it (rows, actions, the R and Hecke tables) on it.
 
 The coset-witness criterion on standard forms (theta = u e v^-1 <=
 sigma = x f y^-1 iff e <= f and u <= xw, yw <= v for some w in
@@ -20,7 +22,7 @@ covers at length gap one and (length, word) as a linear extension.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce, wraps
 from operator import and_
 
 from . import renner, weyl
@@ -28,7 +30,7 @@ from .renner import Word
 
 __all__ = [
     "leq", "dominance_leq", "require_same_orbit", "bits", "IntervalPoset",
-    "mobius_row", "mobius_at", "orbit_poset", "orbit_action",
+    "mobius_row", "mobius_at", "orbit_poset", "resident", "orbit_action",
     "interval_elements", "interval", "mobius_direct", "hasse_dot",
 ]
 
@@ -142,7 +144,8 @@ class IntervalPoset:
     varies over the interval and each value v, one bitset holds the
     elements whose count is >= v and one those whose count is <= v.  A
     row is the AND of one of them per count, and each element keeps the
-    ones its rows need; rows are not kept, Mobius values of a bottom are.
+    ones its rows need; Mobius values of a bottom are kept, and all rows
+    once ``ups`` or ``downs`` is read, which single queries never do.
     """
 
     def __init__(self, theta: Word, sigma: Word):
@@ -178,6 +181,7 @@ class IntervalPoset:
             [tuple(filter(everything.__ne__, map(list.__getitem__, sets, row)))
              for row in counts] for sets in (at_least_sets, at_most_sets))
         self._mobius: dict[int, dict[int, int]] = {}  # bottom -> {mu: bitset}
+        self._resident: dict = {}  # what ``resident`` keeps on this poset
 
     def locate(self, word: Word) -> int:
         """Index of ``word``; ValueError if it lies outside the interval."""
@@ -194,6 +198,16 @@ class IntervalPoset:
     def down(self, j: int) -> int:
         """Bitset of the i with elements[i] <= elements[j]."""
         return reduce(and_, self._down_sets[j], self._everything)
+
+    @cached_property
+    def ups(self) -> list[int]:
+        """``up(i)`` for every i, built on first use and kept."""
+        return [self.up(i) for i in range(len(self.elements))]
+
+    @cached_property
+    def downs(self) -> list[int]:
+        """``down(j)`` for every j, built on first use and kept."""
+        return [self.down(j) for j in range(len(self.elements))]
 
     def level(self, length: int) -> int:
         """Bitset of the elements of the given length."""
@@ -257,14 +271,28 @@ def mobius_at(row: dict[int, int], j: int) -> int:
     return next((v for v, m in row.items() if (m >> j) & 1), 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def orbit_poset(n: int, k: int) -> IntervalPoset:
     """The poset of the whole rank-k orbit of R_n, [min, max], shared by
-    the sweeps that visit every pair of the orbit."""
+    the sweeps; only the last orbit asked for stays resident."""
     return IntervalPoset(renner.orbit_minimum(n, k), renner.orbit_maximum(n, k))
 
 
-@lru_cache(maxsize=None)
+def resident(build):
+    """``build(n, k, *args)`` made into a value of the rank-k orbit of
+    R_n that is built once, kept on ``orbit_poset(n, k)`` and dropped
+    with it."""
+    @wraps(build)
+    def kept(n: int, k: int, *args):
+        store, key = orbit_poset(n, k)._resident, (build, *args) if args else build
+        value = store.get(key)
+        if value is None:
+            value = store[key] = build(n, k, *args)
+        return value
+    return kept
+
+
+@resident
 def orbit_action(n: int, k: int, side: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The simple reflections acting on ``orbit_poset(n, k)`` from one
     side, by index.

@@ -25,6 +25,7 @@ entries R[., sigma] come from those at s sigma, whose smaller length
 puts it earlier in index order, with s read as indices from
 ``order.orbit_action``.  The sweeps read the table, so they keep one
 value per comparable pair of the orbit and no memo keyed by words.
+The table and ``orbit_norm`` live on the orbit's poset (``order.resident``).
 
 The table holds ints, filled packed at q = 2^B with
 ``polynomials.Kronecker``: q x is ``x << B``, (q - 1) x + q y is
@@ -161,7 +162,7 @@ def _fill(n: int, k: int, packing: Kronecker | None = None) -> list[Rows]:
         side, i = _descent(sigma)
         to, step = order.orbit_action(n, k, side)[i - 1]
         lower = to[b]  # s sigma
-        for a in order.bits(poset.down(b) ^ (1 << b)):
+        for a in order.bits(poset.downs[b] ^ (1 << b)):
             moved, d = to[a], step[a]
             for rows, c, fixed in tables:
                 row = rows[a]
@@ -174,7 +175,7 @@ def _fill(n: int, k: int, packing: Kronecker | None = None) -> list[Rows]:
     return [rows for rows, _, _ in tables]
 
 
-@lru_cache(maxsize=None)
+@order.resident
 def orbit_norm(n: int, k: int) -> int:
     """The largest L1 bound of the R fill of the rank-k orbit of R_n: it
     fixes the one width of every packed table of the orbit, the R table
@@ -188,11 +189,12 @@ class OrbitTable:
 
     ``rows[a]`` maps each b >= a to the packed R[a, b] and
     ``reversed_rows[a]`` to the packed R'[a, b]; the other values are 0.
+    It holds no reference to the poset that keeps it, so it goes with it.
     """
 
     def __init__(self, n: int, k: int):
-        self.poset = order.orbit_poset(n, k)
-        self.packing = Kronecker(orbit_norm(n, k), terms=len(self.poset.elements))
+        self.packing = Kronecker(orbit_norm(n, k),
+                                 terms=len(order.orbit_poset(n, k).elements))
         self.rows, self.reversed_rows = _fill(n, k, self.packing)
         # the delta row of the last theta asked for, by words
         self._delta_by_word: tuple[Word | None, dict[Word, int]] = (None, {})
@@ -206,7 +208,7 @@ class OrbitTable:
         return triple_sums(self.rows[a], self.reversed_rows)
 
 
-@lru_cache(maxsize=None)
+@order.resident
 def orbit_table(n: int, k: int) -> OrbitTable:
     """The R table of the rank-k orbit of R_n, shared by the sweeps."""
     return OrbitTable(n, k)
@@ -215,15 +217,16 @@ def orbit_table(n: int, k: int) -> OrbitTable:
 def _packed_delta_sum(theta: Word, sigma: Word) -> tuple[OrbitTable, int]:
     # The orbit's R table and the packed delta sum of the pair, off the
     # one row the table keeps (see the module docstring).
-    table = orbit_table(len(theta), renner.rank(theta))
+    n, k = len(theta), renner.rank(theta)
+    table = orbit_table(n, k)
     last, row = table._delta_by_word
     if last != theta:
-        row = dict(zip(table.poset.elements,
-                       table.delta_row(table.poset.locate(theta))))
+        poset = order.orbit_poset(n, k)
+        row = dict(zip(poset.elements, table.delta_row(poset.locate(theta))))
         table._delta_by_word = theta, row
     total = row.get(sigma)
     if total is None:
-        table.poset.locate(sigma)
+        order.orbit_poset(n, k).locate(sigma)
     return table, total
 
 

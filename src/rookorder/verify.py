@@ -22,7 +22,7 @@ def _delta_identity(n: int, k: int) -> Report:
     row of sums per theta; only a failing sum is decoded."""
     report = Report(name="delta")
     table = rpoly.orbit_table(n, k)
-    elements = table.poset.elements
+    elements = order.orbit_poset(n, k).elements
     for a, theta in enumerate(elements):
         row = table.delta_row(a)
         report.checked += len(row)
@@ -89,11 +89,11 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     table = rpoly.orbit_table(n, k)
     _, _, barred = hecke.orbit_bars(n, k)
     _, bar_squared = packed_bar_squared(n, k)
-    poset = table.poset
+    poset = order.orbit_poset(n, k)
     size = len(poset.elements)
     for b, sigma in enumerate(poset.elements):
         report.checked += size
-        if barred[b] != {a: table.rows[a][b] for a in order.bits(poset.down(b))}:
+        if barred[b] != {a: table.rows[a][b] for a in order.bits(poset.downs[b])}:
             expansion = hecke.rpoly_via_bar(sigma)
             for a, theta in enumerate(poset.elements):
                 from_bar = expansion.get(theta, ZERO)

@@ -23,7 +23,7 @@ __all__ = [
     "identity", "inverse", "compose", "simple_reflection", "length",
     "left_descents", "right_descents", "bruhat_leq", "all_permutations",
     "reduced_word", "parabolic_subgroup", "min_coset_rep", "coset_minima",
-    "classical_rpoly", "coset_factorization_violations",
+    "classical_rpoly",
 ]
 
 
@@ -191,42 +191,3 @@ def classical_rpoly(u: Word, v: Word) -> IntPoly:
         return classical_rpoly(su, sv)
     return Q_MINUS_1 * classical_rpoly(u, sv) + Q * classical_rpoly(su, sv)
 
-
-def _length_additive_factorizations(w: Word, subgroup: frozenset[Word]):
-    """Pairs (w1, w2) with w = w1 w2 and l(w) = l(w1) + l(w2)."""
-    lw = length(w)
-    for w1 in subgroup:
-        w2 = compose(inverse(w1), w)
-        if length(w1) + length(w2) == lw:
-            yield w1, w2
-
-
-def coset_factorization_violations(n: int) -> list[dict]:
-    """Exhaustive check of the parabolic coset factorization property.
-
-    For every I, x, y in D_I and w, u in W_I with xw < yu there must be
-    a factorization w = w1 w2 with lengths adding, x w1 <= y and
-    w2 <= u.  Returns a certificate per failing tuple (expected none).
-    """
-    violations = []
-    indices = range(1, n)
-    for r in range(n):
-        for subset in itertools.combinations(indices, r):
-            gens = frozenset(subset)
-            w_i = parabolic_subgroup(gens, n)
-            d_i = coset_minima(gens, n)
-            for x, w in itertools.product(d_i, sorted(w_i)):
-                xw = compose(x, w)
-                for y, u in itertools.product(d_i, sorted(w_i)):
-                    yu = compose(y, u)
-                    if xw == yu or not bruhat_leq(xw, yu):
-                        continue
-                    ok = any(
-                        bruhat_leq(compose(x, w1), y) and bruhat_leq(w2, u)
-                        for w1, w2 in _length_additive_factorizations(w, w_i)
-                    )
-                    if not ok:
-                        violations.append(
-                            {"I": sorted(gens), "x": x, "y": y, "w": w, "u": u}
-                        )
-    return violations

@@ -16,6 +16,35 @@ settings.load_profile("rookorder")
 
 
 @pytest.fixture
+def fresh_orbits():
+    """No orbit resident before the test or after it, so the tables a
+    test builds under a patch are built within it and dropped with it."""
+    order.orbit_poset.cache_clear()
+    yield
+    order.orbit_poset.cache_clear()
+
+
+@pytest.fixture
+def corrupt_fill(monkeypatch, fresh_orbits):
+    """corrupt(module, n, k, change): from then on, the packed tables
+    that ``module._fill`` (of ``rpoly`` or ``hecke``) fills for the
+    rank-k orbit of R_n go through change(packing, rows, other_rows),
+    in place, as they are built.  A sweep that starts at another rank
+    drops the orbit's tables and builds them again, and these carry the
+    fault too."""
+    def corrupt(module, n, k, change):
+        fill = module._fill
+
+        def corrupted(*args):
+            tables = fill(*args)
+            if args[:2] == (n, k) and len(tables) == 2:  # packed, not bounds
+                change(args[-1], *tables)
+            return tables
+        monkeypatch.setattr(module, "_fill", corrupted)
+    return corrupt
+
+
+@pytest.fixture
 def corrupt_mobius(monkeypatch):
     """corrupt(poset, change): every Mobius row that ``order.mobius_row``
     fills from then on, which must be a row of ``poset``, reads

@@ -95,6 +95,46 @@ def longest_element(gens, n):
     return tuple(w)
 
 
+def _length_additive_factorizations(w, subgroup):
+    """Pairs (w1, w2) with w = w1 w2 and l(w) = l(w1) + l(w2)."""
+    lw = weyl.length(w)
+    for w1 in subgroup:
+        w2 = weyl.compose(weyl.inverse(w1), w)
+        if weyl.length(w1) + weyl.length(w2) == lw:
+            yield w1, w2
+
+
+def coset_factorization_violations(n):
+    """Exhaustive check of the parabolic coset factorization property.
+
+    For every I, x, y in D_I and w, u in W_I with xw < yu there must be
+    a factorization w = w1 w2 with lengths adding, x w1 <= y and
+    w2 <= u.  Returns a certificate per failing tuple (expected none).
+    """
+    violations = []
+    indices = range(1, n)
+    for r in range(n):
+        for subset in itertools.combinations(indices, r):
+            gens = frozenset(subset)
+            w_i = weyl.parabolic_subgroup(gens, n)
+            d_i = weyl.coset_minima(gens, n)
+            for x, w in itertools.product(d_i, sorted(w_i)):
+                xw = weyl.compose(x, w)
+                for y, u in itertools.product(d_i, sorted(w_i)):
+                    yu = weyl.compose(y, u)
+                    if xw == yu or not weyl.bruhat_leq(xw, yu):
+                        continue
+                    ok = any(
+                        weyl.bruhat_leq(weyl.compose(x, w1), y) and weyl.bruhat_leq(w2, u)
+                        for w1, w2 in _length_additive_factorizations(w, w_i)
+                    )
+                    if not ok:
+                        violations.append(
+                            {"I": sorted(gens), "x": x, "y": y, "w": w, "u": u}
+                        )
+    return violations
+
+
 @lru_cache(maxsize=None)
 def standard_form_length(sigma):
     """l(sigma) = l(x) + l(e) - l(y) on the standard form sigma = x e y^-1,

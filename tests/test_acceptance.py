@@ -4,7 +4,7 @@ line (run with ``pytest -s tests/test_acceptance.py`` to see them)."""
 import itertools
 import time
 
-from oracles import witness_leq
+from oracles import coset_factorization_violations, witness_leq
 from rookorder import analysis, cli, hecke, order, renner, rpoly, verify, weyl
 from rookorder.polynomials import Q, Q_MINUS_1
 
@@ -164,5 +164,5 @@ def test_criterion_10_specialization_to_weyl():
 def test_criterion_11_coset_factorization():
     bad = []
     for n in (1, 2, 3):
-        bad.extend(weyl.coset_factorization_violations(n))
+        bad.extend(coset_factorization_violations(n))
     report(11, "coset-factorization", not bad, f" {bad[:3]}")

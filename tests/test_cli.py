@@ -17,6 +17,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_single_queries_build_no_orbit(capsys, fresh_orbits):
+    # rpoly, mobius and hasse answer from the interval's own poset, even
+    # on a whole orbit, so none of them builds the whole-orbit poset
+    from rookorder import order
+    for argv in (["rpoly", "0012", "3400"], ["mobius", "0012", "3400"],
+                 ["hasse", "--n", "4", "--k", "2"]):
+        assert run(capsys, *argv)[0] == 0
+    assert order.orbit_poset.cache_info().currsize == 0
+
+
 def test_orbit_listing(capsys):
     code, out, _ = run(capsys, "orbit", "--n", "2", "--k", "1")
     assert code == 0
@@ -234,15 +244,17 @@ def test_verify_nonempty_descent_certificate(capsys, monkeypatch):
     assert set(cert) == {"kind", "element", "length"}
 
 
-def test_verify_delta_certificate_carries_the_one_sum(capsys, monkeypatch):
+def test_verify_delta_certificate_carries_the_one_sum(capsys, corrupt_fill):
     # the fault sits in the packed input of the sums: R[min, max] of the
-    # orbit's R table is off by q, which changes exactly one sum, and the
-    # certificate carries that sum decoded
+    # R_3 k = 1 table is filled off by q, which changes exactly one sum,
+    # and the certificate carries that sum decoded
     from rookorder import renner, rpoly
     from rookorder.polynomials import Q
-    table = rpoly.orbit_table(3, 1)
-    top = len(table.rows) - 1
-    monkeypatch.setitem(table.rows[0], top, table.rows[0][top] + table.packing.pack(Q))
+
+    def change(packing, rows, _):
+        rows[0][len(rows) - 1] += packing.pack(Q)
+
+    corrupt_fill(rpoly, 3, 1, change)
     cert = _first_violation(capsys, "delta", "delta")
     assert set(cert) == {"theta", "sigma", "sum"}
     ends = renner.orbit_minimum(3, 1), renner.orbit_maximum(3, 1)
@@ -259,27 +271,28 @@ def test_verify_descent_rule_certificate(capsys, monkeypatch):
     assert cert["standard_form_rule"] == [[], []]
 
 
-def test_verify_hecke_expansion_certificate(capsys, monkeypatch):
+def test_verify_hecke_expansion_certificate(capsys, corrupt_fill):
     # the fault sits in the packed barred row of the rank-0 element: its
     # diagonal entry, R[sigma, sigma] read off bar(A_sigma), is dropped
     from rookorder import hecke
-    _, _, barred = hecke.orbit_bars(3, 0)
-    monkeypatch.delitem(barred[0], 0)
+    corrupt_fill(hecke, 3, 0, lambda packing, rows, barred: barred[0].pop(0))
     cert = _first_violation(capsys, "hecke", "hecke")
     assert set(cert) == {"theta", "sigma", "via_bar", "via_recurrence"}
     assert cert["theta"] == cert["sigma"]
     assert cert["via_bar"] != cert["via_recurrence"]
 
 
-def test_verify_hecke_involution_certificate(capsys, monkeypatch):
+def test_verify_hecke_involution_certificate(capsys, corrupt_fill):
     # the fault sits in the packed input of bar o bar: one coefficient of
-    # bar(A_max) is off, so bar(bar(A_max)) is not A_max
+    # bar(A_max) is filled off by one, so bar(bar(A_max)) is not A_max
     from rookorder import hecke, renner
     from rookorder.polynomials import Laurent
     top = renner.orbit_maximum(3, 1)
-    _, rows, _ = hecke.orbit_bars(3, 1)
-    row = rows[-1]  # bar(A_max), scaled; index 0 is the minimum
-    monkeypatch.setitem(row, 0, row[0] + 1)
+
+    def change(packing, rows, barred):
+        rows[-1][0] += 1  # bar(A_max), scaled; index 0 is the minimum
+
+    corrupt_fill(hecke, 3, 1, change)
     code, out, _ = run(capsys, "verify", "hecke", "--n", "3")
     assert code == 1
     certs = [v for r in json.loads(out)["reports"] for v in r["violations"]

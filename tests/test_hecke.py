@@ -164,20 +164,20 @@ def test_orbit_bars_match_reduced_word_oracle(n, k):
                                               for w, c in expected.items()}, sigma
 
 
-def test_orbit_bars_refuse_bounds_past_the_width(monkeypatch):
+def test_orbit_bars_refuse_bounds_past_the_width(monkeypatch, fresh_orbits):
     # the one Hecke bound table is held to the width of the R table
     monkeypatch.setattr(rpoly, "orbit_norm", lambda n, k: 1)
     with pytest.raises(ValueError, match="exceed the width"):
-        hecke.orbit_bars.__wrapped__(3, 1)
+        hecke.orbit_bars(3, 1)
 
 
-def test_orbit_bars_sum_each_base_row_once(monkeypatch):
+def test_orbit_bars_sum_each_base_row_once(monkeypatch, fresh_orbits):
     # the bound fill and the packed fill share the orbit sums: one per
     # element with no left descent
     summed, orbit_sum = [], hecke._orbit_sum
     monkeypatch.setattr(hecke, "_orbit_sum",
                         lambda *args: summed.append(args[2]) or orbit_sum(*args))
-    hecke.orbit_bars.__wrapped__(4, 2)
+    hecke.orbit_bars(4, 2)
     bases = [w for w in renner.orbit(4, 2) if not renner.descents(w, "left")]
     assert len(summed) == len(set(summed)) == len(bases) > 1
 

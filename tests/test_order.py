@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from oracles import (check_graded, interval_by_scan, interval_elements_scan,
                      mobius_bruteforce, mobius_by_recursion, mobius_recursive,
                      monoid_elements, scan_rows, transitive_reduction,
                      witness_leq)
-from rookorder import order, renner, weyl
+from rookorder import hecke, order, renner, rpoly, weyl
 
 
 def test_leq_examples():
@@ -313,6 +315,33 @@ def test_hasse_dot_shape():
     assert dot.count("[len=") == 3
     assert '"0001" [len=0];' in dot
     assert dot.startswith("digraph hasse {")
+
+
+def test_one_orbit_stays_resident(fresh_orbits):
+    # once another orbit is asked for, nothing of the last one stays
+    # alive, neither its poset (with its rows and actions) nor its R and
+    # Hecke tables; asked for again, it is built afresh, equal to before
+    poset = order.orbit_poset(4, 2)
+    table, bars = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
+    assert poset.ups and poset.downs and order.orbit_action(4, 2, "left")
+    old = [[dict(row) for row in rows]
+           for rows in (table.rows, table.reversed_rows, *bars[1:])]
+    alive = [weakref.ref(kept) for kept in (poset, table, bars[0])]
+    del poset, table, bars
+    order.orbit_poset(4, 3)
+    gc.collect()
+    assert [ref() for ref in alive] == [None, None, None]
+    table, bars = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
+    assert [table.rows, table.reversed_rows, *bars[1:]] == old
+
+
+def test_single_interval_queries_keep_no_rows():
+    # covers and Mobius values read rows on the fly; only the sweeps
+    # build the kept ones
+    poset = order.interval((0, 0, 1, 2), (3, 4, 0, 0))
+    order.hasse_dot(poset)
+    poset.mobius(0, len(poset.elements) - 1)
+    assert "ups" not in vars(poset) and "downs" not in vars(poset)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -140,11 +140,11 @@ def test_delta_identity_small_cases():
 def test_verify_delta_identity_reads_the_packed_sum(monkeypatch):
     # R[min, max] of the R_3 k = 1 table off by 1 turns the sum at
     # (min, max) from 0 into 1, which is right only on the diagonal
-    table = rpoly.orbit_table(3, 1)
+    table, elements = rpoly.orbit_table(3, 1), order.orbit_poset(3, 1).elements
     top = len(table.rows) - 1
     monkeypatch.setitem(table.rows[0], top, table.rows[0][top] + 1)
     monkeypatch.setattr(table, "_delta_by_word", (None, {}))
-    bottom, maximum = table.poset.elements[0], table.poset.elements[top]
+    bottom, maximum = elements[0], elements[top]
     assert rpoly.delta_identity_sum(bottom, maximum) == 1
     assert not rpoly.verify_delta_identity(bottom, maximum)
     assert rpoly.verify_delta_identity(bottom, bottom)
@@ -179,17 +179,17 @@ def test_delta_row_cache_refuses_a_sigma_from_another_orbit():
 
 def test_delta_row_cache_follows_the_table(monkeypatch):
     # the kept row is the table's: a corrupted entry shows once the row
-    # of its theta is filled again, and a cleared table cache answers
+    # of its theta is filled again, and a cleared orbit cache answers
     # from a fresh table
-    table = rpoly.orbit_table(3, 1)
+    table, elements = rpoly.orbit_table(3, 1), order.orbit_poset(3, 1).elements
     top = len(table.rows) - 1
-    bottom, maximum = table.poset.elements[0], table.poset.elements[top]
+    bottom, maximum = elements[0], elements[top]
     assert rpoly.verify_delta_identity(bottom, maximum)
     monkeypatch.setitem(table.rows[0], top, table.rows[0][top] + 1)
     assert rpoly.verify_delta_identity(maximum, maximum)  # another theta
     assert rpoly.delta_identity_sum(bottom, maximum) == 1
     assert not rpoly.verify_delta_identity(bottom, maximum)
-    rpoly.orbit_table.cache_clear()
+    order.orbit_poset.cache_clear()
     assert rpoly.orbit_table(3, 1) is not table
     assert rpoly.delta_identity_sum(bottom, maximum) == 0
     assert rpoly.verify_delta_identity(bottom, maximum)
@@ -205,10 +205,9 @@ def test_delta_identity_exhaustive(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_table_matches_rpoly(n):
     for k in range(n + 1):
-        table = rpoly.orbit_table(n, k)
-        assert table.poset.elements == renner.orbit(n, k)
-        for (a, theta), (b, sigma) in itertools.product(
-                enumerate(table.poset.elements), repeat=2):
+        table, elements = rpoly.orbit_table(n, k), order.orbit_poset(n, k).elements
+        assert elements == renner.orbit(n, k)
+        for (a, theta), (b, sigma) in itertools.product(enumerate(elements), repeat=2):
             assert table.r(a, b) == rpoly.rpoly(theta, sigma), (theta, sigma)
 
 
@@ -297,7 +296,7 @@ def test_reversed_rows_are_the_reversed_polynomials():
     # R'[theta, sigma] = q^(l(sigma) - l(theta)) bar(R[theta, sigma])
     for n, k in [(3, 1), (4, 2), (4, 4)]:
         table = rpoly.orbit_table(n, k)
-        lengths = table.poset.lengths
+        lengths = order.orbit_poset(n, k).lengths
         for a, row in enumerate(table.reversed_rows):
             for b, x in row.items():
                 expected = Laurent.q_power(lengths[b] - lengths[a]) * table.r(a, b).bar()

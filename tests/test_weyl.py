@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import bruhat_leq_subword, longest_element
+from oracles import bruhat_leq_subword, coset_factorization_violations, longest_element
 from rookorder import renner, weyl
 from rookorder.polynomials import Laurent, Q_MINUS_1, ONE, ZERO
 
@@ -170,4 +170,4 @@ def test_classical_rpoly_delta_identity():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_coset_factorization_property(n):
-    assert weyl.coset_factorization_violations(n) == []
+    assert coset_factorization_violations(n) == []
