@@ -26,12 +26,13 @@ and no other value, all masked to the elements checked.  The row does
 not store M_0, the rest of up: it is right exactly when M_(+1) and
 M_(-1) are and no other value occurs, so the row is compared as the
 dict {+1: M_(+1), -1: M_(-1)} without its empty sets.  Lifting: for
-each s, the tops sigma > theta split by their length step under s.
-Clause (a) is a bit test s sigma in up(s theta) on the raised tops;
-clause (b) is one containment, the tops s does not raise inside
-up(s theta), and a bit test theta <= s sigma on the lowered tops, as
-s fixes the tops of step 0.  Only a row that fails is checked again
-pair by pair, for the certificates.
+each s, with row(x) the c with s c >= x (``IntervalPoset.rows``), the
+tops sigma > theta split by their length step under s, and each
+(theta, s) is three containments.  Where s raises theta, clause (a):
+the raised tops lie in row(s theta), less the c with s c = s theta,
+which are those with s c of its length.  Where s does not lower theta,
+clause (b): the other tops lie in up(s theta) and in row(theta).  Only
+a row that fails is checked again pair by pair, for the certificates.
 """
 
 from __future__ import annotations
@@ -144,31 +145,15 @@ def find_linear_length2(theta: Word, sigma: Word) -> Optional[tuple[Word, Word]]
     return pairs[0] if pairs else None
 
 
-def _lifting_holds(ups, a: int, tops: int, to, raised: int, lowered: int) -> bool:
-    # The lifting property for theta = a, one s and every sigma in
-    # ``tops``, as poset indices with ``ups`` their up rows, s acting by
-    # ``to``, and ``raised`` and ``lowered`` the elements s raises and
-    # lowers; s fixes the others.  Clause (a): theta < s theta and
-    # sigma < s sigma imply s theta < s sigma.  Clause (b):
-    # s theta >= theta and s sigma <= sigma imply s theta <= sigma and
-    # theta <= s sigma, which holds already where s sigma = sigma.  Left
-    # multiplication by s keeps the rank, so all four share an orbit.
-    up_s = ups[to[a]]
-    if (raised >> a) & 1 and not _maps_into(tops & raised, to, up_s):
+def _lifting_holds(ups, a: int, tops: int, to, step, raised: int, rows, flat) -> bool:
+    # The three containments of the module docstring for theta = a, one
+    # s and every sigma in ``tops``: s acts by ``to`` with length steps
+    # ``step`` and raises ``raised``; rows[x] holds the c with s c >= x
+    # and flat[x] those with s c of the length of x.
+    s_theta = to[a]
+    if step[a] > 0 and tops & raised & ~(rows[s_theta] & ~flat[s_theta]):
         return False
-    return (lowered >> a) & 1 == 1 or not tops & ~raised & ~up_s and _maps_into(
-        tops & lowered, to, ups[a])
-
-
-def _maps_into(mask: int, to, row: int) -> bool:
-    # whether row holds to[b] for every b in mask: a walk over the bits
-    # of mask that stops at the first miss, with no generator per bit
-    while mask:
-        low = mask & -mask
-        if not (row >> to[low.bit_length() - 1]) & 1:
-            return False
-        mask ^= low
-    return True
+    return step[a] < 0 or not tops & ~raised & ~(ups[s_theta] & rows[a])
 
 
 def lifting_violations(n: int, k: int) -> Report:
@@ -176,12 +161,13 @@ def lifting_violations(n: int, k: int) -> Report:
     one row per bottom and s (see the module docstring)."""
     report = Report(name="lifting")
     poset = order.orbit_poset(n, k)
-    ups = poset.ups
-    # per s_i: to[a] is the index of s_i elements[a], and the bitsets of
-    # the elements s_i raises and lowers
-    s_action = [(to, sum(1 << a for a, x in enumerate(d) if x > 0),
-                 sum(1 << a for a, x in enumerate(d) if x < 0))
-                for to, d in order.orbit_action(n, k, "left")]
+    ups, lengths = poset.ups, poset.lengths
+    s_action = []
+    for to, step in order.orbit_action(n, k, "left"):
+        level = {l: sum(1 << c for c, t in enumerate(to) if lengths[t] == l)
+                 for l in set(lengths)}  # the c with s c of length l
+        s_action.append((to, step, sum(1 << a for a, d in enumerate(step) if d > 0),
+                         poset.rows(to), [level[length] for length in lengths]))
     for a, theta in enumerate(poset.elements):
         tops = ups[a] & ~(1 << a)
         report.checked += tops.bit_count() * len(s_action)
@@ -193,7 +179,7 @@ def lifting_violations(n: int, k: int) -> Report:
                     report.violations.append({
                         "theta": renner.format_element(theta),
                         "sigma": renner.format_element(poset.elements[b]),
-                        "s": i, "clause": "a" if (s[1] >> b) & 1 else "b", "holds": False,
+                        "s": i, "clause": "a" if s[1][b] > 0 else "b", "holds": False,
                     })
     return report
 

@@ -22,8 +22,8 @@ covers at length gap one and (length, word) as a linear extension.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import cached_property, lru_cache, reduce, wraps
-from operator import and_
+from functools import cached_property, lru_cache, partial, reduce, wraps
+from operator import and_, is_not
 
 from . import renner, weyl
 from .renner import Word
@@ -39,16 +39,15 @@ __all__ = [
 def _rank_packing(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """How rank matrices of R_n pack into one int.
 
-    The count for (k, j) sits in its own field of ``n.bit_length() + 1``
-    bits, whose top bit is a guard that no count reaches; the fields of
-    one k (one prefix row) are adjacent.  Returns, per column c and
-    value a, the packed contribution of an entry a in column c (one to
-    every field with k > c and j <= a), and the mask of all guard bits.
+    The count for (k, j) sits in byte (k - 1) n + j - 1, whose top bit
+    is a guard that no count (at most n < 128) reaches, so the
+    little-endian bytes of a packed matrix are its counts.  Returns, per
+    column c and value a, the packed contribution of an entry a in column
+    c (one to every byte with k > c and j <= a), and the guard mask.
     """
-    width = n.bit_length() + 1
-    guard = sum(1 << (width * (field + 1) - 1) for field in range(n * n))
+    guard = int.from_bytes(b"\x80" * (n * n), "little")
     columns = tuple(
-        tuple(sum(1 << width * ((k - 1) * n + j - 1)
+        tuple(sum(1 << 8 * ((k - 1) * n + j - 1)
                   for k in range(c + 1, n + 1) for j in range(1, a + 1))
               for a in range(n + 1))
         for c in range(n))
@@ -110,8 +109,7 @@ def _between(theta: Word, sigma: Word) -> list[tuple[Word, int]]:
     prefix row c + 1 is final and must lie between theta's and sigma's."""
     n = len(theta)
     columns, guard = _rank_packing(n)
-    span = (n.bit_length() + 1) * n
-    row_guards = [guard & (((1 << span) - 1) << (span * c)) for c in range(n)]
+    row_guards = [guard & (((1 << 8 * n) - 1) << (8 * n * c)) for c in range(n)]
     low, high = _pack(theta), _pack(sigma) | guard
     found: list[tuple[Word, int]] = []
     word = [0] * n
@@ -140,12 +138,12 @@ class IntervalPoset:
     Element i is ``elements[i]``, in (length, word) order, so theta is
     element 0 and sigma the last.  Bit j of ``up(i)`` is set iff
     elements[i] <= elements[j], and bit i of ``down(j)`` likewise.  Rows
-    are bit-sliced (O'Neil-Quass): for each rank-matrix count that
-    varies over the interval and each value v, one bitset holds the
-    elements whose count is >= v and one those whose count is <= v.  A
-    row is the AND of one of them per count, and each element keeps the
-    ones its rows need; Mobius values of a bottom are kept, and all rows
-    once ``ups`` or ``downs`` is read, which single queries never do.
+    are bit-sliced (O'Neil-Quass): the rank-matrix counts of every
+    element form one table of bytes, and for each count and value v one
+    bitset holds the elements whose count is >= v and one those <= v.  A
+    row is the AND of one of them per count, and ``rows`` relabels them
+    by an action.  Mobius values of a bottom are kept, and all rows once
+    ``ups`` or ``downs`` is read, which single queries never do.
     """
 
     def __init__(self, theta: Word, sigma: Word):
@@ -155,33 +153,37 @@ class IntervalPoset:
         self.lengths = tuple(length for length, _, _ in found)
         self.elements = tuple(w for _, w, _ in found)
         self.index = {w: i for i, w in enumerate(self.elements)}
-        everything = self._everything = (1 << len(found)) - 1
-        width = self.n.bit_length() + 1
-        count = (1 << (width - 1)) - 1
-        low, high = _pack(theta), _pack(sigma)
-        varying = [shift for shift in range(0, width * self.n * self.n, width)
-                   if (low >> shift) & count < (high >> shift) & count] if found else []
-        # counts[i]: the varying counts of element i, one byte each
-        counts = [bytes([(p >> shift) & count for shift in varying])
-                  for _, _, p in found]
-        table = b"".join(counts)
-        at_least_sets, at_most_sets = [], []
-        for f, shift in enumerate(varying):
-            lo, hi = (low >> shift) & count, (high >> shift) & count
-            # one count of every element as a base-2 numeral, element 0
-            # last; a translation to '1' where it is >= v gives that set
-            column = table[f::len(varying)][::-1]
-            at_least = [everything] * (lo + 1) + [
-                int(column.translate(b"0" * v + b"1" * (256 - v)), 2)
-                for v in range(lo + 1, hi + 1)] + [0]
-            at_least_sets.append(at_least)
-            at_most_sets.append([everything ^ above for above in at_least[1:]])
-        # the sets each row ANDs, leaving out those that hold every element
-        self._up_sets, self._down_sets = (
-            [tuple(filter(everything.__ne__, map(list.__getitem__, sets, row)))
-             for row in counts] for sets in (at_least_sets, at_most_sets))
+        self._everything = (1 << len(found)) - 1
+        # the counts of element i, the bytes of its packed rank matrix, at
+        # _table[i * n^2:]; theta's are the lowest and sigma's the highest
+        self._table = b"".join(p.to_bytes(self.n * self.n, "little") for _, _, p in found)
+        self._at_least, self._at_most = self._slices(range(len(found)))
         self._mobius: dict[int, dict[int, int]] = {}  # bottom -> {mu: bitset}
         self._resident: dict = {}  # what ``resident`` keeps on this poset
+
+    def _slices(self, to) -> tuple[list[list[int]], list[list[int]]]:
+        # per count and value v, the bitsets of the c whose elements[to[c]]
+        # has that count >= v, and those with it <= v; the set of every
+        # element is one shared object, which ``_row`` drops
+        everything, size, table = self._everything, self.n * self.n, self._table
+        relabelled = b"".join(table[t * size:(t + 1) * size] for t in to)
+        at_least = []
+        for f, lo, hi in zip(range(size), table[:size], table[len(table) - size:]):
+            # count f of every c as a base-2 numeral, c = 0 last; a
+            # translation to '1' where it is >= v gives that set
+            column = relabelled[f::size][::-1]
+            at_least.append([everything] * (lo + 1) + [
+                int(column.translate(b"0" * v + b"1" * (256 - v)), 2)
+                for v in range(lo + 1, hi + 1)] + [0])
+        return at_least, [[everything ^ s if s else everything for s in above[1:]]
+                          for above in at_least]
+
+    def _row(self, sets: list[list[int]], x: int) -> int:
+        # the AND of the sets that the counts of element x pick, leaving
+        # out the set of every element by an identity test
+        size, everything = self.n * self.n, self._everything
+        picked = map(list.__getitem__, sets, self._table[x * size:(x + 1) * size])
+        return reduce(and_, filter(partial(is_not, everything), picked), everything)
 
     def locate(self, word: Word) -> int:
         """Index of ``word``; ValueError if it lies outside the interval."""
@@ -193,21 +195,33 @@ class IntervalPoset:
 
     def up(self, i: int) -> int:
         """Bitset of the j with elements[i] <= elements[j]."""
-        return reduce(and_, self._up_sets[i], self._everything)
+        return self._row(self._at_least, i)
 
     def down(self, j: int) -> int:
         """Bitset of the i with elements[i] <= elements[j]."""
-        return reduce(and_, self._down_sets[j], self._everything)
+        return self._row(self._at_most, j)
+
+    def rows(self, to, at_least: bool = True) -> list[int]:
+        """For every x, the bitset of the c with elements[to[c]] >=
+        elements[x] (<= unless ``at_least``).  In [01, 20], s_1 swaps 01
+        with 02 and 10 with 20:
+
+        >>> poset = IntervalPoset((0, 1), (2, 0))
+        >>> poset.rows((1, 0, 3, 2)), poset.ups
+        ([15, 5, 12, 4], [15, 10, 12, 8])
+        """
+        sets = self._slices(to)[0 if at_least else 1]
+        return [self._row(sets, x) for x in range(len(self.elements))]
 
     @cached_property
     def ups(self) -> list[int]:
         """``up(i)`` for every i, built on first use and kept."""
-        return [self.up(i) for i in range(len(self.elements))]
+        return self.rows(range(len(self.elements)))
 
     @cached_property
     def downs(self) -> list[int]:
         """``down(j)`` for every j, built on first use and kept."""
-        return [self.down(j) for j in range(len(self.elements))]
+        return self.rows(range(len(self.elements)), False)
 
     def level(self, length: int) -> int:
         """Bitset of the elements of the given length."""

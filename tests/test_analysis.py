@@ -199,20 +199,51 @@ def test_putcha_failing_rows_expand_like_the_oracle(corrupt_mobius):
         assert_same_report(report, putcha_by_pairs(elements))
 
 
+# corrupted s_1 actions on R_4 k = 2, each breaking one lifting
+# condition: clause (a) s theta < s sigma, or in clause (b)
+# s theta <= sigma or theta <= s sigma; each is one containment of the
+# row check, so a row check without it passes every row
+LIFTING_MUTANTS = {
+    # s_1 reads as raising every element, so clause (a) applies to every
+    # pair under s_1 and fails where s_1 swaps theta and sigma
+    "a": ("a", lambda to, step: (to, (1,) * len(to))),
+    # s_1 sends 0013 where it sends 0012: s theta = s sigma is not above
+    "a-strict": ("a", lambda to, step: ((to[0], to[0], *to[2:]), step)),
+    # s_1 sends every element it fixes to the maximum
+    "b-up": ("s theta <= sigma", lambda to, step: (
+        tuple(len(to) - 1 if d == 0 else t for t, d in zip(to, step)), step)),
+    # s_1 sends every element it lowers to the minimum
+    "b-row": ("theta <= s sigma", lambda to, step: (
+        tuple(0 if d < 0 else t for t, d in zip(to, step)), step)),
+}
+
+
 def test_lifting_failing_rows_expand_like_the_oracle(monkeypatch):
-    # s_1 sends every element it lowers to the minimum: of the row
-    # checks, only the bit test theta <= s_1 sigma on the sigma that s_1
-    # lowers sees the fault
+    # each corrupted action is flagged, pair by pair, as the oracle flags
+    # it, and every failing pair breaks only the mutant's one condition
     original = order.orbit_action
+    for name, (broken, change) in LIFTING_MUTANTS.items():
+        def corrupted(n, k, side, change=change):
+            first, *rest = original(n, k, side)
+            return (change(*first), *rest)
 
-    def corrupted(n, k, side):
-        (to, step), *rest = original(n, k, side)
-        return ((tuple(0 if d < 0 else t for t, d in zip(to, step)), step), *rest)
+        with monkeypatch.context() as patch:
+            patch.setattr(order, "orbit_action", corrupted)
+            report = analysis.lifting_violations(4, 2)
+            assert report.violations, name
+            assert_same_report(report, lifting_by_pairs(4, 2))
+        poset, (to, _) = order.orbit_poset(4, 2), corrupted(4, 2, "left")[0]
 
-    monkeypatch.setattr(order, "orbit_action", corrupted)
-    report = analysis.lifting_violations(4, 2)
-    assert report.violations
-    assert_same_report(report, lifting_by_pairs(4, 2))
+        def below(x, y):
+            return order.leq(poset.elements[x], poset.elements[y])
+
+        for cert in report.violations:
+            a, b = (poset.index[renner.parse_element(cert[end])] for end in ("theta", "sigma"))
+            fails = {"a"} if cert["clause"] == "a" else {
+                condition for condition, holds in (("s theta <= sigma", below(to[a], b)),
+                                                   ("theta <= s sigma", below(a, to[b])))
+                if not holds}
+            assert (cert["s"], fails) == (1, {broken}), (name, cert)
 
 
 def test_classify_interval():
@@ -252,3 +283,9 @@ def test_classification_constant_term_equals_mobius():
 def test_lifting_sweep_checked_count():
     # one check per comparable pair theta < sigma and simple reflection
     assert analysis.lifting_violations(5, 2).checked == 34300
+
+
+def test_lifting_sweep_is_exhaustive_at_n6():
+    reports = [analysis.lifting_violations(6, k) for k in range(7)]
+    assert sum(report.checked for report in reports) == 35336360
+    assert [report.violations for report in reports] == [[]] * 7
