@@ -158,29 +158,29 @@ def _lifting_holds(ups, a: int, tops: int, to, step, raised: int, rows, flat) ->
 
 def lifting_violations(n: int, k: int) -> Report:
     """Sweep all comparable pairs and simple reflections of one orbit,
-    one row per bottom and s (see the module docstring)."""
+    one row per bottom and s (see the module docstring), holding the
+    relabelled rows of one s at a time; the failing pairs are reported
+    by theta, then sigma, then s."""
     report = Report(name="lifting")
     poset = order.orbit_poset(n, k)
     ups, lengths = poset.ups, poset.lengths
-    s_action = []
-    for to, step in order.orbit_action(n, k, "left"):
+    failing = []
+    for i, (to, step) in enumerate(order.orbit_action(n, k, "left"), 1):
         level = {l: sum(1 << c for c, t in enumerate(to) if lengths[t] == l)
                  for l in set(lengths)}  # the c with s c of length l
-        s_action.append((to, step, sum(1 << a for a, d in enumerate(step) if d > 0),
-                         poset.rows(to), [level[length] for length in lengths]))
-    for a, theta in enumerate(poset.elements):
-        tops = ups[a] & ~(1 << a)
-        report.checked += tops.bit_count() * len(s_action)
-        if all(_lifting_holds(ups, a, tops, *s) for s in s_action):
-            continue
-        for b in bits(tops):
-            for i, s in enumerate(s_action, 1):
-                if not _lifting_holds(ups, a, 1 << b, *s):
-                    report.violations.append({
-                        "theta": renner.format_element(theta),
-                        "sigma": renner.format_element(poset.elements[b]),
-                        "s": i, "clause": "a" if s[1][b] > 0 else "b", "holds": False,
-                    })
+        s = (to, step, sum(1 << a for a, d in enumerate(step) if d > 0),
+             poset.rows(to), [level[length] for length in lengths])
+        for a, up in enumerate(ups):
+            tops = up & ~(1 << a)
+            report.checked += tops.bit_count()
+            if not _lifting_holds(ups, a, tops, *s):
+                failing += [(a, b, i, "a" if step[b] > 0 else "b") for b in bits(tops)
+                            if not _lifting_holds(ups, a, 1 << b, *s)]
+    report.violations = [{
+        "theta": renner.format_element(poset.elements[a]),
+        "sigma": renner.format_element(poset.elements[b]),
+        "s": i, "clause": clause, "holds": False,
+    } for a, b, i, clause in sorted(failing)]
     return report
 
 

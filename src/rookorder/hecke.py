@@ -32,8 +32,9 @@ element with no left descent is e t^-1, whose bar is the orbit sum
 
 with classical R-polynomials of the symmetric group; at k = n that is
 A_id alone.  So the oracle never reads the R recurrence of ``rpoly``:
-expanding bar(A_sigma) recovers the R-polynomials (``rpoly_via_bar``),
-which the Hecke suite compares with the R table.
+expanding bar(A_sigma) recovers the R-polynomials (the barred row,
+which ``rpoly_via_bar`` decodes), and the Hecke suite compares them
+with the R table.
 
 The table holds ints, packed by ``polynomials.Kronecker`` at q = 2^B,
 and each entry is scaled by a power of q that puts it in Z[q]: row b
@@ -65,10 +66,11 @@ never do on R_1 to R_6, but the table raises ValueError rather than
 pack past the width.
 
 That bar is an involution is checked orbit by orbit in integer
-arithmetic over the same table (``verify.packed_bar_squared``).
-``bar_Asigma`` and ``bar_element`` decode: they are the Laurent path,
-which builds the certificate of a failing sigma, and the tests compare
-it with the packed sums.
+arithmetic over the same table, one bar o bar row per sigma
+(``verify.hecke_oracle_report``), which decodes its own certificates.
+``bar_Asigma``, ``bar_element`` and ``rpoly_via_bar`` decode the table
+into ``Laurent`` coefficients: they are the Laurent path, which the
+tests hold the packed sums and their certificates against.
 """
 
 from __future__ import annotations

@@ -141,9 +141,10 @@ class IntervalPoset:
     are bit-sliced (O'Neil-Quass): the rank-matrix counts of every
     element form one table of bytes, and for each count and value v one
     bitset holds the elements whose count is >= v and one those <= v.  A
-    row is the AND of one of them per count, and ``rows`` relabels them
-    by an action.  Mobius values of a bottom are kept, and all rows once
-    ``ups`` or ``downs`` is read, which single queries never do.
+    row is the AND of one of them per count, and ``rows`` relabels the
+    at-least sets by an action.  Mobius values of a bottom are kept, and
+    all rows once ``ups`` or ``downs`` is read, which single queries
+    never do.
     """
 
     def __init__(self, theta: Word, sigma: Word):
@@ -157,14 +158,16 @@ class IntervalPoset:
         # the counts of element i, the bytes of its packed rank matrix, at
         # _table[i * n^2:]; theta's are the lowest and sigma's the highest
         self._table = b"".join(p.to_bytes(self.n * self.n, "little") for _, _, p in found)
-        self._at_least, self._at_most = self._slices(range(len(found)))
+        self._at_least = self._slices(range(len(found)))
+        self._at_most = [[self._everything ^ s if s else self._everything
+                          for s in above[1:]] for above in self._at_least]
         self._mobius: dict[int, dict[int, int]] = {}  # bottom -> {mu: bitset}
         self._resident: dict = {}  # what ``resident`` keeps on this poset
 
-    def _slices(self, to) -> tuple[list[list[int]], list[list[int]]]:
-        # per count and value v, the bitsets of the c whose elements[to[c]]
-        # has that count >= v, and those with it <= v; the set of every
-        # element is one shared object, which ``_row`` drops
+    def _slices(self, to) -> list[list[int]]:
+        # per count and value v, the bitset of the c whose elements[to[c]]
+        # has that count >= v; the set of every element is one shared
+        # object, which ``_row`` drops
         everything, size, table = self._everything, self.n * self.n, self._table
         relabelled = b"".join(table[t * size:(t + 1) * size] for t in to)
         at_least = []
@@ -175,8 +178,7 @@ class IntervalPoset:
             at_least.append([everything] * (lo + 1) + [
                 int(column.translate(b"0" * v + b"1" * (256 - v)), 2)
                 for v in range(lo + 1, hi + 1)] + [0])
-        return at_least, [[everything ^ s if s else everything for s in above[1:]]
-                          for above in at_least]
+        return at_least
 
     def _row(self, sets: list[list[int]], x: int) -> int:
         # the AND of the sets that the counts of element x pick, leaving
@@ -201,27 +203,26 @@ class IntervalPoset:
         """Bitset of the i with elements[i] <= elements[j]."""
         return self._row(self._at_most, j)
 
-    def rows(self, to, at_least: bool = True) -> list[int]:
+    def rows(self, to) -> list[int]:
         """For every x, the bitset of the c with elements[to[c]] >=
-        elements[x] (<= unless ``at_least``).  In [01, 20], s_1 swaps 01
-        with 02 and 10 with 20:
+        elements[x].  In [01, 20], s_1 swaps 01 with 02 and 10 with 20:
 
         >>> poset = IntervalPoset((0, 1), (2, 0))
         >>> poset.rows((1, 0, 3, 2)), poset.ups
         ([15, 5, 12, 4], [15, 10, 12, 8])
         """
-        sets = self._slices(to)[0 if at_least else 1]
+        sets = self._slices(to)
         return [self._row(sets, x) for x in range(len(self.elements))]
 
     @cached_property
     def ups(self) -> list[int]:
         """``up(i)`` for every i, built on first use and kept."""
-        return self.rows(range(len(self.elements)))
+        return list(map(self.up, range(len(self.elements))))
 
     @cached_property
     def downs(self) -> list[int]:
         """``down(j)`` for every j, built on first use and kept."""
-        return self.rows(range(len(self.elements)), False)
+        return list(map(self.down, range(len(self.elements))))
 
     def level(self, length: int) -> int:
         """Bitset of the elements of the given length."""

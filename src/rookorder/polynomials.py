@@ -199,13 +199,6 @@ class Laurent:
         return _new(Laurent, -(self.min_exp + len(self.coeffs) - 1),
                     self.coeffs[::-1])
 
-    def to_int_poly(self) -> "IntPoly":
-        """The same value as an ``IntPoly``; fails on a negative exponent."""
-        if self.min_exp < 0:
-            raise ValueError(f"not a polynomial in q: term "
-                             f"{self.coeffs[0]}*q^{self.min_exp}")
-        return _new(IntPoly, self.min_exp, self.coeffs)
-
     def to_json(self) -> dict:
         return {"var": "q", "min_exp": self.min_exp, "coeffs": list(self.coeffs)}
 

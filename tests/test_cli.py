@@ -302,6 +302,60 @@ def test_verify_hecke_involution_certificate(capsys, corrupt_fill):
     assert certs[0]["bar_squared"] != hecke.hecke_to_json({top: Laurent.from_int(1)})
 
 
+def _off_by_one_barred_entry(packing, rows, barred):
+    barred[-1][0] += 1  # R[min, max] as read off bar(A_max), scaled
+
+
+def _hecke_certificates(capsys):
+    # the violations of ``verify hecke --n 3``, which must exit 1, by kind
+    code, out, _ = run(capsys, "verify", "hecke", "--n", "3")
+    assert code == 1
+    certs = {}
+    for report in json.loads(out)["reports"]:
+        for v in report["violations"]:
+            certs.setdefault(v.get("kind", "expansion"), []).append(v)
+    return certs
+
+
+def test_verify_hecke_involution_certificate_of_a_barred_fault(capsys, corrupt_fill):
+    # the fault sits in the packed barred row of the maximum, which only
+    # bar o bar of the maximum reads: its certificate is that row's sum,
+    # held against the Laurent path, sum over theta of
+    # bar(c_theta(max)) bar(A_theta), with bar(c_theta(max)) decoded
+    # from the corrupted barred row
+    from rookorder import hecke, order, renner
+    from rookorder.polynomials import Laurent
+    corrupt_fill(hecke, 3, 1, _off_by_one_barred_entry)
+    certs = _hecke_certificates(capsys)["not-involutive"]
+    top = renner.orbit_maximum(3, 1)
+    assert [cert["sigma"] for cert in certs] == [renner.format_element(top)]
+    packing, _, barred = hecke.orbit_bars(3, 1)
+    poset = order.orbit_poset(3, 1)
+    unscale = Laurent.q_power(renner.idempotent_length(3, 1) - renner.length(top))
+    expected = {}
+    for a, x in barred[-1].items():
+        hecke.add_scaled(expected, hecke.bar_Asigma(poset.elements[a]),
+                         packing.unpack(x) * unscale)
+    assert certs[0]["bar_squared"] == hecke.hecke_to_json(hecke.canonical(expected))
+    assert certs[0]["bar_squared"] != hecke.hecke_to_json({top: Laurent.from_int(1)})
+
+
+def test_verify_hecke_certificates_need_no_laurent_path(capsys, corrupt_fill,
+                                                        monkeypatch):
+    # the suite decodes its certificates from the packed ints it checked
+    from rookorder import hecke
+
+    def laurent_path(*args):
+        raise AssertionError("the Hecke suite took the Laurent path")
+
+    for name in ("bar_element", "bar_Asigma", "rpoly_via_bar"):
+        monkeypatch.setattr(hecke, name, laurent_path)
+    corrupt_fill(hecke, 3, 1, _off_by_one_barred_entry)
+    certs = _hecke_certificates(capsys)
+    assert set(certs) == {"expansion", "not-involutive"}
+    assert set(certs["expansion"][0]) == {"theta", "sigma", "via_bar", "via_recurrence"}
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["verify", "delta", "--n", "2", "--k", "5"], "--k"),
     (["table", "descents", "--n", "3"], "--n"),

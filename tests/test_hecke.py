@@ -207,13 +207,35 @@ def test_oracle_agreement(n, k):
     assert report.passed, report.violations[:3]
 
 
+@pytest.mark.parametrize("n,ks", [pytest.param(n, range(n + 1), id=f"R{n}")
+                                  for n in range(1, 5)]
+                         + [pytest.param(5, [2], id="R5-k2")])
+def test_hecke_table_is_the_transposed_r_table(n, ks):
+    # barred row b is column b of R, and row b is column b of R', compared
+    # as dicts, so that the supports must match too
+    for k in ks:
+        _, rows, barred = hecke.orbit_bars(n, k)
+        table = rpoly.orbit_table(n, k)
+        for r_rows, hecke_rows in ((table.rows, barred), (table.reversed_rows, rows)):
+            columns = [{} for _ in hecke_rows]
+            for a, row in enumerate(r_rows):
+                for b, x in row.items():
+                    columns[b][a] = x
+            assert hecke_rows == columns, (n, k)
+
+
+def _bar_squared_row(n, k, b):
+    # row b of bar o bar, packed, as the Hecke suite sums it
+    packing, rows, barred = hecke.orbit_bars(n, k)
+    return packing, rpoly.triple_sums(barred[b], rows)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_packed_bar_squared_matches_bar_element(n):
-    # entry [sigma][nu] is q^(l(sigma) - l(nu)) times the coefficient
+    # entry nu of row sigma is q^(l(sigma) - l(nu)) times the coefficient
     for k in range(n + 1):
-        packing, sums = verify.packed_bar_squared(n, k)
-        elements = renner.orbit(n, k)
-        for sigma, row in zip(elements, sums):
+        for b, sigma in enumerate(renner.orbit(n, k)):
+            packing, row = _bar_squared_row(n, k, b)
             assert _decode_bar_squared(packing, sigma, row) == hecke.canonical(
                 hecke.bar_element(hecke.bar_Asigma(sigma))), sigma
 
@@ -245,10 +267,10 @@ def test_packed_bar_squared_follows_a_corrupted_input(n, k, monkeypatch):
     elements = renner.orbit(n, k)
     top = elements[-1]
     _corrupt(monkeypatch, n, k, len(elements) - 1, 0, ONE_L)
-    packing, sums = verify.packed_bar_squared(n, k)
+    packing, row = _bar_squared_row(n, k, len(elements) - 1)
     laurent = hecke.canonical(hecke.bar_element(hecke.bar_Asigma(top)))
     assert laurent != basis(top)
-    assert _decode_bar_squared(packing, top, sums[-1]) == laurent
+    assert _decode_bar_squared(packing, top, row) == laurent
 
 
 def test_hecke_report_flags_every_sigma_a_corrupted_bar_reaches(monkeypatch):

@@ -374,8 +374,8 @@ def test_zero_length_step_iff_fixed(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_relabelled_rows_match_a_leq_scan(n):
     # for the identity and every s_i on either side, rows(to)[x] holds the
-    # c with elements[x] <= elements[to[c]] (>= with at_least False), as
-    # an order.leq scan finds them; the kept rows are the single ones
+    # c with elements[x] <= elements[to[c]], as an order.leq scan finds
+    # them; the kept rows are the single ones and the scan's, both ways
     for k in range(n + 1):
         poset = order.orbit_poset(n, k)
         # above[x][y] is '1' iff elements[x] <= elements[y]; below transposed
@@ -383,11 +383,12 @@ def test_relabelled_rows_match_a_leq_scan(n):
                  for x in poset.elements]
         below = ["".join(column) for column in zip(*above)]
         identity = range(len(above))
-        assert poset.ups == [poset.up(i) for i in identity]
-        assert poset.downs == [poset.down(j) for j in identity]
+
+        def scanned(scan, to):
+            return [int("".join(map(row.__getitem__, reversed(to))), 2) for row in scan]
+
+        assert poset.ups == [poset.up(i) for i in identity] == scanned(above, identity)
+        assert poset.downs == [poset.down(j) for j in identity] == scanned(below, identity)
         actions = order.orbit_action(n, k, "left") + order.orbit_action(n, k, "right")
         for to in [identity, *(to for to, _ in actions)]:
-            for at_least, scan in ((True, above), (False, below)):
-                expected = [int("".join(map(row.__getitem__, reversed(to))), 2)
-                            for row in scan]
-                assert poset.rows(to, at_least) == expected, (n, k, at_least)
+            assert poset.rows(to) == scanned(above, to), (n, k, to)

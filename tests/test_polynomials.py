@@ -83,17 +83,6 @@ def test_bar_of_q_minus_1():
     assert type(barred) is Laurent and type(ONE.bar()) is Laurent
 
 
-def test_laurent_int_poly_conversion():
-    p = Q * Q - 2 * Q + 1
-    assert Laurent(0, (1, -2, 1)).to_int_poly() == p
-    assert type(Laurent.q_power(2).to_int_poly()) is IntPoly
-    assert Laurent.q_power(2).to_int_poly().to_json() == {"var": "q", "coeffs": [0, 0, 1]}
-    with pytest.raises(ValueError):
-        Laurent.q_power(-1).to_int_poly()
-    with pytest.raises(ValueError):
-        Laurent(-1, (1, 0, 1)).to_int_poly()
-
-
 def test_laurent_json_roundtrip():
     p = Laurent(-2, (1, 0, 3))
     data = p.to_json()
@@ -178,11 +167,6 @@ def test_laurent_arithmetic_matches_term_dict_oracle(a_pair, c_pair, kind):
     assert_canonical(b * a, terms_mul(ta, tb), cls)
     assert_canonical(-a, terms_neg(ta), type(a))
     assert_canonical(a.bar(), terms_bar(ta), Laurent)
-    if all(e >= 0 for e in ta):
-        assert_canonical(a.to_int_poly(), ta, IntPoly)
-    else:
-        with pytest.raises(ValueError):
-            a.to_int_poly()
 
 
 @settings(max_examples=200)
