@@ -25,16 +25,17 @@ smallest left descent s of sigma, A_sigma = A_s A_{s sigma}, so
     bar(A_sigma) = (q A_s - (q - 1)) bar(A_{s sigma}),
 
 and row sigma is one such step applied to the shorter, earlier row of
-s sigma, with s acting on indices through ``order.orbit_action``.  An
+s sigma, with s and its steps read off ``order.orbit_action``.  An
 element with no left descent is e t^-1, whose bar is the orbit sum
 
     q^(-l(t)) sum over z in W(e), y in D(e) of bar(R[t z, y]) A_{z e y^-1}
 
-with classical R-polynomials of the symmetric group; at k = n that is
-A_id alone.  So the oracle never reads the R recurrence of ``rpoly``:
-expanding bar(A_sigma) recovers the R-polynomials (the barred row,
-which ``rpoly_via_bar`` decodes), and the Hecke suite compares them
-with the R table.
+with classical R-polynomials of the symmetric group, summed in Z[q]
+over terms (z, y, index of z e y^-1) listed once per orbit; at k = n
+that is A_id alone.  So the oracle never reads the R recurrence of
+``rpoly``: expanding bar(A_sigma) recovers the R-polynomials (the
+barred row, which ``rpoly_via_bar`` decodes), and the Hecke suite
+compares them with the R table.
 
 The table holds ints, packed by ``polynomials.Kronecker`` at q = 2^B,
 and each entry is scaled by a power of q that puts it in Z[q]: row b
@@ -133,20 +134,16 @@ def mult_Aw_left(w: Word, h: HeckeElt) -> HeckeElt:
     return h
 
 
-def _orbit_sum(n: int, k: int, t: Word, index: dict) -> dict[int, Laurent]:
-    # q^(-l(t)) sum over z in W(e), y in D(e) of bar(R[t z, y]) A_{z e y^-1}
-    e = renner.rank_idempotent(n, k)
-    gens = renner.centralizer_gens(e)
+def _orbit_sum(t: Word, terms) -> dict[int, Laurent]:
+    # q^(-l(t)) sum over the terms (z, y, a) of bar(R[t z, y]) A_a: the
+    # R-polynomials summed in Z[q], then one bar and one shift per entry
+    sums: dict[int, IntPoly] = {}
+    for z, y, a in terms:
+        r = weyl.classical_rpoly(weyl.compose(t, z), y)
+        if r:
+            sums[a] = sums[a] + r if a in sums else r
     shift = Laurent.q_power(-weyl.length(t))
-    out: dict[int, Laurent] = {}
-    for z in sorted(weyl.parabolic_subgroup(gens, n)):
-        zey = renner.multiply(z, e)
-        for y in weyl.coset_minima(gens, n):
-            r = weyl.classical_rpoly(weyl.compose(t, z), y)
-            if r:
-                word = renner.multiply(zey, weyl.inverse(y))
-                _add_term(out, index[word], shift * r.bar())
-    return {a: c for a, c in out.items() if c}
+    return {a: shift * r.bar() for a, r in sums.items() if r}
 
 
 def _bar_step(row: dict[int, int], to, step, bits: int, sign: int,
@@ -167,13 +164,22 @@ def _bar_step(row: dict[int, int], to, step, bits: int, sign: int,
     return {a: x for a, x in out.items() if x}
 
 
+def _left_descent(left, b: int) -> int:
+    """The smallest i with s_i a left descent of element b, off ``left``; else 0."""
+    return next((i for i, (_, step) in enumerate(left, 1) if step[b] < 0), 0)
+
+
 def _orbit_sums(n: int, k: int) -> dict[int, dict[int, Laurent]]:
     """The orbit sum of each element of the rank-k orbit of R_n with no
     left descent, by the indices of ``order.orbit_poset(n, k)``."""
-    poset = order.orbit_poset(n, k)
-    return {b: _orbit_sum(n, k, renner.standard_form(sigma).y, poset.index)
-            for b, sigma in enumerate(poset.elements)
-            if not renner.descents(sigma, "left")}
+    poset, left = order.orbit_poset(n, k), order.orbit_action(n, k, "left")
+    e = renner.rank_idempotent(n, k)
+    gens = renner.centralizer_gens(e)
+    terms = [(z, y, poset.index[renner.multiply(renner.multiply(z, e), weyl.inverse(y))])
+             for z in sorted(weyl.parabolic_subgroup(gens, n))
+             for y in weyl.coset_minima(gens, n)]
+    return {b: _orbit_sum(renner.standard_form(sigma).y, terms)
+            for b, sigma in enumerate(poset.elements) if not _left_descent(left, b)}
 
 
 def _fill(n: int, k: int, bases: dict[int, dict[int, Laurent]],
@@ -188,10 +194,10 @@ def _fill(n: int, k: int, bases: dict[int, dict[int, Laurent]],
     bits, sign, convert = (packing.bits, -1, packing.pack) if packing else (
         0, 1, lambda p: sum(map(abs, p.coeffs)))
     tables = [([], barred) for barred in ((False, True) if packing else (False,))]
-    for b, sigma in enumerate(poset.elements):
+    for b in range(len(poset.elements)):
         base = bases.get(b)
         if base is None:
-            to, step = left[min(renner.descents(sigma, "left")) - 1]
+            to, step = left[_left_descent(left, b) - 1]
             for rows, barred in tables:
                 rows.append(_bar_step(rows[to[b]], to, step, bits, sign, barred))
             continue

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache, partial, reduce, wraps
-from operator import and_, is_not
+from itertools import chain
+from operator import and_, is_not, sub
 
-from . import renner, weyl
+from . import renner
 from .renner import Word
 
 __all__ = [
@@ -316,15 +317,25 @@ def orbit_action(n: int, k: int, side: str) -> tuple[tuple[tuple[int, ...], ...]
     s_i elements[a] (side "left") or elements[a] s_i (side "right"), and
     ``step[a]`` is ``renner.length_step`` of elements[a] under s_i on
     that side.  Either product keeps the rank, so it stays in the orbit.
+
+    The orbit acts as one bytes of n-byte words: s_i on the left swaps
+    the values i and i + 1 (one translation), on the right the columns i
+    and i + 1; the poset's index reads ``to`` off the moved words, and
+    step[a] is lengths[to[a]] - lengths[a], the length step by definition.
     """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     poset = orbit_poset(n, k)
+    words, lengths = bytes(chain.from_iterable(poset.elements)), poset.lengths
     action = []
     for i in range(1, n):
-        s = weyl.simple_reflection(n, i)
-        moved = (renner.multiply(s, w) if side == "left" else renner.multiply(w, s)
-                 for w in poset.elements)
-        action.append((tuple(map(poset.index.__getitem__, moved)),
-                       tuple(renner.length_step(w, i, side) for w in poset.elements)))
+        if side == "left":
+            moved = words.translate(bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i))))
+        else:
+            moved = bytearray(words)
+            moved[i - 1::n], moved[i::n] = words[i::n], words[i - 1::n]
+        to = tuple(map(poset.index.__getitem__, zip(*[iter(moved)] * n)))
+        action.append((to, tuple(map(sub, map(lengths.__getitem__, to), lengths))))
     return tuple(action)
 
 

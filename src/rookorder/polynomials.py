@@ -237,10 +237,6 @@ class IntPoly(Laurent):
     def constant_term(self) -> int:
         return self.coeffs[0] if self.coeffs and not self.min_exp else 0
 
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):

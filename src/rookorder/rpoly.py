@@ -14,17 +14,18 @@ from ``renner.length_step``.
 Base cases: R[theta, theta] = 1 and R[theta, sigma] = 0 when theta is
 not below sigma.  The result does not depend on the descent chosen; the
 deterministic policy here, ``_descent`` (smallest-index left descent,
-else smallest right, so right descents are computed only when there is
-no left one), exists so that memoization is sound, and the tests check
-left/right confluence explicitly.
+else smallest right, read off the length steps of sigma), exists so
+that memoization is sound, and the tests check left/right confluence
+explicitly.
 
 The step and the policy have two callers.  ``rpoly`` recurses on words
-with a memo, for single queries.  ``orbit_table(n, k)`` fills the R
-table of a whole orbit, indexed by ``order.orbit_poset(n, k)``: the
-entries R[., sigma] come from those at s sigma, whose smaller length
-puts it earlier in index order, with s read as indices from
-``order.orbit_action``.  The sweeps read the table, so they keep one
-value per comparable pair of the orbit and no memo keyed by words.
+with a memo, for single queries, with steps from ``renner.length_step``.
+``orbit_table(n, k)`` fills the R table of a whole orbit, indexed by
+``order.orbit_poset(n, k)``: the entries R[., sigma] come from those at
+s sigma, whose smaller length puts it earlier in index order, with s
+and every step read off ``order.orbit_action``.  The sweeps read the
+table, so they keep one value per comparable pair of the orbit and no
+memo keyed by words.
 The table and ``orbit_norm`` live on the orbit's poset (``order.resident``).
 
 The table holds ints, filled packed at q = 2^B with
@@ -53,14 +54,15 @@ is one row of ``triple_sums`` per theta over the two tables.  A sum has
 at most |orbit| terms, so each of its coefficients is at most
 |orbit| * L^2 < 2^(B-1) in absolute value: a balanced base-2^B digit.
 So each int determines its polynomial, and an int equal to 0 or 1
-certifies the polynomial 0 or 1 exactly.  Entries and sums are decoded
-only on read (``OrbitTable.r``) and for a failing sum.
+certifies the polynomial 0 or 1 exactly.  An entry R[a, b] is decoded
+as ``packing.unpack(rows[a].get(b, 0))``, and a sum only where it fails.
 
 The per-pair callers, ``verify_delta_identity`` and
-``delta_identity_sum``, read one row that the orbit's table keeps: that
-of the last theta asked for, as {sigma word: packed sum}.  A pair of the
-same theta costs the table lookup, one tuple compare and one dict
-lookup; a sigma outside the row is refused by the orbit's index.
+``delta_identity_sum``, read one row that the orbit's poset keeps with
+its table: that of the last theta asked for, as {sigma word: packed
+sum}.  A pair of the same theta costs one ``order.orbit_poset`` hit, one
+tuple compare and two dict lookups; a sigma outside the row is refused
+by the orbit's index.
 
 The constant term R[theta, sigma](0) equals the Mobius function of the
 interval.
@@ -80,12 +82,15 @@ __all__ = ["rpoly", "triple_sums", "OrbitTable", "orbit_norm", "orbit_table",
 Rows = list[dict[int, int]]  # per index a: {index b: packed value at (a, b)}
 
 
-def _descent(sigma: Word) -> tuple[str, int]:
-    """The descent the recurrence takes at sigma of positive length."""
-    side, ds = "left", renner.descents(sigma, "left")
-    if not ds:
-        side, ds = "right", renner.descents(sigma, "right")
-    return side, min(ds)
+def _descent(steps) -> tuple[str, int]:
+    """The descent the recurrence takes at an element of positive
+    length, from steps(side), its length steps under s_1, s_2, ... on
+    that side; the right ones are read only if no left one is < 0."""
+    for side in ("left", "right"):
+        for i, d in enumerate(steps(side), 1):
+            if d < 0:
+                return side, i
+    raise ValueError("an element of length 0 has no descent")
 
 
 def _step(diff: int, r) -> IntPoly:
@@ -114,7 +119,8 @@ def rpoly(theta: Word, sigma: Word) -> IntPoly:
     if not order.leq(theta, sigma):
         return ZERO
     # theta < sigma forces l(sigma) > 0, so a descent exists on some side.
-    side, i = _descent(sigma)
+    side, i = _descent(lambda side: (renner.length_step(sigma, i, side)
+                                     for i in range(1, n)))
     s = weyl.simple_reflection(n, i)
     if side == "left":
         s_theta, s_sigma = renner.multiply(s, theta), renner.multiply(s, sigma)
@@ -158,9 +164,10 @@ def _fill(n: int, k: int, packing: Kronecker | None = None) -> list[Rows]:
     kinds = (((1 << bits) - 1, bits), (1 - (1 << bits), 0)) if packing else ((2, 0),)
     tables = [([{b: 1} for b in range(len(poset.elements))], c, fixed)
               for c, fixed in kinds]
-    for b, sigma in enumerate(poset.elements[1:], 1):
-        side, i = _descent(sigma)
-        to, step = order.orbit_action(n, k, side)[i - 1]
+    actions = {side: order.orbit_action(n, k, side) for side in ("left", "right")}
+    for b in range(1, len(poset.elements)):
+        side, i = _descent(lambda side: (step[b] for _, step in actions[side]))
+        to, step = actions[side][i - 1]
         lower = to[b]  # s sigma
         for a in order.bits(poset.downs[b] ^ (1 << b)):
             moved, d = to[a], step[a]
@@ -196,12 +203,6 @@ class OrbitTable:
         self.packing = Kronecker(orbit_norm(n, k),
                                  terms=len(order.orbit_poset(n, k).elements))
         self.rows, self.reversed_rows = _fill(n, k, self.packing)
-        # the delta row of the last theta asked for, by words
-        self._delta_by_word: tuple[Word | None, dict[Word, int]] = (None, {})
-
-    def r(self, a: int, b: int) -> IntPoly:
-        """R[elements[a], elements[b]], decoded."""
-        return self.packing.unpack(self.rows[a].get(b, 0))
 
     def delta_row(self, a: int) -> list[int]:
         """The packed delta sums of elements[a] against every sigma."""
@@ -216,17 +217,17 @@ def orbit_table(n: int, k: int) -> OrbitTable:
 
 def _packed_delta_sum(theta: Word, sigma: Word) -> tuple[OrbitTable, int]:
     # The orbit's R table and the packed delta sum of the pair, off the
-    # one row the table keeps (see the module docstring).
-    n, k = len(theta), renner.rank(theta)
-    table = orbit_table(n, k)
-    last, row = table._delta_by_word
+    # one row its poset keeps under this function (module docstring).
+    n, k = len(theta), len(theta) - theta.count(0)
+    poset = order.orbit_poset(n, k)
+    last, table, row = poset._resident.get(_packed_delta_sum, (None, None, None))
     if last != theta:
-        poset = order.orbit_poset(n, k)
+        table = orbit_table(n, k)
         row = dict(zip(poset.elements, table.delta_row(poset.locate(theta))))
-        table._delta_by_word = theta, row
+        poset._resident[_packed_delta_sum] = theta, table, row
     total = row.get(sigma)
     if total is None:
-        order.orbit_poset(n, k).locate(sigma)
+        poset.locate(sigma)
     return table, total
 
 

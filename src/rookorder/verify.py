@@ -9,6 +9,7 @@ one loop, ``run_suite``, runs them; only it names a report
 from __future__ import annotations
 
 import time
+from itertools import repeat
 
 from . import analysis, hecke, order, renner, rpoly
 from .polynomials import Laurent
@@ -63,6 +64,9 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     holds q^(l(sigma) - l(e)) bar(c_theta(sigma)), which must be
     R[theta, sigma]: so it must equal the column of sigma in the R
     table, int for int, at every theta <= sigma and hold nothing else.
+    R is read at the row's support, which must be down(sigma) (a sum of
+    distinct powers of two is their OR); only a failing sigma builds its
+    column, where an R entry missing below sigma fails too.
 
     With bar(A_sigma) = sum over theta of c_theta(sigma) A_theta,
     bar(bar(A_sigma)) = sum over theta of bar(c_theta(sigma)) bar(A_theta),
@@ -84,16 +88,18 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     elements, lengths = poset.elements, poset.lengths
     for b, sigma in enumerate(elements):
         report.checked += len(elements)
-        column = {a: table.rows[a][b] for a in order.bits(poset.downs[b])}
-        if barred[b] != column:
-            for a in sorted(barred[b].keys() | column.keys()):
-                via_bar, via_recurrence = barred[b].get(a, 0), column.get(a, 0)
+        got = barred[b]
+        if (list(map(dict.get, map(table.rows.__getitem__, got), repeat(b)))
+                != list(got.values()) or sum(map((1).__lshift__, got)) != poset.downs[b]):
+            column = {a: table.rows[a].get(b) for a in order.bits(poset.downs[b])}
+            for a in sorted(got.keys() | column.keys()):
+                via_bar, via_recurrence = got.get(a, 0), column.get(a, 0)
                 if via_bar != via_recurrence:
                     report.violations.append({
                         "theta": renner.format_element(elements[a]),
                         "sigma": renner.format_element(sigma),
                         "via_bar": packing.unpack(via_bar).to_json(),
-                        "via_recurrence": packing.unpack(via_recurrence).to_json(),
+                        "via_recurrence": packing.unpack(via_recurrence or 0).to_json(),
                     })
         report.checked += 1
         row = rpoly.triple_sums(barred[b], rows)

@@ -163,6 +163,21 @@ def descents_by_length(sigma, side):
                      if length_step_by_products(sigma, i, side) < 0)
 
 
+def descent_by_descent_sets(sigma):
+    """The descent the R recurrence takes at sigma of positive length,
+    from ``renner.descents``: the smallest left descent, else the
+    smallest right one."""
+    side, ds = "left", renner.descents(sigma, "left")
+    if not ds:
+        side, ds = "right", renner.descents(sigma, "right")
+    return side, min(ds)
+
+
+def table_entry(table, a, b):
+    """R[elements[a], elements[b]] of an ``rpoly.OrbitTable``, decoded."""
+    return table.packing.unpack(table.rows[a].get(b, 0))
+
+
 def standard_forms_bruteforce(sigma):
     """All (x, e, y) with x e y^-1 = sigma, x minimal in x W_e and y
     minimal in y W(e), found by exhausting W x W."""
@@ -384,7 +399,7 @@ def rpoly_bound_tables(n, k):
     rows = [{b: 1} for b in range(len(poset.elements))]
     reversed_rows = [{b: 1} for b in range(len(poset.elements))]
     for b, sigma in enumerate(poset.elements[1:], 1):
-        side, i = rpoly._descent(sigma)
+        side, i = descent_by_descent_sets(sigma)
         to, step = order.orbit_action(n, k, side)[i - 1]
         for a in order.bits(poset.down(b) ^ (1 << b)):
             for table in (rows, reversed_rows):
@@ -400,7 +415,7 @@ def hecke_bound_tables(n, k):
     from the L1 norms of the orbit sums.  The oracle of the one bound
     table ``hecke._fill`` fills."""
     poset = order.orbit_poset(n, k)
-    left = order.orbit_action(n, k, "left")
+    left, bases = order.orbit_action(n, k, "left"), hecke._orbit_sums(n, k)
     rows, barred = [], []
     for b, sigma in enumerate(poset.elements):
         descents = renner.descents(sigma, "left")
@@ -409,7 +424,7 @@ def hecke_bound_tables(n, k):
             rows.append(hecke._bar_step(rows[to[b]], to, step, 0, 1, False))
             barred.append(hecke._bar_step(barred[to[b]], to, step, 0, 1, True))
             continue
-        base = hecke._orbit_sum(n, k, renner.standard_form(sigma).y, poset.index)
+        base = bases[b]
         rows.append({a: sum(map(abs, c.coeffs)) for a, c in base.items()})
         barred.append({a: sum(map(abs, c.bar().coeffs)) for a, c in base.items()})
     return rows, barred

@@ -84,7 +84,7 @@ def test_criterion_04_degree_monic_constant_term():
                 if not r:
                     continue
                 gap = renner.length(sigma) - renner.length(theta)
-                if r.degree != gap or r.leading_coefficient != 1 \
+                if r.degree != gap or r.coeffs[-1] != 1 \
                         or r.constant_term not in (0, (-1) ** gap):
                     bad.append((theta, sigma, r))
     report(4, "degree-monic-constant-term", not bad, f" {bad[:3]}")

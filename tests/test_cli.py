@@ -356,6 +356,75 @@ def test_verify_hecke_certificates_need_no_laurent_path(capsys, corrupt_fill,
     assert set(certs["expansion"][0]) == {"theta", "sigma", "via_bar", "via_recurrence"}
 
 
+def _q_in_the_barred_row_of_the_minimum(packing, rows, barred):
+    # an entry at (max, min), outside the down set of the minimum
+    from rookorder.polynomials import Q
+    barred[0][len(barred) - 1] = packing.pack(Q)
+
+
+def _q_in_the_r_row_of_the_maximum(packing, rows, _):
+    # the same entry at (max, min), in the R table
+    from rookorder.polynomials import Q
+    rows[len(rows) - 1][0] = packing.pack(Q)
+
+
+def _r_at_min_max(change):
+    # change(value) in place of R[min, max] in the R table
+    def corrupt(packing, rows, _):
+        top = len(rows) - 1
+        value = change(rows[0].pop(top))
+        if value is not None:
+            rows[0][top] = value
+    return corrupt
+
+
+def _only_q_in_the_barred_row_of_the_minimum(packing, rows, barred):
+    # the diagonal entry of the barred row of min moved to (max, min)
+    barred[0].clear()
+    _q_in_the_barred_row_of_the_minimum(packing, rows, barred)
+
+
+@pytest.mark.parametrize("corruptions, expansion, involutive", [
+    # one barred value off by one
+    ([("hecke", _off_by_one_barred_entry)], [("001", "300", "R + 1", "R")], False),
+    # one R value off by one
+    ([("rpoly", _r_at_min_max(lambda x: x + 1))], [("001", "300", "R", "R + 1")], True),
+    # a barred entry outside the down set of its sigma
+    ([("hecke", _q_in_the_barred_row_of_the_minimum)], [("300", "001", "q", "0")], False),
+    # an R entry dropped inside the down set of its sigma
+    ([("rpoly", _r_at_min_max(lambda x: None))], [("001", "300", "R", "0")], True),
+    # the same entry added to both tables outside the down set
+    ([("hecke", _q_in_the_barred_row_of_the_minimum),
+      ("rpoly", _q_in_the_r_row_of_the_maximum)], [("300", "001", "q", "0")], False),
+    # that entry in both, and the barred row's one entry inside dropped:
+    # the support keeps its size but leaves the down set
+    ([("hecke", _only_q_in_the_barred_row_of_the_minimum),
+      ("rpoly", _q_in_the_r_row_of_the_maximum)],
+     [("001", "001", "0", "1"), ("300", "001", "q", "0")], False),
+], ids=["barred-off-by-one", "r-off-by-one", "barred-outside", "r-dropped",
+        "both-outside", "support-moved"])
+def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, corruptions,
+                                                         expansion, involutive):
+    # the barred row of each sigma is compared whole with the column of
+    # sigma in the R table: each fault of R_3 k = 1 below gives these
+    # expansion certificates, decoded from the ints compared, with R the
+    # true R[001, 300]; bar o bar reads only the Hecke table
+    from rookorder import hecke, rpoly
+    from rookorder.polynomials import ONE, Q
+    modules = {"hecke": hecke, "rpoly": rpoly}
+    for name, change in corruptions:
+        corrupt_fill(modules[name], 3, 1, change)
+    certs = _hecke_certificates(capsys)
+    r = rpoly.rpoly((0, 0, 1), (3, 0, 0))
+    values = {"R": r, "R + 1": r + 1, "q": Q, "1": ONE, "0": Q - Q}
+    assert certs.pop("expansion") == [
+        {"theta": theta, "sigma": sigma, "via_bar": values[via_bar].to_json(),
+         "via_recurrence": values[via_recurrence].to_json()}
+        for theta, sigma, via_bar, via_recurrence in expansion]
+    involution = [cert["sigma"] for cert in certs.pop("not-involutive", [])]
+    assert not certs and involution == ([] if involutive else [expansion[-1][1]])
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["verify", "delta", "--n", "2", "--k", "5"], "--k"),
     (["table", "descents", "--n", "3"], "--n"),

@@ -173,13 +173,15 @@ def test_orbit_bars_refuse_bounds_past_the_width(monkeypatch, fresh_orbits):
 
 def test_orbit_bars_sum_each_base_row_once(monkeypatch, fresh_orbits):
     # the bound fill and the packed fill share the orbit sums: one per
-    # element with no left descent
+    # element with no left descent, over one list of terms per orbit
     summed, orbit_sum = [], hecke._orbit_sum
     monkeypatch.setattr(hecke, "_orbit_sum",
-                        lambda *args: summed.append(args[2]) or orbit_sum(*args))
+                        lambda *args: summed.append(args) or orbit_sum(*args))
     hecke.orbit_bars(4, 2)
     bases = [w for w in renner.orbit(4, 2) if not renner.descents(w, "left")]
-    assert len(summed) == len(set(summed)) == len(bases) > 1
+    ts = [t for t, _ in summed]
+    assert len(ts) == len(set(ts)) == len(bases) > 1
+    assert len({id(terms) for _, terms in summed}) == 1
 
 
 def test_bar_Asigma_involutive_on_R2_orbit():

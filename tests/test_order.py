@@ -344,7 +344,7 @@ def test_single_interval_queries_keep_no_rows():
     assert "ups" not in vars(poset) and "downs" not in vars(poset)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_orbit_action_is_the_product_and_the_length_step(n):
     for k in range(n + 1):
         elements = order.orbit_poset(n, k).elements
@@ -358,6 +358,9 @@ def test_orbit_action_is_the_product_and_the_length_step(n):
                              else renner.multiply(w, s))
                     assert elements[t] == moved
                     assert d == renner.length(moved) - renner.length(w)
+                    assert d == renner.length_step(w, i, side)
+    with pytest.raises(ValueError, match="side"):
+        order.orbit_action(n, 0, "up")
 
 
 @pytest.mark.parametrize("n", range(1, 7))

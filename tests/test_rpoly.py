@@ -4,8 +4,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (delta_identity_sum_laurent, hecke_bound_tables, pack_rows,
-                     rpoly_bound_tables, witness_leq)
+from oracles import (delta_identity_sum_laurent, descent_by_descent_sets,
+                     hecke_bound_tables, pack_rows, rpoly_bound_tables, table_entry,
+                     witness_leq)
 from rookorder import hecke, order, renner, rpoly, weyl
 from rookorder.polynomials import IntPoly, Kronecker, Laurent, ONE, Q, Q_MINUS_1, ZERO
 
@@ -47,7 +48,7 @@ def test_degree_monic_constant_term(n):
             r = rpoly.rpoly(theta, sigma)
             gap = renner.length(sigma) - renner.length(theta)
             assert r.degree == gap
-            assert r.leading_coefficient == 1
+            assert r.coeffs[-1] == 1
             assert r.constant_term in (0, (-1) ** gap)
 
 
@@ -140,11 +141,14 @@ def test_delta_identity_small_cases():
 def test_verify_delta_identity_reads_the_packed_sum(monkeypatch):
     # R[min, max] of the R_3 k = 1 table off by 1 turns the sum at
     # (min, max) from 0 into 1, which is right only on the diagonal
-    table, elements = rpoly.orbit_table(3, 1), order.orbit_poset(3, 1).elements
+    # once the row that the orbit's poset keeps is dropped
+    table, poset = rpoly.orbit_table(3, 1), order.orbit_poset(3, 1)
     top = len(table.rows) - 1
+    bottom, maximum = poset.elements[0], poset.elements[top]
+    assert rpoly.verify_delta_identity(bottom, maximum)
     monkeypatch.setitem(table.rows[0], top, table.rows[0][top] + 1)
-    monkeypatch.setattr(table, "_delta_by_word", (None, {}))
-    bottom, maximum = elements[0], elements[top]
+    assert rpoly.verify_delta_identity(bottom, maximum)  # the kept row
+    monkeypatch.delitem(poset._resident, rpoly._packed_delta_sum)
     assert rpoly.delta_identity_sum(bottom, maximum) == 1
     assert not rpoly.verify_delta_identity(bottom, maximum)
     assert rpoly.verify_delta_identity(bottom, bottom)
@@ -152,7 +156,7 @@ def test_verify_delta_identity_reads_the_packed_sum(monkeypatch):
 
 def test_delta_row_cache_follows_theta_across_orbits():
     # thetas of two orbits, and of one orbit, interleaved pair by pair:
-    # every answer is the one a fresh row gives, as each table keeps the
+    # every answer is the one a fresh row gives, as each orbit keeps the
     # row of the theta it was last asked about
     first, second = renner.orbit(3, 1), renner.orbit(3, 2)
     queries = [query for thetas in zip(first, second[::-1], first[::-1])
@@ -195,6 +199,36 @@ def test_delta_row_cache_follows_the_table(monkeypatch):
     assert rpoly.verify_delta_identity(bottom, maximum)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fill_reads_the_descent_of_the_words_off_the_table(n, monkeypatch):
+    # the descent the fill takes at each element, read off the action
+    # table, is the one the word recursion takes from renner.length_step,
+    # and both are the smallest left, else right, of renner.descents
+    descent, taken = rpoly._descent, []
+    monkeypatch.setattr(rpoly, "_descent",
+                        lambda steps: taken.append(descent(steps)) or taken[-1])
+    for k in range(n + 1):
+        taken.clear()
+        rpoly._fill(n, k)
+        elements = order.orbit_poset(n, k).elements
+        on_words = [descent(lambda side: (renner.length_step(sigma, i, side)
+                                          for i in range(1, n)))
+                    for sigma in elements[1:]]
+        assert taken == on_words == list(map(descent_by_descent_sets, elements[1:]))
+
+
+def test_orbit_tables_compute_no_descent_on_words(monkeypatch, fresh_orbits):
+    # the R fill and the Hecke fill read every descent and length step
+    # off the orbit's action table
+    def on_words(*args):
+        raise AssertionError("a descent computed on words")
+
+    monkeypatch.setattr(renner, "descents", on_words)
+    monkeypatch.setattr(renner, "length_step", on_words)
+    table, (packing, rows, barred) = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
+    assert len(table.rows) == len(rows) == len(barred) == len(renner.orbit(4, 2))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_delta_identity_exhaustive(n):
     for k in range(n + 1):
@@ -208,7 +242,7 @@ def test_orbit_table_matches_rpoly(n):
         table, elements = rpoly.orbit_table(n, k), order.orbit_poset(n, k).elements
         assert elements == renner.orbit(n, k)
         for (a, theta), (b, sigma) in itertools.product(enumerate(elements), repeat=2):
-            assert table.r(a, b) == rpoly.rpoly(theta, sigma), (theta, sigma)
+            assert table_entry(table, a, b) == rpoly.rpoly(theta, sigma), (theta, sigma)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -246,7 +280,7 @@ def test_packed_sums_decode_to_the_laurent_sums(n):
             for b in range(size):
                 expected = Laurent(0, ())
                 for m in range(size):
-                    expected = expected + table.r(a, m) * table.r(m, b)
+                    expected += table_entry(table, a, m) * table_entry(table, m, b)
                 assert table.packing.unpack(sums[b]) == expected
 
 
@@ -299,7 +333,8 @@ def test_reversed_rows_are_the_reversed_polynomials():
         lengths = order.orbit_poset(n, k).lengths
         for a, row in enumerate(table.reversed_rows):
             for b, x in row.items():
-                expected = Laurent.q_power(lengths[b] - lengths[a]) * table.r(a, b).bar()
+                r = table_entry(table, a, b)
+                expected = Laurent.q_power(lengths[b] - lengths[a]) * r.bar()
                 assert table.packing.unpack(x) == expected
 
 
