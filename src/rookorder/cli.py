@@ -1,16 +1,24 @@
 """Command-line front end.
 
 Subcommands: orbit, rpoly, mobius, descents, order, hasse, table,
-verify.  Exit codes: 0 success/verified, 1 verification violation,
-2 usage error.  All output is deterministic: running a command twice
-gives byte-identical results.
+verify.  Each command is a function from its parsed arguments to an
+``Output``: the text it prints and the exit code it ends with.  Only
+``main`` writes, to stdout or to ``--out``, and a command that fails
+writes nothing.  Exit codes: 0 success/verified, 1 verification
+violation, 2 usage error: a refusal of argparse (which prints its
+usage), or one ``rookorder: error:`` line for a bad argument, input
+the library rejects or an ``--out`` that cannot be written.  All
+output is deterministic: running a command twice gives byte-identical
+results.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from typing import NamedTuple
 
 from . import analysis, order, renner, rpoly, verify, weyl
 
@@ -24,12 +32,10 @@ class UsageError(ValueError):
     pass
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+class Output(NamedTuple):
+    """What a command prints, and the exit code it ends with."""
+    text: str
+    code: int = 0
 
 
 def _parse_element(text: str) -> renner.Word:
@@ -47,11 +53,15 @@ def _parse_pair(a: str, b: str) -> tuple[renner.Word, renner.Word]:
     return theta, sigma
 
 
-def _check_n_k(n: int, k: int | None) -> None:
-    if not 1 <= n <= MAX_N:
+def _orbit_n_k(args, missing_k: str) -> tuple[int, int]:
+    """The orbit (n, k) that ``--n`` and ``--k`` name."""
+    if not 1 <= args.n <= MAX_N:
         raise UsageError(f"--n must be in 1..{MAX_N}")
-    if k is not None and not 0 <= k <= n:
+    if args.k is None:
+        raise UsageError(missing_k)
+    if not 0 <= args.k <= args.n:
         raise UsageError("--k must satisfy 0 <= k <= n")
+    return args.n, args.k
 
 
 def _descents_str(indices) -> str:
@@ -60,6 +70,11 @@ def _descents_str(indices) -> str:
 
 def _json_dumps(data) -> str:
     return json.dumps(data, indent=2, sort_keys=False) + "\n"
+
+
+def _record(args, record: dict, text: str) -> Output:
+    """A record command's output: ``record`` as JSON, or ``text``."""
+    return Output(_json_dumps(record) if args.format == "json" else text)
 
 
 def _element_row(sigma: renner.Word) -> dict:
@@ -82,120 +97,85 @@ def _rows_to_tsv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_orbit(args) -> int:
-    _check_n_k(args.n, args.k)
-    if args.k is None:
-        raise UsageError("orbit requires --k")
-    rows = [_element_row(sigma) for sigma in renner.orbit(args.n, args.k)]
+def cmd_orbit(args) -> Output:
+    n, k = _orbit_n_k(args, "orbit requires --k")
+    rows = [_element_row(sigma) for sigma in renner.orbit(n, k)]
     if args.format == "json":
-        text = _json_dumps(rows)
-    else:
-        header = ["sigma", "len", "x", "e", "y_inv", "des_L", "des_R"]
-        body = [[r["sigma"], str(r["length"]), r["x"], r["e"], r["y_inv"],
-                 _descents_str(r["des_L"]), _descents_str(r["des_R"])]
-                for r in rows]
-        if args.format == "tsv":
-            text = _rows_to_tsv(header, body)
-        else:
-            widths = [max(len(h), *(len(row[i]) for row in body))
-                      for i, h in enumerate(header)]
-            lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-            lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths))
-                      for row in body]
-            text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return Output(_json_dumps(rows))
+    header = ["sigma", "len", "x", "e", "y_inv", "des_L", "des_R"]
+    body = [[r["sigma"], str(r["length"]), r["x"], r["e"], r["y_inv"],
+             _descents_str(r["des_L"]), _descents_str(r["des_R"])]
+            for r in rows]
+    if args.format == "tsv":
+        return Output(_rows_to_tsv(header, body))
+    widths = [max(len(h), *(len(row[i]) for row in body))
+              for i, h in enumerate(header)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
+    lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths))
+              for row in body]
+    return Output("\n".join(lines) + "\n")
 
 
-def _rpoly_record(theta, sigma) -> dict:
+def cmd_rpoly(args) -> Output:
+    theta, sigma = _parse_pair(args.theta, args.sigma)
     poly = rpoly.rpoly(theta, sigma)
     shape, mu = "incomparable", 0
     if order.leq(theta, sigma):
         info = analysis.classify_interval(theta, sigma)
         shape, mu = info.shape, info.mobius
-    return {
+    return _record(args, {
         "theta": renner.format_element(theta),
         "sigma": renner.format_element(sigma),
-        "rpoly": poly,
+        "rpoly": poly.to_json(),
         "constant_term": poly.constant_term,
         "mobius": mu,
         "shape": shape,
-    }
+    }, (f"R = {poly}\n"
+        f"R(0) = {poly.constant_term}\n"
+        f"mu = {mu}\n"
+        f"shape = {shape}\n"))
 
 
-def cmd_rpoly(args) -> int:
-    theta, sigma = _parse_pair(args.theta, args.sigma)
-    record = _rpoly_record(theta, sigma)
-    if args.format == "json":
-        record["rpoly"] = record["rpoly"].to_json()
-        text = _json_dumps(record)
-    else:
-        text = (f"R = {record['rpoly']}\n"
-                f"R(0) = {record['constant_term']}\n"
-                f"mu = {record['mobius']}\n"
-                f"shape = {record['shape']}\n")
-    _emit(text, args.out)
-    return 0
-
-
-def cmd_mobius(args) -> int:
+def cmd_mobius(args) -> Output:
     theta, sigma = _parse_pair(args.theta, args.sigma)
     mu = order.mobius_direct(theta, sigma)
     r0 = rpoly.rpoly(theta, sigma).constant_term
-    if args.format == "json":
-        text = _json_dumps({"mobius": mu, "r_constant_term": r0})
-    else:
-        text = f"mu = {mu}\nR(0) = {r0}\n"
-    _emit(text, args.out)
-    return 0
+    return _record(args, {"mobius": mu, "r_constant_term": r0},
+                   f"mu = {mu}\nR(0) = {r0}\n")
 
 
-def cmd_descents(args) -> int:
+def cmd_descents(args) -> Output:
     sigma = _parse_element(args.sigma)
     left, right = renner.descents(sigma, "left"), renner.descents(sigma, "right")
-    if args.format == "json":
-        text = _json_dumps({
-            "element": renner.element_to_json(sigma),
-            "des_L": sorted(left),
-            "des_R": sorted(right),
-        })
-    else:
-        text = (f"des_L = {_descents_str(left)}\n"
-                f"des_R = {_descents_str(right)}\n")
-    _emit(text, args.out)
-    return 0
+    return _record(args, {
+        "element": renner.element_to_json(sigma),
+        "des_L": sorted(left),
+        "des_R": sorted(right),
+    }, (f"des_L = {_descents_str(left)}\n"
+        f"des_R = {_descents_str(right)}\n"))
 
 
-def cmd_order(args) -> int:
+def cmd_order(args) -> Output:
     theta, sigma = _parse_pair(args.theta, args.sigma)
     lower = order.leq(theta, sigma)
     upper = order.leq(sigma, theta)
     t, s = renner.format_element(theta), renner.format_element(sigma)
-    if args.format == "json":
-        text = _json_dumps({"theta": t, "sigma": s,
-                            "theta_leq_sigma": lower,
-                            "sigma_leq_theta": upper})
-    else:
-        text = (f"{t} <= {s}: {str(lower).lower()}\n"
-                f"{s} <= {t}: {str(upper).lower()}\n")
-    _emit(text, args.out)
-    return 0
+    return _record(args, {"theta": t, "sigma": s,
+                          "theta_leq_sigma": lower,
+                          "sigma_leq_theta": upper},
+                   f"{t} <= {s}: {str(lower).lower()}\n"
+                   f"{s} <= {t}: {str(upper).lower()}\n")
 
 
-def cmd_hasse(args) -> int:
-    if args.theta is not None and args.sigma is not None:
-        theta, sigma = _parse_pair(args.theta, args.sigma)
-        poset = order.interval(theta, sigma)
-    elif args.theta is None and args.sigma is None:
-        _check_n_k(args.n, args.k)
-        if args.k is None:
-            raise UsageError("hasse requires either two elements or --k")
-        poset = order.interval(renner.orbit_minimum(args.n, args.k),
-                               renner.orbit_maximum(args.n, args.k))
-    else:
+def cmd_hasse(args) -> Output:
+    if (args.theta is None) != (args.sigma is None):
         raise UsageError("hasse takes zero or two element arguments")
-    _emit(order.hasse_dot(poset), args.out)
-    return 0
+    if args.theta is None:
+        n, k = _orbit_n_k(args, "hasse requires either two elements or --k")
+        theta, sigma = renner.orbit_minimum(n, k), renner.orbit_maximum(n, k)
+    else:
+        theta, sigma = _parse_pair(args.theta, args.sigma)
+    return Output(order.hasse_dot(order.interval(theta, sigma)))
 
 
 def descent_table() -> str:
@@ -218,18 +198,14 @@ def length2_table() -> str:
     return _rows_to_tsv(header, body)
 
 
-def cmd_table(args) -> int:
-    if args.name == "descents":
-        text = descent_table()
-    elif args.name == "length2":
-        text = length2_table()
-    else:
-        raise UsageError(f"unknown table {args.name!r}")
-    _emit(text, args.out)
-    return 0
+TABLES = {"descents": descent_table, "length2": length2_table}
 
 
-def cmd_verify(args) -> int:
+def cmd_table(args) -> Output:
+    return Output(TABLES[args.name]())
+
+
+def cmd_verify(args) -> Output:
     if not 1 <= args.n <= 4:
         raise UsageError("verification suites run at n in 1..4")
     reports = verify.run_suite(args.suite, args.n)
@@ -243,8 +219,7 @@ def cmd_verify(args) -> int:
             for r in reports
         ],
     }
-    _emit(_json_dumps(payload), args.out)
-    return 0 if passed else 1
+    return Output(_json_dumps(payload), 0 if passed else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,10 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "functions on rook monoid orbits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, formats, summary, flags=()):
-        """A subcommand whose --format takes the formats it writes, the
-        first one by default.  Of --n and --k it takes the ``flags`` it
-        reads, so argparse refuses the others with exit code 2."""
+    def add(name, func, formats, summary, flags=(), elements=()):
+        """A subcommand that runs ``func``, with one positional argument
+        per name in ``elements``.  Its --format takes the formats it
+        writes, the first one by default.  Of --n and --k it takes the
+        ``flags`` it reads, so argparse refuses the others with exit
+        code 2."""
         p = sub.add_parser(name, help=summary)
         if "--n" in flags:
             p.add_argument("--n", type=int, default=4, help="rank (1..8)")
@@ -265,58 +242,50 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, default=None, help="orbit rank")
         p.add_argument("--out", default=None, metavar="FILE")
         p.add_argument("--format", choices=formats, default=formats[0])
+        for element in elements:
+            p.add_argument(element)
+        p.set_defaults(func=func)
         return p
 
-    p = add("orbit", ("text", "json", "tsv"),
-            "list an orbit with lengths, standard forms, descents", ("--n", "--k"))
-    p.set_defaults(func=cmd_orbit)
+    add("orbit", cmd_orbit, ("text", "json", "tsv"),
+        "list an orbit with lengths, standard forms, descents", ("--n", "--k"))
+    add("rpoly", cmd_rpoly, ("text", "json"), "R-polynomial of a same-orbit pair",
+        elements=("theta", "sigma"))
+    add("mobius", cmd_mobius, ("text", "json"), "Mobius function of a same-orbit pair",
+        elements=("theta", "sigma"))
+    add("descents", cmd_descents, ("text", "json"), "descent sets of one element",
+        elements=("sigma",))
+    add("order", cmd_order, ("text", "json"),
+        "compare two elements in Bruhat-Chevalley order", elements=("theta", "sigma"))
 
-    p = add("rpoly", ("text", "json"), "R-polynomial of a same-orbit pair")
-    p.add_argument("theta")
-    p.add_argument("sigma")
-    p.set_defaults(func=cmd_rpoly)
-
-    p = add("mobius", ("text", "json"), "Mobius function of a same-orbit pair")
-    p.add_argument("theta")
-    p.add_argument("sigma")
-    p.set_defaults(func=cmd_mobius)
-
-    p = add("descents", ("text", "json"), "descent sets of one element")
-    p.add_argument("sigma")
-    p.set_defaults(func=cmd_descents)
-
-    p = add("order", ("text", "json"),
-            "compare two elements in Bruhat-Chevalley order")
-    p.add_argument("theta")
-    p.add_argument("sigma")
-    p.set_defaults(func=cmd_order)
-
-    p = add("hasse", ("dot",),
+    p = add("hasse", cmd_hasse, ("dot",),
             "DOT Hasse diagram of an interval or a whole orbit", ("--n", "--k"))
     p.add_argument("theta", nargs="?", default=None)
     p.add_argument("sigma", nargs="?", default=None)
-    p.set_defaults(func=cmd_hasse)
 
-    p = add("table", ("tsv",), "reference tables (descents, length2)")
-    p.add_argument("name", choices=("descents", "length2"))
-    p.set_defaults(func=cmd_table)
+    p = add("table", cmd_table, ("tsv",), "reference tables (descents, length2)")
+    p.add_argument("name", choices=TABLES)
 
-    p = add("verify", ("json",),
+    p = add("verify", cmd_verify, ("json",),
             "run a verification suite, exit 1 on violations", ("--n",))
     p.add_argument("suite", choices=verify.SUITES)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:  # a UsageError, or input the library rejected
+        text, code = args.func(args)
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else contextlib.nullcontext(sys.stdout)) as sink:
+            sink.write(text)
+    except (ValueError, OSError) as exc:
+        # a UsageError, input the library rejected, or output that
+        # cannot be written, such as an --out naming a directory
         print(f"rookorder: error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

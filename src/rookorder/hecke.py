@@ -85,7 +85,7 @@ HeckeElt = dict  # Word -> Laurent, zero coefficients absent
 __all__ = [
     "HeckeElt", "add_scaled", "canonical", "mult_As_left",
     "mult_Aw_left", "orbit_bars", "bar_Asigma", "bar_element",
-    "rpoly_via_bar", "hecke_to_json",
+    "rpoly_via_bar",
 ]
 
 _Q_INV = Laurent.q_power(-1)
@@ -273,9 +273,3 @@ def rpoly_via_bar(sigma: Word) -> dict[Word, IntPoly]:
     return {poset.elements[a]: packing.unpack(x)
             for a, x in barred[poset.locate(sigma)].items()}
 
-
-def hecke_to_json(h: HeckeElt) -> list[dict]:
-    """JSON form: list of {element, laurent} sorted by (length, text)."""
-    keys = sorted(h, key=lambda w: (renner.length(w), renner.format_element(w)))
-    return [{"element": renner.element_to_json(w), "laurent": h[w].to_json()}
-            for w in keys]

@@ -229,19 +229,8 @@ class IntPoly(Laurent):
     __mul__ = __rmul__ = Laurent.__mul__
 
     @property
-    def degree(self) -> int:
-        """Degree, with the convention that the zero polynomial has degree -1."""
-        return self.min_exp + len(self.coeffs) - 1
-
-    @property
     def constant_term(self) -> int:
         return self.coeffs[0] if self.coeffs and not self.min_exp else 0
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc * x ** self.min_exp
 
     def _dense(self) -> list[int]:
         return [0] * self.min_exp + list(self.coeffs)

@@ -79,7 +79,9 @@ def hecke_oracle_report(n: int, k: int) -> Report:
 
     Only what fails is decoded, from the ints just compared: the
     entries of an expansion that differ, and the whole bar o bar row of
-    a sigma it is not the identity on, unscaled by q^(l(nu) - l(sigma)).
+    a sigma it is not the identity on, unscaled by q^(l(nu) - l(sigma)),
+    as {element, laurent} pairs in index order, which for n <= 9 is the
+    (length, text) order of a Hecke element's JSON form.
     """
     report = Report(name="hecke")
     table = rpoly.orbit_table(n, k)
@@ -107,9 +109,11 @@ def hecke_oracle_report(n: int, k: int) -> Report:
             report.violations.append({
                 "kind": "not-involutive",
                 "sigma": renner.format_element(sigma),
-                "bar_squared": hecke.hecke_to_json({
-                    elements[nu]: packing.unpack(x) * Laurent.q_power(lengths[nu] - lengths[b])
-                    for nu, x in enumerate(row) if x}),
+                "bar_squared": [{
+                    "element": renner.element_to_json(elements[nu]),
+                    "laurent": (packing.unpack(x)
+                                * Laurent.q_power(lengths[nu] - lengths[b])).to_json(),
+                } for nu, x in enumerate(row) if x],
             })
     return report
 

@@ -271,6 +271,16 @@ def scan_rows(elements, leq_fn):
     return ups, downs
 
 
+def degree(p):
+    """Degree of a polynomial in q, -1 for zero."""
+    return p.min_exp + len(p.coeffs) - 1
+
+
+def evaluate(p, x):
+    """The value of a polynomial in q at q = x."""
+    return sum(c * x ** (p.min_exp + i) for i, c in enumerate(p.coeffs))
+
+
 def laurent_terms(p):
     """{exponent: coefficient} of a ``Laurent``, nonzero entries only."""
     return {p.min_exp + i: c for i, c in enumerate(p.coeffs) if c}
@@ -307,6 +317,14 @@ def int_poly_terms(coeffs):
     """{exponent: coefficient} of the polynomial in q with the dense
     ascending coefficients ``coeffs``, nonzero entries only."""
     return {i: c for i, c in enumerate(coeffs) if c}
+
+
+def hecke_to_json(h):
+    """JSON form of a Hecke element {word: Laurent}: a list of
+    {element, laurent} sorted by (length, text)."""
+    keys = sorted(h, key=lambda w: (renner.length(w), renner.format_element(w)))
+    return [{"element": renner.element_to_json(w), "laurent": h[w].to_json()}
+            for w in keys]
 
 
 def bar_Aw_by_reduced_word(w, h):

@@ -4,7 +4,7 @@ line (run with ``pytest -s tests/test_acceptance.py`` to see them)."""
 import itertools
 import time
 
-from oracles import coset_factorization_violations, witness_leq
+from oracles import coset_factorization_violations, degree, witness_leq
 from rookorder import analysis, cli, hecke, order, renner, rpoly, verify, weyl
 from rookorder.polynomials import Q, Q_MINUS_1
 
@@ -84,7 +84,7 @@ def test_criterion_04_degree_monic_constant_term():
                 if not r:
                     continue
                 gap = renner.length(sigma) - renner.length(theta)
-                if r.degree != gap or r.coeffs[-1] != 1 \
+                if degree(r) != gap or r.coeffs[-1] != 1 \
                         or r.constant_term not in (0, (-1) ** gap):
                     bad.append((theta, sigma, r))
     report(4, "degree-monic-constant-term", not bad, f" {bad[:3]}")

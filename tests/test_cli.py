@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import rookorder
+from oracles import hecke_to_json
 from rookorder import cli
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -299,7 +300,7 @@ def test_verify_hecke_involution_certificate(capsys, corrupt_fill):
              if v.get("kind") == "not-involutive"]
     assert [cert["sigma"] for cert in certs] == [renner.format_element(top)]
     assert set(certs[0]) == {"kind", "sigma", "bar_squared"}
-    assert certs[0]["bar_squared"] != hecke.hecke_to_json({top: Laurent.from_int(1)})
+    assert certs[0]["bar_squared"] != hecke_to_json({top: Laurent.from_int(1)})
 
 
 def _off_by_one_barred_entry(packing, rows, barred):
@@ -336,8 +337,8 @@ def test_verify_hecke_involution_certificate_of_a_barred_fault(capsys, corrupt_f
     for a, x in barred[-1].items():
         hecke.add_scaled(expected, hecke.bar_Asigma(poset.elements[a]),
                          packing.unpack(x) * unscale)
-    assert certs[0]["bar_squared"] == hecke.hecke_to_json(hecke.canonical(expected))
-    assert certs[0]["bar_squared"] != hecke.hecke_to_json({top: Laurent.from_int(1)})
+    assert certs[0]["bar_squared"] == hecke_to_json(hecke.canonical(expected))
+    assert certs[0]["bar_squared"] != hecke_to_json({top: Laurent.from_int(1)})
 
 
 def test_verify_hecke_certificates_need_no_laurent_path(capsys, corrupt_fill,
@@ -477,6 +478,21 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().count("->") == 2
+
+
+@pytest.mark.parametrize("argv", [["descents", "0012"], ["verify", "putcha", "--n", "2"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, where):
+    # a directory, or a path whose parent directory is missing, is a
+    # usage error: one error line naming the path, nothing on stdout and
+    # nothing left on disk
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("rookorder: error: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _cold_env():

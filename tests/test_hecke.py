@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import bar_Asigma_by_reduced_word, bar_Asigma_by_support
+from oracles import bar_Asigma_by_reduced_word, bar_Asigma_by_support, hecke_to_json
 from rookorder import hecke, order, renner, rpoly, verify, weyl
 from rookorder.polynomials import Laurent, ONE
 
@@ -292,8 +292,21 @@ def test_hecke_report_flags_every_sigma_a_corrupted_bar_reaches(monkeypatch):
     assert flagged == [renner.format_element(w) for w in renner.orbit(n, n)]
 
 
-def test_hecke_to_json_sorted():
+def test_hecke_to_json_sorted(monkeypatch):
     h = hecke.bar_Asigma(renner.rank_idempotent(2, 1))
-    data = hecke.hecke_to_json(h)
+    data = hecke_to_json(h)
     assert [d["element"]["one_line"] for d in data] == [[0, 1], [1, 0]]
     assert data[0]["laurent"] == {"var": "q", "min_exp": -1, "coeffs": [1, -1]}
+    # the not-involutive certificate that verify prints has the same form
+    # and (length, text) order: with one coefficient of bar(A_max) of
+    # R_3 k = 1 off, it is bar(bar(A_max)) as the Laurent path reads it
+    n, k = 3, 1
+    elements = renner.orbit(n, k)
+    top = elements[-1]
+    _corrupt(monkeypatch, n, k, len(elements) - 1, 0, ONE_L)
+    certs = [v["bar_squared"] for v in verify.hecke_oracle_report(n, k).violations
+             if v.get("kind") == "not-involutive"]
+    assert len(certs) == 1
+    laurent = hecke.canonical(hecke.bar_element(hecke.bar_Asigma(top)))
+    assert certs[0] == hecke_to_json(laurent)
+    assert len({renner.length(w) for w in laurent}) > 1

@@ -3,26 +3,26 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (int_poly_terms, kronecker_for, laurent_terms, terms_add, terms_bar,
-                     terms_mul, terms_neg)
+from oracles import (degree, evaluate, int_poly_terms, kronecker_for, laurent_terms,
+                     terms_add, terms_bar, terms_mul, terms_neg)
 from rookorder.polynomials import IntPoly, Laurent, ONE, Q, Q_MINUS_1, ZERO
 
 
 def test_int_poly_basics():
     p = Q_MINUS_1
-    assert p.degree == 1
+    assert degree(p) == 1
     assert p.constant_term == -1
     assert p.coeffs[-1] == 1
     assert (p * p).coeffs == (1, -2, 1)
     assert p + 1 == Q
     assert p - p == ZERO
-    assert ZERO.degree == -1
+    assert degree(ZERO) == -1
     assert ZERO.constant_term == 0
     assert not ZERO
     assert ONE == 1
-    assert (Q * Q - Q)(0) == 0
-    assert (Q * Q - Q)(3) == 6
-    assert (Q * Q).degree == 2 and (Q * Q).constant_term == 0
+    assert evaluate(Q * Q - Q, 0) == 0
+    assert evaluate(Q * Q - Q, 3) == 6
+    assert degree(Q * Q) == 2 and (Q * Q).constant_term == 0
 
 
 def test_int_poly_canonical_form():
@@ -175,11 +175,11 @@ def test_int_poly_matches_term_dict_oracle(coeffs):
     p, terms = IntPoly(coeffs), int_poly_terms(coeffs)
     assert_canonical(p, terms, IntPoly)
     assert_canonical(p.bar(), terms_bar(terms), Laurent)
-    assert p.degree == max(terms, default=-1)
+    assert degree(p) == max(terms, default=-1)
     assert p.constant_term == terms.get(0, 0)
-    assert (p.coeffs or (0,))[-1] == terms.get(p.degree, 0)
-    assert p(2) == sum(c * 2 ** e for e, c in terms.items())
-    dense = [terms.get(e, 0) for e in range(p.degree + 1)]
+    assert (p.coeffs or (0,))[-1] == terms.get(degree(p), 0)
+    assert evaluate(p, 2) == sum(c * 2 ** e for e, c in terms.items())
+    dense = [terms.get(e, 0) for e in range(degree(p) + 1)]
     assert p.to_json() == {"var": "q", "coeffs": dense}
 
 
