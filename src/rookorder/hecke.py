@@ -67,8 +67,12 @@ never do on R_1 to R_6, but the table raises ValueError rather than
 pack past the width.
 
 That bar is an involution is checked orbit by orbit in integer
-arithmetic over the same table, one bar o bar row per sigma
-(``verify.hecke_oracle_report``), which decodes its own certificates.
+arithmetic over the same table (``verify.hecke_oracle_report``), which
+decodes its own certificates.  It sums the bar o bar row of one sigma of
+each pair {sigma, sigma*}, sigma* = w0 sigma^-1 w0, once it has checked
+that the rows and the barred rows are both equivariant under that map
+(c_(a*)(b*) = c_a(b)); the row of sigma* is then that of sigma
+relabelled.  On a table that fails the check every sigma is summed.
 ``bar_Asigma``, ``bar_element`` and ``rpoly_via_bar`` decode the table
 into ``Laurent`` coefficients: they are the Laurent path, which the
 tests hold the packed sums and their certificates against.

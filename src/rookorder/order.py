@@ -9,7 +9,9 @@ orbit (elements, covers, Mobius values) go to an ``IntervalPoset``,
 which indexes exactly that interval; sweeps over a whole orbit share
 ``orbit_poset(n, k)``, the poset of [min, max].  It is the one per-orbit
 cache: it keeps the last orbit asked for, and ``resident`` keeps what
-is derived from it (rows, actions, the R and Hecke tables) on it.
+is derived from it on it: rows, the s_i-actions (``orbit_action``), the
+index permutation sigma -> sigma* = w0 sigma^-1 w0 (``orbit_star``) and
+the R and Hecke tables.
 
 The coset-witness criterion on standard forms (theta = u e v^-1 <=
 sigma = x f y^-1 iff e <= f and u <= xw, yw <= v for some w in
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache, partial, reduce, wraps
-from itertools import chain
+from itertools import chain, compress, count
 from operator import and_, is_not, sub
 
 from . import renner
@@ -32,7 +34,8 @@ from .renner import Word
 __all__ = [
     "leq", "dominance_leq", "require_same_orbit", "bits", "IntervalPoset",
     "mobius_row", "mobius_at", "orbit_poset", "resident", "orbit_action",
-    "interval_elements", "interval", "mobius_direct", "hasse_dot",
+    "star", "orbit_star", "interval_elements", "interval", "mobius_direct",
+    "hasse_dot",
 ]
 
 
@@ -96,8 +99,23 @@ def require_same_orbit(theta: Word, sigma: Word) -> tuple[int, int]:
     return len(theta), k
 
 
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def bits(mask: int):
-    """Positions of the set bits of ``mask``, ascending."""
+    """Positions of the set bits of ``mask``, ascending.
+
+    A dense mask, with more than (bit_length + 64) / 8 set bits, is
+    walked in bulk, as its binary digits read from the low end; a sparse
+    one bit by bit, which costs three big-int operations per set bit but
+    nothing per clear one.
+
+    >>> list(bits(0b101101)), list(bits(1 << 100 | 1)), sum(bits((1 << 80) - 1))
+    ([0, 2, 3, 5], [0, 100], 3160)
+    """
+    if 8 * mask.bit_count() > mask.bit_length() + 64:
+        yield from compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS))
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -337,6 +355,36 @@ def orbit_action(n: int, k: int, side: str) -> tuple[tuple[tuple[int, ...], ...]
         to = tuple(map(poset.index.__getitem__, zip(*[iter(moved)] * n)))
         action.append((to, tuple(map(sub, map(lengths.__getitem__, to), lengths))))
     return tuple(action)
+
+
+def star(word: Word) -> Word:
+    """sigma* = w0 sigma^-1 w0: column j of sigma* holds n + 1 - c, where
+    c is the column of the value n + 1 - j in sigma, and 0 if sigma lacks
+    that value.
+
+    It is an anti-automorphism of R_n that keeps the rank, sends s_i to
+    s_(n-i) and so s_i sigma to sigma* s_(n-i), and keeps the length and
+    the order (Björner-Brenti, GTM 231, ch. 5, for the symmetric group).
+
+    >>> star((1, 0)), star((0, 2)), star((0, 4, 2, 0)), star((3, 0, 2, 0))
+    ((0, 2), (1, 0), (3, 0, 2, 0), (0, 4, 2, 0))
+    """
+    n = len(word)
+    columns = [0] * (n + 1)  # of each value; that of 0 is never read
+    for c, value in enumerate(word, 1):
+        columns[value] = c
+    return tuple(n + 1 - c if c else 0 for c in columns[:0:-1])
+
+
+@resident
+def orbit_star(n: int, k: int) -> tuple[int, ...]:
+    """``star`` on ``orbit_poset(n, k)`` by index: entry a is the index
+    of elements[a]*.  An orbit is closed under it, since it keeps the
+    rank; the tests check on R_1 to R_5 that it is an involution that
+    keeps the lengths and the up rows, and ``rpoly.product_rows`` checks
+    what it relies on before using it."""
+    poset = orbit_poset(n, k)
+    return tuple(map(poset.index.__getitem__, map(star, poset.elements)))
 
 
 def interval_elements(theta: Word, sigma: Word) -> tuple[Word, ...]:

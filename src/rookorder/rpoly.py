@@ -50,7 +50,11 @@ The delta identity, the inversion formula of the R-polynomials,
 
     sum over theta <= nu <= sigma of R[theta, nu] R'[nu, sigma] = delta(theta, sigma),
 
-is one row of ``triple_sums`` per theta over the two tables.  A sum has
+is one row of ``triple_sums`` per theta over the two tables.  The orbit
+check reads these rows from ``product_rows``, which sums one theta of
+each pair {theta, theta*}, theta* = w0 theta^-1 w0, once it has checked
+that both tables are equivariant under that map (R[a*, b*] = R[a, b],
+and the same for R'); ``verify`` gives the argument.  A sum has
 at most |orbit| terms, so each of its coefficients is at most
 |orbit| * L^2 < 2^(B-1) in absolute value: a balanced base-2^B digit.
 So each int determines its polynomial, and an int equal to 0 or 1
@@ -60,9 +64,10 @@ as ``packing.unpack(rows[a].get(b, 0))``, and a sum only where it fails.
 The per-pair callers, ``verify_delta_identity`` and
 ``delta_identity_sum``, read one row that the orbit's poset keeps with
 its table: that of the last theta asked for, as {sigma word: packed
-sum}.  A pair of the same theta costs one ``order.orbit_poset`` hit, one
-tuple compare and two dict lookups; a sigma outside the row is refused
-by the orbit's index.
+sum}.  In ``verify_delta_identity`` a pair of the same theta costs one
+``order.orbit_poset`` hit, one identity test of theta (a tuple compare
+only for an equal tuple that is another object) and two dict lookups; a
+sigma outside the row is refused by the orbit's index.
 
 The constant term R[theta, sigma](0) equals the Mobius function of the
 interval.
@@ -70,14 +75,15 @@ interval.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 from . import order, renner, weyl
 from .polynomials import IntPoly, Kronecker, ONE, Q, Q_MINUS_1, ZERO
 from .renner import Word
 
-__all__ = ["rpoly", "triple_sums", "OrbitTable", "orbit_norm", "orbit_table",
-           "delta_identity_sum", "verify_delta_identity"]
+__all__ = ["rpoly", "triple_sums", "product_rows", "OrbitTable", "orbit_norm",
+           "orbit_table", "delta_identity_sum", "verify_delta_identity"]
 
 Rows = list[dict[int, int]]  # per index a: {index b: packed value at (a, b)}
 
@@ -145,6 +151,43 @@ def triple_sums(left: dict[int, int], rows: Rows) -> list[int]:
         for j, y in rows[m].items():
             out[j] += x * y
     return out
+
+
+def _equivariant(rows: Rows, star) -> bool:
+    # whether rows[star[a]] is row a relabelled by star, for every a, star
+    # an involution: at a = star[b] it follows from b, by relabelling both
+    # sides.  One relabelled row is held at a time.
+    return all({star[b]: x for b, x in row.items()} == rows[star[a]]
+               for a, row in enumerate(rows) if star[a] >= a)
+
+
+def product_rows(left: Rows, right: Rows, star) -> Iterator[list[int] | None]:
+    """Row b of the product of two packed orbit matrices, for every b in
+    index order: ``triple_sums(left[b], right)``, or None where that row
+    is the packed identity (1 at b, 0 elsewhere).
+
+    ``star`` is an index permutation (``order.orbit_star``).  If star o
+    star = id and both matrices are equivariant under it, T[star a][star
+    b] = T[a][b] on every entry, checked before any sum, the sum of b is
+    skipped (b reads as the identity) when star(b) < b and the row of
+    star(b) was the identity; otherwise every b is summed.  ``verify``
+    gives the argument.
+    """
+    size = len(left)
+    if not (all(star[star[a]] == a for a in range(size))
+            and _equivariant(left, star) and _equivariant(right, star)):
+        star = range(size)
+    identity = bytearray(size)
+    for b, row in enumerate(left):
+        if star[b] < b and identity[star[b]]:
+            yield None
+            continue
+        out = triple_sums(row, right)
+        if out[b] == 1 and out.count(0) == size - 1:
+            identity[b] = 1
+            yield None
+        else:
+            yield out
 
 
 def _fill(n: int, k: int, packing: Kronecker | None = None) -> list[Rows]:
@@ -248,4 +291,13 @@ def verify_delta_identity(theta: Word, sigma: Word) -> bool:
     >>> verify_delta_identity((0, 1), (2, 0))
     True
     """
-    return _packed_delta_sum(theta, sigma)[1] == int(theta == sigma)
+    n = len(theta)
+    poset = order.orbit_poset(n, n - theta.count(0))
+    last, _, row = poset._resident.get(_packed_delta_sum, (None, None, None))
+    if last is theta or last == theta:
+        total = row.get(sigma)
+        if total is None:
+            poset.locate(sigma)
+    else:
+        total = _packed_delta_sum(theta, sigma)[1]
+    return total == (theta == sigma)

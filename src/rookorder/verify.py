@@ -4,6 +4,30 @@ One table, ``_CHECKS``, maps each suite to ``(label, check)`` pairs,
 where a check is an ``(n, k) -> Report`` function on one orbit.  The
 one loop, ``run_suite``, runs them; only it names a report
 ``"<label> n=<n> k=<k>"`` and times it.  Every check is exhaustive.
+
+The two triple checks, the delta identity and bar o bar = id, check
+that each row of a product T1 T2 of two packed orbit tables is the
+identity row, and they sum one sigma of each pair {sigma, sigma*}
+(``rpoly.product_rows``), where sigma* = w0 sigma^-1 w0 and phi is the
+permutation sigma -> sigma* of the orbit's indices (``order.orbit_star``).
+Why that is exact: if phi is a bijection and both factors are
+equivariant, T[phi a][phi b] = T[a][b], then, summing over m = phi(m'),
+
+    sum_m T1[phi b][m] T2[m][phi j] = sum_m' T1[b][m'] T2[m'][j],
+
+so row phi(b) of the product is row b permuted by phi, and it is
+e_(phi b) exactly when row b is e_b.  Both conditions are checked on
+the tables the sums read, before any sum: phi o phi = id (so phi is a
+bijection), then every entry of both factors, row a against row phi(a)
+for each a <= phi(a) (row phi(a) against row a is the same equation
+relabelled by phi).  If any of that fails, phi is replaced by the
+identity and every sigma is summed: the same loop, with no skips.
+Walking sigma in index order, the sum of b is skipped only when
+phi(b) < b and the row of phi(b) was the identity; the partner of a
+failing row is summed itself, so its certificate is the one its own sum
+gives.  Each sigma still counts once in ``checked``, and violations
+come in index order, so every report is the one that summing every
+sigma gives.
 """
 
 from __future__ import annotations
@@ -20,14 +44,15 @@ __all__ = ["SUITES", "hecke_oracle_report", "run_suite"]
 
 def _delta_identity(n: int, k: int) -> Report:
     """The delta identity on every ordered pair of the orbit, one packed
-    row of sums per theta; only a failing sum is decoded."""
+    row of sums per theta of each pair {theta, theta*} (module
+    docstring); only a failing sum is decoded."""
     report = Report(name="delta")
     table = rpoly.orbit_table(n, k)
     elements = order.orbit_poset(n, k).elements
-    for a, theta in enumerate(elements):
-        row = table.delta_row(a)
-        report.checked += len(row)
-        if row[a] == 1 and row.count(0) == len(row) - 1:
+    rows = rpoly.product_rows(table.rows, table.reversed_rows, order.orbit_star(n, k))
+    for a, (theta, row) in enumerate(zip(elements, rows)):
+        report.checked += len(elements)
+        if row is None:
             continue
         for b, total in enumerate(row):
             if total != (1 if a == b else 0):
@@ -71,7 +96,8 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     With bar(A_sigma) = sum over theta of c_theta(sigma) A_theta,
     bar(bar(A_sigma)) = sum over theta of bar(c_theta(sigma)) bar(A_theta),
     so its row is one ``rpoly.triple_sums`` of the barred row of sigma
-    against the rows {nu: c_nu(theta)}, computed sigma by sigma.  The
+    against the rows {nu: c_nu(theta)}, computed sigma by sigma, for one
+    sigma of each pair {sigma, sigma*} (module docstring).  The
     scales multiply to q^(l(sigma) - l(nu)) in every term, which is 1 at
     nu = sigma, so the row must be 1 at sigma and 0 elsewhere.  The
     supports are those of the table, so the sums assume nothing about
@@ -88,7 +114,8 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     packing, rows, barred = hecke.orbit_bars(n, k)
     poset = order.orbit_poset(n, k)
     elements, lengths = poset.elements, poset.lengths
-    for b, sigma in enumerate(elements):
+    squares = rpoly.product_rows(barred, rows, order.orbit_star(n, k))
+    for b, (sigma, row) in enumerate(zip(elements, squares)):
         report.checked += len(elements)
         got = barred[b]
         if (list(map(dict.get, map(table.rows.__getitem__, got), repeat(b)))
@@ -104,8 +131,7 @@ def hecke_oracle_report(n: int, k: int) -> Report:
                         "via_recurrence": packing.unpack(via_recurrence or 0).to_json(),
                     })
         report.checked += 1
-        row = rpoly.triple_sums(barred[b], rows)
-        if row[b] != 1 or row.count(0) != len(elements) - 1:
+        if row is not None:
             report.violations.append({
                 "kind": "not-involutive",
                 "sigma": renner.format_element(sigma),

@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import settings
 
-from rookorder import order
+from rookorder import order, rpoly
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -65,3 +65,27 @@ def corrupt_mobius(monkeypatch):
         monkeypatch.setattr(order, "mobius_row", corrupted)
         monkeypatch.setattr(poset, "_mobius", {})
     return corrupt
+
+
+@pytest.fixture
+def count_sums(monkeypatch):
+    """The left rows that ``rpoly.triple_sums`` is called on from then on,
+    in call order."""
+    calls, triple_sums = [], rpoly.triple_sums
+    monkeypatch.setattr(rpoly, "triple_sums",
+                        lambda left, rows: calls.append(left) or triple_sums(left, rows))
+    return calls
+
+
+@pytest.fixture
+def full_sums(monkeypatch):
+    """full_sums(check, n, k): (checked, violations) of the report
+    check(n, k) with every sigma summed, as under an ``order.orbit_star``
+    that is the identity, which the patch is only while check runs."""
+    def run(check, n, k):
+        with monkeypatch.context() as patch:
+            patch.setattr(order, "orbit_star",
+                          lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
+            report = check(n, k)
+        return report.checked, report.violations
+    return run

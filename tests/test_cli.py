@@ -245,17 +245,17 @@ def test_verify_nonempty_descent_certificate(capsys, monkeypatch):
     assert set(cert) == {"kind", "element", "length"}
 
 
+def _q_added_to_r_at_min_max(packing, rows, _):
+    from rookorder.polynomials import Q
+    rows[0][len(rows) - 1] += packing.pack(Q)
+
+
 def test_verify_delta_certificate_carries_the_one_sum(capsys, corrupt_fill):
     # the fault sits in the packed input of the sums: R[min, max] of the
     # R_3 k = 1 table is filled off by q, which changes exactly one sum,
     # and the certificate carries that sum decoded
     from rookorder import renner, rpoly
-    from rookorder.polynomials import Q
-
-    def change(packing, rows, _):
-        rows[0][len(rows) - 1] += packing.pack(Q)
-
-    corrupt_fill(rpoly, 3, 1, change)
+    corrupt_fill(rpoly, 3, 1, _q_added_to_r_at_min_max)
     cert = _first_violation(capsys, "delta", "delta")
     assert set(cert) == {"theta", "sigma", "sum"}
     ends = renner.orbit_minimum(3, 1), renner.orbit_maximum(3, 1)
@@ -283,17 +283,17 @@ def test_verify_hecke_expansion_certificate(capsys, corrupt_fill):
     assert cert["via_bar"] != cert["via_recurrence"]
 
 
+def _off_by_one_hecke_entry(packing, rows, barred):
+    rows[-1][0] += 1  # bar(A_max), scaled; index 0 is the minimum
+
+
 def test_verify_hecke_involution_certificate(capsys, corrupt_fill):
     # the fault sits in the packed input of bar o bar: one coefficient of
     # bar(A_max) is filled off by one, so bar(bar(A_max)) is not A_max
     from rookorder import hecke, renner
     from rookorder.polynomials import Laurent
     top = renner.orbit_maximum(3, 1)
-
-    def change(packing, rows, barred):
-        rows[-1][0] += 1  # bar(A_max), scaled; index 0 is the minimum
-
-    corrupt_fill(hecke, 3, 1, change)
+    corrupt_fill(hecke, 3, 1, _off_by_one_hecke_entry)
     code, out, _ = run(capsys, "verify", "hecke", "--n", "3")
     assert code == 1
     certs = [v for r in json.loads(out)["reports"] for v in r["violations"]
@@ -424,6 +424,36 @@ def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, co
         for theta, sigma, via_bar, via_recurrence in expansion]
     involution = [cert["sigma"] for cert in certs.pop("not-involutive", [])]
     assert not certs and involution == ([] if involutive else [expansion[-1][1]])
+
+
+@pytest.mark.parametrize("corruptions", [
+    [("rpoly", 1, _q_added_to_r_at_min_max)],
+    [("hecke", 0, lambda packing, rows, barred: barred[0].pop(0))],
+    [("hecke", 1, _off_by_one_hecke_entry)],
+    [("hecke", 1, _off_by_one_barred_entry)],
+    [("rpoly", 1, _r_at_min_max(lambda x: x + 1))],
+    [("hecke", 1, _q_in_the_barred_row_of_the_minimum)],
+    [("rpoly", 1, _r_at_min_max(lambda x: None))],
+    [("hecke", 1, _q_in_the_barred_row_of_the_minimum),
+     ("rpoly", 1, _q_in_the_r_row_of_the_maximum)],
+    [("hecke", 1, _only_q_in_the_barred_row_of_the_minimum),
+     ("rpoly", 1, _q_in_the_r_row_of_the_maximum)],
+], ids=["r-off-by-q", "barred-diagonal-dropped", "hecke-off-by-one", "barred-off-by-one",
+        "r-off-by-one", "barred-outside", "r-dropped", "both-outside", "support-moved"])
+def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, monkeypatch,
+                                                       corruptions):
+    # each fault the tests above inject into the tables of R_3 gives the
+    # output of delta and hecke that summing every sigma gives, as under
+    # an identity star
+    from rookorder import hecke, order, rpoly
+    modules = {"hecke": hecke, "rpoly": rpoly}
+    for name, k, change in corruptions:
+        corrupt_fill(modules[name], 3, k, change)
+    outputs = [run(capsys, "verify", suite, "--n", "3") for suite in ("delta", "hecke")]
+    assert outputs[1][0] == 1
+    monkeypatch.setattr(order, "orbit_star",
+                        lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
+    assert [run(capsys, "verify", suite, "--n", "3") for suite in ("delta", "hecke")] == outputs
 
 
 @pytest.mark.parametrize("argv, flag", [

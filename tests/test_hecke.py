@@ -310,3 +310,89 @@ def test_hecke_to_json_sorted(monkeypatch):
     laurent = hecke.canonical(hecke.bar_element(hecke.bar_Asigma(top)))
     assert certs[0] == hecke_to_json(laurent)
     assert len({renner.length(w) for w in laurent}) > 1
+
+
+STAR_ORBITS = [pytest.param(n, k, id=f"R{n}-k{k}")
+               for n in range(1, 5) for k in range(n + 1)] + [pytest.param(5, 2, id="R5-k2")]
+
+
+@pytest.mark.parametrize("n,k", STAR_ORBITS)
+def test_hecke_tables_are_star_equivariant(n, k):
+    # c_(a*)(b*) = c_a(b), scaled alike, in the rows and the barred rows
+    star, (_, rows, barred) = order.orbit_star(n, k), hecke.orbit_bars(n, k)
+    for table in (rows, barred):
+        for a, row in enumerate(table):
+            assert {star[b]: x for b, x in row.items()} == table[star[a]], (n, k, a)
+
+
+@pytest.mark.parametrize("n,k", STAR_ORBITS)
+def test_hecke_report_sums_one_sigma_of_each_star_pair(n, k, count_sums, full_sums):
+    star = order.orbit_star(n, k)
+    report = verify.hecke_oracle_report(n, k)
+    assert report.passed
+    assert len(count_sums) == sum(star[b] >= b for b in range(len(star)))
+    count_sums.clear()
+    assert full_sums(verify.hecke_oracle_report, n, k) == \
+        (report.checked, report.violations)
+    assert len(count_sums) == len(star)
+
+
+@pytest.mark.parametrize("barred", [True, False], ids=["barred", "rows"])
+def test_hecke_report_sums_every_sigma_after_a_one_sided_fault(barred, monkeypatch,
+                                                               count_sums, full_sums):
+    # one entry of one Hecke table off, at a sigma that star moves
+    n, k = 4, 2
+    _, rows, bars = hecke.orbit_bars(n, k)
+    star, table = order.orbit_star(n, k), bars if barred else rows
+    b = next(b for b in range(len(star)) if star[b] != b)
+    a = min(table[b])
+    monkeypatch.setitem(table[b], a, table[b][a] + 1)
+    report = verify.hecke_oracle_report(n, k)
+    assert not report.passed
+    assert len(count_sums) == len(star)
+    assert full_sums(verify.hecke_oracle_report, n, k) == \
+        (report.checked, report.violations)
+
+
+@pytest.mark.parametrize("n,k,fault", [
+    (3, 1, "max"), (3, 3, "max"), (3, 3, "id-to-w0")],
+    ids=["R3-k1-max", "R3-k3-max", "R3-k3-id-to-w0"])
+def test_hecke_report_under_a_fault_is_the_full_sums_report(n, k, fault, monkeypatch,
+                                                          full_sums):
+    # the faults the tests above inject, as every sigma summed reads them
+    elements = renner.orbit(n, k)
+    if fault == "max":
+        _corrupt(monkeypatch, n, k, len(elements) - 1, 0, ONE_L)
+    else:
+        index = order.orbit_poset(n, k).index
+        _corrupt(monkeypatch, n, k, index[weyl.identity(n)], index[tuple(range(n, 0, -1))],
+                 Laurent.q_power(3), barred=False)
+    report = verify.hecke_oracle_report(n, k)
+    assert not report.passed
+    assert full_sums(verify.hecke_oracle_report, n, k) == \
+        (report.checked, report.violations)
+
+
+def test_hecke_report_flags_both_sigmas_of_a_symmetric_fault(monkeypatch, count_sums,
+                                                            full_sums):
+    # c_min(b) and c_(min*)(b*) = c_min(b*) off by one for a b that star
+    # moves (one that the barred rows can hold it at): the tables stay equivariant, bar o bar fails at b, so b* is
+    # summed too; each certificate is bar(bar(A_sigma)) by the Laurent path
+    n, k = 3, 1
+    star, poset = order.orbit_star(n, k), order.orbit_poset(n, k)
+    elements, e = poset.elements, renner.idempotent_length(n, k)
+    b = next(b for b in range(len(star)) if star[b] > b and poset.lengths[b] >= e)
+    for sigma in (b, star[b]):
+        _corrupt(monkeypatch, n, k, sigma, 0, ONE_L)
+    report = verify.hecke_oracle_report(n, k)
+    assert len(count_sums) < len(star)
+    certs = {v["sigma"]: v["bar_squared"] for v in report.violations
+             if v.get("kind") == "not-involutive"}
+    assert {renner.format_element(elements[sigma]) for sigma in (b, star[b])} <= set(certs)
+    for sigma in elements:
+        laurent = hecke.canonical(hecke.bar_element(hecke.bar_Asigma(sigma)))
+        if laurent != basis(sigma):
+            assert certs.pop(renner.format_element(sigma)) == hecke_to_json(laurent)
+    assert not certs
+    assert full_sums(verify.hecke_oracle_report, n, k) == \
+        (report.checked, report.violations)

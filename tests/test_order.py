@@ -395,3 +395,42 @@ def test_relabelled_rows_match_a_leq_scan(n):
         actions = order.orbit_action(n, k, "left") + order.orbit_action(n, k, "right")
         for to in [identity, *(to for to, _ in actions)]:
             assert poset.rows(to) == scanned(above, to), (n, k, to)
+
+
+STAR_ORBITS = [pytest.param(n, k, id=f"R{n}-k{k}")
+               for n in range(1, 5) for k in range(n + 1)] + [pytest.param(5, 2, id="R5-k2")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_star_is_the_anti_automorphism(n):
+    # sigma* = w0 sigma^-1 w0, with sigma^-1 the transposed rook matrix,
+    # and (s_i sigma)* = sigma* s_(n-i), on every element of R_n
+    w0 = tuple(range(n, 0, -1))
+    for k in range(n + 1):
+        for sigma in renner.orbit(n, k):
+            inverse = tuple(sigma.index(v) + 1 if v in sigma else 0
+                            for v in range(1, n + 1))
+            assert order.star(sigma) == renner.multiply(renner.multiply(w0, inverse), w0)
+            for i in range(1, n):
+                assert order.star(renner.multiply(weyl.simple_reflection(n, i), sigma)) \
+                    == renner.multiply(order.star(sigma), weyl.simple_reflection(n, n - i))
+
+
+@pytest.mark.parametrize("n,k", STAR_ORBITS)
+def test_orbit_star_is_an_involution_keeping_lengths_and_order(n, k):
+    poset, star = order.orbit_poset(n, k), order.orbit_star(n, k)
+    assert [poset.elements[a] for a in star] == list(map(order.star, poset.elements))
+    assert [star[a] for a in star] == list(range(len(star)))
+    assert [poset.lengths[a] for a in star] == list(poset.lengths)
+    for a, up in enumerate(poset.ups):
+        assert sum(1 << star[b] for b in order.bits(up)) == poset.ups[star[a]], a
+
+
+def test_bits_walks_dense_and_sparse_masks_alike():
+    # the bulk walk of a dense mask and the bit walk of a sparse one give
+    # the positions a scan of the binary digits gives, around the switch
+    rng = random.Random(5)
+    for length in (1, 8, 63, 64, 65, 100, 300, 2000):
+        for density in (0.0, 0.02, 0.1, 0.13, 0.5, 1.0):
+            mask = sum(1 << i for i in range(length) if rng.random() < density)
+            assert list(order.bits(mask)) == [i for i in range(length) if mask >> i & 1]

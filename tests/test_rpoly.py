@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (degree, delta_identity_sum_laurent, descent_by_descent_sets,
                      hecke_bound_tables, pack_rows, rpoly_bound_tables, table_entry,
                      witness_leq)
-from rookorder import hecke, order, renner, rpoly, weyl
+from rookorder import hecke, order, renner, rpoly, verify, weyl
 from rookorder.polynomials import IntPoly, Kronecker, Laurent, ONE, Q, Q_MINUS_1, ZERO
 
 
@@ -434,3 +434,101 @@ def test_rpoly_json_shape():
     data = rpoly.rpoly((0, 0, 0, 1), (0, 0, 0, 3)).to_json()
     assert data == {"var": "q", "coeffs": [0, -1, 1]}
     assert IntPoly(data["coeffs"]) == Q * Q - Q
+
+
+STAR_ORBITS = [pytest.param(n, k, id=f"R{n}-k{k}")
+               for n in range(1, 5) for k in range(n + 1)] + [pytest.param(5, 2, id="R5-k2")]
+
+
+def _identity_rows(size):
+    return [{a: 1} for a in range(size)]
+
+
+@pytest.mark.parametrize("left, right, star, expected, sums", [
+    # equivariant under the swap, and the identity: one sum
+    (_identity_rows(2), _identity_rows(2), (1, 0), [None, None], 1),
+    # the same entry off at (0, 1) and (1, 0): both rows summed
+    ([{0: 1, 1: 5}, {1: 1, 0: 5}], _identity_rows(2), (1, 0), [[1, 5], [5, 1]], 2),
+    # right not equivariant under the swap, left equivariant
+    (_identity_rows(2), [{0: 1}, {1: 1, 0: 3}], (1, 0), [None, [3, 1]], 2),
+    # left not equivariant under the swap, right equivariant
+    ([{0: 1}, {1: 1, 0: 3}], _identity_rows(2), (1, 0), [None, [3, 1]], 2),
+    # both equivariant under a star that is not an involution (nor a
+    # bijection), under which row 1 would be read off row 0
+    ([{0: 1}, {0: 1}, {2: 1}], _identity_rows(3), (0, 0, 2), [None, [1, 0, 0], None], 3),
+], ids=["clean", "symmetric-fault", "right-one-sided", "left-one-sided", "not-involutive"])
+def test_product_rows_skip_only_what_the_symmetry_proves(left, right, star, expected,
+                                                        sums, count_sums):
+    # the rows are those of the full sums, None for the identity
+    full = [rpoly.triple_sums(row, right) for row in left]
+    assert [None if row == [int(a == b) for a in range(len(row))] else row
+            for b, row in enumerate(full)] == expected
+    count_sums.clear()
+    assert list(rpoly.product_rows(left, right, star)) == expected
+    assert len(count_sums) == sums
+
+
+@pytest.mark.parametrize("n,k", STAR_ORBITS)
+def test_orbit_r_tables_are_star_equivariant(n, k):
+    # R[a*, b*] = R[a, b], and the same for R', entry for entry
+    star, table = order.orbit_star(n, k), rpoly.orbit_table(n, k)
+    for rows in (table.rows, table.reversed_rows):
+        for a, row in enumerate(rows):
+            assert {star[b]: x for b, x in row.items()} == rows[star[a]], (n, k, a)
+
+
+@pytest.mark.parametrize("n,k", STAR_ORBITS)
+def test_delta_report_sums_one_theta_of_each_star_pair(n, k, count_sums, full_sums):
+    star = order.orbit_star(n, k)
+    report = verify._delta_identity(n, k)
+    assert report.passed
+    assert len(count_sums) == sum(star[b] >= b for b in range(len(star)))
+    count_sums.clear()
+    assert full_sums(verify._delta_identity, n, k) == \
+        (report.checked, report.violations)
+    assert len(count_sums) == len(star)
+
+
+@pytest.mark.parametrize("reversed_table", [False, True], ids=["R", "R'"])
+def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, monkeypatch,
+                                                               count_sums, full_sums):
+    # one entry of one table off, at a theta that star moves: the table is
+    # not equivariant, so every theta is summed, as with the identity
+    n, k = 4, 2
+    table, star = rpoly.orbit_table(n, k), order.orbit_star(n, k)
+    rows = table.reversed_rows if reversed_table else table.rows
+    a = next(a for a in range(len(star)) if star[a] != a)
+    b = max(rows[a])
+    monkeypatch.setitem(rows[a], b, rows[a][b] + 1)
+    report = verify._delta_identity(n, k)
+    assert not report.passed
+    assert len(count_sums) == len(star)
+    assert full_sums(verify._delta_identity, n, k) == \
+        (report.checked, report.violations)
+
+
+def test_delta_report_flags_both_thetas_of_a_symmetric_fault(monkeypatch, count_sums,
+                                                             full_sums):
+    # R[a, max] and R[a*, max*] = R[a*, max] off by the same q: the table
+    # stays equivariant, the row of a fails, so the row of a* is summed
+    # too; each certificate is its sum as the decoded entries give it
+    n, k = 4, 2
+    table, star = rpoly.orbit_table(n, k), order.orbit_star(n, k)
+    top = len(star) - 1
+    a = next(a for a in range(len(star)) if star[a] > a and top in table.rows[a])
+    for theta in (a, star[a]):
+        monkeypatch.setitem(table.rows[theta], top,
+                            table.rows[theta][top] + table.packing.pack(Q))
+    report = verify._delta_identity(n, k)
+    assert len(count_sums) < len(star)
+    elements = order.orbit_poset(n, k).elements
+    flagged = [(v["theta"], v["sigma"]) for v in report.violations]
+    assert flagged == [(renner.format_element(elements[theta]),
+                        renner.format_element(elements[top])) for theta in sorted((a, star[a]))]
+    unpack = table.packing.unpack
+    for v, theta in zip(report.violations, sorted((a, star[a]))):
+        laurent = sum((unpack(x) * unpack(table.reversed_rows[nu].get(top, 0))
+                       for nu, x in table.rows[theta].items()), ZERO)
+        assert v["sum"] == str(laurent) == "q"
+    assert full_sums(verify._delta_identity, n, k) == \
+        (report.checked, report.violations)
