@@ -31,11 +31,11 @@ element with no left descent is e t^-1, whose bar is the orbit sum
     q^(-l(t)) sum over z in W(e), y in D(e) of bar(R[t z, y]) A_{z e y^-1}
 
 with classical R-polynomials of the symmetric group, summed in Z[q]
-over terms (z, y, index of z e y^-1) listed once per orbit; at k = n
-that is A_id alone.  So the oracle never reads the R recurrence of
-``rpoly``: expanding bar(A_sigma) recovers the R-polynomials (the
-barred row, which ``rpoly_via_bar`` decodes), and the Hecke suite
-compares them with the R table.
+(the sum r at z e y^-1) over terms (z, y, index of z e y^-1) listed
+once per orbit; at k = n that is A_id alone.  So the oracle never reads
+the R recurrence of ``rpoly``: expanding bar(A_sigma) recovers the
+R-polynomials (the barred row, which ``rpoly_via_bar`` decodes), and
+the Hecke suite compares them with the R table.
 
 The table holds ints, packed by ``polynomials.Kronecker`` at q = 2^B,
 and each entry is scaled by a power of q that puts it in Z[q]: row b
@@ -50,9 +50,11 @@ q^(l(b) - l(e)) bar(c_a(b)), which must be R[a, b] (the relation
 
 so q x is ``x << B`` and no step divides by q: the barred row scale
 gains a q from s sigma to sigma, which absorbs the q^-1 of the barred
-step.  The rows without a left descent are scaled and packed from their
-orbit sums, and packing raises on a scaled coefficient outside Z[q];
-every step keeps the scaled entries in Z[q], so no offset is needed.
+step.  An element b = e t^-1 with no left descent has
+l(b) = l(e) - l(t), so its scaled rows come straight from the sums r in
+Z[q]: the barred row holds r itself at a, and the row
+q^(l(b) - l(a)) bar(r), which packing raises on outside Z[q].  Every
+step keeps the scaled entries in Z[q], so no offset is needed.
 Unscaled, the entries would need an offset of up to
 max(l(e) - l(min), l(max) - l(e)) powers of q, and the products in the
 triple sums would carry its zero digits.
@@ -138,16 +140,15 @@ def mult_Aw_left(w: Word, h: HeckeElt) -> HeckeElt:
     return h
 
 
-def _orbit_sum(t: Word, terms) -> dict[int, Laurent]:
-    # q^(-l(t)) sum over the terms (z, y, a) of bar(R[t z, y]) A_a: the
-    # R-polynomials summed in Z[q], then one bar and one shift per entry
+def _orbit_sum(t: Word, terms) -> dict[int, IntPoly]:
+    # the sum over the terms (z, y, a) of R[t z, y] at a, in Z[q], nonzero
+    # entries only
     sums: dict[int, IntPoly] = {}
     for z, y, a in terms:
         r = weyl.classical_rpoly(weyl.compose(t, z), y)
         if r:
             sums[a] = sums[a] + r if a in sums else r
-    shift = Laurent.q_power(-weyl.length(t))
-    return {a: shift * r.bar() for a, r in sums.items() if r}
+    return {a: r for a, r in sums.items() if r}
 
 
 def _bar_step(row: dict[int, int], to, step, bits: int, sign: int,
@@ -173,9 +174,10 @@ def _left_descent(left, b: int) -> int:
     return next((i for i, (_, step) in enumerate(left, 1) if step[b] < 0), 0)
 
 
-def _orbit_sums(n: int, k: int) -> dict[int, dict[int, Laurent]]:
-    """The orbit sum of each element of the rank-k orbit of R_n with no
-    left descent, by the indices of ``order.orbit_poset(n, k)``."""
+def _orbit_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:
+    """The classical sums r of each element of the rank-k orbit of R_n
+    with no left descent, by the indices of ``order.orbit_poset(n, k)``
+    (module docstring)."""
     poset, left = order.orbit_poset(n, k), order.orbit_action(n, k, "left")
     e = renner.rank_idempotent(n, k)
     gens = renner.centralizer_gens(e)
@@ -186,7 +188,7 @@ def _orbit_sums(n: int, k: int) -> dict[int, dict[int, Laurent]]:
             for b, sigma in enumerate(poset.elements) if not _left_descent(left, b)}
 
 
-def _fill(n: int, k: int, bases: dict[int, dict[int, Laurent]],
+def _fill(n: int, k: int, bases: dict[int, dict[int, IntPoly]],
           packing: Kronecker | None = None) -> list[rpoly.Rows]:
     """The scaled rows of c and of bar(c) over the rank-k orbit of R_n,
     from its ``_orbit_sums`` ``bases``, packed by ``packing``; without
@@ -194,7 +196,6 @@ def _fill(n: int, k: int, bases: dict[int, dict[int, Laurent]],
     subtraction -> addition), which both share entry for entry."""
     poset = order.orbit_poset(n, k)
     left = order.orbit_action(n, k, "left")
-    e = renner.idempotent_length(n, k)
     bits, sign, convert = (packing.bits, -1, packing.pack) if packing else (
         0, 1, lambda p: sum(map(abs, p.coeffs)))
     tables = [([], barred) for barred in ((False, True) if packing else (False,))]
@@ -205,11 +206,9 @@ def _fill(n: int, k: int, bases: dict[int, dict[int, Laurent]],
             for rows, barred in tables:
                 rows.append(_bar_step(rows[to[b]], to, step, bits, sign, barred))
             continue
-        shift = Laurent.q_power(poset.lengths[b] - e)
         for rows, barred in tables:
-            rows.append({a: convert(c.bar() * shift if barred
-                                    else c * Laurent.q_power(e - poset.lengths[a]))
-                         for a, c in base.items()})
+            rows.append({a: convert(r if barred else r.bar() * Laurent.q_power(
+                poset.lengths[b] - poset.lengths[a])) for a, r in base.items()})
     return [rows for rows, _ in tables]
 
 

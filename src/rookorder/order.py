@@ -10,8 +10,8 @@ which indexes exactly that interval; sweeps over a whole orbit share
 ``orbit_poset(n, k)``, the poset of [min, max].  It is the one per-orbit
 cache: it keeps the last orbit asked for, and ``resident`` keeps what
 is derived from it on it: rows, the s_i-actions (``orbit_action``), the
-index permutation sigma -> sigma* = w0 sigma^-1 w0 (``orbit_star``) and
-the R and Hecke tables.
+index permutation sigma -> sigma* = w0 sigma^-1 w0 (``orbit_star``),
+the R and Hecke tables and the delta product of the R table.
 
 The coset-witness criterion on standard forms (theta = u e v^-1 <=
 sigma = x f y^-1 iff e <= f and u <= xw, yw <= v for some w in

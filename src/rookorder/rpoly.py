@@ -8,9 +8,7 @@ For a left descent s of sigma (an s with l(s sigma) < l(sigma)):
                                                                if s theta > theta
 
 and the same rules with theta s, sigma s for a right descent s; every
-element of positive length has a descent on at least one side.  One
-step, ``_step``, serves both sides, with the change of length under s
-from ``renner.length_step``.
+element of positive length has a descent on at least one side.
 Base cases: R[theta, theta] = 1 and R[theta, sigma] = 0 when theta is
 not below sigma.  The result does not depend on the descent chosen; the
 deterministic policy here, ``_descent`` (smallest-index left descent,
@@ -18,14 +16,15 @@ else smallest right, read off the length steps of sigma), exists so
 that memoization is sound, and the tests check left/right confluence
 explicitly.
 
-The step and the policy have two callers.  ``rpoly`` recurses on words
-with a memo, for single queries, with steps from ``renner.length_step``.
+The policy has two callers.  ``rpoly`` recurses on words with a memo,
+for single queries, and takes each step by ``_step``, on either side,
+with the change of length under s from ``renner.length_step``.
 ``orbit_table(n, k)`` fills the R table of a whole orbit, indexed by
 ``order.orbit_poset(n, k)``: the entries R[., sigma] come from those at
 s sigma, whose smaller length puts it earlier in index order, with s
-and every step read off ``order.orbit_action``.  The sweeps read the
-table, so they keep one value per comparable pair of the orbit and no
-memo keyed by words.
+and every step read off ``order.orbit_action``, by the packed step that
+``_fill`` inlines.  The sweeps read the table, so they keep one value
+per comparable pair of the orbit and no memo keyed by words.
 The table and ``orbit_norm`` live on the orbit's poset (``order.resident``).
 
 The table holds ints, filled packed at q = 2^B with
@@ -61,13 +60,15 @@ So each int determines its polynomial, and an int equal to 0 or 1
 certifies the polynomial 0 or 1 exactly.  An entry R[a, b] is decoded
 as ``packing.unpack(rows[a].get(b, 0))``, and a sum only where it fails.
 
-The per-pair callers, ``verify_delta_identity`` and
-``delta_identity_sum``, read one row that the orbit's poset keeps with
-its table: that of the last theta asked for, as {sigma word: packed
-sum}.  In ``verify_delta_identity`` a pair of the same theta costs one
-``order.orbit_poset`` hit, one identity test of theta (a tuple compare
-only for an equal tuple that is another object) and two dict lookups; a
-sigma outside the row is refused by the orbit's index.
+Both delta consumers read one product, ``delta_rows(n, k)``: the rows
+of ``product_rows`` over the orbit's two tables, kept on its poset with
+them.  The ``verify`` sweep walks it.  ``verify_delta_identity`` keeps
+on the poset a pointer to the row of the last theta asked for, so a
+pair of the same theta costs one ``order.orbit_poset`` hit, one
+identity test of theta (a tuple compare only for an equal tuple that is
+another object) and one index lookup of sigma; a sigma outside the
+orbit is refused by its index.  ``delta_identity_sum`` decodes one
+entry of the product.
 
 The constant term R[theta, sigma](0) equals the Mobius function of the
 interval.
@@ -83,7 +84,7 @@ from .polynomials import IntPoly, Kronecker, ONE, Q, Q_MINUS_1, ZERO
 from .renner import Word
 
 __all__ = ["rpoly", "triple_sums", "product_rows", "OrbitTable", "orbit_norm",
-           "orbit_table", "delta_identity_sum", "verify_delta_identity"]
+           "orbit_table", "delta_rows", "delta_identity_sum", "verify_delta_identity"]
 
 Rows = list[dict[int, int]]  # per index a: {index b: packed value at (a, b)}
 
@@ -247,10 +248,6 @@ class OrbitTable:
                                  terms=len(order.orbit_poset(n, k).elements))
         self.rows, self.reversed_rows = _fill(n, k, self.packing)
 
-    def delta_row(self, a: int) -> list[int]:
-        """The packed delta sums of elements[a] against every sigma."""
-        return triple_sums(self.rows[a], self.reversed_rows)
-
 
 @order.resident
 def orbit_table(n: int, k: int) -> OrbitTable:
@@ -258,46 +255,44 @@ def orbit_table(n: int, k: int) -> OrbitTable:
     return OrbitTable(n, k)
 
 
-def _packed_delta_sum(theta: Word, sigma: Word) -> tuple[OrbitTable, int]:
-    # The orbit's R table and the packed delta sum of the pair, off the
-    # one row its poset keeps under this function (module docstring).
-    n, k = len(theta), len(theta) - theta.count(0)
-    poset = order.orbit_poset(n, k)
-    last, table, row = poset._resident.get(_packed_delta_sum, (None, None, None))
-    if last != theta:
-        table = orbit_table(n, k)
-        row = dict(zip(poset.elements, table.delta_row(poset.locate(theta))))
-        poset._resident[_packed_delta_sum] = theta, table, row
-    total = row.get(sigma)
-    if total is None:
-        poset.locate(sigma)
-    return table, total
+@order.resident
+def delta_rows(n: int, k: int) -> list[list[int] | None]:
+    """The delta sums of the rank-k orbit of R_n, by the indices of
+    ``order.orbit_poset(n, k)``: entry a is the packed row of sums of
+    elements[a] against every sigma, or None where that row is the
+    identity, as ``product_rows`` gives them over R and R'."""
+    table = orbit_table(n, k)
+    return list(product_rows(table.rows, table.reversed_rows, order.orbit_star(n, k)))
 
 
 def delta_identity_sum(theta: Word, sigma: Word) -> IntPoly:
     """sum over theta <= nu <= sigma of R[theta,nu] q^(l(sigma)-l(nu)) bar(R[nu,sigma]).
 
     The sum telescopes to 1 when theta = sigma and to 0 otherwise.  It
-    is summed packed over the orbit's R table and decoded.
+    is read off ``delta_rows`` and decoded.
     """
-    table, total = _packed_delta_sum(theta, sigma)
-    return table.packing.unpack(total)
+    n, k = order.require_same_orbit(theta, sigma)
+    poset = order.orbit_poset(n, k)
+    row, b = delta_rows(n, k)[poset.locate(theta)], poset.locate(sigma)
+    return orbit_table(n, k).packing.unpack(int(theta == sigma) if row is None else row[b])
 
 
 def verify_delta_identity(theta: Word, sigma: Word) -> bool:
     """Whether the packed delta sum is the int 1 (theta = sigma) or 0
     (otherwise); the packing makes that exact, so nothing is decoded.
+    The row of ``delta_rows`` it reads is that of the last theta, which
+    the orbit's poset keeps under this function.
 
     >>> verify_delta_identity((0, 1), (2, 0))
     True
     """
-    n = len(theta)
-    poset = order.orbit_poset(n, n - theta.count(0))
-    last, _, row = poset._resident.get(_packed_delta_sum, (None, None, None))
-    if last is theta or last == theta:
-        total = row.get(sigma)
-        if total is None:
-            poset.locate(sigma)
-    else:
-        total = _packed_delta_sum(theta, sigma)[1]
-    return total == (theta == sigma)
+    n, k = len(theta), len(theta) - theta.count(0)
+    poset = order.orbit_poset(n, k)
+    last, row = poset._resident.get(verify_delta_identity, (None, None))
+    if not (last is theta or last == theta):
+        row = delta_rows(n, k)[poset.locate(theta)]
+        poset._resident[verify_delta_identity] = theta, row
+    b = poset.index.get(sigma)
+    if b is None:
+        poset.locate(sigma)
+    return row is None or row[b] == (theta == sigma)

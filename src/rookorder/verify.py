@@ -45,12 +45,12 @@ __all__ = ["SUITES", "hecke_oracle_report", "run_suite"]
 def _delta_identity(n: int, k: int) -> Report:
     """The delta identity on every ordered pair of the orbit, one packed
     row of sums per theta of each pair {theta, theta*} (module
-    docstring); only a failing sum is decoded."""
+    docstring), as ``rpoly.delta_rows`` keeps them; only a failing sum
+    is decoded."""
     report = Report(name="delta")
     table = rpoly.orbit_table(n, k)
     elements = order.orbit_poset(n, k).elements
-    rows = rpoly.product_rows(table.rows, table.reversed_rows, order.orbit_star(n, k))
-    for a, (theta, row) in enumerate(zip(elements, rows)):
+    for a, (theta, row) in enumerate(zip(elements, rpoly.delta_rows(n, k))):
         report.checked += len(elements)
         if row is None:
             continue

@@ -78,14 +78,39 @@ def count_sums(monkeypatch):
 
 
 @pytest.fixture
-def full_sums(monkeypatch):
+def drop_product():
+    """drop(n, k): the delta product that the rank-k orbit of R_n keeps
+    (``rpoly.delta_rows``), and the per-pair row that points into it, no
+    longer resident, now and again after the test.  The next delta
+    check then sums it afresh, from the tables and the star as they are
+    by then: call it before a check that counts sums, patches
+    ``order.orbit_star`` or follows an in-place fault of a table."""
+    stores = []
+
+    def pop(store):
+        for key in (rpoly.delta_rows.__wrapped__, rpoly.verify_delta_identity):
+            store.pop(key, None)
+
+    def drop(n, k):
+        stores.append(order.orbit_poset(n, k)._resident)
+        pop(stores[-1])
+    yield drop
+    for store in stores:
+        pop(store)
+
+
+@pytest.fixture
+def full_sums(monkeypatch, drop_product):
     """full_sums(check, n, k): (checked, violations) of the report
     check(n, k) with every sigma summed, as under an ``order.orbit_star``
-    that is the identity, which the patch is only while check runs."""
+    that is the identity, which the patch is only while check runs; the
+    delta product is summed afresh under it and dropped after it."""
     def run(check, n, k):
         with monkeypatch.context() as patch:
             patch.setattr(order, "orbit_star",
                           lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
+            drop_product(n, k)
             report = check(n, k)
+            drop_product(n, k)
         return report.checked, report.violations
     return run

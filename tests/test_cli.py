@@ -441,7 +441,7 @@ def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, co
 ], ids=["r-off-by-q", "barred-diagonal-dropped", "hecke-off-by-one", "barred-off-by-one",
         "r-off-by-one", "barred-outside", "r-dropped", "both-outside", "support-moved"])
 def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, monkeypatch,
-                                                       corruptions):
+                                                       drop_product, corruptions):
     # each fault the tests above inject into the tables of R_3 gives the
     # output of delta and hecke that summing every sigma gives, as under
     # an identity star
@@ -453,6 +453,7 @@ def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, mo
     assert outputs[1][0] == 1
     monkeypatch.setattr(order, "orbit_star",
                         lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
+    drop_product(3, 3)  # the orbit still resident
     assert [run(capsys, "verify", suite, "--n", "3") for suite in ("delta", "hecke")] == outputs
 
 

@@ -138,17 +138,17 @@ def test_delta_identity_small_cases():
         rpoly.delta_identity_sum((0, 0, 0, 1), (0, 0, 1, 2))
 
 
-def test_verify_delta_identity_reads_the_packed_sum(monkeypatch):
+def test_verify_delta_identity_reads_the_packed_sum(monkeypatch, drop_product):
     # R[min, max] of the R_3 k = 1 table off by 1 turns the sum at
     # (min, max) from 0 into 1, which is right only on the diagonal
-    # once the row that the orbit's poset keeps is dropped
+    # once the product that the orbit's poset keeps is dropped
     table, poset = rpoly.orbit_table(3, 1), order.orbit_poset(3, 1)
     top = len(table.rows) - 1
     bottom, maximum = poset.elements[0], poset.elements[top]
     assert rpoly.verify_delta_identity(bottom, maximum)
     monkeypatch.setitem(table.rows[0], top, table.rows[0][top] + 1)
-    assert rpoly.verify_delta_identity(bottom, maximum)  # the kept row
-    monkeypatch.delitem(poset._resident, rpoly._packed_delta_sum)
+    assert rpoly.verify_delta_identity(bottom, maximum)  # the kept product
+    drop_product(3, 1)
     assert rpoly.delta_identity_sum(bottom, maximum) == 1
     assert not rpoly.verify_delta_identity(bottom, maximum)
     assert rpoly.verify_delta_identity(bottom, bottom)
@@ -181,15 +181,16 @@ def test_delta_row_cache_refuses_a_sigma_from_another_orbit():
     assert rpoly.verify_delta_identity(theta, theta)
 
 
-def test_delta_row_cache_follows_the_table(monkeypatch):
-    # the kept row is the table's: a corrupted entry shows once the row
-    # of its theta is filled again, and a cleared orbit cache answers
-    # from a fresh table
+def test_delta_row_cache_follows_the_table(monkeypatch, drop_product):
+    # the kept product is the table's: a corrupted entry shows once the
+    # product is summed again, and a cleared orbit cache answers from a
+    # fresh table
     table, elements = rpoly.orbit_table(3, 1), order.orbit_poset(3, 1).elements
     top = len(table.rows) - 1
     bottom, maximum = elements[0], elements[top]
     assert rpoly.verify_delta_identity(bottom, maximum)
     monkeypatch.setitem(table.rows[0], top, table.rows[0][top] + 1)
+    drop_product(3, 1)
     assert rpoly.verify_delta_identity(maximum, maximum)  # another theta
     assert rpoly.delta_identity_sum(bottom, maximum) == 1
     assert not rpoly.verify_delta_identity(bottom, maximum)
@@ -478,8 +479,10 @@ def test_orbit_r_tables_are_star_equivariant(n, k):
 
 
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
-def test_delta_report_sums_one_theta_of_each_star_pair(n, k, count_sums, full_sums):
+def test_delta_report_sums_one_theta_of_each_star_pair(n, k, count_sums, full_sums,
+                                                      drop_product):
     star = order.orbit_star(n, k)
+    drop_product(n, k)
     report = verify._delta_identity(n, k)
     assert report.passed
     assert len(count_sums) == sum(star[b] >= b for b in range(len(star)))
@@ -491,7 +494,8 @@ def test_delta_report_sums_one_theta_of_each_star_pair(n, k, count_sums, full_su
 
 @pytest.mark.parametrize("reversed_table", [False, True], ids=["R", "R'"])
 def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, monkeypatch,
-                                                               count_sums, full_sums):
+                                                               count_sums, full_sums,
+                                                               drop_product):
     # one entry of one table off, at a theta that star moves: the table is
     # not equivariant, so every theta is summed, as with the identity
     n, k = 4, 2
@@ -500,6 +504,7 @@ def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, m
     a = next(a for a in range(len(star)) if star[a] != a)
     b = max(rows[a])
     monkeypatch.setitem(rows[a], b, rows[a][b] + 1)
+    drop_product(n, k)
     report = verify._delta_identity(n, k)
     assert not report.passed
     assert len(count_sums) == len(star)
@@ -508,7 +513,7 @@ def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, m
 
 
 def test_delta_report_flags_both_thetas_of_a_symmetric_fault(monkeypatch, count_sums,
-                                                             full_sums):
+                                                             full_sums, drop_product):
     # R[a, max] and R[a*, max*] = R[a*, max] off by the same q: the table
     # stays equivariant, the row of a fails, so the row of a* is summed
     # too; each certificate is its sum as the decoded entries give it
@@ -519,6 +524,7 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(monkeypatch, count_
     for theta in (a, star[a]):
         monkeypatch.setitem(table.rows[theta], top,
                             table.rows[theta][top] + table.packing.pack(Q))
+    drop_product(n, k)
     report = verify._delta_identity(n, k)
     assert len(count_sums) < len(star)
     elements = order.orbit_poset(n, k).elements
@@ -532,3 +538,73 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(monkeypatch, count_
         assert v["sum"] == str(laurent) == "q"
     assert full_sums(verify._delta_identity, n, k) == \
         (report.checked, report.violations)
+
+
+def _per_pair_answers(n, k):
+    elements = order.orbit_poset(n, k).elements
+    return [[rpoly.verify_delta_identity(theta, sigma) for sigma in elements]
+            for theta in elements]
+
+
+def _one_sided_fault(table, star):
+    # R'[a, b] off by one at an entry that star moves, where there is one
+    rows = table.reversed_rows
+    a, b = max(((a, b) for a, row in enumerate(rows) for b in row),
+               key=lambda ab: (star[ab[0]], star[ab[1]]) != ab)
+    return [(rows, a, b, rows[a][b] + 1)]
+
+
+def _symmetric_fault(table, star):
+    # R[a, max] and R[a*, max*] = R[a*, max] off by the same q
+    top = len(star) - 1
+    a = max(a for a in range(len(star)) if top in table.rows[a])
+    return [(table.rows, theta, top, table.rows[theta][top] + table.packing.pack(Q))
+            for theta in {a, star[a]}]
+
+
+@pytest.mark.parametrize("fault", [None, _one_sided_fault, _symmetric_fault],
+                         ids=["clean", "one-sided", "symmetric"])
+@pytest.mark.parametrize("n,k", STAR_ORBITS)
+def test_per_pair_delta_answers_are_the_full_sums(n, k, fault, monkeypatch, drop_product):
+    # every pair, theta by theta, answers as the row of theta summed
+    # whole gives, and as the product summed under an identity star
+    table, star = rpoly.orbit_table(n, k), order.orbit_star(n, k)
+    for rows, a, b, x in fault(table, star) if fault else []:
+        monkeypatch.setitem(rows[a], b, x)
+    drop_product(n, k)
+    answers = _per_pair_answers(n, k)
+    assert answers == [[x == (a == b) for b, x in
+                        enumerate(rpoly.triple_sums(row, table.reversed_rows))]
+                       for a, row in enumerate(table.rows)]
+    assert all(map(all, answers)) == (fault is None)
+    with monkeypatch.context() as patch:
+        patch.setattr(order, "orbit_star", lambda n, k: tuple(range(len(star))))
+        drop_product(n, k)
+        assert _per_pair_answers(n, k) == answers
+        drop_product(n, k)
+
+
+def test_a_cleared_orbit_drops_its_delta_rows(corrupt_fill):
+    # the product lives on the orbit's poset: once the orbit is dropped,
+    # a fault in the tables it is rebuilt from shows in the answers
+    n, k = 4, 2
+    rows = rpoly.delta_rows(n, k)
+    assert all(map(all, _per_pair_answers(n, k)))
+    corrupt_fill(rpoly, n, k, lambda packing, table, reversed_table:
+                 table[0].update({b: x + 1 for b, x in table[0].items() if b}))
+    assert rpoly.delta_rows(n, k) is rows
+    assert all(map(all, _per_pair_answers(n, k)))
+    order.orbit_poset.cache_clear()
+    assert rpoly.delta_rows(n, k) is not rows
+    answers = _per_pair_answers(n, k)
+    assert not all(answers[0]) and all(map(all, answers[1:]))
+
+
+def test_an_equal_theta_reads_the_kept_row(monkeypatch):
+    # a theta equal to the last one, passed as another tuple, reads the
+    # row kept for it, and does not look the product up again
+    theta, sigma = renner.orbit(3, 1)[0], renner.orbit(3, 1)[-1]
+    assert rpoly.verify_delta_identity(theta, sigma)
+    monkeypatch.setattr(rpoly, "delta_rows", lambda n, k: pytest.fail("product read again"))
+    assert rpoly.verify_delta_identity(tuple(list(theta)), sigma)
+    assert rpoly.verify_delta_identity(tuple(list(theta)), theta)
