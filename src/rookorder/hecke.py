@@ -59,14 +59,34 @@ Unscaled, the entries would need an offset of up to
 max(l(e) - l(min), l(max) - l(e)) powers of q, and the products in the
 triple sums would carry its zero digits.
 
-Width: the fill run over non-negative ints with q -> 1 and subtraction
--> addition bounds the L1 norm of every entry; a barred step and its
-unbarred one have the same bounds, so one bound table serves the rows
-and the barred rows.  Both tables of an orbit share one width B, so
-the Hecke suite compares them by int equality; it is the R table's
-(``rpoly.orbit_norm``), which the Hecke bounds must not exceed.  They
-never do on R_1 to R_6, but the table raises ValueError rather than
-pack past the width.
+Width: both tables of an orbit share one width B, that of the R table
+(``rpoly.orbit_packing``), so the Hecke suite compares them by int
+equality; the Hecke entries must then have L1 norms within the R
+bounds.  That is checked on the bases alone.  Run over non-negative
+ints with q -> 1 and subtraction -> addition, the step above bounds
+the L1 norm of every entry, and a barred step has the same bounds as
+its unbarred one: x_a goes to
+
+    s fixes a: x_a,   s lowers a: x_(s a),   s raises a: 2 x_a + x_(s a)
+
+in column b from column s b, for s the smallest left descent of b.  The
+R bound fill (``rpoly.orbit_bounds``) takes the same descent at b and
+the same step, and writes it at every a in down(b).  The step stays
+inside down(b): if x_a or x_(s a) is nonzero in a column inside
+down(s b), then a <= s b <= b, or s a <= s b with s raising a, so
+a < s a <= b, or s a <= s b with s lowering a, so a <= b by the lifting
+property (Björner-Brenti, GTM 231, 2.2.7: s u <= w for u <= w and s a
+left descent of w and not of u), which clause (b) of the ``lifting``
+suite checks on every comparable pair of an orbit.  So R's column b is
+the step of R's column s b outside down(b) too, where both are 0.  The
+step is monotone, and s b comes before b in index order (u < v implies
+l(u) < l(v)), so by induction every Hecke bound is at most R's once
+every base entry is.  The bases are the elements with no left descent,
+whose columns R filled by a right descent (or, at the minimum, by
+none); ``rpoly.orbit_bounds`` keeps those columns.  ``_check_bounds``
+compares the L1 norm of each base sum with R's bound at its entry, 0
+outside down(b), and the table raises ValueError rather than pack past
+the width.  No base of R_1 to R_6 exceeds it.
 
 That bar is an involution is checked orbit by orbit in integer
 arithmetic over the same table (``verify.hecke_oracle_report``), which
@@ -151,17 +171,15 @@ def _orbit_sum(t: Word, terms) -> dict[int, IntPoly]:
     return {a: r for a, r in sums.items() if r}
 
 
-def _bar_step(row: dict[int, int], to, step, bits: int, sign: int,
-              barred: bool) -> dict[int, int]:
+def _bar_step(row: dict[int, int], to, step, bits: int, barred: bool) -> dict[int, int]:
     """The scaled row of (q A_s - (q - 1)) h from the scaled row of h, by
-    the table of the module docstring, s acting by ``to`` and ``step``;
-    sign is -1, or 1 for bounds."""
+    the table of the module docstring, s acting by ``to`` and ``step``."""
     out: dict[int, int] = {}
     for a, x in row.items():
         qx = x << bits
         if step[a] > 0:
             out[to[a]] = out.get(to[a], 0) + x
-            out[a] = out.get(a, 0) + (qx + sign * x if barred else x + sign * qx)
+            out[a] = out.get(a, 0) + (qx - x if barred else x - qx)
         elif step[a] < 0:
             out[to[a]] = out.get(to[a], 0) + qx
         else:
@@ -189,27 +207,36 @@ def _orbit_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:
 
 
 def _fill(n: int, k: int, bases: dict[int, dict[int, IntPoly]],
-          packing: Kronecker | None = None) -> list[rpoly.Rows]:
+          packing: Kronecker) -> list[rpoly.Rows]:
     """The scaled rows of c and of bar(c) over the rank-k orbit of R_n,
-    from its ``_orbit_sums`` ``bases``, packed by ``packing``; without
-    one, one table of the L1 bounds of their entries (q -> 1,
-    subtraction -> addition), which both share entry for entry."""
+    from its ``_orbit_sums`` ``bases``, packed by ``packing``."""
     poset = order.orbit_poset(n, k)
     left = order.orbit_action(n, k, "left")
-    bits, sign, convert = (packing.bits, -1, packing.pack) if packing else (
-        0, 1, lambda p: sum(map(abs, p.coeffs)))
-    tables = [([], barred) for barred in ((False, True) if packing else (False,))]
+    tables = [([], barred) for barred in (False, True)]
     for b in range(len(poset.elements)):
         base = bases.get(b)
         if base is None:
             to, step = left[_left_descent(left, b) - 1]
             for rows, barred in tables:
-                rows.append(_bar_step(rows[to[b]], to, step, bits, sign, barred))
+                rows.append(_bar_step(rows[to[b]], to, step, packing.bits, barred))
             continue
         for rows, barred in tables:
-            rows.append({a: convert(r if barred else r.bar() * Laurent.q_power(
+            rows.append({a: packing.pack(r if barred else r.bar() * Laurent.q_power(
                 poset.lengths[b] - poset.lengths[a])) for a, r in base.items()})
     return [rows for rows, _ in tables]
+
+
+def _check_bounds(n: int, k: int, bases: dict[int, dict[int, IntPoly]]) -> None:
+    """Raise ValueError where the L1 norm of a base sum exceeds the bound
+    of R at its entry (0 outside down(b)): then, and only then, could
+    some entry of the Hecke table exceed the width (module docstring)."""
+    columns = rpoly.orbit_bounds(n, k)[1]
+    for b, base in bases.items():
+        column = columns[b]
+        for a, r in base.items():
+            if sum(map(abs, r.coeffs)) > column.get(a, 0):
+                raise ValueError(f"the Hecke bounds of the rank-{k} orbit of R_{n} "
+                                 f"exceed the bounds of its R table at ({a}, {b})")
 
 
 @order.resident
@@ -221,11 +248,9 @@ def orbit_bars(n: int, k: int) -> tuple[Kronecker, rpoly.Rows, rpoly.Rows]:
     q^(l(e) - l(a)) c_a(b), c_a(b) the coefficient of A_(elements[a]) in
     bar(A_(elements[b])), and barred row b to the packed
     q^(l(b) - l(e)) bar(c_a(b)); nonzero entries only."""
-    norm, bases = rpoly.orbit_norm(n, k), _orbit_sums(n, k)
-    if any(bound > norm for row in _fill(n, k, bases)[0] for bound in row.values()):
-        raise ValueError(f"the Hecke bounds of the rank-{k} orbit of R_{n} "
-                         f"exceed the width of its R table")
-    packing = Kronecker(norm, terms=len(order.orbit_poset(n, k).elements))
+    bases = _orbit_sums(n, k)
+    _check_bounds(n, k, bases)
+    packing = rpoly.orbit_packing(n, k)
     return (packing, *_fill(n, k, bases, packing))
 
 

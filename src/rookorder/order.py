@@ -106,16 +106,20 @@ def bits(mask: int):
     """Positions of the set bits of ``mask``, ascending.
 
     A dense mask, with more than (bit_length + 64) / 8 set bits, is
-    walked in bulk, as its binary digits read from the low end; a sparse
-    one bit by bit, which costs three big-int operations per set bit but
-    nothing per clear one.
+    walked in bulk, as its binary digits read from the low end, by a
+    ``compress`` iterator returned as it is; a sparse one bit by bit
+    (``_sparse_bits``), which costs three big-int operations per set bit
+    but nothing per clear one.
 
     >>> list(bits(0b101101)), list(bits(1 << 100 | 1)), sum(bits((1 << 80) - 1))
     ([0, 2, 3, 5], [0, 100], 3160)
     """
     if 8 * mask.bit_count() > mask.bit_length() + 64:
-        yield from compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS))
-        return
+        return compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS))
+    return _sparse_bits(mask)
+
+
+def _sparse_bits(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -25,25 +25,32 @@ s sigma, whose smaller length puts it earlier in index order, with s
 and every step read off ``order.orbit_action``, by the packed step that
 ``_fill`` inlines.  The sweeps read the table, so they keep one value
 per comparable pair of the orbit and no memo keyed by words.
-The table and ``orbit_norm`` live on the orbit's poset (``order.resident``).
+The table, ``orbit_bounds`` and ``delta_rows`` live on the orbit's poset
+(``order.resident``).
 
 The table holds ints, filled packed at q = 2^B with
 ``polynomials.Kronecker``: q x is ``x << B``, (q - 1) x + q y is
 ``(y << B) + (2^B - 1) * x``; every R lies in Z[q], so packing needs no
-offset and no step divides by q.  In the same pass it fills the
+offset and no step divides by q.  The orbit's table holds R alone.  The
 reversed polynomials
 
     R'[theta, sigma] = q^(l(sigma) - l(theta)) bar(R[theta, sigma]),
 
-also in Z[q], by the barred steps: R'[s theta, s sigma],
-R'[theta, s sigma], and (1 - q) R'[theta, s sigma] + q R'[s theta, s sigma].
+also in Z[q], have one reader, the delta product: ``delta_rows`` fills
+R and R' in one pass of its own, R' by the barred steps R'[s theta,
+s sigma], R'[theta, s sigma], and (1 - q) R'[theta, s sigma] + q
+R'[s theta, s sigma], and drops both once its rows are formed.
 
 B is fixed before the fill, from bounds and never from values.  The
 same fill run over non-negative ints with q -> 1 and subtraction ->
 addition, so that |(q - 1) x + q y| <= 2|x| + |y|, bounds the L1 norm
 of every entry.  The barred steps have the same bounds, so one bound
-table serves both tables.  With L the largest bound (``orbit_norm``),
-B = bitlen(|orbit| * L^2 + 1) + 1.
+table serves R and R'.  With L the largest bound (``orbit_bounds``),
+B = bitlen(|orbit| * L^2 + 1) + 1, and every packed table of the orbit,
+and every decoding, uses that one packing (``orbit_packing``).  Of the
+bound table only L and the columns of the elements with no left descent
+are kept (``orbit_bounds``), the columns filled by a right descent (or,
+at the minimum, by none): ``hecke`` holds its base sums to them.
 
 The delta identity, the inversion formula of the R-polynomials,
 
@@ -61,14 +68,14 @@ certifies the polynomial 0 or 1 exactly.  An entry R[a, b] is decoded
 as ``packing.unpack(rows[a].get(b, 0))``, and a sum only where it fails.
 
 Both delta consumers read one product, ``delta_rows(n, k)``: the rows
-of ``product_rows`` over the orbit's two tables, kept on its poset with
-them.  The ``verify`` sweep walks it.  ``verify_delta_identity`` keeps
-on the poset a pointer to the row of the last theta asked for, so a
-pair of the same theta costs one ``order.orbit_poset`` hit, one
-identity test of theta (a tuple compare only for an equal tuple that is
-another object) and one index lookup of sigma; a sigma outside the
-orbit is refused by its index.  ``delta_identity_sum`` decodes one
-entry of the product.
+of ``product_rows``, a failing one as its nonzero sums {sigma: sum},
+kept on the orbit's poset.  The ``verify`` sweep walks it.
+``verify_delta_identity`` keeps on the poset a pointer to the row of
+the last theta asked for, so a pair of the same theta costs one
+``order.orbit_poset`` hit, one identity test of theta (a tuple compare
+only for an equal tuple that is another object) and one index lookup of
+sigma; a sigma outside the orbit is refused by its index.
+``delta_identity_sum`` decodes one entry of the product.
 
 The constant term R[theta, sigma](0) equals the Mobius function of the
 interval.
@@ -78,13 +85,15 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import repeat
 
 from . import order, renner, weyl
 from .polynomials import IntPoly, Kronecker, ONE, Q, Q_MINUS_1, ZERO
 from .renner import Word
 
-__all__ = ["rpoly", "triple_sums", "product_rows", "OrbitTable", "orbit_norm",
-           "orbit_table", "delta_rows", "delta_identity_sum", "verify_delta_identity"]
+__all__ = ["rpoly", "triple_sums", "product_rows", "OrbitTable", "orbit_bounds",
+           "orbit_packing", "orbit_table", "delta_rows", "delta_identity_sum",
+           "verify_delta_identity"]
 
 Rows = list[dict[int, int]]  # per index a: {index b: packed value at (a, b)}
 
@@ -162,10 +171,11 @@ def _equivariant(rows: Rows, star) -> bool:
                for a, row in enumerate(rows) if star[a] >= a)
 
 
-def product_rows(left: Rows, right: Rows, star) -> Iterator[list[int] | None]:
+def product_rows(left: Rows, right: Rows, star) -> Iterator[dict[int, int] | None]:
     """Row b of the product of two packed orbit matrices, for every b in
-    index order: ``triple_sums(left[b], right)``, or None where that row
-    is the packed identity (1 at b, 0 elsewhere).
+    index order: the nonzero entries {j: sum} of
+    ``triple_sums(left[b], right)``, or None where that row is the
+    packed identity (1 at b, 0 elsewhere).
 
     ``star`` is an index permutation (``order.orbit_star``).  If star o
     star = id and both matrices are equivariant under it, T[star a][star
@@ -188,24 +198,27 @@ def product_rows(left: Rows, right: Rows, star) -> Iterator[list[int] | None]:
             identity[b] = 1
             yield None
         else:
-            yield out
+            yield {j: x for j, x in enumerate(out) if x}
 
 
-def _fill(n: int, k: int, packing: Kronecker | None = None) -> list[Rows]:
-    """The rows of R and of R' over the rank-k orbit of R_n, by the
-    indices of ``order.orbit_poset(n, k)``, packed by ``packing``;
-    without one, one table of the L1 bounds of their entries (q -> 1,
-    subtraction -> addition), which R and R' share entry for entry.  Row
-    a holds every b >= a; the minimum (index 0) has no descent, and every
-    other b is filled from s b by the step of ``_step``, or for R' by its
-    barred step, packed.
+def _fill(n: int, k: int, packing: Kronecker | None = None,
+          with_reversed: bool = False) -> list[Rows]:
+    """The rows of R over the rank-k orbit of R_n, by the indices of
+    ``order.orbit_poset(n, k)``, packed by ``packing``, and with
+    ``with_reversed`` the rows of R' after them, filled in the same pass;
+    without a packing, one table of the L1 bounds of their entries
+    (q -> 1, subtraction -> addition), which R and R' share entry for
+    entry.  Row a holds every b >= a; the minimum (index 0) has no
+    descent, and every other b is filled from s b by the step of
+    ``_step``, or for R' by its barred step, packed.
     """
     poset = order.orbit_poset(n, k)
     bits = packing.bits if packing else 0
     # per table, where s raises theta the factor c of x in the step
     # q y + c x (q - 1 for R, 1 - q for R'; both bound to 2), and where s
     # fixes theta the shift of x (q x for R, x for R')
-    kinds = (((1 << bits) - 1, bits), (1 - (1 << bits), 0)) if packing else ((2, 0),)
+    kinds = ((((1 << bits) - 1, bits), (1 - (1 << bits), 0))[:1 + with_reversed] if packing
+             else ((2, 0),))
     tables = [([{b: 1} for b in range(len(poset.elements))], c, fixed)
               for c, fixed in kinds]
     actions = {side: order.orbit_action(n, k, side) for side in ("left", "right")}
@@ -227,26 +240,43 @@ def _fill(n: int, k: int, packing: Kronecker | None = None) -> list[Rows]:
 
 
 @order.resident
-def orbit_norm(n: int, k: int) -> int:
-    """The largest L1 bound of the R fill of the rank-k orbit of R_n: it
-    fixes the one width of every packed table of the orbit, the R table
-    here and the Hecke table of ``hecke.orbit_bars``."""
-    return max(max(row.values()) for row in _fill(n, k)[0])
+def orbit_bounds(n: int, k: int) -> tuple[int, dict[int, dict[int, int]]]:
+    """What is kept of the bound table of the R fill of the rank-k orbit
+    of R_n: its largest bound L, which fixes the width, and its columns at the minimum and at
+    every element it filled by a right descent, {b: {a: bound of R[a, b]
+    for a in down(b)}}.  These are the elements with no left descent,
+    the bases of ``hecke``."""
+    poset = order.orbit_poset(n, k)
+    [bounds] = _fill(n, k)
+    # per element its length steps under s_1, s_2, ... on the left, and a
+    # 0, so that every element of R_1 has a tuple
+    left_steps = zip(*(step for _, step in order.orbit_action(n, k, "left")), repeat(0))
+    columns = {b: {a: bounds[a][b] for a in order.bits(down)}
+               for b, (down, steps) in enumerate(zip(poset.downs, left_steps))
+               if min(steps) >= 0}
+    return max(max(row.values()) for row in bounds), columns
+
+
+def orbit_packing(n: int, k: int) -> Kronecker:
+    """The packing of every table of the rank-k orbit of R_n, the R
+    tables here and the Hecke table of ``hecke.orbit_bars``, at the width
+    that the largest bound of ``orbit_bounds`` fixes; no table is filled
+    for it."""
+    return Kronecker(orbit_bounds(n, k)[0], terms=len(order.orbit_poset(n, k).elements))
 
 
 class OrbitTable:
     """R[theta, sigma] for every pair of the rank-k orbit of R_n, by the
     indices of ``order.orbit_poset(n, k)``, packed.
 
-    ``rows[a]`` maps each b >= a to the packed R[a, b] and
-    ``reversed_rows[a]`` to the packed R'[a, b]; the other values are 0.
-    It holds no reference to the poset that keeps it, so it goes with it.
+    ``rows[a]`` maps each b >= a to the packed R[a, b]; the other values
+    are 0.  It holds no reference to the poset that keeps it, so it goes
+    with it.
     """
 
     def __init__(self, n: int, k: int):
-        self.packing = Kronecker(orbit_norm(n, k),
-                                 terms=len(order.orbit_poset(n, k).elements))
-        self.rows, self.reversed_rows = _fill(n, k, self.packing)
+        self.packing = orbit_packing(n, k)
+        [self.rows] = _fill(n, k, self.packing)
 
 
 @order.resident
@@ -256,13 +286,14 @@ def orbit_table(n: int, k: int) -> OrbitTable:
 
 
 @order.resident
-def delta_rows(n: int, k: int) -> list[list[int] | None]:
+def delta_rows(n: int, k: int) -> list[dict[int, int] | None]:
     """The delta sums of the rank-k orbit of R_n, by the indices of
-    ``order.orbit_poset(n, k)``: entry a is the packed row of sums of
-    elements[a] against every sigma, or None where that row is the
-    identity, as ``product_rows`` gives them over R and R'."""
-    table = orbit_table(n, k)
-    return list(product_rows(table.rows, table.reversed_rows, order.orbit_star(n, k)))
+    ``order.orbit_poset(n, k)``: entry a is the nonzero packed sums
+    {sigma: sum} of elements[a], or None where that row is the identity,
+    as ``product_rows`` gives them over R and R'.  R and R' are filled
+    here, in one pass, and dropped once the rows are formed."""
+    rows, reversed_rows = _fill(n, k, orbit_packing(n, k), with_reversed=True)
+    return list(product_rows(rows, reversed_rows, order.orbit_star(n, k)))
 
 
 def delta_identity_sum(theta: Word, sigma: Word) -> IntPoly:
@@ -274,7 +305,7 @@ def delta_identity_sum(theta: Word, sigma: Word) -> IntPoly:
     n, k = order.require_same_orbit(theta, sigma)
     poset = order.orbit_poset(n, k)
     row, b = delta_rows(n, k)[poset.locate(theta)], poset.locate(sigma)
-    return orbit_table(n, k).packing.unpack(int(theta == sigma) if row is None else row[b])
+    return orbit_packing(n, k).unpack(int(theta == sigma) if row is None else row.get(b, 0))
 
 
 def verify_delta_identity(theta: Word, sigma: Word) -> bool:
@@ -295,4 +326,4 @@ def verify_delta_identity(theta: Word, sigma: Word) -> bool:
     b = poset.index.get(sigma)
     if b is None:
         poset.locate(sigma)
-    return row is None or row[b] == (theta == sigma)
+    return row is None or row.get(b, 0) == (theta == sigma)

@@ -45,21 +45,23 @@ __all__ = ["SUITES", "hecke_oracle_report", "run_suite"]
 def _delta_identity(n: int, k: int) -> Report:
     """The delta identity on every ordered pair of the orbit, one packed
     row of sums per theta of each pair {theta, theta*} (module
-    docstring), as ``rpoly.delta_rows`` keeps them; only a failing sum
-    is decoded."""
+    docstring), as ``rpoly.delta_rows`` keeps them: a failing row holds
+    its nonzero sums, and a sum it lacks is 0.  Only a failing sum is
+    decoded, by the orbit's packing; the R table is not built."""
     report = Report(name="delta")
-    table = rpoly.orbit_table(n, k)
+    packing = rpoly.orbit_packing(n, k)
     elements = order.orbit_poset(n, k).elements
     for a, (theta, row) in enumerate(zip(elements, rpoly.delta_rows(n, k))):
         report.checked += len(elements)
         if row is None:
             continue
-        for b, total in enumerate(row):
+        for b in sorted(row.keys() | {a}):
+            total = row.get(b, 0)
             if total != (1 if a == b else 0):
                 report.violations.append({
                     "theta": renner.format_element(theta),
                     "sigma": renner.format_element(elements[b]),
-                    "sum": str(table.packing.unpack(total)),
+                    "sum": str(packing.unpack(total)),
                 })
     return report
 
@@ -139,7 +141,7 @@ def hecke_oracle_report(n: int, k: int) -> Report:
                     "element": renner.element_to_json(elements[nu]),
                     "laurent": (packing.unpack(x)
                                 * Laurent.q_power(lengths[nu] - lengths[b])).to_json(),
-                } for nu, x in enumerate(row) if x],
+                } for nu, x in row.items()],
             })
     return report
 

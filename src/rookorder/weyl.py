@@ -175,13 +175,16 @@ def classical_rpoly(u: Word, v: Word) -> IntPoly:
 
     Computed by the usual descent recurrence: for a left descent s of v,
     R_{u,v} = R_{su,sv} if su < u, else (q-1) R_{u,sv} + q R_{su,sv}.
-    R_{u,u} = 1 and R_{u,v} = 0 unless u <= v.
+    R_{u,u} = 1 and R_{u,v} = 0 unless u <= v.  As u < v implies
+    l(u) < l(v), a pair with l(u) >= l(v) is settled by the length, a
+    cached lookup, before the prefix test of ``bruhat_leq``; in the
+    Hecke suite that is most of the pairs that are not u < v.
     """
     if len(u) != len(v):
         raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
     if u == v:
         return ONE
-    if not bruhat_leq(u, v):
+    if length(u) >= length(v) or not bruhat_leq(u, v):
         return ZERO
     n = len(v)
     s = simple_reflection(n, min(left_descents(v)))

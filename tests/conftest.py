@@ -4,7 +4,8 @@ import sys
 import pytest
 from hypothesis import settings
 
-from rookorder import order, rpoly
+from rookorder import hecke, order, rpoly
+from rookorder.polynomials import Kronecker
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -28,20 +29,32 @@ def fresh_orbits():
 def corrupt_fill(monkeypatch, fresh_orbits):
     """corrupt(module, n, k, change): from then on, the packed tables
     that ``module._fill`` (of ``rpoly`` or ``hecke``) fills for the
-    rank-k orbit of R_n go through change(packing, rows, other_rows),
-    in place, as they are built.  A sweep that starts at another rank
-    drops the orbit's tables and builds them again, and these carry the
-    fault too."""
+    rank-k orbit of R_n go through change(packing, rows, other_rows), in
+    place, as they are built.  For ``hecke`` these are the rows and the
+    barred rows.  For ``rpoly`` they are R and R': rows is R on the
+    R-only fill of ``rpoly.orbit_table`` and on the fill of
+    ``rpoly.delta_rows``, and other_rows is R' on the latter and None on
+    the former.  A sweep that starts at another rank drops the orbit's
+    tables and builds them again, and these carry the fault too."""
     def corrupt(module, n, k, change):
         fill = module._fill
 
-        def corrupted(*args):
-            tables = fill(*args)
-            if args[:2] == (n, k) and len(tables) == 2:  # packed, not bounds
-                change(args[-1], *tables)
+        def corrupted(*args, **kwargs):
+            tables = fill(*args, **kwargs)
+            packing = next((arg for arg in args if isinstance(arg, Kronecker)), None)
+            if args[:2] == (n, k) and packing is not None:  # packed, not bounds
+                change(packing, *tables, *[None] * (2 - len(tables)))
             return tables
         monkeypatch.setattr(module, "_fill", corrupted)
     return corrupt
+
+
+@pytest.fixture
+def delta_tables():
+    """delta_tables(n, k): R and R' of the rank-k orbit of R_n, packed
+    and filled in one pass as ``rpoly.delta_rows`` fills them, through
+    ``rpoly._fill``, so that a ``corrupt_fill`` fault reaches them."""
+    return lambda n, k: rpoly._fill(n, k, rpoly.orbit_packing(n, k), with_reversed=True)
 
 
 @pytest.fixture
@@ -112,5 +125,28 @@ def full_sums(monkeypatch, drop_product):
             drop_product(n, k)
             report = check(n, k)
             drop_product(n, k)
+        return report.checked, report.violations
+    return run
+
+
+@pytest.fixture
+def full_bounds(monkeypatch):
+    """full_bounds(check, n, k): (checked, violations) of the report
+    check(n, k) with the Hecke table of the orbit built afresh under the
+    oracle's full bound fill (``oracles.full_bound_check``) in place of
+    the base check of ``hecke._check_bounds``, which the patch is only
+    while check runs; that table is dropped after it.  A fault that
+    ``corrupt_fill`` puts into the Hecke fill is in the new table too."""
+    from oracles import full_bound_check
+
+    def drop(n, k):
+        order.orbit_poset(n, k)._resident.pop(hecke.orbit_bars.__wrapped__, None)
+
+    def run(check, n, k):
+        with monkeypatch.context() as patch:
+            patch.setattr(hecke, "_check_bounds", full_bound_check)
+            drop(n, k)
+            report = check(n, k)
+            drop(n, k)
         return report.checked, report.violations
     return run

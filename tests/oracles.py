@@ -5,7 +5,7 @@ import itertools
 from functools import lru_cache
 
 from rookorder import analysis, hecke, order, renner, rpoly, weyl
-from rookorder.polynomials import Kronecker, Laurent
+from rookorder.polynomials import Kronecker, Laurent, ONE, Q, Q_MINUS_1, ZERO
 from rookorder.reports import Report
 
 
@@ -426,26 +426,85 @@ def rpoly_bound_tables(n, k):
     return rows, reversed_rows
 
 
-def hecke_bound_tables(n, k):
+def hecke_bound_step(column, to, step):
+    """(q A_s - (q - 1)) at q = 1 with subtraction turned into addition,
+    on a column of L1 bounds: x at a goes to s a, and where s raises a,
+    2x stays at a too; where s fixes a, x stays."""
+    out = {}
+    for a, x in column.items():
+        if step[a] > 0:
+            out[to[a]] = out.get(to[a], 0) + x
+            out[a] = out.get(a, 0) + 2 * x
+        elif step[a] < 0:
+            out[to[a]] = out.get(to[a], 0) + x
+        else:
+            out[a] = out.get(a, 0) + x
+    return out
+
+
+def hecke_bound_tables(n, k, bases=None):
     """The L1 bounds of the scaled rows of c and of bar(c) over the
-    rank-k orbit of R_n, as two tables filled side by side by
-    ``hecke._bar_step`` at q = 1 with subtraction turned into addition,
-    from the L1 norms of the orbit sums.  The oracle of the one bound
-    table ``hecke._fill`` fills."""
+    rank-k orbit of R_n, as two tables filled side by side by the step
+    of ``hecke._bar_step`` at q = 1 with subtraction turned into
+    addition, from the L1 norms of the orbit sums ``bases`` (by default
+    ``hecke._orbit_sums``): the full bound fill, of which ``hecke`` checks
+    only the bases."""
     poset = order.orbit_poset(n, k)
-    left, bases = order.orbit_action(n, k, "left"), hecke._orbit_sums(n, k)
+    left = order.orbit_action(n, k, "left")
+    bases = hecke._orbit_sums(n, k) if bases is None else bases
     rows, barred = [], []
     for b, sigma in enumerate(poset.elements):
         descents = renner.descents(sigma, "left")
         if descents:
             to, step = left[min(descents) - 1]
-            rows.append(hecke._bar_step(rows[to[b]], to, step, 0, 1, False))
-            barred.append(hecke._bar_step(barred[to[b]], to, step, 0, 1, True))
+            rows.append(hecke_bound_step(rows[to[b]], to, step))
+            barred.append(hecke_bound_step(barred[to[b]], to, step))
             continue
         base = bases[b]
         rows.append({a: sum(map(abs, c.coeffs)) for a, c in base.items()})
         barred.append({a: sum(map(abs, c.bar().coeffs)) for a, c in base.items()})
     return rows, barred
+
+
+def r_bound_columns(n, k):
+    """The columns {a: bound} of the R bound table of ``rpoly_bound_tables``,
+    by sigma."""
+    columns = [{} for _ in order.orbit_poset(n, k).elements]
+    for a, row in enumerate(rpoly_bound_tables(n, k)[0]):
+        for b, x in row.items():
+            columns[b][a] = x
+    return columns
+
+
+def full_bound_check(n, k, bases):
+    """The check of the full Hecke bound fill in place of
+    ``hecke._check_bounds``: ValueError where any bound of either table
+    exceeds the R bound at its entry (0 outside down(b))."""
+    columns = r_bound_columns(n, k)
+    for table in hecke_bound_tables(n, k, bases):
+        for b, column in enumerate(table):
+            for a, x in column.items():
+                if x > columns[b].get(a, 0):
+                    raise ValueError(f"the Hecke bounds of the rank-{k} orbit of R_{n} "
+                                     f"exceed the bounds of its R table at ({a}, {b})")
+
+
+@lru_cache(maxsize=None)
+def classical_rpoly_bruhat_first(u, v):
+    """R_{u,v} of the symmetric group by the recurrence of
+    ``weyl.classical_rpoly``, with the Bruhat test first and no length
+    test."""
+    if u == v:
+        return ONE
+    if not weyl.bruhat_leq(u, v):
+        return ZERO
+    n = len(v)
+    s = weyl.simple_reflection(n, min(weyl.left_descents(v)))
+    sv, su = weyl.compose(s, v), weyl.compose(s, u)
+    if weyl.length(su) < weyl.length(u):
+        return classical_rpoly_bruhat_first(su, sv)
+    return (Q_MINUS_1 * classical_rpoly_bruhat_first(u, sv)
+            + Q * classical_rpoly_bruhat_first(su, sv))
 
 
 def check_lifting(theta, sigma, i):

@@ -444,16 +444,24 @@ def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, mo
                                                        drop_product, corruptions):
     # each fault the tests above inject into the tables of R_3 gives the
     # output of delta and hecke that summing every sigma gives, as under
-    # an identity star
+    # an identity star, and that the Hecke tables built under the
+    # oracle's full bound fill give
+    from oracles import full_bound_check
     from rookorder import hecke, order, rpoly
     modules = {"hecke": hecke, "rpoly": rpoly}
     for name, k, change in corruptions:
         corrupt_fill(modules[name], 3, k, change)
     outputs = [run(capsys, "verify", suite, "--n", "3") for suite in ("delta", "hecke")]
     assert outputs[1][0] == 1
-    monkeypatch.setattr(order, "orbit_star",
-                        lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
-    drop_product(3, 3)  # the orbit still resident
+    with monkeypatch.context() as patch:
+        patch.setattr(order, "orbit_star",
+                      lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
+        drop_product(3, 3)  # the orbit still resident
+        assert [run(capsys, "verify", suite, "--n", "3")
+                for suite in ("delta", "hecke")] == outputs
+    drop_product(3, 3)
+    monkeypatch.setattr(hecke, "_check_bounds", full_bound_check)
+    order.orbit_poset.cache_clear()
     assert [run(capsys, "verify", suite, "--n", "3") for suite in ("delta", "hecke")] == outputs
 
 

@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
-from oracles import bar_Asigma_by_reduced_word, bar_Asigma_by_support, hecke_to_json
+from oracles import (bar_Asigma_by_reduced_word, bar_Asigma_by_support, full_bound_check,
+                     hecke_bound_step, hecke_bound_tables, hecke_to_json, r_bound_columns)
 from rookorder import hecke, order, renner, rpoly, verify, weyl
-from rookorder.polynomials import Laurent, ONE
+from rookorder.polynomials import IntPoly, Laurent, ONE
 
 ONE_L = Laurent.from_int(1)
 Q_INV = Laurent.q_power(-1)
@@ -165,14 +166,124 @@ def test_orbit_bars_match_reduced_word_oracle(n, k):
 
 
 def test_orbit_bars_refuse_bounds_past_the_width(monkeypatch, fresh_orbits):
-    # the one Hecke bound table is held to the width of the R table
-    monkeypatch.setattr(rpoly, "orbit_norm", lambda n, k: 1)
-    with pytest.raises(ValueError, match="exceed the width"):
+    # the Hecke bounds are held to the R bounds, which fix the width, at
+    # the bases: with the R bound of one base entry one below the L1 norm
+    # of its sum, the table is refused
+    norm, columns = rpoly.orbit_bounds(3, 1)
+    b, base = next((b, base) for b, base in hecke._orbit_sums(3, 1).items() if b)
+    a, r = next(iter(base.items()))
+    lowered = {**columns, b: {**columns[b], a: sum(map(abs, r.coeffs)) - 1}}
+    monkeypatch.setattr(rpoly, "orbit_bounds", lambda n, k: (norm, lowered))
+    with pytest.raises(ValueError, match=f"exceed the bounds of its R table at \\({a}, {b}\\)"):
         hecke.orbit_bars(3, 1)
 
 
+ALL_ORBITS = [pytest.param(n, k, id=f"R{n}-k{k}") for n in range(1, 6) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n,k", ALL_ORBITS)
+def test_full_hecke_bounds_lie_within_the_r_bounds(n, k):
+    # the oracle's full Hecke bound fill is at most the R bound table,
+    # entry by entry (0 outside down(b)), and at every b with a left
+    # descent its step takes R's column of s b to R's column of b (the
+    # induction of the module docstring).  They are not equal: at 1, 3
+    # and 3 bases of R_4 k = 2, R_5 k = 2 and R_5 k = 3 the Hecke bounds
+    # lie below R's, and so do the columns filled from those bases
+    poset, left = order.orbit_poset(n, k), order.orbit_action(n, k, "left")
+    columns = r_bound_columns(n, k)
+    for table in hecke_bound_tables(n, k):
+        for b, column in enumerate(table):
+            assert all(x <= columns[b].get(a, 0) for a, x in column.items()), (n, k, b)
+    for b, sigma in enumerate(poset.elements):
+        descents = renner.descents(sigma, "left")
+        if descents:
+            to, step = left[min(descents) - 1]
+            assert hecke_bound_step(columns[to[b]], to, step) == columns[b], (n, k, b)
+    assert sorted(rpoly.orbit_bounds(n, k)[1]) == \
+        [b for b, sigma in enumerate(poset.elements) if not renner.descents(sigma, "left")]
+
+
+def _inflated(bases, columns):
+    # one base sum of a base past the minimum given a new top term that
+    # lifts its L1 norm one past R's bound
+    b = next(b for b in bases if b)
+    a, r = next(iter(bases[b].items()))
+    excess = columns[b][a] - sum(map(abs, r.coeffs)) + 1
+    bases[b][a] = r + IntPoly([0] * len(r.coeffs) + [excess])
+
+
+def _outside(bases, columns):
+    # a base sum 1 at an entry outside the down set of its base
+    b = next(b for b in bases if b)
+    bases[b][max(set(range(len(columns))) - set(columns[b]))] = ONE
+
+
+def _sign_flipped(bases, columns):
+    # one base sum negated: wrong, but within every bound
+    b = next(b for b in bases if b)
+    a, r = next(iter(bases[b].items()))
+    bases[b][a] = -r
+
+
+@pytest.mark.parametrize("mutant, raises", [
+    (None, False), (_inflated, True), (_outside, True), (_sign_flipped, False),
+], ids=["clean", "inflated", "outside", "sign-flipped"])
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 2)])
+def test_orbit_bars_raise_exactly_where_the_full_check_raises(n, k, mutant, raises,
+                                                               monkeypatch, fresh_orbits):
+    # the base check of ``orbit_bars`` and the oracle's full bound fill
+    # refuse the same base sums
+    bases = {b: dict(base) for b, base in hecke._orbit_sums(n, k).items()}
+    if mutant:
+        mutant(bases, r_bound_columns(n, k))
+    monkeypatch.setattr(hecke, "_orbit_sums", lambda n, k: bases)
+    outcomes = []
+    for check in (hecke._check_bounds, full_bound_check):
+        with monkeypatch.context() as patch:
+            patch.setattr(hecke, "_check_bounds", check)
+            order.orbit_poset.cache_clear()
+            try:
+                hecke.orbit_bars(n, k)
+                outcomes.append(False)
+            except ValueError as error:
+                assert "exceed the bounds of its R table" in str(error)
+                outcomes.append(True)
+    assert outcomes == [raises, raises]
+
+
+def _spy(monkeypatch, module):
+    calls, fill = [], module._fill
+
+    def spied(*args, **kwargs):
+        calls.append((args[2:], kwargs))
+        return fill(*args, **kwargs)
+    monkeypatch.setattr(module, "_fill", spied)
+    return calls
+
+
+def test_hecke_report_fills_r_alone_and_no_hecke_bounds(monkeypatch, fresh_orbits):
+    # one R bound fill, one packed fill of R alone, one packed Hecke fill
+    r_fills, hecke_fills = _spy(monkeypatch, rpoly), _spy(monkeypatch, hecke)
+    assert verify.hecke_oracle_report(4, 2).passed
+    packing = rpoly.orbit_packing(4, 2)
+    assert [(tuple(type(arg) for arg in args), kwargs) for args, kwargs in r_fills] == \
+        [((), {}), ((type(packing),), {})]
+    assert r_fills[1][0][0].bits == packing.bits
+    assert [args[1].bits for args, kwargs in hecke_fills] == [packing.bits]
+
+
+def test_delta_fills_r_and_reversed_in_one_packed_pass(monkeypatch, fresh_orbits):
+    # one R bound fill and one packed fill of R and R' together; the
+    # orbit's R table is not built
+    r_fills = _spy(monkeypatch, rpoly)
+    assert verify._delta_identity(4, 2).passed
+    assert [(len(args), kwargs) for args, kwargs in r_fills] == \
+        [(0, {}), (1, {"with_reversed": True})]
+    assert rpoly.orbit_table.__wrapped__ not in order.orbit_poset(4, 2)._resident
+
+
 def test_orbit_bars_sum_each_base_row_once(monkeypatch, fresh_orbits):
-    # the bound fill and the packed fill share the orbit sums: one per
+    # the base bound check and the packed fill share the orbit sums: one per
     # element with no left descent, over one list of terms per orbit
     summed, orbit_sum = [], hecke._orbit_sum
     monkeypatch.setattr(hecke, "_orbit_sum",
@@ -212,13 +323,15 @@ def test_oracle_agreement(n, k):
 @pytest.mark.parametrize("n,ks", [pytest.param(n, range(n + 1), id=f"R{n}")
                                   for n in range(1, 5)]
                          + [pytest.param(5, [2], id="R5-k2")])
-def test_hecke_table_is_the_transposed_r_table(n, ks):
-    # barred row b is column b of R, and row b is column b of R', compared
-    # as dicts, so that the supports must match too
+def test_hecke_table_is_the_transposed_r_table(n, ks, delta_tables):
+    # barred row b is column b of R, and row b is column b of R' (as the
+    # delta fill fills it), compared as dicts, so that the supports must
+    # match too
     for k in ks:
         _, rows, barred = hecke.orbit_bars(n, k)
-        table = rpoly.orbit_table(n, k)
-        for r_rows, hecke_rows in ((table.rows, barred), (table.reversed_rows, rows)):
+        reversed_rows = delta_tables(n, k)[1]
+        for r_rows, hecke_rows in ((rpoly.orbit_table(n, k).rows, barred),
+                                   (reversed_rows, rows)):
             columns = [{} for _ in hecke_rows]
             for a, row in enumerate(r_rows):
                 for b, x in row.items():
@@ -326,7 +439,8 @@ def test_hecke_tables_are_star_equivariant(n, k):
 
 
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
-def test_hecke_report_sums_one_sigma_of_each_star_pair(n, k, count_sums, full_sums):
+def test_hecke_report_sums_one_sigma_of_each_star_pair(n, k, count_sums, full_sums,
+                                                      full_bounds):
     star = order.orbit_star(n, k)
     report = verify.hecke_oracle_report(n, k)
     assert report.passed
@@ -335,6 +449,8 @@ def test_hecke_report_sums_one_sigma_of_each_star_pair(n, k, count_sums, full_su
     assert full_sums(verify.hecke_oracle_report, n, k) == \
         (report.checked, report.violations)
     assert len(count_sums) == len(star)
+    assert full_bounds(verify.hecke_oracle_report, n, k) == \
+        (report.checked, report.violations)
 
 
 @pytest.mark.parametrize("barred", [True, False], ids=["barred", "rows"])

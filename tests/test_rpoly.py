@@ -138,20 +138,38 @@ def test_delta_identity_small_cases():
         rpoly.delta_identity_sum((0, 0, 0, 1), (0, 0, 1, 2))
 
 
-def test_verify_delta_identity_reads_the_packed_sum(monkeypatch, drop_product):
-    # R[min, max] of the R_3 k = 1 table off by 1 turns the sum at
+def _r_at_min_max_plus_one(packing, rows, reversed_rows):
+    rows[0][len(rows) - 1] += 1
+
+
+def test_verify_delta_identity_reads_the_packed_sum(corrupt_fill, drop_product):
+    # R[min, max] of the R_3 k = 1 fill off by 1 turns the sum at
     # (min, max) from 0 into 1, which is right only on the diagonal
     # once the product that the orbit's poset keeps is dropped
-    table, poset = rpoly.orbit_table(3, 1), order.orbit_poset(3, 1)
-    top = len(table.rows) - 1
+    poset = order.orbit_poset(3, 1)
+    top = len(poset.elements) - 1
     bottom, maximum = poset.elements[0], poset.elements[top]
     assert rpoly.verify_delta_identity(bottom, maximum)
-    monkeypatch.setitem(table.rows[0], top, table.rows[0][top] + 1)
+    corrupt_fill(rpoly, 3, 1, _r_at_min_max_plus_one)
     assert rpoly.verify_delta_identity(bottom, maximum)  # the kept product
     drop_product(3, 1)
     assert rpoly.delta_identity_sum(bottom, maximum) == 1
     assert not rpoly.verify_delta_identity(bottom, maximum)
     assert rpoly.verify_delta_identity(bottom, bottom)
+
+
+def test_corrupt_fill_reaches_each_packed_r_fill(corrupt_fill, delta_tables):
+    # a fault sees R on the R-only fill of the orbit's table, R and R' on
+    # the fill of the delta product, and never the bound fill
+    seen = []
+    corrupt_fill(rpoly, 3, 1, lambda packing, rows, reversed_rows:
+                 seen.append((packing.bits, rows, reversed_rows)))
+    table = rpoly.orbit_table(3, 1)
+    rows, reversed_rows = delta_tables(3, 1)
+    bits = rpoly.orbit_packing(3, 1).bits
+    assert len(seen) == 2
+    assert seen[0][0] == bits and seen[0][1] is table.rows and seen[0][2] is None
+    assert seen[1][0] == bits and seen[1][1] is rows and seen[1][2] is reversed_rows
 
 
 def test_delta_row_cache_follows_theta_across_orbits():
@@ -182,20 +200,28 @@ def test_delta_row_cache_refuses_a_sigma_from_another_orbit():
 
 
 def test_delta_row_cache_follows_the_table(monkeypatch, drop_product):
-    # the kept product is the table's: a corrupted entry shows once the
-    # product is summed again, and a cleared orbit cache answers from a
-    # fresh table
-    table, elements = rpoly.orbit_table(3, 1), order.orbit_poset(3, 1).elements
-    top = len(table.rows) - 1
+    # the kept product is summed from the tables of its own fill: a
+    # corrupted entry shows once the product is summed again, and a
+    # cleared orbit cache answers from a fresh fill
+    elements = order.orbit_poset(3, 1).elements
+    top = len(elements) - 1
     bottom, maximum = elements[0], elements[top]
     assert rpoly.verify_delta_identity(bottom, maximum)
-    monkeypatch.setitem(table.rows[0], top, table.rows[0][top] + 1)
-    drop_product(3, 1)
-    assert rpoly.verify_delta_identity(maximum, maximum)  # another theta
-    assert rpoly.delta_identity_sum(bottom, maximum) == 1
-    assert not rpoly.verify_delta_identity(bottom, maximum)
+    rows, fill = rpoly.delta_rows(3, 1), rpoly._fill
+
+    def corrupted(*args, **kwargs):
+        tables = fill(*args, **kwargs)
+        if kwargs.get("with_reversed"):
+            _r_at_min_max_plus_one(*args[2:3], *tables)
+        return tables
+    with monkeypatch.context() as patch:
+        patch.setattr(rpoly, "_fill", corrupted)
+        drop_product(3, 1)
+        assert rpoly.verify_delta_identity(maximum, maximum)  # another theta
+        assert rpoly.delta_identity_sum(bottom, maximum) == 1
+        assert not rpoly.verify_delta_identity(bottom, maximum)
     order.orbit_poset.cache_clear()
-    assert rpoly.orbit_table(3, 1) is not table
+    assert rpoly.delta_rows(3, 1) is not rows
     assert rpoly.delta_identity_sum(bottom, maximum) == 0
     assert rpoly.verify_delta_identity(bottom, maximum)
 
@@ -289,50 +315,53 @@ def _l1(p):
     return sum(map(abs, p.coeffs))
 
 
-def test_packing_width_comes_from_the_table():
+def test_packing_width_comes_from_the_table(delta_tables):
     # on every orbit of R_1 to R_4 and on R_5 at k = 2 and 5: the one
-    # bound table of each module (q -> 1, subtraction -> addition)
-    # bounds every decoded entry of both of its stored tables, the R
-    # bounds cover the Hecke bounds, and the one width of both is
-    # bitlen(|orbit| L^2 + 1) + 1 for L the largest R bound
+    # R bound table (q -> 1, subtraction -> addition) bounds every
+    # decoded entry of R and R', the full Hecke bound fill of the oracle
+    # bounds every decoded Hecke entry and lies within the R bounds, and
+    # the one width of all is bitlen(|orbit| L^2 + 1) + 1 for L the
+    # largest R bound, read off the R bounds
     for n, k in [(n, k) for n in range(1, 5) for k in range(n + 1)] + [(5, 2), (5, 5)]:
         table = rpoly.orbit_table(n, k)
         [bounds] = rpoly._fill(n, k)
         norm = max(max(row.values()) for row in bounds)
-        for values in (table.rows, table.reversed_rows):
+        assert rpoly.orbit_bounds(n, k)[0] == norm
+        for values in delta_tables(n, k):
             for row, limit in zip(values, bounds):
                 assert row.keys() == limit.keys()
                 for b, x in row.items():
                     assert _l1(table.packing.unpack(x)) <= limit[b] <= norm, (n, k)
         assert table.packing.bits == (len(table.rows) * norm ** 2 + 1).bit_length() + 1
         packing, *bars = hecke.orbit_bars(n, k)
-        assert packing.bits == table.packing.bits
-        [hecke_bounds] = hecke._fill(n, k, hecke._orbit_sums(n, k))
-        for values in bars:
-            for row, limit in zip(values, hecke_bounds):
+        assert packing.bits == rpoly.orbit_packing(n, k).bits == table.packing.bits
+        for values, hecke_bounds in zip(bars, hecke_bound_tables(n, k)):
+            for b, (row, limit) in enumerate(zip(values, hecke_bounds)):
                 for a, x in row.items():
-                    assert _l1(packing.unpack(x)) <= limit[a] <= norm, (n, k)
+                    assert _l1(packing.unpack(x)) <= limit[a] <= bounds[a][b], (n, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_one_bound_table_serves_both_tables(n):
     # filled side by side, the bounds of R and R', and those of the Hecke
-    # rows and barred rows, agree entry for entry, so each module fills
-    # one bound table
+    # rows and barred rows, agree entry for entry, so rpoly fills one
+    # bound table, and one Hecke bound table would serve both Hecke tables
     for k in range(n + 1):
         r_bounds, reversed_bounds = rpoly_bound_tables(n, k)
         assert [r_bounds] == [reversed_bounds] == rpoly._fill(n, k), (n, k)
         row_bounds, barred_bounds = hecke_bound_tables(n, k)
-        assert [row_bounds] == [barred_bounds] == \
-            hecke._fill(n, k, hecke._orbit_sums(n, k)), (n, k)
+        assert row_bounds == barred_bounds, (n, k)
 
 
-def test_reversed_rows_are_the_reversed_polynomials():
-    # R'[theta, sigma] = q^(l(sigma) - l(theta)) bar(R[theta, sigma])
+def test_reversed_rows_are_the_reversed_polynomials(delta_tables):
+    # R'[theta, sigma] = q^(l(sigma) - l(theta)) bar(R[theta, sigma]), as
+    # the delta fill fills it, beside an R equal to the orbit's R table
     for n, k in [(3, 1), (4, 2), (4, 4)]:
         table = rpoly.orbit_table(n, k)
         lengths = order.orbit_poset(n, k).lengths
-        for a, row in enumerate(table.reversed_rows):
+        rows, reversed_rows = delta_tables(n, k)
+        assert rows == table.rows
+        for a, row in enumerate(reversed_rows):
             for b, x in row.items():
                 r = table_entry(table, a, b)
                 expected = Laurent.q_power(lengths[b] - lengths[a]) * r.bar()
@@ -449,20 +478,23 @@ def _identity_rows(size):
     # equivariant under the swap, and the identity: one sum
     (_identity_rows(2), _identity_rows(2), (1, 0), [None, None], 1),
     # the same entry off at (0, 1) and (1, 0): both rows summed
-    ([{0: 1, 1: 5}, {1: 1, 0: 5}], _identity_rows(2), (1, 0), [[1, 5], [5, 1]], 2),
+    ([{0: 1, 1: 5}, {1: 1, 0: 5}], _identity_rows(2), (1, 0), [{0: 1, 1: 5}, {0: 5, 1: 1}], 2),
     # right not equivariant under the swap, left equivariant
-    (_identity_rows(2), [{0: 1}, {1: 1, 0: 3}], (1, 0), [None, [3, 1]], 2),
+    (_identity_rows(2), [{0: 1}, {1: 1, 0: 3}], (1, 0), [None, {0: 3, 1: 1}], 2),
     # left not equivariant under the swap, right equivariant
-    ([{0: 1}, {1: 1, 0: 3}], _identity_rows(2), (1, 0), [None, [3, 1]], 2),
+    ([{0: 1}, {1: 1, 0: 3}], _identity_rows(2), (1, 0), [None, {0: 3, 1: 1}], 2),
     # both equivariant under a star that is not an involution (nor a
-    # bijection), under which row 1 would be read off row 0
-    ([{0: 1}, {0: 1}, {2: 1}], _identity_rows(3), (0, 0, 2), [None, [1, 0, 0], None], 3),
+    # bijection), under which row 1 would be read off row 0; a failing
+    # row holds its nonzero sums only
+    ([{0: 1}, {0: 1}, {2: 1}], _identity_rows(3), (0, 0, 2), [None, {0: 1}, None], 3),
 ], ids=["clean", "symmetric-fault", "right-one-sided", "left-one-sided", "not-involutive"])
 def test_product_rows_skip_only_what_the_symmetry_proves(left, right, star, expected,
                                                         sums, count_sums):
-    # the rows are those of the full sums, None for the identity
+    # the rows are the nonzero entries of the full sums, None for the
+    # identity
     full = [rpoly.triple_sums(row, right) for row in left]
-    assert [None if row == [int(a == b) for a in range(len(row))] else row
+    assert [None if row == [int(a == b) for a in range(len(row))]
+            else {j: x for j, x in enumerate(row) if x}
             for b, row in enumerate(full)] == expected
     count_sums.clear()
     assert list(rpoly.product_rows(left, right, star)) == expected
@@ -470,10 +502,10 @@ def test_product_rows_skip_only_what_the_symmetry_proves(left, right, star, expe
 
 
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
-def test_orbit_r_tables_are_star_equivariant(n, k):
+def test_orbit_r_tables_are_star_equivariant(n, k, delta_tables):
     # R[a*, b*] = R[a, b], and the same for R', entry for entry
-    star, table = order.orbit_star(n, k), rpoly.orbit_table(n, k)
-    for rows in (table.rows, table.reversed_rows):
+    star = order.orbit_star(n, k)
+    for rows in (rpoly.orbit_table(n, k).rows, *delta_tables(n, k)):
         for a, row in enumerate(rows):
             assert {star[b]: x for b, x in row.items()} == rows[star[a]], (n, k, a)
 
@@ -493,18 +525,19 @@ def test_delta_report_sums_one_theta_of_each_star_pair(n, k, count_sums, full_su
 
 
 @pytest.mark.parametrize("reversed_table", [False, True], ids=["R", "R'"])
-def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, monkeypatch,
-                                                               count_sums, full_sums,
-                                                               drop_product):
+def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, corrupt_fill,
+                                                               count_sums, full_sums):
     # one entry of one table off, at a theta that star moves: the table is
     # not equivariant, so every theta is summed, as with the identity
     n, k = 4, 2
-    table, star = rpoly.orbit_table(n, k), order.orbit_star(n, k)
-    rows = table.reversed_rows if reversed_table else table.rows
+    star = order.orbit_star(n, k)
     a = next(a for a in range(len(star)) if star[a] != a)
-    b = max(rows[a])
-    monkeypatch.setitem(rows[a], b, rows[a][b] + 1)
-    drop_product(n, k)
+
+    def one_sided(packing, *tables):
+        rows = tables[reversed_table]
+        if rows is not None:
+            rows[a][max(rows[a])] += 1
+    corrupt_fill(rpoly, n, k, one_sided)
     report = verify._delta_identity(n, k)
     assert not report.passed
     assert len(count_sums) == len(star)
@@ -512,8 +545,8 @@ def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, m
         (report.checked, report.violations)
 
 
-def test_delta_report_flags_both_thetas_of_a_symmetric_fault(monkeypatch, count_sums,
-                                                             full_sums, drop_product):
+def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count_sums,
+                                                             full_sums, delta_tables):
     # R[a, max] and R[a*, max*] = R[a*, max] off by the same q: the table
     # stays equivariant, the row of a fails, so the row of a* is summed
     # too; each certificate is its sum as the decoded entries give it
@@ -521,20 +554,21 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(monkeypatch, count_
     table, star = rpoly.orbit_table(n, k), order.orbit_star(n, k)
     top = len(star) - 1
     a = next(a for a in range(len(star)) if star[a] > a and top in table.rows[a])
-    for theta in (a, star[a]):
-        monkeypatch.setitem(table.rows[theta], top,
-                            table.rows[theta][top] + table.packing.pack(Q))
-    drop_product(n, k)
+
+    def symmetric(packing, rows, reversed_rows):
+        for theta in (a, star[a]):
+            rows[theta][top] += packing.pack(Q)
+    corrupt_fill(rpoly, n, k, symmetric)
     report = verify._delta_identity(n, k)
     assert len(count_sums) < len(star)
     elements = order.orbit_poset(n, k).elements
     flagged = [(v["theta"], v["sigma"]) for v in report.violations]
     assert flagged == [(renner.format_element(elements[theta]),
                         renner.format_element(elements[top])) for theta in sorted((a, star[a]))]
-    unpack = table.packing.unpack
+    unpack, (rows, reversed_rows) = table.packing.unpack, delta_tables(n, k)
     for v, theta in zip(report.violations, sorted((a, star[a]))):
-        laurent = sum((unpack(x) * unpack(table.reversed_rows[nu].get(top, 0))
-                       for nu, x in table.rows[theta].items()), ZERO)
+        laurent = sum((unpack(x) * unpack(reversed_rows[nu].get(top, 0))
+                       for nu, x in rows[theta].items()), ZERO)
         assert v["sum"] == str(laurent) == "q"
     assert full_sums(verify._delta_identity, n, k) == \
         (report.checked, report.violations)
@@ -546,36 +580,41 @@ def _per_pair_answers(n, k):
             for theta in elements]
 
 
-def _one_sided_fault(table, star):
+def _one_sided_fault(star):
     # R'[a, b] off by one at an entry that star moves, where there is one
-    rows = table.reversed_rows
-    a, b = max(((a, b) for a, row in enumerate(rows) for b in row),
-               key=lambda ab: (star[ab[0]], star[ab[1]]) != ab)
-    return [(rows, a, b, rows[a][b] + 1)]
+    def change(packing, rows, reversed_rows):
+        if reversed_rows is not None:
+            a, b = max(((a, b) for a, row in enumerate(reversed_rows) for b in row),
+                       key=lambda ab: (star[ab[0]], star[ab[1]]) != ab)
+            reversed_rows[a][b] += 1
+    return change
 
 
-def _symmetric_fault(table, star):
+def _symmetric_fault(star):
     # R[a, max] and R[a*, max*] = R[a*, max] off by the same q
-    top = len(star) - 1
-    a = max(a for a in range(len(star)) if top in table.rows[a])
-    return [(table.rows, theta, top, table.rows[theta][top] + table.packing.pack(Q))
-            for theta in {a, star[a]}]
+    def change(packing, rows, reversed_rows):
+        top = len(star) - 1
+        a = max(a for a in range(len(star)) if top in rows[a])
+        for theta in {a, star[a]}:
+            rows[theta][top] += packing.pack(Q)
+    return change
 
 
 @pytest.mark.parametrize("fault", [None, _one_sided_fault, _symmetric_fault],
                          ids=["clean", "one-sided", "symmetric"])
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
-def test_per_pair_delta_answers_are_the_full_sums(n, k, fault, monkeypatch, drop_product):
+def test_per_pair_delta_answers_are_the_full_sums(n, k, fault, monkeypatch, drop_product,
+                                                  corrupt_fill, delta_tables):
     # every pair, theta by theta, answers as the row of theta summed
     # whole gives, and as the product summed under an identity star
-    table, star = rpoly.orbit_table(n, k), order.orbit_star(n, k)
-    for rows, a, b, x in fault(table, star) if fault else []:
-        monkeypatch.setitem(rows[a], b, x)
-    drop_product(n, k)
+    star = order.orbit_star(n, k)
+    if fault:
+        corrupt_fill(rpoly, n, k, fault(star))
+    rows, reversed_rows = delta_tables(n, k)
     answers = _per_pair_answers(n, k)
     assert answers == [[x == (a == b) for b, x in
-                        enumerate(rpoly.triple_sums(row, table.reversed_rows))]
-                       for a, row in enumerate(table.rows)]
+                        enumerate(rpoly.triple_sums(row, reversed_rows))]
+                       for a, row in enumerate(rows)]
     assert all(map(all, answers)) == (fault is None)
     with monkeypatch.context() as patch:
         patch.setattr(order, "orbit_star", lambda n, k: tuple(range(len(star))))

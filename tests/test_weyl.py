@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from oracles import (bruhat_leq_subword, coset_factorization_violations, degree,
-                     longest_element)
+from oracles import (bruhat_leq_subword, classical_rpoly_bruhat_first,
+                     coset_factorization_violations, degree, longest_element)
 from rookorder import renner, weyl
 from rookorder.polynomials import Laurent, Q_MINUS_1, ONE, ZERO
 
@@ -167,6 +167,25 @@ def test_classical_rpoly_delta_identity():
                                  * Laurent.q_power(weyl.length(v) - weyl.length(w))
                                  * weyl.classical_rpoly(w, v).bar())
         assert total == Laurent.from_int(1 if u == v else 0), (u, v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_classical_rpoly_matches_the_bruhat_first_recursion(n):
+    # the length test before the Bruhat test settles no pair differently
+    # from the recursion that tests Bruhat first, on every pair of S_n
+    for u, v in itertools.product(weyl.all_permutations(n), repeat=2):
+        assert weyl.classical_rpoly(u, v) == classical_rpoly_bruhat_first(u, v), (u, v)
+
+
+def test_classical_rpoly_settles_longer_bottoms_by_length(monkeypatch):
+    # a pair with l(u) >= l(v), u != v, is 0 without a Bruhat test (the
+    # memo starts empty, so no kept value hides one)
+    weyl.classical_rpoly.cache_clear()
+    monkeypatch.setattr(weyl, "bruhat_leq",
+                        lambda u, v: pytest.fail(f"a Bruhat test of {u}, {v}"))
+    for u, v in itertools.product(weyl.all_permutations(4), repeat=2):
+        if u != v and weyl.length(u) >= weyl.length(v):
+            assert weyl.classical_rpoly(u, v) == ZERO, (u, v)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
