@@ -23,6 +23,7 @@ from typing import NamedTuple
 from . import analysis, order, renner, rpoly, verify, weyl
 
 MAX_N = 8
+DEFAULT_N = 4  # of --n, where a command takes it
 
 DESCENT_TABLE_ELEMENTS = ("0012", "0013", "1002", "3002", "0420")
 LENGTH2_TABLE_INTERVALS = (("0001", "0003"), ("0012", "0023"))
@@ -55,13 +56,14 @@ def _parse_pair(a: str, b: str) -> tuple[renner.Word, renner.Word]:
 
 def _orbit_n_k(args, missing_k: str) -> tuple[int, int]:
     """The orbit (n, k) that ``--n`` and ``--k`` name."""
-    if not 1 <= args.n <= MAX_N:
+    n = DEFAULT_N if args.n is None else args.n
+    if not 1 <= n <= MAX_N:
         raise UsageError(f"--n must be in 1..{MAX_N}")
     if args.k is None:
         raise UsageError(missing_k)
-    if not 0 <= args.k <= args.n:
+    if not 0 <= args.k <= n:
         raise UsageError("--k must satisfy 0 <= k <= n")
-    return args.n, args.k
+    return n, args.k
 
 
 def _descents_str(indices) -> str:
@@ -173,6 +175,8 @@ def cmd_hasse(args) -> Output:
     if args.theta is None:
         n, k = _orbit_n_k(args, "hasse requires either two elements or --k")
         theta, sigma = renner.orbit_minimum(n, k), renner.orbit_maximum(n, k)
+    elif args.n is not None or args.k is not None:
+        raise UsageError("hasse takes two elements or --n and --k, not both")
     else:
         theta, sigma = _parse_pair(args.theta, args.sigma)
     return Output(order.hasse_dot(order.interval(theta, sigma)))
@@ -206,13 +210,14 @@ def cmd_table(args) -> Output:
 
 
 def cmd_verify(args) -> Output:
-    if not 1 <= args.n <= 4:
+    n = DEFAULT_N if args.n is None else args.n
+    if not 1 <= n <= 4:
         raise UsageError("verification suites run at n in 1..4")
-    reports = verify.run_suite(args.suite, args.n)
+    reports = verify.run_suite(args.suite, n)
     passed = all(r.passed for r in reports)
     payload = {
         "suite": args.suite,
-        "n": args.n,
+        "n": n,
         "passed": passed,
         "reports": [
             {"name": r.name, "checked": r.checked, "violations": r.violations}
@@ -237,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         code 2."""
         p = sub.add_parser(name, help=summary)
         if "--n" in flags:
-            p.add_argument("--n", type=int, default=4, help="rank (1..8)")
+            p.add_argument("--n", type=int, default=None,
+                           help=f"rank (1..{MAX_N}, default {DEFAULT_N})")
         if "--k" in flags:
             p.add_argument("--k", type=int, default=None, help="orbit rank")
         p.add_argument("--out", default=None, metavar="FILE")

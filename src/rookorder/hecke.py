@@ -19,14 +19,16 @@ homomorphism with bar(A_s) = A_s^-1 = q A_s - (q - 1) (Putcha's
 extension of KL79 to the orbit algebra).  ``orbit_bars(n, k)`` expands
 bar(A_sigma) = sum over theta of c_theta(sigma) A_theta in the A-basis
 for every sigma of one orbit, by the indices of
-``order.orbit_poset(n, k)``, as ``rpoly.OrbitTable`` fills R.  For the
-smallest left descent s of sigma, A_sigma = A_s A_{s sigma}, so
+``order.orbit_poset(n, k)``, as ``rpoly.orbit_table`` fills R, and
+from the same plan (``rpoly.orbit_plan``).  Where the plan takes a left
+descent s of sigma, the smallest, A_sigma = A_s A_{s sigma}, so
 
     bar(A_sigma) = (q A_s - (q - 1)) bar(A_{s sigma}),
 
 and row sigma is one such step applied to the shorter, earlier row of
-s sigma, with s and its steps read off ``order.orbit_action``.  An
-element with no left descent is e t^-1, whose bar is the orbit sum
+s sigma, with s and its steps read off the plan entry.  Every other
+element, a Hecke base, has no left descent, so it is e t^-1, whose bar
+is the orbit sum
 
     q^(-l(t)) sum over z in W(e), y in D(e) of bar(R[t z, y]) A_{z e y^-1}
 
@@ -59,20 +61,20 @@ Unscaled, the entries would need an offset of up to
 max(l(e) - l(min), l(max) - l(e)) powers of q, and the products in the
 triple sums would carry its zero digits.
 
-Width: both tables of an orbit share one width B, that of the R table
-(``rpoly.orbit_packing``), so the Hecke suite compares them by int
-equality; the Hecke entries must then have L1 norms within the R
-bounds.  That is checked on the bases alone.  Run over non-negative
-ints with q -> 1 and subtraction -> addition, the step above bounds
-the L1 norm of every entry, and a barred step has the same bounds as
-its unbarred one: x_a goes to
+Width: both tables of an orbit are packed by its one packing
+(``rpoly.orbit_packing``), at the width B of the R table, so the Hecke
+suite compares them by int equality; the Hecke entries must then have L1
+norms within the R bounds.  That is checked on the bases alone.  Run
+over non-negative ints with q -> 1 and subtraction -> addition, the step
+above bounds the L1 norm of every entry, and a barred step has the same
+bounds as its unbarred one: x_a goes to
 
     s fixes a: x_a,   s lowers a: x_(s a),   s raises a: 2 x_a + x_(s a)
 
-in column b from column s b, for s the smallest left descent of b.  The
-R bound fill (``rpoly.orbit_bounds``) takes the same descent at b and
-the same step, and writes it at every a in down(b).  The step stays
-inside down(b): if x_a or x_(s a) is nonzero in a column inside
+in column b from column s b, for s the left descent of b's plan entry.
+The R bound fill (``rpoly.orbit_bounds``) reads the same plan entry at
+b, takes the same step, and writes it at every a in down(b).  The step
+stays inside down(b): if x_a or x_(s a) is nonzero in a column inside
 down(s b), then a <= s b <= b, or s a <= s b with s raising a, so
 a < s a <= b, or s a <= s b with s lowering a, so a <= b by the lifting
 property (Björner-Brenti, GTM 231, 2.2.7: s u <= w for u <= w and s a
@@ -81,12 +83,13 @@ suite checks on every comparable pair of an orbit.  So R's column b is
 the step of R's column s b outside down(b) too, where both are 0.  The
 step is monotone, and s b comes before b in index order (u < v implies
 l(u) < l(v)), so by induction every Hecke bound is at most R's once
-every base entry is.  The bases are the elements with no left descent,
-whose columns R filled by a right descent (or, at the minimum, by
-none); ``rpoly.orbit_bounds`` keeps those columns.  ``_check_bounds``
-compares the L1 norm of each base sum with R's bound at its entry, 0
-outside down(b), and the table raises ValueError rather than pack past
-the width.  No base of R_1 to R_6 exceeds it.
+every base entry is.  The bases are the elements whose plan entry is not
+a left step, defined once as the keys of the columns that
+``rpoly.orbit_bounds`` keeps, which R filled by a right descent (or, at
+the minimum, by none).  ``_check_bounds`` compares the L1 norm of each
+base sum with R's bound at its entry, 0 outside down(b), and the table
+raises ValueError rather than pack past the width.  No base of R_1 to
+R_6 exceeds it.
 
 That bar is an involution is checked orbit by orbit in integer
 arithmetic over the same table (``verify.hecke_oracle_report``), which
@@ -187,36 +190,32 @@ def _bar_step(row: dict[int, int], to, step, bits: int, barred: bool) -> dict[in
     return {a: x for a, x in out.items() if x}
 
 
-def _left_descent(left, b: int) -> int:
-    """The smallest i with s_i a left descent of element b, off ``left``; else 0."""
-    return next((i for i, (_, step) in enumerate(left, 1) if step[b] < 0), 0)
-
-
 def _orbit_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:
-    """The classical sums r of each element of the rank-k orbit of R_n
-    with no left descent, by the indices of ``order.orbit_poset(n, k)``
-    (module docstring)."""
-    poset, left = order.orbit_poset(n, k), order.orbit_action(n, k, "left")
+    """The classical sums r of each Hecke base of the rank-k orbit of
+    R_n, the keys of the columns of ``rpoly.orbit_bounds``, by the
+    indices of ``order.orbit_poset(n, k)`` (module docstring)."""
+    poset = order.orbit_poset(n, k)
     e = renner.rank_idempotent(n, k)
     gens = renner.centralizer_gens(e)
     terms = [(z, y, poset.index[renner.multiply(renner.multiply(z, e), weyl.inverse(y))])
              for z in sorted(weyl.parabolic_subgroup(gens, n))
              for y in weyl.coset_minima(gens, n)]
-    return {b: _orbit_sum(renner.standard_form(sigma).y, terms)
-            for b, sigma in enumerate(poset.elements) if not _left_descent(left, b)}
+    return {b: _orbit_sum(renner.standard_form(poset.elements[b]).y, terms)
+            for b in rpoly.orbit_bounds(n, k)[1]}
 
 
 def _fill(n: int, k: int, bases: dict[int, dict[int, IntPoly]],
           packing: Kronecker) -> list[rpoly.Rows]:
     """The scaled rows of c and of bar(c) over the rank-k orbit of R_n,
-    from its ``_orbit_sums`` ``bases``, packed by ``packing``."""
+    packed by ``packing``: at a base b the rows of its ``_orbit_sums``
+    entry ``bases[b]``, and elsewhere the left step of b's
+    ``rpoly.orbit_plan`` entry applied to the rows of s b."""
     poset = order.orbit_poset(n, k)
-    left = order.orbit_action(n, k, "left")
     tables = [([], barred) for barred in (False, True)]
-    for b in range(len(poset.elements)):
+    for b, entry in enumerate(rpoly.orbit_plan(n, k)):
         base = bases.get(b)
         if base is None:
-            to, step = left[_left_descent(left, b) - 1]
+            to, step, _ = entry
             for rows, barred in tables:
                 rows.append(_bar_step(rows[to[b]], to, step, packing.bits, barred))
             continue
@@ -240,18 +239,17 @@ def _check_bounds(n: int, k: int, bases: dict[int, dict[int, IntPoly]]) -> None:
 
 
 @order.resident
-def orbit_bars(n: int, k: int) -> tuple[Kronecker, rpoly.Rows, rpoly.Rows]:
-    """The Hecke table of the rank-k orbit of R_n, packed and scaled,
-    kept on the orbit's poset like the R table of ``rpoly``: the packing,
-    at the width of the R table, and the rows and the barred rows.  Row
+def orbit_bars(n: int, k: int) -> tuple[rpoly.Rows, rpoly.Rows]:
+    """The Hecke table of the rank-k orbit of R_n, packed by
+    ``rpoly.orbit_packing(n, k)`` and scaled, kept on the orbit's poset
+    like the R table of ``rpoly``: the rows and the barred rows.  Row
     b maps each index a of ``order.orbit_poset(n, k)`` to the packed
     q^(l(e) - l(a)) c_a(b), c_a(b) the coefficient of A_(elements[a]) in
     bar(A_(elements[b])), and barred row b to the packed
     q^(l(b) - l(e)) bar(c_a(b)); nonzero entries only."""
     bases = _orbit_sums(n, k)
     _check_bounds(n, k, bases)
-    packing = rpoly.orbit_packing(n, k)
-    return (packing, *_fill(n, k, bases, packing))
+    return tuple(_fill(n, k, bases, rpoly.orbit_packing(n, k)))
 
 
 def bar_Asigma(sigma: Word) -> HeckeElt:
@@ -272,11 +270,10 @@ def bar_Asigma(sigma: Word) -> HeckeElt:
     10 1
     """
     n, k = len(sigma), renner.rank(sigma)
-    poset = order.orbit_poset(n, k)
-    packing, rows, _ = orbit_bars(n, k)
+    poset, unpack = order.orbit_poset(n, k), rpoly.orbit_packing(n, k).unpack
     e = renner.idempotent_length(n, k)
-    return {poset.elements[a]: packing.unpack(x) * Laurent.q_power(poset.lengths[a] - e)
-            for a, x in rows[poset.locate(sigma)].items()}
+    return {poset.elements[a]: unpack(x) * Laurent.q_power(poset.lengths[a] - e)
+            for a, x in orbit_bars(n, k)[0][poset.locate(sigma)].items()}
 
 
 def bar_element(h: HeckeElt) -> HeckeElt:
@@ -296,8 +293,7 @@ def rpoly_via_bar(sigma: Word) -> dict[Word, IntPoly]:
     every such value lies in Z[q] is checked as the table is filled.
     """
     n, k = len(sigma), renner.rank(sigma)
-    poset = order.orbit_poset(n, k)
-    packing, _, barred = orbit_bars(n, k)
-    return {poset.elements[a]: packing.unpack(x)
-            for a, x in barred[poset.locate(sigma)].items()}
+    poset, unpack = order.orbit_poset(n, k), rpoly.orbit_packing(n, k).unpack
+    return {poset.elements[a]: unpack(x)
+            for a, x in orbit_bars(n, k)[1][poset.locate(sigma)].items()}
 

@@ -17,15 +17,17 @@ that memoization is sound, and the tests check left/right confluence
 explicitly.
 
 The policy has two callers.  ``rpoly`` recurses on words with a memo,
-for single queries, and takes each step by ``_step``, on either side,
-with the change of length under s from ``renner.length_step``.
-``orbit_table(n, k)`` fills the R table of a whole orbit, indexed by
-``order.orbit_poset(n, k)``: the entries R[., sigma] come from those at
-s sigma, whose smaller length puts it earlier in index order, with s
-and every step read off ``order.orbit_action``, by the packed step that
-``_fill`` inlines.  The sweeps read the table, so they keep one value
-per comparable pair of the orbit and no memo keyed by words.
-The table, ``orbit_bounds`` and ``delta_rows`` live on the orbit's poset
+for single queries, with the change of length under s from
+``renner.length_step``.  ``orbit_plan(n, k)`` takes it once per element
+of a whole orbit, indexed by ``order.orbit_poset(n, k)``, off
+``order.orbit_action``, and every fill of the orbit reads its steps off
+that plan.  ``orbit_table(n, k)`` fills R: the entries R[., sigma] come
+from those at s sigma, whose smaller length puts it earlier in index
+order, by the packed step that ``_fill`` inlines; ``hecke`` takes the
+left steps of its table from the same plan.  The sweeps read the
+table, so they keep one value per comparable pair of the orbit and no
+memo keyed by words.  The plan, the table, ``orbit_bounds``,
+``orbit_packing`` and ``delta_rows`` live on the orbit's poset
 (``order.resident``).
 
 The table holds ints, filled packed at q = 2^B with
@@ -47,10 +49,11 @@ addition, so that |(q - 1) x + q y| <= 2|x| + |y|, bounds the L1 norm
 of every entry.  The barred steps have the same bounds, so one bound
 table serves R and R'.  With L the largest bound (``orbit_bounds``),
 B = bitlen(|orbit| * L^2 + 1) + 1, and every packed table of the orbit,
-and every decoding, uses that one packing (``orbit_packing``).  Of the
-bound table only L and the columns of the elements with no left descent
-are kept (``orbit_bounds``), the columns filled by a right descent (or,
-at the minimum, by none): ``hecke`` holds its base sums to them.
+and every decoding, uses the orbit's one packing (``orbit_packing``).
+Of the bound table only L and the columns of the Hecke bases are kept
+(``orbit_bounds``): the elements whose plan entry is not a left step,
+filled by a right descent or, at the minimum, by none.  ``hecke`` reads
+its bases off these columns and holds its base sums to them.
 
 The delta identity, the inversion formula of the R-polynomials,
 
@@ -65,17 +68,14 @@ at most |orbit| terms, so each of its coefficients is at most
 |orbit| * L^2 < 2^(B-1) in absolute value: a balanced base-2^B digit.
 So each int determines its polynomial, and an int equal to 0 or 1
 certifies the polynomial 0 or 1 exactly.  An entry R[a, b] is decoded
-as ``packing.unpack(rows[a].get(b, 0))``, and a sum only where it fails.
+as ``orbit_packing(n, k).unpack(orbit_table(n, k)[a].get(b, 0))``, and
+a sum only where it fails.
 
 Both delta consumers read one product, ``delta_rows(n, k)``: the rows
 of ``product_rows``, a failing one as its nonzero sums {sigma: sum},
-kept on the orbit's poset.  The ``verify`` sweep walks it.
-``verify_delta_identity`` keeps on the poset a pointer to the row of
-the last theta asked for, so a pair of the same theta costs one
-``order.orbit_poset`` hit, one identity test of theta (a tuple compare
-only for an equal tuple that is another object) and one index lookup of
-sigma; a sigma outside the orbit is refused by its index.
-``delta_identity_sum`` decodes one entry of the product.
+kept on the orbit's poset.  The ``verify`` sweep walks it,
+``verify_delta_identity`` answers one pair off it and
+``delta_identity_sum`` decodes one entry of it.
 
 The constant term R[theta, sigma](0) equals the Mobius function of the
 interval.
@@ -85,13 +85,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import repeat
 
 from . import order, renner, weyl
 from .polynomials import IntPoly, Kronecker, ONE, Q, Q_MINUS_1, ZERO
 from .renner import Word
 
-__all__ = ["rpoly", "triple_sums", "product_rows", "OrbitTable", "orbit_bounds",
+__all__ = ["rpoly", "triple_sums", "product_rows", "orbit_plan", "orbit_bounds",
            "orbit_packing", "orbit_table", "delta_rows", "delta_identity_sum",
            "verify_delta_identity"]
 
@@ -107,17 +106,6 @@ def _descent(steps) -> tuple[str, int]:
             if d < 0:
                 return side, i
     raise ValueError("an element of length 0 has no descent")
-
-
-def _step(diff: int, r) -> IntPoly:
-    """R[theta, sigma] from a descent s of sigma, with diff the change of
-    l(theta) under s and r(moved) = R[s theta, s sigma] if moved else
-    R[theta, s sigma]."""
-    if diff < 0:
-        return r(True)
-    if diff == 0:
-        return Q * r(False)
-    return Q_MINUS_1 * r(False) + Q * r(True)
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +130,12 @@ def rpoly(theta: Word, sigma: Word) -> IntPoly:
         s_theta, s_sigma = renner.multiply(s, theta), renner.multiply(s, sigma)
     else:
         s_theta, s_sigma = renner.multiply(theta, s), renner.multiply(sigma, s)
-    return _step(renner.length_step(theta, i, side),
-                 lambda moved: rpoly(s_theta if moved else theta, s_sigma))
+    diff = renner.length_step(theta, i, side)  # of l(theta) under s
+    if diff < 0:
+        return rpoly(s_theta, s_sigma)
+    if diff == 0:
+        return Q * rpoly(theta, s_sigma)
+    return Q_MINUS_1 * rpoly(theta, s_sigma) + Q * rpoly(s_theta, s_sigma)
 
 
 def triple_sums(left: dict[int, int], rows: Rows) -> list[int]:
@@ -201,6 +193,22 @@ def product_rows(left: Rows, right: Rows, star) -> Iterator[dict[int, int] | Non
             yield {j: x for j, x in enumerate(out) if x}
 
 
+@order.resident
+def orbit_plan(n: int, k: int) -> tuple[tuple | None, ...]:
+    """The descent the recurrence takes at each element of the rank-k
+    orbit of R_n, by the indices of ``order.orbit_poset(n, k)``: the
+    action (to, step) of its s in ``order.orbit_action``, and whether s
+    acts on the left; None at the minimum (index 0), which has none.
+    ``_descent`` runs here once per element, and every fill of the
+    orbit reads its steps off this plan."""
+    actions = {side: order.orbit_action(n, k, side) for side in ("left", "right")}
+    plan = [None]
+    for b in range(1, len(order.orbit_poset(n, k).elements)):
+        side, i = _descent(lambda side: (step[b] for _, step in actions[side]))
+        plan.append((*actions[side][i - 1], side == "left"))
+    return tuple(plan)
+
+
 def _fill(n: int, k: int, packing: Kronecker | None = None,
           with_reversed: bool = False) -> list[Rows]:
     """The rows of R over the rank-k orbit of R_n, by the indices of
@@ -209,24 +217,22 @@ def _fill(n: int, k: int, packing: Kronecker | None = None,
     without a packing, one table of the L1 bounds of their entries
     (q -> 1, subtraction -> addition), which R and R' share entry for
     entry.  Row a holds every b >= a; the minimum (index 0) has no
-    descent, and every other b is filled from s b by the step of
-    ``_step``, or for R' by its barred step, packed.
+    descent, and every other b is filled from s b, for the s of its
+    ``orbit_plan`` entry, by the step of the recurrence, or for R' by
+    its barred step, packed.
     """
-    poset = order.orbit_poset(n, k)
+    plan, downs = orbit_plan(n, k), order.orbit_poset(n, k).downs
     bits = packing.bits if packing else 0
     # per table, where s raises theta the factor c of x in the step
     # q y + c x (q - 1 for R, 1 - q for R'; both bound to 2), and where s
     # fixes theta the shift of x (q x for R, x for R')
     kinds = ((((1 << bits) - 1, bits), (1 - (1 << bits), 0))[:1 + with_reversed] if packing
              else ((2, 0),))
-    tables = [([{b: 1} for b in range(len(poset.elements))], c, fixed)
-              for c, fixed in kinds]
-    actions = {side: order.orbit_action(n, k, side) for side in ("left", "right")}
-    for b in range(1, len(poset.elements)):
-        side, i = _descent(lambda side: (step[b] for _, step in actions[side]))
-        to, step = actions[side][i - 1]
+    tables = [([{b: 1} for b in range(len(plan))], c, fixed) for c, fixed in kinds]
+    for b in range(1, len(plan)):
+        to, step, _ = plan[b]
         lower = to[b]  # s sigma
-        for a in order.bits(poset.downs[b] ^ (1 << b)):
+        for a in order.bits(downs[b] ^ (1 << b)):
             moved, d = to[a], step[a]
             for rows, c, fixed in tables:
                 row = rows[a]
@@ -242,47 +248,33 @@ def _fill(n: int, k: int, packing: Kronecker | None = None,
 @order.resident
 def orbit_bounds(n: int, k: int) -> tuple[int, dict[int, dict[int, int]]]:
     """What is kept of the bound table of the R fill of the rank-k orbit
-    of R_n: its largest bound L, which fixes the width, and its columns at the minimum and at
-    every element it filled by a right descent, {b: {a: bound of R[a, b]
-    for a in down(b)}}.  These are the elements with no left descent,
-    the bases of ``hecke``."""
-    poset = order.orbit_poset(n, k)
+    of R_n: its largest bound L, which fixes the width, and its columns
+    {b: {a: bound of R[a, b] for a in down(b)}} at the Hecke bases, the
+    elements whose ``orbit_plan`` entry is not a left step.  ``hecke``
+    reads its bases off these keys."""
+    downs = order.orbit_poset(n, k).downs
     [bounds] = _fill(n, k)
-    # per element its length steps under s_1, s_2, ... on the left, and a
-    # 0, so that every element of R_1 has a tuple
-    left_steps = zip(*(step for _, step in order.orbit_action(n, k, "left")), repeat(0))
-    columns = {b: {a: bounds[a][b] for a in order.bits(down)}
-               for b, (down, steps) in enumerate(zip(poset.downs, left_steps))
-               if min(steps) >= 0}
+    columns = {b: {a: bounds[a][b] for a in order.bits(downs[b])}
+               for b, entry in enumerate(orbit_plan(n, k)) if not (entry and entry[2])}
     return max(max(row.values()) for row in bounds), columns
 
 
+@order.resident
 def orbit_packing(n: int, k: int) -> Kronecker:
-    """The packing of every table of the rank-k orbit of R_n, the R
-    tables here and the Hecke table of ``hecke.orbit_bars``, at the width
-    that the largest bound of ``orbit_bounds`` fixes; no table is filled
-    for it."""
+    """The one packing of the rank-k orbit of R_n: every table of the
+    orbit, the R tables here and the Hecke table of ``hecke.orbit_bars``,
+    is packed by it and decoded by it, at the width that the largest
+    bound of ``orbit_bounds`` fixes; no table is filled for it."""
     return Kronecker(orbit_bounds(n, k)[0], terms=len(order.orbit_poset(n, k).elements))
 
 
-class OrbitTable:
-    """R[theta, sigma] for every pair of the rank-k orbit of R_n, by the
-    indices of ``order.orbit_poset(n, k)``, packed.
-
-    ``rows[a]`` maps each b >= a to the packed R[a, b]; the other values
-    are 0.  It holds no reference to the poset that keeps it, so it goes
-    with it.
-    """
-
-    def __init__(self, n: int, k: int):
-        self.packing = orbit_packing(n, k)
-        [self.rows] = _fill(n, k, self.packing)
-
-
 @order.resident
-def orbit_table(n: int, k: int) -> OrbitTable:
-    """The R table of the rank-k orbit of R_n, shared by the sweeps."""
-    return OrbitTable(n, k)
+def orbit_table(n: int, k: int) -> Rows:
+    """The R table of the rank-k orbit of R_n, shared by the sweeps: row
+    a, by the indices of ``order.orbit_poset(n, k)``, maps each b >= a to
+    R[a, b] packed by ``orbit_packing(n, k)``; the other values are 0."""
+    [rows] = _fill(n, k, orbit_packing(n, k))
+    return rows
 
 
 @order.resident

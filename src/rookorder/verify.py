@@ -87,8 +87,9 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     orbit, and check that bar is an involution there, on the packed
     Hecke table of ``hecke.orbit_bars`` alone.
 
-    Both tables are packed at one width B, and the barred row of sigma
-    holds q^(l(sigma) - l(e)) bar(c_theta(sigma)), which must be
+    Both tables are packed by the orbit's one packing
+    (``rpoly.orbit_packing``), and the barred row of sigma holds
+    q^(l(sigma) - l(e)) bar(c_theta(sigma)), which must be
     R[theta, sigma]: so it must equal the column of sigma in the R
     table, int for int, at every theta <= sigma and hold nothing else.
     R is read at the row's support, which must be down(sigma) (a sum of
@@ -112,17 +113,17 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     (length, text) order of a Hecke element's JSON form.
     """
     report = Report(name="hecke")
-    table = rpoly.orbit_table(n, k)
-    packing, rows, barred = hecke.orbit_bars(n, k)
+    table, (rows, barred) = rpoly.orbit_table(n, k), hecke.orbit_bars(n, k)
+    packing = rpoly.orbit_packing(n, k)
     poset = order.orbit_poset(n, k)
     elements, lengths = poset.elements, poset.lengths
     squares = rpoly.product_rows(barred, rows, order.orbit_star(n, k))
     for b, (sigma, row) in enumerate(zip(elements, squares)):
         report.checked += len(elements)
         got = barred[b]
-        if (list(map(dict.get, map(table.rows.__getitem__, got), repeat(b)))
+        if (list(map(dict.get, map(table.__getitem__, got), repeat(b)))
                 != list(got.values()) or sum(map((1).__lshift__, got)) != poset.downs[b]):
-            column = {a: table.rows[a].get(b) for a in order.bits(poset.downs[b])}
+            column = {a: table[a].get(b) for a in order.bits(poset.downs[b])}
             for a in sorted(got.keys() | column.keys()):
                 via_bar, via_recurrence = got.get(a, 0), column.get(a, 0)
                 if via_bar != via_recurrence:

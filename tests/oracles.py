@@ -173,9 +173,10 @@ def descent_by_descent_sets(sigma):
     return side, min(ds)
 
 
-def table_entry(table, a, b):
-    """R[elements[a], elements[b]] of an ``rpoly.OrbitTable``, decoded."""
-    return table.packing.unpack(table.rows[a].get(b, 0))
+def table_entry(n, k, a, b):
+    """R[elements[a], elements[b]] of the R table of the rank-k orbit of
+    R_n (``rpoly.orbit_table``), decoded by the orbit's packing."""
+    return rpoly.orbit_packing(n, k).unpack(rpoly.orbit_table(n, k)[a].get(b, 0))
 
 
 def standard_forms_bruteforce(sigma):

@@ -143,6 +143,17 @@ def test_hasse_orbit_and_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", [["--k", "1"], ["--n", "7"]])
+def test_hasse_of_two_elements_refuses_n_and_k(capsys, flag):
+    # the interval names its own orbit, so an --n or --k beside it is an
+    # error, not ignored; the default --n still serves --k alone
+    code, out, err = run(capsys, "hasse", "0012", "0023", *flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("rookorder: error:") and err.count("\n") == 1
+    assert run(capsys, "hasse", "--k", "1")[:2] == \
+        run(capsys, "hasse", "--n", "4", "--k", "1")[:2]
+
+
 def test_table_descents_matches_fixture(capsys):
     code, out, _ = run(capsys, "table", "descents")
     assert code == 0
@@ -324,13 +335,13 @@ def test_verify_hecke_involution_certificate_of_a_barred_fault(capsys, corrupt_f
     # held against the Laurent path, sum over theta of
     # bar(c_theta(max)) bar(A_theta), with bar(c_theta(max)) decoded
     # from the corrupted barred row
-    from rookorder import hecke, order, renner
+    from rookorder import hecke, order, renner, rpoly
     from rookorder.polynomials import Laurent
     corrupt_fill(hecke, 3, 1, _off_by_one_barred_entry)
     certs = _hecke_certificates(capsys)["not-involutive"]
     top = renner.orbit_maximum(3, 1)
     assert [cert["sigma"] for cert in certs] == [renner.format_element(top)]
-    packing, _, barred = hecke.orbit_bars(3, 1)
+    (_, barred), packing = hecke.orbit_bars(3, 1), rpoly.orbit_packing(3, 1)
     poset = order.orbit_poset(3, 1)
     unscale = Laurent.q_power(renner.idempotent_length(3, 1) - renner.length(top))
     expected = {}

@@ -203,6 +203,17 @@ def test_full_hecke_bounds_lie_within_the_r_bounds(n, k):
         [b for b, sigma in enumerate(poset.elements) if not renner.descents(sigma, "left")]
 
 
+@pytest.mark.parametrize("n,k", ALL_ORBITS)
+def test_hecke_bases_are_the_plan_entries_that_are_no_left_step(n, k):
+    # the elements the Hecke fill sums an orbit sum at are those whose
+    # plan entry is not a left step, the keys of R's kept bound columns,
+    # and those with no left descent
+    plan, elements = rpoly.orbit_plan(n, k), order.orbit_poset(n, k).elements
+    bases = [b for b, entry in enumerate(plan) if entry is None or not entry[2]]
+    assert list(hecke._orbit_sums(n, k)) == bases == list(rpoly.orbit_bounds(n, k)[1]) == \
+        [b for b, sigma in enumerate(elements) if not renner.descents(sigma, "left")]
+
+
 def _inflated(bases, columns):
     # one base sum of a base past the minimum given a new top term that
     # lifts its L1 norm one past R's bound
@@ -328,9 +339,9 @@ def test_hecke_table_is_the_transposed_r_table(n, ks, delta_tables):
     # delta fill fills it), compared as dicts, so that the supports must
     # match too
     for k in ks:
-        _, rows, barred = hecke.orbit_bars(n, k)
+        rows, barred = hecke.orbit_bars(n, k)
         reversed_rows = delta_tables(n, k)[1]
-        for r_rows, hecke_rows in ((rpoly.orbit_table(n, k).rows, barred),
+        for r_rows, hecke_rows in ((rpoly.orbit_table(n, k), barred),
                                    (reversed_rows, rows)):
             columns = [{} for _ in hecke_rows]
             for a, row in enumerate(r_rows):
@@ -341,8 +352,8 @@ def test_hecke_table_is_the_transposed_r_table(n, ks, delta_tables):
 
 def _bar_squared_row(n, k, b):
     # row b of bar o bar, packed, as the Hecke suite sums it
-    packing, rows, barred = hecke.orbit_bars(n, k)
-    return packing, rpoly.triple_sums(barred[b], rows)
+    rows, barred = hecke.orbit_bars(n, k)
+    return rpoly.orbit_packing(n, k), rpoly.triple_sums(barred[b], rows)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -366,7 +377,7 @@ def _corrupt(monkeypatch, n, k, b, a, delta, barred=True):
     """Add ``delta`` to the coefficient c_a(b) of A_a in bar(A_b) in the
     packed Hecke table, scaled as the table stores it: in the rows of c
     and, unless ``barred`` is false, in the rows of bar(c)."""
-    packing, rows, bars = hecke.orbit_bars(n, k)
+    (rows, bars), packing = hecke.orbit_bars(n, k), rpoly.orbit_packing(n, k)
     lengths, e = order.orbit_poset(n, k).lengths, renner.idempotent_length(n, k)
     monkeypatch.setitem(rows[b], a, rows[b].get(a, 0) + packing.pack(
         delta * Laurent.q_power(e - lengths[a])))
@@ -432,7 +443,7 @@ STAR_ORBITS = [pytest.param(n, k, id=f"R{n}-k{k}")
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
 def test_hecke_tables_are_star_equivariant(n, k):
     # c_(a*)(b*) = c_a(b), scaled alike, in the rows and the barred rows
-    star, (_, rows, barred) = order.orbit_star(n, k), hecke.orbit_bars(n, k)
+    star, (rows, barred) = order.orbit_star(n, k), hecke.orbit_bars(n, k)
     for table in (rows, barred):
         for a, row in enumerate(table):
             assert {star[b]: x for b, x in row.items()} == table[star[a]], (n, k, a)
@@ -458,7 +469,7 @@ def test_hecke_report_sums_every_sigma_after_a_one_sided_fault(barred, monkeypat
                                                                count_sums, full_sums):
     # one entry of one Hecke table off, at a sigma that star moves
     n, k = 4, 2
-    _, rows, bars = hecke.orbit_bars(n, k)
+    rows, bars = hecke.orbit_bars(n, k)
     star, table = order.orbit_star(n, k), bars if barred else rows
     b = next(b for b in range(len(star)) if star[b] != b)
     a = min(table[b])

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import types
 import weakref
 
 import pytest
@@ -319,19 +320,29 @@ def test_hasse_dot_shape():
 
 def test_one_orbit_stays_resident(fresh_orbits):
     # once another orbit is asked for, nothing of the last one stays
-    # alive, neither its poset (with its rows and actions) nor its R and
-    # Hecke tables; asked for again, it is built afresh, equal to before
+    # alive, neither its poset (with its rows and actions) nor its
+    # packing, plan, R and Hecke tables; asked for again, it is built
+    # afresh, equal to before.  A list or tuple cannot be weakly
+    # referenced, so each table's one referrer is shown to be the store
+    # on the poset (the Hecke rows through the pair that holds them)
     poset = order.orbit_poset(4, 2)
     table, bars = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
+    plan = rpoly.orbit_plan(4, 2)
     assert poset.ups and poset.downs and order.orbit_action(4, 2, "left")
-    old = [[dict(row) for row in rows] for rows in (table.rows, *bars[1:])]
-    alive = [weakref.ref(kept) for kept in (poset, table, bars[0])]
-    del poset, table, bars
+    old = [[dict(row) for row in rows] for rows in (table, *bars)]
+
+    def referrers(kept):
+        return [r for r in gc.get_referrers(kept) if not isinstance(r, types.FrameType)]
+    assert referrers(table) == referrers(bars) == referrers(plan) == [poset._resident]
+    rows, barred = bars
+    assert referrers(rows) == referrers(barred) == [bars]
+    alive = [weakref.ref(kept) for kept in (poset, rpoly.orbit_packing(4, 2))]
+    del poset, table, bars, plan, rows, barred
     order.orbit_poset(4, 3)
     gc.collect()
-    assert [ref() for ref in alive] == [None, None, None]
+    assert [ref() for ref in alive] == [None, None]
     table, bars = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
-    assert [table.rows, *bars[1:]] == old
+    assert [table, *bars] == old
 
 
 def test_single_interval_queries_keep_no_rows():

@@ -168,7 +168,7 @@ def test_corrupt_fill_reaches_each_packed_r_fill(corrupt_fill, delta_tables):
     rows, reversed_rows = delta_tables(3, 1)
     bits = rpoly.orbit_packing(3, 1).bits
     assert len(seen) == 2
-    assert seen[0][0] == bits and seen[0][1] is table.rows and seen[0][2] is None
+    assert seen[0][0] == bits and seen[0][1] is table and seen[0][2] is None
     assert seen[1][0] == bits and seen[1][1] is rows and seen[1][2] is reversed_rows
 
 
@@ -227,21 +227,34 @@ def test_delta_row_cache_follows_the_table(monkeypatch, drop_product):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_fill_reads_the_descent_of_the_words_off_the_table(n, monkeypatch):
-    # the descent the fill takes at each element, read off the action
+def test_fill_reads_the_descent_of_the_words_off_the_table(n, monkeypatch, fresh_orbits):
+    # the descent the plan takes at each element, read off the action
     # table, is the one the word recursion takes from renner.length_step,
-    # and both are the smallest left, else right, of renner.descents
+    # and both are the smallest left, else right, of renner.descents; the
+    # plan holds its action and side, and None at the minimum
     descent, taken = rpoly._descent, []
     monkeypatch.setattr(rpoly, "_descent",
                         lambda steps: taken.append(descent(steps)) or taken[-1])
     for k in range(n + 1):
         taken.clear()
-        rpoly._fill(n, k)
+        order.orbit_poset.cache_clear()
+        plan = rpoly.orbit_plan(n, k)
         elements = order.orbit_poset(n, k).elements
         on_words = [descent(lambda side: (renner.length_step(sigma, i, side)
                                           for i in range(1, n)))
                     for sigma in elements[1:]]
         assert taken == on_words == list(map(descent_by_descent_sets, elements[1:]))
+        assert plan == (None, *((*order.orbit_action(n, k, side)[i - 1], side == "left")
+                                for side, i in on_words))
+
+
+def test_descent_runs_once_per_element_of_an_orbit(monkeypatch, fresh_orbits):
+    # the R table, the delta product (R and R') and the Hecke table, with
+    # the bound fill, all read the orbit's one plan
+    calls, descent = [], rpoly._descent
+    monkeypatch.setattr(rpoly, "_descent", lambda steps: calls.append(1) or descent(steps))
+    rpoly.orbit_table(4, 2), rpoly.delta_rows(4, 2), hecke.orbit_bars(4, 2)
+    assert len(calls) == len(order.orbit_poset(4, 2).elements) - 1
 
 
 def test_orbit_tables_compute_no_descent_on_words(monkeypatch, fresh_orbits):
@@ -252,8 +265,8 @@ def test_orbit_tables_compute_no_descent_on_words(monkeypatch, fresh_orbits):
 
     monkeypatch.setattr(renner, "descents", on_words)
     monkeypatch.setattr(renner, "length_step", on_words)
-    table, (packing, rows, barred) = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
-    assert len(table.rows) == len(rows) == len(barred) == len(renner.orbit(4, 2))
+    table, (rows, barred) = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
+    assert len(table) == len(rows) == len(barred) == len(renner.orbit(4, 2))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -266,10 +279,10 @@ def test_delta_identity_exhaustive(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_table_matches_rpoly(n):
     for k in range(n + 1):
-        table, elements = rpoly.orbit_table(n, k), order.orbit_poset(n, k).elements
+        elements = order.orbit_poset(n, k).elements
         assert elements == renner.orbit(n, k)
         for (a, theta), (b, sigma) in itertools.product(enumerate(elements), repeat=2):
-            assert table_entry(table, a, b) == rpoly.rpoly(theta, sigma), (theta, sigma)
+            assert table_entry(n, k, a, b) == rpoly.rpoly(theta, sigma), (theta, sigma)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -300,15 +313,15 @@ def test_packed_sums_decode_to_the_laurent_sums(n):
     # sum over nu of R[theta, nu] R[nu, sigma], sums that are neither 0
     # nor 1, through the table's packing and the kernel
     for k in range(n + 1):
-        table = rpoly.orbit_table(n, k)
-        size = len(table.rows)
+        table, packing = rpoly.orbit_table(n, k), rpoly.orbit_packing(n, k)
+        size = len(table)
         for a in range(size):
-            sums = rpoly.triple_sums(table.rows[a], table.rows)
+            sums = rpoly.triple_sums(table[a], table)
             for b in range(size):
                 expected = Laurent(0, ())
                 for m in range(size):
-                    expected += table_entry(table, a, m) * table_entry(table, m, b)
-                assert table.packing.unpack(sums[b]) == expected
+                    expected += table_entry(n, k, a, m) * table_entry(n, k, m, b)
+                assert packing.unpack(sums[b]) == expected
 
 
 def _l1(p):
@@ -323,7 +336,7 @@ def test_packing_width_comes_from_the_table(delta_tables):
     # the one width of all is bitlen(|orbit| L^2 + 1) + 1 for L the
     # largest R bound, read off the R bounds
     for n, k in [(n, k) for n in range(1, 5) for k in range(n + 1)] + [(5, 2), (5, 5)]:
-        table = rpoly.orbit_table(n, k)
+        table, packing = rpoly.orbit_table(n, k), rpoly.orbit_packing(n, k)
         [bounds] = rpoly._fill(n, k)
         norm = max(max(row.values()) for row in bounds)
         assert rpoly.orbit_bounds(n, k)[0] == norm
@@ -331,10 +344,10 @@ def test_packing_width_comes_from_the_table(delta_tables):
             for row, limit in zip(values, bounds):
                 assert row.keys() == limit.keys()
                 for b, x in row.items():
-                    assert _l1(table.packing.unpack(x)) <= limit[b] <= norm, (n, k)
-        assert table.packing.bits == (len(table.rows) * norm ** 2 + 1).bit_length() + 1
-        packing, *bars = hecke.orbit_bars(n, k)
-        assert packing.bits == rpoly.orbit_packing(n, k).bits == table.packing.bits
+                    assert _l1(packing.unpack(x)) <= limit[b] <= norm, (n, k)
+        assert packing.bits == (len(table) * norm ** 2 + 1).bit_length() + 1
+        bars = hecke.orbit_bars(n, k)
+        assert rpoly.orbit_packing(n, k) is packing
         for values, hecke_bounds in zip(bars, hecke_bound_tables(n, k)):
             for b, (row, limit) in enumerate(zip(values, hecke_bounds)):
                 for a, x in row.items():
@@ -357,15 +370,15 @@ def test_reversed_rows_are_the_reversed_polynomials(delta_tables):
     # R'[theta, sigma] = q^(l(sigma) - l(theta)) bar(R[theta, sigma]), as
     # the delta fill fills it, beside an R equal to the orbit's R table
     for n, k in [(3, 1), (4, 2), (4, 4)]:
-        table = rpoly.orbit_table(n, k)
+        table, packing = rpoly.orbit_table(n, k), rpoly.orbit_packing(n, k)
         lengths = order.orbit_poset(n, k).lengths
         rows, reversed_rows = delta_tables(n, k)
-        assert rows == table.rows
+        assert rows == table
         for a, row in enumerate(reversed_rows):
             for b, x in row.items():
-                r = table_entry(table, a, b)
+                r = table_entry(n, k, a, b)
                 expected = Laurent.q_power(lengths[b] - lengths[a]) * r.bar()
-                assert table.packing.unpack(x) == expected
+                assert packing.unpack(x) == expected
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -505,7 +518,7 @@ def test_product_rows_skip_only_what_the_symmetry_proves(left, right, star, expe
 def test_orbit_r_tables_are_star_equivariant(n, k, delta_tables):
     # R[a*, b*] = R[a, b], and the same for R', entry for entry
     star = order.orbit_star(n, k)
-    for rows in (rpoly.orbit_table(n, k).rows, *delta_tables(n, k)):
+    for rows in (rpoly.orbit_table(n, k), *delta_tables(n, k)):
         for a, row in enumerate(rows):
             assert {star[b]: x for b, x in row.items()} == rows[star[a]], (n, k, a)
 
@@ -553,7 +566,7 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count
     n, k = 4, 2
     table, star = rpoly.orbit_table(n, k), order.orbit_star(n, k)
     top = len(star) - 1
-    a = next(a for a in range(len(star)) if star[a] > a and top in table.rows[a])
+    a = next(a for a in range(len(star)) if star[a] > a and top in table[a])
 
     def symmetric(packing, rows, reversed_rows):
         for theta in (a, star[a]):
@@ -565,7 +578,7 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count
     flagged = [(v["theta"], v["sigma"]) for v in report.violations]
     assert flagged == [(renner.format_element(elements[theta]),
                         renner.format_element(elements[top])) for theta in sorted((a, star[a]))]
-    unpack, (rows, reversed_rows) = table.packing.unpack, delta_tables(n, k)
+    unpack, (rows, reversed_rows) = rpoly.orbit_packing(n, k).unpack, delta_tables(n, k)
     for v, theta in zip(report.violations, sorted((a, star[a]))):
         laurent = sum((unpack(x) * unpack(reversed_rows[nu].get(top, 0))
                        for nu, x in rows[theta].items()), ZERO)
