@@ -166,8 +166,9 @@ def lifting_violations(n: int, k: int) -> Report:
     ups, lengths = poset.ups, poset.lengths
     failing = []
     for i, (to, step) in enumerate(order.orbit_action(n, k, "left"), 1):
-        level = {l: sum(1 << c for c, t in enumerate(to) if lengths[t] == l)
-                 for l in set(lengths)}  # the c with s c of length l
+        level = dict.fromkeys(lengths, 0)  # the c with s c of length l
+        for c, t in enumerate(to):
+            level[lengths[t]] |= 1 << c
         s = (to, step, sum(1 << a for a, d in enumerate(step) if d > 0),
              poset.rows(to), [level[length] for length in lengths])
         for a, up in enumerate(ups):

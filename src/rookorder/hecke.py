@@ -18,17 +18,17 @@ The bar involution fixes integers, sends q to q^-1, and is a ring
 homomorphism with bar(A_s) = A_s^-1 = q A_s - (q - 1) (Putcha's
 extension of KL79 to the orbit algebra).  ``orbit_bars(n, k)`` expands
 bar(A_sigma) = sum over theta of c_theta(sigma) A_theta in the A-basis
-for every sigma of one orbit, by the indices of
+for every sigma of one orbit, column by column, by the indices of
 ``order.orbit_poset(n, k)``, as ``rpoly.orbit_table`` fills R, and
 from the same plan (``rpoly.orbit_plan``).  Where the plan takes a left
 descent s of sigma, the smallest, A_sigma = A_s A_{s sigma}, so
 
     bar(A_sigma) = (q A_s - (q - 1)) bar(A_{s sigma}),
 
-and row sigma is one such step applied to the shorter, earlier row of
-s sigma, with s and its steps read off the plan entry.  Every other
-element, a Hecke base, has no left descent, so it is e t^-1, whose bar
-is the orbit sum
+and column sigma is one such step applied to the shorter, earlier
+column of s sigma, with s and its steps read off the plan entry.  Every
+other element, a Hecke base, has no left descent, so it is e t^-1,
+whose bar is the orbit sum
 
     q^(-l(t)) sum over z in W(e), y in D(e) of bar(R[t z, y]) A_{z e y^-1}
 
@@ -36,25 +36,25 @@ with classical R-polynomials of the symmetric group, summed in Z[q]
 (the sum r at z e y^-1) over terms (z, y, index of z e y^-1) listed
 once per orbit; at k = n that is A_id alone.  So the oracle never reads
 the R recurrence of ``rpoly``: expanding bar(A_sigma) recovers the
-R-polynomials (the barred row, which ``rpoly_via_bar`` decodes), and
-the Hecke suite compares them with the R table.
+R-polynomials (the barred column, which ``rpoly_via_bar`` decodes),
+and the Hecke suite compares each with the column of R.
 
 The table holds ints, packed by ``polynomials.Kronecker`` at q = 2^B,
-and each entry is scaled by a power of q that puts it in Z[q]: row b
-holds q^(l(e) - l(a)) c_a(b) at a, and the barred row b holds
+and each entry is scaled by a power of q that puts it in Z[q]: column
+b holds q^(l(e) - l(a)) c_a(b) at a, and the barred column b holds
 q^(l(b) - l(e)) bar(c_a(b)), which must be R[a, b] (the relation
 ``rpoly_via_bar`` reads).  Under these scales the step, and its bar
-(q^-1 A_s - (q^-1 - 1)) on the barred row, take a term x at a to
+(q^-1 A_s - (q^-1 - 1)) on the barred column, take a term x at a to
 
     s fixes a:   x at a                           (barred: q x at a)
     s lowers a:  q x at s a                       (barred: q x at s a)
     s raises a:  x at s a and (1 - q) x at a      (barred: x at s a and (q - 1) x at a)
 
-so q x is ``x << B`` and no step divides by q: the barred row scale
-gains a q from s sigma to sigma, which absorbs the q^-1 of the barred
-step.  An element b = e t^-1 with no left descent has
-l(b) = l(e) - l(t), so its scaled rows come straight from the sums r in
-Z[q]: the barred row holds r itself at a, and the row
+so q x is ``x << B`` and no step divides by q: the barred column
+scale gains a q from s sigma to sigma, which absorbs the q^-1 of the
+barred step.  An element b = e t^-1 with no left descent has
+l(b) = l(e) - l(t), so its scaled columns come straight from the sums r
+in Z[q]: the barred column holds r itself at a, and the column
 q^(l(b) - l(a)) bar(r), which packing raises on outside Z[q].  Every
 step keeps the scaled entries in Z[q], so no offset is needed.
 Unscaled, the entries would need an offset of up to
@@ -63,8 +63,8 @@ triple sums would carry its zero digits.
 
 Width: both tables of an orbit are packed by its one packing
 (``rpoly.orbit_packing``), at the width B of the R table, so the Hecke
-suite compares them by int equality; the Hecke entries must then have L1
-norms within the R bounds.  That is checked on the bases alone.  Run
+suite compares their columns by dict equality; the Hecke entries must
+then have L1 norms within the R bounds, checked on the bases alone.  Run
 over non-negative ints with q -> 1 and subtraction -> addition, the step
 above bounds the L1 norm of every entry, and a barred step has the same
 bounds as its unbarred one: x_a goes to
@@ -95,8 +95,8 @@ That bar is an involution is checked orbit by orbit in integer
 arithmetic over the same table (``verify.hecke_oracle_report``), which
 decodes its own certificates.  It sums the bar o bar row of one sigma of
 each pair {sigma, sigma*}, sigma* = w0 sigma^-1 w0, once it has checked
-that the rows and the barred rows are both equivariant under that map
-(c_(a*)(b*) = c_a(b)); the row of sigma* is then that of sigma
+that the columns and the barred columns are both equivariant under that
+map (c_(a*)(b*) = c_a(b)); the row of sigma* is then that of sigma
 relabelled.  On a table that fails the check every sigma is summed.
 ``bar_Asigma``, ``bar_element`` and ``rpoly_via_bar`` decode the table
 into ``Laurent`` coefficients: they are the Laurent path, which the
@@ -174,19 +174,21 @@ def _orbit_sum(t: Word, terms) -> dict[int, IntPoly]:
     return {a: r for a, r in sums.items() if r}
 
 
-def _bar_step(row: dict[int, int], to, step, bits: int, barred: bool) -> dict[int, int]:
-    """The scaled row of (q A_s - (q - 1)) h from the scaled row of h, by
-    the table of the module docstring, s acting by ``to`` and ``step``."""
+def _bar_step(column: dict[int, int], to, step, bits: int, barred: bool) -> dict[int, int]:
+    """The scaled column of (q A_s - (q - 1)) h from that of h, by the
+    table of the module docstring, s acting by ``to`` and ``step``.  As
+    s is an involution, the term at a is the only one to reach s a where
+    s raises a, and a where s fixes a, so those entries are set once."""
     out: dict[int, int] = {}
-    for a, x in row.items():
-        qx = x << bits
-        if step[a] > 0:
-            out[to[a]] = out.get(to[a], 0) + x
-            out[a] = out.get(a, 0) + (qx - x if barred else x - qx)
-        elif step[a] < 0:
-            out[to[a]] = out.get(to[a], 0) + qx
+    for a, x in column.items():
+        d, moved = step[a], to[a]
+        if d > 0:
+            out[moved] = x
+            out[a] = out.get(a, 0) + ((x << bits) - x if barred else x - (x << bits))
+        elif d < 0:
+            out[moved] = out.get(moved, 0) + (x << bits)
         else:
-            out[a] = out.get(a, 0) + (qx if barred else x)
+            out[a] = x << bits if barred else x
     return {a: x for a, x in out.items() if x}
 
 
@@ -205,11 +207,11 @@ def _orbit_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:
 
 
 def _fill(n: int, k: int, bases: dict[int, dict[int, IntPoly]],
-          packing: Kronecker) -> list[rpoly.Rows]:
-    """The scaled rows of c and of bar(c) over the rank-k orbit of R_n,
-    packed by ``packing``: at a base b the rows of its ``_orbit_sums``
+          packing: Kronecker) -> list[rpoly.Table]:
+    """The scaled columns of c and of bar(c) over the rank-k orbit of
+    R_n, packed by ``packing``: at a base b those of its ``_orbit_sums``
     entry ``bases[b]``, and elsewhere the left step of b's
-    ``rpoly.orbit_plan`` entry applied to the rows of s b."""
+    ``rpoly.orbit_plan`` entry applied to the columns of s b."""
     poset = order.orbit_poset(n, k)
     tables = [([], barred) for barred in (False, True)]
     for b, entry in enumerate(rpoly.orbit_plan(n, k)):
@@ -231,21 +233,21 @@ def _check_bounds(n: int, k: int, bases: dict[int, dict[int, IntPoly]]) -> None:
     some entry of the Hecke table exceed the width (module docstring)."""
     columns = rpoly.orbit_bounds(n, k)[1]
     for b, base in bases.items():
-        column = columns[b]
         for a, r in base.items():
-            if sum(map(abs, r.coeffs)) > column.get(a, 0):
+            if sum(map(abs, r.coeffs)) > columns[b].get(a, 0):
                 raise ValueError(f"the Hecke bounds of the rank-{k} orbit of R_{n} "
                                  f"exceed the bounds of its R table at ({a}, {b})")
 
 
 @order.resident
-def orbit_bars(n: int, k: int) -> tuple[rpoly.Rows, rpoly.Rows]:
+def orbit_bars(n: int, k: int) -> tuple[rpoly.Table, rpoly.Table]:
     """The Hecke table of the rank-k orbit of R_n, packed by
     ``rpoly.orbit_packing(n, k)`` and scaled, kept on the orbit's poset
-    like the R table of ``rpoly``: the rows and the barred rows.  Row
-    b maps each index a of ``order.orbit_poset(n, k)`` to the packed
-    q^(l(e) - l(a)) c_a(b), c_a(b) the coefficient of A_(elements[a]) in
-    bar(A_(elements[b])), and barred row b to the packed
+    like the R table of ``rpoly``, and by sigma like it: the columns and
+    the barred columns.  Column b maps each index a of
+    ``order.orbit_poset(n, k)`` to the packed q^(l(e) - l(a)) c_a(b),
+    c_a(b) the coefficient of A_(elements[a]) in bar(A_(elements[b])),
+    and barred column b to the packed
     q^(l(b) - l(e)) bar(c_a(b)); nonzero entries only."""
     bases = _orbit_sums(n, k)
     _check_bounds(n, k, bases)
@@ -254,7 +256,7 @@ def orbit_bars(n: int, k: int) -> tuple[rpoly.Rows, rpoly.Rows]:
 
 def bar_Asigma(sigma: Word) -> HeckeElt:
     """bar(A_sigma) for an element of any rank, expanded in the A-basis:
-    row sigma of ``orbit_bars``, keyed by words.
+    column sigma of ``orbit_bars``, keyed by words.
 
     With sigma = x e t^-1 in standard form this is
 
@@ -289,8 +291,8 @@ def rpoly_via_bar(sigma: Word) -> dict[Word, IntPoly]:
 
     bar(A_sigma) = q^(l(sigma) - l(e)) sum_theta bar(R[theta, sigma]) A_theta,
     so R[theta, sigma] is the barred coefficient scaled by
-    q^(l(sigma) - l(e)): the barred row of ``orbit_bars``, decoded.  That
-    every such value lies in Z[q] is checked as the table is filled.
+    q^(l(sigma) - l(e)): the barred column of ``orbit_bars``, decoded.
+    That every such value lies in Z[q] is checked as the table is filled.
     """
     n, k = len(sigma), renner.rank(sigma)
     poset, unpack = order.orbit_poset(n, k), rpoly.orbit_packing(n, k).unpack

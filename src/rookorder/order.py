@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache, partial, reduce, wraps
-from itertools import chain, compress, count
+from itertools import chain, compress
 from operator import and_, is_not, sub
 
 from . import renner
@@ -101,22 +101,26 @@ def require_same_orbit(theta: Word, sigma: Word) -> tuple[int, int]:
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+_POSITIONS: tuple[int, ...] = ()
 
 
 def bits(mask: int):
     """Positions of the set bits of ``mask``, ascending.
 
     A dense mask, with more than (bit_length + 64) / 8 set bits, is
-    walked in bulk, as its binary digits read from the low end, by a
-    ``compress`` iterator returned as it is; a sparse one bit by bit
-    (``_sparse_bits``), which costs three big-int operations per set bit
-    but nothing per clear one.
+    walked in bulk, its binary digits read from the low end, by a
+    ``compress`` over ``_POSITIONS``, one int per position shared by all
+    calls (a table keyed by them allocates no key); a sparse one bit by
+    bit (``_sparse_bits``), three big-int operations per set bit.
 
     >>> list(bits(0b101101)), list(bits(1 << 100 | 1)), sum(bits((1 << 80) - 1))
     ([0, 2, 3, 5], [0, 100], 3160)
     """
+    global _POSITIONS
     if 8 * mask.bit_count() > mask.bit_length() + 64:
-        return compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS))
+        if len(_POSITIONS) < mask.bit_length():
+            _POSITIONS = tuple(range(2 * mask.bit_length()))
+        return compress(_POSITIONS, bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS))
     return _sparse_bits(mask)
 
 

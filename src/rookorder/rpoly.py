@@ -21,12 +21,13 @@ for single queries, with the change of length under s from
 ``renner.length_step``.  ``orbit_plan(n, k)`` takes it once per element
 of a whole orbit, indexed by ``order.orbit_poset(n, k)``, off
 ``order.orbit_action``, and every fill of the orbit reads its steps off
-that plan.  ``orbit_table(n, k)`` fills R: the entries R[., sigma] come
-from those at s sigma, whose smaller length puts it earlier in index
-order, by the packed step that ``_fill`` inlines; ``hecke`` takes the
-left steps of its table from the same plan.  The sweeps read the
-table, so they keep one value per comparable pair of the orbit and no
-memo keyed by words.  The plan, the table, ``orbit_bounds``,
+that plan.  ``orbit_table(n, k)`` fills R column by column: column
+sigma, {theta: R[theta, sigma]}, is pulled from the column of s sigma,
+whose smaller length puts it earlier in index order, by the packed step
+that ``_fill`` inlines; ``hecke`` takes the left steps of its table,
+kept by sigma too, from the same plan.  The sweeps read the table, so
+they keep one value per comparable pair of the orbit and no memo keyed
+by words.  The plan, the table, ``orbit_bounds``,
 ``orbit_packing`` and ``delta_rows`` live on the orbit's poset
 (``order.resident``).
 
@@ -41,7 +42,7 @@ reversed polynomials
 also in Z[q], have one reader, the delta product: ``delta_rows`` fills
 R and R' in one pass of its own, R' by the barred steps R'[s theta,
 s sigma], R'[theta, s sigma], and (1 - q) R'[theta, s sigma] + q
-R'[s theta, s sigma], and drops both once its rows are formed.
+R'[s theta, s sigma], and drops both once its sums are formed.
 
 B is fixed before the fill, from bounds and never from values.  The
 same fill run over non-negative ints with q -> 1 and subtraction ->
@@ -59,20 +60,21 @@ The delta identity, the inversion formula of the R-polynomials,
 
     sum over theta <= nu <= sigma of R[theta, nu] R'[nu, sigma] = delta(theta, sigma),
 
-is one row of ``triple_sums`` per theta over the two tables.  The orbit
-check reads these rows from ``product_rows``, which sums one theta of
-each pair {theta, theta*}, theta* = w0 theta^-1 w0, once it has checked
-that both tables are equivariant under that map (R[a*, b*] = R[a, b],
-and the same for R'); ``verify`` gives the argument.  A sum has
-at most |orbit| terms, so each of its coefficients is at most
-|orbit| * L^2 < 2^(B-1) in absolute value: a balanced base-2^B digit.
+is one column of sums per sigma: ``triple_sums`` of column sigma of R'
+against the columns of R.  The orbit check reads these columns from
+``product_rows``, which sums one sigma of each pair {sigma, sigma*},
+sigma* = w0 sigma^-1 w0, once it has checked that both tables are
+equivariant under that map (R[a*, b*] = R[a, b], and the same for R');
+``verify`` gives the argument.  A sum has at most |orbit| terms, so
+each of its coefficients is at most |orbit| * L^2 < 2^(B-1) in absolute
+value: a balanced base-2^B digit.
 So each int determines its polynomial, and an int equal to 0 or 1
 certifies the polynomial 0 or 1 exactly.  An entry R[a, b] is decoded
-as ``orbit_packing(n, k).unpack(orbit_table(n, k)[a].get(b, 0))``, and
+as ``orbit_packing(n, k).unpack(orbit_table(n, k)[b].get(a, 0))``, and
 a sum only where it fails.
 
-Both delta consumers read one product, ``delta_rows(n, k)``: the rows
-of ``product_rows``, a failing one as its nonzero sums {sigma: sum},
+Both delta consumers read one product, ``delta_rows(n, k)``: the columns
+of ``product_rows``, a failing one as its nonzero sums {theta: sum},
 kept on the orbit's poset.  The ``verify`` sweep walks it,
 ``verify_delta_identity`` answers one pair off it and
 ``delta_identity_sum`` decodes one entry of it.
@@ -94,7 +96,7 @@ __all__ = ["rpoly", "triple_sums", "product_rows", "orbit_plan", "orbit_bounds",
            "orbit_packing", "orbit_table", "delta_rows", "delta_identity_sum",
            "verify_delta_identity"]
 
-Rows = list[dict[int, int]]  # per index a: {index b: packed value at (a, b)}
+Table = list[dict[int, int]]  # per index of the orbit: {index: packed value}
 
 
 def _descent(steps) -> tuple[str, int]:
@@ -138,7 +140,7 @@ def rpoly(theta: Word, sigma: Word) -> IntPoly:
     return Q_MINUS_1 * rpoly(theta, s_sigma) + Q * rpoly(s_theta, s_sigma)
 
 
-def triple_sums(left: dict[int, int], rows: Rows) -> list[int]:
+def triple_sums(left: dict[int, int], rows: Table) -> list[int]:
     """Row ``left`` of a product of two packed orbit matrices (square,
     one row and column per element): entry j is the sum over m of
     left[m] * rows[m][j], one multiply-add per triple (i, m, j) with
@@ -155,7 +157,7 @@ def triple_sums(left: dict[int, int], rows: Rows) -> list[int]:
     return out
 
 
-def _equivariant(rows: Rows, star) -> bool:
+def _equivariant(rows: Table, star) -> bool:
     # whether rows[star[a]] is row a relabelled by star, for every a, star
     # an involution: at a = star[b] it follows from b, by relabelling both
     # sides.  One relabelled row is held at a time.
@@ -163,7 +165,7 @@ def _equivariant(rows: Rows, star) -> bool:
                for a, row in enumerate(rows) if star[a] >= a)
 
 
-def product_rows(left: Rows, right: Rows, star) -> Iterator[dict[int, int] | None]:
+def product_rows(left: Table, right: Table, star) -> Iterator[dict[int, int] | None]:
     """Row b of the product of two packed orbit matrices, for every b in
     index order: the nonzero entries {j: sum} of
     ``triple_sums(left[b], right)``, or None where that row is the
@@ -210,16 +212,16 @@ def orbit_plan(n: int, k: int) -> tuple[tuple | None, ...]:
 
 
 def _fill(n: int, k: int, packing: Kronecker | None = None,
-          with_reversed: bool = False) -> list[Rows]:
-    """The rows of R over the rank-k orbit of R_n, by the indices of
+          with_reversed: bool = False) -> list[Table]:
+    """The columns of R over the rank-k orbit of R_n, by the indices of
     ``order.orbit_poset(n, k)``, packed by ``packing``, and with
-    ``with_reversed`` the rows of R' after them, filled in the same pass;
-    without a packing, one table of the L1 bounds of their entries
+    ``with_reversed`` the columns of R' after them, filled in the same
+    pass; without a packing, one table of the L1 bounds of their entries
     (q -> 1, subtraction -> addition), which R and R' share entry for
-    entry.  Row a holds every b >= a; the minimum (index 0) has no
-    descent, and every other b is filled from s b, for the s of its
-    ``orbit_plan`` entry, by the step of the recurrence, or for R' by
-    its barred step, packed.
+    entry.  Column b holds every a <= b; the minimum (index 0) has no
+    descent, and every other column is pulled over down(b) from the
+    column of s b, for the s of b's ``orbit_plan`` entry, by the step of
+    the recurrence, or for R' by its barred step, packed.
     """
     plan, downs = orbit_plan(n, k), order.orbit_poset(n, k).downs
     bits = packing.bits if packing else 0
@@ -228,21 +230,19 @@ def _fill(n: int, k: int, packing: Kronecker | None = None,
     # fixes theta the shift of x (q x for R, x for R')
     kinds = ((((1 << bits) - 1, bits), (1 - (1 << bits), 0))[:1 + with_reversed] if packing
              else ((2, 0),))
-    tables = [([{b: 1} for b in range(len(plan))], c, fixed) for c, fixed in kinds]
+    tables = [([{0: 1}], c, fixed) for c, fixed in kinds]
     for b in range(1, len(plan)):
         to, step, _ = plan[b]
-        lower = to[b]  # s sigma
-        for a in order.bits(downs[b] ^ (1 << b)):
-            moved, d = to[a], step[a]
-            for rows, c, fixed in tables:
-                row = rows[a]
-                if d < 0:
-                    row[b] = rows[moved].get(lower, 0)
-                elif d == 0:
-                    row[b] = row.get(lower, 0) << fixed
-                else:
-                    row[b] = (rows[moved].get(lower, 0) << bits) + c * row.get(lower, 0)
-    return [rows for rows, _, _ in tables]
+        below = order.bits(downs[b] ^ (1 << b))
+        if with_reversed:
+            below = list(below)  # walked once per table
+        for columns, c, fixed in tables:
+            get = columns[to[b]].get  # the column of s sigma
+            column = {a: get(to[a], 0) if (d := step[a]) < 0 else get(a, 0) << fixed
+                      if d == 0 else (get(to[a], 0) << bits) + c * get(a, 0) for a in below}
+            column[b] = 1
+            columns.append(column)
+    return [columns for columns, _, _ in tables]
 
 
 @order.resident
@@ -252,11 +252,9 @@ def orbit_bounds(n: int, k: int) -> tuple[int, dict[int, dict[int, int]]]:
     {b: {a: bound of R[a, b] for a in down(b)}} at the Hecke bases, the
     elements whose ``orbit_plan`` entry is not a left step.  ``hecke``
     reads its bases off these keys."""
-    downs = order.orbit_poset(n, k).downs
     [bounds] = _fill(n, k)
-    columns = {b: {a: bounds[a][b] for a in order.bits(downs[b])}
-               for b, entry in enumerate(orbit_plan(n, k)) if not (entry and entry[2])}
-    return max(max(row.values()) for row in bounds), columns
+    return max(map(max, map(dict.values, bounds))), {
+        b: bounds[b] for b, entry in enumerate(orbit_plan(n, k)) if not (entry and entry[2])}
 
 
 @order.resident
@@ -269,23 +267,24 @@ def orbit_packing(n: int, k: int) -> Kronecker:
 
 
 @order.resident
-def orbit_table(n: int, k: int) -> Rows:
-    """The R table of the rank-k orbit of R_n, shared by the sweeps: row
-    a, by the indices of ``order.orbit_poset(n, k)``, maps each b >= a to
+def orbit_table(n: int, k: int) -> Table:
+    """The R table of the rank-k orbit of R_n, shared by the sweeps: column
+    b, by the indices of ``order.orbit_poset(n, k)``, maps each a <= b to
     R[a, b] packed by ``orbit_packing(n, k)``; the other values are 0."""
-    [rows] = _fill(n, k, orbit_packing(n, k))
-    return rows
+    [columns] = _fill(n, k, orbit_packing(n, k))
+    return columns
 
 
 @order.resident
 def delta_rows(n: int, k: int) -> list[dict[int, int] | None]:
     """The delta sums of the rank-k orbit of R_n, by the indices of
-    ``order.orbit_poset(n, k)``: entry a is the nonzero packed sums
-    {sigma: sum} of elements[a], or None where that row is the identity,
-    as ``product_rows`` gives them over R and R'.  R and R' are filled
-    here, in one pass, and dropped once the rows are formed."""
-    rows, reversed_rows = _fill(n, k, orbit_packing(n, k), with_reversed=True)
-    return list(product_rows(rows, reversed_rows, order.orbit_star(n, k)))
+    ``order.orbit_poset(n, k)``: entry b is the nonzero packed sums
+    {theta: sum} of column b of R R', or None where that column is the
+    identity's, as ``product_rows`` gives them over the columns of R' and
+    of R, the rows of R'^T and R^T.  R and R' are filled here, in one
+    pass, and dropped once the sums are formed."""
+    columns, reversed_columns = _fill(n, k, orbit_packing(n, k), with_reversed=True)
+    return list(product_rows(reversed_columns, columns, order.orbit_star(n, k)))
 
 
 def delta_identity_sum(theta: Word, sigma: Word) -> IntPoly:
@@ -296,26 +295,27 @@ def delta_identity_sum(theta: Word, sigma: Word) -> IntPoly:
     """
     n, k = order.require_same_orbit(theta, sigma)
     poset = order.orbit_poset(n, k)
-    row, b = delta_rows(n, k)[poset.locate(theta)], poset.locate(sigma)
-    return orbit_packing(n, k).unpack(int(theta == sigma) if row is None else row.get(b, 0))
+    a, column = poset.locate(theta), delta_rows(n, k)[poset.locate(sigma)]
+    return orbit_packing(n, k).unpack(int(theta == sigma) if column is None
+                                      else column.get(a, 0))
 
 
 def verify_delta_identity(theta: Word, sigma: Word) -> bool:
     """Whether the packed delta sum is the int 1 (theta = sigma) or 0
     (otherwise); the packing makes that exact, so nothing is decoded.
-    The row of ``delta_rows`` it reads is that of the last theta, which
-    the orbit's poset keeps under this function.
+    It reads column sigma of ``delta_rows`` at theta, whose index the
+    orbit's poset keeps, with the sums, for the last theta.
 
     >>> verify_delta_identity((0, 1), (2, 0))
     True
     """
     n, k = len(theta), len(theta) - theta.count(0)
     poset = order.orbit_poset(n, k)
-    last, row = poset._resident.get(verify_delta_identity, (None, None))
+    last, a, columns = poset._resident.get(verify_delta_identity, (None, None, None))
     if not (last is theta or last == theta):
-        row = delta_rows(n, k)[poset.locate(theta)]
-        poset._resident[verify_delta_identity] = theta, row
+        a, columns = poset.locate(theta), delta_rows(n, k)
+        poset._resident[verify_delta_identity] = theta, a, columns
     b = poset.index.get(sigma)
     if b is None:
         poset.locate(sigma)
-    return row is None or row.get(b, 0) == (theta == sigma)
+    return columns[b] is None or columns[b].get(a, 0) == (a == b)

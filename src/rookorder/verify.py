@@ -33,8 +33,6 @@ sigma gives.
 from __future__ import annotations
 
 import time
-from itertools import repeat
-
 from . import analysis, hecke, order, renner, rpoly
 from .polynomials import Laurent
 from .reports import Report
@@ -44,25 +42,23 @@ __all__ = ["SUITES", "hecke_oracle_report", "run_suite"]
 
 def _delta_identity(n: int, k: int) -> Report:
     """The delta identity on every ordered pair of the orbit, one packed
-    row of sums per theta of each pair {theta, theta*} (module
-    docstring), as ``rpoly.delta_rows`` keeps them: a failing row holds
-    its nonzero sums, and a sum it lacks is 0.  Only a failing sum is
-    decoded, by the orbit's packing; the R table is not built."""
+    column of sums per sigma of each pair {sigma, sigma*} (module
+    docstring), as ``rpoly.delta_rows`` keeps them: a failing column
+    holds its nonzero sums, and a sum it lacks is 0.  The failing pairs
+    are reported by theta, then sigma.  Only a failing sum is decoded,
+    by the orbit's packing; the R table is not built."""
     report = Report(name="delta")
     packing = rpoly.orbit_packing(n, k)
     elements = order.orbit_poset(n, k).elements
-    for a, (theta, row) in enumerate(zip(elements, rpoly.delta_rows(n, k))):
-        report.checked += len(elements)
-        if row is None:
-            continue
-        for b in sorted(row.keys() | {a}):
-            total = row.get(b, 0)
-            if total != (1 if a == b else 0):
-                report.violations.append({
-                    "theta": renner.format_element(theta),
-                    "sigma": renner.format_element(elements[b]),
-                    "sum": str(packing.unpack(total)),
-                })
+    report.checked = len(elements) ** 2
+    failing = sorted((a, b, total) for b, column in enumerate(rpoly.delta_rows(n, k))
+                     if column is not None for a in column.keys() | {b}
+                     if (total := column.get(a, 0)) != (a == b))
+    report.violations = [{
+        "theta": renner.format_element(elements[a]),
+        "sigma": renner.format_element(elements[b]),
+        "sum": str(packing.unpack(total)),
+    } for a, b, total in failing]
     return report
 
 
@@ -88,18 +84,18 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     Hecke table of ``hecke.orbit_bars`` alone.
 
     Both tables are packed by the orbit's one packing
-    (``rpoly.orbit_packing``), and the barred row of sigma holds
-    q^(l(sigma) - l(e)) bar(c_theta(sigma)), which must be
-    R[theta, sigma]: so it must equal the column of sigma in the R
-    table, int for int, at every theta <= sigma and hold nothing else.
-    R is read at the row's support, which must be down(sigma) (a sum of
-    distinct powers of two is their OR); only a failing sigma builds its
-    column, where an R entry missing below sigma fails too.
+    (``rpoly.orbit_packing``) and kept by sigma, and the barred column
+    of sigma holds q^(l(sigma) - l(e)) bar(c_theta(sigma)), which must
+    be R[theta, sigma]: so it must equal the column of sigma in the R
+    table, as a dict, and its support must be down(sigma) (a sum of
+    distinct powers of two is their OR), which a fault shared by both
+    columns would pass otherwise.  Only a failing sigma reads its R
+    column over down(sigma), where an R entry missing fails too.
 
     With bar(A_sigma) = sum over theta of c_theta(sigma) A_theta,
     bar(bar(A_sigma)) = sum over theta of bar(c_theta(sigma)) bar(A_theta),
-    so its row is one ``rpoly.triple_sums`` of the barred row of sigma
-    against the rows {nu: c_nu(theta)}, computed sigma by sigma, for one
+    so its row is one ``rpoly.triple_sums`` of the barred column of sigma
+    against the columns {nu: c_nu(theta)}, computed sigma by sigma, for one
     sigma of each pair {sigma, sigma*} (module docstring).  The
     scales multiply to q^(l(sigma) - l(nu)) in every term, which is 1 at
     nu = sigma, so the row must be 1 at sigma and 0 elsewhere.  The
@@ -114,16 +110,14 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     """
     report = Report(name="hecke")
     table, (rows, barred) = rpoly.orbit_table(n, k), hecke.orbit_bars(n, k)
-    packing = rpoly.orbit_packing(n, k)
-    poset = order.orbit_poset(n, k)
+    packing, poset = rpoly.orbit_packing(n, k), order.orbit_poset(n, k)
     elements, lengths = poset.elements, poset.lengths
     squares = rpoly.product_rows(barred, rows, order.orbit_star(n, k))
+    report.checked = len(elements) * (len(elements) + 1)
     for b, (sigma, row) in enumerate(zip(elements, squares)):
-        report.checked += len(elements)
         got = barred[b]
-        if (list(map(dict.get, map(table.__getitem__, got), repeat(b)))
-                != list(got.values()) or sum(map((1).__lshift__, got)) != poset.downs[b]):
-            column = {a: table[a].get(b) for a in order.bits(poset.downs[b])}
+        if got != table[b] or sum(map((1).__lshift__, got)) != poset.downs[b]:
+            column = {a: table[b].get(a) for a in order.bits(poset.downs[b])}
             for a in sorted(got.keys() | column.keys()):
                 via_bar, via_recurrence = got.get(a, 0), column.get(a, 0)
                 if via_bar != via_recurrence:
@@ -133,7 +127,6 @@ def hecke_oracle_report(n: int, k: int) -> Report:
                         "via_bar": packing.unpack(via_bar).to_json(),
                         "via_recurrence": packing.unpack(via_recurrence or 0).to_json(),
                     })
-        report.checked += 1
         if row is not None:
             report.violations.append({
                 "kind": "not-involutive",

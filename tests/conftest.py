@@ -29,13 +29,14 @@ def fresh_orbits():
 def corrupt_fill(monkeypatch, fresh_orbits):
     """corrupt(module, n, k, change): from then on, the packed tables
     that ``module._fill`` (of ``rpoly`` or ``hecke``) fills for the
-    rank-k orbit of R_n go through change(packing, rows, other_rows), in
-    place, as they are built.  For ``hecke`` these are the rows and the
-    barred rows.  For ``rpoly`` they are R and R': rows is R on the
-    R-only fill of ``rpoly.orbit_table`` and on the fill of
-    ``rpoly.delta_rows``, and other_rows is R' on the latter and None on
-    the former.  A sweep that starts at another rank drops the orbit's
-    tables and builds them again, and these carry the fault too."""
+    rank-k orbit of R_n go through change(packing, table, other_table),
+    in place, as they are built; every such table is a list of columns,
+    one per sigma.  For ``hecke`` these are the columns and the barred
+    columns.  For ``rpoly`` they are R and R': table is R on the R-only
+    fill of ``rpoly.orbit_table`` and on the fill of ``rpoly.delta_rows``,
+    and other_table is R' on the latter and None on the former.  A sweep
+    that starts at another rank drops the orbit's tables and builds them
+    again, and these carry the fault too."""
     def corrupt(module, n, k, change):
         fill = module._fill
 
@@ -51,9 +52,10 @@ def corrupt_fill(monkeypatch, fresh_orbits):
 
 @pytest.fixture
 def delta_tables():
-    """delta_tables(n, k): R and R' of the rank-k orbit of R_n, packed
-    and filled in one pass as ``rpoly.delta_rows`` fills them, through
-    ``rpoly._fill``, so that a ``corrupt_fill`` fault reaches them."""
+    """delta_tables(n, k): the columns of R and R' of the rank-k orbit of
+    R_n, packed and filled in one pass as ``rpoly.delta_rows`` fills
+    them, through ``rpoly._fill``, so that a ``corrupt_fill`` fault
+    reaches them."""
     return lambda n, k: rpoly._fill(n, k, rpoly.orbit_packing(n, k), with_reversed=True)
 
 
@@ -93,7 +95,7 @@ def count_sums(monkeypatch):
 @pytest.fixture
 def drop_product():
     """drop(n, k): the delta product that the rank-k orbit of R_n keeps
-    (``rpoly.delta_rows``), and the per-pair row that points into it, no
+    (``rpoly.delta_rows``), and the per-pair reference to it, no
     longer resident, now and again after the test.  The next delta
     check then sums it afresh, from the tables and the star as they are
     by then: call it before a check that counts sums, patches

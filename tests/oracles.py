@@ -175,8 +175,9 @@ def descent_by_descent_sets(sigma):
 
 def table_entry(n, k, a, b):
     """R[elements[a], elements[b]] of the R table of the rank-k orbit of
-    R_n (``rpoly.orbit_table``), decoded by the orbit's packing."""
-    return rpoly.orbit_packing(n, k).unpack(rpoly.orbit_table(n, k)[a].get(b, 0))
+    R_n (``rpoly.orbit_table``, column b at a), decoded by the orbit's
+    packing."""
+    return rpoly.orbit_packing(n, k).unpack(rpoly.orbit_table(n, k)[b].get(a, 0))
 
 
 def standard_forms_bruteforce(sigma):
@@ -410,21 +411,22 @@ def pack_rows(rows, packing):
 
 def rpoly_bound_tables(n, k):
     """The L1 bounds of the entries of R and of R' over the rank-k orbit
-    of R_n, as two tables filled side by side: each packed step of
-    ``rpoly`` (q R, (q - 1) x + q y, and the barred (1 - q) x + q y)
-    evaluated at q = 1 with subtraction turned into addition.  The
-    oracle of the one bound table ``rpoly._fill`` fills."""
+    of R_n, as two tables of columns {a: bound of (a, b)} by b, filled
+    side by side: each packed step of ``rpoly`` (q R, (q - 1) x + q y,
+    and the barred (1 - q) x + q y) evaluated at q = 1 with subtraction
+    turned into addition.  The oracle of the one bound table
+    ``rpoly._fill`` fills."""
     poset = order.orbit_poset(n, k)
-    rows = [{b: 1} for b in range(len(poset.elements))]
-    reversed_rows = [{b: 1} for b in range(len(poset.elements))]
+    columns = [{b: 1} for b in range(len(poset.elements))]
+    reversed_columns = [{b: 1} for b in range(len(poset.elements))]
     for b, sigma in enumerate(poset.elements[1:], 1):
         side, i = descent_by_descent_sets(sigma)
         to, step = order.orbit_action(n, k, side)[i - 1]
         for a in order.bits(poset.down(b) ^ (1 << b)):
-            for table in (rows, reversed_rows):
-                x, y = table[a].get(to[b], 0), table[to[a]].get(to[b], 0)
-                table[a][b] = y if step[a] < 0 else x if step[a] == 0 else x + y + x
-    return rows, reversed_rows
+            for table in (columns, reversed_columns):
+                x, y = table[to[b]].get(a, 0), table[to[b]].get(to[a], 0)
+                table[b][a] = y if step[a] < 0 else x if step[a] == 0 else x + y + x
+    return columns, reversed_columns
 
 
 def hecke_bound_step(column, to, step):
@@ -467,21 +469,11 @@ def hecke_bound_tables(n, k, bases=None):
     return rows, barred
 
 
-def r_bound_columns(n, k):
-    """The columns {a: bound} of the R bound table of ``rpoly_bound_tables``,
-    by sigma."""
-    columns = [{} for _ in order.orbit_poset(n, k).elements]
-    for a, row in enumerate(rpoly_bound_tables(n, k)[0]):
-        for b, x in row.items():
-            columns[b][a] = x
-    return columns
-
-
 def full_bound_check(n, k, bases):
     """The check of the full Hecke bound fill in place of
     ``hecke._check_bounds``: ValueError where any bound of either table
     exceeds the R bound at its entry (0 outside down(b))."""
-    columns = r_bound_columns(n, k)
+    columns = rpoly_bound_tables(n, k)[0]
     for table in hecke_bound_tables(n, k, bases):
         for b, column in enumerate(table):
             for a, x in column.items():

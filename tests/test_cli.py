@@ -256,9 +256,9 @@ def test_verify_nonempty_descent_certificate(capsys, monkeypatch):
     assert set(cert) == {"kind", "element", "length"}
 
 
-def _q_added_to_r_at_min_max(packing, rows, _):
+def _q_added_to_r_at_min_max(packing, columns, _):
     from rookorder.polynomials import Q
-    rows[0][len(rows) - 1] += packing.pack(Q)
+    columns[len(columns) - 1][0] += packing.pack(Q)
 
 
 def test_verify_delta_certificate_carries_the_one_sum(capsys, corrupt_fill):
@@ -374,19 +374,19 @@ def _q_in_the_barred_row_of_the_minimum(packing, rows, barred):
     barred[0][len(barred) - 1] = packing.pack(Q)
 
 
-def _q_in_the_r_row_of_the_maximum(packing, rows, _):
+def _q_in_the_r_column_of_the_minimum(packing, columns, _):
     # the same entry at (max, min), in the R table
     from rookorder.polynomials import Q
-    rows[len(rows) - 1][0] = packing.pack(Q)
+    columns[0][len(columns) - 1] = packing.pack(Q)
 
 
 def _r_at_min_max(change):
     # change(value) in place of R[min, max] in the R table
-    def corrupt(packing, rows, _):
-        top = len(rows) - 1
-        value = change(rows[0].pop(top))
+    def corrupt(packing, columns, _):
+        top = len(columns) - 1
+        value = change(columns[top].pop(0))
         if value is not None:
-            rows[0][top] = value
+            columns[top][0] = value
     return corrupt
 
 
@@ -394,6 +394,10 @@ def _only_q_in_the_barred_row_of_the_minimum(packing, rows, barred):
     # the diagonal entry of the barred row of min moved to (max, min)
     barred[0].clear()
     _q_in_the_barred_row_of_the_minimum(packing, rows, barred)
+
+
+def _min_max_dropped_from_the_barred_column(packing, rows, barred):
+    barred[-1].pop(0)  # R[min, max] as read off bar(A_max), scaled
 
 
 @pytest.mark.parametrize("corruptions, expansion, involutive", [
@@ -405,19 +409,24 @@ def _only_q_in_the_barred_row_of_the_minimum(packing, rows, barred):
     ([("hecke", _q_in_the_barred_row_of_the_minimum)], [("300", "001", "q", "0")], False),
     # an R entry dropped inside the down set of its sigma
     ([("rpoly", _r_at_min_max(lambda x: None))], [("001", "300", "R", "0")], True),
-    # the same entry added to both tables outside the down set
+    # the same entry added to both tables outside the down set: the
+    # columns agree as dicts, and only their support fails
     ([("hecke", _q_in_the_barred_row_of_the_minimum),
-      ("rpoly", _q_in_the_r_row_of_the_maximum)], [("300", "001", "q", "0")], False),
+      ("rpoly", _q_in_the_r_column_of_the_minimum)], [("300", "001", "q", "0")], False),
     # that entry in both, and the barred row's one entry inside dropped:
     # the support keeps its size but leaves the down set
     ([("hecke", _only_q_in_the_barred_row_of_the_minimum),
-      ("rpoly", _q_in_the_r_row_of_the_maximum)],
+      ("rpoly", _q_in_the_r_column_of_the_minimum)],
      [("001", "001", "0", "1"), ("300", "001", "q", "0")], False),
+    # an entry inside the down set dropped from both columns of max: as
+    # above, with R read as 0 where it lacks the entry
+    ([("hecke", _min_max_dropped_from_the_barred_column),
+      ("rpoly", _r_at_min_max(lambda x: None))], [("001", "300", "0", "0")], False),
 ], ids=["barred-off-by-one", "r-off-by-one", "barred-outside", "r-dropped",
-        "both-outside", "support-moved"])
+        "both-outside", "support-moved", "dropped-from-both"])
 def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, corruptions,
                                                          expansion, involutive):
-    # the barred row of each sigma is compared whole with the column of
+    # the barred column of each sigma is compared whole with the column of
     # sigma in the R table: each fault of R_3 k = 1 below gives these
     # expansion certificates, decoded from the ints compared, with R the
     # true R[001, 300]; bar o bar reads only the Hecke table
@@ -446,9 +455,9 @@ def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, co
     [("hecke", 1, _q_in_the_barred_row_of_the_minimum)],
     [("rpoly", 1, _r_at_min_max(lambda x: None))],
     [("hecke", 1, _q_in_the_barred_row_of_the_minimum),
-     ("rpoly", 1, _q_in_the_r_row_of_the_maximum)],
+     ("rpoly", 1, _q_in_the_r_column_of_the_minimum)],
     [("hecke", 1, _only_q_in_the_barred_row_of_the_minimum),
-     ("rpoly", 1, _q_in_the_r_row_of_the_maximum)],
+     ("rpoly", 1, _q_in_the_r_column_of_the_minimum)],
 ], ids=["r-off-by-q", "barred-diagonal-dropped", "hecke-off-by-one", "barred-off-by-one",
         "r-off-by-one", "barred-outside", "r-dropped", "both-outside", "support-moved"])
 def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, monkeypatch,

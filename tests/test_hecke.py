@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from oracles import (bar_Asigma_by_reduced_word, bar_Asigma_by_support, full_bound_check,
-                     hecke_bound_step, hecke_bound_tables, hecke_to_json, r_bound_columns)
+                     hecke_bound_step, hecke_bound_tables, hecke_to_json,
+                     rpoly_bound_tables)
 from rookorder import hecke, order, renner, rpoly, verify, weyl
 from rookorder.polynomials import IntPoly, Laurent, ONE
 
@@ -190,7 +191,7 @@ def test_full_hecke_bounds_lie_within_the_r_bounds(n, k):
     # and 3 bases of R_4 k = 2, R_5 k = 2 and R_5 k = 3 the Hecke bounds
     # lie below R's, and so do the columns filled from those bases
     poset, left = order.orbit_poset(n, k), order.orbit_action(n, k, "left")
-    columns = r_bound_columns(n, k)
+    columns = rpoly_bound_tables(n, k)[0]
     for table in hecke_bound_tables(n, k):
         for b, column in enumerate(table):
             assert all(x <= columns[b].get(a, 0) for a, x in column.items()), (n, k, b)
@@ -246,7 +247,7 @@ def test_orbit_bars_raise_exactly_where_the_full_check_raises(n, k, mutant, rais
     # refuse the same base sums
     bases = {b: dict(base) for b, base in hecke._orbit_sums(n, k).items()}
     if mutant:
-        mutant(bases, r_bound_columns(n, k))
+        mutant(bases, rpoly_bound_tables(n, k)[0])
     monkeypatch.setattr(hecke, "_orbit_sums", lambda n, k: bases)
     outcomes = []
     for check in (hecke._check_bounds, full_bound_check):
@@ -335,19 +336,17 @@ def test_oracle_agreement(n, k):
                                   for n in range(1, 5)]
                          + [pytest.param(5, [2], id="R5-k2")])
 def test_hecke_table_is_the_transposed_r_table(n, ks, delta_tables):
-    # barred row b is column b of R, and row b is column b of R' (as the
-    # delta fill fills it), compared as dicts, so that the supports must
-    # match too
+    # barred column b is column b of R, and column b is column b of R'
+    # (as the delta fill fills it), compared as dicts, so that the
+    # supports must match too
     for k in ks:
         rows, barred = hecke.orbit_bars(n, k)
-        reversed_rows = delta_tables(n, k)[1]
-        for r_rows, hecke_rows in ((rpoly.orbit_table(n, k), barred),
-                                   (reversed_rows, rows)):
-            columns = [{} for _ in hecke_rows]
-            for a, row in enumerate(r_rows):
-                for b, x in row.items():
-                    columns[b][a] = x
-            assert hecke_rows == columns, (n, k)
+        reversed_columns = delta_tables(n, k)[1]
+        for r_columns, hecke_columns in ((rpoly.orbit_table(n, k), barred),
+                                         (reversed_columns, rows)):
+            assert len(hecke_columns) == len(r_columns), (n, k)
+            for b, column in enumerate(hecke_columns):
+                assert column == r_columns[b], (n, k, b)
 
 
 def _bar_squared_row(n, k, b):

@@ -138,8 +138,8 @@ def test_delta_identity_small_cases():
         rpoly.delta_identity_sum((0, 0, 0, 1), (0, 0, 1, 2))
 
 
-def _r_at_min_max_plus_one(packing, rows, reversed_rows):
-    rows[0][len(rows) - 1] += 1
+def _r_at_min_max_plus_one(packing, columns, reversed_columns):
+    columns[len(columns) - 1][0] += 1
 
 
 def test_verify_delta_identity_reads_the_packed_sum(corrupt_fill, drop_product):
@@ -174,8 +174,8 @@ def test_corrupt_fill_reaches_each_packed_r_fill(corrupt_fill, delta_tables):
 
 def test_delta_row_cache_follows_theta_across_orbits():
     # thetas of two orbits, and of one orbit, interleaved pair by pair:
-    # every answer is the one a fresh row gives, as each orbit keeps the
-    # row of the theta it was last asked about
+    # every answer is the one a fresh product gives, as each orbit keeps
+    # the index of the theta it was last asked about
     first, second = renner.orbit(3, 1), renner.orbit(3, 2)
     queries = [query for thetas in zip(first, second[::-1], first[::-1])
                for sigmas in zip(first * 2, second, first * 2)
@@ -187,8 +187,8 @@ def test_delta_row_cache_follows_theta_across_orbits():
 
 
 def test_delta_row_cache_refuses_a_sigma_from_another_orbit():
-    # with the row of theta kept, a sigma outside its orbit, of the same
-    # rank or not, is still refused, and the kept row still answers
+    # with theta kept, a sigma outside its orbit, of the same rank or
+    # not, is still refused, and the kept product still answers
     theta = renner.orbit(3, 1)[2]
     assert rpoly.verify_delta_identity(theta, theta)
     for sigma in (renner.orbit(3, 2)[0], renner.orbit(4, 1)[0], (0, 0, 0)):
@@ -269,6 +269,16 @@ def test_orbit_tables_compute_no_descent_on_words(monkeypatch, fresh_orbits):
     assert len(table) == len(rows) == len(barred) == len(renner.orbit(4, 2))
 
 
+def test_orbit_table_keeps_no_key_object_per_entry(fresh_orbits):
+    # on an orbit past the small-int cache (R_6 k = 2, 450 elements, 38557
+    # entries), the columns of R share their keys: at most two int
+    # objects per index, the position ``order.bits`` gives and the
+    # diagonal key
+    table = rpoly.orbit_table(6, 2)
+    assert sum(map(len, table)) > 80 * len(table)
+    assert len({id(a) for column in table for a in column}) <= 2 * len(table)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_delta_identity_exhaustive(n):
     for k in range(n + 1):
@@ -315,13 +325,13 @@ def test_packed_sums_decode_to_the_laurent_sums(n):
     for k in range(n + 1):
         table, packing = rpoly.orbit_table(n, k), rpoly.orbit_packing(n, k)
         size = len(table)
-        for a in range(size):
-            sums = rpoly.triple_sums(table[a], table)
-            for b in range(size):
+        for b in range(size):
+            sums = rpoly.triple_sums(table[b], table)  # column b of R R
+            for a in range(size):
                 expected = Laurent(0, ())
                 for m in range(size):
                     expected += table_entry(n, k, a, m) * table_entry(n, k, m, b)
-                assert packing.unpack(sums[b]) == expected
+                assert packing.unpack(sums[a]) == expected
 
 
 def _l1(p):
@@ -338,20 +348,20 @@ def test_packing_width_comes_from_the_table(delta_tables):
     for n, k in [(n, k) for n in range(1, 5) for k in range(n + 1)] + [(5, 2), (5, 5)]:
         table, packing = rpoly.orbit_table(n, k), rpoly.orbit_packing(n, k)
         [bounds] = rpoly._fill(n, k)
-        norm = max(max(row.values()) for row in bounds)
+        norm = max(max(column.values()) for column in bounds)
         assert rpoly.orbit_bounds(n, k)[0] == norm
         for values in delta_tables(n, k):
-            for row, limit in zip(values, bounds):
-                assert row.keys() == limit.keys()
-                for b, x in row.items():
-                    assert _l1(packing.unpack(x)) <= limit[b] <= norm, (n, k)
+            for column, limit in zip(values, bounds):
+                assert column.keys() == limit.keys()
+                for a, x in column.items():
+                    assert _l1(packing.unpack(x)) <= limit[a] <= norm, (n, k)
         assert packing.bits == (len(table) * norm ** 2 + 1).bit_length() + 1
         bars = hecke.orbit_bars(n, k)
         assert rpoly.orbit_packing(n, k) is packing
         for values, hecke_bounds in zip(bars, hecke_bound_tables(n, k)):
             for b, (row, limit) in enumerate(zip(values, hecke_bounds)):
                 for a, x in row.items():
-                    assert _l1(packing.unpack(x)) <= limit[a] <= bounds[a][b], (n, k)
+                    assert _l1(packing.unpack(x)) <= limit[a] <= bounds[b][a], (n, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -372,10 +382,10 @@ def test_reversed_rows_are_the_reversed_polynomials(delta_tables):
     for n, k in [(3, 1), (4, 2), (4, 4)]:
         table, packing = rpoly.orbit_table(n, k), rpoly.orbit_packing(n, k)
         lengths = order.orbit_poset(n, k).lengths
-        rows, reversed_rows = delta_tables(n, k)
-        assert rows == table
-        for a, row in enumerate(reversed_rows):
-            for b, x in row.items():
+        columns, reversed_columns = delta_tables(n, k)
+        assert columns == table
+        for b, column in enumerate(reversed_columns):
+            for a, x in column.items():
                 r = table_entry(n, k, a, b)
                 expected = Laurent.q_power(lengths[b] - lengths[a]) * r.bar()
                 assert packing.unpack(x) == expected
@@ -547,9 +557,10 @@ def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, c
     a = next(a for a in range(len(star)) if star[a] != a)
 
     def one_sided(packing, *tables):
-        rows = tables[reversed_table]
-        if rows is not None:
-            rows[a][max(rows[a])] += 1
+        columns = tables[reversed_table]
+        if columns is not None:
+            top = max(b for b, column in enumerate(columns) if a in column)
+            columns[top][a] += 1
     corrupt_fill(rpoly, n, k, one_sided)
     report = verify._delta_identity(n, k)
     assert not report.passed
@@ -566,11 +577,11 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count
     n, k = 4, 2
     table, star = rpoly.orbit_table(n, k), order.orbit_star(n, k)
     top = len(star) - 1
-    a = next(a for a in range(len(star)) if star[a] > a and top in table[a])
+    a = next(a for a in range(len(star)) if star[a] > a and a in table[top])
 
-    def symmetric(packing, rows, reversed_rows):
+    def symmetric(packing, columns, reversed_columns):
         for theta in (a, star[a]):
-            rows[theta][top] += packing.pack(Q)
+            columns[top][theta] += packing.pack(Q)
     corrupt_fill(rpoly, n, k, symmetric)
     report = verify._delta_identity(n, k)
     assert len(count_sums) < len(star)
@@ -578,10 +589,10 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count
     flagged = [(v["theta"], v["sigma"]) for v in report.violations]
     assert flagged == [(renner.format_element(elements[theta]),
                         renner.format_element(elements[top])) for theta in sorted((a, star[a]))]
-    unpack, (rows, reversed_rows) = rpoly.orbit_packing(n, k).unpack, delta_tables(n, k)
+    unpack, (columns, reversed_columns) = rpoly.orbit_packing(n, k).unpack, delta_tables(n, k)
     for v, theta in zip(report.violations, sorted((a, star[a]))):
-        laurent = sum((unpack(x) * unpack(reversed_rows[nu].get(top, 0))
-                       for nu, x in rows[theta].items()), ZERO)
+        laurent = sum((unpack(columns[nu].get(theta, 0)) * unpack(x)
+                       for nu, x in reversed_columns[top].items()), ZERO)
         assert v["sum"] == str(laurent) == "q"
     assert full_sums(verify._delta_identity, n, k) == \
         (report.checked, report.violations)
@@ -594,22 +605,24 @@ def _per_pair_answers(n, k):
 
 
 def _one_sided_fault(star):
-    # R'[a, b] off by one at an entry that star moves, where there is one
-    def change(packing, rows, reversed_rows):
-        if reversed_rows is not None:
-            a, b = max(((a, b) for a, row in enumerate(reversed_rows) for b in row),
+    # R'[a, b] off by one at the first entry (a, b) that star moves,
+    # where there is one
+    def change(packing, columns, reversed_columns):
+        if reversed_columns is not None:
+            a, b = max(sorted((a, b) for b, column in enumerate(reversed_columns)
+                              for a in column),
                        key=lambda ab: (star[ab[0]], star[ab[1]]) != ab)
-            reversed_rows[a][b] += 1
+            reversed_columns[b][a] += 1
     return change
 
 
 def _symmetric_fault(star):
     # R[a, max] and R[a*, max*] = R[a*, max] off by the same q
-    def change(packing, rows, reversed_rows):
+    def change(packing, columns, reversed_columns):
         top = len(star) - 1
-        a = max(a for a in range(len(star)) if top in rows[a])
+        a = max(columns[top])
         for theta in {a, star[a]}:
-            rows[theta][top] += packing.pack(Q)
+            columns[top][theta] += packing.pack(Q)
     return change
 
 
@@ -618,16 +631,16 @@ def _symmetric_fault(star):
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
 def test_per_pair_delta_answers_are_the_full_sums(n, k, fault, monkeypatch, drop_product,
                                                   corrupt_fill, delta_tables):
-    # every pair, theta by theta, answers as the row of theta summed
+    # every pair, theta by theta, answers as the column of sigma summed
     # whole gives, and as the product summed under an identity star
     star = order.orbit_star(n, k)
     if fault:
         corrupt_fill(rpoly, n, k, fault(star))
-    rows, reversed_rows = delta_tables(n, k)
+    columns, reversed_columns = delta_tables(n, k)
+    sums = [rpoly.triple_sums(column, columns) for column in reversed_columns]
     answers = _per_pair_answers(n, k)
-    assert answers == [[x == (a == b) for b, x in
-                        enumerate(rpoly.triple_sums(row, reversed_rows))]
-                       for a, row in enumerate(rows)]
+    assert answers == [[sums[b][a] == (a == b) for b in range(len(sums))]
+                       for a in range(len(sums))]
     assert all(map(all, answers)) == (fault is None)
     with monkeypatch.context() as patch:
         patch.setattr(order, "orbit_star", lambda n, k: tuple(range(len(star))))
@@ -642,8 +655,11 @@ def test_a_cleared_orbit_drops_its_delta_rows(corrupt_fill):
     n, k = 4, 2
     rows = rpoly.delta_rows(n, k)
     assert all(map(all, _per_pair_answers(n, k)))
-    corrupt_fill(rpoly, n, k, lambda packing, table, reversed_table:
-                 table[0].update({b: x + 1 for b, x in table[0].items() if b}))
+
+    def min_row_off_by_one(packing, table, reversed_table):
+        for column in table[1:]:
+            column[0] += 1
+    corrupt_fill(rpoly, n, k, min_row_off_by_one)
     assert rpoly.delta_rows(n, k) is rows
     assert all(map(all, _per_pair_answers(n, k)))
     order.orbit_poset.cache_clear()
@@ -654,7 +670,8 @@ def test_a_cleared_orbit_drops_its_delta_rows(corrupt_fill):
 
 def test_an_equal_theta_reads_the_kept_row(monkeypatch):
     # a theta equal to the last one, passed as another tuple, reads the
-    # row kept for it, and does not look the product up again
+    # index and the product kept for it, and does not look the product
+    # up again
     theta, sigma = renner.orbit(3, 1)[0], renner.orbit(3, 1)[-1]
     assert rpoly.verify_delta_identity(theta, sigma)
     monkeypatch.setattr(rpoly, "delta_rows", lambda n, k: pytest.fail("product read again"))
