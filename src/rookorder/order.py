@@ -11,8 +11,9 @@ which indexes exactly that interval; sweeps over a whole orbit share
 cache: it keeps the last orbit asked for, and ``resident`` keeps what
 is derived from it on it: rows, the s_i-actions (``orbit_action``), the
 index permutation sigma -> sigma* = w0 sigma^-1 w0 (``orbit_star``),
-the descent plan and the packing of the tables, the R and Hecke tables
-and the delta product of the R table.
+the descent plan and the packing of the tables, the one R table (the
+Hecke report, the delta product and every decoder read it), the Hecke
+table and the delta product.
 
 The coset-witness criterion on standard forms (theta = u e v^-1 <=
 sigma = x f y^-1 iff e <= f and u <= xw, yw <= v for some w in

@@ -34,15 +34,15 @@ by words.  The plan, the table, ``orbit_bounds``,
 The table holds ints, filled packed at q = 2^B with
 ``polynomials.Kronecker``: q x is ``x << B``, (q - 1) x + q y is
 ``(y << B) + (2^B - 1) * x``; every R lies in Z[q], so packing needs no
-offset and no step divides by q.  The orbit's table holds R alone.  The
-reversed polynomials
+offset and no step divides by q.  The reversed polynomials
 
     R'[theta, sigma] = q^(l(sigma) - l(theta)) bar(R[theta, sigma]),
 
 also in Z[q], have one reader, the delta product: ``delta_rows`` fills
-R and R' in one pass of its own, R' by the barred steps R'[s theta,
-s sigma], R'[theta, s sigma], and (1 - q) R'[theta, s sigma] + q
-R'[s theta, s sigma], and drops both once its sums are formed.
+R' alone, by the barred steps R'[s theta, s sigma], R'[theta, s sigma],
+and (1 - q) R'[theta, s sigma] + q R'[s theta, s sigma], reads the
+orbit's one R table, which the Hecke report and every decoder read too,
+and drops R' once its sums are formed.
 
 B is fixed before the fill, from bounds and never from values.  The
 same fill run over non-negative ints with q -> 1 and subtraction ->
@@ -67,9 +67,9 @@ sigma* = w0 sigma^-1 w0, once it has checked that both tables are
 equivariant under that map (R[a*, b*] = R[a, b], and the same for R');
 ``verify`` gives the argument.  A sum has at most |orbit| terms, so
 each of its coefficients is at most |orbit| * L^2 < 2^(B-1) in absolute
-value: a balanced base-2^B digit.
-So each int determines its polynomial, and an int equal to 0 or 1
-certifies the polynomial 0 or 1 exactly.  An entry R[a, b] is decoded
+value: a balanced base-2^B digit.  So each int determines its
+polynomial, and an int equal to 0 or 1 certifies the polynomial 0 or 1
+exactly.  An entry R[a, b] is decoded
 as ``orbit_packing(n, k).unpack(orbit_table(n, k)[b].get(a, 0))``, and
 a sum only where it fails.
 
@@ -211,38 +211,32 @@ def orbit_plan(n: int, k: int) -> tuple[tuple | None, ...]:
     return tuple(plan)
 
 
-def _fill(n: int, k: int, packing: Kronecker | None = None,
-          with_reversed: bool = False) -> list[Table]:
-    """The columns of R over the rank-k orbit of R_n, by the indices of
-    ``order.orbit_poset(n, k)``, packed by ``packing``, and with
-    ``with_reversed`` the columns of R' after them, filled in the same
-    pass; without a packing, one table of the L1 bounds of their entries
+def _fill(n: int, k: int, packing: Kronecker | None = None, barred: bool = False) -> Table:
+    """One table over the rank-k orbit of R_n, as columns by the indices
+    of ``order.orbit_poset(n, k)``: R packed by ``packing``, or with
+    ``barred`` R'; without a packing, the L1 bounds of their entries
     (q -> 1, subtraction -> addition), which R and R' share entry for
     entry.  Column b holds every a <= b; the minimum (index 0) has no
     descent, and every other column is pulled over down(b) from the
     column of s b, for the s of b's ``orbit_plan`` entry, by the step of
-    the recurrence, or for R' by its barred step, packed.
-    """
+    the recurrence, or for R' by its barred step, packed."""
     plan, downs = orbit_plan(n, k), order.orbit_poset(n, k).downs
     bits = packing.bits if packing else 0
-    # per table, where s raises theta the factor c of x in the step
-    # q y + c x (q - 1 for R, 1 - q for R'; both bound to 2), and where s
-    # fixes theta the shift of x (q x for R, x for R')
-    kinds = ((((1 << bits) - 1, bits), (1 - (1 << bits), 0))[:1 + with_reversed] if packing
-             else ((2, 0),))
-    tables = [([{0: 1}], c, fixed) for c, fixed in kinds]
+    # where s raises theta the factor c of x in the step q y + c x (q - 1
+    # for R, 1 - q for R'; both bound to 2), and where s fixes theta the
+    # shift of x (q x for R, x for R')
+    c, fixed = ((2, 0) if not packing else (1 - (1 << bits), 0) if barred
+                else ((1 << bits) - 1, bits))
+    columns = [{0: 1}]
     for b in range(1, len(plan)):
         to, step, _ = plan[b]
-        below = order.bits(downs[b] ^ (1 << b))
-        if with_reversed:
-            below = list(below)  # walked once per table
-        for columns, c, fixed in tables:
-            get = columns[to[b]].get  # the column of s sigma
-            column = {a: get(to[a], 0) if (d := step[a]) < 0 else get(a, 0) << fixed
-                      if d == 0 else (get(to[a], 0) << bits) + c * get(a, 0) for a in below}
-            column[b] = 1
-            columns.append(column)
-    return [columns for columns, _, _ in tables]
+        get = columns[to[b]].get  # the column of s sigma
+        column = {a: get(to[a], 0) if (d := step[a]) < 0 else get(a, 0) << fixed
+                  if d == 0 else (get(to[a], 0) << bits) + c * get(a, 0)
+                  for a in order.bits(downs[b] ^ (1 << b))}
+        column[b] = 1
+        columns.append(column)
+    return columns
 
 
 @order.resident
@@ -252,7 +246,7 @@ def orbit_bounds(n: int, k: int) -> tuple[int, dict[int, dict[int, int]]]:
     {b: {a: bound of R[a, b] for a in down(b)}} at the Hecke bases, the
     elements whose ``orbit_plan`` entry is not a left step.  ``hecke``
     reads its bases off these keys."""
-    [bounds] = _fill(n, k)
+    bounds = _fill(n, k)
     return max(map(max, map(dict.values, bounds))), {
         b: bounds[b] for b, entry in enumerate(orbit_plan(n, k)) if not (entry and entry[2])}
 
@@ -271,8 +265,7 @@ def orbit_table(n: int, k: int) -> Table:
     """The R table of the rank-k orbit of R_n, shared by the sweeps: column
     b, by the indices of ``order.orbit_poset(n, k)``, maps each a <= b to
     R[a, b] packed by ``orbit_packing(n, k)``; the other values are 0."""
-    [columns] = _fill(n, k, orbit_packing(n, k))
-    return columns
+    return _fill(n, k, orbit_packing(n, k))
 
 
 @order.resident
@@ -281,10 +274,10 @@ def delta_rows(n: int, k: int) -> list[dict[int, int] | None]:
     ``order.orbit_poset(n, k)``: entry b is the nonzero packed sums
     {theta: sum} of column b of R R', or None where that column is the
     identity's, as ``product_rows`` gives them over the columns of R' and
-    of R, the rows of R'^T and R^T.  R and R' are filled here, in one
-    pass, and dropped once the sums are formed."""
-    columns, reversed_columns = _fill(n, k, orbit_packing(n, k), with_reversed=True)
-    return list(product_rows(reversed_columns, columns, order.orbit_star(n, k)))
+    of R, the rows of R'^T and R^T.  R' is filled here, alone, and
+    dropped once the sums are formed; R is the orbit's ``orbit_table``."""
+    return list(product_rows(_fill(n, k, orbit_packing(n, k), barred=True),
+                             orbit_table(n, k), order.orbit_star(n, k)))
 
 
 def delta_identity_sum(theta: Word, sigma: Word) -> IntPoly:

@@ -46,7 +46,7 @@ def _delta_identity(n: int, k: int) -> Report:
     docstring), as ``rpoly.delta_rows`` keeps them: a failing column
     holds its nonzero sums, and a sum it lacks is 0.  The failing pairs
     are reported by theta, then sigma.  Only a failing sum is decoded,
-    by the orbit's packing; the R table is not built."""
+    by the orbit's packing; the sums read the orbit's one R table."""
     report = Report(name="delta")
     packing = rpoly.orbit_packing(n, k)
     elements = order.orbit_poset(n, k).elements
@@ -89,8 +89,10 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     be R[theta, sigma]: so it must equal the column of sigma in the R
     table, as a dict, and its support must be down(sigma) (a sum of
     distinct powers of two is their OR), which a fault shared by both
-    columns would pass otherwise.  Only a failing sigma reads its R
-    column over down(sigma), where an R entry missing fails too.
+    columns would pass otherwise.  Only a failing sigma is walked, over
+    both columns and down(sigma): where they differ it gives an expansion
+    certificate, and where they agree but the support fails a
+    ``"support"`` one with the value both hold.
 
     With bar(A_sigma) = sum over theta of c_theta(sigma) A_theta,
     bar(bar(A_sigma)) = sum over theta of bar(c_theta(sigma)) bar(A_theta),
@@ -112,21 +114,22 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     table, (rows, barred) = rpoly.orbit_table(n, k), hecke.orbit_bars(n, k)
     packing, poset = rpoly.orbit_packing(n, k), order.orbit_poset(n, k)
     elements, lengths = poset.elements, poset.lengths
+    decode = lambda x: packing.unpack(x or 0).to_json()
     squares = rpoly.product_rows(barred, rows, order.orbit_star(n, k))
     report.checked = len(elements) * (len(elements) + 1)
     for b, (sigma, row) in enumerate(zip(elements, squares)):
-        got = barred[b]
-        if got != table[b] or sum(map((1).__lshift__, got)) != poset.downs[b]:
-            column = {a: table[b].get(a) for a in order.bits(poset.downs[b])}
-            for a in sorted(got.keys() | column.keys()):
-                via_bar, via_recurrence = got.get(a, 0), column.get(a, 0)
+        got, column, down = barred[b], table[b], poset.downs[b]
+        if got != column or sum(map((1).__lshift__, got)) != down:
+            for a in sorted(got.keys() | column.keys() | set(order.bits(down))):
+                via_bar, via_recurrence = got.get(a), column.get(a)
+                pair = {"theta": renner.format_element(elements[a]),
+                        "sigma": renner.format_element(sigma)}
                 if via_bar != via_recurrence:
-                    report.violations.append({
-                        "theta": renner.format_element(elements[a]),
-                        "sigma": renner.format_element(sigma),
-                        "via_bar": packing.unpack(via_bar).to_json(),
-                        "via_recurrence": packing.unpack(via_recurrence or 0).to_json(),
-                    })
+                    report.violations.append({**pair, "via_bar": decode(via_bar),
+                                              "via_recurrence": decode(via_recurrence)})
+                elif (via_bar is None) == (down >> a & 1):  # in down(sigma) iff absent
+                    report.violations.append({"kind": "support", **pair,
+                                              "value": decode(via_bar)})
         if row is not None:
             report.violations.append({
                 "kind": "not-involutive",

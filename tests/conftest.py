@@ -32,31 +32,48 @@ def corrupt_fill(monkeypatch, fresh_orbits):
     rank-k orbit of R_n go through change(packing, table, other_table),
     in place, as they are built; every such table is a list of columns,
     one per sigma.  For ``hecke`` these are the columns and the barred
-    columns.  For ``rpoly`` they are R and R': table is R on the R-only
-    fill of ``rpoly.orbit_table`` and on the fill of ``rpoly.delta_rows``,
-    and other_table is R' on the latter and None on the former.  A sweep
+    columns, filled together.  ``rpoly`` fills one table a call, and
+    change gets it and None for the other: R and None on the fill of
+    the orbit's one R table (``rpoly.orbit_table``), which the delta and
+    Hecke reports both read, so a fault of R is applied once and reaches
+    both; None and R' on the fill of R' (``rpoly.delta_rows``).  A sweep
     that starts at another rank drops the orbit's tables and builds them
-    again, and these carry the fault too."""
+    again, and these carry the fault too.  A test fails if a fault it
+    installed never changed a table: with the R table resident, a fault
+    of R installed after its fill would otherwise pass unseen."""
+    installed = []
+
     def corrupt(module, n, k, change):
-        fill = module._fill
+        fill, ran = module._fill, []
+        installed.append(((module.__name__, n, k), ran))
 
         def corrupted(*args, **kwargs):
             tables = fill(*args, **kwargs)
             packing = next((arg for arg in args if isinstance(arg, Kronecker)), None)
             if args[:2] == (n, k) and packing is not None:  # packed, not bounds
-                change(packing, *tables, *[None] * (2 - len(tables)))
+                if module is rpoly:
+                    given = (None, tables) if kwargs.get("barred") else (tables, None)
+                else:
+                    given = tuple(tables)
+                before = [table and [dict(column) for column in table] for table in given]
+                change(packing, *given)
+                ran.append(before != list(given))
             return tables
         monkeypatch.setattr(module, "_fill", corrupted)
-    return corrupt
+    yield corrupt
+    missed = [fault for fault, ran in installed if not any(ran)]
+    if missed:
+        pytest.fail(f"faults that never changed a table: {missed}")
 
 
 @pytest.fixture
 def delta_tables():
     """delta_tables(n, k): the columns of R and R' of the rank-k orbit of
-    R_n, packed and filled in one pass as ``rpoly.delta_rows`` fills
-    them, through ``rpoly._fill``, so that a ``corrupt_fill`` fault
-    reaches them."""
-    return lambda n, k: rpoly._fill(n, k, rpoly.orbit_packing(n, k), with_reversed=True)
+    R_n, packed, that ``rpoly.delta_rows`` reads: the orbit's R table
+    and R' filled alone, through ``rpoly._fill``, so that a
+    ``corrupt_fill`` fault reaches both."""
+    return lambda n, k: (rpoly.orbit_table(n, k),
+                         rpoly._fill(n, k, rpoly.orbit_packing(n, k), barred=True))
 
 
 @pytest.fixture
@@ -95,15 +112,18 @@ def count_sums(monkeypatch):
 @pytest.fixture
 def drop_product():
     """drop(n, k): the delta product that the rank-k orbit of R_n keeps
-    (``rpoly.delta_rows``), and the per-pair reference to it, no
-    longer resident, now and again after the test.  The next delta
-    check then sums it afresh, from the tables and the star as they are
-    by then: call it before a check that counts sums, patches
-    ``order.orbit_star`` or follows an in-place fault of a table."""
+    (``rpoly.delta_rows``), the per-pair reference to it and the R table
+    it reads (``rpoly.orbit_table``), no longer resident, now and again
+    after the test.  The next delta check then fills R again and sums
+    the product afresh, from the tables and the star as they are by
+    then: call it before a check that counts sums, patches
+    ``order.orbit_star`` or follows a fault installed after R was
+    filled."""
     stores = []
 
     def pop(store):
-        for key in (rpoly.delta_rows.__wrapped__, rpoly.verify_delta_identity):
+        for key in (rpoly.delta_rows.__wrapped__, rpoly.orbit_table.__wrapped__,
+                    rpoly.verify_delta_identity):
             store.pop(key, None)
 
     def drop(n, k):

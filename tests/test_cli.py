@@ -258,7 +258,8 @@ def test_verify_nonempty_descent_certificate(capsys, monkeypatch):
 
 def _q_added_to_r_at_min_max(packing, columns, _):
     from rookorder.polynomials import Q
-    columns[len(columns) - 1][0] += packing.pack(Q)
+    if columns is not None:  # the fill of R, not of R'
+        columns[len(columns) - 1][0] += packing.pack(Q)
 
 
 def test_verify_delta_certificate_carries_the_one_sum(capsys, corrupt_fill):
@@ -377,12 +378,15 @@ def _q_in_the_barred_row_of_the_minimum(packing, rows, barred):
 def _q_in_the_r_column_of_the_minimum(packing, columns, _):
     # the same entry at (max, min), in the R table
     from rookorder.polynomials import Q
-    columns[0][len(columns) - 1] = packing.pack(Q)
+    if columns is not None:
+        columns[0][len(columns) - 1] = packing.pack(Q)
 
 
 def _r_at_min_max(change):
     # change(value) in place of R[min, max] in the R table
     def corrupt(packing, columns, _):
+        if columns is None:
+            return
         top = len(columns) - 1
         value = change(columns[top].pop(0))
         if value is not None:
@@ -400,36 +404,42 @@ def _min_max_dropped_from_the_barred_column(packing, rows, barred):
     barred[-1].pop(0)  # R[min, max] as read off bar(A_max), scaled
 
 
-@pytest.mark.parametrize("corruptions, expansion, involutive", [
+@pytest.mark.parametrize("corruptions, expansion, support, involutive", [
     # one barred value off by one
-    ([("hecke", _off_by_one_barred_entry)], [("001", "300", "R + 1", "R")], False),
+    ([("hecke", _off_by_one_barred_entry)], [("001", "300", "R + 1", "R")], [], False),
     # one R value off by one
-    ([("rpoly", _r_at_min_max(lambda x: x + 1))], [("001", "300", "R", "R + 1")], True),
+    ([("rpoly", _r_at_min_max(lambda x: x + 1))], [("001", "300", "R", "R + 1")], [], True),
     # a barred entry outside the down set of its sigma
-    ([("hecke", _q_in_the_barred_row_of_the_minimum)], [("300", "001", "q", "0")], False),
+    ([("hecke", _q_in_the_barred_row_of_the_minimum)], [("300", "001", "q", "0")], [], False),
+    # an R entry outside the down set of its sigma, read off R's whole
+    # column
+    ([("rpoly", _q_in_the_r_column_of_the_minimum)], [("300", "001", "0", "q")], [], True),
     # an R entry dropped inside the down set of its sigma
-    ([("rpoly", _r_at_min_max(lambda x: None))], [("001", "300", "R", "0")], True),
+    ([("rpoly", _r_at_min_max(lambda x: None))], [("001", "300", "R", "0")], [], True),
     # the same entry added to both tables outside the down set: the
-    # columns agree as dicts, and only their support fails
+    # columns agree as dicts, and only their support fails, at the value
+    # both hold
     ([("hecke", _q_in_the_barred_row_of_the_minimum),
-      ("rpoly", _q_in_the_r_column_of_the_minimum)], [("300", "001", "q", "0")], False),
+      ("rpoly", _q_in_the_r_column_of_the_minimum)], [], [("300", "001", "q")], False),
     # that entry in both, and the barred row's one entry inside dropped:
     # the support keeps its size but leaves the down set
     ([("hecke", _only_q_in_the_barred_row_of_the_minimum),
       ("rpoly", _q_in_the_r_column_of_the_minimum)],
-     [("001", "001", "0", "1"), ("300", "001", "q", "0")], False),
-    # an entry inside the down set dropped from both columns of max: as
-    # above, with R read as 0 where it lacks the entry
+     [("001", "001", "0", "1")], [("300", "001", "q")], False),
+    # an entry inside the down set dropped from both columns of max: the
+    # columns agree, and the support lacks it
     ([("hecke", _min_max_dropped_from_the_barred_column),
-      ("rpoly", _r_at_min_max(lambda x: None))], [("001", "300", "0", "0")], False),
-], ids=["barred-off-by-one", "r-off-by-one", "barred-outside", "r-dropped",
+      ("rpoly", _r_at_min_max(lambda x: None))], [], [("001", "300", "0")], False),
+], ids=["barred-off-by-one", "r-off-by-one", "barred-outside", "r-outside", "r-dropped",
         "both-outside", "support-moved", "dropped-from-both"])
 def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, corruptions,
-                                                         expansion, involutive):
+                                                         expansion, support, involutive):
     # the barred column of each sigma is compared whole with the column of
     # sigma in the R table: each fault of R_3 k = 1 below gives these
     # expansion certificates, decoded from the ints compared, with R the
-    # true R[001, 300]; bar o bar reads only the Hecke table
+    # true R[001, 300], and where the columns agree but the support test
+    # fails, these support certificates; bar o bar reads only the Hecke
+    # table
     from rookorder import hecke, rpoly
     from rookorder.polynomials import ONE, Q
     modules = {"hecke": hecke, "rpoly": rpoly}
@@ -438,12 +448,15 @@ def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, co
     certs = _hecke_certificates(capsys)
     r = rpoly.rpoly((0, 0, 1), (3, 0, 0))
     values = {"R": r, "R + 1": r + 1, "q": Q, "1": ONE, "0": Q - Q}
-    assert certs.pop("expansion") == [
+    assert certs.pop("expansion", []) == [
         {"theta": theta, "sigma": sigma, "via_bar": values[via_bar].to_json(),
          "via_recurrence": values[via_recurrence].to_json()}
         for theta, sigma, via_bar, via_recurrence in expansion]
+    assert certs.pop("support", []) == [
+        {"kind": "support", "theta": theta, "sigma": sigma, "value": values[value].to_json()}
+        for theta, sigma, value in support]
     involution = [cert["sigma"] for cert in certs.pop("not-involutive", [])]
-    assert not certs and involution == ([] if involutive else [expansion[-1][1]])
+    assert not certs and involution == ([] if involutive else [(expansion or support)[-1][1]])
 
 
 @pytest.mark.parametrize("corruptions", [

@@ -284,14 +284,40 @@ def test_hecke_report_fills_r_alone_and_no_hecke_bounds(monkeypatch, fresh_orbit
     assert [args[1].bits for args, kwargs in hecke_fills] == [packing.bits]
 
 
-def test_delta_fills_r_and_reversed_in_one_packed_pass(monkeypatch, fresh_orbits):
-    # one R bound fill and one packed fill of R and R' together; the
-    # orbit's R table is not built
+@pytest.mark.parametrize("delta_first", [False, True], ids=["hecke-first", "delta-first"])
+def test_one_r_table_per_orbit(delta_first, monkeypatch, fresh_orbits):
+    # over one resident orbit, the Hecke report, the delta report and
+    # every per-pair delta answer fill one R bound table, one R table and
+    # one R' table between them: the delta product fills R' alone and
+    # reads the orbit's R table, which stays resident
     r_fills = _spy(monkeypatch, rpoly)
-    assert verify._delta_identity(4, 2).passed
-    assert [(len(args), kwargs) for args, kwargs in r_fills] == \
-        [(0, {}), (1, {"with_reversed": True})]
-    assert rpoly.orbit_table.__wrapped__ not in order.orbit_poset(4, 2)._resident
+    reports = [verify.hecke_oracle_report, verify._delta_identity]
+    for report in reports[::-1] if delta_first else reports:
+        assert report(4, 2).passed
+    elements = order.orbit_poset(4, 2).elements
+    assert all(rpoly.verify_delta_identity(theta, sigma)
+               for theta in elements for sigma in elements)
+    assert rpoly.orbit_table.__wrapped__ in order.orbit_poset(4, 2)._resident
+    packing = rpoly.orbit_packing(4, 2)
+    kinds = {((), ()): "bounds", ((type(packing),), ()): "R",
+             ((type(packing),), (("barred", True),)): "R'"}
+    fills = [kinds[tuple(map(type, args)), tuple(kwargs.items())] for args, kwargs in r_fills]
+    assert sorted(fills) == ["R", "R'", "bounds"]
+    assert all(args[0].bits == packing.bits for args, _ in r_fills if args)
+
+
+def test_one_r_fault_is_flagged_by_both_reports(corrupt_fill):
+    # R[min, max] of R_4 k = 2 off by one, applied once at R's one fill:
+    # the delta report and the Hecke report both read that table, and
+    # both flag the pair (min, max) and no other
+    def r_at_min_max_plus_one(packing, columns, reversed_columns):
+        if columns is not None:
+            columns[-1][0] += 1
+    corrupt_fill(rpoly, 4, 2, r_at_min_max_plus_one)
+    ends = tuple(map(renner.format_element,
+                     (renner.orbit_minimum(4, 2), renner.orbit_maximum(4, 2))))
+    for report in (verify._delta_identity(4, 2), verify.hecke_oracle_report(4, 2)):
+        assert [(v["theta"], v["sigma"]) for v in report.violations] == [ends], report.name
 
 
 def test_orbit_bars_sum_each_base_row_once(monkeypatch, fresh_orbits):

@@ -139,7 +139,8 @@ def test_delta_identity_small_cases():
 
 
 def _r_at_min_max_plus_one(packing, columns, reversed_columns):
-    columns[len(columns) - 1][0] += 1
+    if columns is not None:
+        columns[len(columns) - 1][0] += 1
 
 
 def test_verify_delta_identity_reads_the_packed_sum(corrupt_fill, drop_product):
@@ -159,17 +160,23 @@ def test_verify_delta_identity_reads_the_packed_sum(corrupt_fill, drop_product):
 
 
 def test_corrupt_fill_reaches_each_packed_r_fill(corrupt_fill, delta_tables):
-    # a fault sees R on the R-only fill of the orbit's table, R and R' on
-    # the fill of the delta product, and never the bound fill
+    # a fault sees R alone on the fill of the orbit's table, R' alone on
+    # the fill of R', and never the bound fill; a fault of R applied at
+    # R's one fill is in the R table that the delta product reads
     seen = []
-    corrupt_fill(rpoly, 3, 1, lambda packing, rows, reversed_rows:
-                 seen.append((packing.bits, rows, reversed_rows)))
+
+    def spy(packing, rows, reversed_rows):
+        seen.append((packing.bits, rows, reversed_rows))
+        _r_at_min_max_plus_one(packing, rows, reversed_rows)
+    corrupt_fill(rpoly, 3, 1, spy)
     table = rpoly.orbit_table(3, 1)
     rows, reversed_rows = delta_tables(3, 1)
     bits = rpoly.orbit_packing(3, 1).bits
     assert len(seen) == 2
     assert seen[0][0] == bits and seen[0][1] is table and seen[0][2] is None
-    assert seen[1][0] == bits and seen[1][1] is rows and seen[1][2] is reversed_rows
+    assert seen[1][0] == bits and seen[1][1] is None and seen[1][2] is reversed_rows
+    r = rpoly.rpoly(renner.orbit_minimum(3, 1), renner.orbit_maximum(3, 1))
+    assert rows is table and table[-1][0] == rpoly.orbit_packing(3, 1).pack(r) + 1
 
 
 def test_delta_row_cache_follows_theta_across_orbits():
@@ -200,9 +207,9 @@ def test_delta_row_cache_refuses_a_sigma_from_another_orbit():
 
 
 def test_delta_row_cache_follows_the_table(monkeypatch, drop_product):
-    # the kept product is summed from the tables of its own fill: a
-    # corrupted entry shows once the product is summed again, and a
-    # cleared orbit cache answers from a fresh fill
+    # the kept product is summed from the orbit's tables: a corrupted
+    # entry of R shows once R is filled and the product summed again, and
+    # a cleared orbit cache answers from a fresh fill
     elements = order.orbit_poset(3, 1).elements
     top = len(elements) - 1
     bottom, maximum = elements[0], elements[top]
@@ -210,10 +217,10 @@ def test_delta_row_cache_follows_the_table(monkeypatch, drop_product):
     rows, fill = rpoly.delta_rows(3, 1), rpoly._fill
 
     def corrupted(*args, **kwargs):
-        tables = fill(*args, **kwargs)
-        if kwargs.get("with_reversed"):
-            _r_at_min_max_plus_one(*args[2:3], *tables)
-        return tables
+        table = fill(*args, **kwargs)
+        if args[2:3] and not kwargs.get("barred"):  # the packed fill of R
+            _r_at_min_max_plus_one(args[2], table, None)
+        return table
     with monkeypatch.context() as patch:
         patch.setattr(rpoly, "_fill", corrupted)
         drop_product(3, 1)
@@ -249,7 +256,7 @@ def test_fill_reads_the_descent_of_the_words_off_the_table(n, monkeypatch, fresh
 
 
 def test_descent_runs_once_per_element_of_an_orbit(monkeypatch, fresh_orbits):
-    # the R table, the delta product (R and R') and the Hecke table, with
+    # the R table, the delta product (R') and the Hecke table, with
     # the bound fill, all read the orbit's one plan
     calls, descent = [], rpoly._descent
     monkeypatch.setattr(rpoly, "_descent", lambda steps: calls.append(1) or descent(steps))
@@ -347,7 +354,7 @@ def test_packing_width_comes_from_the_table(delta_tables):
     # largest R bound, read off the R bounds
     for n, k in [(n, k) for n in range(1, 5) for k in range(n + 1)] + [(5, 2), (5, 5)]:
         table, packing = rpoly.orbit_table(n, k), rpoly.orbit_packing(n, k)
-        [bounds] = rpoly._fill(n, k)
+        bounds = rpoly._fill(n, k)
         norm = max(max(column.values()) for column in bounds)
         assert rpoly.orbit_bounds(n, k)[0] == norm
         for values in delta_tables(n, k):
@@ -371,7 +378,7 @@ def test_one_bound_table_serves_both_tables(n):
     # bound table, and one Hecke bound table would serve both Hecke tables
     for k in range(n + 1):
         r_bounds, reversed_bounds = rpoly_bound_tables(n, k)
-        assert [r_bounds] == [reversed_bounds] == rpoly._fill(n, k), (n, k)
+        assert r_bounds == reversed_bounds == rpoly._fill(n, k), (n, k)
         row_bounds, barred_bounds = hecke_bound_tables(n, k)
         assert row_bounds == barred_bounds, (n, k)
 
@@ -570,7 +577,8 @@ def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, c
 
 
 def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count_sums,
-                                                             full_sums, delta_tables):
+                                                             full_sums, delta_tables,
+                                                             drop_product):
     # R[a, max] and R[a*, max*] = R[a*, max] off by the same q: the table
     # stays equivariant, the row of a fails, so the row of a* is summed
     # too; each certificate is its sum as the decoded entries give it
@@ -580,9 +588,10 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count
     a = next(a for a in range(len(star)) if star[a] > a and a in table[top])
 
     def symmetric(packing, columns, reversed_columns):
-        for theta in (a, star[a]):
+        for theta in (a, star[a]) if columns is not None else ():
             columns[top][theta] += packing.pack(Q)
     corrupt_fill(rpoly, n, k, symmetric)
+    drop_product(n, k)  # R was filled above, before the fault
     report = verify._delta_identity(n, k)
     assert len(count_sums) < len(star)
     elements = order.orbit_poset(n, k).elements
@@ -619,6 +628,8 @@ def _one_sided_fault(star):
 def _symmetric_fault(star):
     # R[a, max] and R[a*, max*] = R[a*, max] off by the same q
     def change(packing, columns, reversed_columns):
+        if columns is None:
+            return
         top = len(star) - 1
         a = max(columns[top])
         for theta in {a, star[a]}:
@@ -657,7 +668,7 @@ def test_a_cleared_orbit_drops_its_delta_rows(corrupt_fill):
     assert all(map(all, _per_pair_answers(n, k)))
 
     def min_row_off_by_one(packing, table, reversed_table):
-        for column in table[1:]:
+        for column in table[1:] if table is not None else ():
             column[0] += 1
     corrupt_fill(rpoly, n, k, min_row_off_by_one)
     assert rpoly.delta_rows(n, k) is rows
