@@ -33,11 +33,17 @@ whose bar is the orbit sum
     q^(-l(t)) sum over z in W(e), y in D(e) of bar(R[t z, y]) A_{z e y^-1}
 
 with classical R-polynomials of the symmetric group, summed in Z[q]
-(the sum r at z e y^-1) over terms (z, y, index of z e y^-1) listed
-once per orbit; at k = n that is A_id alone.  So the oracle never reads
-the R recurrence of ``rpoly``: expanding bar(A_sigma) recovers the
-R-polynomials (the barred column, which ``rpoly_via_bar`` decodes),
-and the Hecke suite compares each with the column of R.
+(the sum r at z e y^-1) over terms (z, y, index of z e y^-1, l(z),
+l(y)) listed once per orbit; at k = n that is A_id alone.  Most terms
+are 0 by length alone: t lies in D(e), so it is minimal in its coset
+t W(e), and z lies in W(e), so l(t z) = l(t) + l(z)
+(Björner-Brenti, GTM 231, 2.4.4), and R[t z, y] = 0 unless
+t z <= y, which needs l(t) + l(z) <= l(y); a term with
+l(t) + l(z) > l(y) is skipped without looking up its R.  So the
+oracle never reads the R recurrence of ``rpoly``: expanding
+bar(A_sigma) recovers the R-polynomials (the barred column, which
+``rpoly_via_bar`` decodes), and the Hecke suite compares each with the
+column of R.
 
 The table holds ints, packed by ``polynomials.Kronecker`` at q = 2^B,
 and each entry is scaled by a power of q that puts it in Z[q]: column
@@ -164,10 +170,14 @@ def mult_Aw_left(w: Word, h: HeckeElt) -> HeckeElt:
 
 
 def _orbit_sum(t: Word, terms) -> dict[int, IntPoly]:
-    # the sum over the terms (z, y, a) of R[t z, y] at a, in Z[q], nonzero
-    # entries only
+    # the sum over the terms (z, y, a, l(z), l(y)) of R[t z, y] at a, in
+    # Z[q], nonzero entries only; a term with l(t) + l(z) = l(t z) > l(y)
+    # is 0 (module docstring), so its R is not looked up
     sums: dict[int, IntPoly] = {}
-    for z, y, a in terms:
+    lt = weyl.length(t)
+    for z, y, a, lz, ly in terms:
+        if lt + lz > ly:
+            continue
         r = weyl.classical_rpoly(weyl.compose(t, z), y)
         if r:
             sums[a] = sums[a] + r if a in sums else r
@@ -178,7 +188,10 @@ def _bar_step(column: dict[int, int], to, step, bits: int, barred: bool) -> dict
     """The scaled column of (q A_s - (q - 1)) h from that of h, by the
     table of the module docstring, s acting by ``to`` and ``step``.  As
     s is an involution, the term at a is the only one to reach s a where
-    s raises a, and a where s fixes a, so those entries are set once."""
+    s raises a, and a where s fixes a, so those entries are set once.
+    Only the entry at a where s raises a sums two terms, its own and that
+    of s a, so only it can cancel to 0: the column is filtered when such
+    a 0 occurs, and otherwise returned as built."""
     out: dict[int, int] = {}
     for a, x in column.items():
         d, moved = step[a], to[a]
@@ -189,7 +202,7 @@ def _bar_step(column: dict[int, int], to, step, bits: int, barred: bool) -> dict
             out[moved] = out.get(moved, 0) + (x << bits)
         else:
             out[a] = x << bits if barred else x
-    return {a: x for a, x in out.items() if x}
+    return {a: x for a, x in out.items() if x} if 0 in out.values() else out
 
 
 def _orbit_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:
@@ -199,7 +212,8 @@ def _orbit_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:
     poset = order.orbit_poset(n, k)
     e = renner.rank_idempotent(n, k)
     gens = renner.centralizer_gens(e)
-    terms = [(z, y, poset.index[renner.multiply(renner.multiply(z, e), weyl.inverse(y))])
+    terms = [(z, y, poset.index[renner.multiply(renner.multiply(z, e), weyl.inverse(y))],
+              weyl.length(z), weyl.length(y))
              for z in sorted(weyl.parabolic_subgroup(gens, n))
              for y in weyl.coset_minima(gens, n)]
     return {b: _orbit_sum(renner.standard_form(poset.elements[b]).y, terms)

@@ -14,7 +14,6 @@ factors uniquely as x e y^-1 with e a rank idempotent (1, ..., k, 0,
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -223,6 +222,7 @@ def parse_element(text: str) -> Word:
     """
     text = text.strip()
     if text.startswith("["):
+        import json  # only here, so that start-up does not pay for it
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -360,6 +360,34 @@ def _orbit_core(sigma):
     return x, hecke.canonical(core), Laurent.q_power(-weyl.length(t))
 
 
+def orbit_sum_skipping(skip):
+    """``hecke._orbit_sum`` with its length skip replaced: each term
+    (z, y, a, l(z), l(y)) adds R[t z, y] at a unless
+    skip(l(t) + l(z), l(y)); nonzero sums only.  With a skip that never
+    holds, it is the every-term sum."""
+    def orbit_sum(t, terms):
+        sums, lt = {}, weyl.length(t)
+        for z, y, a, lz, ly in terms:
+            if not skip(lt + lz, ly):
+                r = weyl.classical_rpoly(weyl.compose(t, z), y)
+                if r:
+                    sums[a] = sums[a] + r if a in sums else r
+        return {a: r for a, r in sums.items() if r}
+    return orbit_sum
+
+
+orbit_sum_every_term = orbit_sum_skipping(lambda length_tz, length_y: False)
+
+
+def orbit_sums_against_the_core(n, k):
+    """The bases b of the rank-k orbit of R_n at which the base sums of
+    ``hecke._orbit_sums``, barred, differ from the core of
+    bar(A_(elements[b])) that ``_orbit_core`` sums over every term."""
+    elements = order.orbit_poset(n, k).elements
+    return [b for b, base in hecke._orbit_sums(n, k).items()
+            if {elements[a]: r.bar() for a, r in base.items()} != _orbit_core(elements[b])[1]]
+
+
 def bar_Asigma_by_reduced_word(sigma):
     """bar(A_sigma) with bar(A_x) applied to the core along a reduced
     word of x.  Its cost grows with l(x)."""

@@ -477,9 +477,10 @@ def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, mo
                                                        drop_product, corruptions):
     # each fault the tests above inject into the tables of R_3 gives the
     # output of delta and hecke that summing every sigma gives, as under
-    # an identity star, and that the Hecke tables built under the
-    # oracle's full bound fill give
-    from oracles import full_bound_check
+    # an identity star, that the Hecke tables built from base sums over
+    # every term, with no length skip, give, and that the Hecke tables
+    # built under the oracle's full bound fill give
+    from oracles import full_bound_check, orbit_sum_every_term
     from rookorder import hecke, order, rpoly
     modules = {"hecke": hecke, "rpoly": rpoly}
     for name, k, change in corruptions:
@@ -493,6 +494,11 @@ def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, mo
         assert [run(capsys, "verify", suite, "--n", "3")
                 for suite in ("delta", "hecke")] == outputs
     drop_product(3, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(hecke, "_orbit_sum", orbit_sum_every_term)
+        order.orbit_poset.cache_clear()
+        assert [run(capsys, "verify", suite, "--n", "3")
+                for suite in ("delta", "hecke")] == outputs
     monkeypatch.setattr(hecke, "_check_bounds", full_bound_check)
     order.orbit_poset.cache_clear()
     assert [run(capsys, "verify", suite, "--n", "3") for suite in ("delta", "hecke")] == outputs
@@ -519,7 +525,7 @@ def test_flags_a_command_does_not_read_exit_2(capsys, argv, flag):
 def test_verify_out_of_range_exits_2(capsys):
     code, _, err = run(capsys, "verify", "all", "--n", "9")
     assert code == 2
-    assert "1..4" in err
+    assert "1..5" in err
 
 
 def test_element_out_of_desk_scale_exits_2(capsys):

@@ -3,7 +3,7 @@
 Every query of the benchmark's golden pool (``bench/cli_golden.json``)
 is replayed in-process through ``cli.main``; its exit code and the
 SHA-256 of its stdout must match the recorded ones.  The JSON reports
-of ``rookorder verify all --n N`` for N = 1..4, and of each single suite
+of ``rookorder verify all --n N`` for N = 1..5, and of each single suite
 at n = 4, are pinned the same way.
 Nothing is written under ``bench/``.
 """
@@ -26,6 +26,7 @@ VERIFY_ALL_SHA256 = {
     2: "66f85ded376e196581a1c0aacf1cf683bb37686453d9cfbcd0bf69f8f0c5aa24",
     3: "b8a6ded291709d16e036655ca10a9b401e5502bf36a1f052b173e0456d1fee4e",
     4: "9b999c3e2f4c223daa7e9d146cd511b3877cdfd238e8d9db41761f0fdd880559",
+    5: "7c3f4c6c2d3ea6ea51391e9ed1eb19578bcf8373cc17829cd00f20208f65c6ee",
 }
 
 # ``verify <suite> --n 4``: pins the order of one suite's reports

@@ -1,10 +1,11 @@
 import itertools
+import operator
 
 import pytest
 
 from oracles import (bar_Asigma_by_reduced_word, bar_Asigma_by_support, full_bound_check,
                      hecke_bound_step, hecke_bound_tables, hecke_to_json,
-                     rpoly_bound_tables)
+                     orbit_sum_skipping, orbit_sums_against_the_core, rpoly_bound_tables)
 from rookorder import hecke, order, renner, rpoly, verify, weyl
 from rookorder.polynomials import IntPoly, Laurent, ONE
 
@@ -331,6 +332,36 @@ def test_orbit_bars_sum_each_base_row_once(monkeypatch, fresh_orbits):
     ts = [t for t, _ in summed]
     assert len(ts) == len(set(ts)) == len(bases) > 1
     assert len({id(terms) for _, terms in summed}) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_sums_skip_only_terms_that_are_zero(n):
+    # every base sum of every orbit of R_n, with the terms that length
+    # rules out skipped, is the sum over every term of the oracle's core
+    for k in range(n + 1):
+        assert orbit_sums_against_the_core(n, k) == [], (n, k)
+
+
+def test_a_length_skip_at_equal_lengths_is_caught(monkeypatch, fresh_orbits):
+    # a skip at l(t) + l(z) >= l(y) also drops t z = y, where R = 1: the
+    # core oracle and the Hecke report both see the sums it loses
+    monkeypatch.setattr(hecke, "_orbit_sum", orbit_sum_skipping(operator.ge))
+    assert orbit_sums_against_the_core(3, 1)
+    assert not verify.hecke_oracle_report(3, 1).passed
+
+
+@pytest.mark.parametrize("barred", [False, True], ids=["rows", "barred"])
+def test_bar_step_drops_a_zero_that_cancels(barred):
+    # s raises index 0 to 1 and lowers 1 to 0, so the terms of 0 and 1
+    # meet at 0: (1 - q) q + q (q - 1) = 0, and barred
+    # (q - 1) q + q (1 - q) = 0, at q = 2^bits; the step drops that 0.
+    # With no cancellation both entries stay
+    bits, to, step = 4, (1, 0), (1, -1)
+    q = 1 << bits
+    cancelling = {0: q, 1: 1 - q if barred else q - 1}
+    assert hecke._bar_step(cancelling, to, step, bits, barred) == {1: q}
+    out = hecke._bar_step({0: q, 1: q}, to, step, bits, barred)
+    assert set(out) == {0, 1} and 0 not in out.values()
 
 
 def test_bar_Asigma_involutive_on_R2_orbit():

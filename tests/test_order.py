@@ -49,8 +49,10 @@ def test_leq_is_partial_order_per_orbit_n4(k):
             assert above[b] <= above[a]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_leq_restricted_to_units_is_bruhat(n):
+    # the rank-matrix order, which does not call ``weyl``, against the
+    # sorted-prefix test of ``weyl.bruhat_leq`` on every pair of S_n
     for u, v in itertools.product(weyl.all_permutations(n), repeat=2):
         assert order.leq(u, v) == weyl.bruhat_leq(u, v)
 
