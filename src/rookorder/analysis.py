@@ -3,7 +3,10 @@
 The headline facts being checked at desk scale:
 
 * every element of positive length has a left or a right descent, and
-  each orbit has exactly one length-0 element with both sets empty;
+  each orbit has exactly one length-0 element with both sets empty,
+  read for one orbit at a time off its action tables
+  (``order.orbit_action``): the elements with a descent are those some
+  s_i on either side lowers;
 * a length-2 interval has 3 elements (linear) or 4 (diamond), and the
   constant term R(0) vanishes iff a linear length-2 subinterval exists,
   so intervals with R(0) = 0 cannot appear as Weyl group subintervals;
@@ -86,32 +89,63 @@ def descent_sets(sigma: Word) -> tuple[frozenset[int], frozenset[int]]:
 
 def check_nonempty_descent(orbit_elements) -> Report:
     """Every positive-length element descends somewhere; the unique
-    length-0 element has both descent sets empty."""
+    length-0 element has both descent sets empty.
+
+    The elements must lie in one orbit.  They are located in its
+    ``order.orbit_poset``, whose lengths they take, and an element has a
+    descent iff some s_i on either side lowers it, which the steps of
+    ``order.orbit_action`` say for every element at once.  Violations
+    come in input order; only a ``descent-at-minimum`` one spells its
+    descent sets out, by ``renner.descents``.
+    """
     report = Report(name="nonempty-descent")
+    elems = list(orbit_elements)
+    report.checked = len(elems)
     zero_length = []
-    for sigma in orbit_elements:
-        report.checked += 1
-        left, right = renner.descents(sigma, "left"), renner.descents(sigma, "right")
-        if renner.length(sigma) == 0:
-            zero_length.append(sigma)
-            if left or right:
+    if elems:
+        n, k = len(elems[0]), renner.rank(elems[0])
+        poset = order.orbit_poset(n, k)
+        descending = 0
+        for side in ("left", "right"):
+            for _, step in order.orbit_action(n, k, side):
+                descending |= _moved(step)[0]
+        for sigma, a in zip(elems, map(poset.locate, elems)):
+            if not poset.lengths[a]:
+                zero_length.append(sigma)
+                if descending >> a & 1:
+                    report.violations.append({
+                        "kind": "descent-at-minimum",
+                        "element": renner.format_element(sigma),
+                        "des_L": sorted(renner.descents(sigma, "left")),
+                        "des_R": sorted(renner.descents(sigma, "right")),
+                    })
+            elif not descending >> a & 1:
                 report.violations.append({
-                    "kind": "descent-at-minimum",
+                    "kind": "no-descent",
                     "element": renner.format_element(sigma),
-                    "des_L": sorted(left), "des_R": sorted(right),
+                    "length": poset.lengths[a],
                 })
-        elif not left and not right:
-            report.violations.append({
-                "kind": "no-descent",
-                "element": renner.format_element(sigma),
-                "length": renner.length(sigma),
-            })
     if len(zero_length) != 1:
         report.violations.append({
             "kind": "length-zero-count",
             "elements": [renner.format_element(w) for w in zero_length],
         })
     return report
+
+
+_LOWERED = bytes.maketrans(b"\0\1\2", b"100")
+_RAISED = bytes.maketrans(b"\0\1\2", b"001")
+
+
+def _moved(step) -> tuple[int, int]:
+    """(lowered, raised): the bitsets of the a with step[a] < 0 and with
+    step[a] > 0, for the length steps of one ``order.orbit_action``.
+
+    >>> _moved((1, -1, 0, -1, 1))
+    (10, 17)
+    """
+    digits = bytes(d + 1 for d in reversed(step))  # element 0 last, as base 2
+    return int(digits.translate(_LOWERED), 2), int(digits.translate(_RAISED), 2)
 
 
 def linear_length2_pairs(theta: Word, sigma: Word) -> tuple[tuple[Word, Word], ...]:
@@ -169,8 +203,8 @@ def lifting_violations(n: int, k: int) -> Report:
         level = dict.fromkeys(lengths, 0)  # the c with s c of length l
         for c, t in enumerate(to):
             level[lengths[t]] |= 1 << c
-        s = (to, step, sum(1 << a for a, d in enumerate(step) if d > 0),
-             poset.rows(to), [level[length] for length in lengths])
+        s = (to, step, _moved(step)[1], poset.rows(to),
+             [level[length] for length in lengths])
         for a, up in enumerate(ups):
             tops = up & ~(1 << a)
             report.checked += tops.bit_count()

@@ -291,11 +291,8 @@ def mobius_row(bottom: int, up: int, down) -> dict[int, int]:
     {1: 1, -1: 14, 2: 16}
     """
     plus, minus, other = 1 << bottom, 0, {}
-    rest = up & ~plus
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        below = down(low.bit_length() - 1)
+    for t in bits(up & ~plus):
+        low, below = 1 << t, down(t)
         mu = (minus & below).bit_count() - (plus & below).bit_count()
         if other:
             mu -= sum([v * (m & below).bit_count() for v, m in other.items()])

@@ -163,6 +163,38 @@ def descents_by_length(sigma, side):
                      if length_step_by_products(sigma, i, side) < 0)
 
 
+def nonempty_descent_by_words(orbit_elements):
+    """The non-empty-descent check word by word: both descent sets by
+    ``renner.descents`` and the length by ``renner.length``, per element.
+    The oracle of ``analysis.check_nonempty_descent``, which reads the
+    orbit's action tables."""
+    report = Report(name="nonempty-descent")
+    zero_length = []
+    for sigma in orbit_elements:
+        report.checked += 1
+        left, right = renner.descents(sigma, "left"), renner.descents(sigma, "right")
+        if renner.length(sigma) == 0:
+            zero_length.append(sigma)
+            if left or right:
+                report.violations.append({
+                    "kind": "descent-at-minimum",
+                    "element": renner.format_element(sigma),
+                    "des_L": sorted(left), "des_R": sorted(right),
+                })
+        elif not left and not right:
+            report.violations.append({
+                "kind": "no-descent",
+                "element": renner.format_element(sigma),
+                "length": renner.length(sigma),
+            })
+    if len(zero_length) != 1:
+        report.violations.append({
+            "kind": "length-zero-count",
+            "elements": [renner.format_element(w) for w in zero_length],
+        })
+    return report
+
+
 def descent_by_descent_sets(sigma):
     """The descent the R recurrence takes at sigma of positive length,
     from ``renner.descents``: the smallest left descent, else the

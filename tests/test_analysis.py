@@ -4,7 +4,7 @@ import pytest
 
 from oracles import (check_lifting, embeddable_in_weyl_necessary,
                      lifting_by_pairs, linear_length2_bruteforce, monoid_elements,
-                     putcha_by_pairs, witness_leq)
+                     nonempty_descent_by_words, putcha_by_pairs, witness_leq)
 from rookorder import analysis, order, renner, weyl
 
 DESCENT_TABLE = {
@@ -35,6 +35,26 @@ def test_nonempty_descent_report(n, k):
     report = analysis.check_nonempty_descent(renner.orbit(n, k))
     assert report.passed, report.violations
     assert report.checked == len(renner.orbit(n, k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_nonempty_descent_matches_the_word_oracle(n):
+    # in orbit order, reversed, and on every other element but the
+    # minimum, which reports it missing
+    for k in range(n + 1):
+        orbit = renner.orbit(n, k)
+        for elements in (orbit, orbit[::-1], orbit[1::2]):
+            assert_same_report(analysis.check_nonempty_descent(elements),
+                               nonempty_descent_by_words(elements))
+
+
+@pytest.mark.parametrize("elements", [
+    renner.orbit(3, 1) + renner.orbit(3, 2),
+    renner.orbit(3, 2) + renner.orbit(2, 1),
+], ids=["ranks", "sizes"])
+def test_nonempty_descent_rejects_two_orbits(elements):
+    with pytest.raises(ValueError):
+        analysis.check_nonempty_descent(elements)
 
 
 def test_find_linear_length2():

@@ -249,8 +249,15 @@ def test_verify_lifting_certificate(capsys, monkeypatch):
 
 
 def test_verify_nonempty_descent_certificate(capsys, monkeypatch):
-    from rookorder import renner
-    monkeypatch.setattr(renner, "descents", lambda sigma, side: frozenset())
+    # every s_i reads as raising or fixing every element, so no element
+    # of positive length descends
+    from rookorder import order
+    original = order.orbit_action
+
+    def corrupted(n, k, side):
+        return tuple((to, tuple(map(abs, step))) for to, step in original(n, k, side))
+
+    monkeypatch.setattr(order, "orbit_action", corrupted)
     cert = _first_violation(capsys, "descents", "nonempty-descent")
     assert cert["kind"] == "no-descent"
     assert set(cert) == {"kind", "element", "length"}

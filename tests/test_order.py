@@ -305,6 +305,47 @@ def test_mobius_row_matches_the_recursion_off_the_orbits():
     assert {-2, 2, 3, 5} <= values and two_apart
 
 
+def _atoms_and_tops(size):
+    # 0 below the atoms 1..size-5, each of tops size-4..size-2 above
+    # every atom of its residue mod 3, and size-1 above all
+    top = size - 1
+    ups = [(1 << size) - 1]
+    ups += [1 << a | 1 << (size - 4 + a % 3) | 1 << top for a in range(1, size - 4)]
+    ups += [1 << t | 1 << top for t in range(size - 4, top)] + [1 << top]
+    return ups
+
+
+def _far_apart(size):
+    # 0 below size-40 and size-20, both below size-1; every other
+    # element stands alone
+    ups = [1 << i for i in range(size)]
+    ups[size - 40] |= 1 << (size - 1)
+    ups[size - 20] |= 1 << (size - 1)
+    ups[0] |= ups[size - 40] | ups[size - 20]
+    return ups
+
+
+@pytest.mark.parametrize("ups,sparse", [(_far_apart(200), True),
+                                        (_atoms_and_tops(60), False)],
+                         ids=["sparse", "dense"])
+def test_mobius_row_on_both_walks_of_bits(ups, sparse, monkeypatch):
+    # the up row of bottom 0 is walked bit by bit when sparse and by
+    # compress when dense; either way the row is the defining recursion
+    walked = []
+    sparse_bits = order._sparse_bits
+    monkeypatch.setattr(order, "_sparse_bits",
+                        lambda mask: walked.append(mask) or sparse_bits(mask))
+    elements = range(len(ups))
+    leq = lambda i, j: (ups[i] >> j) & 1 == 1  # noqa: E731
+    _, downs = scan_rows(elements, leq)
+    row = order.mobius_row(0, ups[0], downs.__getitem__)
+    assert walked == ([ups[0] & ~1] if sparse else [])
+    inside = list(order.bits(ups[0]))
+    mus = {t: mobius_by_recursion(inside, leq, 0, t) for t in inside}
+    assert row == {mu: sum(1 << t for t, v in mus.items() if v == mu)
+                   for mu in set(mus.values()) - {0}}
+
+
 @pytest.mark.parametrize("n,k", [(4, 0), (4, 1), (4, 2), (4, 3), (4, 4),
                                  (3, 1), (3, 2)])
 def test_check_graded_passes(n, k):
