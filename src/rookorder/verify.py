@@ -2,8 +2,9 @@
 
 One table, ``_CHECKS``, maps each suite to ``(label, check)`` pairs,
 where a check is an ``(n, k) -> Report`` function on one orbit.  The
-one loop, ``run_suite``, runs them; only it names a report
-``"<label> n=<n> k=<k>"`` and times it.  Every check is exhaustive.
+one loop, ``run_suite``, runs them orbit by orbit; only it names a
+report ``"<label> n=<n> k=<k>"`` and times it.  Every check is
+exhaustive.
 
 The two triple checks, the delta identity and bar o bar = id, check
 that each row of a product T1 T2 of two packed orbit tables is the
@@ -159,8 +160,13 @@ SUITES = ("all", *_CHECKS)
 
 
 def run_suite(name: str, n: int) -> list[Report]:
-    """One report per check and orbit of R_n: suite by suite (every
-    suite for ``"all"``), then rank by rank, then check by check.
+    """One report per check and orbit of R_n, listed suite by suite
+    (every suite for ``"all"``), then rank by rank, then check by check.
+
+    The checks run rank by rank, every suite on one orbit before the
+    next, so the orbit's poset and the tables kept on it are built once
+    for all suites (``order.orbit_poset`` keeps one orbit); each report
+    times its own check.
 
     >>> [r.name for r in run_suite("descents", 1)]  # doctest: +NORMALIZE_WHITESPACE
     ['nonempty-descent n=1 k=0', 'descent-rule n=1 k=0',
@@ -168,13 +174,14 @@ def run_suite(name: str, n: int) -> list[Report]:
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    reports = []
-    for checks in _CHECKS.values() if name == "all" else [_CHECKS[name]]:
-        for k in range(n + 1):
+    suites = list(_CHECKS.values()) if name == "all" else [_CHECKS[name]]
+    reports: list[list[Report]] = [[] for _ in suites]
+    for k in range(n + 1):
+        for listed, checks in zip(reports, suites):
             for label, check in checks:
                 start = time.perf_counter()
                 report = check(n, k)
                 report.runtime_ms = (time.perf_counter() - start) * 1000.0
                 report.name = f"{label} n={n} k={k}"
-                reports.append(report)
-    return reports
+                listed.append(report)
+    return [report for listed in reports for report in listed]

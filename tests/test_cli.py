@@ -205,6 +205,18 @@ def test_verify_other_suites(capsys):
         assert json.loads(out)["passed"] is True
 
 
+def test_verify_all_builds_each_orbit_once(fresh_orbits):
+    # every suite runs on one orbit before the next, so each of the four
+    # orbits of R_3 is built once, and the reports still come suite by
+    # suite, then rank by rank
+    from rookorder import order, verify
+    reports = verify.run_suite("all", 3)
+    assert order.orbit_poset.cache_info().misses == 4
+    assert [r.name for r in reports] == [f"{label} n=3 k={k}"
+                                         for checks in verify._CHECKS.values()
+                                         for k in range(4) for label, _ in checks]
+
+
 def test_verify_reports_violations_with_exit_1(capsys, monkeypatch):
     from rookorder import verify
     from rookorder.reports import Report
