@@ -108,7 +108,7 @@ def check_nonempty_descent(orbit_elements) -> Report:
         descending = 0
         for side in ("left", "right"):
             for _, step in order.orbit_action(n, k, side):
-                descending |= _moved(step)[0]
+                descending |= _moved(step, _LOWERED)
         for sigma, a in zip(elems, map(poset.locate, elems)):
             if not poset.lengths[a]:
                 zero_length.append(sigma)
@@ -133,19 +133,23 @@ def check_nonempty_descent(orbit_elements) -> Report:
     return report
 
 
+# for ``_moved``, which stores a step d as the byte d + 1: each table
+# makes it the binary digit 1 where the bitset holds its a, else 0
 _LOWERED = bytes.maketrans(b"\0\1\2", b"100")
 _RAISED = bytes.maketrans(b"\0\1\2", b"001")
 
 
-def _moved(step) -> tuple[int, int]:
-    """(lowered, raised): the bitsets of the a with step[a] < 0 and with
-    step[a] > 0, for the length steps of one ``order.orbit_action``.
+def _moved(step, which: bytes) -> int:
+    """The bitset of the a with step[a] < 0 (``which`` is ``_LOWERED``)
+    or step[a] > 0 (``_RAISED``), for the length steps of one
+    ``order.orbit_action``.  Every step must be -1, 0 or 1, as a length
+    step is; any other raises ValueError.
 
-    >>> _moved((1, -1, 0, -1, 1))
+    >>> _moved((1, -1, 0, -1, 1), _LOWERED), _moved((1, -1, 0, -1, 1), _RAISED)
     (10, 17)
     """
     digits = bytes(d + 1 for d in reversed(step))  # element 0 last, as base 2
-    return int(digits.translate(_LOWERED), 2), int(digits.translate(_RAISED), 2)
+    return int(digits.translate(which), 2)
 
 
 def linear_length2_pairs(theta: Word, sigma: Word) -> tuple[tuple[Word, Word], ...]:
@@ -203,7 +207,7 @@ def lifting_violations(n: int, k: int) -> Report:
         level = dict.fromkeys(lengths, 0)  # the c with s c of length l
         for c, t in enumerate(to):
             level[lengths[t]] |= 1 << c
-        s = (to, step, _moved(step)[1], poset.rows(to),
+        s = (to, step, _moved(step, _RAISED), poset.rows(to),
              [level[length] for length in lengths])
         for a, up in enumerate(ups):
             tops = up & ~(1 << a)

@@ -263,48 +263,6 @@ def test_mobius_direct_matches_chain_count_oracle(n):
                 assert order.mobius_direct(theta, sigma) == expected
 
 
-def synthetic_posets():
-    """Up-row lists of orders on 0..size-1 with index order a linear
-    extension: a bottom below m atoms below a top, where mu(bottom, top)
-    = m - 1; a bottom, 3 atoms, two elements above them (mu = 2) and a
-    top above those (mu = -2); and orders generated by random pairs
-    i < j, whose Mobius values reach beyond +-1 too."""
-    for m in range(1, 7):
-        top = m + 1
-        yield [(1 << (top + 1)) - 1] + [(1 << a) | (1 << top)
-                                        for a in range(1, top + 1)]
-    yield [0b1111111, 0b1110010, 0b1110100, 0b1111000, 0b1010000, 0b1100000, 0b1000000]
-    rng = random.Random(14)
-    for size in (8, 12, 16):
-        for _ in range(6):
-            ups = [1 << i for i in range(size)]
-            for i in reversed(range(size)):
-                for j in range(i + 1, size):
-                    if rng.random() < 0.3:
-                        ups[i] |= ups[j]
-            yield ups
-
-
-def test_mobius_row_matches_the_recursion_off_the_orbits():
-    # on an orbit mu is 0 or +-1, so only synthetic orders reach the
-    # values kept apart from M_(+1) and M_(-1); every row must equal the
-    # defining recursion, keep no M_0 and no empty set
-    values, two_apart = set(), False
-    for ups in synthetic_posets():
-        elements = range(len(ups))
-        leq = lambda i, j: (ups[i] >> j) & 1 == 1  # noqa: E731
-        _, downs = scan_rows(elements, leq)
-        for bottom in elements:
-            row = order.mobius_row(bottom, ups[bottom], downs.__getitem__)
-            assert 0 not in row and all(row.values())
-            mus = [mobius_by_recursion(elements, leq, bottom, t) for t in elements]
-            assert row == {mu: sum(1 << t for t, v in enumerate(mus) if v == mu)
-                           for mu in set(mus) - {0}}
-            values |= row.keys()
-            two_apart |= len(row.keys() - {1, -1}) > 1
-    assert {-2, 2, 3, 5} <= values and two_apart
-
-
 def _atoms_and_tops(size):
     # 0 below the atoms 1..size-5, each of tops size-4..size-2 above
     # every atom of its residue mod 3, and size-1 above all
@@ -325,25 +283,67 @@ def _far_apart(size):
     return ups
 
 
+def synthetic_posets():
+    """Up-row lists of orders on 0..size-1 with index order a linear
+    extension: a bottom below m atoms below a top, where mu(bottom, top)
+    = m - 1; a bottom, 3 atoms, two elements above them (mu = 2) and a
+    top above those (mu = -2); orders generated by random pairs i < j,
+    whose Mobius values reach beyond +-1 too; and two orders whose
+    bottom has a sparse up row (``_far_apart``) and a dense one
+    (``_atoms_and_tops``), the two walks of ``order.bits``."""
+    for m in range(1, 7):
+        top = m + 1
+        yield [(1 << (top + 1)) - 1] + [(1 << a) | (1 << top)
+                                        for a in range(1, top + 1)]
+    yield [0b1111111, 0b1110010, 0b1110100, 0b1111000, 0b1010000, 0b1100000, 0b1000000]
+    rng = random.Random(14)
+    for size in (8, 12, 16):
+        for _ in range(6):
+            ups = [1 << i for i in range(size)]
+            for i in reversed(range(size)):
+                for j in range(i + 1, size):
+                    if rng.random() < 0.3:
+                        ups[i] |= ups[j]
+            yield ups
+    yield _far_apart(200)
+    yield _atoms_and_tops(60)
+
+
+def test_mobius_row_matches_the_recursion_off_the_orbits():
+    # on an orbit mu is 0 or +-1, so only synthetic orders reach the
+    # values kept apart from M_(+1) and M_(-1); every row must equal the
+    # defining recursion, keep no M_0 and no empty set
+    values, two_apart = set(), False
+    for ups in synthetic_posets():
+        elements = range(len(ups))
+        leq = lambda i, j: (ups[i] >> j) & 1 == 1  # noqa: E731
+        _, downs = scan_rows(elements, leq)
+        for bottom in elements:
+            row = order.mobius_row(bottom, ups[bottom], downs.__getitem__)
+            assert 0 not in row and all(row.values())
+            inside = list(order.bits(ups[bottom]))  # mu is 0 off up(bottom)
+            mus = {t: mobius_by_recursion(inside, leq, bottom, t) for t in inside}
+            assert row == {mu: sum(1 << t for t, v in mus.items() if v == mu)
+                           for mu in set(mus.values()) - {0}}
+            values |= row.keys()
+            two_apart |= len(row.keys() - {1, -1}) > 1
+    assert {-2, 2, 3, 5} <= values and two_apart
+
+
 @pytest.mark.parametrize("ups,sparse", [(_far_apart(200), True),
                                         (_atoms_and_tops(60), False)],
                          ids=["sparse", "dense"])
-def test_mobius_row_on_both_walks_of_bits(ups, sparse, monkeypatch):
+def test_mobius_row_walks_a_sparse_up_row_bit_by_bit(ups, sparse, monkeypatch):
     # the up row of bottom 0 is walked bit by bit when sparse and by
-    # compress when dense; either way the row is the defining recursion
+    # compress when dense; the recursion test above checks both rows
     walked = []
     sparse_bits = order._sparse_bits
     monkeypatch.setattr(order, "_sparse_bits",
                         lambda mask: walked.append(mask) or sparse_bits(mask))
-    elements = range(len(ups))
     leq = lambda i, j: (ups[i] >> j) & 1 == 1  # noqa: E731
-    _, downs = scan_rows(elements, leq)
-    row = order.mobius_row(0, ups[0], downs.__getitem__)
+    _, downs = scan_rows(range(len(ups)), leq)
+    order.mobius_row(0, ups[0], downs.__getitem__)
     assert walked == ([ups[0] & ~1] if sparse else [])
-    inside = list(order.bits(ups[0]))
-    mus = {t: mobius_by_recursion(inside, leq, 0, t) for t in inside}
-    assert row == {mu: sum(1 << t for t, v in mus.items() if v == mu)
-                   for mu in set(mus.values()) - {0}}
 
 
 @pytest.mark.parametrize("n,k", [(4, 0), (4, 1), (4, 2), (4, 3), (4, 4),
