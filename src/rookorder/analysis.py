@@ -34,8 +34,17 @@ tops sigma > theta split by their length step under s, and each
 (theta, s) is three containments.  Where s raises theta, clause (a):
 the raised tops lie in row(s theta), less the c with s c = s theta,
 which are those with s c of its length.  Where s does not lower theta,
-clause (b): the other tops lie in up(s theta) and in row(theta).  Only
-a row that fails is checked again pair by pair, for the certificates.
+clause (b): the other tops lie in up(s theta) and in row(theta).  So
+row(x) is built only at the x = s theta of a raised theta, and the
+containment in row(theta) is checked by columns: theta lies in
+row(sigma) iff it lies in down(s sigma), so for each sigma that s does
+not raise, the thetas other than sigma in down(sigma) that s does not
+lower must lie in down(s sigma).  That reads down(sigma) as the theta
+with sigma in up(theta), which it is: both rows are read off one table
+of rank-matrix counts, up(a) the c whose counts are all >= a's and
+down(c) the a whose counts are all <= c's, the one relation a <= c.
+Only the bottoms of a row or column that fails are checked again pair
+by pair, with every relabelled row, for the certificates.
 """
 
 from __future__ import annotations
@@ -195,26 +204,37 @@ def _lifting_holds(ups, a: int, tops: int, to, step, raised: int, rows, flat) ->
 
 
 def lifting_violations(n: int, k: int) -> Report:
-    """Sweep all comparable pairs and simple reflections of one orbit,
-    one row per bottom and s (see the module docstring), holding the
-    relabelled rows of one s at a time; the failing pairs are reported
-    by theta, then sigma, then s."""
+    """Sweep all comparable pairs and simple reflections of one orbit by
+    rows and columns (see the module docstring), holding the relabelled
+    rows of one s at a time and only at the images of the bottoms s
+    raises; the failing pairs are reported by theta, then sigma, then s."""
     report = Report(name="lifting")
     poset = order.orbit_poset(n, k)
-    ups, lengths = poset.ups, poset.lengths
+    ups, downs, lengths = poset.ups, poset.downs, poset.lengths
+    everything = (1 << len(ups)) - 1
+    report.checked = (n - 1) * (sum(map(int.bit_count, ups)) - len(ups))
     failing = []
     for i, (to, step) in enumerate(order.orbit_action(n, k, "left"), 1):
         level = dict.fromkeys(lengths, 0)  # the c with s c of length l
         for c, t in enumerate(to):
             level[lengths[t]] |= 1 << c
-        s = (to, step, _moved(step, _RAISED), poset.rows(to),
-             [level[length] for length in lengths])
-        for a, up in enumerate(ups):
-            tops = up & ~(1 << a)
-            report.checked += tops.bit_count()
-            if not _lifting_holds(ups, a, tops, *s):
-                failing += [(a, b, i, "a" if step[b] > 0 else "b") for b in bits(tops)
-                            if not _lifting_holds(ups, a, 1 << b, *s)]
+        raised = _moved(step, _RAISED)
+        unraised, kept = everything ^ raised, everything & ~_moved(step, _LOWERED)
+        image = {to[a] for a in bits(raised)}
+        rows = dict(zip(image, poset.rows(to, image)))
+        bad = 0  # the bottoms with a failing pair
+        for c in bits(unraised):
+            bad |= (downs[c] ^ (1 << c)) & kept & ~downs[to[c]]
+        for a in bits(kept):
+            tops, s_theta = ups[a] ^ (1 << a), to[a]
+            if tops & unraised & ~ups[s_theta] or step[a] > 0 and (
+                    tops & raised & ~(rows[s_theta] & ~level[lengths[s_theta]])):
+                bad |= 1 << a
+        if bad:
+            s = (to, step, raised, poset.rows(to), [level[length] for length in lengths])
+            failing += [(a, b, i, "a" if step[b] > 0 else "b")
+                        for a in bits(bad) for b in bits(ups[a] ^ (1 << a))
+                        if not _lifting_holds(ups, a, 1 << b, *s)]
     report.violations = [{
         "theta": renner.format_element(poset.elements[a]),
         "sigma": renner.format_element(poset.elements[b]),

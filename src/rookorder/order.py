@@ -132,20 +132,26 @@ def _sparse_bits(mask: int):
         mask ^= low
 
 
-def _between(theta: Word, sigma: Word) -> list[tuple[Word, int]]:
-    """Every tau with theta <= tau <= sigma and its packed rank matrix, by
-    a search over the columns from left to right: once column c is set,
-    prefix row c + 1 is final and must lie between theta's and sigma's."""
+def _between(theta: Word, sigma: Word) -> list[tuple[int, Word, int]]:
+    """(length, tau, packed rank matrix of tau) for every tau with theta <=
+    tau <= sigma, by a search over the columns from left to right: once
+    column c is set, prefix row c + 1 is final and must lie between
+    theta's and sigma's.
+
+    The length of ``renner.length`` is carried through the search: every
+    tau has the rank k of theta, and from k(n - k) an entry a != 0 at
+    column c (from 0) adds a - c - 1 to the spread and, to the
+    inversions, the number of values above a placed before it."""
     n = len(theta)
     columns, guard = _rank_packing(n)
     row_guards = [guard & (((1 << 8 * n) - 1) << (8 * n * c)) for c in range(n)]
     low, high = _pack(theta), _pack(sigma) | guard
-    found: list[tuple[Word, int]] = []
+    found: list[tuple[int, Word, int]] = []
     word = [0] * n
 
-    def extend(c: int, used: int, packed: int) -> None:
+    def extend(c: int, used: int, packed: int, length: int) -> None:
         if c == n:
-            found.append((tuple(word), packed))
+            found.append((length, tuple(word), packed))
             return
         row = row_guards[c]
         for a, step in enumerate(columns[c]):
@@ -154,9 +160,10 @@ def _between(theta: Word, sigma: Word) -> list[tuple[Word, int]]:
             p = packed + step
             if (high - p) & row == row and ((p | guard) - low) & row == row:
                 word[c] = a
-                extend(c + 1, used | (1 << a), p)
+                grown = a - c - 1 + (used >> (a + 1)).bit_count() if a else 0
+                extend(c + 1, used | (1 << a), p, length + grown)
 
-    extend(0, 0, 0)
+    extend(0, 0, 0, renner.idempotent_length(n, renner.rank(theta)))
     return found
 
 
@@ -165,21 +172,22 @@ class IntervalPoset:
     bitsets; empty when theta is not below sigma.
 
     Element i is ``elements[i]``, in (length, word) order, so theta is
-    element 0 and sigma the last.  Bit j of ``up(i)`` is set iff
-    elements[i] <= elements[j], and bit i of ``down(j)`` likewise.  Rows
-    are bit-sliced (O'Neil-Quass): the rank-matrix counts of every
-    element form one table of bytes, and for each count and value v one
-    bitset holds the elements whose count is >= v and one those <= v.  A
-    row is the AND of one of them per count, and ``rows`` relabels the
-    at-least sets by an action.  Mobius values of a bottom are kept, and
-    all rows once ``ups`` or ``downs`` is read, which single queries
-    never do.
+    element 0 and sigma the last; ``lengths`` are the lengths that the
+    column search (``_between``) carries, equal to ``renner.length``.
+    Bit j of ``up(i)`` is set iff elements[i] <= elements[j], and bit i
+    of ``down(j)`` likewise.  Rows are bit-sliced (O'Neil-Quass): the
+    rank-matrix counts of every element form one table of bytes, and for
+    each count and value v one bitset holds the elements whose count is
+    >= v and one those <= v.  A row is the AND of one of them per count,
+    and ``rows`` relabels the at-least sets by an action, for every index
+    or those asked for.  Mobius values of a bottom are kept, and all rows
+    once ``ups`` or ``downs`` is read, which single queries never do.
     """
 
     def __init__(self, theta: Word, sigma: Word):
         self.n, self.k = require_same_orbit(theta, sigma)
         self.bottom, self.top = theta, sigma
-        found = sorted((renner.length(w), w, p) for w, p in _between(theta, sigma))
+        found = sorted(_between(theta, sigma))
         self.lengths = tuple(length for length, _, _ in found)
         self.elements = tuple(w for _, w, _ in found)
         self.index = {w: i for i, w in enumerate(self.elements)}
@@ -232,16 +240,17 @@ class IntervalPoset:
         """Bitset of the i with elements[i] <= elements[j]."""
         return self._row(self._at_most, j)
 
-    def rows(self, to) -> list[int]:
-        """For every x, the bitset of the c with elements[to[c]] >=
-        elements[x].  In [01, 20], s_1 swaps 01 with 02 and 10 with 20:
+    def rows(self, to, at=None) -> list[int]:
+        """For every x, or every x of the indices ``at`` in their order,
+        the bitset of the c with elements[to[c]] >= elements[x].  In
+        [01, 20], s_1 swaps 01 with 02 and 10 with 20:
 
         >>> poset = IntervalPoset((0, 1), (2, 0))
-        >>> poset.rows((1, 0, 3, 2)), poset.ups
-        ([15, 5, 12, 4], [15, 10, 12, 8])
+        >>> poset.rows((1, 0, 3, 2)), poset.rows((1, 0, 3, 2), [3, 1]), poset.ups
+        ([15, 5, 12, 4], [4, 5], [15, 10, 12, 8])
         """
         sets = self._slices(to)
-        return [self._row(sets, x) for x in range(len(self.elements))]
+        return [self._row(sets, x) for x in (range(len(self.elements)) if at is None else at)]
 
     @cached_property
     def ups(self) -> list[int]:

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -186,23 +187,30 @@ def assert_same_report(got, expected):
                                   for n in range(1, 6)]
                          + [pytest.param(6, [2], id="R6-k2")])
 def test_row_sweeps_match_pair_oracles(n, ks, monkeypatch):
-    # every row of a correct orbit passes its row check, so no pair is
-    # checked one by one (no Mobius value is read off a row, and lifting
-    # is tested once per bottom and s), and the reports are the
-    # pair-by-pair oracles'
+    # every row and column of a correct orbit passes its check, so no
+    # pair is checked one by one (no Mobius value is read off a row, and
+    # no lifting pair is expanded), lifting relabels rows exactly at the
+    # images of the bottoms each s raises, each once, and the reports
+    # are the pair-by-pair oracles'
     def expanded(*args):
         raise AssertionError("a row of a correct orbit was checked pair by pair")
 
-    row_holds, lifting_tests = analysis._lifting_holds, []
+    relabel, built = order.IntervalPoset.rows, []
+
+    def rows(poset, to, at=None):
+        built.append((to, Counter(range(len(poset.elements)) if at is None else at)))
+        return relabel(poset, to, at)
+
     for k in ks:
         with monkeypatch.context() as patch:
             patch.setattr(order, "mobius_at", expanded)
-            patch.setattr(analysis, "_lifting_holds",
-                          lambda *args: lifting_tests.append(args) or row_holds(*args))
+            patch.setattr(analysis, "_lifting_holds", expanded)
+            patch.setattr(order.IntervalPoset, "rows", rows)
             putcha = analysis.verify_putcha_conjecture(renner.orbit(n, k))
-            lifting_tests.clear()
+            built.clear()
             lifting = analysis.lifting_violations(n, k)
-        assert len(lifting_tests) == len(renner.orbit(n, k)) * (n - 1)
+        assert built == [(to, Counter({t for t, d in zip(to, step) if d > 0}))
+                         for to, step in order.orbit_action(n, k, "left")]
         assert_same_report(putcha, putcha_by_pairs(renner.orbit(n, k)))
         assert_same_report(lifting, lifting_by_pairs(n, k))
 

@@ -3,6 +3,7 @@ import itertools
 import random
 import types
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -448,6 +449,50 @@ def test_relabelled_rows_match_a_leq_scan(n):
         actions = order.orbit_action(n, k, "left") + order.orbit_action(n, k, "right")
         for to in [identity, *(to for to, _ in actions)]:
             assert poset.rows(to) == scanned(above, to), (n, k, to)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_downs_are_the_transpose_of_ups(n):
+    # the lifting sweep's column check reads down(c) as the a with c in
+    # up(a)
+    for k in range(n + 1):
+        poset = order.orbit_poset(n, k)
+        assert poset.downs == [sum(1 << a for a, up in enumerate(poset.ups) if up >> c & 1)
+                               for c in range(len(poset.ups))], (n, k)
+
+
+def _search_lengths(theta, sigma):
+    # the poset of [theta, sigma], built with renner.length out of reach,
+    # whose lengths must be renner.length's
+    with mock.patch.object(renner, "length", side_effect=AssertionError("called")):
+        poset = order.IntervalPoset(theta, sigma)
+    assert poset.lengths == tuple(map(renner.length, poset.elements)), (theta, sigma)
+    return poset
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_search_lengths_are_renner_lengths(n):
+    for k in range(n + 1):
+        _search_lengths(renner.orbit_minimum(n, k), renner.orbit_maximum(n, k))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_search_lengths_are_renner_lengths_sampled(n, data):
+    # [theta, sigma] for a random sigma and theta up to six descents
+    # below it, on either side
+    values = data.draw(st.permutations(range(1, n + 1)))
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    sigma = theta = tuple(a if kept else 0 for a, kept in zip(values, keep))
+    for _ in range(data.draw(st.integers(0, 6))):
+        side = data.draw(st.sampled_from(("left", "right")))
+        lower = [i for i in range(1, n) if renner.length_step(theta, i, side) < 0]
+        if lower:
+            s = weyl.simple_reflection(n, data.draw(st.sampled_from(lower)))
+            theta = renner.multiply(s, theta) if side == "left" else renner.multiply(theta, s)
+    poset = _search_lengths(theta, sigma)
+    assert (poset.elements[0], poset.elements[-1]) == (theta, sigma)
 
 
 STAR_ORBITS = [pytest.param(n, k, id=f"R{n}-k{k}")
