@@ -28,7 +28,11 @@ linear length-2 pair inside [theta, max], the Mobius row of theta
 and no other value, all masked to the elements checked.  The row does
 not store M_0, the rest of up: it is right exactly when M_(+1) and
 M_(-1) are and no other value occurs, so the row is compared as the
-dict {+1: M_(+1), -1: M_(-1)} without its empty sets.  Lifting: for
+dict {+1: M_(+1), -1: M_(-1)} without its empty sets.  Rows come in
+pairs {theta, theta*} under ``order.orbit_star``: once it is checked
+to carry everything a row reads, the row of theta* < theta is filled
+only if the row of theta* failed (``verify`` gives the argument), and
+otherwise every row is filled.  Lifting: for
 each s, with row(x) the c with s c >= x (``IntervalPoset.rows``), the
 tops sigma > theta split by their length step under s, and each
 (theta, s) is three containments.  Where s raises theta, clause (a):
@@ -117,7 +121,7 @@ def check_nonempty_descent(orbit_elements) -> Report:
         descending = 0
         for side in ("left", "right"):
             for _, step in order.orbit_action(n, k, side):
-                descending |= _moved(step, _LOWERED)
+                descending |= _moved(step)[0]
         for sigma, a in zip(elems, map(poset.locate, elems)):
             if not poset.lengths[a]:
                 zero_length.append(sigma)
@@ -148,17 +152,17 @@ _LOWERED = bytes.maketrans(b"\0\1\2", b"100")
 _RAISED = bytes.maketrans(b"\0\1\2", b"001")
 
 
-def _moved(step, which: bytes) -> int:
-    """The bitset of the a with step[a] < 0 (``which`` is ``_LOWERED``)
-    or step[a] > 0 (``_RAISED``), for the length steps of one
-    ``order.orbit_action``.  Every step must be -1, 0 or 1, as a length
-    step is; any other raises ValueError.
+def _moved(step) -> tuple[int, int]:
+    """The bitsets (lowered, raised) of the a with step[a] < 0 and with
+    step[a] > 0, for the length steps of one ``order.orbit_action``,
+    both read off one string of digits.  Every step must be -1, 0 or 1,
+    as a length step is; any other raises ValueError.
 
-    >>> _moved((1, -1, 0, -1, 1), _LOWERED), _moved((1, -1, 0, -1, 1), _RAISED)
+    >>> _moved((1, -1, 0, -1, 1))
     (10, 17)
     """
     digits = bytes(d + 1 for d in reversed(step))  # element 0 last, as base 2
-    return int(digits.translate(which), 2)
+    return int(digits.translate(_LOWERED), 2), int(digits.translate(_RAISED), 2)
 
 
 def linear_length2_pairs(theta: Word, sigma: Word) -> tuple[tuple[Word, Word], ...]:
@@ -218,8 +222,8 @@ def lifting_violations(n: int, k: int) -> Report:
         level = dict.fromkeys(lengths, 0)  # the c with s c of length l
         for c, t in enumerate(to):
             level[lengths[t]] |= 1 << c
-        raised = _moved(step, _RAISED)
-        unraised, kept = everything ^ raised, everything & ~_moved(step, _LOWERED)
+        lowered, raised = _moved(step)
+        unraised, kept = everything ^ raised, everything ^ lowered
         image = {to[a] for a in bits(raised)}
         rows = dict(zip(image, poset.rows(to, image)))
         bad = 0  # the bottoms with a failing pair
@@ -257,6 +261,20 @@ def _reach(tops: list[int], covers) -> list[int]:
     return tops
 
 
+def _putcha_star(poset: IntervalPoset, given: int):
+    # ``order.orbit_star`` of the poset if it is an involution that keeps
+    # the lengths, the bitset ``given`` and the order (row star(a) of the
+    # rows relabelled by star is up(a), for every a); else the identity,
+    # under which the Putcha sweep skips no row
+    star, ups, lengths = order.orbit_star(poset.n, poset.k), poset.ups, poset.lengths
+    if (list(map(star.__getitem__, star)) == list(range(len(ups)))
+            and tuple(map(lengths.__getitem__, star)) == lengths
+            and all(given >> star[a] & 1 for a in bits(given))
+            and poset.rows(star, star) == ups):
+        return star
+    return range(len(ups))
+
+
 def verify_putcha_conjecture(orbit_elements) -> Report:
     """Check mu = (-1)^(length difference) on intervals all of whose
     length-2 subintervals are diamonds, and mu = 0 on the rest.
@@ -264,7 +282,11 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
     Only pairs among the given elements are checked; they must lie in
     one orbit.  mu and the linear length-2 subintervals come from the
     orbit's ``order.orbit_poset``, one row per bottom (see the module
-    docstring).
+    docstring).  The Mobius row of a bottom a is filled only when
+    star(a) >= a, or when the row of star(a) < a failed, where star is
+    ``order.orbit_star`` once it is checked (``verify`` gives the
+    argument), or else the identity; ``checked`` and the violations are
+    those that filling every row gives.
     """
     report = Report(name="putcha")
     elems = list(orbit_elements)
@@ -273,6 +295,7 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
     poset = order.orbit_poset(len(elems[0]), renner.rank(elems[0]))
     given = sum(1 << a for a in {poset.locate(w) for w in elems})
     ups, downs, lengths = poset.ups, poset.downs, poset.lengths
+    star, failed = _putcha_star(poset, given), 0  # failed: the bottoms of failing rows
     # tops[c]: everything above the top of a linear pair with bottom c
     tops = [0] * len(ups)
     for c, b in _linear_pairs(poset, ups.__getitem__, downs.__getitem__):
@@ -282,12 +305,15 @@ def verify_putcha_conjecture(orbit_elements) -> Report:
     for a in bits(given):
         up = ups[a] & given
         report.checked += up.bit_count()
+        if star[a] < a and not failed >> star[a] & 1:
+            continue  # row a is the passing row of star(a), relabelled
         flat, same = up & ~reach[a], odd if lengths[a] % 2 else ~odd
         expected = {mu: m for mu, m in ((1, flat & same), (-1, flat & ~same)) if m}
         row = order.mobius_row(a, ups[a], downs.__getitem__)
         actual = {mu: m & given for mu, m in row.items() if m & given}
         if actual == expected:
             continue
+        failed |= 1 << a
         for b in bits(up):
             mu, want = order.mobius_at(actual, b), order.mobius_at(expected, b)
             if mu != want:

@@ -190,19 +190,25 @@ def _bar_step(column: dict[int, int], to, step, bits: int, barred: bool) -> dict
     s is an involution, the term at a is the only one to reach s a where
     s raises a, and a where s fixes a, so those entries are set once.
     Only the entry at a where s raises a sums two terms, its own and that
-    of s a, so only it can cancel to 0: the column is filtered when such
-    a 0 occurs, and otherwise returned as built."""
+    of s a, in either order, so only it can cancel to 0: the second term
+    to come deletes it then, and the column is returned as built."""
     out: dict[int, int] = {}
     for a, x in column.items():
         d, moved = step[a], to[a]
         if d > 0:
             out[moved] = x
-            out[a] = out.get(a, 0) + ((x << bits) - x if barred else x - (x << bits))
+            if y := out.get(a, 0) + ((x << bits) - x if barred else x - (x << bits)):
+                out[a] = y
+            else:
+                del out[a]
         elif d < 0:
-            out[moved] = out.get(moved, 0) + (x << bits)
+            if y := out.get(moved, 0) + (x << bits):
+                out[moved] = y
+            else:
+                del out[moved]
         else:
             out[a] = x << bits if barred else x
-    return {a: x for a, x in out.items() if x} if 0 in out.values() else out
+    return out
 
 
 def _orbit_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:

@@ -13,7 +13,9 @@ is derived from it on it: rows, the s_i-actions (``orbit_action``), the
 index permutation sigma -> sigma* = w0 sigma^-1 w0 (``orbit_star``),
 the descent plan and the packing of the tables, the one R table (the
 Hecke report, the delta product and every decoder read it), the Hecke
-table and the delta product.
+table, the delta product and the per-pair delta reader's entry.  When
+it drops an orbit it empties that store, so a reader that holds the
+store, and not the poset, finds nothing of a dropped orbit.
 
 The coset-witness criterion on standard forms (theta = u e v^-1 <=
 sigma = x f y^-1 iff e <= f and u <= xw, yw <= v for some w in
@@ -322,10 +324,33 @@ def mobius_at(row: dict[int, int], j: int) -> int:
 
 
 @lru_cache(maxsize=1)
+def _built(n: int, k: int) -> IntervalPoset:
+    return IntervalPoset(renner.orbit_minimum(n, k), renner.orbit_maximum(n, k))
+
+
+_store: dict = {}  # the ``resident`` store of the poset last returned
+
+
 def orbit_poset(n: int, k: int) -> IntervalPoset:
     """The poset of the whole rank-k orbit of R_n, [min, max], shared by
-    the sweeps; only the last orbit asked for stays resident."""
-    return IntervalPoset(renner.orbit_minimum(n, k), renner.orbit_maximum(n, k))
+    the sweeps; only the last orbit asked for stays resident.  The poset
+    it drops, on a miss for another orbit or on ``cache_clear()``, has
+    its ``resident`` store emptied.  ``cache_info()`` is that of the
+    ``lru_cache(maxsize=1)`` that builds the poset."""
+    global _store
+    poset = _built(n, k)
+    if poset._resident is not _store:
+        _store.clear()
+        _store = poset._resident
+    return poset
+
+
+def _cache_clear() -> None:
+    _built.cache_clear()
+    _store.clear()
+
+
+orbit_poset.cache_clear, orbit_poset.cache_info = _cache_clear, _built.cache_info
 
 
 def resident(build):

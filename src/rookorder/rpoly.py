@@ -293,22 +293,36 @@ def delta_identity_sum(theta: Word, sigma: Word) -> IntPoly:
                                       else column.get(a, 0))
 
 
+_delta_store: dict = {}  # the resident store of the orbit last read
+
+
 def verify_delta_identity(theta: Word, sigma: Word) -> bool:
     """Whether the packed delta sum is the int 1 (theta = sigma) or 0
     (otherwise); the packing makes that exact, so nothing is decoded.
-    It reads column sigma of ``delta_rows`` at theta, whose index the
-    orbit's poset keeps, with the sums, for the last theta.
+    It reads column sigma of ``delta_rows`` at theta.
+
+    The orbit's store (``order.resident``) keeps, under this function,
+    the last theta, its index, the orbit's index and the product, and
+    this module keeps a reference to that store alone: a pair of the
+    last theta costs one store lookup, one identity test of theta (a
+    tuple compare when an equal theta comes as another tuple), one index
+    lookup of sigma and one column read.  ``order.orbit_poset`` empties
+    the store when it drops the orbit; with no entry for theta, the
+    orbit is looked up again.  A sigma outside it is refused by
+    ``IntervalPoset.locate`` (ValueError).
 
     >>> verify_delta_identity((0, 1), (2, 0))
     True
     """
-    n, k = len(theta), len(theta) - theta.count(0)
-    poset = order.orbit_poset(n, k)
-    last, a, columns = poset._resident.get(verify_delta_identity, (None, None, None))
+    global _delta_store
+    last, a, index, columns = _delta_store.get(verify_delta_identity, (None, None, None, None))
     if not (last is theta or last == theta):
-        a, columns = poset.locate(theta), delta_rows(n, k)
-        poset._resident[verify_delta_identity] = theta, a, columns
-    b = poset.index.get(sigma)
+        n, k = len(theta), len(theta) - theta.count(0)
+        poset = order.orbit_poset(n, k)
+        _delta_store = poset._resident
+        a, index, columns = poset.locate(theta), poset.index, delta_rows(n, k)
+        _delta_store[verify_delta_identity] = theta, a, index, columns
+    b = index.get(sigma)
     if b is None:
-        poset.locate(sigma)
+        order.orbit_poset(len(theta), len(theta) - theta.count(0)).locate(sigma)
     return columns[b] is None or columns[b].get(a, 0) == (a == b)

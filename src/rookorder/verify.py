@@ -29,6 +29,24 @@ failing row is summed itself, so its certificate is the one its own sum
 gives.  Each sigma still counts once in ``checked``, and violations
 come in index order, so every report is the one that summing every
 sigma gives.
+
+The Putcha sweep (``analysis.verify_putcha_conjecture``) fills the
+Mobius row of one bottom a of each pair {a, phi a} by the same rule.
+Its row of a reads the order above a, the lengths, and the elements
+checked; if phi is an involution, keeps the lengths, maps the given
+set onto itself, and carries the order (row phi(a) of the up rows
+relabelled by phi, ``IntervalPoset.rows(phi)``, is up(a) for every a),
+then phi is an automorphism of everything the row reads.  The down rows
+come off the same slice index as the up rows, one relation, so they
+are carried too.  mu(phi a, phi t) = mu(a, t), the linear length-2
+pairs, the reach and the parities are carried, and so the value sets
+of row phi(a), found and expected, are those of row a relabelled: one
+passes exactly when the other does.  All four conditions are checked
+on the poset before the sweep, and on any failure phi is the identity.
+Walking a in index order, the row of a is skipped only when
+phi(a) < a and the row of phi(a) passed; the partner of a failing row
+is filled itself, for its certificates, and ``checked`` counts every
+row, so the report is the one that filling every row gives.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from collections import Counter
 
@@ -56,6 +57,12 @@ def test_nonempty_descent_matches_the_word_oracle(n):
 def test_nonempty_descent_rejects_two_orbits(elements):
     with pytest.raises(ValueError):
         analysis.check_nonempty_descent(elements)
+
+
+@pytest.mark.parametrize("step", [(0, 2), (-2, 0), (1, 300), (-300, 1)])
+def test_moved_refuses_a_step_that_is_not_a_length_step(step):
+    with pytest.raises(ValueError):
+        analysis._moved(step)
 
 
 def test_find_linear_length2():
@@ -225,6 +232,107 @@ def test_putcha_failing_rows_expand_like_the_oracle(corrupt_mobius):
         report = analysis.verify_putcha_conjecture(elements)
         assert report.violations
         assert_same_report(report, putcha_by_pairs(elements))
+
+
+# every Mobius fault the tests put in through ``corrupt_mobius``
+MOBIUS_FAULTS = {
+    "gap-2-plus-one": lambda mu, gap: mu + 1 if gap == 2 else mu,
+    "linear-reads-2": lambda mu, gap: 2 if gap == 2 and mu == 0 else mu,
+    "gap-1-negated": lambda mu, gap: -mu if gap == 1 else mu,
+}
+
+
+def _putcha_rows(check, elements, monkeypatch, identity=False):
+    # ((checked, violations) of check(elements), the bottoms whose Mobius
+    # row it filled), with ``order.orbit_star`` the identity if asked
+    filled, fill = [], order.mobius_row
+    with monkeypatch.context() as patch:
+        patch.setattr(order, "mobius_row",
+                      lambda bottom, up, down: filled.append(bottom) or fill(bottom, up, down))
+        if identity:
+            patch.setattr(order, "orbit_star",
+                          lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
+        report = check(elements)
+    return (report.checked, report.violations), filled
+
+
+@pytest.mark.parametrize("fault", [None, *MOBIUS_FAULTS], ids=["clean", *MOBIUS_FAULTS])
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (4, 2), (5, 2)])
+def test_putcha_star_skip_reads_as_the_identity_star(n, k, fault, corrupt_mobius,
+                                                     monkeypatch, fresh_orbits):
+    # the sweep fills the row of a only where star(a) >= a or the row of
+    # star(a) failed, and its report is the one every row gives
+    poset, elements = order.orbit_poset(n, k), renner.orbit(n, k)
+    if fault:
+        corrupt_mobius(poset, MOBIUS_FAULTS[fault])
+    got, filled = _putcha_rows(analysis.verify_putcha_conjecture, elements, monkeypatch)
+    want, every = _putcha_rows(analysis.verify_putcha_conjecture, elements, monkeypatch,
+                               identity=True)
+    assert got == want and bool(want[1]) == bool(fault)
+    star = order.orbit_star(n, k)
+    failed = {poset.index[renner.parse_element(v["theta"])] for v in want[1]}
+    assert every == list(range(len(elements)))
+    assert filled == [a for a in every if star[a] >= a or star[a] in failed]
+    assert fault or len(filled) < len(every)
+
+
+def test_putcha_star_falls_back_on_a_one_sided_fault(corrupt_mobius, monkeypatch, fresh_orbits):
+    # an up row that star does not carry to its partner's, a length it
+    # does not keep, or a given set that star does not keep, leaves the
+    # identity: every row is filled, and the report is the identity
+    # star's, with the fault that a skip of a row would hide
+    n, k = 4, 2
+    poset, elements = order.orbit_poset(n, k), renner.orbit(n, k)
+    star, ups, downs = order.orbit_star(n, k), poset.ups, poset.downs
+    a, c = next((a, c) for a in range(len(star)) if star[a] < a
+                for c in range(len(star)) if not (ups[a] | downs[a]) >> c & 1)
+    changed = [*ups[:a], ups[a] | 1 << c, *ups[a + 1:]]  # c is not above a
+    with monkeypatch.context() as patch:
+        patch.setitem(vars(poset), "ups", changed)
+        got, filled = _putcha_rows(analysis.verify_putcha_conjecture, elements, monkeypatch)
+        want, _ = _putcha_rows(analysis.verify_putcha_conjecture, elements, monkeypatch,
+                               identity=True)
+    theta = renner.format_element(elements[a])
+    assert got == want and any(v["theta"] == theta for v in want[1])
+    assert filled == list(range(len(elements)))
+
+    lengths = poset.lengths  # one element a level up, the last of its own
+    a = next(a for a in range(len(star) - 1) if star[a] != a and lengths[a + 1] > lengths[a])
+    with monkeypatch.context() as patch:
+        patch.setattr(poset, "lengths", (*lengths[:a], lengths[a] + 1, *lengths[a + 1:]))
+        got, filled = _putcha_rows(analysis.verify_putcha_conjecture, elements, monkeypatch)
+        want, _ = _putcha_rows(analysis.verify_putcha_conjecture, elements, monkeypatch,
+                               identity=True)
+    assert got == want and want[1] and filled == list(range(len(elements)))
+
+    corrupt_mobius(poset, MOBIUS_FAULTS["gap-2-plus-one"])
+    x = next(x for x in range(len(star)) if star[x] > x)
+    given = elements[:x] + elements[x + 1:]  # star(x) is given, x is not
+    got, filled = _putcha_rows(analysis.verify_putcha_conjecture, given, monkeypatch)
+    want, _ = _putcha_rows(analysis.verify_putcha_conjecture, given, monkeypatch, identity=True)
+    theta = renner.format_element(elements[star[x]])
+    assert got == want and any(v["theta"] == theta for v in want[1])
+    assert filled == [a for a in range(len(elements)) if a != x]
+
+
+def test_putcha_star_mutant_that_skips_a_failing_partner_is_caught(corrupt_mobius,
+                                                                   monkeypatch, fresh_orbits):
+    # the sweep with the partner of a failing row skipped too: under a
+    # fault that fails both rows of a pair, its report loses the
+    # partner's violations, and so differs from the identity star's
+    source = inspect.getsource(analysis.verify_putcha_conjecture)
+    skip = "star[a] < a and not failed >> star[a] & 1"
+    assert source.count(skip) == 1
+    namespace = dict(vars(analysis))
+    exec(source.replace(skip, "star[a] < a"), namespace)
+    mutant = namespace["verify_putcha_conjecture"]
+    elements = renner.orbit(3, 2)
+    corrupt_mobius(order.orbit_poset(3, 2), MOBIUS_FAULTS["gap-2-plus-one"])
+    want, _ = _putcha_rows(analysis.verify_putcha_conjecture, elements, monkeypatch,
+                           identity=True)
+    assert _putcha_rows(analysis.verify_putcha_conjecture, elements, monkeypatch)[0] == want
+    got, _ = _putcha_rows(mutant, elements, monkeypatch)
+    assert got[0] == want[0] and got[1] != want[1]
 
 
 # corrupted s_1 actions on R_4 k = 2, each breaking one lifting

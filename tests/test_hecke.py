@@ -354,14 +354,34 @@ def test_a_length_skip_at_equal_lengths_is_caught(monkeypatch, fresh_orbits):
 def test_bar_step_drops_a_zero_that_cancels(barred):
     # s raises index 0 to 1 and lowers 1 to 0, so the terms of 0 and 1
     # meet at 0: (1 - q) q + q (q - 1) = 0, and barred
-    # (q - 1) q + q (1 - q) = 0, at q = 2^bits; the step drops that 0.
+    # (q - 1) q + q (1 - q) = 0, at q = 2^bits; the step drops that 0,
+    # formed by the term of 1 or, in the reversed column, by that of 0.
     # With no cancellation both entries stay
     bits, to, step = 4, (1, 0), (1, -1)
     q = 1 << bits
     cancelling = {0: q, 1: 1 - q if barred else q - 1}
     assert hecke._bar_step(cancelling, to, step, bits, barred) == {1: q}
+    assert hecke._bar_step(dict(reversed(cancelling.items())), to, step, bits, barred) == {1: q}
     out = hecke._bar_step({0: q, 1: q}, to, step, bits, barred)
     assert set(out) == {0, 1} and 0 not in out.values()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_no_bar_step_of_an_orbit_cancels(n, monkeypatch, fresh_orbits):
+    # every left step of every Hecke fill of R_n keeps an entry at each
+    # index its terms reach, a and s a for every a of the column: no sum
+    # cancels to 0, so the step never deletes an entry there
+    steps, bar_step = [], hecke._bar_step
+
+    def kept(column, to, step, bits, barred):
+        out = bar_step(column, to, step, bits, barred)
+        steps.append(set(out) == set(column) | {to[a] for a in column})
+        return out
+    monkeypatch.setattr(hecke, "_bar_step", kept)
+    for k in range(n + 1):
+        order.orbit_poset.cache_clear()
+        hecke.orbit_bars(n, k)
+    assert all(steps) and (steps or n == 1)  # R_1 has no simple reflection
 
 
 def test_bar_Asigma_involutive_on_R2_orbit():

@@ -1,5 +1,7 @@
 import copy
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -688,3 +690,39 @@ def test_an_equal_theta_reads_the_kept_row(monkeypatch):
     monkeypatch.setattr(rpoly, "delta_rows", lambda n, k: pytest.fail("product read again"))
     assert rpoly.verify_delta_identity(tuple(list(theta)), sigma)
     assert rpoly.verify_delta_identity(tuple(list(theta)), theta)
+
+
+@pytest.mark.parametrize("switch", ["cleared", "evicted"])
+def test_the_reader_reads_a_fault_after_its_orbit_is_dropped(switch, corrupt_fill):
+    # the same theta object, asked again once its orbit was dropped, by
+    # cache_clear() or by a lookup of another orbit, and a fault was put
+    # into the fill with no lookup of its orbit in between, reads the
+    # fault: the reader's entry went with the orbit
+    theta, top = renner.orbit(3, 1)[0], renner.orbit(3, 1)[-1]
+    assert rpoly.verify_delta_identity(theta, top)
+    if switch == "cleared":
+        order.orbit_poset.cache_clear()
+    else:
+        order.orbit_poset(3, 2)
+    corrupt_fill(rpoly, 3, 1, _r_at_min_max_plus_one)
+    assert not rpoly.verify_delta_identity(theta, top)
+    assert rpoly.verify_delta_identity(theta, theta)
+
+
+def test_a_dropped_orbit_takes_its_store_and_poset_with_it(fresh_orbits):
+    # cleared or evicted, the old poset's store is emptied, and once
+    # cleared the poset itself is garbage, though the reader that read
+    # it has read the orbit again since
+    theta, top = renner.orbit(3, 1)[0], renner.orbit(3, 1)[-1]
+    for drop in (order.orbit_poset.cache_clear, lambda: order.orbit_poset(3, 2)):
+        assert rpoly.verify_delta_identity(theta, top)
+        poset = order.orbit_poset(3, 1)
+        store, alive = poset._resident, weakref.ref(poset)
+        assert rpoly.verify_delta_identity in store and rpoly.delta_rows.__wrapped__ in store
+        del poset
+        drop()
+        assert store == {}
+    order.orbit_poset.cache_clear()
+    assert rpoly.verify_delta_identity(top, theta)
+    gc.collect()
+    assert alive() is None
