@@ -262,13 +262,12 @@ def _reach(tops: list[int], covers) -> list[int]:
 
 
 def _putcha_star(poset: IntervalPoset, given: int):
-    # ``order.orbit_star`` of the poset if it is an involution that keeps
-    # the lengths, the bitset ``given`` and the order (row star(a) of the
-    # rows relabelled by star is up(a), for every a); else the identity,
-    # under which the Putcha sweep skips no row
+    # ``order.orbit_star`` of the poset if it keeps the lengths, the
+    # bitset ``given`` and the order (row star(a) of the rows relabelled
+    # by star is up(a), for every a, which makes it one-to-one); else the
+    # identity, under which the Putcha sweep skips no row
     star, ups, lengths = order.orbit_star(poset.n, poset.k), poset.ups, poset.lengths
-    if (list(map(star.__getitem__, star)) == list(range(len(ups)))
-            and tuple(map(lengths.__getitem__, star)) == lengths
+    if (tuple(map(lengths.__getitem__, star)) == lengths
             and all(given >> star[a] & 1 for a in bits(given))
             and poset.rows(star, star) == ups):
         return star

@@ -262,9 +262,9 @@ def _check_bounds(n: int, k: int, bases: dict[int, dict[int, IntPoly]]) -> None:
 @order.resident
 def orbit_bars(n: int, k: int) -> tuple[rpoly.Table, rpoly.Table]:
     """The Hecke table of the rank-k orbit of R_n, packed by
-    ``rpoly.orbit_packing(n, k)`` and scaled, kept on the orbit's poset
-    like the R table of ``rpoly``, and by sigma like it: the columns and
-    the barred columns.  Column b maps each index a of
+    ``rpoly.orbit_packing(n, k)`` and scaled, kept while the orbit is
+    resident like the R table of ``rpoly``, and by sigma like it: the
+    columns and the barred columns.  Column b maps each index a of
     ``order.orbit_poset(n, k)`` to the packed q^(l(e) - l(a)) c_a(b),
     c_a(b) the coefficient of A_(elements[a]) in bar(A_(elements[b])),
     and barred column b to the packed

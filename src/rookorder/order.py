@@ -7,15 +7,15 @@ rank matrix packs into one int, so one subtract-and-mask compares all
 n^2 counts.  Questions about one interval [theta, sigma] of one W x W
 orbit (elements, covers, Mobius values) go to an ``IntervalPoset``,
 which indexes exactly that interval; sweeps over a whole orbit share
-``orbit_poset(n, k)``, the poset of [min, max].  It is the one per-orbit
-cache: it keeps the last orbit asked for, and ``resident`` keeps what
-is derived from it on it: rows, the s_i-actions (``orbit_action``), the
-index permutation sigma -> sigma* = w0 sigma^-1 w0 (``orbit_star``),
-the descent plan and the packing of the tables, the one R table (the
-Hecke report, the delta product and every decoder read it), the Hecke
-table, the delta product and the per-pair delta reader's entry.  When
-it drops an orbit it empties that store, so a reader that holds the
-store, and not the poset, finds nothing of a dropped orbit.
+``orbit_poset(n, k)``, the poset of [min, max].  It keeps the last
+orbit asked for, and ``kept`` is the one store of what is derived from
+that orbit: ``resident`` functions keep there the s_i-actions
+(``orbit_action``), the index permutation sigma -> sigma* = w0
+sigma^-1 w0 (``orbit_star``), the descent plan and the packing of the
+tables, the one R table (the Hecke report, the delta product and every
+decoder read it), the Hecke table, the delta product, and the per-pair
+delta reader its entry.  ``orbit_poset`` empties ``kept`` when it drops
+an orbit, so the orbit's values die with it.
 
 The coset-witness criterion on standard forms (theta = u e v^-1 <=
 sigma = x f y^-1 iff e <= f and u <= xw, yw <= v for some w in
@@ -37,7 +37,7 @@ from .renner import Word
 
 __all__ = [
     "leq", "dominance_leq", "require_same_orbit", "bits", "IntervalPoset",
-    "mobius_row", "mobius_at", "orbit_poset", "resident", "orbit_action",
+    "mobius_row", "mobius_at", "orbit_poset", "kept", "resident", "orbit_action",
     "star", "orbit_star", "interval_elements", "interval", "mobius_direct",
     "hasse_dot",
 ]
@@ -182,8 +182,8 @@ class IntervalPoset:
     each count and value v one bitset holds the elements whose count is
     >= v and one those <= v.  A row is the AND of one of them per count,
     and ``rows`` relabels the at-least sets by an action, for every index
-    or those asked for.  Mobius values of a bottom are kept, and all rows
-    once ``ups`` or ``downs`` is read, which single queries never do.
+    or those asked for.  All rows are kept once ``ups`` or ``downs`` is
+    read, which single queries never do; no Mobius value is kept.
     """
 
     def __init__(self, theta: Word, sigma: Word):
@@ -200,8 +200,6 @@ class IntervalPoset:
         self._at_least = self._slices(range(len(found)))
         self._at_most = [[self._everything ^ s if s else self._everything
                           for s in above[1:]] for above in self._at_least]
-        self._mobius: dict[int, dict[int, int]] = {}  # bottom -> {mu: bitset}
-        self._resident: dict = {}  # what ``resident`` keeps on this poset
 
     def _slices(self, to) -> list[list[int]]:
         # per count and value v, the bitset of the c whose elements[to[c]]
@@ -277,11 +275,9 @@ class IntervalPoset:
                 yield a, b
 
     def mobius(self, i: int, j: int) -> int:
-        """mu(elements[i], elements[j]), by the defining recursion: the
-        first query with bottom i fills and keeps its ``mobius_row``."""
-        if i not in self._mobius:
-            self._mobius[i] = mobius_row(i, self.up(i), self.down)
-        return mobius_at(self._mobius[i], j)
+        """mu(elements[i], elements[j]), by the defining recursion, off
+        the ``mobius_row`` of i."""
+        return mobius_at(mobius_row(i, self.up(i), self.down), j)
 
 
 def mobius_row(bottom: int, up: int, down) -> dict[int, int]:
@@ -323,48 +319,47 @@ def mobius_at(row: dict[int, int], j: int) -> int:
     return next((v for v, m in row.items() if (m >> j) & 1), 0)
 
 
+# the values derived from the orbit ``orbit_poset`` last returned;
+# emptied when it drops that orbit
+kept: dict = {}
+
+
 @lru_cache(maxsize=1)
-def _built(n: int, k: int) -> IntervalPoset:
-    return IntervalPoset(renner.orbit_minimum(n, k), renner.orbit_maximum(n, k))
-
-
-_store: dict = {}  # the ``resident`` store of the poset last returned
-
-
 def orbit_poset(n: int, k: int) -> IntervalPoset:
     """The poset of the whole rank-k orbit of R_n, [min, max], shared by
-    the sweeps; only the last orbit asked for stays resident.  The poset
-    it drops, on a miss for another orbit or on ``cache_clear()``, has
-    its ``resident`` store emptied.  ``cache_info()`` is that of the
-    ``lru_cache(maxsize=1)`` that builds the poset."""
-    global _store
-    poset = _built(n, k)
-    if poset._resident is not _store:
-        _store.clear()
-        _store = poset._resident
+    the sweeps; only the last orbit asked for stays resident.  A miss
+    builds the new poset and only then empties ``kept``, so a build that
+    fails (ValueError) drops nothing; ``cache_clear()`` empties ``kept``
+    too, and ``cache_info()`` is the ``lru_cache``'s own."""
+    poset = IntervalPoset(renner.orbit_minimum(n, k), renner.orbit_maximum(n, k))
+    kept.clear()
     return poset
 
 
-def _cache_clear() -> None:
-    _built.cache_clear()
-    _store.clear()
+def _cache_clear(clear=orbit_poset.cache_clear) -> None:
+    clear()
+    kept.clear()
 
 
-orbit_poset.cache_clear, orbit_poset.cache_info = _cache_clear, _built.cache_info
+orbit_poset.cache_clear = _cache_clear
 
 
 def resident(build):
     """``build(n, k, *args)`` made into a value of the rank-k orbit of
-    R_n that is built once, kept on ``orbit_poset(n, k)`` and dropped
-    with it."""
+    R_n that is built once and kept in ``kept`` under (build, n, k,
+    *args) until ``orbit_poset`` drops the orbit.  The orbit is looked
+    up first, so a switch empties ``kept`` before the lookup, and the
+    key names the orbit, so a value built while another orbit was asked
+    for is never read for that one."""
     @wraps(build)
-    def kept(n: int, k: int, *args):
-        store, key = orbit_poset(n, k)._resident, (build, *args) if args else build
-        value = store.get(key)
-        if value is None:
-            value = store[key] = build(n, k, *args)
-        return value
-    return kept
+    def value(n: int, k: int, *args):
+        orbit_poset(n, k)
+        key = (build, n, k) + args
+        found = kept.get(key)
+        if found is None:
+            found = kept[key] = build(n, k, *args)
+        return found
+    return value
 
 
 @resident
@@ -422,8 +417,9 @@ def orbit_star(n: int, k: int) -> tuple[int, ...]:
     """``star`` on ``orbit_poset(n, k)`` by index: entry a is the index
     of elements[a]*.  An orbit is closed under it, since it keeps the
     rank; the tests check on R_1 to R_5 that it is an involution that
-    keeps the lengths and the up rows, and ``rpoly.product_rows`` checks
-    what it relies on before using it."""
+    keeps the lengths and the up rows, and ``rpoly.product_rows`` and
+    ``analysis._putcha_star`` each check what they rely on before using
+    it."""
     poset = orbit_poset(n, k)
     return tuple(map(poset.index.__getitem__, map(star, poset.elements)))
 

@@ -28,8 +28,8 @@ that ``_fill`` inlines; ``hecke`` takes the left steps of its table,
 kept by sigma too, from the same plan.  The sweeps read the table, so
 they keep one value per comparable pair of the orbit and no memo keyed
 by words.  The plan, the table, ``orbit_bounds``,
-``orbit_packing`` and ``delta_rows`` live on the orbit's poset
-(``order.resident``).
+``orbit_packing`` and ``delta_rows`` are kept while their orbit is
+resident (``order.resident``).
 
 The table holds ints, filled packed at q = 2^B with
 ``polynomials.Kronecker``: q x is ``x << B``, (q - 1) x + q y is
@@ -75,7 +75,7 @@ a sum only where it fails.
 
 Both delta consumers read one product, ``delta_rows(n, k)``: the columns
 of ``product_rows``, a failing one as its nonzero sums {theta: sum},
-kept on the orbit's poset.  The ``verify`` sweep walks it,
+kept while the orbit is resident.  The ``verify`` sweep walks it,
 ``verify_delta_identity`` answers one pair off it and
 ``delta_identity_sum`` decodes one entry of it.
 
@@ -293,35 +293,29 @@ def delta_identity_sum(theta: Word, sigma: Word) -> IntPoly:
                                       else column.get(a, 0))
 
 
-_delta_store: dict = {}  # the resident store of the orbit last read
-
-
 def verify_delta_identity(theta: Word, sigma: Word) -> bool:
     """Whether the packed delta sum is the int 1 (theta = sigma) or 0
     (otherwise); the packing makes that exact, so nothing is decoded.
     It reads column sigma of ``delta_rows`` at theta.
 
-    The orbit's store (``order.resident``) keeps, under this function,
-    the last theta, its index, the orbit's index and the product, and
-    this module keeps a reference to that store alone: a pair of the
-    last theta costs one store lookup, one identity test of theta (a
-    tuple compare when an equal theta comes as another tuple), one index
-    lookup of sigma and one column read.  ``order.orbit_poset`` empties
-    the store when it drops the orbit; with no entry for theta, the
-    orbit is looked up again.  A sigma outside it is refused by
-    ``IntervalPoset.locate`` (ValueError).
+    Its entry in ``order.kept``, under this function, is the last theta,
+    its index, the orbit's index and the product; theta names its orbit.
+    A pair of the last theta costs one dict lookup, one identity test of
+    theta (a tuple compare when an equal theta comes as another tuple),
+    one index lookup of sigma and one column read.  ``order.orbit_poset``
+    empties ``order.kept`` when it drops the orbit; with no entry for
+    theta, the orbit is looked up again.  A sigma outside it is refused
+    by ``IntervalPoset.locate`` (ValueError).
 
     >>> verify_delta_identity((0, 1), (2, 0))
     True
     """
-    global _delta_store
-    last, a, index, columns = _delta_store.get(verify_delta_identity, (None, None, None, None))
+    last, a, index, columns = order.kept.get(verify_delta_identity, (None, None, None, None))
     if not (last is theta or last == theta):
         n, k = len(theta), len(theta) - theta.count(0)
         poset = order.orbit_poset(n, k)
-        _delta_store = poset._resident
         a, index, columns = poset.locate(theta), poset.index, delta_rows(n, k)
-        _delta_store[verify_delta_identity] = theta, a, index, columns
+        order.kept[verify_delta_identity] = theta, a, index, columns
     b = index.get(sigma)
     if b is None:
         order.orbit_poset(len(theta), len(theta) - theta.count(0)).locate(sigma)

@@ -33,15 +33,18 @@ sigma gives.
 The Putcha sweep (``analysis.verify_putcha_conjecture``) fills the
 Mobius row of one bottom a of each pair {a, phi a} by the same rule.
 Its row of a reads the order above a, the lengths, and the elements
-checked; if phi is an involution, keeps the lengths, maps the given
-set onto itself, and carries the order (row phi(a) of the up rows
-relabelled by phi, ``IntervalPoset.rows(phi)``, is up(a) for every a),
-then phi is an automorphism of everything the row reads.  The down rows
-come off the same slice index as the up rows, one relation, so they
-are carried too.  mu(phi a, phi t) = mu(a, t), the linear length-2
+checked.  If phi carries the order, c >= a iff phi(c) >= phi(a) (row
+phi(a) of the up rows relabelled by phi, ``IntervalPoset.rows(phi)``,
+is up(a) for every a), then phi(c) = phi(a) gives c = a, so phi is a
+bijection of the finite orbit and an order automorphism; if it also
+keeps the lengths and maps the given set into itself, it maps that set
+onto itself, and phi is an automorphism of everything the row reads.
+No involution is needed: the skip of a below reads only the row of
+phi(a).  The down rows come off the same slice index as the up rows,
+one relation, so they are carried too.  mu(phi a, phi t) = mu(a, t), the linear length-2
 pairs, the reach and the parities are carried, and so the value sets
 of row phi(a), found and expected, are those of row a relabelled: one
-passes exactly when the other does.  All four conditions are checked
+passes exactly when the other does.  All three conditions are checked
 on the poset before the sweep, and on any failure phi is the identity.
 Walking a in index order, the row of a is skipped only when
 phi(a) < a and the row of phi(a) passed; the partner of a failing row
@@ -182,7 +185,7 @@ def run_suite(name: str, n: int) -> list[Report]:
     (every suite for ``"all"``), then rank by rank, then check by check.
 
     The checks run rank by rank, every suite on one orbit before the
-    next, so the orbit's poset and the tables kept on it are built once
+    next, so the orbit's poset and the tables kept with it are built once
     for all suites (``order.orbit_poset`` keeps one orbit); each report
     times its own check.
 

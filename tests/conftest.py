@@ -81,8 +81,7 @@ def corrupt_mobius(monkeypatch):
     """corrupt(poset, change): every Mobius row that ``order.mobius_row``
     fills from then on, which must be a row of ``poset``, reads
     change(mu, length gap) in place of mu, both in the row sweeps and in
-    ``IntervalPoset.mobius``.  The memo of ``poset`` starts empty and is
-    put back afterwards."""
+    ``IntervalPoset.mobius``, which keeps no row."""
     original = order.mobius_row
 
     def corrupt(poset, change):
@@ -95,7 +94,6 @@ def corrupt_mobius(monkeypatch):
                     out[mu] = out.get(mu, 0) | (1 << t)
             return out
         monkeypatch.setattr(order, "mobius_row", corrupted)
-        monkeypatch.setattr(poset, "_mobius", {})
     return corrupt
 
 
@@ -119,19 +117,19 @@ def drop_product():
     then: call it before a check that counts sums, patches
     ``order.orbit_star`` or follows a fault installed after R was
     filled."""
-    stores = []
+    orbits = []
 
-    def pop(store):
-        for key in (rpoly.delta_rows.__wrapped__, rpoly.orbit_table.__wrapped__,
-                    rpoly.verify_delta_identity):
-            store.pop(key, None)
+    def pop(n, k):
+        for key in ((rpoly.delta_rows.__wrapped__, n, k),
+                    (rpoly.orbit_table.__wrapped__, n, k), rpoly.verify_delta_identity):
+            order.kept.pop(key, None)
 
     def drop(n, k):
-        stores.append(order.orbit_poset(n, k)._resident)
-        pop(stores[-1])
+        orbits.append((n, k))
+        pop(n, k)
     yield drop
-    for store in stores:
-        pop(store)
+    for n, k in orbits:
+        pop(n, k)
 
 
 @pytest.fixture
@@ -162,7 +160,7 @@ def full_bounds(monkeypatch):
     from oracles import full_bound_check
 
     def drop(n, k):
-        order.orbit_poset(n, k)._resident.pop(hecke.orbit_bars.__wrapped__, None)
+        order.kept.pop((hecke.orbit_bars.__wrapped__, n, k), None)
 
     def run(check, n, k):
         with monkeypatch.context() as patch:

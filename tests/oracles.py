@@ -620,10 +620,10 @@ def lifting_by_pairs(n, k):
 
 def putcha_by_pairs(orbit_elements):
     """The Putcha check pair by pair: for every comparable pair of the
-    given elements, ``order.IntervalPoset.mobius`` against 0 when a
-    linear length-2 pair (``analysis.linear_length2_pairs`` of the
-    whole orbit) lies inside the interval and (-1)^(length difference)
-    otherwise.  The oracle of the row sweep
+    given elements, mu off the bottom's ``order.mobius_row``, filled once
+    per bottom, against 0 when a linear length-2 pair
+    (``analysis.linear_length2_pairs`` of the whole orbit) lies inside
+    the interval and (-1)^(length difference) otherwise.  The oracle of the row sweep
     ``analysis.verify_putcha_conjecture``."""
     report = Report(name="putcha")
     elems = list(orbit_elements)
@@ -641,6 +641,7 @@ def putcha_by_pairs(orbit_elements):
         tops[c] = tops.get(c, 0) | poset.up(poset.index[beta])
     for a in given:
         theta, up = poset.elements[a], poset.up(a)
+        row = order.mobius_row(a, up, poset.down)
         # sigma >= theta lies above a linear pair inside [theta, sigma]
         reach = 0
         for bottom, above in tops.items():
@@ -650,7 +651,7 @@ def putcha_by_pairs(orbit_elements):
             report.checked += 1
             expected = 0 if (reach >> b) & 1 else \
                 (-1) ** (poset.lengths[b] - poset.lengths[a])
-            actual = poset.mobius(a, b)
+            actual = order.mobius_at(row, b)
             if actual != expected:
                 report.violations.append({
                     "theta": renner.format_element(theta),

@@ -298,7 +298,7 @@ def test_one_r_table_per_orbit(delta_first, monkeypatch, fresh_orbits):
     elements = order.orbit_poset(4, 2).elements
     assert all(rpoly.verify_delta_identity(theta, sigma)
                for theta in elements for sigma in elements)
-    assert rpoly.orbit_table.__wrapped__ in order.orbit_poset(4, 2)._resident
+    assert (rpoly.orbit_table.__wrapped__, 4, 2) in order.kept
     packing = rpoly.orbit_packing(4, 2)
     kinds = {((), ()): "bounds", ((type(packing),), ()): "R",
              ((type(packing),), (("barred", True),)): "R'"}

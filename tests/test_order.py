@@ -368,7 +368,8 @@ def test_one_orbit_stays_resident(fresh_orbits):
     # packing, plan, R and Hecke tables; asked for again, it is built
     # afresh, equal to before.  A list or tuple cannot be weakly
     # referenced, so each table's one referrer is shown to be the store
-    # on the poset (the Hecke rows through the pair that holds them)
+    # of the resident orbit, ``order.kept`` (the Hecke rows through the
+    # pair that holds them)
     poset = order.orbit_poset(4, 2)
     table, bars = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
     plan = rpoly.orbit_plan(4, 2)
@@ -377,7 +378,7 @@ def test_one_orbit_stays_resident(fresh_orbits):
 
     def referrers(kept):
         return [r for r in gc.get_referrers(kept) if not isinstance(r, types.FrameType)]
-    assert referrers(table) == referrers(bars) == referrers(plan) == [poset._resident]
+    assert referrers(table) == referrers(bars) == referrers(plan) == [order.kept]
     rows, barred = bars
     assert referrers(rows) == referrers(barred) == [bars]
     alive = [weakref.ref(kept) for kept in (poset, rpoly.orbit_packing(4, 2))]
@@ -387,6 +388,32 @@ def test_one_orbit_stays_resident(fresh_orbits):
     assert [ref() for ref in alive] == [None, None]
     table, bars = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
     assert [table, *bars] == old
+
+
+def test_a_value_built_during_a_switch_is_kept_for_its_own_orbit(monkeypatch,
+                                                                 fresh_orbits):
+    # a fill that asks for another orbit makes that one resident while
+    # R_3 k = 1's table is built; the table is kept under its own orbit
+    # and never read for the other
+    expected = [dict(column) for column in rpoly.orbit_table(3, 2)]
+    order.orbit_poset.cache_clear()
+    fill = rpoly._fill
+
+    def fill_then_switch(*args, **kwargs):
+        table = fill(*args, **kwargs)
+        order.orbit_poset(3, 2)
+        return table
+    monkeypatch.setattr(rpoly, "_fill", fill_then_switch)
+    assert len(rpoly.orbit_table(3, 1)) == len(renner.orbit(3, 1))
+    table = rpoly.orbit_table(3, 2)
+    assert len(table) == len(renner.orbit(3, 2)) and table == expected
+
+
+def test_a_failed_build_drops_nothing(fresh_orbits):
+    rows = rpoly.delta_rows(3, 1)
+    with pytest.raises(ValueError):
+        order.orbit_poset(3, 5)
+    assert rpoly.delta_rows(3, 1) is rows
 
 
 def test_single_interval_queries_keep_no_rows():

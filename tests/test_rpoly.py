@@ -710,18 +710,17 @@ def test_the_reader_reads_a_fault_after_its_orbit_is_dropped(switch, corrupt_fil
 
 
 def test_a_dropped_orbit_takes_its_store_and_poset_with_it(fresh_orbits):
-    # cleared or evicted, the old poset's store is emptied, and once
-    # cleared the poset itself is garbage, though the reader that read
-    # it has read the orbit again since
+    # cleared or evicted, the orbit's store is emptied, and once cleared
+    # the poset itself is garbage, though the reader that read it has
+    # read the orbit again since
     theta, top = renner.orbit(3, 1)[0], renner.orbit(3, 1)[-1]
     for drop in (order.orbit_poset.cache_clear, lambda: order.orbit_poset(3, 2)):
         assert rpoly.verify_delta_identity(theta, top)
-        poset = order.orbit_poset(3, 1)
-        store, alive = poset._resident, weakref.ref(poset)
-        assert rpoly.verify_delta_identity in store and rpoly.delta_rows.__wrapped__ in store
-        del poset
+        alive = weakref.ref(order.orbit_poset(3, 1))
+        assert rpoly.verify_delta_identity in order.kept
+        assert (rpoly.delta_rows.__wrapped__, 3, 1) in order.kept
         drop()
-        assert store == {}
+        assert order.kept == {}
     order.orbit_poset.cache_clear()
     assert rpoly.verify_delta_identity(top, theta)
     gc.collect()
