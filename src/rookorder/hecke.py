@@ -99,11 +99,18 @@ R_6 exceeds it.
 
 That bar is an involution is checked orbit by orbit in integer
 arithmetic over the same table (``verify.hecke_oracle_report``), which
-decodes its own certificates.  It sums the bar o bar row of one sigma of
-each pair {sigma, sigma*}, sigma* = w0 sigma^-1 w0, once it has checked
-that the columns and the barred columns are both equivariant under that
-map (c_(a*)(b*) = c_a(b)); the row of sigma* is then that of sigma
-relabelled.  On a table that fails the check every sigma is summed.
+decodes its own certificates.  ``involution_holds`` certifies it from
+local checks: each left step s of the plan takes bar(A_t) to
+bar(A_(s t)) where s raises t and keeps it where s fixes t, as bar is a
+ring homomorphism; each barred column off a base is the barred step of
+its plan entry; and the bar o bar row of each base is the identity.
+``verify`` shows that these give every row, and only the base rows are
+summed.  Where a check fails, the report sums the bar o bar row of one
+sigma of each pair {sigma, sigma*}, sigma* = w0 sigma^-1 w0, once it
+has checked that the columns and the barred columns are both
+equivariant under that map (c_(a*)(b*) = c_a(b)); the row of sigma* is
+then that of sigma relabelled.  On a table that fails that check every
+sigma is summed.
 ``bar_Asigma``, ``bar_element`` and ``rpoly_via_bar`` decode the table
 into ``Laurent`` coefficients: they are the Laurent path, which the
 tests hold the packed sums and their certificates against.
@@ -119,7 +126,7 @@ HeckeElt = dict  # Word -> Laurent, zero coefficients absent
 
 __all__ = [
     "HeckeElt", "add_scaled", "canonical", "mult_As_left",
-    "mult_Aw_left", "orbit_bars", "bar_Asigma", "bar_element",
+    "mult_Aw_left", "orbit_bars", "involution_holds", "bar_Asigma", "bar_element",
     "rpoly_via_bar",
 ]
 
@@ -272,6 +279,51 @@ def orbit_bars(n: int, k: int) -> tuple[rpoly.Table, rpoly.Table]:
     bases = _orbit_sums(n, k)
     _check_bounds(n, k, bases)
     return tuple(_fill(n, k, bases, rpoly.orbit_packing(n, k)))
+
+
+def _left_steps_act(rows: rpoly.Table, plan, bits: int) -> bool:
+    # (a): for each s that the plan takes on the left, the step of column t
+    # is column s t where s raises t and column t where s fixes t; the
+    # columns that s lowers follow from those of their raised partners
+    actions = {id(entry[0]): entry[:2] for entry in plan if entry and entry[2]}
+    return all(_bar_step(column, to, step, bits, False) == (rows[to[t]] if d else column)
+               for to, step in actions.values()
+               for t, (column, d) in enumerate(zip(rows, step)) if d >= 0)
+
+
+def _barred_steps_act(barred: rpoly.Table, plan, bases, bits: int) -> bool:
+    # (b): every barred column off a base is the barred step of its plan
+    # entry applied to the barred column of s b
+    return all(_bar_step(barred[entry[0][b]], entry[0], entry[1], bits, True) == barred[b]
+               for b, entry in enumerate(plan) if b not in bases)
+
+
+def _base_rows_are_identity(rows: rpoly.Table, barred: rpoly.Table, bases) -> bool:
+    # (c): the bar o bar row of every base is the packed identity, 1 at b
+    # and 0 elsewhere; ``rpoly.triple_sums`` is looked up when it runs, so
+    # a patched one runs
+    return all((out := rpoly.triple_sums(barred[b], rows))[b] == 1
+               and out.count(0) == len(rows) - 1 for b in bases)
+
+
+def involution_holds(n: int, k: int) -> bool:
+    """Whether every bar o bar row of the rank-k orbit of R_n, the row
+    ``rpoly.triple_sums(orbit_bars(n, k)[1][b], orbit_bars(n, k)[0])``
+    of each b, is the packed identity, certified in packed ints from
+    three local checks on the resident Hecke table: (a) each left step
+    s of ``rpoly.orbit_plan`` takes column t to column s t where s
+    raises t and to column t where s fixes t; (b) every barred column
+    off a base is its plan's barred step of the barred column of s b;
+    (c) the row of every base, a key of ``rpoly.orbit_bounds``, is the
+    identity.  ``verify`` gives the argument, exact in Z for any table
+    contents.  Only (c) sums, and it stops at its first failing base;
+    False means that some check failed, not that some row is not the
+    identity, and the caller sums the rows then."""
+    rows, barred = orbit_bars(n, k)
+    plan, bits = rpoly.orbit_plan(n, k), rpoly.orbit_packing(n, k).bits
+    bases = rpoly.orbit_bounds(n, k)[1]
+    return (_left_steps_act(rows, plan, bits) and _barred_steps_act(barred, plan, bases, bits)
+            and _base_rows_are_identity(rows, barred, bases))
 
 
 def bar_Asigma(sigma: Word) -> HeckeElt:

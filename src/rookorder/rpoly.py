@@ -146,9 +146,10 @@ def triple_sums(left: dict[int, int], rows: Table) -> list[int]:
     left[m] * rows[m][j], one multiply-add per triple (i, m, j) with
     both factors nonzero.
 
-    Both orbit-wide identity checks, the delta identity here and
-    bar o bar = id in ``verify``, are rows of such a product checked
-    against the packed identity.
+    The delta identity here is every row of such a product checked
+    against the packed identity.  bar o bar = id is checked on the rows
+    of the Hecke bases alone (``hecke.involution_holds``), and on every
+    row only where that local certificate fails (``verify``).
     """
     out = [0] * len(rows)
     for m, x in left.items():

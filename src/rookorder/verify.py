@@ -8,9 +8,13 @@ exhaustive.
 
 The two triple checks, the delta identity and bar o bar = id, check
 that each row of a product T1 T2 of two packed orbit tables is the
-identity row, and they sum one sigma of each pair {sigma, sigma*}
-(``rpoly.product_rows``), where sigma* = w0 sigma^-1 w0 and phi is the
-permutation sigma -> sigma* of the orbit's indices (``order.orbit_star``).
+identity row.  The Hecke report first certifies every row of bar o bar
+from local checks that sum only the rows of the Hecke bases
+(``hecke.involution_holds``, argued below).  The delta report, and the
+Hecke report where the certificate fails, sum one sigma of each pair
+{sigma, sigma*} (``rpoly.product_rows``), where sigma* = w0 sigma^-1 w0
+and phi is the permutation sigma -> sigma* of the orbit's indices
+(``order.orbit_star``).
 Why that is exact: if phi is a bijection and both factors are
 equivariant, T[phi a][phi b] = T[a][b], then, summing over m = phi(m'),
 
@@ -29,6 +33,35 @@ failing row is summed itself, so its certificate is the one its own sum
 gives.  Each sigma still counts once in ``checked``, and violations
 come in index order, so every report is the one that summing every
 sigma gives.
+
+Why the local certificate of bar o bar is exact.  Let H be the matrix
+whose column t is the Hecke column of t (``hecke.orbit_bars(n, k)[0]``)
+and Bar[b] the barred column of b, so that the bar o bar row of b is the
+vector H Bar[b], ``rpoly.triple_sums(Bar[b], H)``.  For a left step s,
+let T and Tbar be the step and the barred step of ``hecke._bar_step``
+as int matrices, at Q = 2^B, and Mbar the column action that takes e_t
+to e_t where s fixes t, to e_(s t) where s raises t, and to
+Q e_(s t) + (1 - Q) e_t where s lowers t.  By the step table,
+Tbar = Mbar + (Q - 1) I and T^2 = (1 - Q) T + Q I, exactly: facts of
+the action tables alone, which the tests check on unit columns.  The
+certificate checks three things:
+
+    (a) for every s that the plan takes on the left, T H[t] = H[s t]
+        where s raises t, and T H[t] = H[t] where s fixes t;
+    (b) Bar[b] = Tbar Bar[s b] at every b that is not a Hecke base, for
+        the s of b's plan entry;
+    (c) H Bar[b] = e_b at every base b.
+
+Where s lowers t, s raises u = s t, and (a) at u gives H[t] = T H[u],
+so T H[t] = T^2 H[u] = (1 - Q) H[t] + Q H[u].  So T H = H Mbar on every
+column, and H Tbar = (T + (Q - 1)) H.  By induction in index order, in
+which s b comes before b, (b) gives H Bar[b] = (T + (Q - 1)) e_(s b)
+at b off the bases, which is e_b, as s raises s b to b:
+T e_(s b) = e_b + (1 - Q) e_(s b).  At the bases it is (c).  Every step
+is an identity of ints, so it holds whatever the two tables hold: no
+entry is decoded, no bound is used and no ``bar()`` enters.  Where (a),
+(b) or (c) fails, the report sums its rows as above, so each
+certificate is the one its own sum gives.
 
 The Putcha sweep (``analysis.verify_putcha_conjecture``) fills the
 Mobius row of one bottom a of each pair {a, phi a} by the same rule.
@@ -55,6 +88,7 @@ row, so the report is the one that filling every row gives.
 from __future__ import annotations
 
 import time
+from itertools import repeat
 from . import analysis, hecke, order, renner, rpoly
 from .polynomials import Laurent
 from .reports import Report
@@ -119,11 +153,13 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     With bar(A_sigma) = sum over theta of c_theta(sigma) A_theta,
     bar(bar(A_sigma)) = sum over theta of bar(c_theta(sigma)) bar(A_theta),
     so its row is one ``rpoly.triple_sums`` of the barred column of sigma
-    against the columns {nu: c_nu(theta)}, computed sigma by sigma, for one
-    sigma of each pair {sigma, sigma*} (module docstring).  The
-    scales multiply to q^(l(sigma) - l(nu)) in every term, which is 1 at
-    nu = sigma, so the row must be 1 at sigma and 0 elsewhere.  The
-    supports are those of the table, so the sums assume nothing about
+    against the columns {nu: c_nu(theta)}.  The scales multiply to
+    q^(l(sigma) - l(nu)) in every term, which is 1 at nu = sigma, so the
+    row must be 1 at sigma and 0 elsewhere.  ``hecke.involution_holds``
+    certifies that of every row at once, summing only the rows of the
+    Hecke bases; where it fails, the rows are computed sigma by sigma,
+    for one sigma of each pair {sigma, sigma*} (module docstring).  The
+    supports are those of the table, so neither assumes anything about
     them.
 
     Only what fails is decoded, from the ints just compared: the
@@ -137,7 +173,8 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     packing, poset = rpoly.orbit_packing(n, k), order.orbit_poset(n, k)
     elements, lengths = poset.elements, poset.lengths
     decode = lambda x: packing.unpack(x or 0).to_json()
-    squares = rpoly.product_rows(barred, rows, order.orbit_star(n, k))
+    squares = (repeat(None) if hecke.involution_holds(n, k)
+               else rpoly.product_rows(barred, rows, order.orbit_star(n, k)))
     report.checked = len(elements) * (len(elements) + 1)
     for b, (sigma, row) in enumerate(zip(elements, squares)):
         got, column, down = barred[b], table[b], poset.downs[b]

@@ -136,12 +136,15 @@ def drop_product():
 def full_sums(monkeypatch, drop_product):
     """full_sums(check, n, k): (checked, violations) of the report
     check(n, k) with every sigma summed, as under an ``order.orbit_star``
-    that is the identity, which the patch is only while check runs; the
-    delta product is summed afresh under it and dropped after it."""
+    that is the identity and with the local certificate of bar o bar
+    (``hecke.involution_holds``) refusing every orbit, which the patches
+    are only while check runs; the delta product is summed afresh under
+    them and dropped after it."""
     def run(check, n, k):
         with monkeypatch.context() as patch:
             patch.setattr(order, "orbit_star",
                           lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
+            patch.setattr(hecke, "involution_holds", lambda n, k: False)
             drop_product(n, k)
             report = check(n, k)
             drop_product(n, k)

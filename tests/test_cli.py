@@ -334,6 +334,41 @@ def test_verify_hecke_involution_certificate(capsys, corrupt_fill):
     assert certs[0]["bar_squared"] != hecke_to_json({top: Laurent.from_int(1)})
 
 
+def _off_by_one_off_the_bases(packing, rows, barred):
+    # one entry of the columns of bar(A_sigma) alone off by one, at the
+    # first column of R_3 k = 1 that is no Hecke base: the barred columns,
+    # which the R table checks, do not read it, only bar o bar does
+    from rookorder import rpoly
+    t = next(t for t in range(len(rows)) if t not in rpoly.orbit_bounds(3, 1)[1])
+    rows[t][min(rows[t])] += 1
+
+
+def _base_doubled(k):
+    # the column and the barred column of the last Hecke base of the
+    # rank-k orbit of R_3 doubled; at k = 0, the one column of the orbit
+    def corrupt(packing, rows, barred):
+        from rookorder import rpoly
+        b = max(rpoly.orbit_bounds(3, k)[1])
+        for table in (rows, barred):
+            table[b] = {a: 2 * x for a, x in table[b].items()}
+    return corrupt
+
+
+def test_verify_hecke_fault_off_the_bases_falls_back_to_the_sums(capsys, corrupt_fill,
+                                                                  monkeypatch):
+    # the local certificate of bar o bar refuses the table, so the rows are
+    # summed, and the fault gives not-involutive certificates alone
+    from rookorder import hecke, rpoly
+    corrupt_fill(hecke, 3, 1, _off_by_one_off_the_bases)
+    summed, product_rows = [], rpoly.product_rows
+    monkeypatch.setattr(rpoly, "product_rows",
+                        lambda left, *args: summed.append(len(left)) or product_rows(left, *args))
+    certs = _hecke_certificates(capsys)
+    assert list(certs) == ["not-involutive"]
+    assert summed == [len(rpoly.orbit_table(3, 1))]
+    assert not hecke.involution_holds(3, 1)
+
+
 def _off_by_one_barred_entry(packing, rows, barred):
     barred[-1][0] += 1  # R[min, max] as read off bar(A_max), scaled
 
@@ -490,13 +525,20 @@ def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, co
      ("rpoly", 1, _q_in_the_r_column_of_the_minimum)],
     [("hecke", 1, _only_q_in_the_barred_row_of_the_minimum),
      ("rpoly", 1, _q_in_the_r_column_of_the_minimum)],
+    [("hecke", 1, _min_max_dropped_from_the_barred_column),
+     ("rpoly", 1, _r_at_min_max(lambda x: None))],
+    [("hecke", 1, _off_by_one_off_the_bases)],
+    [("hecke", 0, _base_doubled(0))],
+    [("hecke", 1, _base_doubled(1))],
 ], ids=["r-off-by-q", "barred-diagonal-dropped", "hecke-off-by-one", "barred-off-by-one",
-        "r-off-by-one", "barred-outside", "r-dropped", "both-outside", "support-moved"])
+        "r-off-by-one", "barred-outside", "r-dropped", "both-outside", "support-moved",
+        "dropped-from-both", "hecke-off-the-bases", "base-doubled-k0", "base-doubled-k1"])
 def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, monkeypatch,
                                                        drop_product, corruptions):
     # each fault the tests above inject into the tables of R_3 gives the
     # output of delta and hecke that summing every sigma gives, as under
-    # an identity star, that the Hecke tables built from base sums over
+    # an identity star with the local certificate of bar o bar refusing
+    # every orbit, that the Hecke tables built from base sums over
     # every term, with no length skip, give, and that the Hecke tables
     # built under the oracle's full bound fill give
     from oracles import full_bound_check, orbit_sum_every_term
@@ -509,6 +551,7 @@ def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, mo
     with monkeypatch.context() as patch:
         patch.setattr(order, "orbit_star",
                       lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
+        patch.setattr(hecke, "involution_holds", lambda n, k: False)
         drop_product(3, 3)  # the orbit still resident
         assert [run(capsys, "verify", suite, "--n", "3")
                 for suite in ("delta", "hecke")] == outputs

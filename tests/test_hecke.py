@@ -307,10 +307,11 @@ def test_one_r_table_per_orbit(delta_first, monkeypatch, fresh_orbits):
     assert all(args[0].bits == packing.bits for args, _ in r_fills if args)
 
 
-def test_one_r_fault_is_flagged_by_both_reports(corrupt_fill):
+def test_one_r_fault_is_flagged_by_both_reports(corrupt_fill, full_sums):
     # R[min, max] of R_4 k = 2 off by one, applied once at R's one fill:
     # the delta report and the Hecke report both read that table, and
-    # both flag the pair (min, max) and no other
+    # both flag the pair (min, max) and no other, as every sigma summed
+    # reads them
     def r_at_min_max_plus_one(packing, columns, reversed_columns):
         if columns is not None:
             columns[-1][0] += 1
@@ -319,6 +320,9 @@ def test_one_r_fault_is_flagged_by_both_reports(corrupt_fill):
                      (renner.orbit_minimum(4, 2), renner.orbit_maximum(4, 2))))
     for report in (verify._delta_identity(4, 2), verify.hecke_oracle_report(4, 2)):
         assert [(v["theta"], v["sigma"]) for v in report.violations] == [ends], report.name
+        assert full_sums(verify._delta_identity if report.name == "delta"
+                         else verify.hecke_oracle_report, 4, 2) == \
+            (report.checked, report.violations), report.name
 
 
 def test_orbit_bars_sum_each_base_row_once(monkeypatch, fresh_orbits):
@@ -382,6 +386,43 @@ def test_no_bar_step_of_an_orbit_cancels(n, monkeypatch, fresh_orbits):
         order.orbit_poset.cache_clear()
         hecke.orbit_bars(n, k)
     assert all(steps) and (steps or n == 1)  # R_1 has no simple reflection
+
+
+def _combine(*terms):
+    # the sum of c * column over the terms (c, column), zeros dropped
+    out = {}
+    for c, column in terms:
+        for a, x in column.items():
+            out[a] = out.get(a, 0) + c * x
+    return {a: x for a, x in out.items() if x}
+
+
+@pytest.mark.parametrize("n,ks", [pytest.param(n, range(n + 1), id=f"R{n}")
+                                  for n in range(1, 5)]
+                         + [pytest.param(5, [2], id="R5-k2")])
+def test_bar_steps_satisfy_the_operator_identities(n, ks):
+    # the two identities that the local certificate of bar o bar rests on
+    # (``verify`` docstring), exact in Z, on the unit columns e_t of every
+    # orbit and every left action s, with T the step and Tbar the barred
+    # step at Q = 2^B: Tbar = Mbar + (Q - 1) I, where Mbar takes e_t to e_t,
+    # e_(s t) or Q e_(s t) + (1 - Q) e_t as s fixes, raises or lowers t,
+    # and T^2 = (1 - Q) T + Q I
+    checked = 0
+    for k in ks:
+        bits = rpoly.orbit_packing(n, k).bits
+        q = 1 << bits
+        for to, step in order.orbit_action(n, k, "left"):
+            for t, d in enumerate(step):
+                unit, moved = {t: 1}, {to[t]: 1}
+                m_bar = unit if d == 0 else moved if d > 0 else _combine((q, moved),
+                                                                         (1 - q, unit))
+                assert hecke._bar_step(unit, to, step, bits, True) == \
+                    _combine((1, m_bar), (q - 1, unit)), (n, k, t)
+                once = hecke._bar_step(unit, to, step, bits, False)
+                assert hecke._bar_step(once, to, step, bits, False) == \
+                    _combine((1 - q, once), (q, unit)), (n, k, t)
+                checked += 1
+    assert checked or n == 1  # R_1 has no simple reflection
 
 
 def test_bar_Asigma_involutive_on_R2_orbit():
@@ -527,10 +568,20 @@ def test_hecke_tables_are_star_equivariant(n, k):
 
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
 def test_hecke_report_sums_one_sigma_of_each_star_pair(n, k, count_sums, full_sums,
-                                                      full_bounds):
+                                                      full_bounds, monkeypatch):
+    # with the local certificate, only the rows of the Hecke bases are
+    # summed; with it refused, one sigma of each star pair, and with the
+    # star the identity too, every sigma: the three reports are one
     star = order.orbit_star(n, k)
     report = verify.hecke_oracle_report(n, k)
     assert report.passed
+    barred = hecke.orbit_bars(n, k)[1]
+    assert list(map(id, count_sums)) == [id(barred[b]) for b in rpoly.orbit_bounds(n, k)[1]]
+    count_sums.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(hecke, "involution_holds", lambda n, k: False)
+        summed = verify.hecke_oracle_report(n, k)
+    assert (summed.checked, summed.violations) == (report.checked, report.violations)
     assert len(count_sums) == sum(star[b] >= b for b in range(len(star)))
     count_sums.clear()
     assert full_sums(verify.hecke_oracle_report, n, k) == \
@@ -587,8 +638,13 @@ def test_hecke_report_flags_both_sigmas_of_a_symmetric_fault(monkeypatch, count_
     b = next(b for b in range(len(star)) if star[b] > b and poset.lengths[b] >= e)
     for sigma in (b, star[b]):
         _corrupt(monkeypatch, n, k, sigma, 0, ONE_L)
+    # the local certificate refuses the tables, after the base rows it
+    # summed, if any; the report then sums fewer rows than every sigma
+    assert not hecke.involution_holds(n, k)
+    certified = len(count_sums)
+    count_sums.clear()
     report = verify.hecke_oracle_report(n, k)
-    assert len(count_sums) < len(star)
+    assert len(count_sums) - certified < len(star)
     certs = {v["sigma"]: v["bar_squared"] for v in report.violations
              if v.get("kind") == "not-involutive"}
     assert {renner.format_element(elements[sigma]) for sigma in (b, star[b])} <= set(certs)
@@ -599,3 +655,41 @@ def test_hecke_report_flags_both_sigmas_of_a_symmetric_fault(monkeypatch, count_
     assert not certs
     assert full_sums(verify.hecke_oracle_report, n, k) == \
         (report.checked, report.violations)
+
+
+def _plus_one(monkeypatch, column, a=0):
+    monkeypatch.setitem(column, a, column[a] + 1)
+
+
+# Each part of the local certificate of bar o bar with a fault that only
+# it sees, on R_3: the column of bar(A_max) off at the minimum, which
+# only (a) reads, as max is no Hecke base; the barred column of max off
+# there, which only (b) reads; and the one column of the rank-0 orbit
+# doubled in both tables, which every left step fixes, so that only the
+# sum of its row in (c) sees it.
+CERTIFICATE_PARTS = [
+    pytest.param("_left_steps_act", 1, lambda rows, bars: [rows[-1]], id="a-column-of-max"),
+    pytest.param("_barred_steps_act", 1, lambda rows, bars: [bars[-1]],
+                 id="b-barred-column-of-max"),
+    pytest.param("_base_rows_are_identity", 0, lambda rows, bars: [rows[0], bars[0]],
+                 id="c-rank-0-doubled"),
+]
+
+
+@pytest.mark.parametrize("part,k,columns", CERTIFICATE_PARTS)
+def test_each_part_of_the_certificate_is_needed(part, k, columns, monkeypatch, full_sums):
+    # under the fault, the report is the full sums report, and bar o bar
+    # fails; with the part dropped from the certificate (a mutant that
+    # passes it), the certificate passes and the report misses that
+    n = 3
+    for column in columns(*hecke.orbit_bars(n, k)):
+        _plus_one(monkeypatch, column)
+    report = verify.hecke_oracle_report(n, k)
+    assert any(v.get("kind") == "not-involutive" for v in report.violations)
+    assert full_sums(verify.hecke_oracle_report, n, k) == (report.checked, report.violations)
+    assert not hecke.involution_holds(n, k)
+    monkeypatch.setattr(hecke, part, lambda *args: True)
+    assert hecke.involution_holds(n, k)
+    mutant = verify.hecke_oracle_report(n, k)
+    assert not any(v.get("kind") == "not-involutive" for v in mutant.violations)
+    assert (mutant.checked, mutant.violations) != (report.checked, report.violations)
