@@ -97,10 +97,17 @@ base sum with R's bound at its entry, 0 outside down(b), and the table
 raises ValueError rather than pack past the width.  No base of R_1 to
 R_6 exceeds it.
 
+``_fill`` fills one table a call: the columns, the barred columns of
+the bases alone, which ``orbit_bars`` keeps beside the columns, or
+every barred column, which ``orbit_barred`` fills only when asked for.
+Off the bases a barred column is the barred step of an earlier one, so
+the Hecke report reads it from R where R certifies it (``verify``).
+
 That bar is an involution is checked orbit by orbit in integer
 arithmetic over the same table (``verify.hecke_oracle_report``), which
-decodes its own certificates.  ``involution_holds`` certifies it from
-local checks: each left step s of the plan takes bar(A_t) to
+decodes its own certificates.  ``certify`` certifies it from local
+checks on the columns and a table of barred columns, R's or the Hecke
+fill's: each left step s of the plan takes bar(A_t) to
 bar(A_(s t)) where s raises t and keeps it where s fixes t, as bar is a
 ring homomorphism; each barred column off a base is the barred step of
 its plan entry; and the bar o bar row of each base is the identity.
@@ -126,7 +133,7 @@ HeckeElt = dict  # Word -> Laurent, zero coefficients absent
 
 __all__ = [
     "HeckeElt", "add_scaled", "canonical", "mult_As_left",
-    "mult_Aw_left", "orbit_bars", "involution_holds", "bar_Asigma", "bar_element",
+    "mult_Aw_left", "orbit_bars", "orbit_barred", "certify", "bar_Asigma", "bar_element",
     "rpoly_via_bar",
 ]
 
@@ -233,25 +240,23 @@ def _orbit_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:
             for b in rpoly.orbit_bounds(n, k)[1]}
 
 
-def _fill(n: int, k: int, bases: dict[int, dict[int, IntPoly]],
-          packing: Kronecker) -> list[rpoly.Table]:
-    """The scaled columns of c and of bar(c) over the rank-k orbit of
-    R_n, packed by ``packing``: at a base b those of its ``_orbit_sums``
-    entry ``bases[b]``, and elsewhere the left step of b's
-    ``rpoly.orbit_plan`` entry applied to the columns of s b."""
-    poset = order.orbit_poset(n, k)
-    tables = [([], barred) for barred in (False, True)]
+def _fill(n: int, k: int, bases: dict[int, dict[int, IntPoly]], packing: Kronecker,
+          barred: bool = False, full: bool = True) -> list[dict[int, int] | None]:
+    """One scaled table over the rank-k orbit of R_n, packed by
+    ``packing``: the columns of c, or with ``barred`` those of bar(c).
+    At a base b it holds the column of its ``_orbit_sums`` entry
+    ``bases[b]``, and elsewhere the left step of b's ``rpoly.orbit_plan``
+    entry applied to the column of s b, or None unless ``full``."""
+    lengths, rows = order.orbit_poset(n, k).lengths, []
     for b, entry in enumerate(rpoly.orbit_plan(n, k)):
         base = bases.get(b)
-        if base is None:
-            to, step, _ = entry
-            for rows, barred in tables:
-                rows.append(_bar_step(rows[to[b]], to, step, packing.bits, barred))
-            continue
-        for rows, barred in tables:
+        if base is not None:
             rows.append({a: packing.pack(r if barred else r.bar() * Laurent.q_power(
-                poset.lengths[b] - poset.lengths[a])) for a, r in base.items()})
-    return [rows for rows, _ in tables]
+                lengths[b] - lengths[a])) for a, r in base.items()})
+        else:
+            rows.append(_bar_step(rows[entry[0][b]], *entry[:2], packing.bits, barred)
+                        if full else None)
+    return rows
 
 
 def _check_bounds(n: int, k: int, bases: dict[int, dict[int, IntPoly]]) -> None:
@@ -266,19 +271,34 @@ def _check_bounds(n: int, k: int, bases: dict[int, dict[int, IntPoly]]) -> None:
                                  f"exceed the bounds of its R table at ({a}, {b})")
 
 
+def _checked_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:
+    # the base sums, held to the R bounds
+    bases = _orbit_sums(n, k)
+    _check_bounds(n, k, bases)
+    return bases
+
+
 @order.resident
-def orbit_bars(n: int, k: int) -> tuple[rpoly.Table, rpoly.Table]:
+def orbit_bars(n: int, k: int) -> tuple[rpoly.Table, list[dict[int, int] | None]]:
     """The Hecke table of the rank-k orbit of R_n, packed by
     ``rpoly.orbit_packing(n, k)`` and scaled, kept while the orbit is
     resident like the R table of ``rpoly``, and by sigma like it: the
-    columns and the barred columns.  Column b maps each index a of
-    ``order.orbit_poset(n, k)`` to the packed q^(l(e) - l(a)) c_a(b),
-    c_a(b) the coefficient of A_(elements[a]) in bar(A_(elements[b])),
-    and barred column b to the packed
-    q^(l(b) - l(e)) bar(c_a(b)); nonzero entries only."""
-    bases = _orbit_sums(n, k)
-    _check_bounds(n, k, bases)
-    return tuple(_fill(n, k, bases, rpoly.orbit_packing(n, k)))
+    columns, and the barred columns of the Hecke bases, None elsewhere.
+    Column b maps each index a of ``order.orbit_poset(n, k)`` to the
+    packed q^(l(e) - l(a)) c_a(b), c_a(b) the coefficient of
+    A_(elements[a]) in bar(A_(elements[b])), and barred column b to the
+    packed q^(l(b) - l(e)) bar(c_a(b)); nonzero entries only.  Every
+    barred column is ``orbit_barred``'s."""
+    bases, packing = _checked_sums(n, k), rpoly.orbit_packing(n, k)
+    return _fill(n, k, bases, packing), _fill(n, k, bases, packing, barred=True, full=False)
+
+
+@order.resident
+def orbit_barred(n: int, k: int) -> rpoly.Table:
+    """Every barred column of the Hecke table of the rank-k orbit of R_n
+    (``orbit_bars``), filled only when asked for: by the Hecke report
+    where R does not certify it (``verify``), and by ``rpoly_via_bar``."""
+    return _fill(n, k, _checked_sums(n, k), rpoly.orbit_packing(n, k), barred=True)
 
 
 def _left_steps_act(rows: rpoly.Table, plan, bits: int) -> bool:
@@ -306,20 +326,20 @@ def _base_rows_are_identity(rows: rpoly.Table, barred: rpoly.Table, bases) -> bo
                and out.count(0) == len(rows) - 1 for b in bases)
 
 
-def involution_holds(n: int, k: int) -> bool:
+def certify(rows: rpoly.Table, barred: rpoly.Table, n: int, k: int) -> bool:
     """Whether every bar o bar row of the rank-k orbit of R_n, the row
-    ``rpoly.triple_sums(orbit_bars(n, k)[1][b], orbit_bars(n, k)[0])``
-    of each b, is the packed identity, certified in packed ints from
-    three local checks on the resident Hecke table: (a) each left step
-    s of ``rpoly.orbit_plan`` takes column t to column s t where s
+    ``rpoly.triple_sums(barred[b], rows)`` of each b, is the packed
+    identity, certified in packed ints from three local checks on the
+    columns ``rows`` and the barred columns ``barred``: (a) each left
+    step s of ``rpoly.orbit_plan`` takes column t to column s t where s
     raises t and to column t where s fixes t; (b) every barred column
     off a base is its plan's barred step of the barred column of s b;
     (c) the row of every base, a key of ``rpoly.orbit_bounds``, is the
-    identity.  ``verify`` gives the argument, exact in Z for any table
-    contents.  Only (c) sums, and it stops at its first failing base;
-    False means that some check failed, not that some row is not the
-    identity, and the caller sums the rows then."""
-    rows, barred = orbit_bars(n, k)
+    identity.  The Hecke report calls it on the Hecke columns with R, and
+    with ``orbit_barred`` where that fails.  ``verify`` gives the
+    argument, exact in Z for any table contents.  Only (c) sums, and it
+    stops at its first failing base; False means that some check
+    failed, not that some row is not the identity."""
     plan, bits = rpoly.orbit_plan(n, k), rpoly.orbit_packing(n, k).bits
     bases = rpoly.orbit_bounds(n, k)[1]
     return (_left_steps_act(rows, plan, bits) and _barred_steps_act(barred, plan, bases, bits)
@@ -363,11 +383,11 @@ def rpoly_via_bar(sigma: Word) -> dict[Word, IntPoly]:
 
     bar(A_sigma) = q^(l(sigma) - l(e)) sum_theta bar(R[theta, sigma]) A_theta,
     so R[theta, sigma] is the barred coefficient scaled by
-    q^(l(sigma) - l(e)): the barred column of ``orbit_bars``, decoded.
+    q^(l(sigma) - l(e)): the barred column of ``orbit_barred``, decoded.
     That every such value lies in Z[q] is checked as the table is filled.
     """
     n, k = len(sigma), renner.rank(sigma)
     poset, unpack = order.orbit_poset(n, k), rpoly.orbit_packing(n, k).unpack
     return {poset.elements[a]: unpack(x)
-            for a, x in orbit_bars(n, k)[1][poset.locate(sigma)].items()}
+            for a, x in orbit_barred(n, k)[poset.locate(sigma)].items()}
 

@@ -148,7 +148,7 @@ def triple_sums(left: dict[int, int], rows: Table) -> list[int]:
 
     The delta identity here is every row of such a product checked
     against the packed identity.  bar o bar = id is checked on the rows
-    of the Hecke bases alone (``hecke.involution_holds``), and on every
+    of the Hecke bases alone (``hecke.certify``), and on every
     row only where that local certificate fails (``verify``).
     """
     out = [0] * len(rows)

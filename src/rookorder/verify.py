@@ -10,8 +10,9 @@ The two triple checks, the delta identity and bar o bar = id, check
 that each row of a product T1 T2 of two packed orbit tables is the
 identity row.  The Hecke report first certifies every row of bar o bar
 from local checks that sum only the rows of the Hecke bases
-(``hecke.involution_holds``, argued below).  The delta report, and the
-Hecke report where the certificate fails, sum one sigma of each pair
+(``hecke.certify``, argued below), on R in place of the barred
+columns, which it then fills at the bases alone.  The delta report,
+and the Hecke report where the certificate fails, sum one sigma of each pair
 {sigma, sigma*} (``rpoly.product_rows``), where sigma* = w0 sigma^-1 w0
 and phi is the permutation sigma -> sigma* of the orbit's indices
 (``order.orbit_star``).
@@ -36,8 +37,9 @@ sigma gives.
 
 Why the local certificate of bar o bar is exact.  Let H be the matrix
 whose column t is the Hecke column of t (``hecke.orbit_bars(n, k)[0]``)
-and Bar[b] the barred column of b, so that the bar o bar row of b is the
-vector H Bar[b], ``rpoly.triple_sums(Bar[b], H)``.  For a left step s,
+and Bar[b] the barred column of b (``hecke.orbit_barred(n, k)[b]``),
+so that the bar o bar row of b is the vector H Bar[b],
+``rpoly.triple_sums(Bar[b], H)``.  For a left step s,
 let T and Tbar be the step and the barred step of ``hecke._bar_step``
 as int matrices, at Q = 2^B, and Mbar the column action that takes e_t
 to e_t where s fixes t, to e_(s t) where s raises t, and to
@@ -62,6 +64,26 @@ is an identity of ints, so it holds whatever the two tables hold: no
 entry is decoded, no bound is used and no ``bar()`` enters.  Where (a),
 (b) or (c) fails, the report sums its rows as above, so each
 certificate is the one its own sum gives.
+
+Why R certifies the barred columns.  Let Bar be the table the Hecke
+fill would build: at a base b its column from the base sums, and off
+the bases Bar[b] = Tbar Bar[s b] for the s of b's plan entry.  The
+report fills only the base columns, and checks three things: Bar[b] =
+R[b] at every base; the support of every column of R is down(b); and
+``hecke.certify(H, R)``, whose check (b) says R[b] = Tbar R[s b] at
+every b off the bases.  By induction in index order, Bar[b] =
+Tbar Bar[s b] = Tbar R[s b] = R[b] at every b off the bases, and at
+the bases by the first check.  So Bar = R column for column: every
+expansion compare passes, the support test on Bar is the support test
+on R, and ``certify(H, Bar)`` is ``certify(H, R)``, so every bar o bar
+row is the identity.  Each step is an identity of ints: nothing is
+decoded and no bound is used.  The report is then clean, with the
+``checked`` count of the full report, and no other barred column is
+filled.  If any of the three fails, the report fills every barred
+column (``hecke.orbit_barred``) and runs the path above on H and Bar:
+the column compare, the support test, ``certify(H, Bar)`` and the
+starred sums, so each certificate is the one its own comparison or sum
+gives.
 
 The Putcha sweep (``analysis.verify_putcha_conjecture``) fills the
 Mobius row of one bottom a of each pair {a, phi a} by the same rule.
@@ -134,10 +156,24 @@ def _descent_rule(n: int, k: int) -> Report:
     return report
 
 
+def _bases_agree(barred, table) -> bool:
+    # the barred columns of the Hecke bases, the ones ``hecke.orbit_bars``
+    # holds, are R's
+    return all(column == table[b] for b, column in enumerate(barred) if column is not None)
+
+
+def _supports_are_downs(table, downs) -> bool:
+    # the support of every column of R is the down set of its sigma
+    return all(sum(map((1).__lshift__, column)) == down for column, down in zip(table, downs))
+
+
 def hecke_oracle_report(n: int, k: int) -> Report:
     """Compare the bar-involution expansion with the R table on one
-    orbit, and check that bar is an involution there, on the packed
-    Hecke table of ``hecke.orbit_bars`` alone.
+    orbit, and check that bar is an involution there, in the packed
+    ints of the Hecke table (``hecke.orbit_bars``) and R alone.  Where R
+    certifies the barred columns (module docstring) the report is clean;
+    otherwise it fills them all (``hecke.orbit_barred``) and runs the
+    checks below.
 
     Both tables are packed by the orbit's one packing
     (``rpoly.orbit_packing``) and kept by sigma, and the barred column
@@ -155,7 +191,7 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     so its row is one ``rpoly.triple_sums`` of the barred column of sigma
     against the columns {nu: c_nu(theta)}.  The scales multiply to
     q^(l(sigma) - l(nu)) in every term, which is 1 at nu = sigma, so the
-    row must be 1 at sigma and 0 elsewhere.  ``hecke.involution_holds``
+    row must be 1 at sigma and 0 elsewhere.  ``hecke.certify``
     certifies that of every row at once, summing only the rows of the
     Hecke bases; where it fails, the rows are computed sigma by sigma,
     for one sigma of each pair {sigma, sigma*} (module docstring).  The
@@ -172,10 +208,14 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     table, (rows, barred) = rpoly.orbit_table(n, k), hecke.orbit_bars(n, k)
     packing, poset = rpoly.orbit_packing(n, k), order.orbit_poset(n, k)
     elements, lengths = poset.elements, poset.lengths
-    decode = lambda x: packing.unpack(x or 0).to_json()
-    squares = (repeat(None) if hecke.involution_holds(n, k)
-               else rpoly.product_rows(barred, rows, order.orbit_star(n, k)))
     report.checked = len(elements) * (len(elements) + 1)
+    if (_bases_agree(barred, table) and _supports_are_downs(table, poset.downs)
+            and hecke.certify(rows, table, n, k)):
+        return report
+    barred = hecke.orbit_barred(n, k)
+    decode = lambda x: packing.unpack(x or 0).to_json()
+    squares = (repeat(None) if hecke.certify(rows, barred, n, k)
+               else rpoly.product_rows(barred, rows, order.orbit_star(n, k)))
     for b, (sigma, row) in enumerate(zip(elements, squares)):
         got, column, down = barred[b], table[b], poset.downs[b]
         if got != column or sum(map((1).__lshift__, got)) != down:

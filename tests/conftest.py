@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import settings
 
-from rookorder import hecke, order, rpoly
+from rookorder import hecke, order, rpoly, verify
 from rookorder.polynomials import Kronecker
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -31,16 +31,21 @@ def corrupt_fill(monkeypatch, fresh_orbits):
     that ``module._fill`` (of ``rpoly`` or ``hecke``) fills for the
     rank-k orbit of R_n go through change(packing, table, other_table),
     in place, as they are built; every such table is a list of columns,
-    one per sigma.  For ``hecke`` these are the columns and the barred
-    columns, filled together.  ``rpoly`` fills one table a call, and
-    change gets it and None for the other: R and None on the fill of
-    the orbit's one R table (``rpoly.orbit_table``), which the delta and
+    one per sigma.  Each fill fills one table, and change gets it and
+    None for the other.  ``rpoly``: R and None on the fill of the
+    orbit's one R table (``rpoly.orbit_table``), which the delta and
     Hecke reports both read, so a fault of R is applied once and reaches
-    both; None and R' on the fill of R' (``rpoly.delta_rows``).  A sweep
-    that starts at another rank drops the orbit's tables and builds them
-    again, and these carry the fault too.  A test fails if a fault it
-    installed never changed a table: with the R table resident, a fault
-    of R installed after its fill would otherwise pass unseen."""
+    both; None and R' on the fill of R' (``rpoly.delta_rows``).
+    ``hecke``: the Hecke columns and None; None and the barred columns
+    of the Hecke bases, None elsewhere (``hecke.orbit_bars``), which the
+    Hecke report's fast path reads; and None and every barred column
+    (``hecke.orbit_barred``), which only its fallback, and the Laurent
+    path, read.  A fault of a barred column off the bases reaches that
+    last table alone: a test of it runs the report under ``full_sums``.
+    A sweep that starts at another rank drops the orbit's tables and
+    builds them again, and these carry the fault too.  A test fails if a
+    fault it installed never changed a table: with the R table resident,
+    a fault of R installed after its fill would otherwise pass unseen."""
     installed = []
 
     def corrupt(module, n, k, change):
@@ -51,11 +56,9 @@ def corrupt_fill(monkeypatch, fresh_orbits):
             tables = fill(*args, **kwargs)
             packing = next((arg for arg in args if isinstance(arg, Kronecker)), None)
             if args[:2] == (n, k) and packing is not None:  # packed, not bounds
-                if module is rpoly:
-                    given = (None, tables) if kwargs.get("barred") else (tables, None)
-                else:
-                    given = tuple(tables)
-                before = [table and [dict(column) for column in table] for table in given]
+                given = (None, tables) if kwargs.get("barred") else (tables, None)
+                before = [table and [column and dict(column) for column in table]
+                          for table in given]
                 change(packing, *given)
                 ran.append(before != list(given))
             return tables
@@ -137,14 +140,16 @@ def full_sums(monkeypatch, drop_product):
     """full_sums(check, n, k): (checked, violations) of the report
     check(n, k) with every sigma summed, as under an ``order.orbit_star``
     that is the identity and with the local certificate of bar o bar
-    (``hecke.involution_holds``) refusing every orbit, which the patches
-    are only while check runs; the delta product is summed afresh under
-    them and dropped after it."""
+    (``hecke.certify``) refusing every pair of tables, which turns the
+    Hecke report's fast path off too, so that it reads every barred
+    column (``hecke.orbit_barred``); the patches hold only while check
+    runs.  The delta product is summed afresh under them and dropped
+    after it."""
     def run(check, n, k):
         with monkeypatch.context() as patch:
             patch.setattr(order, "orbit_star",
                           lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
-            patch.setattr(hecke, "involution_holds", lambda n, k: False)
+            patch.setattr(hecke, "certify", lambda *args: False)
             drop_product(n, k)
             report = check(n, k)
             drop_product(n, k)
@@ -153,17 +158,28 @@ def full_sums(monkeypatch, drop_product):
 
 
 @pytest.fixture
+def fallback(monkeypatch):
+    """The Hecke report takes its fallback on every orbit, as where the
+    barred columns of its bases differ from R's: it reads every barred
+    column (``hecke.orbit_barred``) and certifies bar o bar on the Hecke
+    tables alone, so that a fault of a barred column off the bases,
+    which its fast path never reads, reaches it."""
+    monkeypatch.setattr(verify, "_bases_agree", lambda *args: False)
+
+
+@pytest.fixture
 def full_bounds(monkeypatch):
     """full_bounds(check, n, k): (checked, violations) of the report
-    check(n, k) with the Hecke table of the orbit built afresh under the
+    check(n, k) with the Hecke tables of the orbit built afresh under the
     oracle's full bound fill (``oracles.full_bound_check``) in place of
     the base check of ``hecke._check_bounds``, which the patch is only
-    while check runs; that table is dropped after it.  A fault that
-    ``corrupt_fill`` puts into the Hecke fill is in the new table too."""
+    while check runs; they are dropped after it.  A fault that
+    ``corrupt_fill`` puts into a Hecke fill is in the new tables too."""
     from oracles import full_bound_check
 
     def drop(n, k):
-        order.kept.pop((hecke.orbit_bars.__wrapped__, n, k), None)
+        for build in (hecke.orbit_bars, hecke.orbit_barred):
+            order.kept.pop((build.__wrapped__, n, k), None)
 
     def run(check, n, k):
         with monkeypatch.context() as patch:

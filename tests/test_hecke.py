@@ -275,14 +275,16 @@ def _spy(monkeypatch, module):
 
 
 def test_hecke_report_fills_r_alone_and_no_hecke_bounds(monkeypatch, fresh_orbits):
-    # one R bound fill, one packed fill of R alone, one packed Hecke fill
+    # one R bound fill, one packed fill of R alone, and two packed Hecke
+    # fills: the columns, and the barred columns of the bases alone
     r_fills, hecke_fills = _spy(monkeypatch, rpoly), _spy(monkeypatch, hecke)
     assert verify.hecke_oracle_report(4, 2).passed
     packing = rpoly.orbit_packing(4, 2)
     assert [(tuple(type(arg) for arg in args), kwargs) for args, kwargs in r_fills] == \
         [((), {}), ((type(packing),), {})]
     assert r_fills[1][0][0].bits == packing.bits
-    assert [args[1].bits for args, kwargs in hecke_fills] == [packing.bits]
+    assert [(args[1].bits, kwargs) for args, kwargs in hecke_fills] == \
+        [(packing.bits, {}), (packing.bits, {"barred": True, "full": False})]
 
 
 @pytest.mark.parametrize("delta_first", [False, True], ids=["hecke-first", "delta-first"])
@@ -456,9 +458,13 @@ def test_oracle_agreement(n, k):
 def test_hecke_table_is_the_transposed_r_table(n, ks, delta_tables):
     # barred column b is column b of R, and column b is column b of R'
     # (as the delta fill fills it), compared as dicts, so that the
-    # supports must match too
+    # supports must match too; the barred columns that ``orbit_bars``
+    # keeps are those of the bases
     for k in ks:
-        rows, barred = hecke.orbit_bars(n, k)
+        rows, barred = hecke.orbit_bars(n, k)[0], hecke.orbit_barred(n, k)
+        bases = rpoly.orbit_bounds(n, k)[1]
+        assert hecke.orbit_bars(n, k)[1] == [barred[b] if b in bases else None
+                                             for b in range(len(barred))]
         reversed_columns = delta_tables(n, k)[1]
         for r_columns, hecke_columns in ((rpoly.orbit_table(n, k), barred),
                                          (reversed_columns, rows)):
@@ -469,7 +475,7 @@ def test_hecke_table_is_the_transposed_r_table(n, ks, delta_tables):
 
 def _bar_squared_row(n, k, b):
     # row b of bar o bar, packed, as the Hecke suite sums it
-    rows, barred = hecke.orbit_bars(n, k)
+    rows, barred = hecke.orbit_bars(n, k)[0], hecke.orbit_barred(n, k)
     return rpoly.orbit_packing(n, k), rpoly.triple_sums(barred[b], rows)
 
 
@@ -490,16 +496,24 @@ def _decode_bar_squared(packing, sigma, row):
             for nu, x in zip(elements, row) if x}
 
 
+def _barred_columns(n, k, b):
+    # the barred column b in each Hecke table that holds it: every
+    # barred table, and the table of the bases where b is one
+    return [column for column in (hecke.orbit_bars(n, k)[1][b], hecke.orbit_barred(n, k)[b])
+            if column is not None]
+
+
 def _corrupt(monkeypatch, n, k, b, a, delta, barred=True):
     """Add ``delta`` to the coefficient c_a(b) of A_a in bar(A_b) in the
-    packed Hecke table, scaled as the table stores it: in the rows of c
-    and, unless ``barred`` is false, in the rows of bar(c)."""
-    (rows, bars), packing = hecke.orbit_bars(n, k), rpoly.orbit_packing(n, k)
+    packed Hecke tables, scaled as they store it: in the rows of c and,
+    unless ``barred`` is false, in the rows of bar(c), in each table that
+    holds the row of b."""
+    rows, packing = hecke.orbit_bars(n, k)[0], rpoly.orbit_packing(n, k)
     lengths, e = order.orbit_poset(n, k).lengths, renner.idempotent_length(n, k)
     monkeypatch.setitem(rows[b], a, rows[b].get(a, 0) + packing.pack(
         delta * Laurent.q_power(e - lengths[a])))
-    if barred:
-        monkeypatch.setitem(bars[b], a, bars[b].get(a, 0) + packing.pack(
+    for column in _barred_columns(n, k, b) if barred else ():
+        monkeypatch.setitem(column, a, column.get(a, 0) + packing.pack(
             delta.bar() * Laurent.q_power(lengths[b] - e)))
 
 
@@ -560,7 +574,8 @@ STAR_ORBITS = [pytest.param(n, k, id=f"R{n}-k{k}")
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
 def test_hecke_tables_are_star_equivariant(n, k):
     # c_(a*)(b*) = c_a(b), scaled alike, in the rows and the barred rows
-    star, (rows, barred) = order.orbit_star(n, k), hecke.orbit_bars(n, k)
+    star, rows, barred = order.orbit_star(n, k), hecke.orbit_bars(n, k)[0], \
+        hecke.orbit_barred(n, k)
     for table in (rows, barred):
         for a, row in enumerate(table):
             assert {star[b]: x for b, x in row.items()} == table[star[a]], (n, k, a)
@@ -569,17 +584,18 @@ def test_hecke_tables_are_star_equivariant(n, k):
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
 def test_hecke_report_sums_one_sigma_of_each_star_pair(n, k, count_sums, full_sums,
                                                       full_bounds, monkeypatch):
-    # with the local certificate, only the rows of the Hecke bases are
-    # summed; with it refused, one sigma of each star pair, and with the
-    # star the identity too, every sigma: the three reports are one
+    # on the fast path, only the rows of the Hecke bases are summed, with
+    # the columns of R; with the local certificate refused, one sigma of
+    # each star pair, and with the star the identity too, every sigma:
+    # the three reports are one
     star = order.orbit_star(n, k)
     report = verify.hecke_oracle_report(n, k)
     assert report.passed
-    barred = hecke.orbit_bars(n, k)[1]
-    assert list(map(id, count_sums)) == [id(barred[b]) for b in rpoly.orbit_bounds(n, k)[1]]
+    table = rpoly.orbit_table(n, k)
+    assert list(map(id, count_sums)) == [id(table[b]) for b in rpoly.orbit_bounds(n, k)[1]]
     count_sums.clear()
     with monkeypatch.context() as patch:
-        patch.setattr(hecke, "involution_holds", lambda n, k: False)
+        patch.setattr(hecke, "certify", lambda *args: False)
         summed = verify.hecke_oracle_report(n, k)
     assert (summed.checked, summed.violations) == (report.checked, report.violations)
     assert len(count_sums) == sum(star[b] >= b for b in range(len(star)))
@@ -592,13 +608,18 @@ def test_hecke_report_sums_one_sigma_of_each_star_pair(n, k, count_sums, full_su
 
 
 @pytest.mark.parametrize("barred", [True, False], ids=["barred", "rows"])
-def test_hecke_report_sums_every_sigma_after_a_one_sided_fault(barred, monkeypatch,
+def test_hecke_report_sums_every_sigma_after_a_one_sided_fault(barred, monkeypatch, request,
                                                                count_sums, full_sums):
-    # one entry of one Hecke table off, at a sigma that star moves
+    # one entry of one Hecke table off, at a sigma that star moves, which
+    # for the barred table lies off the bases, where only the fallback
+    # reads it
+    if barred:
+        request.getfixturevalue("fallback")
     n, k = 4, 2
-    rows, bars = hecke.orbit_bars(n, k)
+    rows, bars = hecke.orbit_bars(n, k)[0], hecke.orbit_barred(n, k)
     star, table = order.orbit_star(n, k), bars if barred else rows
     b = next(b for b in range(len(star)) if star[b] != b)
+    assert b not in rpoly.orbit_bounds(n, k)[1]
     a = min(table[b])
     monkeypatch.setitem(table[b], a, table[b][a] + 1)
     report = verify.hecke_oracle_report(n, k)
@@ -638,9 +659,11 @@ def test_hecke_report_flags_both_sigmas_of_a_symmetric_fault(monkeypatch, count_
     b = next(b for b in range(len(star)) if star[b] > b and poset.lengths[b] >= e)
     for sigma in (b, star[b]):
         _corrupt(monkeypatch, n, k, sigma, 0, ONE_L)
-    # the local certificate refuses the tables, after the base rows it
-    # summed, if any; the report then sums fewer rows than every sigma
-    assert not hecke.involution_holds(n, k)
+    # the local certificate refuses the Hecke tables, and R with the
+    # columns, after the base rows it summed, if any; the report then sums
+    # fewer rows than every sigma
+    assert not hecke.certify(hecke.orbit_bars(n, k)[0], hecke.orbit_barred(n, k), n, k)
+    assert not hecke.certify(hecke.orbit_bars(n, k)[0], rpoly.orbit_table(n, k), n, k)
     certified = len(count_sums)
     count_sums.clear()
     report = verify.hecke_oracle_report(n, k)
@@ -666,30 +689,144 @@ def _plus_one(monkeypatch, column, a=0):
 # only (a) reads, as max is no Hecke base; the barred column of max off
 # there, which only (b) reads; and the one column of the rank-0 orbit
 # doubled in both tables, which every left step fixes, so that only the
-# sum of its row in (c) sees it.
+# sum of its row in (c) sees it.  The barred column of max is one that
+# only the fallback of the Hecke report reads, so that report runs there.
 CERTIFICATE_PARTS = [
-    pytest.param("_left_steps_act", 1, lambda rows, bars: [rows[-1]], id="a-column-of-max"),
-    pytest.param("_barred_steps_act", 1, lambda rows, bars: [bars[-1]],
+    pytest.param("_left_steps_act", 1, lambda n, k: [hecke.orbit_bars(n, k)[0][-1]], False,
+                 id="a-column-of-max"),
+    pytest.param("_barred_steps_act", 1, lambda n, k: [hecke.orbit_barred(n, k)[-1]], True,
                  id="b-barred-column-of-max"),
-    pytest.param("_base_rows_are_identity", 0, lambda rows, bars: [rows[0], bars[0]],
+    pytest.param("_base_rows_are_identity", 0,
+                 lambda n, k: [hecke.orbit_bars(n, k)[0][0], *_barred_columns(n, k, 0)], False,
                  id="c-rank-0-doubled"),
 ]
 
 
-@pytest.mark.parametrize("part,k,columns", CERTIFICATE_PARTS)
-def test_each_part_of_the_certificate_is_needed(part, k, columns, monkeypatch, full_sums):
+@pytest.mark.parametrize("part,k,columns,off_the_bases", CERTIFICATE_PARTS)
+def test_each_part_of_the_certificate_is_needed(part, k, columns, off_the_bases, monkeypatch,
+                                                request, full_sums):
     # under the fault, the report is the full sums report, and bar o bar
     # fails; with the part dropped from the certificate (a mutant that
     # passes it), the certificate passes and the report misses that
     n = 3
-    for column in columns(*hecke.orbit_bars(n, k)):
+    if off_the_bases:
+        request.getfixturevalue("fallback")
+    for column in columns(n, k):
         _plus_one(monkeypatch, column)
+    tables = hecke.orbit_bars(n, k)[0], hecke.orbit_barred(n, k)
     report = verify.hecke_oracle_report(n, k)
     assert any(v.get("kind") == "not-involutive" for v in report.violations)
     assert full_sums(verify.hecke_oracle_report, n, k) == (report.checked, report.violations)
-    assert not hecke.involution_holds(n, k)
+    assert not hecke.certify(*tables, n, k)
     monkeypatch.setattr(hecke, part, lambda *args: True)
-    assert hecke.involution_holds(n, k)
+    assert hecke.certify(*tables, n, k)
     mutant = verify.hecke_oracle_report(n, k)
     assert not any(v.get("kind") == "not-involutive" for v in mutant.violations)
     assert (mutant.checked, mutant.violations) != (report.checked, report.violations)
+
+
+def _only_barred_steps_see(n, k):
+    # of the checks of the fast path, only (b) on R refuses the tables
+    (rows, barred), table = hecke.orbit_bars(n, k), rpoly.orbit_table(n, k)
+    plan, bits = rpoly.orbit_plan(n, k), rpoly.orbit_packing(n, k).bits
+    bases = rpoly.orbit_bounds(n, k)[1]
+    return (verify._bases_agree(barred, table)
+            and verify._supports_are_downs(table, order.orbit_poset(n, k).downs)
+            and hecke._left_steps_act(rows, plan, bits)
+            and hecke._base_rows_are_identity(rows, table, bases)
+            and not hecke._barred_steps_act(table, plan, bases, bits))
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2)])
+def test_a_fault_of_r_off_the_bases_is_flagged(n, k, corrupt_fill, full_sums):
+    # one entry of the first column of R that is no Hecke base, off by one:
+    # on the fast path only (b) on R sees it, and the report flags that
+    # entry alone, as the full sums report does
+    bases = rpoly.orbit_bounds(n, k)[1]
+    b = next(b for b in range(1, len(order.orbit_poset(n, k).elements)) if b not in bases)
+
+    def off_by_one(packing, columns, _):
+        if columns is not None:
+            columns[b][min(columns[b])] += 1
+    corrupt_fill(rpoly, n, k, off_by_one)
+    assert _only_barred_steps_see(n, k)
+    report = verify.hecke_oracle_report(n, k)
+    elements = order.orbit_poset(n, k).elements
+    a = min(rpoly.orbit_table(n, k)[b])
+    assert [(v["theta"], v["sigma"]) for v in report.violations] == \
+        [(renner.format_element(elements[a]), renner.format_element(elements[b]))]
+    assert full_sums(verify.hecke_oracle_report, n, k) == (report.checked, report.violations)
+
+
+def _downs_gain_the_maximum(monkeypatch, n, k):
+    # the down set of the minimum gains the maximum, after R is filled:
+    # no table changes, and only the support test reads the down sets;
+    # the orbit is dropped after the test
+    rpoly.orbit_table(n, k)
+    downs = order.orbit_poset(n, k).downs
+    downs[0] |= 1 << len(downs) - 1
+
+
+def _barred_minimum_off(monkeypatch, n, k):
+    # the barred column of the minimum, a base, off by one at its diagonal
+    for column in _barred_columns(n, k, 0):
+        _plus_one(monkeypatch, column)
+
+
+def _r_off_the_bases(monkeypatch, n, k):
+    # the last column of R, no base, off by one at the minimum
+    _plus_one(monkeypatch, rpoly.orbit_table(n, k)[-1])
+
+
+# Each check of the fast path of the Hecke report with a fault on R_3
+# k = 1 that only it sees there, and its mutant: the base compare, the
+# support test on R, and (b) on R, each made to pass (for (b), only on
+# R, the fast path's table).
+FAST_PATH_PARTS = [
+    pytest.param(lambda mp, n, k: mp.setattr(verify, "_bases_agree", lambda *args: True),
+                 _barred_minimum_off, id="base-compare"),
+    pytest.param(lambda mp, n, k: mp.setattr(verify, "_supports_are_downs",
+                                             lambda *args: True),
+                 _downs_gain_the_maximum, id="support-of-r"),
+    pytest.param(lambda mp, n, k: mp.setattr(
+        hecke, "_barred_steps_act", lambda barred, *args, act=hecke._barred_steps_act:
+        barred is rpoly.orbit_table(n, k) or act(barred, *args)),
+                 _r_off_the_bases, id="b-on-r"),
+]
+
+
+@pytest.mark.parametrize("mutate,fault", FAST_PATH_PARTS)
+def test_each_check_of_the_fast_path_is_needed(mutate, fault, monkeypatch, fresh_orbits):
+    # under the fault, the report fails and is the report with every row
+    # summed; the mutant takes the fast path and passes
+    n, k = 3, 1
+    fault(monkeypatch, n, k)
+    report = verify.hecke_oracle_report(n, k)
+    assert not report.passed
+    with monkeypatch.context() as patch:
+        patch.setattr(hecke, "certify", lambda *args: False)
+        summed = verify.hecke_oracle_report(n, k)
+    assert (summed.checked, summed.violations) == (report.checked, report.violations)
+    mutate(monkeypatch, n, k)
+    assert verify.hecke_oracle_report(n, k).passed
+
+
+def test_a_passing_report_keeps_no_barred_column_off_the_bases(fresh_orbits):
+    # the fast path fills the barred columns of the bases alone
+    assert verify.hecke_oracle_report(5, 2).passed
+    bases, barred = rpoly.orbit_bounds(5, 2)[1], hecke.orbit_bars(5, 2)[1]
+    assert [b for b, column in enumerate(barred) if column is not None] == list(bases)
+    assert (hecke.orbit_barred.__wrapped__, 5, 2) not in order.kept
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rpoly_via_bar_decodes_every_barred_column(n, fresh_orbits):
+    # through the barred table built when first asked for, every column
+    # decodes to the column of R
+    for k in range(n + 1):
+        poset, unpack = order.orbit_poset(n, k), rpoly.orbit_packing(n, k).unpack
+        assert (hecke.orbit_barred.__wrapped__, n, k) not in order.kept
+        for sigma, column in zip(poset.elements, rpoly.orbit_table(n, k)):
+            assert hecke.rpoly_via_bar(sigma) == {poset.elements[a]: unpack(x)
+                                                  for a, x in column.items()}, sigma
+        assert (hecke.orbit_barred.__wrapped__, n, k) in order.kept

@@ -368,26 +368,27 @@ def test_one_orbit_stays_resident(fresh_orbits):
     # packing, plan, R and Hecke tables; asked for again, it is built
     # afresh, equal to before.  A list or tuple cannot be weakly
     # referenced, so each table's one referrer is shown to be the store
-    # of the resident orbit, ``order.kept`` (the Hecke rows through the
-    # pair that holds them)
+    # of the resident orbit, ``order.kept`` (the Hecke rows and the
+    # barred rows of the bases through the pair that holds them)
     poset = order.orbit_poset(4, 2)
     table, bars = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
-    plan = rpoly.orbit_plan(4, 2)
+    barred, plan = hecke.orbit_barred(4, 2), rpoly.orbit_plan(4, 2)
     assert poset.ups and poset.downs and order.orbit_action(4, 2, "left")
-    old = [[dict(row) for row in rows] for rows in (table, *bars)]
+    old = [[row and dict(row) for row in rows] for rows in (table, *bars, barred)]
 
     def referrers(kept):
         return [r for r in gc.get_referrers(kept) if not isinstance(r, types.FrameType)]
-    assert referrers(table) == referrers(bars) == referrers(plan) == [order.kept]
-    rows, barred = bars
-    assert referrers(rows) == referrers(barred) == [bars]
+    assert referrers(table) == referrers(bars) == referrers(barred) == referrers(plan) == \
+        [order.kept]
+    rows, bases = bars
+    assert referrers(rows) == referrers(bases) == [bars]
     alive = [weakref.ref(kept) for kept in (poset, rpoly.orbit_packing(4, 2))]
-    del poset, table, bars, plan, rows, barred
+    del poset, table, bars, barred, plan, rows, bases
     order.orbit_poset(4, 3)
     gc.collect()
     assert [ref() for ref in alive] == [None, None]
     table, bars = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
-    assert [table, *bars] == old
+    assert [table, *bars, hecke.orbit_barred(4, 2)] == old
 
 
 def test_a_value_built_during_a_switch_is_kept_for_its_own_orbit(monkeypatch,

@@ -365,7 +365,7 @@ def test_packing_width_comes_from_the_table(delta_tables):
                 for a, x in column.items():
                     assert _l1(packing.unpack(x)) <= limit[a] <= norm, (n, k)
         assert packing.bits == (len(table) * norm ** 2 + 1).bit_length() + 1
-        bars = hecke.orbit_bars(n, k)
+        bars = hecke.orbit_bars(n, k)[0], hecke.orbit_barred(n, k)
         assert rpoly.orbit_packing(n, k) is packing
         for values, hecke_bounds in zip(bars, hecke_bound_tables(n, k)):
             for b, (row, limit) in enumerate(zip(values, hecke_bounds)):
