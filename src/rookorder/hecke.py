@@ -109,15 +109,17 @@ decodes its own certificates.  ``certify`` certifies it from local
 checks on the columns and a table of barred columns, R's or the Hecke
 fill's: each left step s of the plan takes bar(A_t) to
 bar(A_(s t)) where s raises t and keeps it where s fixes t, as bar is a
-ring homomorphism; each barred column off a base is the barred step of
-its plan entry; and the bar o bar row of each base is the identity.
-``verify`` shows that these give every row, and only the base rows are
-summed.  Where a check fails, the report sums the bar o bar row of one
-sigma of each pair {sigma, sigma*}, sigma* = w0 sigma^-1 w0, once it
-has checked that the columns and the barred columns are both
-equivariant under that map (c_(a*)(b*) = c_a(b)); the row of sigma* is
-then that of sigma relabelled.  On a table that fails that check every
-sigma is summed.
+ring homomorphism, the latter tested as equal entries at a and s a
+wherever s moves a, with no step built; each barred column off a base
+is the barred step of its plan entry; and the bar o bar row of each
+base is the identity.  ``verify`` shows that these give every row, and
+only the base rows are summed.  Run on R' and R, the same checks
+certify the delta identity, with no Hecke table (``verify``).  Where a
+check fails, the report sums the bar o bar row of one sigma of each
+pair {sigma, sigma*}, sigma* = w0 sigma^-1 w0, once it has checked that
+the columns and the barred columns are both equivariant under that map
+(c_(a*)(b*) = c_a(b)); the row of sigma* is then that of sigma
+relabelled.  On a table that fails that check every sigma is summed.
 ``bar_Asigma``, ``bar_element`` and ``rpoly_via_bar`` decode the table
 into ``Laurent`` coefficients: they are the Laurent path, which the
 tests hold the packed sums and their certificates against.
@@ -205,7 +207,8 @@ def _bar_step(column: dict[int, int], to, step, bits: int, barred: bool) -> dict
     s raises a, and a where s fixes a, so those entries are set once.
     Only the entry at a where s raises a sums two terms, its own and that
     of s a, in either order, so only it can cancel to 0: the second term
-    to come deletes it then, and the column is returned as built."""
+    to come deletes it then, and the column is returned as built.  A
+    stored 0, which only a faulted table holds, deletes nothing."""
     out: dict[int, int] = {}
     for a, x in column.items():
         d, moved = step[a], to[a]
@@ -214,12 +217,12 @@ def _bar_step(column: dict[int, int], to, step, bits: int, barred: bool) -> dict
             if y := out.get(a, 0) + ((x << bits) - x if barred else x - (x << bits)):
                 out[a] = y
             else:
-                del out[a]
+                out.pop(a, None)
         elif d < 0:
             if y := out.get(moved, 0) + (x << bits):
                 out[moved] = y
             else:
-                del out[moved]
+                out.pop(moved, None)
         else:
             out[a] = x << bits if barred else x
     return out
@@ -301,12 +304,20 @@ def orbit_barred(n: int, k: int) -> rpoly.Table:
     return _fill(n, k, _checked_sums(n, k), rpoly.orbit_packing(n, k), barred=True)
 
 
+def _is_fixed(column: dict[int, int], to, step) -> bool:
+    # the step of s keeps the column exactly when it holds equal values at
+    # a and s a for every a that s moves (``verify``), a value it lacks 0
+    return all(column.get(to[a], 0) == x for a, x in column.items() if step[a])
+
+
 def _left_steps_act(rows: rpoly.Table, plan, bits: int) -> bool:
     # (a): for each s that the plan takes on the left, the step of column t
-    # is column s t where s raises t and column t where s fixes t; the
-    # columns that s lowers follow from those of their raised partners
+    # is column s t where s raises t, and column t where s fixes t, which
+    # is tested without the step; the columns that s lowers follow from
+    # those of their raised partners
     actions = {id(entry[0]): entry[:2] for entry in plan if entry and entry[2]}
-    return all(_bar_step(column, to, step, bits, False) == (rows[to[t]] if d else column)
+    return all(_bar_step(column, to, step, bits, False) == rows[to[t]] if d
+               else _is_fixed(column, to, step)
                for to, step in actions.values()
                for t, (column, d) in enumerate(zip(rows, step)) if d >= 0)
 
@@ -327,19 +338,22 @@ def _base_rows_are_identity(rows: rpoly.Table, barred: rpoly.Table, bases) -> bo
 
 
 def certify(rows: rpoly.Table, barred: rpoly.Table, n: int, k: int) -> bool:
-    """Whether every bar o bar row of the rank-k orbit of R_n, the row
-    ``rpoly.triple_sums(barred[b], rows)`` of each b, is the packed
-    identity, certified in packed ints from three local checks on the
-    columns ``rows`` and the barred columns ``barred``: (a) each left
-    step s of ``rpoly.orbit_plan`` takes column t to column s t where s
-    raises t and to column t where s fixes t; (b) every barred column
-    off a base is its plan's barred step of the barred column of s b;
-    (c) the row of every base, a key of ``rpoly.orbit_bounds``, is the
-    identity.  The Hecke report calls it on the Hecke columns with R, and
-    with ``orbit_barred`` where that fails.  ``verify`` gives the
-    argument, exact in Z for any table contents.  Only (c) sums, and it
-    stops at its first failing base; False means that some check
-    failed, not that some row is not the identity."""
+    """Whether every row ``rpoly.triple_sums(barred[b], rows)`` of the
+    rank-k orbit of R_n is the packed identity, certified in packed ints
+    from three local checks on the columns ``rows`` and the barred
+    columns ``barred``: (a) each left step s of ``rpoly.orbit_plan``
+    takes column t to column s t where s raises t and to column t where
+    s fixes t, which is tested as equal entries at a and s a for every a
+    that s moves; (b) every barred column off a base is its plan's
+    barred step of the barred column of s b; (c) the row of every base,
+    a key of ``rpoly.orbit_bounds``, is the identity.  It has two
+    callers.  The Hecke report calls it on the Hecke columns with R, and
+    with ``orbit_barred`` where that fails, for bar o bar; the delta
+    report calls it on R' and R, where the rows it certifies are those of
+    R' R, and so R R' = I.  ``verify`` gives the argument, exact in Z for
+    any table contents.  Only (c) sums, and it stops at its first
+    failing base; False means that some check failed, not that some row
+    is not the identity."""
     plan, bits = rpoly.orbit_plan(n, k), rpoly.orbit_packing(n, k).bits
     bases = rpoly.orbit_bounds(n, k)[1]
     return (_left_steps_act(rows, plan, bits) and _barred_steps_act(barred, plan, bases, bits)

@@ -38,11 +38,12 @@ offset and no step divides by q.  The reversed polynomials
 
     R'[theta, sigma] = q^(l(sigma) - l(theta)) bar(R[theta, sigma]),
 
-also in Z[q], have one reader, the delta product: ``delta_rows`` fills
-R' alone, by the barred steps R'[s theta, s sigma], R'[theta, s sigma],
-and (1 - q) R'[theta, s sigma] + q R'[s theta, s sigma], reads the
-orbit's one R table, which the Hecke report and every decoder read too,
-and drops R' once its sums are formed.
+also in Z[q], are filled alone, by the barred steps R'[s theta, s sigma],
+R'[theta, s sigma], and (1 - q) R'[theta, s sigma] + q R'[s theta, s sigma],
+for one of two readers, and dropped after it: the local certificate that
+the delta report runs on R' and R (``hecke.certify``, ``verify``), and
+the delta product ``delta_rows``.  Both read the orbit's one R table,
+which the Hecke report and every decoder read too.
 
 B is fixed before the fill, from bounds and never from values.  The
 same fill run over non-negative ints with q -> 1 and subtraction ->
@@ -73,11 +74,12 @@ exactly.  An entry R[a, b] is decoded
 as ``orbit_packing(n, k).unpack(orbit_table(n, k)[b].get(a, 0))``, and
 a sum only where it fails.
 
-Both delta consumers read one product, ``delta_rows(n, k)``: the columns
-of ``product_rows``, a failing one as its nonzero sums {theta: sum},
-kept while the orbit is resident.  The ``verify`` sweep walks it,
-``verify_delta_identity`` answers one pair off it and
-``delta_identity_sum`` decodes one entry of it.
+The delta product, ``delta_rows(n, k)``, is the columns of
+``product_rows``, a failing one as its nonzero sums {theta: sum}, kept
+while the orbit is resident.  ``verify_delta_identity`` answers one pair
+off it and ``delta_identity_sum`` decodes one entry of it.  The
+``verify`` report certifies it whole from R' and R instead, and walks it
+only where that certificate fails.
 
 The constant term R[theta, sigma](0) equals the Mobius function of the
 interval.
@@ -146,10 +148,10 @@ def triple_sums(left: dict[int, int], rows: Table) -> list[int]:
     left[m] * rows[m][j], one multiply-add per triple (i, m, j) with
     both factors nonzero.
 
-    The delta identity here is every row of such a product checked
-    against the packed identity.  bar o bar = id is checked on the rows
-    of the Hecke bases alone (``hecke.certify``), and on every
-    row only where that local certificate fails (``verify``).
+    The delta identity and bar o bar = id are each such a product,
+    checked against the packed identity on the rows of the Hecke bases
+    alone (``hecke.certify``), and on every row only where that local
+    certificate fails (``verify``).
     """
     out = [0] * len(rows)
     for m, x in left.items():
@@ -276,7 +278,9 @@ def delta_rows(n: int, k: int) -> list[dict[int, int] | None]:
     {theta: sum} of column b of R R', or None where that column is the
     identity's, as ``product_rows`` gives them over the columns of R' and
     of R, the rows of R'^T and R^T.  R' is filled here, alone, and
-    dropped once the sums are formed; R is the orbit's ``orbit_table``."""
+    dropped once the sums are formed; R is the orbit's ``orbit_table``.
+    The per-pair reader reads it, and the ``verify`` report only where
+    ``hecke.certify`` refuses R' and R."""
     return list(product_rows(_fill(n, k, orbit_packing(n, k), barred=True),
                              orbit_table(n, k), order.orbit_star(n, k)))
 

@@ -8,11 +8,12 @@ exhaustive.
 
 The two triple checks, the delta identity and bar o bar = id, check
 that each row of a product T1 T2 of two packed orbit tables is the
-identity row.  The Hecke report first certifies every row of bar o bar
-from local checks that sum only the rows of the Hecke bases
-(``hecke.certify``, argued below), on R in place of the barred
-columns, which it then fills at the bases alone.  The delta report,
-and the Hecke report where the certificate fails, sum one sigma of each pair
+identity row.  Both first certify every row of their product from one
+set of local checks that sum only the rows of the Hecke bases
+(``hecke.certify``, argued below): the Hecke report on its columns
+with R in place of the barred columns, which it then fills at the
+bases alone, and the delta report on R' and R.  Where the certificate
+fails, each sums one sigma of each pair
 {sigma, sigma*} (``rpoly.product_rows``), where sigma* = w0 sigma^-1 w0
 and phi is the permutation sigma -> sigma* of the orbit's indices
 (``order.orbit_star``).
@@ -54,6 +55,12 @@ certificate checks three things:
         the s of b's plan entry;
     (c) H Bar[b] = e_b at every base b.
 
+Where s fixes t, (a) is tested without building T H[t].  T keeps every
+entry at an index that s fixes, and on a pair (a, s a) that s raises,
+T(x e_a + y e_(s a)) = ((1 - Q) x + Q y) e_a + x e_(s a), which is
+x e_a + y e_(s a) exactly when x = y.  So T v = v exactly when
+v_a = v_(s a) at every a that s moves.
+
 Where s lowers t, s raises u = s t, and (a) at u gives H[t] = T H[u],
 so T H[t] = T^2 H[u] = (1 - Q) H[t] + Q H[u].  So T H = H Mbar on every
 column, and H Tbar = (T + (Q - 1)) H.  By induction in index order, in
@@ -64,6 +71,20 @@ is an identity of ints, so it holds whatever the two tables hold: no
 entry is decoded, no bound is used and no ``bar()`` enters.  Where (a),
 (b) or (c) fails, the report sums its rows as above, so each
 certificate is the one its own sum gives.
+
+Why the same certificate gives the delta identity.  The argument above
+uses nothing about H and Bar but (a), (b) and (c).  Run on R' in place
+of H and R in place of Bar, ``hecke.certify(R', R)``, with the columns
+R'[t] and R[b], it gives R' R = I as int matrices.  Column b of the
+delta product is ``rpoly.triple_sums(R'[b], R)``, column b of R R'.
+Two square int matrices with R' R = I also have R R' = I (a one-sided
+inverse of a square matrix over Q is two-sided), so every delta column
+is the identity's, whatever the two tables hold, and no Hecke table is
+needed.  The delta report fills R' for the certificate and drops it,
+and is then clean, with the ``checked`` count of the full report.
+Where the certificate fails, it sums its product as above
+(``rpoly.delta_rows``), star skip included, so each certificate is the
+one its own sum gives.
 
 Why R certifies the barred columns.  Let Bar be the table the Hecke
 fill would build: at a base b its column from the base sums, and off
@@ -119,16 +140,20 @@ __all__ = ["SUITES", "hecke_oracle_report", "run_suite"]
 
 
 def _delta_identity(n: int, k: int) -> Report:
-    """The delta identity on every ordered pair of the orbit, one packed
-    column of sums per sigma of each pair {sigma, sigma*} (module
-    docstring), as ``rpoly.delta_rows`` keeps them: a failing column
-    holds its nonzero sums, and a sum it lacks is 0.  The failing pairs
-    are reported by theta, then sigma.  Only a failing sum is decoded,
-    by the orbit's packing; the sums read the orbit's one R table."""
+    """The delta identity on every ordered pair of the orbit.  The report
+    is clean where ``hecke.certify`` holds on R', filled here through
+    ``rpoly._fill`` and dropped, and the orbit's one R table (module
+    docstring).  Otherwise it reads one packed column of sums per sigma
+    of each pair {sigma, sigma*}, as ``rpoly.delta_rows`` keeps them: a
+    failing column holds its nonzero sums, and a sum it lacks is 0.  The
+    failing pairs are reported by theta, then sigma.  Only a failing sum
+    is decoded, by the orbit's packing; the sums read the R table too."""
     report = Report(name="delta")
     packing = rpoly.orbit_packing(n, k)
     elements = order.orbit_poset(n, k).elements
     report.checked = len(elements) ** 2
+    if hecke.certify(rpoly._fill(n, k, packing, barred=True), rpoly.orbit_table(n, k), n, k):
+        return report
     failing = sorted((a, b, total) for b, column in enumerate(rpoly.delta_rows(n, k))
                      if column is not None for a in column.keys() | {b}
                      if (total := column.get(a, 0)) != (a == b))

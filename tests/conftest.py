@@ -35,7 +35,9 @@ def corrupt_fill(monkeypatch, fresh_orbits):
     None for the other.  ``rpoly``: R and None on the fill of the
     orbit's one R table (``rpoly.orbit_table``), which the delta and
     Hecke reports both read, so a fault of R is applied once and reaches
-    both; None and R' on the fill of R' (``rpoly.delta_rows``).
+    both; None and R' on each fill of R', by the delta report's
+    certificate (``verify._delta_identity``) and by the delta product
+    (``rpoly.delta_rows``).
     ``hecke``: the Hecke columns and None; None and the barred columns
     of the Hecke bases, None elsewhere (``hecke.orbit_bars``), which the
     Hecke report's fast path reads; and None and every barred column
@@ -139,12 +141,13 @@ def drop_product():
 def full_sums(monkeypatch, drop_product):
     """full_sums(check, n, k): (checked, violations) of the report
     check(n, k) with every sigma summed, as under an ``order.orbit_star``
-    that is the identity and with the local certificate of bar o bar
-    (``hecke.certify``) refusing every pair of tables, which turns the
-    Hecke report's fast path off too, so that it reads every barred
-    column (``hecke.orbit_barred``); the patches hold only while check
-    runs.  The delta product is summed afresh under them and dropped
-    after it."""
+    that is the identity and with the local certificate
+    (``hecke.certify``) refusing every pair of tables.  That turns off
+    both of its uses: the delta report's certificate of R R' = I, so
+    that it sums its product, and the Hecke report's fast path, so that
+    it reads every barred column (``hecke.orbit_barred``).  The patches
+    hold only while check runs.  The delta product is summed afresh
+    under them and dropped after it."""
     def run(check, n, k):
         with monkeypatch.context() as patch:
             patch.setattr(order, "orbit_star",
@@ -165,6 +168,17 @@ def fallback(monkeypatch):
     tables alone, so that a fault of a barred column off the bases,
     which its fast path never reads, reaches it."""
     monkeypatch.setattr(verify, "_bases_agree", lambda *args: False)
+
+
+@pytest.fixture
+def delta_fallback(monkeypatch):
+    """The delta report takes its fallback on every orbit, as where the
+    certificate refuses R' and R: ``hecke.certify`` refuses every pair
+    of tables, so that the report sums its product (``rpoly.delta_rows``)
+    one sigma of each star pair, as a sum-counting test expects.  The
+    Hecke report, which a test of the delta report does not run, would
+    take its summed path too."""
+    monkeypatch.setattr(hecke, "certify", lambda *args: False)
 
 
 @pytest.fixture

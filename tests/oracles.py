@@ -505,6 +505,14 @@ def hecke_bound_step(column, to, step):
     return out
 
 
+def fixed_by_step(column, to, step, bits):
+    """Whether the left step of s, which fixes the column's t, keeps the
+    packed column, by building the step whole and comparing it with the
+    column: the slow form of ``hecke._is_fixed``.  The column must hold
+    no stored 0."""
+    return hecke._bar_step(column, to, step, bits, False) == column
+
+
 def hecke_bound_tables(n, k, bases=None):
     """The L1 bounds of the scaled rows of c and of bar(c) over the
     rank-k orbit of R_n, as two tables filled side by side by the step

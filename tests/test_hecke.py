@@ -3,8 +3,10 @@ import operator
 
 import pytest
 
-from oracles import (bar_Asigma_by_reduced_word, bar_Asigma_by_support, full_bound_check,
-                     hecke_bound_step, hecke_bound_tables, hecke_to_json,
+from hypothesis import given, settings, strategies as st
+
+from oracles import (bar_Asigma_by_reduced_word, bar_Asigma_by_support, fixed_by_step,
+                     full_bound_check, hecke_bound_step, hecke_bound_tables, hecke_to_json,
                      orbit_sum_skipping, orbit_sums_against_the_core, rpoly_bound_tables)
 from rookorder import hecke, order, renner, rpoly, verify, weyl
 from rookorder.polynomials import IntPoly, Laurent, ONE
@@ -290,13 +292,16 @@ def test_hecke_report_fills_r_alone_and_no_hecke_bounds(monkeypatch, fresh_orbit
 @pytest.mark.parametrize("delta_first", [False, True], ids=["hecke-first", "delta-first"])
 def test_one_r_table_per_orbit(delta_first, monkeypatch, fresh_orbits):
     # over one resident orbit, the Hecke report, the delta report and
-    # every per-pair delta answer fill one R bound table, one R table and
-    # one R' table between them: the delta product fills R' alone and
-    # reads the orbit's R table, which stays resident
+    # every per-pair delta answer fill one R bound table and one R table
+    # between them, which stays resident, and two R' tables: the delta
+    # report fills R' for its certificate and drops it, and the product
+    # that the per-pair answers read fills R' again, alone; neither R'
+    # stays resident beside the Hecke table
     r_fills = _spy(monkeypatch, rpoly)
     reports = [verify.hecke_oracle_report, verify._delta_identity]
     for report in reports[::-1] if delta_first else reports:
         assert report(4, 2).passed
+    reported = len(r_fills)
     elements = order.orbit_poset(4, 2).elements
     assert all(rpoly.verify_delta_identity(theta, sigma)
                for theta in elements for sigma in elements)
@@ -305,7 +310,8 @@ def test_one_r_table_per_orbit(delta_first, monkeypatch, fresh_orbits):
     kinds = {((), ()): "bounds", ((type(packing),), ()): "R",
              ((type(packing),), (("barred", True),)): "R'"}
     fills = [kinds[tuple(map(type, args)), tuple(kwargs.items())] for args, kwargs in r_fills]
-    assert sorted(fills) == ["R", "R'", "bounds"]
+    assert sorted(fills) == ["R", "R'", "R'", "bounds"]
+    assert sorted(fills[:reported]) == ["R", "R'", "bounds"] and fills[reported:] == ["R'"]
     assert all(args[0].bits == packing.bits for args, _ in r_fills if args)
 
 
@@ -370,6 +376,10 @@ def test_bar_step_drops_a_zero_that_cancels(barred):
     assert hecke._bar_step(dict(reversed(cancelling.items())), to, step, bits, barred) == {1: q}
     out = hecke._bar_step({0: q, 1: q}, to, step, bits, barred)
     assert set(out) == {0, 1} and 0 not in out.values()
+    # a stored 0, as a faulted table may hold, at the index that s raises
+    # or at the one it lowers, steps to 0 and raises nothing
+    for zero in ({0: 0}, {1: 0}):
+        assert not any(hecke._bar_step(zero, to, step, bits, barred).values())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -425,6 +435,73 @@ def test_bar_steps_satisfy_the_operator_identities(n, ks):
                     _combine((1 - q, once), (q, unit)), (n, k, t)
                 checked += 1
     assert checked or n == 1  # R_1 has no simple reflection
+
+
+def _one_direction_is_fixed(column, to, step):
+    # a mutant of ``hecke._is_fixed`` that tests each moved pair from the
+    # side that s raises alone, so that it misses a value held only at
+    # the side that s lowers
+    return all(column.get(to[a], 0) == x for a, x in column.items() if step[a] > 0)
+
+
+def _fixed_columns(n):
+    # (column, to, step, bits, clean) at every (t, s) of every orbit of R_n
+    # with s a left action that fixes t: the column of t in R' (the Hecke
+    # column, which check (a) reads), clean, with one entry off by one,
+    # and with one entry dropped; no stored 0, which the step's compare
+    # assumes
+    for k in range(n + 1):
+        packing = rpoly.orbit_packing(n, k)
+        bits, columns = packing.bits, rpoly._fill(n, k, packing, barred=True)
+        for to, step in order.orbit_action(n, k, "left"):
+            for column in (columns[t] for t, d in enumerate(step) if d == 0):
+                yield column, to, step, bits, True
+                for a, x in column.items():
+                    assert x + 1
+                    yield {**column, a: x + 1}, to, step, bits, False
+                    yield {b: y for b, y in column.items() if b != a}, to, step, bits, False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_invariance_test_is_the_step_compare_on_orbit_columns(n):
+    # check (a) tests a column that s fixes for equal values at a and s a
+    # wherever s moves a: it agrees with building the step and comparing,
+    # on every clean column, which both keep, and on every perturbed one
+    seen = 0
+    for column, to, step, bits, clean in _fixed_columns(n):
+        fixed = fixed_by_step(column, to, step, bits)
+        assert hecke._is_fixed(column, to, step) == fixed
+        assert fixed or not clean
+        seen += 1
+    assert seen or n == 1  # R_1 has no simple reflection
+
+
+def test_a_one_direction_invariance_test_is_caught():
+    # the mutant passes some perturbed column of R_3 that the step does
+    # not keep, such as one whose entry at a is dropped where s raises a
+    # while the entry at s a stays
+    killed = [column for column, to, step, bits, _ in _fixed_columns(3)
+              if _one_direction_is_fixed(column, to, step)
+              and not fixed_by_step(column, to, step, bits)]
+    assert killed
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2)])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_the_invariance_test_is_the_step_compare_on_random_columns(n, k, data):
+    # random packed columns over the orbit, under a random left action,
+    # half of them made equal on each moved pair, so that both answers
+    # come up; values are nonzero, as the step's compare assumes
+    to, step = data.draw(st.sampled_from(order.orbit_action(n, k, "left")))
+    bits, size = rpoly.orbit_packing(n, k).bits, len(to)
+    values = st.integers(-(1 << 2 * bits), 1 << 2 * bits).filter(bool)
+    column = data.draw(st.dictionaries(st.integers(0, size - 1), values, max_size=12))
+    if data.draw(st.booleans()):  # equal on each moved pair, at its raised side's value
+        for a, x in list(column.items()):
+            if step[a]:
+                column[to[a]] = column[a] = column.get(a if step[a] > 0 else to[a], x)
+    assert hecke._is_fixed(column, to, step) == fixed_by_step(column, to, step, bits)
 
 
 def test_bar_Asigma_involutive_on_R2_orbit():

@@ -544,7 +544,8 @@ def test_orbit_r_tables_are_star_equivariant(n, k, delta_tables):
 
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
 def test_delta_report_sums_one_theta_of_each_star_pair(n, k, count_sums, full_sums,
-                                                      drop_product):
+                                                      drop_product, delta_fallback):
+    # on the fallback, where the certificate refuses R' and R
     star = order.orbit_star(n, k)
     drop_product(n, k)
     report = verify._delta_identity(n, k)
@@ -556,21 +557,28 @@ def test_delta_report_sums_one_theta_of_each_star_pair(n, k, count_sums, full_su
     assert len(count_sums) == len(star)
 
 
-@pytest.mark.parametrize("reversed_table", [False, True], ids=["R", "R'"])
-def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, corrupt_fill,
-                                                               count_sums, full_sums):
-    # one entry of one table off, at a theta that star moves: the table is
-    # not equivariant, so every theta is summed, as with the identity
-    n, k = 4, 2
-    star = order.orbit_star(n, k)
+def _one_sided(reversed_table, star):
+    # one entry of R, or of R', off by one at the first theta that star
+    # moves, in the last column that holds it
     a = next(a for a in range(len(star)) if star[a] != a)
 
-    def one_sided(packing, *tables):
+    def change(packing, *tables):
         columns = tables[reversed_table]
         if columns is not None:
             top = max(b for b, column in enumerate(columns) if a in column)
             columns[top][a] += 1
-    corrupt_fill(rpoly, n, k, one_sided)
+    return change
+
+
+@pytest.mark.parametrize("reversed_table", [False, True], ids=["R", "R'"])
+def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, corrupt_fill,
+                                                               count_sums, full_sums,
+                                                               delta_fallback):
+    # one entry of one table off, at a theta that star moves: the table is
+    # not equivariant, so every theta is summed, as with the identity
+    n, k = 4, 2
+    star = order.orbit_star(n, k)
+    corrupt_fill(rpoly, n, k, _one_sided(reversed_table, star))
     report = verify._delta_identity(n, k)
     assert not report.passed
     assert len(count_sums) == len(star)
@@ -580,7 +588,7 @@ def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, c
 
 def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count_sums,
                                                              full_sums, delta_tables,
-                                                             drop_product):
+                                                             drop_product, delta_fallback):
     # R[a, max] and R[a*, max*] = R[a*, max] off by the same q: the table
     # stays equivariant, the row of a fails, so the row of a* is summed
     # too; each certificate is its sum as the decoded entries give it
@@ -662,17 +670,19 @@ def test_per_pair_delta_answers_are_the_full_sums(n, k, fault, monkeypatch, drop
         drop_product(n, k)
 
 
+def _min_row_off_by_one(packing, table, reversed_table):
+    # R[min, b] off by one at every b above the minimum
+    for column in table[1:] if table is not None else ():
+        column[0] += 1
+
+
 def test_a_cleared_orbit_drops_its_delta_rows(corrupt_fill):
     # the product lives on the orbit's poset: once the orbit is dropped,
     # a fault in the tables it is rebuilt from shows in the answers
     n, k = 4, 2
     rows = rpoly.delta_rows(n, k)
     assert all(map(all, _per_pair_answers(n, k)))
-
-    def min_row_off_by_one(packing, table, reversed_table):
-        for column in table[1:] if table is not None else ():
-            column[0] += 1
-    corrupt_fill(rpoly, n, k, min_row_off_by_one)
+    corrupt_fill(rpoly, n, k, _min_row_off_by_one)
     assert rpoly.delta_rows(n, k) is rows
     assert all(map(all, _per_pair_answers(n, k)))
     order.orbit_poset.cache_clear()
@@ -725,3 +735,146 @@ def test_a_dropped_orbit_takes_its_store_and_poset_with_it(fresh_orbits):
     assert rpoly.verify_delta_identity(top, theta)
     gc.collect()
     assert alive() is None
+
+
+ORBITS_TO_R5 = [pytest.param(n, k, id=f"R{n}-k{k}") for n in range(1, 6) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n,k", ORBITS_TO_R5)
+def test_delta_certificate_holds_and_sums_only_the_base_rows(n, k, count_sums, drop_product,
+                                                            delta_tables):
+    # on every clean orbit of R_1 to R_5 the local certificate holds on R'
+    # and R, and the delta report sums only the rows of the Hecke bases,
+    # with the columns of R, and builds no product: a report that fell
+    # back to its sums would pass every output test
+    drop_product(n, k)
+    table, reversed_columns = delta_tables(n, k)
+    assert hecke.certify(reversed_columns, table, n, k)
+    count_sums.clear()
+    report = verify._delta_identity(n, k)
+    assert report.passed and report.checked == len(table) ** 2
+    assert list(map(id, count_sums)) == [id(table[b]) for b in rpoly.orbit_bounds(n, k)[1]]
+    assert (rpoly.delta_rows.__wrapped__, n, k) not in order.kept
+
+
+def _off_the_bases(reversed_table):
+    # the first column of R, or of R', that is no Hecke base off by one at
+    # its smallest theta
+    def fault(n, k):
+        bases = rpoly.orbit_bounds(n, k)[1]
+        b = next(b for b in range(1, len(order.orbit_poset(n, k).elements)) if b not in bases)
+
+        def change(packing, *tables):
+            columns = tables[reversed_table]
+            if columns is not None:
+                columns[b][min(columns[b])] += 1
+        return change
+    return fault
+
+
+def _base_doubled(n, k):
+    # the column of the last Hecke base doubled in both R and R'
+    b = max(rpoly.orbit_bounds(n, k)[1])
+
+    def change(packing, *tables):
+        for columns in tables:
+            if columns is not None:
+                columns[b] = {a: 2 * x for a, x in columns[b].items()}
+    return change
+
+
+def _reversed_diagonal_stored_as_zero(packing, columns, reversed_columns):
+    # every diagonal entry of R' held as a stored 0, which the steps of the
+    # certificate meet at indices that s raises and that it lowers
+    for b, column in enumerate(reversed_columns or ()):
+        column[b] = 0
+
+
+# Every fault of R or R' that the tests inject through ``corrupt_fill``,
+# as fault(n, k) -> change, on the orbits they use it on; the two that
+# the certificate must refuse, R' off the bases and a base column
+# doubled in both tables; and stored zeros in R'.
+DELTA_FAULTS = [
+    pytest.param(3, 1, lambda n, k: _r_at_min_max_plus_one, id="R3-k1-r-min-max"),
+    pytest.param(4, 2, lambda n, k: _r_at_min_max_plus_one, id="R4-k2-r-min-max"),
+    pytest.param(4, 2, lambda n, k: _min_row_off_by_one, id="R4-k2-r-min-row"),
+    *(pytest.param(4, 2, lambda n, k, r=r: _one_sided(r, order.orbit_star(n, k)),
+                   id=f"R4-k2-{name}-one-sided") for r, name in ((False, "r"), (True, "r'"))),
+    *(pytest.param(n, k, lambda n, k, f=f: f(order.orbit_star(n, k)), id=f"R{n}-k{k}-{name}")
+      for f, name in ((_one_sided_fault, "r'-first-moved"), (_symmetric_fault, "r-symmetric"))
+      for n, k in ((3, 1), (4, 2))),
+    *(pytest.param(n, k, _off_the_bases(r), id=f"R{n}-k{k}-{name}-off-the-bases")
+      for r, name in ((False, "r"), (True, "r'")) for n, k in ((3, 1), (4, 2))),
+    *(pytest.param(n, k, _base_doubled, id=f"R{n}-k{k}-base-doubled")
+      for n, k in ((3, 0), (3, 1), (4, 2))),
+    *(pytest.param(n, k, lambda n, k: _reversed_diagonal_stored_as_zero,
+                   id=f"R{n}-k{k}-r'-diagonal-stored-zero") for n, k in ((3, 1), (4, 2))),
+]
+
+
+@pytest.mark.parametrize("n,k,fault", DELTA_FAULTS)
+def test_delta_report_under_a_fault_is_the_full_sums_report(n, k, fault, corrupt_fill,
+                                                            full_sums):
+    # certified or summed, the report is the one that summing every sigma
+    # gives
+    corrupt_fill(rpoly, n, k, fault(n, k))
+    report = verify._delta_identity(n, k)
+    assert not report.passed
+    assert full_sums(verify._delta_identity, n, k) == (report.checked, report.violations)
+
+
+@pytest.mark.parametrize("n,k,fault", [
+    pytest.param(4, 2, _off_the_bases(True), id="R4-k2-r'-off-the-bases"),
+    pytest.param(3, 1, _base_doubled, id="R3-k1-base-doubled"),
+])
+def test_a_fault_the_certificate_refuses_reaches_the_product(n, k, fault, corrupt_fill,
+                                                             delta_tables):
+    # the certificate refuses the tables, and the report sums the product
+    corrupt_fill(rpoly, n, k, fault(n, k))
+    table, reversed_columns = delta_tables(n, k)
+    assert not hecke.certify(reversed_columns, table, n, k)
+    assert not verify._delta_identity(n, k).passed
+    assert (rpoly.delta_rows.__wrapped__, n, k) in order.kept
+
+
+def _reversed_max_off(packing, columns, reversed_columns):
+    # R'[min, max] off by one
+    if reversed_columns is not None:
+        reversed_columns[-1][0] += 1
+
+
+def _doubled_in_both(packing, *tables):
+    # the one column of a rank-n orbit, or of rank 0, doubled in R and R'
+    for columns in tables:
+        if columns is not None:
+            columns[0] = {a: 2 * x for a, x in columns[0].items()}
+
+
+# Each part of the certificate on (R', R) with a fault of R_3 that only it
+# sees: the column of max in R' off at the minimum, which only (a) reads,
+# as max is no Hecke base; the column of max in R off there, which only
+# (b) reads; and the one column of the rank-0 orbit doubled in both, which
+# every left step fixes, so that only the sum of its row in (c) sees it.
+DELTA_CERTIFICATE_PARTS = [
+    pytest.param("_left_steps_act", 1, _reversed_max_off, id="a-on-r'"),
+    pytest.param("_barred_steps_act", 1, _r_at_min_max_plus_one, id="b-on-r"),
+    pytest.param("_base_rows_are_identity", 0, _doubled_in_both, id="c"),
+]
+
+
+@pytest.mark.parametrize("part,k,fault", DELTA_CERTIFICATE_PARTS)
+def test_each_part_of_the_delta_certificate_is_needed(part, k, fault, monkeypatch,
+                                                      corrupt_fill, full_sums, delta_tables):
+    # under the fault, the report is the full sums report and fails; with
+    # the part dropped from the certificate (a mutant that passes it), the
+    # certificate passes and the report misses the fault
+    n = 3
+    corrupt_fill(rpoly, n, k, fault)
+    report = verify._delta_identity(n, k)
+    assert not report.passed
+    assert full_sums(verify._delta_identity, n, k) == (report.checked, report.violations)
+    table, reversed_columns = delta_tables(n, k)
+    assert not hecke.certify(reversed_columns, table, n, k)
+    monkeypatch.setattr(hecke, part, lambda *args: True)
+    assert hecke.certify(reversed_columns, table, n, k)
+    assert verify._delta_identity(n, k).passed
