@@ -49,48 +49,31 @@ The table holds ints, packed by ``polynomials.Kronecker`` at q = 2^B,
 and each entry is scaled by a power of q that puts it in Z[q]: column
 b holds q^(l(e) - l(a)) c_a(b) at a, and the barred column b holds
 q^(l(b) - l(e)) bar(c_a(b)), which must be R[a, b] (the relation
-``rpoly_via_bar`` reads).  Under these scales the step, and its bar
-(q^-1 A_s - (q^-1 - 1)) on the barred column, take a term x at a to
-
-    s fixes a:   x at a                           (barred: q x at a)
-    s lowers a:  q x at s a                       (barred: q x at s a)
-    s raises a:  x at s a and (1 - q) x at a      (barred: x at s a and (q - 1) x at a)
-
-so q x is ``x << B`` and no step divides by q: the barred column
-scale gains a q from s sigma to sigma, which absorbs the q^-1 of the
-barred step.  An element b = e t^-1 with no left descent has
-l(b) = l(e) - l(t), so its scaled columns come straight from the sums r
-in Z[q]: the barred column holds r itself at a, and the column
-q^(l(b) - l(a)) bar(r), which packing raises on outside Z[q].  Every
-step keeps the scaled entries in Z[q], so no offset is needed.
-Unscaled, the entries would need an offset of up to
-max(l(e) - l(min), l(max) - l(e)) powers of q, and the products in the
-triple sums would carry its zero digits.
+``rpoly_via_bar`` reads).  Under these scales the step is the R' kind
+of ``rpoly._step`` on a column, and its bar
+(q^-1 A_s - (q^-1 - 1)) is the R kind on a barred column (the step
+table of the ``rpoly`` docstring): the barred column scale gains a q
+from s sigma to sigma, which absorbs the q^-1 of the barred step.  An
+element b = e t^-1 with no left descent has l(b) = l(e) - l(t), so its
+scaled columns come straight from the sums r in Z[q]: the barred
+column holds r itself at a, and the column q^(l(b) - l(a)) bar(r),
+which packing raises on outside Z[q].  Every step keeps the scaled
+entries in Z[q], so no offset is needed.  Unscaled, the entries would
+need an offset of up to max(l(e) - l(min), l(max) - l(e)) powers of q,
+and the products in the triple sums would carry its zero digits.
 
 Width: both tables of an orbit are packed by its one packing
 (``rpoly.orbit_packing``), at the width B of the R table, so the Hecke
 suite compares their columns by dict equality; the Hecke entries must
-then have L1 norms within the R bounds, checked on the bases alone.  Run
-over non-negative ints with q -> 1 and subtraction -> addition, the step
-above bounds the L1 norm of every entry, and a barred step has the same
-bounds as its unbarred one: x_a goes to
-
-    s fixes a: x_a,   s lowers a: x_(s a),   s raises a: 2 x_a + x_(s a)
-
-in column b from column s b, for s the left descent of b's plan entry.
-The R bound fill (``rpoly.orbit_bounds``) reads the same plan entry at
-b, takes the same step, and writes it at every a in down(b).  The step
-stays inside down(b): if x_a or x_(s a) is nonzero in a column inside
-down(s b), then a <= s b <= b, or s a <= s b with s raising a, so
-a < s a <= b, or s a <= s b with s lowering a, so a <= b by the lifting
-property (Björner-Brenti, GTM 231, 2.2.7: s u <= w for u <= w and s a
-left descent of w and not of u), which clause (b) of the ``lifting``
-suite checks on every comparable pair of an orbit.  So R's column b is
-the step of R's column s b outside down(b) too, where both are 0.  The
-step is monotone, and s b comes before b in index order (u < v implies
+then have L1 norms within the R bounds, checked on the bases alone.
+The bounds kind of the step bounds both Hecke tables as it bounds R
+and R', and stays inside down(b) (the ``rpoly`` docstring).  At every b
+that is not a base, the R bound fill (``rpoly.orbit_bounds``) takes the
+same left step of the same plan entry as the Hecke fill; the step is
+monotone, and s b comes before b in index order (u < v implies
 l(u) < l(v)), so by induction every Hecke bound is at most R's once
-every base entry is.  The bases are the elements whose plan entry is not
-a left step, defined once as the keys of the columns that
+every base entry is.  The bases are the elements whose plan entry is
+not a left step, defined once as the keys of the columns that
 ``rpoly.orbit_bounds`` keeps, which R filled by a right descent (or, at
 the minimum, by none).  ``_check_bounds`` compares the L1 norm of each
 base sum with R's bound at its entry, 0 outside down(b), and the table
@@ -200,34 +183,6 @@ def _orbit_sum(t: Word, terms) -> dict[int, IntPoly]:
     return {a: r for a, r in sums.items() if r}
 
 
-def _bar_step(column: dict[int, int], to, step, bits: int, barred: bool) -> dict[int, int]:
-    """The scaled column of (q A_s - (q - 1)) h from that of h, by the
-    table of the module docstring, s acting by ``to`` and ``step``.  As
-    s is an involution, the term at a is the only one to reach s a where
-    s raises a, and a where s fixes a, so those entries are set once.
-    Only the entry at a where s raises a sums two terms, its own and that
-    of s a, in either order, so only it can cancel to 0: the second term
-    to come deletes it then, and the column is returned as built.  A
-    stored 0, which only a faulted table holds, deletes nothing."""
-    out: dict[int, int] = {}
-    for a, x in column.items():
-        d, moved = step[a], to[a]
-        if d > 0:
-            out[moved] = x
-            if y := out.get(a, 0) + ((x << bits) - x if barred else x - (x << bits)):
-                out[a] = y
-            else:
-                out.pop(a, None)
-        elif d < 0:
-            if y := out.get(moved, 0) + (x << bits):
-                out[moved] = y
-            else:
-                out.pop(moved, None)
-        else:
-            out[a] = x << bits if barred else x
-    return out
-
-
 def _orbit_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:
     """The classical sums r of each Hecke base of the rank-k orbit of
     R_n, the keys of the columns of ``rpoly.orbit_bounds``, by the
@@ -248,8 +203,9 @@ def _fill(n: int, k: int, bases: dict[int, dict[int, IntPoly]], packing: Kroneck
     """One scaled table over the rank-k orbit of R_n, packed by
     ``packing``: the columns of c, or with ``barred`` those of bar(c).
     At a base b it holds the column of its ``_orbit_sums`` entry
-    ``bases[b]``, and elsewhere the left step of b's ``rpoly.orbit_plan``
-    entry applied to the column of s b, or None unless ``full``."""
+    ``bases[b]``, and elsewhere ``rpoly._step`` of kind R', or with
+    ``barred`` R, for the left s of b's ``rpoly.orbit_plan`` entry,
+    applied to the column of s b, or None unless ``full``."""
     lengths, rows = order.orbit_poset(n, k).lengths, []
     for b, entry in enumerate(rpoly.orbit_plan(n, k)):
         base = bases.get(b)
@@ -257,8 +213,8 @@ def _fill(n: int, k: int, bases: dict[int, dict[int, IntPoly]], packing: Kroneck
             rows.append({a: packing.pack(r if barred else r.bar() * Laurent.q_power(
                 lengths[b] - lengths[a])) for a, r in base.items()})
         else:
-            rows.append(_bar_step(rows[entry[0][b]], *entry[:2], packing.bits, barred)
-                        if full else None)
+            rows.append(rpoly._step(rows[entry[0][b]], *entry[:2], packing.bits,
+                                    "R" if barred else "R'") if full else None)
     return rows
 
 
@@ -316,7 +272,7 @@ def _left_steps_act(rows: rpoly.Table, plan, bits: int) -> bool:
     # is tested without the step; the columns that s lowers follow from
     # those of their raised partners
     actions = {id(entry[0]): entry[:2] for entry in plan if entry and entry[2]}
-    return all(_bar_step(column, to, step, bits, False) == rows[to[t]] if d
+    return all(rpoly._step(column, to, step, bits, "R'") == rows[to[t]] if d
                else _is_fixed(column, to, step)
                for to, step in actions.values()
                for t, (column, d) in enumerate(zip(rows, step)) if d >= 0)
@@ -325,7 +281,7 @@ def _left_steps_act(rows: rpoly.Table, plan, bits: int) -> bool:
 def _barred_steps_act(barred: rpoly.Table, plan, bases, bits: int) -> bool:
     # (b): every barred column off a base is the barred step of its plan
     # entry applied to the barred column of s b
-    return all(_bar_step(barred[entry[0][b]], entry[0], entry[1], bits, True) == barred[b]
+    return all(rpoly._step(barred[entry[0][b]], *entry[:2], bits, "R") == barred[b]
                for b, entry in enumerate(plan) if b not in bases)
 
 

@@ -21,41 +21,59 @@ for single queries, with the change of length under s from
 ``renner.length_step``.  ``orbit_plan(n, k)`` takes it once per element
 of a whole orbit, indexed by ``order.orbit_poset(n, k)``, off
 ``order.orbit_action``, and every fill of the orbit reads its steps off
-that plan.  ``orbit_table(n, k)`` fills R column by column: column
-sigma, {theta: R[theta, sigma]}, is pulled from the column of s sigma,
-whose smaller length puts it earlier in index order, by the packed step
-that ``_fill`` inlines; ``hecke`` takes the left steps of its table,
-kept by sigma too, from the same plan.  The sweeps read the table, so
-they keep one value per comparable pair of the orbit and no memo keyed
-by words.  The plan, the table, ``orbit_bounds``,
-``orbit_packing`` and ``delta_rows`` are kept while their orbit is
-resident (``order.resident``).
+that plan: ``orbit_table(n, k)`` fills R column by column, column
+sigma, {theta: R[theta, sigma]}, from the column of s sigma, earlier in
+index order, and ``hecke`` fills its table, kept by sigma too, by the
+plan's left steps.  The sweeps read the table, so they keep one value
+per comparable pair of the orbit and no memo keyed by words.  The plan,
+the table, ``orbit_bounds``, ``orbit_packing`` and ``delta_rows`` are
+kept while their orbit is resident (``order.resident``).
 
-The table holds ints, filled packed at q = 2^B with
-``polynomials.Kronecker``: q x is ``x << B``, (q - 1) x + q y is
-``(y << B) + (2^B - 1) * x``; every R lies in Z[q], so packing needs no
-offset and no step divides by q.  The reversed polynomials
+The table holds ints, packed at q = 2^B with ``polynomials.Kronecker``;
+every R lies in Z[q], so packing needs no offset.  So do the reversed
 
     R'[theta, sigma] = q^(l(sigma) - l(theta)) bar(R[theta, sigma]),
 
-also in Z[q], are filled alone, by the barred steps R'[s theta, s sigma],
-R'[theta, s sigma], and (1 - q) R'[theta, s sigma] + q R'[s theta, s sigma],
-for one of two readers, and dropped after it: the local certificate that
-the delta report runs on R' and R (``hecke.certify``, ``verify``), and
-the delta product ``delta_rows``.  Both read the orbit's one R table,
-which the Hecke report and every decoder read too.
+with the barred recurrence: R'[s theta, s sigma], R'[theta, s sigma],
+and (1 - q) R'[theta, s sigma] + q R'[s theta, s sigma].  R' is filled
+alone, and dropped, by the delta report, which certifies R' and R
+locally (``hecke.certify``, ``verify``) and sums their product only
+where that fails, and by the per-pair product ``delta_rows``.
 
-B is fixed before the fill, from bounds and never from values.  The
-same fill run over non-negative ints with q -> 1 and subtraction ->
-addition, so that |(q - 1) x + q y| <= 2|x| + |y|, bounds the L1 norm
-of every entry.  The barred steps have the same bounds, so one bound
-table serves R and R'.  With L the largest bound (``orbit_bounds``),
+The step.  Every orbit table, the Hecke table too, is filled by one
+step, ``_step``, of three kinds, named by the R table each builds; the
+Hecke columns are R' and its barred columns R, as ``hecke`` scales
+them.  It pushes the column of s b to that of b, s the left or right
+descent of b's plan entry: a term x at a goes to
+
+    kind     s fixes a    s lowers a    s raises a
+    R        q x at a     q x at s a    x at s a and (q - 1) x at a
+    R'       x at a       q x at s a    x at s a and (1 - q) x at a
+    bounds   x at a       x at s a      x at s a and 2 x at a
+
+the recurrences above, read from the term; q x is ``x << B``, so no
+step divides by q.  B is fixed before the fill, from bounds and never
+from values: the bounds kind is the R and R' kinds at B = 0 with
+subtraction -> addition, as |(q - 1) x + q y| <= 2|x| + |y|, so it
+bounds the L1 norm of every entry of both, and it is monotone.
+
+The step stays inside down(b).  A term at a <= s b < b lands at a or
+at s a: s a < a where s lowers a, and s a <= b where s raises a, by
+the lifting property (Björner-Brenti, GTM 231,
+2.2.7: s u <= w for u <= w and s a descent of w), which clause (b) of
+the ``lifting`` suite checks on every comparable pair of an orbit.  R
+is nonzero on down(b), and no step of any fill cancels (the tests
+count every step of R_1 to R_5), so each column's keys are down(b) with
+no walk of it; and R's column b is the step of its column s b outside
+down(b) too, where both are 0.
+
+With L the largest bound (``orbit_bounds``),
 B = bitlen(|orbit| * L^2 + 1) + 1, and every packed table of the orbit,
 and every decoding, uses the orbit's one packing (``orbit_packing``).
 Of the bound table only L and the columns of the Hecke bases are kept
-(``orbit_bounds``): the elements whose plan entry is not a left step,
-filled by a right descent or, at the minimum, by none.  ``hecke`` reads
-its bases off these columns and holds its base sums to them.
+(``orbit_bounds``): the elements whose plan entry is not a left step.
+``hecke`` reads its bases off these columns and holds its base sums to
+them.
 
 The delta identity, the inversion formula of the R-polynomials,
 
@@ -74,12 +92,10 @@ exactly.  An entry R[a, b] is decoded
 as ``orbit_packing(n, k).unpack(orbit_table(n, k)[b].get(a, 0))``, and
 a sum only where it fails.
 
-The delta product, ``delta_rows(n, k)``, is the columns of
+The per-pair delta product, ``delta_rows(n, k)``, is the columns of
 ``product_rows``, a failing one as its nonzero sums {theta: sum}, kept
 while the orbit is resident.  ``verify_delta_identity`` answers one pair
-off it and ``delta_identity_sum`` decodes one entry of it.  The
-``verify`` report certifies it whole from R' and R instead, and walks it
-only where that certificate fails.
+off it and ``delta_identity_sum`` decodes one entry of it.
 
 The constant term R[theta, sigma](0) equals the Mobius function of the
 interval.
@@ -214,31 +230,45 @@ def orbit_plan(n: int, k: int) -> tuple[tuple | None, ...]:
     return tuple(plan)
 
 
+def _step(column: dict[int, int], to, step, bits: int, kind: str) -> dict[int, int]:
+    """The column of b from that of s b, s acting by ``to`` and ``step``:
+    the step of ``kind`` "R", "R'" or "bounds" (with ``bits`` 0) of the
+    module docstring.  Only the entry at a where s raises a sums two
+    terms, its own and that of s a, so only it can cancel to 0; the
+    second term to come deletes it then.  A stored 0, which only a
+    faulted table holds, deletes nothing."""
+    raised, fixed = {"R": ((1 << bits) - 1, bits), "R'": (1 - (1 << bits), 0),
+                     "bounds": (2, 0)}[kind]
+    out: dict[int, int] = {}
+    for a, x in column.items():
+        d, moved = step[a], to[a]
+        if d > 0:
+            out[moved] = x
+            if y := out.get(a, 0) + raised * x:
+                out[a] = y
+            else:
+                out.pop(a, None)
+        elif d < 0:
+            if y := out.get(moved, 0) + (x << bits):
+                out[moved] = y
+            else:
+                out.pop(moved, None)
+        else:
+            out[a] = x << fixed
+    return out
+
+
 def _fill(n: int, k: int, packing: Kronecker | None = None, barred: bool = False) -> Table:
     """One table over the rank-k orbit of R_n, as columns by the indices
     of ``order.orbit_poset(n, k)``: R packed by ``packing``, or with
-    ``barred`` R'; without a packing, the L1 bounds of their entries
-    (q -> 1, subtraction -> addition), which R and R' share entry for
-    entry.  Column b holds every a <= b; the minimum (index 0) has no
-    descent, and every other column is pulled over down(b) from the
-    column of s b, for the s of b's ``orbit_plan`` entry, by the step of
-    the recurrence, or for R' by its barred step, packed."""
-    plan, downs = orbit_plan(n, k), order.orbit_poset(n, k).downs
-    bits = packing.bits if packing else 0
-    # where s raises theta the factor c of x in the step q y + c x (q - 1
-    # for R, 1 - q for R'; both bound to 2), and where s fixes theta the
-    # shift of x (q x for R, x for R')
-    c, fixed = ((2, 0) if not packing else (1 - (1 << bits), 0) if barred
-                else ((1 << bits) - 1, bits))
-    columns = [{0: 1}]
-    for b in range(1, len(plan)):
-        to, step, _ = plan[b]
-        get = columns[to[b]].get  # the column of s sigma
-        column = {a: get(to[a], 0) if (d := step[a]) < 0 else get(a, 0) << fixed
-                  if d == 0 else (get(to[a], 0) << bits) + c * get(a, 0)
-                  for a in order.bits(downs[b] ^ (1 << b))}
-        column[b] = 1
-        columns.append(column)
+    ``barred`` R'; without a packing, the L1 bounds of their entries.
+    Column b holds every a <= b; the minimum (index 0) has no descent,
+    and every other column is the ``_step`` of that kind, for b's
+    ``orbit_plan`` entry, of the column of s b."""
+    kind = "bounds" if packing is None else "R'" if barred else "R"
+    bits, columns = packing.bits if packing else 0, [{0: 1}]
+    for b, (to, step, _) in enumerate(orbit_plan(n, k)[1:], 1):
+        columns.append(_step(columns[to[b]], to, step, bits, kind))
     return columns
 
 
@@ -279,8 +309,7 @@ def delta_rows(n: int, k: int) -> list[dict[int, int] | None]:
     identity's, as ``product_rows`` gives them over the columns of R' and
     of R, the rows of R'^T and R^T.  R' is filled here, alone, and
     dropped once the sums are formed; R is the orbit's ``orbit_table``.
-    The per-pair reader reads it, and the ``verify`` report only where
-    ``hecke.certify`` refuses R' and R."""
+    Only the per-pair reader reads it."""
     return list(product_rows(_fill(n, k, orbit_packing(n, k), barred=True),
                              orbit_table(n, k), order.orbit_star(n, k)))
 

@@ -41,10 +41,11 @@ whose column t is the Hecke column of t (``hecke.orbit_bars(n, k)[0]``)
 and Bar[b] the barred column of b (``hecke.orbit_barred(n, k)[b]``),
 so that the bar o bar row of b is the vector H Bar[b],
 ``rpoly.triple_sums(Bar[b], H)``.  For a left step s,
-let T and Tbar be the step and the barred step of ``hecke._bar_step``
-as int matrices, at Q = 2^B, and Mbar the column action that takes e_t
-to e_t where s fixes t, to e_(s t) where s raises t, and to
-Q e_(s t) + (1 - Q) e_t where s lowers t.  By the step table,
+let T and Tbar be the R' and R kinds of ``rpoly._step``, the step of
+the Hecke columns and the barred step, as int matrices, at Q = 2^B, and
+Mbar the column action that takes e_t to e_t where s fixes t, to
+e_(s t) where s raises t, and to Q e_(s t) + (1 - Q) e_t where s lowers
+t.  By the step table of the ``rpoly`` docstring,
 Tbar = Mbar + (Q - 1) I and T^2 = (1 - Q) T + Q I, exactly: facts of
 the action tables alone, which the tests check on unit columns.  The
 certificate checks three things:
@@ -80,11 +81,11 @@ delta product is ``rpoly.triple_sums(R'[b], R)``, column b of R R'.
 Two square int matrices with R' R = I also have R R' = I (a one-sided
 inverse of a square matrix over Q is two-sided), so every delta column
 is the identity's, whatever the two tables hold, and no Hecke table is
-needed.  The delta report fills R' for the certificate and drops it,
-and is then clean, with the ``checked`` count of the full report.
-Where the certificate fails, it sums its product as above
-(``rpoly.delta_rows``), star skip included, so each certificate is the
-one its own sum gives.
+needed.  The delta report fills R' once, for the certificate, and is
+then clean, with the ``checked`` count of the full report.  Where the
+certificate fails, it sums its product as above from the same R'
+(``rpoly.product_rows``), star skip included, so each certificate is
+the one its own sum gives; then R' is dropped.
 
 Why R certifies the barred columns.  Let Bar be the table the Hecke
 fill would build: at a base b its column from the base sums, and off
@@ -141,20 +142,24 @@ __all__ = ["SUITES", "hecke_oracle_report", "run_suite"]
 
 def _delta_identity(n: int, k: int) -> Report:
     """The delta identity on every ordered pair of the orbit.  The report
-    is clean where ``hecke.certify`` holds on R', filled here through
-    ``rpoly._fill`` and dropped, and the orbit's one R table (module
-    docstring).  Otherwise it reads one packed column of sums per sigma
-    of each pair {sigma, sigma*}, as ``rpoly.delta_rows`` keeps them: a
-    failing column holds its nonzero sums, and a sum it lacks is 0.  The
-    failing pairs are reported by theta, then sigma.  Only a failing sum
-    is decoded, by the orbit's packing; the sums read the R table too."""
+    is clean where ``hecke.certify`` holds on R', filled here once
+    through ``rpoly._fill`` and dropped, and the orbit's one R table
+    (module docstring).  Otherwise it sums one packed column per sigma
+    of each pair {sigma, sigma*} from the same two tables, as
+    ``rpoly.product_rows`` gives them: a failing column holds its
+    nonzero sums, and a sum it lacks is 0.  The failing pairs are
+    reported by theta, then sigma.  Only a failing sum is decoded, by the
+    orbit's packing."""
     report = Report(name="delta")
     packing = rpoly.orbit_packing(n, k)
     elements = order.orbit_poset(n, k).elements
     report.checked = len(elements) ** 2
-    if hecke.certify(rpoly._fill(n, k, packing, barred=True), rpoly.orbit_table(n, k), n, k):
+    columns, table = rpoly._fill(n, k, packing, barred=True), rpoly.orbit_table(n, k)
+    if hecke.certify(columns, table, n, k):
         return report
-    failing = sorted((a, b, total) for b, column in enumerate(rpoly.delta_rows(n, k))
+    # rebound, so that R' is dropped once its product is summed
+    columns = rpoly.product_rows(columns, table, order.orbit_star(n, k))
+    failing = sorted((a, b, total) for b, column in enumerate(columns)
                      if column is not None for a in column.keys() | {b}
                      if (total := column.get(a, 0)) != (a == b))
     report.violations = [{

@@ -35,9 +35,10 @@ def corrupt_fill(monkeypatch, fresh_orbits):
     None for the other.  ``rpoly``: R and None on the fill of the
     orbit's one R table (``rpoly.orbit_table``), which the delta and
     Hecke reports both read, so a fault of R is applied once and reaches
-    both; None and R' on each fill of R', by the delta report's
-    certificate (``verify._delta_identity``) and by the delta product
-    (``rpoly.delta_rows``).
+    both; None and R' on each fill of R': the one fill of the delta
+    report (``verify._delta_identity``), whose certificate and, where
+    that fails, whose product read it, and the fill of the per-pair
+    delta product (``rpoly.delta_rows``).
     ``hecke``: the Hecke columns and None; None and the barred columns
     of the Hecke bases, None elsewhere (``hecke.orbit_bars``), which the
     Hecke report's fast path reads; and None and every barred column
@@ -74,9 +75,9 @@ def corrupt_fill(monkeypatch, fresh_orbits):
 @pytest.fixture
 def delta_tables():
     """delta_tables(n, k): the columns of R and R' of the rank-k orbit of
-    R_n, packed, that ``rpoly.delta_rows`` reads: the orbit's R table
-    and R' filled alone, through ``rpoly._fill``, so that a
-    ``corrupt_fill`` fault reaches both."""
+    R_n, packed, that the delta report and ``rpoly.delta_rows`` read: the
+    orbit's R table and R' filled alone, through ``rpoly._fill``, so
+    that a ``corrupt_fill`` fault reaches both."""
     return lambda n, k: (rpoly.orbit_table(n, k),
                          rpoly._fill(n, k, rpoly.orbit_packing(n, k), barred=True))
 
@@ -115,11 +116,11 @@ def count_sums(monkeypatch):
 @pytest.fixture
 def drop_product():
     """drop(n, k): the delta product that the rank-k orbit of R_n keeps
-    (``rpoly.delta_rows``), the per-pair reference to it and the R table
-    it reads (``rpoly.orbit_table``), no longer resident, now and again
-    after the test.  The next delta check then fills R again and sums
-    the product afresh, from the tables and the star as they are by
-    then: call it before a check that counts sums, patches
+    for the per-pair reader (``rpoly.delta_rows``), the reader's
+    reference to it and the R table it reads (``rpoly.orbit_table``), no
+    longer resident, now and again after the test.  The next delta check
+    then fills R again and sums afresh, from the tables and the star as
+    they are by then: call it before a check that counts sums, patches
     ``order.orbit_star`` or follows a fault installed after R was
     filled."""
     orbits = []
@@ -146,8 +147,8 @@ def full_sums(monkeypatch, drop_product):
     both of its uses: the delta report's certificate of R R' = I, so
     that it sums its product, and the Hecke report's fast path, so that
     it reads every barred column (``hecke.orbit_barred``).  The patches
-    hold only while check runs.  The delta product is summed afresh
-    under them and dropped after it."""
+    hold only while check runs.  The R table is filled afresh under them
+    and dropped after it."""
     def run(check, n, k):
         with monkeypatch.context() as patch:
             patch.setattr(order, "orbit_star",
@@ -174,10 +175,10 @@ def fallback(monkeypatch):
 def delta_fallback(monkeypatch):
     """The delta report takes its fallback on every orbit, as where the
     certificate refuses R' and R: ``hecke.certify`` refuses every pair
-    of tables, so that the report sums its product (``rpoly.delta_rows``)
-    one sigma of each star pair, as a sum-counting test expects.  The
-    Hecke report, which a test of the delta report does not run, would
-    take its summed path too."""
+    of tables, so that the report sums its product
+    (``rpoly.product_rows``) one sigma of each star pair, as a
+    sum-counting test expects.  The Hecke report, which a test of the
+    delta report does not run, would take its summed path too."""
     monkeypatch.setattr(hecke, "certify", lambda *args: False)
 
 

@@ -472,10 +472,11 @@ def pack_rows(rows, packing):
 def rpoly_bound_tables(n, k):
     """The L1 bounds of the entries of R and of R' over the rank-k orbit
     of R_n, as two tables of columns {a: bound of (a, b)} by b, filled
-    side by side: each packed step of ``rpoly`` (q R, (q - 1) x + q y,
-    and the barred (1 - q) x + q y) evaluated at q = 1 with subtraction
-    turned into addition.  The oracle of the one bound table
-    ``rpoly._fill`` fills."""
+    side by side and pulled over down(b): each step of the recurrence
+    (q R, (q - 1) x + q y, and the barred (1 - q) x + q y) evaluated at
+    q = 1 with subtraction turned into addition.  The oracle of the one
+    bound table that ``rpoly._fill`` fills by the bounds kind of
+    ``rpoly._step``, pushed and with no walk of down(b)."""
     poset = order.orbit_poset(n, k)
     columns = [{b: 1} for b in range(len(poset.elements))]
     reversed_columns = [{b: 1} for b in range(len(poset.elements))]
@@ -507,19 +508,20 @@ def hecke_bound_step(column, to, step):
 
 def fixed_by_step(column, to, step, bits):
     """Whether the left step of s, which fixes the column's t, keeps the
-    packed column, by building the step whole and comparing it with the
-    column: the slow form of ``hecke._is_fixed``.  The column must hold
-    no stored 0."""
-    return hecke._bar_step(column, to, step, bits, False) == column
+    packed column, by building the step whole (``rpoly._step`` of kind
+    R', the step of the Hecke columns and of R') and comparing it with
+    the column: the slow form of ``hecke._is_fixed``.  The column must
+    hold no stored 0."""
+    return rpoly._step(column, to, step, bits, "R'") == column
 
 
 def hecke_bound_tables(n, k, bases=None):
     """The L1 bounds of the scaled rows of c and of bar(c) over the
-    rank-k orbit of R_n, as two tables filled side by side by the step
-    of ``hecke._bar_step`` at q = 1 with subtraction turned into
-    addition, from the L1 norms of the orbit sums ``bases`` (by default
-    ``hecke._orbit_sums``): the full bound fill, of which ``hecke`` checks
-    only the bases."""
+    rank-k orbit of R_n, as two tables filled side by side by
+    ``hecke_bound_step``, the Hecke step at q = 1 with subtraction turned
+    into addition, written apart from ``rpoly._step``, from the L1 norms
+    of the orbit sums ``bases`` (by default ``hecke._orbit_sums``): the
+    full bound fill, of which ``hecke`` checks only the bases."""
     poset = order.orbit_poset(n, k)
     left = order.orbit_action(n, k, "left")
     bases = hecke._orbit_sums(n, k) if bases is None else bases

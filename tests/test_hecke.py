@@ -362,42 +362,58 @@ def test_a_length_skip_at_equal_lengths_is_caught(monkeypatch, fresh_orbits):
     assert not verify.hecke_oracle_report(3, 1).passed
 
 
-@pytest.mark.parametrize("barred", [False, True], ids=["rows", "barred"])
-def test_bar_step_drops_a_zero_that_cancels(barred):
+# Each kind of ``rpoly._step`` with its bits and its constant c, the
+# factor of the term that a raised index keeps: q - 1 for R (the barred
+# Hecke columns), 1 - q for R' (the Hecke columns), and 2 for the bounds,
+# at q = 1.  The ids name the Hecke tables of the first two.
+STEP_KINDS = [pytest.param("R'", 4, 1 - 16, id="rows"),
+              pytest.param("R", 4, 16 - 1, id="barred"),
+              pytest.param("bounds", 0, 2, id="bounds")]
+
+
+@pytest.mark.parametrize("kind,bits,c", STEP_KINDS)
+def test_bar_step_drops_a_zero_that_cancels(kind, bits, c):
     # s raises index 0 to 1 and lowers 1 to 0, so the terms of 0 and 1
-    # meet at 0: (1 - q) q + q (q - 1) = 0, and barred
-    # (q - 1) q + q (1 - q) = 0, at q = 2^bits; the step drops that 0,
-    # formed by the term of 1 or, in the reversed column, by that of 0.
-    # With no cancellation both entries stay
-    bits, to, step = 4, (1, 0), (1, -1)
+    # meet at 0: c q + q (-c) = 0 at q = 2^bits, which for the bounds is
+    # q = 1 and takes a negative term; the step drops that 0, formed by
+    # the term of 1 or, in the reversed column, by that of 0.  With no
+    # cancellation both entries stay
+    to, step = (1, 0), (1, -1)
     q = 1 << bits
-    cancelling = {0: q, 1: 1 - q if barred else q - 1}
-    assert hecke._bar_step(cancelling, to, step, bits, barred) == {1: q}
-    assert hecke._bar_step(dict(reversed(cancelling.items())), to, step, bits, barred) == {1: q}
-    out = hecke._bar_step({0: q, 1: q}, to, step, bits, barred)
+    cancelling = {0: q, 1: -c}
+    assert rpoly._step(cancelling, to, step, bits, kind) == {1: q}
+    assert rpoly._step(dict(reversed(cancelling.items())), to, step, bits, kind) == {1: q}
+    out = rpoly._step({0: q, 1: q}, to, step, bits, kind)
     assert set(out) == {0, 1} and 0 not in out.values()
     # a stored 0, as a faulted table may hold, at the index that s raises
     # or at the one it lowers, steps to 0 and raises nothing
     for zero in ({0: 0}, {1: 0}):
-        assert not any(hecke._bar_step(zero, to, step, bits, barred).values())
+        assert not any(rpoly._step(zero, to, step, bits, kind).values())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_no_bar_step_of_an_orbit_cancels(n, monkeypatch, fresh_orbits):
-    # every left step of every Hecke fill of R_n keeps an entry at each
-    # index its terms reach, a and s a for every a of the column: no sum
-    # cancels to 0, so the step never deletes an entry there
-    steps, bar_step = [], hecke._bar_step
+    # every step of every fill of R_n, the bounds, R and R' by left and
+    # right steps and both Hecke tables by left ones, keeps an entry at
+    # each index its terms reach, a and s a for every a of the column: no
+    # sum cancels to 0, so the step never deletes an entry there, and the
+    # R fill needs no walk of down(b) to keep its keys
+    steps, seen, step_of = [], set(), rpoly._step
 
-    def kept(column, to, step, bits, barred):
-        out = bar_step(column, to, step, bits, barred)
+    def kept(column, to, step, bits, kind):
+        out = step_of(column, to, step, bits, kind)
         steps.append(set(out) == set(column) | {to[a] for a in column})
+        seen.add((kind, any(to is left for left, _ in order.orbit_action(n, k, "left"))))
         return out
-    monkeypatch.setattr(hecke, "_bar_step", kept)
+    monkeypatch.setattr(rpoly, "_step", kept)
     for k in range(n + 1):
         order.orbit_poset.cache_clear()
-        hecke.orbit_bars(n, k)
+        packing = rpoly.orbit_packing(n, k)
+        rpoly.orbit_table(n, k), rpoly._fill(n, k, packing, barred=True)
+        hecke.orbit_bars(n, k), hecke.orbit_barred(n, k)
     assert all(steps) and (steps or n == 1)  # R_1 has no simple reflection
+    assert n == 1 or seen == {(kind, left) for kind in ("bounds", "R", "R'")
+                              for left in (True, False)}
 
 
 def _combine(*terms):
@@ -415,25 +431,30 @@ def _combine(*terms):
 def test_bar_steps_satisfy_the_operator_identities(n, ks):
     # the two identities that the local certificate of bar o bar rests on
     # (``verify`` docstring), exact in Z, on the unit columns e_t of every
-    # orbit and every left action s, with T the step and Tbar the barred
-    # step at Q = 2^B: Tbar = Mbar + (Q - 1) I, where Mbar takes e_t to e_t,
+    # orbit and every action s, left and right, as the R fill takes both,
+    # with T the step of kind R' and Tbar the step of kind R at
+    # Q = 2^B: Tbar = Mbar + (Q - 1) I, where Mbar takes e_t to e_t,
     # e_(s t) or Q e_(s t) + (1 - Q) e_t as s fixes, raises or lowers t,
-    # and T^2 = (1 - Q) T + Q I
+    # and T^2 = (1 - Q) T + Q I; and the bounds kind, at B = 0, is the
+    # oracle's Hecke bound step
     checked = 0
     for k in ks:
         bits = rpoly.orbit_packing(n, k).bits
         q = 1 << bits
-        for to, step in order.orbit_action(n, k, "left"):
-            for t, d in enumerate(step):
-                unit, moved = {t: 1}, {to[t]: 1}
-                m_bar = unit if d == 0 else moved if d > 0 else _combine((q, moved),
-                                                                         (1 - q, unit))
-                assert hecke._bar_step(unit, to, step, bits, True) == \
-                    _combine((1, m_bar), (q - 1, unit)), (n, k, t)
-                once = hecke._bar_step(unit, to, step, bits, False)
-                assert hecke._bar_step(once, to, step, bits, False) == \
-                    _combine((1 - q, once), (q, unit)), (n, k, t)
-                checked += 1
+        for side in ("left", "right"):
+            for to, step in order.orbit_action(n, k, side):
+                for t, d in enumerate(step):
+                    unit, moved = {t: 1}, {to[t]: 1}
+                    m_bar = unit if d == 0 else moved if d > 0 else _combine((q, moved),
+                                                                             (1 - q, unit))
+                    assert rpoly._step(unit, to, step, bits, "R") == \
+                        _combine((1, m_bar), (q - 1, unit)), (n, k, side, t)
+                    once = rpoly._step(unit, to, step, bits, "R'")
+                    assert rpoly._step(once, to, step, bits, "R'") == \
+                        _combine((1 - q, once), (q, unit)), (n, k, side, t)
+                    assert rpoly._step(unit, to, step, 0, "bounds") == \
+                        hecke_bound_step(unit, to, step), (n, k, side, t)
+                    checked += 1
     assert checked or n == 1  # R_1 has no simple reflection
 
 

@@ -280,12 +280,12 @@ def test_orbit_tables_compute_no_descent_on_words(monkeypatch, fresh_orbits):
 
 def test_orbit_table_keeps_no_key_object_per_entry(fresh_orbits):
     # on an orbit past the small-int cache (R_6 k = 2, 450 elements, 38557
-    # entries), the columns of R share their keys: at most two int
-    # objects per index, the position ``order.bits`` gives and the
-    # diagonal key
+    # entries), the columns of R share their keys: one int object per
+    # index, the one the orbit's action tables hold, as every key the
+    # step writes is an index of ``to`` or a key of an earlier column
     table = rpoly.orbit_table(6, 2)
     assert sum(map(len, table)) > 80 * len(table)
-    assert len({id(a) for column in table for a in column}) <= 2 * len(table)
+    assert len({id(a) for column in table for a in column}) <= len(table)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -828,13 +828,23 @@ def test_delta_report_under_a_fault_is_the_full_sums_report(n, k, fault, corrupt
     pytest.param(3, 1, _base_doubled, id="R3-k1-base-doubled"),
 ])
 def test_a_fault_the_certificate_refuses_reaches_the_product(n, k, fault, corrupt_fill,
-                                                             delta_tables):
-    # the certificate refuses the tables, and the report sums the product
+                                                             delta_tables, count_sums,
+                                                             monkeypatch):
+    # the certificate refuses the tables, and the report sums the product,
+    # rows off the bases included, from the one R' it filled for the
+    # certificate, and keeps no product
     corrupt_fill(rpoly, n, k, fault(n, k))
     table, reversed_columns = delta_tables(n, k)
     assert not hecke.certify(reversed_columns, table, n, k)
+    fills, fill = [], rpoly._fill
+    monkeypatch.setattr(rpoly, "_fill", lambda *args, **kwargs:
+                        fills.append((kwargs, fill(*args, **kwargs))) or fills[-1][1])
+    count_sums.clear()
     assert not verify._delta_identity(n, k).passed
-    assert (rpoly.delta_rows.__wrapped__, n, k) in order.kept
+    assert [kwargs for kwargs, _ in fills] == [{"barred": True}]
+    bases, filled = rpoly.orbit_bounds(n, k)[1], fills[0][1]
+    assert {id(filled[b]) for b in range(len(filled)) if b not in bases} & set(map(id, count_sums))
+    assert (rpoly.delta_rows.__wrapped__, n, k) not in order.kept
 
 
 def _reversed_max_off(packing, columns, reversed_columns):
