@@ -80,29 +80,29 @@ base sum with R's bound at its entry, 0 outside down(b), and the table
 raises ValueError rather than pack past the width.  No base of R_1 to
 R_6 exceeds it.
 
-``_fill`` fills one table a call: the columns, the barred columns of
-the bases alone, which ``orbit_bars`` keeps beside the columns, or
-every barred column, which ``orbit_barred`` fills only when asked for.
-Off the bases a barred column is the barred step of an earlier one, so
-the Hecke report reads it from R where R certifies it (``verify``).
+``_fill`` fills one table a call: the columns or the barred columns,
+every one or those of the bases alone.  ``orbit_bars`` keeps them in
+pairs: every column, which the Hecke report fills only where its clean
+test fails, and the Laurent path reads; and the columns of the bases
+alone, which is all that the clean test fills.  Off the bases a column
+is the step of an earlier one, so the clean test reads it from R' or R
+where the orbit's certificate holds (``verify``).
 
 That bar is an involution is checked orbit by orbit in integer
 arithmetic over the same table (``verify.hecke_oracle_report``), which
 decodes its own certificates.  ``certify`` certifies it from local
-checks on the columns and a table of barred columns, R's or the Hecke
-fill's: each left step s of the plan takes bar(A_t) to
-bar(A_(s t)) where s raises t and keeps it where s fixes t, as bar is a
-ring homomorphism, the latter tested as equal entries at a and s a
-wherever s moves a, with no step built; each barred column off a base
-is the barred step of its plan entry; and the bar o bar row of each
-base is the identity.  ``verify`` shows that these give every row, and
-only the base rows are summed.  Run on R' and R, the same checks
-certify the delta identity, with no Hecke table (``verify``).  Where a
-check fails, the report sums the bar o bar row of one sigma of each
-pair {sigma, sigma*}, sigma* = w0 sigma^-1 w0, once it has checked that
-the columns and the barred columns are both equivariant under that map
-(c_(a*)(b*) = c_a(b)); the row of sigma* is then that of sigma
-relabelled.  On a table that fails that check every sigma is summed.
+checks on a table of columns and one of barred columns: each left step
+s of the plan takes bar(A_t) to bar(A_(s t)) where s raises t and keeps
+it where s fixes t, as bar is a ring homomorphism, the latter tested as
+equal entries at a and s a wherever s moves a, with no step built; each
+barred column off a base is the barred step of its plan entry; and the
+bar o bar row of each base is the identity.  ``verify`` shows that
+these give every row, and only the base rows are summed.  Run on R' and
+R, the same checks certify the delta identity, with no Hecke table,
+and, with the bases compared, bar o bar: ``certificate`` runs them
+there once per orbit, for both reports (``verify``).  Where the clean
+test fails, the report runs them on its full tables, and where they
+fail too, it sums the bar o bar row of every sigma.
 ``bar_Asigma``, ``bar_element`` and ``rpoly_via_bar`` decode the table
 into ``Laurent`` coefficients: they are the Laurent path, which the
 tests hold the packed sums and their certificates against.
@@ -118,7 +118,7 @@ HeckeElt = dict  # Word -> Laurent, zero coefficients absent
 
 __all__ = [
     "HeckeElt", "add_scaled", "canonical", "mult_As_left",
-    "mult_Aw_left", "orbit_bars", "orbit_barred", "certify", "bar_Asigma", "bar_element",
+    "mult_Aw_left", "orbit_bars", "certify", "certificate", "bar_Asigma", "bar_element",
     "rpoly_via_bar",
 ]
 
@@ -238,26 +238,20 @@ def _checked_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:
 
 
 @order.resident
-def orbit_bars(n: int, k: int) -> tuple[rpoly.Table, list[dict[int, int] | None]]:
+def orbit_bars(n: int, k: int, full: bool = True) -> tuple[list[dict[int, int] | None], ...]:
     """The Hecke table of the rank-k orbit of R_n, packed by
     ``rpoly.orbit_packing(n, k)`` and scaled, kept while the orbit is
     resident like the R table of ``rpoly``, and by sigma like it: the
-    columns, and the barred columns of the Hecke bases, None elsewhere.
+    columns and the barred columns, every one, or with ``full`` false
+    those of the Hecke bases alone, None elsewhere, which is all that
+    the Hecke report fills where ``certificate`` holds (``verify``).
     Column b maps each index a of ``order.orbit_poset(n, k)`` to the
     packed q^(l(e) - l(a)) c_a(b), c_a(b) the coefficient of
     A_(elements[a]) in bar(A_(elements[b])), and barred column b to the
-    packed q^(l(b) - l(e)) bar(c_a(b)); nonzero entries only.  Every
-    barred column is ``orbit_barred``'s."""
+    packed q^(l(b) - l(e)) bar(c_a(b)); nonzero entries only."""
     bases, packing = _checked_sums(n, k), rpoly.orbit_packing(n, k)
-    return _fill(n, k, bases, packing), _fill(n, k, bases, packing, barred=True, full=False)
-
-
-@order.resident
-def orbit_barred(n: int, k: int) -> rpoly.Table:
-    """Every barred column of the Hecke table of the rank-k orbit of R_n
-    (``orbit_bars``), filled only when asked for: by the Hecke report
-    where R does not certify it (``verify``), and by ``rpoly_via_bar``."""
-    return _fill(n, k, _checked_sums(n, k), rpoly.orbit_packing(n, k), barred=True)
+    return (_fill(n, k, bases, packing, full=full),
+            _fill(n, k, bases, packing, barred=True, full=full))
 
 
 def _is_fixed(column: dict[int, int], to, step) -> bool:
@@ -303,17 +297,29 @@ def certify(rows: rpoly.Table, barred: rpoly.Table, n: int, k: int) -> bool:
     that s moves; (b) every barred column off a base is its plan's
     barred step of the barred column of s b; (c) the row of every base,
     a key of ``rpoly.orbit_bounds``, is the identity.  It has two
-    callers.  The Hecke report calls it on the Hecke columns with R, and
-    with ``orbit_barred`` where that fails, for bar o bar; the delta
-    report calls it on R' and R, where the rows it certifies are those of
-    R' R, and so R R' = I.  ``verify`` gives the argument, exact in Z for
-    any table contents.  Only (c) sums, and it stops at its first
+    callers.  ``certificate`` calls it on R' and R, where the rows it
+    certifies are those of R' R, and so R R' = I, and, with the bases
+    compared, the bar o bar rows of the Hecke tables too; the Hecke
+    report calls it on its own full tables where that fails.  ``verify`` gives the argument, exact in Z
+    for any table contents.  Only (c) sums, and it stops at its first
     failing base; False means that some check failed, not that some row
     is not the identity."""
     plan, bits = rpoly.orbit_plan(n, k), rpoly.orbit_packing(n, k).bits
     bases = rpoly.orbit_bounds(n, k)[1]
     return (_left_steps_act(rows, plan, bits) and _barred_steps_act(barred, plan, bases, bits)
             and _base_rows_are_identity(rows, barred, bases))
+
+
+@order.resident
+def certificate(n: int, k: int) -> tuple[bool, dict[int, dict[int, int]]]:
+    """The one local certificate of the rank-k orbit of R_n, kept for
+    both triple reports: whether ``certify`` holds on R', filled here
+    through ``rpoly._fill``, and the orbit's R table, and the columns of
+    R' at the Hecke bases, {b: R'[b]}, which the Hecke report compares
+    with its own columns there.  R' is dropped once these are taken."""
+    columns = rpoly._fill(n, k, rpoly.orbit_packing(n, k), barred=True)
+    return (certify(columns, rpoly.orbit_table(n, k), n, k),
+            {b: columns[b] for b in rpoly.orbit_bounds(n, k)[1]})
 
 
 def bar_Asigma(sigma: Word) -> HeckeElt:
@@ -353,11 +359,11 @@ def rpoly_via_bar(sigma: Word) -> dict[Word, IntPoly]:
 
     bar(A_sigma) = q^(l(sigma) - l(e)) sum_theta bar(R[theta, sigma]) A_theta,
     so R[theta, sigma] is the barred coefficient scaled by
-    q^(l(sigma) - l(e)): the barred column of ``orbit_barred``, decoded.
+    q^(l(sigma) - l(e)): the barred column of ``orbit_bars``, decoded.
     That every such value lies in Z[q] is checked as the table is filled.
     """
     n, k = len(sigma), renner.rank(sigma)
     poset, unpack = order.orbit_poset(n, k), rpoly.orbit_packing(n, k).unpack
     return {poset.elements[a]: unpack(x)
-            for a, x in orbit_barred(n, k)[poset.locate(sigma)].items()}
+            for a, x in orbit_bars(n, k)[1][poset.locate(sigma)].items()}
 

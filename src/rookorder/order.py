@@ -12,10 +12,14 @@ orbit asked for, and ``kept`` is the one store of what is derived from
 that orbit: ``resident`` functions keep there the s_i-actions
 (``orbit_action``), the index permutation sigma -> sigma* = w0
 sigma^-1 w0 (``orbit_star``), the descent plan and the packing of the
-tables, the one R table (the Hecke report, the delta product and every
-decoder read it), the Hecke table, the delta product, and the per-pair
-delta reader its entry.  ``orbit_poset`` empties ``kept`` when it drops
-an orbit, so the orbit's values die with it.
+tables, the one R table (the certificate, the Hecke report, the delta
+product and every decoder read it), the one certificate of both triple
+reports (``hecke.certificate``: a verdict and the columns of R' at the
+Hecke bases, with no full R'), the Hecke columns of the bases, the full
+Hecke table where a report's fallback or the Laurent path asks for it,
+the delta product, and the per-pair delta reader its entry.
+``orbit_poset`` empties ``kept`` when it drops an orbit, so the orbit's
+values die with it.
 
 The coset-witness criterion on standard forms (theta = u e v^-1 <=
 sigma = x f y^-1 iff e <= f and u <= xw, yw <= v for some w in
@@ -417,9 +421,9 @@ def orbit_star(n: int, k: int) -> tuple[int, ...]:
     """``star`` on ``orbit_poset(n, k)`` by index: entry a is the index
     of elements[a]*.  An orbit is closed under it, since it keeps the
     rank; the tests check on R_1 to R_5 that it is an involution that
-    keeps the lengths and the up rows, and ``rpoly.product_rows`` and
-    ``analysis._putcha_star`` each check what they rely on before using
-    it."""
+    keeps the lengths and the up rows, and that the R, R' and Hecke
+    tables are equivariant under it.  ``analysis._putcha_star`` checks
+    what it relies on before using it."""
     poset = orbit_poset(n, k)
     return tuple(map(poset.index.__getitem__, map(star, poset.elements)))
 

@@ -36,9 +36,12 @@ every R lies in Z[q], so packing needs no offset.  So do the reversed
 
 with the barred recurrence: R'[s theta, s sigma], R'[theta, s sigma],
 and (1 - q) R'[theta, s sigma] + q R'[s theta, s sigma].  R' is filled
-alone, and dropped, by the delta report, which certifies R' and R
-locally (``hecke.certify``, ``verify``) and sums their product only
-where that fails, and by the per-pair product ``delta_rows``.
+alone, and dropped, by the orbit's one certificate
+(``hecke.certificate``), which certifies R' and R locally
+(``hecke.certify``, ``verify``) and keeps the columns of R' at the
+Hecke bases alone; by the delta report, which sums their product only
+where the certificate fails; and by the per-pair product
+``delta_rows``.
 
 The step.  Every orbit table, the Hecke table too, is filled by one
 step, ``_step``, of three kinds, named by the R table each builds; the
@@ -80,15 +83,12 @@ The delta identity, the inversion formula of the R-polynomials,
     sum over theta <= nu <= sigma of R[theta, nu] R'[nu, sigma] = delta(theta, sigma),
 
 is one column of sums per sigma: ``triple_sums`` of column sigma of R'
-against the columns of R.  The orbit check reads these columns from
-``product_rows``, which sums one sigma of each pair {sigma, sigma*},
-sigma* = w0 sigma^-1 w0, once it has checked that both tables are
-equivariant under that map (R[a*, b*] = R[a, b], and the same for R');
-``verify`` gives the argument.  A sum has at most |orbit| terms, so
-each of its coefficients is at most |orbit| * L^2 < 2^(B-1) in absolute
-value: a balanced base-2^B digit.  So each int determines its
-polynomial, and an int equal to 0 or 1 certifies the polynomial 0 or 1
-exactly.  An entry R[a, b] is decoded
+against the columns of R.  Where its certificate fails, the orbit
+check reads these columns, every sigma, from ``product_rows``.  A sum
+has at most |orbit| terms, so each of its coefficients is at most
+|orbit| * L^2 < 2^(B-1) in absolute value: a balanced base-2^B digit.
+So each int determines its polynomial, and an int equal to 0 or 1
+certifies the polynomial 0 or 1 exactly.  An entry R[a, b] is decoded
 as ``orbit_packing(n, k).unpack(orbit_table(n, k)[b].get(a, 0))``, and
 a sum only where it fails.
 
@@ -176,42 +176,16 @@ def triple_sums(left: dict[int, int], rows: Table) -> list[int]:
     return out
 
 
-def _equivariant(rows: Table, star) -> bool:
-    # whether rows[star[a]] is row a relabelled by star, for every a, star
-    # an involution: at a = star[b] it follows from b, by relabelling both
-    # sides.  One relabelled row is held at a time.
-    return all({star[b]: x for b, x in row.items()} == rows[star[a]]
-               for a, row in enumerate(rows) if star[a] >= a)
-
-
-def product_rows(left: Table, right: Table, star) -> Iterator[dict[int, int] | None]:
+def product_rows(left: Table, right: Table) -> Iterator[dict[int, int] | None]:
     """Row b of the product of two packed orbit matrices, for every b in
     index order: the nonzero entries {j: sum} of
     ``triple_sums(left[b], right)``, or None where that row is the
-    packed identity (1 at b, 0 elsewhere).
-
-    ``star`` is an index permutation (``order.orbit_star``).  If star o
-    star = id and both matrices are equivariant under it, T[star a][star
-    b] = T[a][b] on every entry, checked before any sum, the sum of b is
-    skipped (b reads as the identity) when star(b) < b and the row of
-    star(b) was the identity; otherwise every b is summed.  ``verify``
-    gives the argument.
-    """
+    packed identity (1 at b, 0 elsewhere)."""
     size = len(left)
-    if not (all(star[star[a]] == a for a in range(size))
-            and _equivariant(left, star) and _equivariant(right, star)):
-        star = range(size)
-    identity = bytearray(size)
     for b, row in enumerate(left):
-        if star[b] < b and identity[star[b]]:
-            yield None
-            continue
         out = triple_sums(row, right)
-        if out[b] == 1 and out.count(0) == size - 1:
-            identity[b] = 1
-            yield None
-        else:
-            yield {j: x for j, x in enumerate(out) if x}
+        yield (None if out[b] == 1 and out.count(0) == size - 1
+               else {j: x for j, x in enumerate(out) if x})
 
 
 @order.resident
@@ -311,7 +285,7 @@ def delta_rows(n: int, k: int) -> list[dict[int, int] | None]:
     dropped once the sums are formed; R is the orbit's ``orbit_table``.
     Only the per-pair reader reads it."""
     return list(product_rows(_fill(n, k, orbit_packing(n, k), barred=True),
-                             orbit_table(n, k), order.orbit_star(n, k)))
+                             orbit_table(n, k)))
 
 
 def delta_identity_sum(theta: Word, sigma: Word) -> IntPoly:

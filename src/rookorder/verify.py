@@ -8,38 +8,21 @@ exhaustive.
 
 The two triple checks, the delta identity and bar o bar = id, check
 that each row of a product T1 T2 of two packed orbit tables is the
-identity row.  Both first certify every row of their product from one
-set of local checks that sum only the rows of the Hecke bases
-(``hecke.certify``, argued below): the Hecke report on its columns
-with R in place of the barred columns, which it then fills at the
-bases alone, and the delta report on R' and R.  Where the certificate
-fails, each sums one sigma of each pair
-{sigma, sigma*} (``rpoly.product_rows``), where sigma* = w0 sigma^-1 w0
-and phi is the permutation sigma -> sigma* of the orbit's indices
-(``order.orbit_star``).
-Why that is exact: if phi is a bijection and both factors are
-equivariant, T[phi a][phi b] = T[a][b], then, summing over m = phi(m'),
-
-    sum_m T1[phi b][m] T2[m][phi j] = sum_m' T1[b][m'] T2[m'][j],
-
-so row phi(b) of the product is row b permuted by phi, and it is
-e_(phi b) exactly when row b is e_b.  Both conditions are checked on
-the tables the sums read, before any sum: phi o phi = id (so phi is a
-bijection), then every entry of both factors, row a against row phi(a)
-for each a <= phi(a) (row phi(a) against row a is the same equation
-relabelled by phi).  If any of that fails, phi is replaced by the
-identity and every sigma is summed: the same loop, with no skips.
-Walking sigma in index order, the sum of b is skipped only when
-phi(b) < b and the row of phi(b) was the identity; the partner of a
-failing row is summed itself, so its certificate is the one its own sum
-gives.  Each sigma still counts once in ``checked``, and violations
-come in index order, so every report is the one that summing every
-sigma gives.
+identity row.  Both read one certificate per orbit,
+``hecke.certificate(n, k)``, kept in ``order.kept``: the local checks
+of ``hecke.certify`` (argued below), run once on R' and R, which sum
+only the rows of the Hecke bases.  The delta report is clean where the
+certificate holds.  The Hecke report is clean where it holds, its
+columns and barred columns at the bases, the only ones it fills, are
+those of R' and R there, and the supports of R are the down sets
+(argued below).  Where that fails, each report fills its own tables in
+full and sums every row of its product (``rpoly.product_rows``), so
+each certificate is the one its own sum gives.
 
 Why the local certificate of bar o bar is exact.  Let H be the matrix
-whose column t is the Hecke column of t (``hecke.orbit_bars(n, k)[0]``)
-and Bar[b] the barred column of b (``hecke.orbit_barred(n, k)[b]``),
-so that the bar o bar row of b is the vector H Bar[b],
+whose column t is the Hecke column of t and Bar[b] the barred column of
+b, as the full Hecke fill (``hecke.orbit_bars(n, k)``) fills them, so
+that the bar o bar row of b is the vector H Bar[b],
 ``rpoly.triple_sums(Bar[b], H)``.  For a left step s,
 let T and Tbar be the R' and R kinds of ``rpoly._step``, the step of
 the Hecke columns and the barred step, as int matrices, at Q = 2^B, and
@@ -81,34 +64,41 @@ delta product is ``rpoly.triple_sums(R'[b], R)``, column b of R R'.
 Two square int matrices with R' R = I also have R R' = I (a one-sided
 inverse of a square matrix over Q is two-sided), so every delta column
 is the identity's, whatever the two tables hold, and no Hecke table is
-needed.  The delta report fills R' once, for the certificate, and is
-then clean, with the ``checked`` count of the full report.  Where the
-certificate fails, it sums its product as above from the same R'
-(``rpoly.product_rows``), star skip included, so each certificate is
-the one its own sum gives; then R' is dropped.
+needed.  ``hecke.certificate`` fills R' once, certifies, keeps the
+verdict and the columns of R' at the bases, and drops R'.  The delta
+report is then clean, with the ``checked`` count of the full report.
+Where the verdict fails, it fills R' again and sums every column of its
+product (``rpoly.product_rows``), so each certificate is the one its
+own sum gives.
 
-Why R certifies the barred columns.  Let Bar be the table the Hecke
-fill would build: at a base b its column from the base sums, and off
-the bases Bar[b] = Tbar Bar[s b] for the s of b's plan entry.  The
-report fills only the base columns, and checks three things: Bar[b] =
-R[b] at every base; the support of every column of R is down(b); and
-``hecke.certify(H, R)``, whose check (b) says R[b] = Tbar R[s b] at
-every b off the bases.  By induction in index order, Bar[b] =
-Tbar Bar[s b] = Tbar R[s b] = R[b] at every b off the bases, and at
-the bases by the first check.  So Bar = R column for column: every
-expansion compare passes, the support test on Bar is the support test
-on R, and ``certify(H, Bar)`` is ``certify(H, R)``, so every bar o bar
-row is the identity.  Each step is an identity of ints: nothing is
-decoded and no bound is used.  The report is then clean, with the
-``checked`` count of the full report, and no other barred column is
-filled.  If any of the three fails, the report fills every barred
-column (``hecke.orbit_barred``) and runs the path above on H and Bar:
-the column compare, the support test, ``certify(H, Bar)`` and the
-starred sums, so each certificate is the one its own comparison or sum
-gives.
+Why R' and R certify the Hecke tables.  Let H and Bar be the tables
+that the full Hecke fill builds: at a base b, its columns from the base
+sums, and off the bases H[b] = T H[s b] and Bar[b] = Tbar Bar[s b] for
+the left s of b's plan entry, which lowers b.  The clean path fills the
+base columns alone (``hecke.orbit_bars(n, k, False)``), and checks four
+things: H[b] = R'[b] at every base, against the base columns that the
+certificate keeps; Bar[b] = R[b] at every base; the support of every
+column of R is down(b); and the certificate, ``certify(R', R)``.  Off
+the bases, s raises s b to b, so (a) on R' gives R'[b] = T R'[s b], and
+(b) on R gives R[b] = Tbar R[s b].  By induction in index order, in
+which s b comes before b, H[b] = T H[s b] = T R'[s b] = R'[b] and
+Bar[b] = Tbar Bar[s b] = Tbar R[s b] = R[b], and at the bases by the
+compares.  So H = R' and Bar = R column for column: every expansion
+compare passes, the support test on Bar is the support test on R, and
+``certify(H, Bar)`` is ``certify(R', R)``, so every bar o bar row is
+the identity.  Each step is an identity of ints: nothing is decoded and
+no bound is used.  The report is then clean, with the ``checked`` count
+of the full report, and no Hecke column off the bases is filled.  If
+any of the four fails, the report fills both full tables and runs the
+path above on H and Bar: the column compare, the support test,
+``certify(H, Bar)`` and the sum of every row, so each certificate is
+the one its own comparison or sum gives; on sound tables that path
+gives the clean report too.
 
 The Putcha sweep (``analysis.verify_putcha_conjecture``) fills the
-Mobius row of one bottom a of each pair {a, phi a} by the same rule.
+Mobius row of one bottom a of each pair {a, phi a}, where phi is the
+permutation sigma -> sigma* = w0 sigma^-1 w0 of the orbit's indices
+(``order.orbit_star``), and reads the row of phi(a) off it.
 Its row of a reads the order above a, the lengths, and the elements
 checked.  If phi carries the order, c >= a iff phi(c) >= phi(a) (row
 phi(a) of the up rows relabelled by phi, ``IntervalPoset.rows(phi)``,
@@ -142,23 +132,21 @@ __all__ = ["SUITES", "hecke_oracle_report", "run_suite"]
 
 def _delta_identity(n: int, k: int) -> Report:
     """The delta identity on every ordered pair of the orbit.  The report
-    is clean where ``hecke.certify`` holds on R', filled here once
-    through ``rpoly._fill`` and dropped, and the orbit's one R table
-    (module docstring).  Otherwise it sums one packed column per sigma
-    of each pair {sigma, sigma*} from the same two tables, as
-    ``rpoly.product_rows`` gives them: a failing column holds its
-    nonzero sums, and a sum it lacks is 0.  The failing pairs are
-    reported by theta, then sigma.  Only a failing sum is decoded, by the
-    orbit's packing."""
+    is clean where the orbit's certificate (``hecke.certificate``) holds
+    on R' and the one R table (module docstring).  Otherwise it fills R'
+    again through ``rpoly._fill`` and sums one packed column per sigma
+    from R' and R, as ``rpoly.product_rows`` gives them: a failing
+    column holds its nonzero sums, and a sum it lacks is 0.  The failing
+    pairs are reported by theta, then sigma.  Only a failing sum is
+    decoded, by the orbit's packing."""
     report = Report(name="delta")
     packing = rpoly.orbit_packing(n, k)
     elements = order.orbit_poset(n, k).elements
     report.checked = len(elements) ** 2
-    columns, table = rpoly._fill(n, k, packing, barred=True), rpoly.orbit_table(n, k)
-    if hecke.certify(columns, table, n, k):
+    if hecke.certificate(n, k)[0]:
         return report
-    # rebound, so that R' is dropped once its product is summed
-    columns = rpoly.product_rows(columns, table, order.orbit_star(n, k))
+    columns = rpoly.product_rows(rpoly._fill(n, k, packing, barred=True),
+                                 rpoly.orbit_table(n, k))
     failing = sorted((a, b, total) for b, column in enumerate(columns)
                      if column is not None for a in column.keys() | {b}
                      if (total := column.get(a, 0)) != (a == b))
@@ -186,10 +174,10 @@ def _descent_rule(n: int, k: int) -> Report:
     return report
 
 
-def _bases_agree(barred, table) -> bool:
-    # the barred columns of the Hecke bases, the ones ``hecke.orbit_bars``
-    # holds, are R's
-    return all(column == table[b] for b, column in enumerate(barred) if column is not None)
+def _bases_agree(columns, table) -> bool:
+    # the columns of the Hecke bases, the ones ``hecke.orbit_bars(n, k,
+    # False)`` holds, are those of ``table`` (R', or R for the barred ones)
+    return all(column == table[b] for b, column in enumerate(columns) if column is not None)
 
 
 def _supports_are_downs(table, downs) -> bool:
@@ -200,10 +188,11 @@ def _supports_are_downs(table, downs) -> bool:
 def hecke_oracle_report(n: int, k: int) -> Report:
     """Compare the bar-involution expansion with the R table on one
     orbit, and check that bar is an involution there, in the packed
-    ints of the Hecke table (``hecke.orbit_bars``) and R alone.  Where R
-    certifies the barred columns (module docstring) the report is clean;
-    otherwise it fills them all (``hecke.orbit_barred``) and runs the
-    checks below.
+    ints of the Hecke table (``hecke.orbit_bars``) and R alone.  Where
+    the orbit's certificate holds on R' and R, and the Hecke columns and
+    barred columns of the bases, the only ones filled, are those of R'
+    and R there (module docstring), the report is clean; otherwise it
+    fills every column of both Hecke tables and runs the checks below.
 
     Both tables are packed by the orbit's one packing
     (``rpoly.orbit_packing``) and kept by sigma, and the barred column
@@ -223,10 +212,9 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     q^(l(sigma) - l(nu)) in every term, which is 1 at nu = sigma, so the
     row must be 1 at sigma and 0 elsewhere.  ``hecke.certify``
     certifies that of every row at once, summing only the rows of the
-    Hecke bases; where it fails, the rows are computed sigma by sigma,
-    for one sigma of each pair {sigma, sigma*} (module docstring).  The
-    supports are those of the table, so neither assumes anything about
-    them.
+    Hecke bases; where it fails, every row is summed, sigma by sigma.
+    The supports are those of the table, so neither assumes anything
+    about them.
 
     Only what fails is decoded, from the ints just compared: the
     entries of an expansion that differ, and the whole bar o bar row of
@@ -235,17 +223,18 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     (length, text) order of a Hecke element's JSON form.
     """
     report = Report(name="hecke")
-    table, (rows, barred) = rpoly.orbit_table(n, k), hecke.orbit_bars(n, k)
+    table, (rows, barred) = rpoly.orbit_table(n, k), hecke.orbit_bars(n, k, False)
     packing, poset = rpoly.orbit_packing(n, k), order.orbit_poset(n, k)
     elements, lengths = poset.elements, poset.lengths
     report.checked = len(elements) * (len(elements) + 1)
-    if (_bases_agree(barred, table) and _supports_are_downs(table, poset.downs)
-            and hecke.certify(rows, table, n, k)):
+    holds, reversed_bases = hecke.certificate(n, k)
+    if (holds and _bases_agree(rows, reversed_bases) and _bases_agree(barred, table)
+            and _supports_are_downs(table, poset.downs)):
         return report
-    barred = hecke.orbit_barred(n, k)
+    rows, barred = hecke.orbit_bars(n, k)
     decode = lambda x: packing.unpack(x or 0).to_json()
     squares = (repeat(None) if hecke.certify(rows, barred, n, k)
-               else rpoly.product_rows(barred, rows, order.orbit_star(n, k)))
+               else rpoly.product_rows(barred, rows))
     for b, (sigma, row) in enumerate(zip(elements, squares)):
         got, column, down = barred[b], table[b], poset.downs[b]
         if got != column or sum(map((1).__lshift__, got)) != down:

@@ -35,20 +35,23 @@ def corrupt_fill(monkeypatch, fresh_orbits):
     None for the other.  ``rpoly``: R and None on the fill of the
     orbit's one R table (``rpoly.orbit_table``), which the delta and
     Hecke reports both read, so a fault of R is applied once and reaches
-    both; None and R' on each fill of R': the one fill of the delta
-    report (``verify._delta_identity``), whose certificate and, where
-    that fails, whose product read it, and the fill of the per-pair
-    delta product (``rpoly.delta_rows``).
-    ``hecke``: the Hecke columns and None; None and the barred columns
-    of the Hecke bases, None elsewhere (``hecke.orbit_bars``), which the
-    Hecke report's fast path reads; and None and every barred column
-    (``hecke.orbit_barred``), which only its fallback, and the Laurent
-    path, read.  A fault of a barred column off the bases reaches that
-    last table alone: a test of it runs the report under ``full_sums``.
-    A sweep that starts at another rank drops the orbit's tables and
-    builds them again, and these carry the fault too.  A test fails if a
-    fault it installed never changed a table: with the R table resident,
-    a fault of R installed after its fill would otherwise pass unseen."""
+    both; None and R' on each fill of R': the one fill of the orbit's
+    certificate (``hecke.certificate``), whose verdict both reports and
+    whose base columns the Hecke report read, the fill of the delta
+    report's fallback (``verify._delta_identity``), whose product reads
+    it, and the fill of the per-pair delta product
+    (``rpoly.delta_rows``).  ``hecke``: the Hecke columns and None, and
+    None and the barred columns, on each of its two pairs of fills:
+    every column (``hecke.orbit_bars(n, k)``), which only the Hecke
+    report's fallback, and the Laurent path, read; and the columns of
+    the Hecke bases, None elsewhere (``hecke.orbit_bars(n, k, False)``),
+    which its clean path reads.  A fault of a Hecke column off the bases
+    reaches the first alone: a test of it runs the report under
+    ``fallback`` or ``full_sums``.  A sweep that starts at another rank
+    drops the orbit's tables and builds them again, and these carry the
+    fault too.  A test fails if a fault it installed never changed a
+    table: with the R table resident, a fault of R installed after its
+    fill would otherwise pass unseen."""
     installed = []
 
     def corrupt(module, n, k, change):
@@ -117,16 +120,16 @@ def count_sums(monkeypatch):
 def drop_product():
     """drop(n, k): the delta product that the rank-k orbit of R_n keeps
     for the per-pair reader (``rpoly.delta_rows``), the reader's
-    reference to it and the R table it reads (``rpoly.orbit_table``), no
-    longer resident, now and again after the test.  The next delta check
-    then fills R again and sums afresh, from the tables and the star as
-    they are by then: call it before a check that counts sums, patches
-    ``order.orbit_star`` or follows a fault installed after R was
-    filled."""
+    reference to it, the orbit's certificate (``hecke.certificate``) and
+    the R table that both read (``rpoly.orbit_table``), no longer
+    resident, now and again after the test.  The next check then fills R
+    again and certifies or sums afresh, from the tables as they are by
+    then: call it before a check that counts sums or follows a fault
+    installed after R was filled."""
     orbits = []
 
     def pop(n, k):
-        for key in ((rpoly.delta_rows.__wrapped__, n, k),
+        for key in ((rpoly.delta_rows.__wrapped__, n, k), (hecke.certificate.__wrapped__, n, k),
                     (rpoly.orbit_table.__wrapped__, n, k), rpoly.verify_delta_identity):
             order.kept.pop(key, None)
 
@@ -141,18 +144,16 @@ def drop_product():
 @pytest.fixture
 def full_sums(monkeypatch, drop_product):
     """full_sums(check, n, k): (checked, violations) of the report
-    check(n, k) with every sigma summed, as under an ``order.orbit_star``
-    that is the identity and with the local certificate
+    check(n, k) with every sigma summed, as with the local certificate
     (``hecke.certify``) refusing every pair of tables.  That turns off
-    both of its uses: the delta report's certificate of R R' = I, so
-    that it sums its product, and the Hecke report's fast path, so that
-    it reads every barred column (``hecke.orbit_barred``).  The patches
-    hold only while check runs.  The R table is filled afresh under them
-    and dropped after it."""
+    the orbit's shared certificate (``hecke.certificate``), which is
+    dropped and made again under the patch: the delta report then sums
+    its product, and the Hecke report takes its fallback, which reads
+    every Hecke column (``hecke.orbit_bars(n, k)``) and sums every row.
+    The patch holds only while check runs.  The R table and the
+    certificate are made afresh under it and dropped after it."""
     def run(check, n, k):
         with monkeypatch.context() as patch:
-            patch.setattr(order, "orbit_star",
-                          lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
             patch.setattr(hecke, "certify", lambda *args: False)
             drop_product(n, k)
             report = check(n, k)
@@ -164,10 +165,10 @@ def full_sums(monkeypatch, drop_product):
 @pytest.fixture
 def fallback(monkeypatch):
     """The Hecke report takes its fallback on every orbit, as where the
-    barred columns of its bases differ from R's: it reads every barred
-    column (``hecke.orbit_barred``) and certifies bar o bar on the Hecke
-    tables alone, so that a fault of a barred column off the bases,
-    which its fast path never reads, reaches it."""
+    columns of its bases differ from those of R' or R: it reads every
+    Hecke column (``hecke.orbit_bars(n, k)``) and certifies bar o bar
+    on the Hecke tables alone, so that a fault of a Hecke column off the
+    bases, which its clean path never reads, reaches it."""
     monkeypatch.setattr(verify, "_bases_agree", lambda *args: False)
 
 
@@ -175,11 +176,15 @@ def fallback(monkeypatch):
 def delta_fallback(monkeypatch):
     """The delta report takes its fallback on every orbit, as where the
     certificate refuses R' and R: ``hecke.certify`` refuses every pair
-    of tables, so that the report sums its product
-    (``rpoly.product_rows``) one sigma of each star pair, as a
+    of tables, and every kept certificate (``hecke.certificate``) is
+    dropped with the R table it read, so that the report fills R' again
+    and sums its product (``rpoly.product_rows``), every sigma, as a
     sum-counting test expects.  The Hecke report, which a test of the
     delta report does not run, would take its summed path too."""
     monkeypatch.setattr(hecke, "certify", lambda *args: False)
+    builds = hecke.certificate.__wrapped__, rpoly.orbit_table.__wrapped__
+    for key in [key for key in order.kept if isinstance(key, tuple) and key[0] in builds]:
+        del order.kept[key]
 
 
 @pytest.fixture
@@ -193,8 +198,8 @@ def full_bounds(monkeypatch):
     from oracles import full_bound_check
 
     def drop(n, k):
-        for build in (hecke.orbit_bars, hecke.orbit_barred):
-            order.kept.pop((build.__wrapped__, n, k), None)
+        for key in ((n, k), (n, k, False)):
+            order.kept.pop((hecke.orbit_bars.__wrapped__, *key), None)
 
     def run(check, n, k):
         with monkeypatch.context() as patch:

@@ -320,13 +320,14 @@ def test_verify_hecke_expansion_certificate(capsys, corrupt_fill):
 
 
 def _off_by_one_hecke_entry(packing, rows, barred):
-    if rows is not None:
+    if rows is not None and rows[-1] is not None:
         rows[-1][0] += 1  # bar(A_max), scaled; index 0 is the minimum
 
 
-def test_verify_hecke_involution_certificate(capsys, corrupt_fill):
+def test_verify_hecke_involution_certificate(capsys, corrupt_fill, fallback):
     # the fault sits in the packed input of bar o bar: one coefficient of
-    # bar(A_max) is filled off by one, so bar(bar(A_max)) is not A_max
+    # bar(A_max) is filled off by one, so bar(bar(A_max)) is not A_max;
+    # max is no Hecke base, so only the fallback reads it
     from rookorder import hecke, renner
     from rookorder.polynomials import Laurent
     top = renner.orbit_maximum(3, 1)
@@ -347,7 +348,8 @@ def _off_by_one_off_the_bases(packing, rows, barred):
     from rookorder import rpoly
     if rows is not None:
         t = next(t for t in range(len(rows)) if t not in rpoly.orbit_bounds(3, 1)[1])
-        rows[t][min(rows[t])] += 1
+        if rows[t] is not None:
+            rows[t][min(rows[t])] += 1
 
 
 def _base_doubled(k):
@@ -362,9 +364,10 @@ def _base_doubled(k):
 
 
 def test_verify_hecke_fault_off_the_bases_falls_back_to_the_sums(capsys, corrupt_fill,
-                                                                  monkeypatch):
-    # the local certificate of bar o bar refuses the table, so the rows are
-    # summed, and the fault gives not-involutive certificates alone
+                                                                  monkeypatch, fallback):
+    # on the fallback, the only path that reads a column off the bases,
+    # the local certificate of bar o bar refuses the table, so the rows
+    # are summed, and the fault gives not-involutive certificates alone
     from rookorder import hecke, rpoly
     corrupt_fill(hecke, 3, 1, _off_by_one_off_the_bases)
     summed, product_rows = [], rpoly.product_rows
@@ -373,7 +376,7 @@ def test_verify_hecke_fault_off_the_bases_falls_back_to_the_sums(capsys, corrupt
     certs = _hecke_certificates(capsys)
     assert list(certs) == ["not-involutive"]
     assert summed == [len(rpoly.orbit_table(3, 1))]
-    assert not hecke.certify(hecke.orbit_bars(3, 1)[0], hecke.orbit_barred(3, 1), 3, 1)
+    assert not hecke.certify(*hecke.orbit_bars(3, 1), 3, 1)
 
 
 def _off_by_one_barred_entry(packing, rows, barred):
@@ -407,7 +410,7 @@ def test_verify_hecke_involution_certificate_of_a_barred_fault(capsys, corrupt_f
     certs = _hecke_certificates(capsys)["not-involutive"]
     top = renner.orbit_maximum(3, 1)
     assert [cert["sigma"] for cert in certs] == [renner.format_element(top)]
-    barred, packing = hecke.orbit_barred(3, 1), rpoly.orbit_packing(3, 1)
+    barred, packing = hecke.orbit_bars(3, 1)[1], rpoly.orbit_packing(3, 1)
     poset = order.orbit_poset(3, 1)
     unscale = Laurent.q_power(renner.idempotent_length(3, 1) - renner.length(top))
     expected = {}
@@ -472,9 +475,9 @@ def _min_max_dropped_from_the_barred_column(packing, rows, barred):
         barred[-1].pop(0)  # R[min, max] as read off bar(A_max), scaled
 
 
-# faults that only the fill of every barred column holds, which the Hecke
-# report reads only on its fallback: a test of one alone runs there
-_BARRED_OFF_THE_BASES = (_off_by_one_barred_entry,)
+# faults that only the full Hecke fill holds, off the bases, which the
+# Hecke report reads only on its fallback: a test of these alone runs there
+_OFF_THE_BASES = (_off_by_one_barred_entry, _off_by_one_hecke_entry, _off_by_one_off_the_bases)
 
 
 @pytest.mark.parametrize("corruptions, expansion, support, involutive", [
@@ -519,7 +522,7 @@ def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, co
     modules = {"hecke": hecke, "rpoly": rpoly}
     for name, change in corruptions:
         corrupt_fill(modules[name], 3, 1, change)
-    if all(change in _BARRED_OFF_THE_BASES for _, change in corruptions):
+    if all(change in _OFF_THE_BASES for _, change in corruptions):
         request.getfixturevalue("fallback")
     certs = _hecke_certificates(capsys)
     r = rpoly.rpoly((0, 0, 1), (3, 0, 0))
@@ -558,9 +561,9 @@ def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, co
 def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, monkeypatch,
                                                        drop_product, corruptions, request):
     # each fault the tests above inject into the tables of R_3 gives the
-    # output of delta and hecke that summing every sigma gives, as under
-    # an identity star with the local certificate of bar o bar refusing
-    # every orbit, that the Hecke tables built from base sums over
+    # output of delta and hecke that summing every sigma gives, as with
+    # the local certificate refusing every orbit, that the Hecke tables
+    # built from base sums over
     # every term, with no length skip, give, and that the Hecke tables
     # built under the oracle's full bound fill give
     from oracles import full_bound_check, orbit_sum_every_term
@@ -568,15 +571,13 @@ def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, mo
     modules = {"hecke": hecke, "rpoly": rpoly}
     for name, k, change in corruptions:
         corrupt_fill(modules[name], 3, k, change)
-    if all(change in _BARRED_OFF_THE_BASES for _, _, change in corruptions):
+    if all(change in _OFF_THE_BASES for _, _, change in corruptions):
         request.getfixturevalue("fallback")
     outputs = [run(capsys, "verify", suite, "--n", "3") for suite in ("delta", "hecke")]
     assert outputs[1][0] == 1
     with monkeypatch.context() as patch:
-        patch.setattr(order, "orbit_star",
-                      lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
         patch.setattr(hecke, "certify", lambda *args: False)
-        drop_product(3, 3)  # the orbit still resident
+        drop_product(3, 3)  # the orbit still resident, with its certificate
         assert [run(capsys, "verify", suite, "--n", "3")
                 for suite in ("delta", "hecke")] == outputs
     drop_product(3, 3)

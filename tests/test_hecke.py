@@ -277,27 +277,32 @@ def _spy(monkeypatch, module):
 
 
 def test_hecke_report_fills_r_alone_and_no_hecke_bounds(monkeypatch, fresh_orbits):
-    # one R bound fill, one packed fill of R alone, and two packed Hecke
-    # fills: the columns, and the barred columns of the bases alone
+    # one R bound fill, one packed fill of R alone, one of R' for the
+    # certificate, and two packed Hecke fills: the columns and the barred
+    # columns of the bases alone
     r_fills, hecke_fills = _spy(monkeypatch, rpoly), _spy(monkeypatch, hecke)
     assert verify.hecke_oracle_report(4, 2).passed
     packing = rpoly.orbit_packing(4, 2)
     assert [(tuple(type(arg) for arg in args), kwargs) for args, kwargs in r_fills] == \
-        [((), {}), ((type(packing),), {})]
-    assert r_fills[1][0][0].bits == packing.bits
+        [((), {}), ((type(packing),), {}), ((type(packing),), {"barred": True})]
+    assert r_fills[1][0][0].bits == r_fills[2][0][0].bits == packing.bits
     assert [(args[1].bits, kwargs) for args, kwargs in hecke_fills] == \
-        [(packing.bits, {}), (packing.bits, {"barred": True, "full": False})]
+        [(packing.bits, {"full": False}), (packing.bits, {"barred": True, "full": False})]
 
 
 @pytest.mark.parametrize("delta_first", [False, True], ids=["hecke-first", "delta-first"])
 def test_one_r_table_per_orbit(delta_first, monkeypatch, fresh_orbits):
     # over one resident orbit, the Hecke report, the delta report and
     # every per-pair delta answer fill one R bound table and one R table
-    # between them, which stays resident, and two R' tables: the delta
-    # report fills R' for its certificate and drops it, and the product
-    # that the per-pair answers read fills R' again, alone; neither R'
-    # stays resident beside the Hecke table
-    r_fills = _spy(monkeypatch, rpoly)
+    # between them, which stays resident, and two R' tables: the orbit's
+    # one certificate, which the report that runs first makes, fills R'
+    # and keeps only its base columns, and the product that the per-pair
+    # answers read fills R' again, alone.  The Hecke report fills its
+    # columns and barred columns at the bases alone, and the certificate
+    # is certified once
+    r_fills, hecke_fills = _spy(monkeypatch, rpoly), _spy(monkeypatch, hecke)
+    certified, certify = [], hecke.certify
+    monkeypatch.setattr(hecke, "certify", lambda *args: certified.append(1) or certify(*args))
     reports = [verify.hecke_oracle_report, verify._delta_identity]
     for report in reports[::-1] if delta_first else reports:
         assert report(4, 2).passed
@@ -310,9 +315,48 @@ def test_one_r_table_per_orbit(delta_first, monkeypatch, fresh_orbits):
     kinds = {((), ()): "bounds", ((type(packing),), ()): "R",
              ((type(packing),), (("barred", True),)): "R'"}
     fills = [kinds[tuple(map(type, args)), tuple(kwargs.items())] for args, kwargs in r_fills]
-    assert sorted(fills) == ["R", "R'", "R'", "bounds"]
-    assert sorted(fills[:reported]) == ["R", "R'", "bounds"] and fills[reported:] == ["R'"]
+    assert fills[:reported] == (["bounds", "R'", "R"] if delta_first else ["bounds", "R", "R'"])
+    assert fills[reported:] == ["R'"]
     assert all(args[0].bits == packing.bits for args, _ in r_fills if args)
+    assert [kwargs for _, kwargs in hecke_fills] == [{"full": False},
+                                                     {"barred": True, "full": False}]
+    assert certified == [1]
+
+
+def test_certify_runs_once_per_clean_orbit(monkeypatch, fresh_orbits):
+    # under ``run_suite("all", 4)``, whose delta and Hecke reports both
+    # read the orbit's certificate, once per orbit, on R' and R
+    certified, certify = [], hecke.certify
+    monkeypatch.setattr(hecke, "certify",
+                        lambda *args: certified.append(args[2:]) or certify(*args))
+    assert all(report.passed for report in verify.run_suite("all", 4))
+    assert certified == [(4, k) for k in range(5)]
+
+
+@pytest.mark.parametrize("reversed_table", [False, True], ids=["R", "R'"])
+def test_a_fault_after_the_certificate_is_kept_reaches_both_reports(reversed_table, corrupt_fill,
+                                                                    drop_product, full_sums):
+    # the reports of a clean orbit keep its certificate; a fault of R or of
+    # R' installed after that reaches both reports once the R table is
+    # dropped, since the certificate goes with it, and each report is then
+    # the one of the full sums: the delta report flags both, and the Hecke
+    # report, which reads R but not R', flags the fault of R
+    n, k = 4, 2
+    assert verify._delta_identity(n, k).passed and verify.hecke_oracle_report(n, k).passed
+    assert hecke.certificate(n, k)[0]
+    a, b = 0, len(order.orbit_poset(n, k).elements) - 1
+
+    def change(packing, *tables):
+        if tables[reversed_table] is not None:
+            tables[reversed_table][b][a] += 1
+    corrupt_fill(rpoly, n, k, change)
+    drop_product(n, k)
+    assert (hecke.certificate.__wrapped__, n, k) not in order.kept
+    for check in (verify._delta_identity, verify.hecke_oracle_report):
+        report = check(n, k)
+        assert report.passed == (report.name == "hecke" and reversed_table), report.name
+        assert full_sums(check, n, k) == (report.checked, report.violations), report.name
+    assert not hecke.certificate(n, k)[0]
 
 
 def test_one_r_fault_is_flagged_by_both_reports(corrupt_fill, full_sums):
@@ -410,7 +454,7 @@ def test_no_bar_step_of_an_orbit_cancels(n, monkeypatch, fresh_orbits):
         order.orbit_poset.cache_clear()
         packing = rpoly.orbit_packing(n, k)
         rpoly.orbit_table(n, k), rpoly._fill(n, k, packing, barred=True)
-        hecke.orbit_bars(n, k), hecke.orbit_barred(n, k)
+        hecke.orbit_bars(n, k)
     assert all(steps) and (steps or n == 1)  # R_1 has no simple reflection
     assert n == 1 or seen == {(kind, left) for kind in ("bounds", "R", "R'")
                               for left in (True, False)}
@@ -556,13 +600,14 @@ def test_oracle_agreement(n, k):
 def test_hecke_table_is_the_transposed_r_table(n, ks, delta_tables):
     # barred column b is column b of R, and column b is column b of R'
     # (as the delta fill fills it), compared as dicts, so that the
-    # supports must match too; the barred columns that ``orbit_bars``
-    # keeps are those of the bases
+    # supports must match too; the tables of the bases alone hold the
+    # columns of the full tables there, None elsewhere
     for k in ks:
-        rows, barred = hecke.orbit_bars(n, k)[0], hecke.orbit_barred(n, k)
+        rows, barred = hecke.orbit_bars(n, k)
         bases = rpoly.orbit_bounds(n, k)[1]
-        assert hecke.orbit_bars(n, k)[1] == [barred[b] if b in bases else None
-                                             for b in range(len(barred))]
+        assert hecke.orbit_bars(n, k, False) == tuple(
+            [table[b] if b in bases else None for b in range(len(table))]
+            for table in (rows, barred))
         reversed_columns = delta_tables(n, k)[1]
         for r_columns, hecke_columns in ((rpoly.orbit_table(n, k), barred),
                                          (reversed_columns, rows)):
@@ -573,7 +618,7 @@ def test_hecke_table_is_the_transposed_r_table(n, ks, delta_tables):
 
 def _bar_squared_row(n, k, b):
     # row b of bar o bar, packed, as the Hecke suite sums it
-    rows, barred = hecke.orbit_bars(n, k)[0], hecke.orbit_barred(n, k)
+    rows, barred = hecke.orbit_bars(n, k)
     return rpoly.orbit_packing(n, k), rpoly.triple_sums(barred[b], rows)
 
 
@@ -594,10 +639,11 @@ def _decode_bar_squared(packing, sigma, row):
             for nu, x in zip(elements, row) if x}
 
 
-def _barred_columns(n, k, b):
-    # the barred column b in each Hecke table that holds it: every
-    # barred table, and the table of the bases where b is one
-    return [column for column in (hecke.orbit_bars(n, k)[1][b], hecke.orbit_barred(n, k)[b])
+def _columns(n, k, b, barred=True):
+    # the column b, or the barred column b, in each Hecke table that holds
+    # it: the full table, and the table of the bases where b is one
+    return [column for column in (hecke.orbit_bars(n, k)[barred][b],
+                                  hecke.orbit_bars(n, k, False)[barred][b])
             if column is not None]
 
 
@@ -605,12 +651,14 @@ def _corrupt(monkeypatch, n, k, b, a, delta, barred=True):
     """Add ``delta`` to the coefficient c_a(b) of A_a in bar(A_b) in the
     packed Hecke tables, scaled as they store it: in the rows of c and,
     unless ``barred`` is false, in the rows of bar(c), in each table that
-    holds the row of b."""
-    rows, packing = hecke.orbit_bars(n, k)[0], rpoly.orbit_packing(n, k)
+    holds the row of b.  Where b is no Hecke base, only the fallback of
+    the Hecke report reads the fault."""
+    packing = rpoly.orbit_packing(n, k)
     lengths, e = order.orbit_poset(n, k).lengths, renner.idempotent_length(n, k)
-    monkeypatch.setitem(rows[b], a, rows[b].get(a, 0) + packing.pack(
-        delta * Laurent.q_power(e - lengths[a])))
-    for column in _barred_columns(n, k, b) if barred else ():
+    for column in _columns(n, k, b, barred=False):
+        monkeypatch.setitem(column, a, column.get(a, 0) + packing.pack(
+            delta * Laurent.q_power(e - lengths[a])))
+    for column in _columns(n, k, b) if barred else ():
         monkeypatch.setitem(column, a, column.get(a, 0) + packing.pack(
             delta.bar() * Laurent.q_power(lengths[b] - e)))
 
@@ -645,14 +693,15 @@ def test_hecke_report_flags_every_sigma_a_corrupted_bar_reaches(monkeypatch):
     assert flagged == [renner.format_element(w) for w in renner.orbit(n, n)]
 
 
-def test_hecke_to_json_sorted(monkeypatch):
+def test_hecke_to_json_sorted(monkeypatch, fallback):
     h = hecke.bar_Asigma(renner.rank_idempotent(2, 1))
     data = hecke_to_json(h)
     assert [d["element"]["one_line"] for d in data] == [[0, 1], [1, 0]]
     assert data[0]["laurent"] == {"var": "q", "min_exp": -1, "coeffs": [1, -1]}
     # the not-involutive certificate that verify prints has the same form
     # and (length, text) order: with one coefficient of bar(A_max) of
-    # R_3 k = 1 off, it is bar(bar(A_max)) as the Laurent path reads it
+    # R_3 k = 1 off, it is bar(bar(A_max)) as the Laurent path reads it;
+    # max is no Hecke base, so the report reads it on its fallback
     n, k = 3, 1
     elements = renner.orbit(n, k)
     top = elements[-1]
@@ -672,8 +721,7 @@ STAR_ORBITS = [pytest.param(n, k, id=f"R{n}-k{k}")
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
 def test_hecke_tables_are_star_equivariant(n, k):
     # c_(a*)(b*) = c_a(b), scaled alike, in the rows and the barred rows
-    star, rows, barred = order.orbit_star(n, k), hecke.orbit_bars(n, k)[0], \
-        hecke.orbit_barred(n, k)
+    star, (rows, barred) = order.orbit_star(n, k), hecke.orbit_bars(n, k)
     for table in (rows, barred):
         for a, row in enumerate(table):
             assert {star[b]: x for b, x in row.items()} == table[star[a]], (n, k, a)
@@ -681,48 +729,44 @@ def test_hecke_tables_are_star_equivariant(n, k):
 
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
 def test_hecke_report_sums_one_sigma_of_each_star_pair(n, k, count_sums, full_sums,
-                                                      full_bounds, monkeypatch):
-    # on the fast path, only the rows of the Hecke bases are summed, with
-    # the columns of R; with the local certificate refused, one sigma of
-    # each star pair, and with the star the identity too, every sigma:
-    # the three reports are one
-    star = order.orbit_star(n, k)
+                                                      full_bounds, drop_product):
+    # on the clean path, only the rows of the Hecke bases are summed, by
+    # the orbit's certificate, with the columns of R; with the local
+    # certificate refused, every sigma, as the product skips no row: the
+    # reports are one
+    drop_product(n, k)
+    count_sums.clear()
     report = verify.hecke_oracle_report(n, k)
     assert report.passed
     table = rpoly.orbit_table(n, k)
     assert list(map(id, count_sums)) == [id(table[b]) for b in rpoly.orbit_bounds(n, k)[1]]
     count_sums.clear()
-    with monkeypatch.context() as patch:
-        patch.setattr(hecke, "certify", lambda *args: False)
-        summed = verify.hecke_oracle_report(n, k)
-    assert (summed.checked, summed.violations) == (report.checked, report.violations)
-    assert len(count_sums) == sum(star[b] >= b for b in range(len(star)))
-    count_sums.clear()
     assert full_sums(verify.hecke_oracle_report, n, k) == \
         (report.checked, report.violations)
-    assert len(count_sums) == len(star)
+    assert list(map(id, count_sums)) == list(map(id, hecke.orbit_bars(n, k)[1]))
     assert full_bounds(verify.hecke_oracle_report, n, k) == \
         (report.checked, report.violations)
 
 
 @pytest.mark.parametrize("barred", [True, False], ids=["barred", "rows"])
-def test_hecke_report_sums_every_sigma_after_a_one_sided_fault(barred, monkeypatch, request,
+def test_hecke_report_sums_every_sigma_after_a_one_sided_fault(barred, monkeypatch, fallback,
                                                                count_sums, full_sums):
     # one entry of one Hecke table off, at a sigma that star moves, which
-    # for the barred table lies off the bases, where only the fallback
-    # reads it
-    if barred:
-        request.getfixturevalue("fallback")
+    # lies off the bases, where only the fallback reads it; its
+    # certificate refuses the tables before any sum, and the product then
+    # sums every sigma
     n, k = 4, 2
-    rows, bars = hecke.orbit_bars(n, k)[0], hecke.orbit_barred(n, k)
+    rows, bars = hecke.orbit_bars(n, k)
     star, table = order.orbit_star(n, k), bars if barred else rows
     b = next(b for b in range(len(star)) if star[b] != b)
     assert b not in rpoly.orbit_bounds(n, k)[1]
     a = min(table[b])
     monkeypatch.setitem(table[b], a, table[b][a] + 1)
+    hecke.certificate(n, k)
+    count_sums.clear()
     report = verify.hecke_oracle_report(n, k)
     assert not report.passed
-    assert len(count_sums) == len(star)
+    assert list(map(id, count_sums)) == list(map(id, bars))
     assert full_sums(verify.hecke_oracle_report, n, k) == \
         (report.checked, report.violations)
 
@@ -731,13 +775,17 @@ def test_hecke_report_sums_every_sigma_after_a_one_sided_fault(barred, monkeypat
     (3, 1, "max"), (3, 3, "max"), (3, 3, "id-to-w0")],
     ids=["R3-k1-max", "R3-k3-max", "R3-k3-id-to-w0"])
 def test_hecke_report_under_a_fault_is_the_full_sums_report(n, k, fault, monkeypatch,
-                                                          full_sums):
-    # the faults the tests above inject, as every sigma summed reads them
+                                                          request, full_sums):
+    # the faults the tests above inject, as every sigma summed reads them;
+    # a fault of the maximum, no Hecke base, reaches only the fallback
     elements = renner.orbit(n, k)
     if fault == "max":
+        assert len(elements) - 1 not in rpoly.orbit_bounds(n, k)[1]
+        request.getfixturevalue("fallback")
         _corrupt(monkeypatch, n, k, len(elements) - 1, 0, ONE_L)
     else:
         index = order.orbit_poset(n, k).index
+        assert index[weyl.identity(n)] in rpoly.orbit_bounds(n, k)[1]
         _corrupt(monkeypatch, n, k, index[weyl.identity(n)], index[tuple(range(n, 0, -1))],
                  Laurent.q_power(3), barred=False)
     report = verify.hecke_oracle_report(n, k)
@@ -747,25 +795,28 @@ def test_hecke_report_under_a_fault_is_the_full_sums_report(n, k, fault, monkeyp
 
 
 def test_hecke_report_flags_both_sigmas_of_a_symmetric_fault(monkeypatch, count_sums,
-                                                            full_sums):
+                                                            full_sums, request):
     # c_min(b) and c_(min*)(b*) = c_min(b*) off by one for a b that star
-    # moves (one that the barred rows can hold it at): the tables stay equivariant, bar o bar fails at b, so b* is
-    # summed too; each certificate is bar(bar(A_sigma)) by the Laurent path
+    # moves (one that the barred rows can hold it at): the tables stay
+    # equivariant, bar o bar fails at b and at b*, and every sigma is
+    # summed; each certificate is bar(bar(A_sigma)) by the Laurent path.
+    # A fault off the bases reaches only the fallback
     n, k = 3, 1
     star, poset = order.orbit_star(n, k), order.orbit_poset(n, k)
     elements, e = poset.elements, renner.idempotent_length(n, k)
     b = next(b for b in range(len(star)) if star[b] > b and poset.lengths[b] >= e)
+    if not {b, star[b]} <= set(rpoly.orbit_bounds(n, k)[1]):
+        request.getfixturevalue("fallback")
     for sigma in (b, star[b]):
         _corrupt(monkeypatch, n, k, sigma, 0, ONE_L)
     # the local certificate refuses the Hecke tables, and R with the
     # columns, after the base rows it summed, if any; the report then sums
-    # fewer rows than every sigma
-    assert not hecke.certify(hecke.orbit_bars(n, k)[0], hecke.orbit_barred(n, k), n, k)
-    assert not hecke.certify(hecke.orbit_bars(n, k)[0], rpoly.orbit_table(n, k), n, k)
-    certified = len(count_sums)
-    count_sums.clear()
+    # every sigma, last
+    rows, barred = hecke.orbit_bars(n, k)
+    assert not hecke.certify(rows, barred, n, k)
+    assert not hecke.certify(rows, rpoly.orbit_table(n, k), n, k)
     report = verify.hecke_oracle_report(n, k)
-    assert len(count_sums) - certified < len(star)
+    assert list(map(id, count_sums[-len(star):])) == list(map(id, barred))
     certs = {v["sigma"]: v["bar_squared"] for v in report.violations
              if v.get("kind") == "not-involutive"}
     assert {renner.format_element(elements[sigma]) for sigma in (b, star[b])} <= set(certs)
@@ -787,15 +838,15 @@ def _plus_one(monkeypatch, column, a=0):
 # only (a) reads, as max is no Hecke base; the barred column of max off
 # there, which only (b) reads; and the one column of the rank-0 orbit
 # doubled in both tables, which every left step fixes, so that only the
-# sum of its row in (c) sees it.  The barred column of max is one that
-# only the fallback of the Hecke report reads, so that report runs there.
+# sum of its row in (c) sees it.  The columns of max are ones that only
+# the fallback of the Hecke report reads, so that report runs there.
 CERTIFICATE_PARTS = [
-    pytest.param("_left_steps_act", 1, lambda n, k: [hecke.orbit_bars(n, k)[0][-1]], False,
+    pytest.param("_left_steps_act", 1, lambda n, k: [hecke.orbit_bars(n, k)[0][-1]], True,
                  id="a-column-of-max"),
-    pytest.param("_barred_steps_act", 1, lambda n, k: [hecke.orbit_barred(n, k)[-1]], True,
+    pytest.param("_barred_steps_act", 1, lambda n, k: [hecke.orbit_bars(n, k)[1][-1]], True,
                  id="b-barred-column-of-max"),
     pytest.param("_base_rows_are_identity", 0,
-                 lambda n, k: [hecke.orbit_bars(n, k)[0][0], *_barred_columns(n, k, 0)], False,
+                 lambda n, k: [*_columns(n, k, 0, barred=False), *_columns(n, k, 0)], False,
                  id="c-rank-0-doubled"),
 ]
 
@@ -811,7 +862,7 @@ def test_each_part_of_the_certificate_is_needed(part, k, columns, off_the_bases,
         request.getfixturevalue("fallback")
     for column in columns(n, k):
         _plus_one(monkeypatch, column)
-    tables = hecke.orbit_bars(n, k)[0], hecke.orbit_barred(n, k)
+    tables = hecke.orbit_bars(n, k)
     report = verify.hecke_oracle_report(n, k)
     assert any(v.get("kind") == "not-involutive" for v in report.violations)
     assert full_sums(verify.hecke_oracle_report, n, k) == (report.checked, report.violations)
@@ -824,14 +875,17 @@ def test_each_part_of_the_certificate_is_needed(part, k, columns, off_the_bases,
 
 
 def _only_barred_steps_see(n, k):
-    # of the checks of the fast path, only (b) on R refuses the tables
-    (rows, barred), table = hecke.orbit_bars(n, k), rpoly.orbit_table(n, k)
+    # of the checks of the clean path, only (b) on R refuses the tables:
+    # the bases agree, the supports are the down sets, and (a) and (c)
+    # hold on the full H, which equals R' there
+    (rows, barred), table = hecke.orbit_bars(n, k, False), rpoly.orbit_table(n, k)
     plan, bits = rpoly.orbit_plan(n, k), rpoly.orbit_packing(n, k).bits
-    bases = rpoly.orbit_bounds(n, k)[1]
-    return (verify._bases_agree(barred, table)
+    bases, full_rows = rpoly.orbit_bounds(n, k)[1], hecke.orbit_bars(n, k)[0]
+    return (verify._bases_agree(rows, hecke.certificate(n, k)[1])
+            and verify._bases_agree(barred, table)
             and verify._supports_are_downs(table, order.orbit_poset(n, k).downs)
-            and hecke._left_steps_act(rows, plan, bits)
-            and hecke._base_rows_are_identity(rows, table, bases)
+            and hecke._left_steps_act(full_rows, plan, bits)
+            and hecke._base_rows_are_identity(full_rows, table, bases)
             and not hecke._barred_steps_act(table, plan, bases, bits))
 
 
@@ -867,7 +921,14 @@ def _downs_gain_the_maximum(monkeypatch, n, k):
 
 def _barred_minimum_off(monkeypatch, n, k):
     # the barred column of the minimum, a base, off by one at its diagonal
-    for column in _barred_columns(n, k, 0):
+    for column in _columns(n, k, 0):
+        _plus_one(monkeypatch, column)
+
+
+def _column_of_the_minimum_off(monkeypatch, n, k):
+    # the Hecke column of the minimum, a base, off by one at its diagonal,
+    # with R' clean
+    for column in _columns(n, k, 0, barred=False):
         _plus_one(monkeypatch, column)
 
 
@@ -876,13 +937,20 @@ def _r_off_the_bases(monkeypatch, n, k):
     _plus_one(monkeypatch, rpoly.orbit_table(n, k)[-1])
 
 
-# Each check of the fast path of the Hecke report with a fault on R_3
-# k = 1 that only it sees there, and its mutant: the base compare, the
-# support test on R, and (b) on R, each made to pass (for (b), only on
-# R, the fast path's table).
+# Each check of the clean path of the Hecke report with a fault on R_3
+# k = 1 that only it sees there, and its mutant: the compare of the
+# barred bases with R, that of the bases of H with R', the support test
+# on R, and (b) on R, each made to pass (the compares only against the
+# table named, and (b) only on R, the clean path's table).
 FAST_PATH_PARTS = [
-    pytest.param(lambda mp, n, k: mp.setattr(verify, "_bases_agree", lambda *args: True),
+    pytest.param(lambda mp, n, k: mp.setattr(
+        verify, "_bases_agree", lambda columns, table, agree=verify._bases_agree:
+        table is rpoly.orbit_table(n, k) or agree(columns, table)),
                  _barred_minimum_off, id="base-compare"),
+    pytest.param(lambda mp, n, k: mp.setattr(
+        verify, "_bases_agree", lambda columns, table, agree=verify._bases_agree:
+        table is hecke.certificate(n, k)[1] or agree(columns, table)),
+                 _column_of_the_minimum_off, id="h-base-compare"),
     pytest.param(lambda mp, n, k: mp.setattr(verify, "_supports_are_downs",
                                              lambda *args: True),
                  _downs_gain_the_maximum, id="support-of-r"),
@@ -896,7 +964,8 @@ FAST_PATH_PARTS = [
 @pytest.mark.parametrize("mutate,fault", FAST_PATH_PARTS)
 def test_each_check_of_the_fast_path_is_needed(mutate, fault, monkeypatch, fresh_orbits):
     # under the fault, the report fails and is the report with every row
-    # summed; the mutant takes the fast path and passes
+    # summed; the mutant, with the certificate made afresh, takes the
+    # clean path and passes
     n, k = 3, 1
     fault(monkeypatch, n, k)
     report = verify.hecke_oracle_report(n, k)
@@ -906,15 +975,23 @@ def test_each_check_of_the_fast_path_is_needed(mutate, fault, monkeypatch, fresh
         summed = verify.hecke_oracle_report(n, k)
     assert (summed.checked, summed.violations) == (report.checked, report.violations)
     mutate(monkeypatch, n, k)
+    order.kept.pop((hecke.certificate.__wrapped__, n, k))
     assert verify.hecke_oracle_report(n, k).passed
 
 
 def test_a_passing_report_keeps_no_barred_column_off_the_bases(fresh_orbits):
-    # the fast path fills the barred columns of the bases alone
-    assert verify.hecke_oracle_report(5, 2).passed
-    bases, barred = rpoly.orbit_bounds(5, 2)[1], hecke.orbit_bars(5, 2)[1]
-    assert [b for b, column in enumerate(barred) if column is not None] == list(bases)
-    assert (hecke.orbit_barred.__wrapped__, 5, 2) not in order.kept
+    # the clean path fills the columns and barred columns of the bases
+    # alone, and the certificate keeps the columns of R' there: no Hecke
+    # column off the bases, and no full R', is kept, and the R table is
+    # the one table of the orbit kept whole
+    assert verify.hecke_oracle_report(5, 2).passed and verify._delta_identity(5, 2).passed
+    bases = list(rpoly.orbit_bounds(5, 2)[1])
+    for columns in hecke.orbit_bars(5, 2, False):
+        assert [b for b, column in enumerate(columns) if column is not None] == bases
+    assert list(hecke.certificate(5, 2)[1]) == bases
+    assert (hecke.orbit_bars.__wrapped__, 5, 2) not in order.kept
+    assert [id(value) for value in order.kept.values() if isinstance(value, list)] == \
+        [id(rpoly.orbit_table(5, 2))]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -923,8 +1000,8 @@ def test_rpoly_via_bar_decodes_every_barred_column(n, fresh_orbits):
     # decodes to the column of R
     for k in range(n + 1):
         poset, unpack = order.orbit_poset(n, k), rpoly.orbit_packing(n, k).unpack
-        assert (hecke.orbit_barred.__wrapped__, n, k) not in order.kept
+        assert (hecke.orbit_bars.__wrapped__, n, k) not in order.kept
         for sigma, column in zip(poset.elements, rpoly.orbit_table(n, k)):
             assert hecke.rpoly_via_bar(sigma) == {poset.elements[a]: unpack(x)
                                                   for a, x in column.items()}, sigma
-        assert (hecke.orbit_barred.__wrapped__, n, k) in order.kept
+        assert (hecke.orbit_bars.__wrapped__, n, k) in order.kept

@@ -365,30 +365,36 @@ def test_hasse_dot_shape():
 def test_one_orbit_stays_resident(fresh_orbits):
     # once another orbit is asked for, nothing of the last one stays
     # alive, neither its poset (with its rows and actions) nor its
-    # packing, plan, R and Hecke tables; asked for again, it is built
-    # afresh, equal to before.  A list or tuple cannot be weakly
-    # referenced, so each table's one referrer is shown to be the store
-    # of the resident orbit, ``order.kept`` (the Hecke rows and the
-    # barred rows of the bases through the pair that holds them)
+    # packing, plan, R table, certificate and Hecke tables; asked for
+    # again, it is built afresh, equal to before.  A list or tuple cannot
+    # be weakly referenced, so each table's one referrer is shown to be
+    # the store of the resident orbit, ``order.kept`` (the Hecke columns
+    # and barred columns, every one or of the bases alone, through the
+    # pair that holds them)
     poset = order.orbit_poset(4, 2)
     table, bars = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
-    barred, plan = hecke.orbit_barred(4, 2), rpoly.orbit_plan(4, 2)
+    bases, plan = hecke.orbit_bars(4, 2, False), rpoly.orbit_plan(4, 2)
+    certificate = hecke.certificate(4, 2)
     assert poset.ups and poset.downs and order.orbit_action(4, 2, "left")
-    old = [[row and dict(row) for row in rows] for rows in (table, *bars, barred)]
+    old = [[row and dict(row) for row in rows] for rows in (table, *bars, *bases)]
 
     def referrers(kept):
         return [r for r in gc.get_referrers(kept) if not isinstance(r, types.FrameType)]
-    assert referrers(table) == referrers(bars) == referrers(barred) == referrers(plan) == \
-        [order.kept]
-    rows, bases = bars
-    assert referrers(rows) == referrers(bases) == [bars]
+    assert referrers(table) == referrers(bars) == referrers(bases) == referrers(plan) == \
+        referrers(certificate) == [order.kept]
+    (rows, barred), (base_rows, base_barred) = bars, bases
+    assert referrers(rows) == referrers(barred) == [bars]
+    assert referrers(base_rows) == referrers(base_barred) == [bases]
     alive = [weakref.ref(kept) for kept in (poset, rpoly.orbit_packing(4, 2))]
-    del poset, table, bars, barred, plan, rows, bases
+    del poset, table, bars, bases, plan, certificate, rows, barred, base_rows, base_barred
     order.orbit_poset(4, 3)
     gc.collect()
     assert [ref() for ref in alive] == [None, None]
     table, bars = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
-    assert [table, *bars, hecke.orbit_barred(4, 2)] == old
+    assert [table, *bars, *hecke.orbit_bars(4, 2, False)] == old
+    holds, columns = hecke.certificate(4, 2)
+    assert holds and list(columns) == list(rpoly.orbit_bounds(4, 2)[1])
+    assert list(columns.values()) == list(map(bars[0].__getitem__, columns))
 
 
 def test_a_value_built_during_a_switch_is_kept_for_its_own_orbit(monkeypatch,

@@ -365,7 +365,7 @@ def test_packing_width_comes_from_the_table(delta_tables):
                 for a, x in column.items():
                     assert _l1(packing.unpack(x)) <= limit[a] <= norm, (n, k)
         assert packing.bits == (len(table) * norm ** 2 + 1).bit_length() + 1
-        bars = hecke.orbit_bars(n, k)[0], hecke.orbit_barred(n, k)
+        bars = hecke.orbit_bars(n, k)
         assert rpoly.orbit_packing(n, k) is packing
         for values, hecke_bounds in zip(bars, hecke_bound_tables(n, k)):
             for b, (row, limit) in enumerate(zip(values, hecke_bounds)):
@@ -502,37 +502,6 @@ STAR_ORBITS = [pytest.param(n, k, id=f"R{n}-k{k}")
                for n in range(1, 5) for k in range(n + 1)] + [pytest.param(5, 2, id="R5-k2")]
 
 
-def _identity_rows(size):
-    return [{a: 1} for a in range(size)]
-
-
-@pytest.mark.parametrize("left, right, star, expected, sums", [
-    # equivariant under the swap, and the identity: one sum
-    (_identity_rows(2), _identity_rows(2), (1, 0), [None, None], 1),
-    # the same entry off at (0, 1) and (1, 0): both rows summed
-    ([{0: 1, 1: 5}, {1: 1, 0: 5}], _identity_rows(2), (1, 0), [{0: 1, 1: 5}, {0: 5, 1: 1}], 2),
-    # right not equivariant under the swap, left equivariant
-    (_identity_rows(2), [{0: 1}, {1: 1, 0: 3}], (1, 0), [None, {0: 3, 1: 1}], 2),
-    # left not equivariant under the swap, right equivariant
-    ([{0: 1}, {1: 1, 0: 3}], _identity_rows(2), (1, 0), [None, {0: 3, 1: 1}], 2),
-    # both equivariant under a star that is not an involution (nor a
-    # bijection), under which row 1 would be read off row 0; a failing
-    # row holds its nonzero sums only
-    ([{0: 1}, {0: 1}, {2: 1}], _identity_rows(3), (0, 0, 2), [None, {0: 1}, None], 3),
-], ids=["clean", "symmetric-fault", "right-one-sided", "left-one-sided", "not-involutive"])
-def test_product_rows_skip_only_what_the_symmetry_proves(left, right, star, expected,
-                                                        sums, count_sums):
-    # the rows are the nonzero entries of the full sums, None for the
-    # identity
-    full = [rpoly.triple_sums(row, right) for row in left]
-    assert [None if row == [int(a == b) for a in range(len(row))]
-            else {j: x for j, x in enumerate(row) if x}
-            for b, row in enumerate(full)] == expected
-    count_sums.clear()
-    assert list(rpoly.product_rows(left, right, star)) == expected
-    assert len(count_sums) == sums
-
-
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
 def test_orbit_r_tables_are_star_equivariant(n, k, delta_tables):
     # R[a*, b*] = R[a, b], and the same for R', entry for entry
@@ -545,12 +514,13 @@ def test_orbit_r_tables_are_star_equivariant(n, k, delta_tables):
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
 def test_delta_report_sums_one_theta_of_each_star_pair(n, k, count_sums, full_sums,
                                                       drop_product, delta_fallback):
-    # on the fallback, where the certificate refuses R' and R
+    # on the fallback, where the certificate refuses R' and R, every
+    # theta is summed: the product skips no row
     star = order.orbit_star(n, k)
     drop_product(n, k)
     report = verify._delta_identity(n, k)
     assert report.passed
-    assert len(count_sums) == sum(star[b] >= b for b in range(len(star)))
+    assert len(count_sums) == len(star)
     count_sums.clear()
     assert full_sums(verify._delta_identity, n, k) == \
         (report.checked, report.violations)
@@ -574,8 +544,8 @@ def _one_sided(reversed_table, star):
 def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, corrupt_fill,
                                                                count_sums, full_sums,
                                                                delta_fallback):
-    # one entry of one table off, at a theta that star moves: the table is
-    # not equivariant, so every theta is summed, as with the identity
+    # one entry of one table off, at a theta that star moves: every theta
+    # is summed, and the report is the one of the full sums
     n, k = 4, 2
     star = order.orbit_star(n, k)
     corrupt_fill(rpoly, n, k, _one_sided(reversed_table, star))
@@ -590,8 +560,8 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count
                                                              full_sums, delta_tables,
                                                              drop_product, delta_fallback):
     # R[a, max] and R[a*, max*] = R[a*, max] off by the same q: the table
-    # stays equivariant, the row of a fails, so the row of a* is summed
-    # too; each certificate is its sum as the decoded entries give it
+    # stays equivariant, every theta is summed, and the rows of a and a*
+    # both fail; each certificate is its sum as the decoded entries give it
     n, k = 4, 2
     table, star = rpoly.orbit_table(n, k), order.orbit_star(n, k)
     top = len(star) - 1
@@ -603,7 +573,7 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count
     corrupt_fill(rpoly, n, k, symmetric)
     drop_product(n, k)  # R was filled above, before the fault
     report = verify._delta_identity(n, k)
-    assert len(count_sums) < len(star)
+    assert len(count_sums) == len(star)
     elements = order.orbit_poset(n, k).elements
     flagged = [(v["theta"], v["sigma"]) for v in report.violations]
     assert flagged == [(renner.format_element(elements[theta]),
@@ -830,9 +800,10 @@ def test_delta_report_under_a_fault_is_the_full_sums_report(n, k, fault, corrupt
 def test_a_fault_the_certificate_refuses_reaches_the_product(n, k, fault, corrupt_fill,
                                                              delta_tables, count_sums,
                                                              monkeypatch):
-    # the certificate refuses the tables, and the report sums the product,
-    # rows off the bases included, from the one R' it filled for the
-    # certificate, and keeps no product
+    # the certificate refuses the tables, and the report fills R' again,
+    # once, for its fallback, and sums the product, rows off the bases
+    # included, from that R'; it keeps no product, and the certificate
+    # keeps the columns of R' at the bases alone
     corrupt_fill(rpoly, n, k, fault(n, k))
     table, reversed_columns = delta_tables(n, k)
     assert not hecke.certify(reversed_columns, table, n, k)
@@ -841,10 +812,12 @@ def test_a_fault_the_certificate_refuses_reaches_the_product(n, k, fault, corrup
                         fills.append((kwargs, fill(*args, **kwargs))) or fills[-1][1])
     count_sums.clear()
     assert not verify._delta_identity(n, k).passed
-    assert [kwargs for kwargs, _ in fills] == [{"barred": True}]
-    bases, filled = rpoly.orbit_bounds(n, k)[1], fills[0][1]
+    assert [kwargs for kwargs, _ in fills] == [{"barred": True}] * 2
+    bases, filled = rpoly.orbit_bounds(n, k)[1], fills[1][1]
     assert {id(filled[b]) for b in range(len(filled)) if b not in bases} & set(map(id, count_sums))
     assert (rpoly.delta_rows.__wrapped__, n, k) not in order.kept
+    holds, kept = hecke.certificate(n, k)
+    assert not holds and kept == {b: fills[0][1][b] for b in bases}
 
 
 def _reversed_max_off(packing, columns, reversed_columns):
