@@ -76,17 +76,16 @@ every base entry is.  The bases are the elements whose plan entry is
 not a left step, defined once as the keys of the columns that
 ``rpoly.orbit_bounds`` keeps, which R filled by a right descent (or, at
 the minimum, by none).  ``_check_bounds`` compares the L1 norm of each
-base sum with R's bound at its entry, 0 outside down(b), and the table
-raises ValueError rather than pack past the width.  No base of R_1 to
-R_6 exceeds it.
+base sum with R's bound at its entry, 0 outside down(b), and
+``base_columns`` raises ValueError rather than pack past the width.
+No base of R_1 to R_6 exceeds it.
 
-``_fill`` fills one table a call: the columns or the barred columns,
-every one or those of the bases alone.  ``orbit_bars`` keeps them in
-pairs: every column, which the Hecke report fills only where its clean
-test fails, and the Laurent path reads; and the columns of the bases
-alone, which is all that the clean test fills.  Off the bases a column
-is the step of an earlier one, so the clean test reads it from R' or R
-where the orbit's certificate holds (``verify``).
+``base_columns`` packs the columns and barred columns of the bases
+alone, all that the Hecke report's clean test reads; ``orbit_bars``
+fills every column from them by ``rpoly._fill``, for the report's
+fallback and the Laurent path.  Off the bases a column is the step of
+an earlier one, so the clean test reads it from R' or R where the
+orbit's certificate holds (``verify``).
 
 That bar is an involution is checked orbit by orbit in integer
 arithmetic over the same table (``verify.hecke_oracle_report``), which
@@ -111,15 +110,14 @@ tests hold the packed sums and their certificates against.
 from __future__ import annotations
 
 from . import order, renner, rpoly, weyl
-from .polynomials import IntPoly, Kronecker, Laurent
+from .polynomials import IntPoly, Laurent
 from .renner import Word
 
 HeckeElt = dict  # Word -> Laurent, zero coefficients absent
 
 __all__ = [
-    "HeckeElt", "add_scaled", "canonical", "mult_As_left",
-    "mult_Aw_left", "orbit_bars", "certify", "certificate", "bar_Asigma", "bar_element",
-    "rpoly_via_bar",
+    "HeckeElt", "add_scaled", "canonical", "mult_As_left", "mult_Aw_left", "base_columns",
+    "orbit_bars", "certify", "certificate", "bar_Asigma", "bar_element", "rpoly_via_bar",
 ]
 
 _Q_INV = Laurent.q_power(-1)
@@ -198,26 +196,6 @@ def _orbit_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:
             for b in rpoly.orbit_bounds(n, k)[1]}
 
 
-def _fill(n: int, k: int, bases: dict[int, dict[int, IntPoly]], packing: Kronecker,
-          barred: bool = False, full: bool = True) -> list[dict[int, int] | None]:
-    """One scaled table over the rank-k orbit of R_n, packed by
-    ``packing``: the columns of c, or with ``barred`` those of bar(c).
-    At a base b it holds the column of its ``_orbit_sums`` entry
-    ``bases[b]``, and elsewhere ``rpoly._step`` of kind R', or with
-    ``barred`` R, for the left s of b's ``rpoly.orbit_plan`` entry,
-    applied to the column of s b, or None unless ``full``."""
-    lengths, rows = order.orbit_poset(n, k).lengths, []
-    for b, entry in enumerate(rpoly.orbit_plan(n, k)):
-        base = bases.get(b)
-        if base is not None:
-            rows.append({a: packing.pack(r if barred else r.bar() * Laurent.q_power(
-                lengths[b] - lengths[a])) for a, r in base.items()})
-        else:
-            rows.append(rpoly._step(rows[entry[0][b]], *entry[:2], packing.bits,
-                                    "R" if barred else "R'") if full else None)
-    return rows
-
-
 def _check_bounds(n: int, k: int, bases: dict[int, dict[int, IntPoly]]) -> None:
     """Raise ValueError where the L1 norm of a base sum exceeds the bound
     of R at its entry (0 outside down(b)): then, and only then, could
@@ -230,28 +208,35 @@ def _check_bounds(n: int, k: int, bases: dict[int, dict[int, IntPoly]]) -> None:
                                  f"exceed the bounds of its R table at ({a}, {b})")
 
 
-def _checked_sums(n: int, k: int) -> dict[int, dict[int, IntPoly]]:
-    # the base sums, held to the R bounds
-    bases = _orbit_sums(n, k)
+@order.resident
+def base_columns(n: int, k: int) -> tuple[dict[int, dict[int, int]], ...]:
+    """The Hecke columns and barred columns of the Hecke bases of the
+    rank-k orbit of R_n, {b: H[b]} and {b: Bar[b]}, packed by
+    ``rpoly.orbit_packing(n, k)`` and scaled: H[b] maps each index a of
+    ``order.orbit_poset(n, k)`` to the packed q^(l(e) - l(a)) c_a(b),
+    c_a(b) the coefficient of A_(elements[a]) in bar(A_(elements[b])),
+    and Bar[b] to the packed q^(l(b) - l(e)) bar(c_a(b)); nonzero
+    entries only.  The orbit sums are summed here, once per orbit, and
+    held to the R bounds."""
+    bases, packing = _orbit_sums(n, k), rpoly.orbit_packing(n, k)
     _check_bounds(n, k, bases)
-    return bases
+    lengths = order.orbit_poset(n, k).lengths
+    return ({b: {a: packing.pack(r.bar() * Laurent.q_power(lengths[b] - lengths[a]))
+                 for a, r in base.items()} for b, base in bases.items()},
+            {b: {a: packing.pack(r) for a, r in base.items()} for b, base in bases.items()})
 
 
 @order.resident
-def orbit_bars(n: int, k: int, full: bool = True) -> tuple[list[dict[int, int] | None], ...]:
-    """The Hecke table of the rank-k orbit of R_n, packed by
-    ``rpoly.orbit_packing(n, k)`` and scaled, kept while the orbit is
-    resident like the R table of ``rpoly``, and by sigma like it: the
-    columns and the barred columns, every one, or with ``full`` false
-    those of the Hecke bases alone, None elsewhere, which is all that
-    the Hecke report fills where ``certificate`` holds (``verify``).
-    Column b maps each index a of ``order.orbit_poset(n, k)`` to the
-    packed q^(l(e) - l(a)) c_a(b), c_a(b) the coefficient of
-    A_(elements[a]) in bar(A_(elements[b])), and barred column b to the
-    packed q^(l(b) - l(e)) bar(c_a(b)); nonzero entries only."""
-    bases, packing = _checked_sums(n, k), rpoly.orbit_packing(n, k)
-    return (_fill(n, k, bases, packing, full=full),
-            _fill(n, k, bases, packing, barred=True, full=full))
+def orbit_bars(n: int, k: int) -> tuple[rpoly.Table, rpoly.Table]:
+    """The Hecke table of the rank-k orbit of R_n, kept while the orbit
+    is resident like the R table of ``rpoly``, and by sigma like it:
+    every column H and barred column Bar, filled by ``rpoly._fill`` of
+    kind R' and R from ``base_columns``, and scaled and packed as they
+    are.  Only the Hecke report's fallback, and the Laurent path, read
+    it."""
+    packing = rpoly.orbit_packing(n, k)
+    return tuple(rpoly._fill(n, k, kind, packing, columns)
+                 for kind, columns in zip(("R'", "R"), base_columns(n, k)))
 
 
 def _is_fixed(column: dict[int, int], to, step) -> bool:
@@ -317,7 +302,7 @@ def certificate(n: int, k: int) -> tuple[bool, dict[int, dict[int, int]]]:
     through ``rpoly._fill``, and the orbit's R table, and the columns of
     R' at the Hecke bases, {b: R'[b]}, which the Hecke report compares
     with its own columns there.  R' is dropped once these are taken."""
-    columns = rpoly._fill(n, k, rpoly.orbit_packing(n, k), barred=True)
+    columns = rpoly._fill(n, k, "R'", rpoly.orbit_packing(n, k))
     return (certify(columns, rpoly.orbit_table(n, k), n, k),
             {b: columns[b] for b in rpoly.orbit_bounds(n, k)[1]})
 

@@ -15,9 +15,11 @@ sigma^-1 w0 (``orbit_star``), the descent plan and the packing of the
 tables, the one R table (the certificate, the Hecke report, the delta
 product and every decoder read it), the one certificate of both triple
 reports (``hecke.certificate``: a verdict and the columns of R' at the
-Hecke bases, with no full R'), the Hecke columns of the bases, the full
-Hecke table where a report's fallback or the Laurent path asks for it,
-the delta product, and the per-pair delta reader its entry.
+Hecke bases, with no full R'), the Hecke columns and barred columns of
+the bases (``hecke.base_columns``), the full Hecke tables
+(``hecke.orbit_bars``) where a report's fallback or the Laurent path
+asks for them, the delta product, and the per-pair delta reader its
+entry.
 ``orbit_poset`` empties ``kept`` when it drops an orbit, so the orbit's
 values die with it.
 

@@ -20,11 +20,13 @@ The policy has two callers.  ``rpoly`` recurses on words with a memo,
 for single queries, with the change of length under s from
 ``renner.length_step``.  ``orbit_plan(n, k)`` takes it once per element
 of a whole orbit, indexed by ``order.orbit_poset(n, k)``, off
-``order.orbit_action``, and every fill of the orbit reads its steps off
-that plan: ``orbit_table(n, k)`` fills R column by column, column
-sigma, {theta: R[theta, sigma]}, from the column of s sigma, earlier in
-index order, and ``hecke`` fills its table, kept by sigma too, by the
-plan's left steps.  The sweeps read the table, so they keep one value
+``order.orbit_action``, and ``_fill``, the one fill of every table of
+the orbit, reads its steps off that plan: ``orbit_table(n, k)`` is R
+filled column by column, column sigma, {theta: R[theta, sigma]}, from
+the column of s sigma, earlier in index order, and
+``hecke.orbit_bars`` fills its tables, kept by sigma too, from their
+columns at the Hecke bases, which are the plan entries that are no
+left step.  The sweeps read the table, so they keep one value
 per comparable pair of the orbit and no memo keyed by words.  The plan,
 the table, ``orbit_bounds``, ``orbit_packing`` and ``delta_rows`` are
 kept while their orbit is resident (``order.resident``).
@@ -43,11 +45,12 @@ Hecke bases alone; by the delta report, which sums their product only
 where the certificate fails; and by the per-pair product
 ``delta_rows``.
 
-The step.  Every orbit table, the Hecke table too, is filled by one
-step, ``_step``, of three kinds, named by the R table each builds; the
-Hecke columns are R' and its barred columns R, as ``hecke`` scales
-them.  It pushes the column of s b to that of b, s the left or right
-descent of b's plan entry: a term x at a goes to
+The step.  Every orbit table, the Hecke tables too, is filled by
+``_fill`` with one step, ``_step``, of three kinds, named by the R
+table each builds; the Hecke columns H are of kind R' and the barred
+columns Bar of kind R, as ``hecke`` scales them.  It pushes the column
+of s b to that of b, s the left or right descent of b's plan entry: a
+term x at a goes to
 
     kind     s fixes a    s lowers a    s raises a
     R        q x at a     q x at s a    x at s a and (q - 1) x at a
@@ -232,17 +235,19 @@ def _step(column: dict[int, int], to, step, bits: int, kind: str) -> dict[int, i
     return out
 
 
-def _fill(n: int, k: int, packing: Kronecker | None = None, barred: bool = False) -> Table:
-    """One table over the rank-k orbit of R_n, as columns by the indices
-    of ``order.orbit_poset(n, k)``: R packed by ``packing``, or with
-    ``barred`` R'; without a packing, the L1 bounds of their entries.
-    Column b holds every a <= b; the minimum (index 0) has no descent,
-    and every other column is the ``_step`` of that kind, for b's
-    ``orbit_plan`` entry, of the column of s b."""
-    kind = "bounds" if packing is None else "R'" if barred else "R"
-    bits, columns = packing.bits if packing else 0, [{0: 1}]
-    for b, (to, step, _) in enumerate(orbit_plan(n, k)[1:], 1):
-        columns.append(_step(columns[to[b]], to, step, bits, kind))
+def _fill(n: int, k: int, kind: str, packing: Kronecker | None = None,
+          bases: dict[int, dict[int, int]] | None = None) -> Table:
+    """The one fill of every table over the rank-k orbit of R_n, as
+    columns by the indices of ``order.orbit_poset(n, k)``, of ``kind``
+    "R", "R'" or "bounds", packed by ``packing`` (none for bounds).
+    Column b is a copy of ``bases[b]`` where ``bases`` holds b (the
+    Hecke tables), {0: 1} at the minimum (index 0) otherwise, and
+    elsewhere the ``_step`` of that kind, for b's ``orbit_plan`` entry,
+    of the column of s b."""
+    bases, bits, columns = bases or {}, packing.bits if packing else 0, []
+    for b, entry in enumerate(orbit_plan(n, k)):
+        columns.append(dict(bases[b]) if b in bases else {0: 1} if entry is None
+                       else _step(columns[entry[0][b]], *entry[:2], bits, kind))
     return columns
 
 
@@ -253,7 +258,7 @@ def orbit_bounds(n: int, k: int) -> tuple[int, dict[int, dict[int, int]]]:
     {b: {a: bound of R[a, b] for a in down(b)}} at the Hecke bases, the
     elements whose ``orbit_plan`` entry is not a left step.  ``hecke``
     reads its bases off these keys."""
-    bounds = _fill(n, k)
+    bounds = _fill(n, k, "bounds")
     return max(map(max, map(dict.values, bounds))), {
         b: bounds[b] for b, entry in enumerate(orbit_plan(n, k)) if not (entry and entry[2])}
 
@@ -272,7 +277,7 @@ def orbit_table(n: int, k: int) -> Table:
     """The R table of the rank-k orbit of R_n, shared by the sweeps: column
     b, by the indices of ``order.orbit_poset(n, k)``, maps each a <= b to
     R[a, b] packed by ``orbit_packing(n, k)``; the other values are 0."""
-    return _fill(n, k, orbit_packing(n, k))
+    return _fill(n, k, "R", orbit_packing(n, k))
 
 
 @order.resident
@@ -284,8 +289,7 @@ def delta_rows(n: int, k: int) -> list[dict[int, int] | None]:
     of R, the rows of R'^T and R^T.  R' is filled here, alone, and
     dropped once the sums are formed; R is the orbit's ``orbit_table``.
     Only the per-pair reader reads it."""
-    return list(product_rows(_fill(n, k, orbit_packing(n, k), barred=True),
-                             orbit_table(n, k)))
+    return list(product_rows(_fill(n, k, "R'", orbit_packing(n, k)), orbit_table(n, k)))
 
 
 def delta_identity_sum(theta: Word, sigma: Word) -> IntPoly:

@@ -13,9 +13,9 @@ identity row.  Both read one certificate per orbit,
 of ``hecke.certify`` (argued below), run once on R' and R, which sum
 only the rows of the Hecke bases.  The delta report is clean where the
 certificate holds.  The Hecke report is clean where it holds, its
-columns and barred columns at the bases, the only ones it fills, are
-those of R' and R there, and the supports of R are the down sets
-(argued below).  Where that fails, each report fills its own tables in
+columns and barred columns at the bases, the only ones it reads
+(``hecke.base_columns``), are those of R' and R there, and the
+supports of R are the down sets (argued below).  Where that fails, each report fills its own tables in
 full and sums every row of its product (``rpoly.product_rows``), so
 each certificate is the one its own sum gives.
 
@@ -74,10 +74,10 @@ own sum gives.
 Why R' and R certify the Hecke tables.  Let H and Bar be the tables
 that the full Hecke fill builds: at a base b, its columns from the base
 sums, and off the bases H[b] = T H[s b] and Bar[b] = Tbar Bar[s b] for
-the left s of b's plan entry, which lowers b.  The clean path fills the
-base columns alone (``hecke.orbit_bars(n, k, False)``), and checks four
-things: H[b] = R'[b] at every base, against the base columns that the
-certificate keeps; Bar[b] = R[b] at every base; the support of every
+the left s of b's plan entry, which lowers b.  The clean path reads the
+base columns alone (``hecke.base_columns(n, k)``), packed from the base
+sums, and checks four things: H[b] = R'[b] at every base, against the
+base columns that the certificate keeps; Bar[b] = R[b] at every base; the support of every
 column of R is down(b); and the certificate, ``certify(R', R)``.  Off
 the bases, s raises s b to b, so (a) on R' gives R'[b] = T R'[s b], and
 (b) on R gives R[b] = Tbar R[s b].  By induction in index order, in
@@ -145,8 +145,7 @@ def _delta_identity(n: int, k: int) -> Report:
     report.checked = len(elements) ** 2
     if hecke.certificate(n, k)[0]:
         return report
-    columns = rpoly.product_rows(rpoly._fill(n, k, packing, barred=True),
-                                 rpoly.orbit_table(n, k))
+    columns = rpoly.product_rows(rpoly._fill(n, k, "R'", packing), rpoly.orbit_table(n, k))
     failing = sorted((a, b, total) for b, column in enumerate(columns)
                      if column is not None for a in column.keys() | {b}
                      if (total := column.get(a, 0)) != (a == b))
@@ -175,9 +174,9 @@ def _descent_rule(n: int, k: int) -> Report:
 
 
 def _bases_agree(columns, table) -> bool:
-    # the columns of the Hecke bases, the ones ``hecke.orbit_bars(n, k,
-    # False)`` holds, are those of ``table`` (R', or R for the barred ones)
-    return all(column == table[b] for b, column in enumerate(columns) if column is not None)
+    # the columns {b: column} of the Hecke bases, as ``hecke.base_columns``
+    # gives them, are those of ``table`` (R', or R for the barred ones)
+    return all(column == table[b] for b, column in columns.items())
 
 
 def _supports_are_downs(table, downs) -> bool:
@@ -188,11 +187,12 @@ def _supports_are_downs(table, downs) -> bool:
 def hecke_oracle_report(n: int, k: int) -> Report:
     """Compare the bar-involution expansion with the R table on one
     orbit, and check that bar is an involution there, in the packed
-    ints of the Hecke table (``hecke.orbit_bars``) and R alone.  Where
-    the orbit's certificate holds on R' and R, and the Hecke columns and
-    barred columns of the bases, the only ones filled, are those of R'
-    and R there (module docstring), the report is clean; otherwise it
-    fills every column of both Hecke tables and runs the checks below.
+    ints of the Hecke tables and R alone.  Where the orbit's
+    certificate holds on R' and R, and the Hecke columns and barred
+    columns of the bases (``hecke.base_columns``) are those of R' and R
+    there (module docstring), the report is clean; otherwise it fills
+    every column of both Hecke tables (``hecke.orbit_bars``) and runs
+    the checks below.
 
     Both tables are packed by the orbit's one packing
     (``rpoly.orbit_packing``) and kept by sigma, and the barred column
@@ -223,7 +223,7 @@ def hecke_oracle_report(n: int, k: int) -> Report:
     (length, text) order of a Hecke element's JSON form.
     """
     report = Report(name="hecke")
-    table, (rows, barred) = rpoly.orbit_table(n, k), hecke.orbit_bars(n, k, False)
+    table, (rows, barred) = rpoly.orbit_table(n, k), hecke.base_columns(n, k)
     packing, poset = rpoly.orbit_packing(n, k), order.orbit_poset(n, k)
     elements, lengths = poset.elements, poset.lengths
     report.checked = len(elements) * (len(elements) + 1)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import settings
 
 from rookorder import hecke, order, rpoly, verify
-from rookorder.polynomials import Kronecker
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -27,48 +26,45 @@ def fresh_orbits():
 
 @pytest.fixture
 def corrupt_fill(monkeypatch, fresh_orbits):
-    """corrupt(module, n, k, change): from then on, the packed tables
-    that ``module._fill`` (of ``rpoly`` or ``hecke``) fills for the
-    rank-k orbit of R_n go through change(packing, table, other_table),
-    in place, as they are built; every such table is a list of columns,
-    one per sigma.  Each fill fills one table, and change gets it and
-    None for the other.  ``rpoly``: R and None on the fill of the
-    orbit's one R table (``rpoly.orbit_table``), which the delta and
-    Hecke reports both read, so a fault of R is applied once and reaches
-    both; None and R' on each fill of R': the one fill of the orbit's
-    certificate (``hecke.certificate``), whose verdict both reports and
-    whose base columns the Hecke report read, the fill of the delta
-    report's fallback (``verify._delta_identity``), whose product reads
-    it, and the fill of the per-pair delta product
-    (``rpoly.delta_rows``).  ``hecke``: the Hecke columns and None, and
-    None and the barred columns, on each of its two pairs of fills:
-    every column (``hecke.orbit_bars(n, k)``), which only the Hecke
-    report's fallback, and the Laurent path, read; and the columns of
-    the Hecke bases, None elsewhere (``hecke.orbit_bars(n, k, False)``),
-    which its clean path reads.  A fault of a Hecke column off the bases
-    reaches the first alone: a test of it runs the report under
-    ``fallback`` or ``full_sums``.  A sweep that starts at another rank
-    drops the orbit's tables and builds them again, and these carry the
-    fault too.  A test fails if a fault it installed never changed a
-    table: with the R table resident, a fault of R installed after its
-    fill would otherwise pass unseen."""
+    """corrupt(table, n, k, change): from then on, every packed table
+    named ``table`` that ``rpoly._fill``, the one fill of the orbit
+    tables, fills for the rank-k orbit of R_n goes through
+    change(packing, columns), in place, as it is built; columns holds
+    one column per sigma.  A table is named by the kind of its fill:
+    "R" and "R'" are filled from the minimum, and the Hecke tables "H"
+    and "Bar", of kinds R' and R, from the base columns ``bases``.
+    "R": the fill of the orbit's one R table (``rpoly.orbit_table``),
+    which the delta and Hecke reports both read, so a fault of R is
+    applied once and reaches both.  "R'": each fill of R': the one fill
+    of the orbit's certificate (``hecke.certificate``), whose verdict
+    both reports and whose base columns the Hecke report read, the fill
+    of the delta report's fallback (``verify._delta_identity``), whose
+    product reads it, and the fill of the per-pair delta product
+    (``rpoly.delta_rows``).  "H" and "Bar": the fill of the full Hecke
+    tables (``hecke.orbit_bars(n, k)``), which only the Hecke report's
+    fallback, and the Laurent path, read; its clean path compares the
+    base columns of ``hecke.base_columns``, which no fill fills, so a
+    test of these faults runs the report under ``fallback`` or
+    ``full_sums``.  A sweep that starts at another rank drops the
+    orbit's tables and builds them again, and these carry the fault too.
+    A test fails if a fault it installed never changed a table: with the
+    R table resident, a fault of R installed after its fill would
+    otherwise pass unseen."""
+    names = {("R", False): "R", ("R'", False): "R'", ("R'", True): "H", ("R", True): "Bar"}
     installed = []
 
-    def corrupt(module, n, k, change):
-        fill, ran = module._fill, []
-        installed.append(((module.__name__, n, k), ran))
+    def corrupt(table, n, k, change):
+        fill, ran = rpoly._fill, []
+        installed.append(((table, n, k), ran))
 
-        def corrupted(*args, **kwargs):
-            tables = fill(*args, **kwargs)
-            packing = next((arg for arg in args if isinstance(arg, Kronecker)), None)
-            if args[:2] == (n, k) and packing is not None:  # packed, not bounds
-                given = (None, tables) if kwargs.get("barred") else (tables, None)
-                before = [table and [column and dict(column) for column in table]
-                          for table in given]
-                change(packing, *given)
-                ran.append(before != list(given))
-            return tables
-        monkeypatch.setattr(module, "_fill", corrupted)
+        def corrupted(m, j, kind, packing=None, bases=None):
+            columns = fill(m, j, kind, packing, bases)
+            if (m, j) == (n, k) and names.get((kind, bases is not None)) == table:
+                before = [dict(column) for column in columns]
+                change(packing, columns)
+                ran.append(before != columns)
+            return columns
+        monkeypatch.setattr(rpoly, "_fill", corrupted)
     yield corrupt
     missed = [fault for fault, ran in installed if not any(ran)]
     if missed:
@@ -82,7 +78,7 @@ def delta_tables():
     orbit's R table and R' filled alone, through ``rpoly._fill``, so
     that a ``corrupt_fill`` fault reaches both."""
     return lambda n, k: (rpoly.orbit_table(n, k),
-                         rpoly._fill(n, k, rpoly.orbit_packing(n, k), barred=True))
+                         rpoly._fill(n, k, "R'", rpoly.orbit_packing(n, k)))
 
 
 @pytest.fixture
@@ -167,8 +163,9 @@ def fallback(monkeypatch):
     """The Hecke report takes its fallback on every orbit, as where the
     columns of its bases differ from those of R' or R: it reads every
     Hecke column (``hecke.orbit_bars(n, k)``) and certifies bar o bar
-    on the Hecke tables alone, so that a fault of a Hecke column off the
-    bases, which its clean path never reads, reaches it."""
+    on the Hecke tables alone, so that a fault of H or Bar that
+    ``corrupt_fill`` puts into the full Hecke fill, which its clean path
+    never reads, reaches it."""
     monkeypatch.setattr(verify, "_bases_agree", lambda *args: False)
 
 
@@ -193,13 +190,15 @@ def full_bounds(monkeypatch):
     check(n, k) with the Hecke tables of the orbit built afresh under the
     oracle's full bound fill (``oracles.full_bound_check``) in place of
     the base check of ``hecke._check_bounds``, which the patch is only
-    while check runs; they are dropped after it.  A fault that
-    ``corrupt_fill`` puts into a Hecke fill is in the new tables too."""
+    while check runs: the base columns (``hecke.base_columns``) and the
+    full Hecke tables (``hecke.orbit_bars``) are dropped before it and
+    after it.  A fault that ``corrupt_fill`` puts into a Hecke fill is in
+    the new tables too."""
     from oracles import full_bound_check
 
     def drop(n, k):
-        for key in ((n, k), (n, k, False)):
-            order.kept.pop((hecke.orbit_bars.__wrapped__, *key), None)
+        for build in (hecke.base_columns, hecke.orbit_bars):
+            order.kept.pop((build.__wrapped__, n, k), None)
 
     def run(check, n, k):
         with monkeypatch.context() as patch:

@@ -275,18 +275,17 @@ def test_verify_nonempty_descent_certificate(capsys, monkeypatch):
     assert set(cert) == {"kind", "element", "length"}
 
 
-def _q_added_to_r_at_min_max(packing, columns, _):
+def _q_added_to_r_at_min_max(packing, columns):
     from rookorder.polynomials import Q
-    if columns is not None:  # the fill of R, not of R'
-        columns[len(columns) - 1][0] += packing.pack(Q)
+    columns[len(columns) - 1][0] += packing.pack(Q)
 
 
 def test_verify_delta_certificate_carries_the_one_sum(capsys, corrupt_fill):
     # the fault sits in the packed input of the sums: R[min, max] of the
     # R_3 k = 1 table is filled off by q, which changes exactly one sum,
     # and the certificate carries that sum decoded
-    from rookorder import renner, rpoly
-    corrupt_fill(rpoly, 3, 1, _q_added_to_r_at_min_max)
+    from rookorder import renner
+    corrupt_fill("R", 3, 1, _q_added_to_r_at_min_max)
     cert = _first_violation(capsys, "delta", "delta")
     assert set(cert) == {"theta", "sigma", "sum"}
     ends = renner.orbit_minimum(3, 1), renner.orbit_maximum(3, 1)
@@ -303,25 +302,23 @@ def test_verify_descent_rule_certificate(capsys, monkeypatch):
     assert cert["standard_form_rule"] == [[], []]
 
 
-def _barred_diagonal_dropped(packing, rows, barred):
-    if barred is not None:  # a fill of the barred columns
-        barred[0].pop(0)
+def _barred_diagonal_dropped(packing, barred):
+    barred[0].pop(0)
 
 
-def test_verify_hecke_expansion_certificate(capsys, corrupt_fill):
+def test_verify_hecke_expansion_certificate(capsys, corrupt_fill, fallback):
     # the fault sits in the packed barred row of the rank-0 element: its
     # diagonal entry, R[sigma, sigma] read off bar(A_sigma), is dropped
-    from rookorder import hecke
-    corrupt_fill(hecke, 3, 0, _barred_diagonal_dropped)
+    # in the full Hecke fill, which the fallback reads
+    corrupt_fill("Bar", 3, 0, _barred_diagonal_dropped)
     cert = _first_violation(capsys, "hecke", "hecke")
     assert set(cert) == {"theta", "sigma", "via_bar", "via_recurrence"}
     assert cert["theta"] == cert["sigma"]
     assert cert["via_bar"] != cert["via_recurrence"]
 
 
-def _off_by_one_hecke_entry(packing, rows, barred):
-    if rows is not None and rows[-1] is not None:
-        rows[-1][0] += 1  # bar(A_max), scaled; index 0 is the minimum
+def _off_by_one_hecke_entry(packing, rows):
+    rows[-1][0] += 1  # bar(A_max), scaled; index 0 is the minimum
 
 
 def test_verify_hecke_involution_certificate(capsys, corrupt_fill, fallback):
@@ -331,7 +328,7 @@ def test_verify_hecke_involution_certificate(capsys, corrupt_fill, fallback):
     from rookorder import hecke, renner
     from rookorder.polynomials import Laurent
     top = renner.orbit_maximum(3, 1)
-    corrupt_fill(hecke, 3, 1, _off_by_one_hecke_entry)
+    corrupt_fill("H", 3, 1, _off_by_one_hecke_entry)
     code, out, _ = run(capsys, "verify", "hecke", "--n", "3")
     assert code == 1
     certs = [v for r in json.loads(out)["reports"] for v in r["violations"]
@@ -341,24 +338,21 @@ def test_verify_hecke_involution_certificate(capsys, corrupt_fill, fallback):
     assert certs[0]["bar_squared"] != hecke_to_json({top: Laurent.from_int(1)})
 
 
-def _off_by_one_off_the_bases(packing, rows, barred):
+def _off_by_one_off_the_bases(packing, rows):
     # one entry of the columns of bar(A_sigma) alone off by one, at the
     # first column of R_3 k = 1 that is no Hecke base: the barred columns,
     # which the R table checks, do not read it, only bar o bar does
     from rookorder import rpoly
-    if rows is not None:
-        t = next(t for t in range(len(rows)) if t not in rpoly.orbit_bounds(3, 1)[1])
-        if rows[t] is not None:
-            rows[t][min(rows[t])] += 1
+    t = next(t for t in range(len(rows)) if t not in rpoly.orbit_bounds(3, 1)[1])
+    rows[t][min(rows[t])] += 1
 
 
 def _base_doubled(k):
-    # the column and the barred column of the last Hecke base of the
-    # rank-k orbit of R_3 doubled, in every table that holds them; at
-    # k = 0, the one column of the orbit
-    def corrupt(packing, rows, barred):
+    # the column, or the barred column, of the last Hecke base of the
+    # rank-k orbit of R_3 doubled; at k = 0, the one column of the orbit
+    def corrupt(packing, table):
         from rookorder import rpoly
-        b, table = max(rpoly.orbit_bounds(3, k)[1]), rows or barred
+        b = max(rpoly.orbit_bounds(3, k)[1])
         table[b] = {a: 2 * x for a, x in table[b].items()}
     return corrupt
 
@@ -369,7 +363,7 @@ def test_verify_hecke_fault_off_the_bases_falls_back_to_the_sums(capsys, corrupt
     # the local certificate of bar o bar refuses the table, so the rows
     # are summed, and the fault gives not-involutive certificates alone
     from rookorder import hecke, rpoly
-    corrupt_fill(hecke, 3, 1, _off_by_one_off_the_bases)
+    corrupt_fill("H", 3, 1, _off_by_one_off_the_bases)
     summed, product_rows = [], rpoly.product_rows
     monkeypatch.setattr(rpoly, "product_rows",
                         lambda left, *args: summed.append(len(left)) or product_rows(left, *args))
@@ -379,11 +373,9 @@ def test_verify_hecke_fault_off_the_bases_falls_back_to_the_sums(capsys, corrupt
     assert not hecke.certify(*hecke.orbit_bars(3, 1), 3, 1)
 
 
-def _off_by_one_barred_entry(packing, rows, barred):
-    # R[min, max] as read off bar(A_max), scaled: max is no base, so only
-    # the fill of every barred column holds it
-    if barred is not None and barred[-1] is not None:
-        barred[-1][0] += 1
+def _off_by_one_barred_entry(packing, barred):
+    # R[min, max] as read off bar(A_max), scaled
+    barred[-1][0] += 1
 
 
 def _hecke_certificates(capsys):
@@ -406,7 +398,7 @@ def test_verify_hecke_involution_certificate_of_a_barred_fault(capsys, corrupt_f
     # from the corrupted barred row
     from rookorder import hecke, order, renner, rpoly
     from rookorder.polynomials import Laurent
-    corrupt_fill(hecke, 3, 1, _off_by_one_barred_entry)
+    corrupt_fill("Bar", 3, 1, _off_by_one_barred_entry)
     certs = _hecke_certificates(capsys)["not-involutive"]
     top = renner.orbit_maximum(3, 1)
     assert [cert["sigma"] for cert in certs] == [renner.format_element(top)]
@@ -431,31 +423,22 @@ def test_verify_hecke_certificates_need_no_laurent_path(capsys, corrupt_fill,
 
     for name in ("bar_element", "bar_Asigma", "rpoly_via_bar"):
         monkeypatch.setattr(hecke, name, laurent_path)
-    corrupt_fill(hecke, 3, 1, _off_by_one_barred_entry)
+    corrupt_fill("Bar", 3, 1, _off_by_one_barred_entry)
     certs = _hecke_certificates(capsys)
     assert set(certs) == {"expansion", "not-involutive"}
     assert set(certs["expansion"][0]) == {"theta", "sigma", "via_bar", "via_recurrence"}
 
 
-def _q_in_the_barred_row_of_the_minimum(packing, rows, barred):
-    # an entry at (max, min), outside the down set of the minimum
+def _q_at_max_in_the_column_of_the_minimum(packing, columns):
+    # an entry at (max, min), outside the down set of the minimum, in the
+    # barred Hecke table or in the R table
     from rookorder.polynomials import Q
-    if barred is not None:
-        barred[0][len(barred) - 1] = packing.pack(Q)
-
-
-def _q_in_the_r_column_of_the_minimum(packing, columns, _):
-    # the same entry at (max, min), in the R table
-    from rookorder.polynomials import Q
-    if columns is not None:
-        columns[0][len(columns) - 1] = packing.pack(Q)
+    columns[0][len(columns) - 1] = packing.pack(Q)
 
 
 def _r_at_min_max(change):
     # change(value) in place of R[min, max] in the R table
-    def corrupt(packing, columns, _):
-        if columns is None:
-            return
+    def corrupt(packing, columns):
         top = len(columns) - 1
         value = change(columns[top].pop(0))
         if value is not None:
@@ -463,49 +446,42 @@ def _r_at_min_max(change):
     return corrupt
 
 
-def _only_q_in_the_barred_row_of_the_minimum(packing, rows, barred):
+def _only_q_in_the_barred_row_of_the_minimum(packing, barred):
     # the diagonal entry of the barred row of min moved to (max, min)
-    if barred is not None:
-        barred[0].clear()
-        _q_in_the_barred_row_of_the_minimum(packing, rows, barred)
+    barred[0].clear()
+    _q_at_max_in_the_column_of_the_minimum(packing, barred)
 
 
-def _min_max_dropped_from_the_barred_column(packing, rows, barred):
-    if barred is not None and barred[-1] is not None:
-        barred[-1].pop(0)  # R[min, max] as read off bar(A_max), scaled
-
-
-# faults that only the full Hecke fill holds, off the bases, which the
-# Hecke report reads only on its fallback: a test of these alone runs there
-_OFF_THE_BASES = (_off_by_one_barred_entry, _off_by_one_hecke_entry, _off_by_one_off_the_bases)
+def _min_max_dropped_from_the_barred_column(packing, barred):
+    barred[-1].pop(0)  # R[min, max] as read off bar(A_max), scaled
 
 
 @pytest.mark.parametrize("corruptions, expansion, support, involutive", [
     # one barred value off by one
-    ([("hecke", _off_by_one_barred_entry)], [("001", "300", "R + 1", "R")], [], False),
+    ([("Bar", _off_by_one_barred_entry)], [("001", "300", "R + 1", "R")], [], False),
     # one R value off by one
-    ([("rpoly", _r_at_min_max(lambda x: x + 1))], [("001", "300", "R", "R + 1")], [], True),
+    ([("R", _r_at_min_max(lambda x: x + 1))], [("001", "300", "R", "R + 1")], [], True),
     # a barred entry outside the down set of its sigma
-    ([("hecke", _q_in_the_barred_row_of_the_minimum)], [("300", "001", "q", "0")], [], False),
+    ([("Bar", _q_at_max_in_the_column_of_the_minimum)], [("300", "001", "q", "0")], [], False),
     # an R entry outside the down set of its sigma, read off R's whole
     # column
-    ([("rpoly", _q_in_the_r_column_of_the_minimum)], [("300", "001", "0", "q")], [], True),
+    ([("R", _q_at_max_in_the_column_of_the_minimum)], [("300", "001", "0", "q")], [], True),
     # an R entry dropped inside the down set of its sigma
-    ([("rpoly", _r_at_min_max(lambda x: None))], [("001", "300", "R", "0")], [], True),
+    ([("R", _r_at_min_max(lambda x: None))], [("001", "300", "R", "0")], [], True),
     # the same entry added to both tables outside the down set: the
     # columns agree as dicts, and only their support fails, at the value
     # both hold
-    ([("hecke", _q_in_the_barred_row_of_the_minimum),
-      ("rpoly", _q_in_the_r_column_of_the_minimum)], [], [("300", "001", "q")], False),
+    ([("Bar", _q_at_max_in_the_column_of_the_minimum),
+      ("R", _q_at_max_in_the_column_of_the_minimum)], [], [("300", "001", "q")], False),
     # that entry in both, and the barred row's one entry inside dropped:
     # the support keeps its size but leaves the down set
-    ([("hecke", _only_q_in_the_barred_row_of_the_minimum),
-      ("rpoly", _q_in_the_r_column_of_the_minimum)],
+    ([("Bar", _only_q_in_the_barred_row_of_the_minimum),
+      ("R", _q_at_max_in_the_column_of_the_minimum)],
      [("001", "001", "0", "1")], [("300", "001", "q")], False),
     # an entry inside the down set dropped from both columns of max: the
     # columns agree, and the support lacks it
-    ([("hecke", _min_max_dropped_from_the_barred_column),
-      ("rpoly", _r_at_min_max(lambda x: None))], [], [("001", "300", "0")], False),
+    ([("Bar", _min_max_dropped_from_the_barred_column),
+      ("R", _r_at_min_max(lambda x: None))], [], [("001", "300", "0")], False),
 ], ids=["barred-off-by-one", "r-off-by-one", "barred-outside", "r-outside", "r-dropped",
         "both-outside", "support-moved", "dropped-from-both"])
 def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, corruptions,
@@ -516,13 +492,13 @@ def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, co
     # expansion certificates, decoded from the ints compared, with R the
     # true R[001, 300], and where the columns agree but the support test
     # fails, these support certificates; bar o bar reads only the Hecke
-    # table
-    from rookorder import hecke, rpoly
+    # table.  A fault of H or Bar is in the full Hecke fill alone, which
+    # the report reads on its fallback
+    from rookorder import rpoly
     from rookorder.polynomials import ONE, Q
-    modules = {"hecke": hecke, "rpoly": rpoly}
-    for name, change in corruptions:
-        corrupt_fill(modules[name], 3, 1, change)
-    if all(change in _OFF_THE_BASES for _, change in corruptions):
+    for table, change in corruptions:
+        corrupt_fill(table, 3, 1, change)
+    if any(table in ("H", "Bar") for table, _ in corruptions):
         request.getfixturevalue("fallback")
     certs = _hecke_certificates(capsys)
     r = rpoly.rpoly((0, 0, 1), (3, 0, 0))
@@ -539,22 +515,22 @@ def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, co
 
 
 @pytest.mark.parametrize("corruptions", [
-    [("rpoly", 1, _q_added_to_r_at_min_max)],
-    [("hecke", 0, _barred_diagonal_dropped)],
-    [("hecke", 1, _off_by_one_hecke_entry)],
-    [("hecke", 1, _off_by_one_barred_entry)],
-    [("rpoly", 1, _r_at_min_max(lambda x: x + 1))],
-    [("hecke", 1, _q_in_the_barred_row_of_the_minimum)],
-    [("rpoly", 1, _r_at_min_max(lambda x: None))],
-    [("hecke", 1, _q_in_the_barred_row_of_the_minimum),
-     ("rpoly", 1, _q_in_the_r_column_of_the_minimum)],
-    [("hecke", 1, _only_q_in_the_barred_row_of_the_minimum),
-     ("rpoly", 1, _q_in_the_r_column_of_the_minimum)],
-    [("hecke", 1, _min_max_dropped_from_the_barred_column),
-     ("rpoly", 1, _r_at_min_max(lambda x: None))],
-    [("hecke", 1, _off_by_one_off_the_bases)],
-    [("hecke", 0, _base_doubled(0))],
-    [("hecke", 1, _base_doubled(1))],
+    [("R", 1, _q_added_to_r_at_min_max)],
+    [("Bar", 0, _barred_diagonal_dropped)],
+    [("H", 1, _off_by_one_hecke_entry)],
+    [("Bar", 1, _off_by_one_barred_entry)],
+    [("R", 1, _r_at_min_max(lambda x: x + 1))],
+    [("Bar", 1, _q_at_max_in_the_column_of_the_minimum)],
+    [("R", 1, _r_at_min_max(lambda x: None))],
+    [("Bar", 1, _q_at_max_in_the_column_of_the_minimum),
+     ("R", 1, _q_at_max_in_the_column_of_the_minimum)],
+    [("Bar", 1, _only_q_in_the_barred_row_of_the_minimum),
+     ("R", 1, _q_at_max_in_the_column_of_the_minimum)],
+    [("Bar", 1, _min_max_dropped_from_the_barred_column),
+     ("R", 1, _r_at_min_max(lambda x: None))],
+    [("H", 1, _off_by_one_off_the_bases)],
+    [("H", 0, _base_doubled(0)), ("Bar", 0, _base_doubled(0))],
+    [("H", 1, _base_doubled(1)), ("Bar", 1, _base_doubled(1))],
 ], ids=["r-off-by-q", "barred-diagonal-dropped", "hecke-off-by-one", "barred-off-by-one",
         "r-off-by-one", "barred-outside", "r-dropped", "both-outside", "support-moved",
         "dropped-from-both", "hecke-off-the-bases", "base-doubled-k0", "base-doubled-k1"])
@@ -567,11 +543,10 @@ def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, mo
     # every term, with no length skip, give, and that the Hecke tables
     # built under the oracle's full bound fill give
     from oracles import full_bound_check, orbit_sum_every_term
-    from rookorder import hecke, order, rpoly
-    modules = {"hecke": hecke, "rpoly": rpoly}
-    for name, k, change in corruptions:
-        corrupt_fill(modules[name], 3, k, change)
-    if all(change in _OFF_THE_BASES for _, _, change in corruptions):
+    from rookorder import hecke, order
+    for table, k, change in corruptions:
+        corrupt_fill(table, 3, k, change)
+    if any(table in ("H", "Bar") for table, _, _ in corruptions):
         request.getfixturevalue("fallback")
     outputs = [run(capsys, "verify", suite, "--n", "3") for suite in ("delta", "hecke")]
     assert outputs[1][0] == 1
@@ -612,7 +587,7 @@ def test_flags_a_command_does_not_read_exit_2(capsys, argv, flag):
 def test_verify_out_of_range_exits_2(capsys):
     code, _, err = run(capsys, "verify", "all", "--n", "9")
     assert code == 2
-    assert "1..5" in err
+    assert "1..6" in err
 
 
 def test_element_out_of_desk_scale_exits_2(capsys):

@@ -95,7 +95,7 @@ CASES = [
     ["hasse", "--n", "3", "--k", "4"],
     ["hasse", "0001"],
     ["hasse", "0001", "--n", "9"],
-    ["verify", "putcha", "--n", "6"],
+    ["verify", "putcha", "--n", "7"],
     ["verify", "all", "--n", "0"],
     ["verify", "hecke", "--n", "9"],
     # refusals of argparse

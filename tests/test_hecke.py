@@ -266,28 +266,29 @@ def test_orbit_bars_raise_exactly_where_the_full_check_raises(n, k, mutant, rais
     assert outcomes == [raises, raises]
 
 
-def _spy(monkeypatch, module):
-    calls, fill = [], module._fill
+def _spy(monkeypatch):
+    # (kind, whether it fills a Hecke table from base columns, packing)
+    # of each call of ``rpoly._fill``
+    calls, fill = [], rpoly._fill
 
-    def spied(*args, **kwargs):
-        calls.append((args[2:], kwargs))
-        return fill(*args, **kwargs)
-    monkeypatch.setattr(module, "_fill", spied)
+    def spied(n, k, kind, packing=None, bases=None):
+        calls.append((kind, bases is not None, packing))
+        return fill(n, k, kind, packing, bases)
+    monkeypatch.setattr(rpoly, "_fill", spied)
     return calls
 
 
 def test_hecke_report_fills_r_alone_and_no_hecke_bounds(monkeypatch, fresh_orbits):
-    # one R bound fill, one packed fill of R alone, one of R' for the
-    # certificate, and two packed Hecke fills: the columns and the barred
-    # columns of the bases alone
-    r_fills, hecke_fills = _spy(monkeypatch, rpoly), _spy(monkeypatch, hecke)
+    # one R bound fill, one packed fill of R alone and one of R' for the
+    # certificate; the columns and the barred columns of the bases are
+    # packed from their sums, with no fill and no Hecke bound fill
+    fills = _spy(monkeypatch)
     assert verify.hecke_oracle_report(4, 2).passed
     packing = rpoly.orbit_packing(4, 2)
-    assert [(tuple(type(arg) for arg in args), kwargs) for args, kwargs in r_fills] == \
-        [((), {}), ((type(packing),), {}), ((type(packing),), {"barred": True})]
-    assert r_fills[1][0][0].bits == r_fills[2][0][0].bits == packing.bits
-    assert [(args[1].bits, kwargs) for args, kwargs in hecke_fills] == \
-        [(packing.bits, {"full": False}), (packing.bits, {"barred": True, "full": False})]
+    assert [fill[:2] for fill in fills] == [("bounds", False), ("R", False), ("R'", False)]
+    assert fills[0][2] is None and fills[1][2].bits == fills[2][2].bits == packing.bits
+    assert (hecke.base_columns.__wrapped__, 4, 2) in order.kept
+    assert (hecke.orbit_bars.__wrapped__, 4, 2) not in order.kept
 
 
 @pytest.mark.parametrize("delta_first", [False, True], ids=["hecke-first", "delta-first"])
@@ -297,10 +298,10 @@ def test_one_r_table_per_orbit(delta_first, monkeypatch, fresh_orbits):
     # between them, which stays resident, and two R' tables: the orbit's
     # one certificate, which the report that runs first makes, fills R'
     # and keeps only its base columns, and the product that the per-pair
-    # answers read fills R' again, alone.  The Hecke report fills its
-    # columns and barred columns at the bases alone, and the certificate
-    # is certified once
-    r_fills, hecke_fills = _spy(monkeypatch, rpoly), _spy(monkeypatch, hecke)
+    # answers read fills R' again, alone.  The Hecke report fills no
+    # Hecke table, H or Bar: it packs the columns and barred columns of
+    # the bases from their sums.  The certificate is certified once
+    r_fills = _spy(monkeypatch)
     certified, certify = [], hecke.certify
     monkeypatch.setattr(hecke, "certify", lambda *args: certified.append(1) or certify(*args))
     reports = [verify.hecke_oracle_report, verify._delta_identity]
@@ -311,15 +312,12 @@ def test_one_r_table_per_orbit(delta_first, monkeypatch, fresh_orbits):
     assert all(rpoly.verify_delta_identity(theta, sigma)
                for theta in elements for sigma in elements)
     assert (rpoly.orbit_table.__wrapped__, 4, 2) in order.kept
-    packing = rpoly.orbit_packing(4, 2)
-    kinds = {((), ()): "bounds", ((type(packing),), ()): "R",
-             ((type(packing),), (("barred", True),)): "R'"}
-    fills = [kinds[tuple(map(type, args)), tuple(kwargs.items())] for args, kwargs in r_fills]
+    bits = rpoly.orbit_packing(4, 2).bits
+    fills = [kind for kind, _, _ in r_fills]
     assert fills[:reported] == (["bounds", "R'", "R"] if delta_first else ["bounds", "R", "R'"])
     assert fills[reported:] == ["R'"]
-    assert all(args[0].bits == packing.bits for args, _ in r_fills if args)
-    assert [kwargs for _, kwargs in hecke_fills] == [{"full": False},
-                                                     {"barred": True, "full": False}]
+    assert not any(hecke_table for _, hecke_table, _ in r_fills)
+    assert all(packing is None or packing.bits == bits for _, _, packing in r_fills)
     assert certified == [1]
 
 
@@ -333,8 +331,8 @@ def test_certify_runs_once_per_clean_orbit(monkeypatch, fresh_orbits):
     assert certified == [(4, k) for k in range(5)]
 
 
-@pytest.mark.parametrize("reversed_table", [False, True], ids=["R", "R'"])
-def test_a_fault_after_the_certificate_is_kept_reaches_both_reports(reversed_table, corrupt_fill,
+@pytest.mark.parametrize("table", ["R", "R'"])
+def test_a_fault_after_the_certificate_is_kept_reaches_both_reports(table, corrupt_fill,
                                                                     drop_product, full_sums):
     # the reports of a clean orbit keep its certificate; a fault of R or of
     # R' installed after that reaches both reports once the R table is
@@ -346,15 +344,14 @@ def test_a_fault_after_the_certificate_is_kept_reaches_both_reports(reversed_tab
     assert hecke.certificate(n, k)[0]
     a, b = 0, len(order.orbit_poset(n, k).elements) - 1
 
-    def change(packing, *tables):
-        if tables[reversed_table] is not None:
-            tables[reversed_table][b][a] += 1
-    corrupt_fill(rpoly, n, k, change)
+    def change(packing, columns):
+        columns[b][a] += 1
+    corrupt_fill(table, n, k, change)
     drop_product(n, k)
     assert (hecke.certificate.__wrapped__, n, k) not in order.kept
     for check in (verify._delta_identity, verify.hecke_oracle_report):
         report = check(n, k)
-        assert report.passed == (report.name == "hecke" and reversed_table), report.name
+        assert report.passed == (report.name == "hecke" and table == "R'"), report.name
         assert full_sums(check, n, k) == (report.checked, report.violations), report.name
     assert not hecke.certificate(n, k)[0]
 
@@ -364,10 +361,9 @@ def test_one_r_fault_is_flagged_by_both_reports(corrupt_fill, full_sums):
     # the delta report and the Hecke report both read that table, and
     # both flag the pair (min, max) and no other, as every sigma summed
     # reads them
-    def r_at_min_max_plus_one(packing, columns, reversed_columns):
-        if columns is not None:
-            columns[-1][0] += 1
-    corrupt_fill(rpoly, 4, 2, r_at_min_max_plus_one)
+    def r_at_min_max_plus_one(packing, columns):
+        columns[-1][0] += 1
+    corrupt_fill("R", 4, 2, r_at_min_max_plus_one)
     ends = tuple(map(renner.format_element,
                      (renner.orbit_minimum(4, 2), renner.orbit_maximum(4, 2))))
     for report in (verify._delta_identity(4, 2), verify.hecke_oracle_report(4, 2)):
@@ -377,17 +373,55 @@ def test_one_r_fault_is_flagged_by_both_reports(corrupt_fill, full_sums):
             (report.checked, report.violations), report.name
 
 
-def test_orbit_bars_sum_each_base_row_once(monkeypatch, fresh_orbits):
-    # the base bound check and the packed fill share the orbit sums: one per
-    # element with no left descent, over one list of terms per orbit
+def test_base_columns_sum_each_base_row_once(monkeypatch, fresh_orbits):
+    # the base bound check and the packed base columns share the orbit
+    # sums: one per element with no left descent, over one list of terms
+    # per orbit
     summed, orbit_sum = [], hecke._orbit_sum
     monkeypatch.setattr(hecke, "_orbit_sum",
                         lambda *args: summed.append(args) or orbit_sum(*args))
-    hecke.orbit_bars(4, 2)
+    hecke.base_columns(4, 2)
     bases = [w for w in renner.orbit(4, 2) if not renner.descents(w, "left")]
     ts = [t for t, _ in summed]
     assert len(ts) == len(set(ts)) == len(bases) > 1
     assert len({id(terms) for _, terms in summed}) == 1
+
+
+def test_the_hecke_fallback_sums_the_bases_once(monkeypatch, fallback, fresh_orbits):
+    # on its fallback the Hecke report reads the base columns and then
+    # the full Hecke tables, filled from those base columns: the orbit
+    # sums run once for both
+    calls, orbit_sums = [], hecke._orbit_sums
+    monkeypatch.setattr(hecke, "_orbit_sums",
+                        lambda n, k: calls.append((n, k)) or orbit_sums(n, k))
+    assert verify.hecke_oracle_report(5, 2).passed
+    assert (hecke.orbit_bars.__wrapped__, 5, 2) in order.kept
+    assert calls == [(5, 2)]
+
+
+@pytest.mark.parametrize("table", ["H", "R'"])
+def test_a_fault_of_h_or_of_r_prime_stays_in_its_own_table(table, corrupt_fill):
+    # H and R' are both filled by the step of kind R', H from the base
+    # columns and R' from the minimum, and are equal when clean; a fault
+    # of one, in the column of the last base and in that of the maximum,
+    # is in that table alone: the certificate's R' never holds a fault of
+    # H, and H never holds a fault of R'
+    n, k = 4, 2
+    clean = rpoly._fill(n, k, "R'", rpoly.orbit_packing(n, k))
+    b, top = max(rpoly.orbit_bounds(n, k)[1]), len(clean) - 1
+
+    def change(packing, columns):
+        for column in (columns[b], columns[top]):
+            column[0] += 1
+    corrupt_fill(table, n, k, change)
+    holds, kept = hecke.certificate(n, k)
+    rows = hecke.orbit_bars(n, k)[0]
+    if table == "H":
+        assert holds and kept == {c: clean[c] for c in kept}
+        assert [a for a in range(len(clean)) if rows[a] != clean[a]] == [b, top]
+    else:
+        assert not holds and kept[b] != clean[b]
+        assert rows == clean
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -453,7 +487,7 @@ def test_no_bar_step_of_an_orbit_cancels(n, monkeypatch, fresh_orbits):
     for k in range(n + 1):
         order.orbit_poset.cache_clear()
         packing = rpoly.orbit_packing(n, k)
-        rpoly.orbit_table(n, k), rpoly._fill(n, k, packing, barred=True)
+        rpoly.orbit_table(n, k), rpoly._fill(n, k, "R'", packing)
         hecke.orbit_bars(n, k)
     assert all(steps) and (steps or n == 1)  # R_1 has no simple reflection
     assert n == 1 or seen == {(kind, left) for kind in ("bounds", "R", "R'")
@@ -517,7 +551,7 @@ def _fixed_columns(n):
     # assumes
     for k in range(n + 1):
         packing = rpoly.orbit_packing(n, k)
-        bits, columns = packing.bits, rpoly._fill(n, k, packing, barred=True)
+        bits, columns = packing.bits, rpoly._fill(n, k, "R'", packing)
         for to, step in order.orbit_action(n, k, "left"):
             for column in (columns[t] for t, d in enumerate(step) if d == 0):
                 yield column, to, step, bits, True
@@ -600,14 +634,13 @@ def test_oracle_agreement(n, k):
 def test_hecke_table_is_the_transposed_r_table(n, ks, delta_tables):
     # barred column b is column b of R, and column b is column b of R'
     # (as the delta fill fills it), compared as dicts, so that the
-    # supports must match too; the tables of the bases alone hold the
-    # columns of the full tables there, None elsewhere
+    # supports must match too; the base columns are the columns of the
+    # full tables at the bases
     for k in ks:
         rows, barred = hecke.orbit_bars(n, k)
         bases = rpoly.orbit_bounds(n, k)[1]
-        assert hecke.orbit_bars(n, k, False) == tuple(
-            [table[b] if b in bases else None for b in range(len(table))]
-            for table in (rows, barred))
+        assert hecke.base_columns(n, k) == tuple({b: table[b] for b in bases}
+                                                 for table in (rows, barred))
         reversed_columns = delta_tables(n, k)[1]
         for r_columns, hecke_columns in ((rpoly.orbit_table(n, k), barred),
                                          (reversed_columns, rows)):
@@ -639,26 +672,27 @@ def _decode_bar_squared(packing, sigma, row):
             for nu, x in zip(elements, row) if x}
 
 
-def _columns(n, k, b, barred=True):
-    # the column b, or the barred column b, in each Hecke table that holds
-    # it: the full table, and the table of the bases where b is one
-    return [column for column in (hecke.orbit_bars(n, k)[barred][b],
-                                  hecke.orbit_bars(n, k, False)[barred][b])
+def _columns(n, k, b, table="Bar"):
+    # column b of the Hecke table H or Bar wherever it is held: in the
+    # full table, and in the base columns where b is a base
+    side = ("H", "Bar").index(table)
+    return [column for column in (hecke.orbit_bars(n, k)[side][b],
+                                  hecke.base_columns(n, k)[side].get(b))
             if column is not None]
 
 
-def _corrupt(monkeypatch, n, k, b, a, delta, barred=True):
+def _corrupt(monkeypatch, n, k, b, a, delta, tables=("H", "Bar")):
     """Add ``delta`` to the coefficient c_a(b) of A_a in bar(A_b) in the
-    packed Hecke tables, scaled as they store it: in the rows of c and,
-    unless ``barred`` is false, in the rows of bar(c), in each table that
-    holds the row of b.  Where b is no Hecke base, only the fallback of
+    packed Hecke tables, scaled as they store it: in the column of c in
+    H and, where ``tables`` names Bar, in the column of bar(c) in Bar,
+    wherever it is held.  Where b is no Hecke base, only the fallback of
     the Hecke report reads the fault."""
     packing = rpoly.orbit_packing(n, k)
     lengths, e = order.orbit_poset(n, k).lengths, renner.idempotent_length(n, k)
-    for column in _columns(n, k, b, barred=False):
+    for column in _columns(n, k, b, "H"):
         monkeypatch.setitem(column, a, column.get(a, 0) + packing.pack(
             delta * Laurent.q_power(e - lengths[a])))
-    for column in _columns(n, k, b) if barred else ():
+    for column in _columns(n, k, b) if "Bar" in tables else ():
         monkeypatch.setitem(column, a, column.get(a, 0) + packing.pack(
             delta.bar() * Laurent.q_power(lengths[b] - e)))
 
@@ -686,7 +720,7 @@ def test_hecke_report_flags_every_sigma_a_corrupted_bar_reaches(monkeypatch):
     identity, longest = weyl.identity(n), tuple(range(n, 0, -1))
     index = order.orbit_poset(n, n).index
     _corrupt(monkeypatch, n, n, index[identity], index[longest],
-             Laurent.q_power(3), barred=False)
+             Laurent.q_power(3), tables=("H",))
     report = verify.hecke_oracle_report(n, n)
     flagged = [v["sigma"] for v in report.violations
                if v.get("kind") == "not-involutive"]
@@ -787,7 +821,7 @@ def test_hecke_report_under_a_fault_is_the_full_sums_report(n, k, fault, monkeyp
         index = order.orbit_poset(n, k).index
         assert index[weyl.identity(n)] in rpoly.orbit_bounds(n, k)[1]
         _corrupt(monkeypatch, n, k, index[weyl.identity(n)], index[tuple(range(n, 0, -1))],
-                 Laurent.q_power(3), barred=False)
+                 Laurent.q_power(3), tables=("H",))
     report = verify.hecke_oracle_report(n, k)
     assert not report.passed
     assert full_sums(verify.hecke_oracle_report, n, k) == \
@@ -846,7 +880,7 @@ CERTIFICATE_PARTS = [
     pytest.param("_barred_steps_act", 1, lambda n, k: [hecke.orbit_bars(n, k)[1][-1]], True,
                  id="b-barred-column-of-max"),
     pytest.param("_base_rows_are_identity", 0,
-                 lambda n, k: [*_columns(n, k, 0, barred=False), *_columns(n, k, 0)], False,
+                 lambda n, k: [*_columns(n, k, 0, "H"), *_columns(n, k, 0)], False,
                  id="c-rank-0-doubled"),
 ]
 
@@ -878,7 +912,7 @@ def _only_barred_steps_see(n, k):
     # of the checks of the clean path, only (b) on R refuses the tables:
     # the bases agree, the supports are the down sets, and (a) and (c)
     # hold on the full H, which equals R' there
-    (rows, barred), table = hecke.orbit_bars(n, k, False), rpoly.orbit_table(n, k)
+    (rows, barred), table = hecke.base_columns(n, k), rpoly.orbit_table(n, k)
     plan, bits = rpoly.orbit_plan(n, k), rpoly.orbit_packing(n, k).bits
     bases, full_rows = rpoly.orbit_bounds(n, k)[1], hecke.orbit_bars(n, k)[0]
     return (verify._bases_agree(rows, hecke.certificate(n, k)[1])
@@ -897,10 +931,9 @@ def test_a_fault_of_r_off_the_bases_is_flagged(n, k, corrupt_fill, full_sums):
     bases = rpoly.orbit_bounds(n, k)[1]
     b = next(b for b in range(1, len(order.orbit_poset(n, k).elements)) if b not in bases)
 
-    def off_by_one(packing, columns, _):
-        if columns is not None:
-            columns[b][min(columns[b])] += 1
-    corrupt_fill(rpoly, n, k, off_by_one)
+    def off_by_one(packing, columns):
+        columns[b][min(columns[b])] += 1
+    corrupt_fill("R", n, k, off_by_one)
     assert _only_barred_steps_see(n, k)
     report = verify.hecke_oracle_report(n, k)
     elements = order.orbit_poset(n, k).elements
@@ -928,7 +961,7 @@ def _barred_minimum_off(monkeypatch, n, k):
 def _column_of_the_minimum_off(monkeypatch, n, k):
     # the Hecke column of the minimum, a base, off by one at its diagonal,
     # with R' clean
-    for column in _columns(n, k, 0, barred=False):
+    for column in _columns(n, k, 0, "H"):
         _plus_one(monkeypatch, column)
 
 
@@ -980,14 +1013,15 @@ def test_each_check_of_the_fast_path_is_needed(mutate, fault, monkeypatch, fresh
 
 
 def test_a_passing_report_keeps_no_barred_column_off_the_bases(fresh_orbits):
-    # the clean path fills the columns and barred columns of the bases
+    # the clean path packs the columns and barred columns of the bases
     # alone, and the certificate keeps the columns of R' there: no Hecke
     # column off the bases, and no full R', is kept, and the R table is
     # the one table of the orbit kept whole
     assert verify.hecke_oracle_report(5, 2).passed and verify._delta_identity(5, 2).passed
     bases = list(rpoly.orbit_bounds(5, 2)[1])
-    for columns in hecke.orbit_bars(5, 2, False):
-        assert [b for b, column in enumerate(columns) if column is not None] == bases
+    assert (hecke.base_columns.__wrapped__, 5, 2) in order.kept
+    for columns in hecke.base_columns(5, 2):
+        assert list(columns) == bases
     assert list(hecke.certificate(5, 2)[1]) == bases
     assert (hecke.orbit_bars.__wrapped__, 5, 2) not in order.kept
     assert [id(value) for value in order.kept.values() if isinstance(value, list)] == \
@@ -1000,8 +1034,10 @@ def test_rpoly_via_bar_decodes_every_barred_column(n, fresh_orbits):
     # decodes to the column of R
     for k in range(n + 1):
         poset, unpack = order.orbit_poset(n, k), rpoly.orbit_packing(n, k).unpack
-        assert (hecke.orbit_bars.__wrapped__, n, k) not in order.kept
+        for build in (hecke.base_columns, hecke.orbit_bars):
+            assert (build.__wrapped__, n, k) not in order.kept
         for sigma, column in zip(poset.elements, rpoly.orbit_table(n, k)):
             assert hecke.rpoly_via_bar(sigma) == {poset.elements[a]: unpack(x)
                                                   for a, x in column.items()}, sigma
-        assert (hecke.orbit_bars.__wrapped__, n, k) in order.kept
+        for build in (hecke.base_columns, hecke.orbit_bars):
+            assert (build.__wrapped__, n, k) in order.kept

@@ -373,10 +373,11 @@ def test_one_orbit_stays_resident(fresh_orbits):
     # pair that holds them)
     poset = order.orbit_poset(4, 2)
     table, bars = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
-    bases, plan = hecke.orbit_bars(4, 2, False), rpoly.orbit_plan(4, 2)
+    bases, plan = hecke.base_columns(4, 2), rpoly.orbit_plan(4, 2)
     certificate = hecke.certificate(4, 2)
     assert poset.ups and poset.downs and order.orbit_action(4, 2, "left")
-    old = [[row and dict(row) for row in rows] for rows in (table, *bars, *bases)]
+    old = [[dict(row) for row in rows] for rows in (table, *bars)] + \
+        [{b: dict(row) for b, row in rows.items()} for rows in bases]
 
     def referrers(kept):
         return [r for r in gc.get_referrers(kept) if not isinstance(r, types.FrameType)]
@@ -391,7 +392,7 @@ def test_one_orbit_stays_resident(fresh_orbits):
     gc.collect()
     assert [ref() for ref in alive] == [None, None]
     table, bars = rpoly.orbit_table(4, 2), hecke.orbit_bars(4, 2)
-    assert [table, *bars, *hecke.orbit_bars(4, 2, False)] == old
+    assert [table, *bars, *hecke.base_columns(4, 2)] == old
     holds, columns = hecke.certificate(4, 2)
     assert holds and list(columns) == list(rpoly.orbit_bounds(4, 2)[1])
     assert list(columns.values()) == list(map(bars[0].__getitem__, columns))

@@ -140,9 +140,8 @@ def test_delta_identity_small_cases():
         rpoly.delta_identity_sum((0, 0, 0, 1), (0, 0, 1, 2))
 
 
-def _r_at_min_max_plus_one(packing, columns, reversed_columns):
-    if columns is not None:
-        columns[len(columns) - 1][0] += 1
+def _r_at_min_max_plus_one(packing, columns):
+    columns[len(columns) - 1][0] += 1
 
 
 def test_verify_delta_identity_reads_the_packed_sum(corrupt_fill, drop_product):
@@ -153,7 +152,7 @@ def test_verify_delta_identity_reads_the_packed_sum(corrupt_fill, drop_product):
     top = len(poset.elements) - 1
     bottom, maximum = poset.elements[0], poset.elements[top]
     assert rpoly.verify_delta_identity(bottom, maximum)
-    corrupt_fill(rpoly, 3, 1, _r_at_min_max_plus_one)
+    corrupt_fill("R", 3, 1, _r_at_min_max_plus_one)
     assert rpoly.verify_delta_identity(bottom, maximum)  # the kept product
     drop_product(3, 1)
     assert rpoly.delta_identity_sum(bottom, maximum) == 1
@@ -162,21 +161,28 @@ def test_verify_delta_identity_reads_the_packed_sum(corrupt_fill, drop_product):
 
 
 def test_corrupt_fill_reaches_each_packed_r_fill(corrupt_fill, delta_tables):
-    # a fault sees R alone on the fill of the orbit's table, R' alone on
-    # the fill of R', and never the bound fill; a fault of R applied at
-    # R's one fill is in the R table that the delta product reads
+    # a fault of R sees the fill of the orbit's table alone, a fault of R'
+    # the fill of R' alone, and neither the bound fill; a fault of R
+    # applied at R's one fill is in the R table that the delta product
+    # reads
     seen = []
 
-    def spy(packing, rows, reversed_rows):
-        seen.append((packing.bits, rows, reversed_rows))
-        _r_at_min_max_plus_one(packing, rows, reversed_rows)
-    corrupt_fill(rpoly, 3, 1, spy)
+    def spy(name):
+        def change(packing, columns):
+            seen.append((name, packing.bits, columns))
+            if name == "R":
+                _r_at_min_max_plus_one(packing, columns)
+            else:
+                columns[-1][0] += 1
+        return change
+    for name in ("R", "R'"):
+        corrupt_fill(name, 3, 1, spy(name))
     table = rpoly.orbit_table(3, 1)
     rows, reversed_rows = delta_tables(3, 1)
     bits = rpoly.orbit_packing(3, 1).bits
     assert len(seen) == 2
-    assert seen[0][0] == bits and seen[0][1] is table and seen[0][2] is None
-    assert seen[1][0] == bits and seen[1][1] is None and seen[1][2] is reversed_rows
+    assert seen[0][:2] == ("R", bits) and seen[0][2] is table
+    assert seen[1][:2] == ("R'", bits) and seen[1][2] is reversed_rows
     r = rpoly.rpoly(renner.orbit_minimum(3, 1), renner.orbit_maximum(3, 1))
     assert rows is table and table[-1][0] == rpoly.orbit_packing(3, 1).pack(r) + 1
 
@@ -218,10 +224,10 @@ def test_delta_row_cache_follows_the_table(monkeypatch, drop_product):
     assert rpoly.verify_delta_identity(bottom, maximum)
     rows, fill = rpoly.delta_rows(3, 1), rpoly._fill
 
-    def corrupted(*args, **kwargs):
-        table = fill(*args, **kwargs)
-        if args[2:3] and not kwargs.get("barred"):  # the packed fill of R
-            _r_at_min_max_plus_one(args[2], table, None)
+    def corrupted(n, k, kind, packing=None, bases=None):
+        table = fill(n, k, kind, packing, bases)
+        if kind == "R" and bases is None:  # the fill of R
+            _r_at_min_max_plus_one(packing, table)
         return table
     with monkeypatch.context() as patch:
         patch.setattr(rpoly, "_fill", corrupted)
@@ -356,7 +362,7 @@ def test_packing_width_comes_from_the_table(delta_tables):
     # largest R bound, read off the R bounds
     for n, k in [(n, k) for n in range(1, 5) for k in range(n + 1)] + [(5, 2), (5, 5)]:
         table, packing = rpoly.orbit_table(n, k), rpoly.orbit_packing(n, k)
-        bounds = rpoly._fill(n, k)
+        bounds = rpoly._fill(n, k, "bounds")
         norm = max(max(column.values()) for column in bounds)
         assert rpoly.orbit_bounds(n, k)[0] == norm
         for values in delta_tables(n, k):
@@ -380,7 +386,7 @@ def test_one_bound_table_serves_both_tables(n):
     # bound table, and one Hecke bound table would serve both Hecke tables
     for k in range(n + 1):
         r_bounds, reversed_bounds = rpoly_bound_tables(n, k)
-        assert r_bounds == reversed_bounds == rpoly._fill(n, k), (n, k)
+        assert r_bounds == reversed_bounds == rpoly._fill(n, k, "bounds"), (n, k)
         row_bounds, barred_bounds = hecke_bound_tables(n, k)
         assert row_bounds == barred_bounds, (n, k)
 
@@ -527,28 +533,26 @@ def test_delta_report_sums_one_theta_of_each_star_pair(n, k, count_sums, full_su
     assert len(count_sums) == len(star)
 
 
-def _one_sided(reversed_table, star):
+def _one_sided(star):
     # one entry of R, or of R', off by one at the first theta that star
     # moves, in the last column that holds it
     a = next(a for a in range(len(star)) if star[a] != a)
 
-    def change(packing, *tables):
-        columns = tables[reversed_table]
-        if columns is not None:
-            top = max(b for b, column in enumerate(columns) if a in column)
-            columns[top][a] += 1
+    def change(packing, columns):
+        top = max(b for b, column in enumerate(columns) if a in column)
+        columns[top][a] += 1
     return change
 
 
-@pytest.mark.parametrize("reversed_table", [False, True], ids=["R", "R'"])
-def test_delta_report_sums_every_theta_after_a_one_sided_fault(reversed_table, corrupt_fill,
+@pytest.mark.parametrize("table", ["R", "R'"])
+def test_delta_report_sums_every_theta_after_a_one_sided_fault(table, corrupt_fill,
                                                                count_sums, full_sums,
                                                                delta_fallback):
     # one entry of one table off, at a theta that star moves: every theta
     # is summed, and the report is the one of the full sums
     n, k = 4, 2
     star = order.orbit_star(n, k)
-    corrupt_fill(rpoly, n, k, _one_sided(reversed_table, star))
+    corrupt_fill(table, n, k, _one_sided(star))
     report = verify._delta_identity(n, k)
     assert not report.passed
     assert len(count_sums) == len(star)
@@ -567,10 +571,10 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count
     top = len(star) - 1
     a = next(a for a in range(len(star)) if star[a] > a and a in table[top])
 
-    def symmetric(packing, columns, reversed_columns):
-        for theta in (a, star[a]) if columns is not None else ():
+    def symmetric(packing, columns):
+        for theta in (a, star[a]):
             columns[top][theta] += packing.pack(Q)
-    corrupt_fill(rpoly, n, k, symmetric)
+    corrupt_fill("R", n, k, symmetric)
     drop_product(n, k)  # R was filled above, before the fault
     report = verify._delta_identity(n, k)
     assert len(count_sums) == len(star)
@@ -596,20 +600,16 @@ def _per_pair_answers(n, k):
 def _one_sided_fault(star):
     # R'[a, b] off by one at the first entry (a, b) that star moves,
     # where there is one
-    def change(packing, columns, reversed_columns):
-        if reversed_columns is not None:
-            a, b = max(sorted((a, b) for b, column in enumerate(reversed_columns)
-                              for a in column),
-                       key=lambda ab: (star[ab[0]], star[ab[1]]) != ab)
-            reversed_columns[b][a] += 1
+    def change(packing, reversed_columns):
+        a, b = max(sorted((a, b) for b, column in enumerate(reversed_columns) for a in column),
+                   key=lambda ab: (star[ab[0]], star[ab[1]]) != ab)
+        reversed_columns[b][a] += 1
     return change
 
 
 def _symmetric_fault(star):
     # R[a, max] and R[a*, max*] = R[a*, max] off by the same q
-    def change(packing, columns, reversed_columns):
-        if columns is None:
-            return
+    def change(packing, columns):
         top = len(star) - 1
         a = max(columns[top])
         for theta in {a, star[a]}:
@@ -617,7 +617,7 @@ def _symmetric_fault(star):
     return change
 
 
-@pytest.mark.parametrize("fault", [None, _one_sided_fault, _symmetric_fault],
+@pytest.mark.parametrize("fault", [None, ("R'", _one_sided_fault), ("R", _symmetric_fault)],
                          ids=["clean", "one-sided", "symmetric"])
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
 def test_per_pair_delta_answers_are_the_full_sums(n, k, fault, monkeypatch, drop_product,
@@ -626,7 +626,8 @@ def test_per_pair_delta_answers_are_the_full_sums(n, k, fault, monkeypatch, drop
     # whole gives, and as the product summed under an identity star
     star = order.orbit_star(n, k)
     if fault:
-        corrupt_fill(rpoly, n, k, fault(star))
+        table, change = fault
+        corrupt_fill(table, n, k, change(star))
     columns, reversed_columns = delta_tables(n, k)
     sums = [rpoly.triple_sums(column, columns) for column in reversed_columns]
     answers = _per_pair_answers(n, k)
@@ -640,9 +641,9 @@ def test_per_pair_delta_answers_are_the_full_sums(n, k, fault, monkeypatch, drop
         drop_product(n, k)
 
 
-def _min_row_off_by_one(packing, table, reversed_table):
+def _min_row_off_by_one(packing, table):
     # R[min, b] off by one at every b above the minimum
-    for column in table[1:] if table is not None else ():
+    for column in table[1:]:
         column[0] += 1
 
 
@@ -652,7 +653,7 @@ def test_a_cleared_orbit_drops_its_delta_rows(corrupt_fill):
     n, k = 4, 2
     rows = rpoly.delta_rows(n, k)
     assert all(map(all, _per_pair_answers(n, k)))
-    corrupt_fill(rpoly, n, k, _min_row_off_by_one)
+    corrupt_fill("R", n, k, _min_row_off_by_one)
     assert rpoly.delta_rows(n, k) is rows
     assert all(map(all, _per_pair_answers(n, k)))
     order.orbit_poset.cache_clear()
@@ -684,7 +685,7 @@ def test_the_reader_reads_a_fault_after_its_orbit_is_dropped(switch, corrupt_fil
         order.orbit_poset.cache_clear()
     else:
         order.orbit_poset(3, 2)
-    corrupt_fill(rpoly, 3, 1, _r_at_min_max_plus_one)
+    corrupt_fill("R", 3, 1, _r_at_min_max_plus_one)
     assert not rpoly.verify_delta_identity(theta, top)
     assert rpoly.verify_delta_identity(theta, theta)
 
@@ -727,92 +728,94 @@ def test_delta_certificate_holds_and_sums_only_the_base_rows(n, k, count_sums, d
     assert (rpoly.delta_rows.__wrapped__, n, k) not in order.kept
 
 
-def _off_the_bases(reversed_table):
-    # the first column of R, or of R', that is no Hecke base off by one at
-    # its smallest theta
-    def fault(n, k):
-        bases = rpoly.orbit_bounds(n, k)[1]
-        b = next(b for b in range(1, len(order.orbit_poset(n, k).elements)) if b not in bases)
+def _off_the_bases(n, k):
+    # the first column that is no Hecke base off by one at its smallest
+    # theta
+    bases = rpoly.orbit_bounds(n, k)[1]
+    b = next(b for b in range(1, len(order.orbit_poset(n, k).elements)) if b not in bases)
 
-        def change(packing, *tables):
-            columns = tables[reversed_table]
-            if columns is not None:
-                columns[b][min(columns[b])] += 1
-        return change
-    return fault
-
-
-def _base_doubled(n, k):
-    # the column of the last Hecke base doubled in both R and R'
-    b = max(rpoly.orbit_bounds(n, k)[1])
-
-    def change(packing, *tables):
-        for columns in tables:
-            if columns is not None:
-                columns[b] = {a: 2 * x for a, x in columns[b].items()}
+    def change(packing, columns):
+        columns[b][min(columns[b])] += 1
     return change
 
 
-def _reversed_diagonal_stored_as_zero(packing, columns, reversed_columns):
+def _base_doubled(n, k):
+    # the column of the last Hecke base doubled
+    b = max(rpoly.orbit_bounds(n, k)[1])
+
+    def change(packing, columns):
+        columns[b] = {a: 2 * x for a, x in columns[b].items()}
+    return change
+
+
+def _reversed_diagonal_stored_as_zero(packing, reversed_columns):
     # every diagonal entry of R' held as a stored 0, which the steps of the
     # certificate meet at indices that s raises and that it lowers
-    for b, column in enumerate(reversed_columns or ()):
+    for b, column in enumerate(reversed_columns):
         column[b] = 0
 
 
+def _corrupt_each(corrupt_fill, tables, n, k, fault):
+    # the change fault(n, k) installed on each table named
+    for table in tables:
+        corrupt_fill(table, n, k, fault(n, k))
+
+
 # Every fault of R or R' that the tests inject through ``corrupt_fill``,
-# as fault(n, k) -> change, on the orbits they use it on; the two that
-# the certificate must refuse, R' off the bases and a base column
-# doubled in both tables; and stored zeros in R'.
+# as the tables it corrupts and fault(n, k) -> change, on the orbits they
+# use it on; the two that the certificate must refuse, R' off the bases
+# and a base column doubled in both tables; and stored zeros in R'.
 DELTA_FAULTS = [
-    pytest.param(3, 1, lambda n, k: _r_at_min_max_plus_one, id="R3-k1-r-min-max"),
-    pytest.param(4, 2, lambda n, k: _r_at_min_max_plus_one, id="R4-k2-r-min-max"),
-    pytest.param(4, 2, lambda n, k: _min_row_off_by_one, id="R4-k2-r-min-row"),
-    *(pytest.param(4, 2, lambda n, k, r=r: _one_sided(r, order.orbit_star(n, k)),
-                   id=f"R4-k2-{name}-one-sided") for r, name in ((False, "r"), (True, "r'"))),
-    *(pytest.param(n, k, lambda n, k, f=f: f(order.orbit_star(n, k)), id=f"R{n}-k{k}-{name}")
-      for f, name in ((_one_sided_fault, "r'-first-moved"), (_symmetric_fault, "r-symmetric"))
+    pytest.param(3, 1, ["R"], lambda n, k: _r_at_min_max_plus_one, id="R3-k1-r-min-max"),
+    pytest.param(4, 2, ["R"], lambda n, k: _r_at_min_max_plus_one, id="R4-k2-r-min-max"),
+    pytest.param(4, 2, ["R"], lambda n, k: _min_row_off_by_one, id="R4-k2-r-min-row"),
+    *(pytest.param(4, 2, [table], lambda n, k: _one_sided(order.orbit_star(n, k)),
+                   id=f"R4-k2-{name}-one-sided") for table, name in (("R", "r"), ("R'", "r'"))),
+    *(pytest.param(n, k, [table], lambda n, k, f=f: f(order.orbit_star(n, k)),
+                   id=f"R{n}-k{k}-{name}")
+      for table, f, name in (("R'", _one_sided_fault, "r'-first-moved"),
+                             ("R", _symmetric_fault, "r-symmetric"))
       for n, k in ((3, 1), (4, 2))),
-    *(pytest.param(n, k, _off_the_bases(r), id=f"R{n}-k{k}-{name}-off-the-bases")
-      for r, name in ((False, "r"), (True, "r'")) for n, k in ((3, 1), (4, 2))),
-    *(pytest.param(n, k, _base_doubled, id=f"R{n}-k{k}-base-doubled")
+    *(pytest.param(n, k, [table], _off_the_bases, id=f"R{n}-k{k}-{name}-off-the-bases")
+      for table, name in (("R", "r"), ("R'", "r'")) for n, k in ((3, 1), (4, 2))),
+    *(pytest.param(n, k, ["R", "R'"], _base_doubled, id=f"R{n}-k{k}-base-doubled")
       for n, k in ((3, 0), (3, 1), (4, 2))),
-    *(pytest.param(n, k, lambda n, k: _reversed_diagonal_stored_as_zero,
+    *(pytest.param(n, k, ["R'"], lambda n, k: _reversed_diagonal_stored_as_zero,
                    id=f"R{n}-k{k}-r'-diagonal-stored-zero") for n, k in ((3, 1), (4, 2))),
 ]
 
 
-@pytest.mark.parametrize("n,k,fault", DELTA_FAULTS)
-def test_delta_report_under_a_fault_is_the_full_sums_report(n, k, fault, corrupt_fill,
+@pytest.mark.parametrize("n,k,tables,fault", DELTA_FAULTS)
+def test_delta_report_under_a_fault_is_the_full_sums_report(n, k, tables, fault, corrupt_fill,
                                                             full_sums):
     # certified or summed, the report is the one that summing every sigma
     # gives
-    corrupt_fill(rpoly, n, k, fault(n, k))
+    _corrupt_each(corrupt_fill, tables, n, k, fault)
     report = verify._delta_identity(n, k)
     assert not report.passed
     assert full_sums(verify._delta_identity, n, k) == (report.checked, report.violations)
 
 
-@pytest.mark.parametrize("n,k,fault", [
-    pytest.param(4, 2, _off_the_bases(True), id="R4-k2-r'-off-the-bases"),
-    pytest.param(3, 1, _base_doubled, id="R3-k1-base-doubled"),
+@pytest.mark.parametrize("n,k,tables,fault", [
+    pytest.param(4, 2, ["R'"], _off_the_bases, id="R4-k2-r'-off-the-bases"),
+    pytest.param(3, 1, ["R", "R'"], _base_doubled, id="R3-k1-base-doubled"),
 ])
-def test_a_fault_the_certificate_refuses_reaches_the_product(n, k, fault, corrupt_fill,
+def test_a_fault_the_certificate_refuses_reaches_the_product(n, k, tables, fault, corrupt_fill,
                                                              delta_tables, count_sums,
                                                              monkeypatch):
     # the certificate refuses the tables, and the report fills R' again,
     # once, for its fallback, and sums the product, rows off the bases
     # included, from that R'; it keeps no product, and the certificate
     # keeps the columns of R' at the bases alone
-    corrupt_fill(rpoly, n, k, fault(n, k))
+    _corrupt_each(corrupt_fill, tables, n, k, fault)
     table, reversed_columns = delta_tables(n, k)
     assert not hecke.certify(reversed_columns, table, n, k)
     fills, fill = [], rpoly._fill
-    monkeypatch.setattr(rpoly, "_fill", lambda *args, **kwargs:
-                        fills.append((kwargs, fill(*args, **kwargs))) or fills[-1][1])
+    monkeypatch.setattr(rpoly, "_fill", lambda *args:
+                        fills.append((args[2:3] + args[4:], fill(*args))) or fills[-1][1])
     count_sums.clear()
     assert not verify._delta_identity(n, k).passed
-    assert [kwargs for kwargs, _ in fills] == [{"barred": True}] * 2
+    assert [kind for kind, _ in fills] == [("R'",)] * 2
     bases, filled = rpoly.orbit_bounds(n, k)[1], fills[1][1]
     assert {id(filled[b]) for b in range(len(filled)) if b not in bases} & set(map(id, count_sums))
     assert (rpoly.delta_rows.__wrapped__, n, k) not in order.kept
@@ -820,17 +823,14 @@ def test_a_fault_the_certificate_refuses_reaches_the_product(n, k, fault, corrup
     assert not holds and kept == {b: fills[0][1][b] for b in bases}
 
 
-def _reversed_max_off(packing, columns, reversed_columns):
+def _reversed_max_off(packing, reversed_columns):
     # R'[min, max] off by one
-    if reversed_columns is not None:
-        reversed_columns[-1][0] += 1
+    reversed_columns[-1][0] += 1
 
 
-def _doubled_in_both(packing, *tables):
-    # the one column of a rank-n orbit, or of rank 0, doubled in R and R'
-    for columns in tables:
-        if columns is not None:
-            columns[0] = {a: 2 * x for a, x in columns[0].items()}
+def _doubled(packing, columns):
+    # the one column of a rank-n orbit, or of rank 0, doubled
+    columns[0] = {a: 2 * x for a, x in columns[0].items()}
 
 
 # Each part of the certificate on (R', R) with a fault of R_3 that only it
@@ -839,20 +839,21 @@ def _doubled_in_both(packing, *tables):
 # (b) reads; and the one column of the rank-0 orbit doubled in both, which
 # every left step fixes, so that only the sum of its row in (c) sees it.
 DELTA_CERTIFICATE_PARTS = [
-    pytest.param("_left_steps_act", 1, _reversed_max_off, id="a-on-r'"),
-    pytest.param("_barred_steps_act", 1, _r_at_min_max_plus_one, id="b-on-r"),
-    pytest.param("_base_rows_are_identity", 0, _doubled_in_both, id="c"),
+    pytest.param("_left_steps_act", 1, ["R'"], _reversed_max_off, id="a-on-r'"),
+    pytest.param("_barred_steps_act", 1, ["R"], _r_at_min_max_plus_one, id="b-on-r"),
+    pytest.param("_base_rows_are_identity", 0, ["R", "R'"], _doubled, id="c"),
 ]
 
 
-@pytest.mark.parametrize("part,k,fault", DELTA_CERTIFICATE_PARTS)
-def test_each_part_of_the_delta_certificate_is_needed(part, k, fault, monkeypatch,
+@pytest.mark.parametrize("part,k,tables,fault", DELTA_CERTIFICATE_PARTS)
+def test_each_part_of_the_delta_certificate_is_needed(part, k, tables, fault, monkeypatch,
                                                       corrupt_fill, full_sums, delta_tables):
     # under the fault, the report is the full sums report and fails; with
     # the part dropped from the certificate (a mutant that passes it), the
     # certificate passes and the report misses the fault
     n = 3
-    corrupt_fill(rpoly, n, k, fault)
+    for table in tables:
+        corrupt_fill(table, n, k, fault)
     report = verify._delta_identity(n, k)
     assert not report.passed
     assert full_sums(verify._delta_identity, n, k) == (report.checked, report.violations)
