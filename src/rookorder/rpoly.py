@@ -324,11 +324,11 @@ def verify_delta_identity(theta: Word, sigma: Word) -> bool:
     """
     last, a, index, columns = order.kept.get(verify_delta_identity, (None, None, None, None))
     if not (last is theta or last == theta):
-        n, k = len(theta), len(theta) - theta.count(0)
+        n, k = len(theta), renner.rank(theta)
         poset = order.orbit_poset(n, k)
         a, index, columns = poset.locate(theta), poset.index, delta_rows(n, k)
         order.kept[verify_delta_identity] = theta, a, index, columns
     b = index.get(sigma)
     if b is None:
-        order.orbit_poset(len(theta), len(theta) - theta.count(0)).locate(sigma)
+        order.orbit_poset(len(theta), renner.rank(theta)).locate(sigma)
     return columns[b] is None or columns[b].get(a, 0) == (a == b)

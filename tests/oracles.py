@@ -361,6 +361,21 @@ def hecke_to_json(h):
             for w in keys]
 
 
+def bar_squared_row(n, k, b):
+    """(packing, row b of bar o bar), packed, as the Hecke suite sums it
+    from the full Hecke tables."""
+    rows, barred = hecke.orbit_bars(n, k)
+    return rpoly.orbit_packing(n, k), rpoly.triple_sums(barred[b], rows)
+
+
+def decode_bar_squared(packing, row, sigma):
+    """A packed bar o bar row of sigma as a Hecke element: entry nu is
+    q^(l(sigma) - l(nu)) times the coefficient of A_nu."""
+    elements = renner.orbit(len(sigma), renner.rank(sigma))
+    return {nu: packing.unpack(x) * Laurent.q_power(renner.length(nu) - renner.length(sigma))
+            for nu, x in zip(elements, row) if x}
+
+
 def bar_Aw_by_reduced_word(w, h):
     """bar(A_w) h for a permutation w: one bar(A_s) = q A_s - (q - 1)
     step per letter of a reduced word of w, the rightmost letter first,

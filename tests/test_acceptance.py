@@ -90,14 +90,14 @@ def test_criterion_04_degree_monic_constant_term():
     report(4, "degree-monic-constant-term", not bad, f" {bad[:3]}")
 
 
-def test_criterion_05_putcha_conjecture(corrupt_mobius):
+def test_criterion_05_putcha_conjecture(inject):
     bad = []
     for n in (1, 2, 3, 4):
         for k in range(n + 1):
             result = analysis.verify_putcha_conjecture(renner.orbit(n, k))
             bad.extend(result.violations)
     # mutation check: a corrupted Mobius value must be caught
-    corrupt_mobius(order.orbit_poset(4, 2), lambda mu, gap: -mu if gap == 1 else mu)
+    inject("mobius", 4, 2, lambda mu, gap: -mu if gap == 1 else mu)
     mutated = analysis.verify_putcha_conjecture(renner.orbit(4, 2))
     report(5, "putcha-conjecture", not bad and not mutated.passed)
 

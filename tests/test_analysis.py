@@ -1,9 +1,11 @@
 import inspect
 import itertools
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 
+from faults import FAULTS, case, full_path
 from oracles import (check_lifting, embeddable_in_weyl_necessary,
                      lifting_by_pairs, linear_length2_bruteforce, monoid_elements,
                      nonempty_descent_by_words, putcha_by_pairs, witness_leq)
@@ -176,13 +178,8 @@ def test_putcha_conjecture_orbits(n, k):
     assert report.passed, report.violations[:3]
 
 
-def test_putcha_mutation_is_caught(corrupt_mobius):
-    # a corrupted Mobius function must produce violation certificates
-    corrupt_mobius(order.orbit_poset(3, 2), lambda mu, gap: mu + 1 if gap == 2 else mu)
-    report = analysis.verify_putcha_conjecture(renner.orbit(3, 2))
-    assert not report.passed
-    cert = report.violations[0]
-    assert set(cert) >= {"theta", "sigma", "mobius", "expected", "interval"}
+# a corrupted Mobius function must produce violation certificates
+test_putcha_mutation_is_caught = case("R3-k2-mobius-gap-2-plus-one")
 
 
 def assert_same_report(got, expected):
@@ -222,49 +219,33 @@ def test_row_sweeps_match_pair_oracles(n, ks, monkeypatch):
         assert_same_report(lifting, lifting_by_pairs(n, k))
 
 
-def test_putcha_failing_rows_expand_like_the_oracle(corrupt_mobius):
-    # linear length-2 intervals read mu = 2: no M_(+1) or M_(-1) changes,
-    # so only the no-other-value part of the row check sees the fault;
-    # on a whole orbit and on every other element of it
-    poset = order.orbit_poset(4, 2)
-    corrupt_mobius(poset, lambda mu, gap: 2 if gap == 2 and mu == 0 else mu)
-    for elements in (renner.orbit(4, 2), renner.orbit(4, 2)[::2]):
-        report = analysis.verify_putcha_conjecture(elements)
-        assert report.violations
-        assert_same_report(report, putcha_by_pairs(elements))
+test_putcha_failing_rows_expand_like_the_oracle = case("R4-k2-mobius-linear-reads-2")
 
 
-# every Mobius fault the tests put in through ``corrupt_mobius``
-MOBIUS_FAULTS = {
-    "gap-2-plus-one": lambda mu, gap: mu + 1 if gap == 2 else mu,
-    "linear-reads-2": lambda mu, gap: 2 if gap == 2 and mu == 0 else mu,
-    "gap-1-negated": lambda mu, gap: -mu if gap == 1 else mu,
-}
+# the Mobius faults of ``faults.FAULTS``, by name
+MOBIUS_FAULTS = {fault.id.partition("mobius-")[2]: change for fault in FAULTS
+                 for target, change in fault.changes if target == "mobius"}
 
 
 def _putcha_rows(check, elements, monkeypatch, identity=False):
     # ((checked, violations) of check(elements), the bottoms whose Mobius
     # row it filled), with ``order.orbit_star`` the identity if asked
     filled, fill = [], order.mobius_row
-    with monkeypatch.context() as patch:
+    with monkeypatch.context() as patch, full_path("star") if identity else nullcontext():
         patch.setattr(order, "mobius_row",
                       lambda bottom, up, down: filled.append(bottom) or fill(bottom, up, down))
-        if identity:
-            patch.setattr(order, "orbit_star",
-                          lambda n, k: tuple(range(len(order.orbit_poset(n, k).elements))))
         report = check(elements)
     return (report.checked, report.violations), filled
 
 
 @pytest.mark.parametrize("fault", [None, *MOBIUS_FAULTS], ids=["clean", *MOBIUS_FAULTS])
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (4, 2), (5, 2)])
-def test_putcha_star_skip_reads_as_the_identity_star(n, k, fault, corrupt_mobius,
-                                                     monkeypatch, fresh_orbits):
+def test_putcha_star_skip_reads_as_the_identity_star(n, k, fault, inject, monkeypatch):
     # the sweep fills the row of a only where star(a) >= a or the row of
     # star(a) failed, and its report is the one every row gives
     poset, elements = order.orbit_poset(n, k), renner.orbit(n, k)
     if fault:
-        corrupt_mobius(poset, MOBIUS_FAULTS[fault])
+        inject("mobius", n, k, MOBIUS_FAULTS[fault])
     got, filled = _putcha_rows(analysis.verify_putcha_conjecture, elements, monkeypatch)
     want, every = _putcha_rows(analysis.verify_putcha_conjecture, elements, monkeypatch,
                                identity=True)
@@ -276,7 +257,7 @@ def test_putcha_star_skip_reads_as_the_identity_star(n, k, fault, corrupt_mobius
     assert fault or len(filled) < len(every)
 
 
-def test_putcha_star_falls_back_on_a_one_sided_fault(corrupt_mobius, monkeypatch, fresh_orbits):
+def test_putcha_star_falls_back_on_a_one_sided_fault(inject, monkeypatch):
     # an up row that star does not carry to its partner's, a length it
     # does not keep, or a given set that star does not keep, leaves the
     # identity: every row is filled, and the report is the identity
@@ -305,7 +286,7 @@ def test_putcha_star_falls_back_on_a_one_sided_fault(corrupt_mobius, monkeypatch
                                identity=True)
     assert got == want and want[1] and filled == list(range(len(elements)))
 
-    corrupt_mobius(poset, MOBIUS_FAULTS["gap-2-plus-one"])
+    inject("mobius", n, k, MOBIUS_FAULTS["gap-2-plus-one"])
     x = next(x for x in range(len(star)) if star[x] > x)
     given = elements[:x] + elements[x + 1:]  # star(x) is given, x is not
     got, filled = _putcha_rows(analysis.verify_putcha_conjecture, given, monkeypatch)
@@ -315,8 +296,7 @@ def test_putcha_star_falls_back_on_a_one_sided_fault(corrupt_mobius, monkeypatch
     assert filled == [a for a in range(len(elements)) if a != x]
 
 
-def test_putcha_star_mutant_that_skips_a_failing_partner_is_caught(corrupt_mobius,
-                                                                   monkeypatch, fresh_orbits):
+def test_putcha_star_mutant_that_skips_a_failing_partner_is_caught(inject, monkeypatch):
     # the sweep with the partner of a failing row skipped too: under a
     # fault that fails both rows of a pair, its report loses the
     # partner's violations, and so differs from the identity star's
@@ -327,7 +307,7 @@ def test_putcha_star_mutant_that_skips_a_failing_partner_is_caught(corrupt_mobiu
     exec(source.replace(skip, "star[a] < a"), namespace)
     mutant = namespace["verify_putcha_conjecture"]
     elements = renner.orbit(3, 2)
-    corrupt_mobius(order.orbit_poset(3, 2), MOBIUS_FAULTS["gap-2-plus-one"])
+    inject("mobius", 3, 2, MOBIUS_FAULTS["gap-2-plus-one"])
     want, _ = _putcha_rows(analysis.verify_putcha_conjecture, elements, monkeypatch,
                            identity=True)
     assert _putcha_rows(analysis.verify_putcha_conjecture, elements, monkeypatch)[0] == want
@@ -335,51 +315,9 @@ def test_putcha_star_mutant_that_skips_a_failing_partner_is_caught(corrupt_mobiu
     assert got[0] == want[0] and got[1] != want[1]
 
 
-# corrupted s_1 actions on R_4 k = 2, each breaking one lifting
-# condition: clause (a) s theta < s sigma, or in clause (b)
-# s theta <= sigma or theta <= s sigma; each is one containment of the
-# row check, so a row check without it passes every row
-LIFTING_MUTANTS = {
-    # s_1 reads as raising every element, so clause (a) applies to every
-    # pair under s_1 and fails where s_1 swaps theta and sigma
-    "a": ("a", lambda to, step: (to, (1,) * len(to))),
-    # s_1 sends 0013 where it sends 0012: s theta = s sigma is not above
-    "a-strict": ("a", lambda to, step: ((to[0], to[0], *to[2:]), step)),
-    # s_1 sends every element it fixes to the maximum
-    "b-up": ("s theta <= sigma", lambda to, step: (
-        tuple(len(to) - 1 if d == 0 else t for t, d in zip(to, step)), step)),
-    # s_1 sends every element it lowers to the minimum
-    "b-row": ("theta <= s sigma", lambda to, step: (
-        tuple(0 if d < 0 else t for t, d in zip(to, step)), step)),
-}
-
-
-def test_lifting_failing_rows_expand_like_the_oracle(monkeypatch):
-    # each corrupted action is flagged, pair by pair, as the oracle flags
-    # it, and every failing pair breaks only the mutant's one condition
-    original = order.orbit_action
-    for name, (broken, change) in LIFTING_MUTANTS.items():
-        def corrupted(n, k, side, change=change):
-            first, *rest = original(n, k, side)
-            return (change(*first), *rest)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(order, "orbit_action", corrupted)
-            report = analysis.lifting_violations(4, 2)
-            assert report.violations, name
-            assert_same_report(report, lifting_by_pairs(4, 2))
-        poset, (to, _) = order.orbit_poset(4, 2), corrupted(4, 2, "left")[0]
-
-        def below(x, y):
-            return order.leq(poset.elements[x], poset.elements[y])
-
-        for cert in report.violations:
-            a, b = (poset.index[renner.parse_element(cert[end])] for end in ("theta", "sigma"))
-            fails = {"a"} if cert["clause"] == "a" else {
-                condition for condition, holds in (("s theta <= sigma", below(to[a], b)),
-                                                   ("theta <= s sigma", below(a, to[b])))
-                if not holds}
-            assert (cert["s"], fails) == (1, {broken}), (name, cert)
+# corrupted s_1 actions, each breaking one lifting condition
+test_lifting_failing_rows_expand_like_the_oracle = case(
+    "R4-k2-lifting-a", "R4-k2-lifting-a-strict", "R4-k2-lifting-b-up", "R4-k2-lifting-b-row")
 
 
 def test_classify_interval():

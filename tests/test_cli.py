@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import rookorder
-from oracles import hecke_to_json
+from faults import case, cases
 from rookorder import cli
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -233,337 +233,30 @@ def test_verify_reports_violations_with_exit_1(capsys, monkeypatch):
     assert payload["reports"][0]["violations"]
 
 
-def _first_violation(capsys, suite, label):
-    """Run ``verify <suite> --n 3``, which must exit 1, and return the first
-    violation certificate of the first failing report."""
-    code, out, _ = run(capsys, "verify", suite, "--n", "3")
-    assert code == 1
-    failing = [r for r in json.loads(out)["reports"] if r["violations"]]
-    assert failing
-    assert failing[0]["name"].startswith(f"{label} n=3 k=")
-    return failing[0]["violations"][0]
-
-
-def test_verify_lifting_certificate(capsys, monkeypatch):
-    # s_1 reads as raising every element, so clause (a) applies to every
-    # pair under s_1, and fails where s_1 swaps theta and sigma
-    from rookorder import order
-    original = order.orbit_action
-
-    def corrupted(n, k, side):
-        (to, _), *rest = original(n, k, side)
-        return ((to, (1,) * len(to)), *rest)
-
-    monkeypatch.setattr(order, "orbit_action", corrupted)
-    cert = _first_violation(capsys, "lifting", "lifting")
-    assert set(cert) == {"theta", "sigma", "s", "clause", "holds"}
-    assert (cert["clause"], cert["holds"]) == ("a", False)
-
-
-def test_verify_nonempty_descent_certificate(capsys, monkeypatch):
-    # every s_i reads as raising or fixing every element, so no element
-    # of positive length descends
-    from rookorder import order
-    original = order.orbit_action
-
-    def corrupted(n, k, side):
-        return tuple((to, tuple(map(abs, step))) for to, step in original(n, k, side))
-
-    monkeypatch.setattr(order, "orbit_action", corrupted)
-    cert = _first_violation(capsys, "descents", "nonempty-descent")
-    assert cert["kind"] == "no-descent"
-    assert set(cert) == {"kind", "element", "length"}
-
-
-def _q_added_to_r_at_min_max(packing, columns):
-    from rookorder.polynomials import Q
-    columns[len(columns) - 1][0] += packing.pack(Q)
-
-
-def test_verify_delta_certificate_carries_the_one_sum(capsys, corrupt_fill):
-    # the fault sits in the packed input of the sums: R[min, max] of the
-    # R_3 k = 1 table is filled off by q, which changes exactly one sum,
-    # and the certificate carries that sum decoded
-    from rookorder import renner
-    corrupt_fill("R", 3, 1, _q_added_to_r_at_min_max)
-    cert = _first_violation(capsys, "delta", "delta")
-    assert set(cert) == {"theta", "sigma", "sum"}
-    ends = renner.orbit_minimum(3, 1), renner.orbit_maximum(3, 1)
-    assert (cert["theta"], cert["sigma"]) == tuple(map(renner.format_element, ends))
-    assert cert["sum"] == "q"
-
-
-def test_verify_descent_rule_certificate(capsys, monkeypatch):
-    from rookorder import analysis
-    monkeypatch.setattr(analysis, "descent_sets",
-                        lambda sigma: (frozenset(), frozenset()))
-    cert = _first_violation(capsys, "descents", "descent-rule")
-    assert set(cert) == {"element", "standard_form_rule", "raw"}
-    assert cert["standard_form_rule"] == [[], []]
-
-
-def _barred_diagonal_dropped(packing, barred):
-    barred[0].pop(0)
-
-
-def test_verify_hecke_expansion_certificate(capsys, corrupt_fill, fallback):
-    # the fault sits in the packed barred row of the rank-0 element: its
-    # diagonal entry, R[sigma, sigma] read off bar(A_sigma), is dropped
-    # in the full Hecke fill, which the fallback reads
-    corrupt_fill("Bar", 3, 0, _barred_diagonal_dropped)
-    cert = _first_violation(capsys, "hecke", "hecke")
-    assert set(cert) == {"theta", "sigma", "via_bar", "via_recurrence"}
-    assert cert["theta"] == cert["sigma"]
-    assert cert["via_bar"] != cert["via_recurrence"]
-
-
-def _off_by_one_hecke_entry(packing, rows):
-    rows[-1][0] += 1  # bar(A_max), scaled; index 0 is the minimum
-
-
-def test_verify_hecke_involution_certificate(capsys, corrupt_fill, fallback):
-    # the fault sits in the packed input of bar o bar: one coefficient of
-    # bar(A_max) is filled off by one, so bar(bar(A_max)) is not A_max;
-    # max is no Hecke base, so only the fallback reads it
-    from rookorder import hecke, renner
-    from rookorder.polynomials import Laurent
-    top = renner.orbit_maximum(3, 1)
-    corrupt_fill("H", 3, 1, _off_by_one_hecke_entry)
-    code, out, _ = run(capsys, "verify", "hecke", "--n", "3")
-    assert code == 1
-    certs = [v for r in json.loads(out)["reports"] for v in r["violations"]
-             if v.get("kind") == "not-involutive"]
-    assert [cert["sigma"] for cert in certs] == [renner.format_element(top)]
-    assert set(certs[0]) == {"kind", "sigma", "bar_squared"}
-    assert certs[0]["bar_squared"] != hecke_to_json({top: Laurent.from_int(1)})
-
-
-def _off_by_one_off_the_bases(packing, rows):
-    # one entry of the columns of bar(A_sigma) alone off by one, at the
-    # first column of R_3 k = 1 that is no Hecke base: the barred columns,
-    # which the R table checks, do not read it, only bar o bar does
-    from rookorder import rpoly
-    t = next(t for t in range(len(rows)) if t not in rpoly.orbit_bounds(3, 1)[1])
-    rows[t][min(rows[t])] += 1
-
-
-def _base_doubled(k):
-    # the column, or the barred column, of the last Hecke base of the
-    # rank-k orbit of R_3 doubled; at k = 0, the one column of the orbit
-    def corrupt(packing, table):
-        from rookorder import rpoly
-        b = max(rpoly.orbit_bounds(3, k)[1])
-        table[b] = {a: 2 * x for a, x in table[b].items()}
-    return corrupt
-
-
-def test_verify_hecke_fault_off_the_bases_falls_back_to_the_sums(capsys, corrupt_fill,
-                                                                  monkeypatch, fallback):
-    # on the fallback, the only path that reads a column off the bases,
-    # the local certificate of bar o bar refuses the table, so the rows
-    # are summed, and the fault gives not-involutive certificates alone
-    from rookorder import hecke, rpoly
-    corrupt_fill("H", 3, 1, _off_by_one_off_the_bases)
-    summed, product_rows = [], rpoly.product_rows
-    monkeypatch.setattr(rpoly, "product_rows",
-                        lambda left, *args: summed.append(len(left)) or product_rows(left, *args))
-    certs = _hecke_certificates(capsys)
-    assert list(certs) == ["not-involutive"]
-    assert summed == [len(rpoly.orbit_table(3, 1))]
-    assert not hecke.certify(*hecke.orbit_bars(3, 1), 3, 1)
-
-
-def _off_by_one_barred_entry(packing, barred):
-    # R[min, max] as read off bar(A_max), scaled
-    barred[-1][0] += 1
-
-
-def _hecke_certificates(capsys):
-    # the violations of ``verify hecke --n 3``, which must exit 1, by kind
-    code, out, _ = run(capsys, "verify", "hecke", "--n", "3")
-    assert code == 1
-    certs = {}
-    for report in json.loads(out)["reports"]:
-        for v in report["violations"]:
-            certs.setdefault(v.get("kind", "expansion"), []).append(v)
-    return certs
-
-
-def test_verify_hecke_involution_certificate_of_a_barred_fault(capsys, corrupt_fill,
-                                                               fallback):
-    # the fault sits in the packed barred row of the maximum, which only
-    # bar o bar of the maximum reads: its certificate is that row's sum,
-    # held against the Laurent path, sum over theta of
-    # bar(c_theta(max)) bar(A_theta), with bar(c_theta(max)) decoded
-    # from the corrupted barred row
-    from rookorder import hecke, order, renner, rpoly
-    from rookorder.polynomials import Laurent
-    corrupt_fill("Bar", 3, 1, _off_by_one_barred_entry)
-    certs = _hecke_certificates(capsys)["not-involutive"]
-    top = renner.orbit_maximum(3, 1)
-    assert [cert["sigma"] for cert in certs] == [renner.format_element(top)]
-    barred, packing = hecke.orbit_bars(3, 1)[1], rpoly.orbit_packing(3, 1)
-    poset = order.orbit_poset(3, 1)
-    unscale = Laurent.q_power(renner.idempotent_length(3, 1) - renner.length(top))
-    expected = {}
-    for a, x in barred[-1].items():
-        hecke.add_scaled(expected, hecke.bar_Asigma(poset.elements[a]),
-                         packing.unpack(x) * unscale)
-    assert certs[0]["bar_squared"] == hecke_to_json(hecke.canonical(expected))
-    assert certs[0]["bar_squared"] != hecke_to_json({top: Laurent.from_int(1)})
-
-
-def test_verify_hecke_certificates_need_no_laurent_path(capsys, corrupt_fill,
-                                                        monkeypatch, fallback):
-    # the suite decodes its certificates from the packed ints it checked
-    from rookorder import hecke
-
-    def laurent_path(*args):
-        raise AssertionError("the Hecke suite took the Laurent path")
-
-    for name in ("bar_element", "bar_Asigma", "rpoly_via_bar"):
-        monkeypatch.setattr(hecke, name, laurent_path)
-    corrupt_fill("Bar", 3, 1, _off_by_one_barred_entry)
-    certs = _hecke_certificates(capsys)
-    assert set(certs) == {"expansion", "not-involutive"}
-    assert set(certs["expansion"][0]) == {"theta", "sigma", "via_bar", "via_recurrence"}
-
-
-def _q_at_max_in_the_column_of_the_minimum(packing, columns):
-    # an entry at (max, min), outside the down set of the minimum, in the
-    # barred Hecke table or in the R table
-    from rookorder.polynomials import Q
-    columns[0][len(columns) - 1] = packing.pack(Q)
-
-
-def _r_at_min_max(change):
-    # change(value) in place of R[min, max] in the R table
-    def corrupt(packing, columns):
-        top = len(columns) - 1
-        value = change(columns[top].pop(0))
-        if value is not None:
-            columns[top][0] = value
-    return corrupt
-
-
-def _only_q_in_the_barred_row_of_the_minimum(packing, barred):
-    # the diagonal entry of the barred row of min moved to (max, min)
-    barred[0].clear()
-    _q_at_max_in_the_column_of_the_minimum(packing, barred)
-
-
-def _min_max_dropped_from_the_barred_column(packing, barred):
-    barred[-1].pop(0)  # R[min, max] as read off bar(A_max), scaled
-
-
-@pytest.mark.parametrize("corruptions, expansion, support, involutive", [
-    # one barred value off by one
-    ([("Bar", _off_by_one_barred_entry)], [("001", "300", "R + 1", "R")], [], False),
-    # one R value off by one
-    ([("R", _r_at_min_max(lambda x: x + 1))], [("001", "300", "R", "R + 1")], [], True),
-    # a barred entry outside the down set of its sigma
-    ([("Bar", _q_at_max_in_the_column_of_the_minimum)], [("300", "001", "q", "0")], [], False),
-    # an R entry outside the down set of its sigma, read off R's whole
-    # column
-    ([("R", _q_at_max_in_the_column_of_the_minimum)], [("300", "001", "0", "q")], [], True),
-    # an R entry dropped inside the down set of its sigma
-    ([("R", _r_at_min_max(lambda x: None))], [("001", "300", "R", "0")], [], True),
-    # the same entry added to both tables outside the down set: the
-    # columns agree as dicts, and only their support fails, at the value
-    # both hold
-    ([("Bar", _q_at_max_in_the_column_of_the_minimum),
-      ("R", _q_at_max_in_the_column_of_the_minimum)], [], [("300", "001", "q")], False),
-    # that entry in both, and the barred row's one entry inside dropped:
-    # the support keeps its size but leaves the down set
-    ([("Bar", _only_q_in_the_barred_row_of_the_minimum),
-      ("R", _q_at_max_in_the_column_of_the_minimum)],
-     [("001", "001", "0", "1")], [("300", "001", "q")], False),
-    # an entry inside the down set dropped from both columns of max: the
-    # columns agree, and the support lacks it
-    ([("Bar", _min_max_dropped_from_the_barred_column),
-      ("R", _r_at_min_max(lambda x: None))], [], [("001", "300", "0")], False),
-], ids=["barred-off-by-one", "r-off-by-one", "barred-outside", "r-outside", "r-dropped",
-        "both-outside", "support-moved", "dropped-from-both"])
-def test_verify_hecke_column_compare_reports_each_fault(capsys, corrupt_fill, corruptions,
-                                                         expansion, support, involutive,
-                                                         request):
-    # the barred column of each sigma is compared whole with the column of
-    # sigma in the R table: each fault of R_3 k = 1 below gives these
-    # expansion certificates, decoded from the ints compared, with R the
-    # true R[001, 300], and where the columns agree but the support test
-    # fails, these support certificates; bar o bar reads only the Hecke
-    # table.  A fault of H or Bar is in the full Hecke fill alone, which
-    # the report reads on its fallback
-    from rookorder import rpoly
-    from rookorder.polynomials import ONE, Q
-    for table, change in corruptions:
-        corrupt_fill(table, 3, 1, change)
-    if any(table in ("H", "Bar") for table, _ in corruptions):
-        request.getfixturevalue("fallback")
-    certs = _hecke_certificates(capsys)
-    r = rpoly.rpoly((0, 0, 1), (3, 0, 0))
-    values = {"R": r, "R + 1": r + 1, "q": Q, "1": ONE, "0": Q - Q}
-    assert certs.pop("expansion", []) == [
-        {"theta": theta, "sigma": sigma, "via_bar": values[via_bar].to_json(),
-         "via_recurrence": values[via_recurrence].to_json()}
-        for theta, sigma, via_bar, via_recurrence in expansion]
-    assert certs.pop("support", []) == [
-        {"kind": "support", "theta": theta, "sigma": sigma, "value": values[value].to_json()}
-        for theta, sigma, value in support]
-    involution = [cert["sigma"] for cert in certs.pop("not-involutive", [])]
-    assert not certs and involution == ([] if involutive else [(expansion or support)[-1][1]])
-
-
-@pytest.mark.parametrize("corruptions", [
-    [("R", 1, _q_added_to_r_at_min_max)],
-    [("Bar", 0, _barred_diagonal_dropped)],
-    [("H", 1, _off_by_one_hecke_entry)],
-    [("Bar", 1, _off_by_one_barred_entry)],
-    [("R", 1, _r_at_min_max(lambda x: x + 1))],
-    [("Bar", 1, _q_at_max_in_the_column_of_the_minimum)],
-    [("R", 1, _r_at_min_max(lambda x: None))],
-    [("Bar", 1, _q_at_max_in_the_column_of_the_minimum),
-     ("R", 1, _q_at_max_in_the_column_of_the_minimum)],
-    [("Bar", 1, _only_q_in_the_barred_row_of_the_minimum),
-     ("R", 1, _q_at_max_in_the_column_of_the_minimum)],
-    [("Bar", 1, _min_max_dropped_from_the_barred_column),
-     ("R", 1, _r_at_min_max(lambda x: None))],
-    [("H", 1, _off_by_one_off_the_bases)],
-    [("H", 0, _base_doubled(0)), ("Bar", 0, _base_doubled(0))],
-    [("H", 1, _base_doubled(1)), ("Bar", 1, _base_doubled(1))],
-], ids=["r-off-by-q", "barred-diagonal-dropped", "hecke-off-by-one", "barred-off-by-one",
-        "r-off-by-one", "barred-outside", "r-dropped", "both-outside", "support-moved",
-        "dropped-from-both", "hecke-off-the-bases", "base-doubled-k0", "base-doubled-k1"])
-def test_verify_under_each_fault_reads_as_the_full_sums(capsys, corrupt_fill, monkeypatch,
-                                                       drop_product, corruptions, request):
-    # each fault the tests above inject into the tables of R_3 gives the
-    # output of delta and hecke that summing every sigma gives, as with
-    # the local certificate refusing every orbit, that the Hecke tables
-    # built from base sums over
-    # every term, with no length skip, give, and that the Hecke tables
-    # built under the oracle's full bound fill give
-    from oracles import full_bound_check, orbit_sum_every_term
-    from rookorder import hecke, order
-    for table, k, change in corruptions:
-        corrupt_fill(table, 3, k, change)
-    if any(table in ("H", "Bar") for table, _, _ in corruptions):
-        request.getfixturevalue("fallback")
-    outputs = [run(capsys, "verify", suite, "--n", "3") for suite in ("delta", "hecke")]
-    assert outputs[1][0] == 1
-    with monkeypatch.context() as patch:
-        patch.setattr(hecke, "certify", lambda *args: False)
-        drop_product(3, 3)  # the orbit still resident, with its certificate
-        assert [run(capsys, "verify", suite, "--n", "3")
-                for suite in ("delta", "hecke")] == outputs
-    drop_product(3, 3)
-    with monkeypatch.context() as patch:
-        patch.setattr(hecke, "_orbit_sum", orbit_sum_every_term)
-        order.orbit_poset.cache_clear()
-        assert [run(capsys, "verify", suite, "--n", "3")
-                for suite in ("delta", "hecke")] == outputs
-    monkeypatch.setattr(hecke, "_check_bounds", full_bound_check)
-    order.orbit_poset.cache_clear()
-    assert [run(capsys, "verify", suite, "--n", "3") for suite in ("delta", "hecke")] == outputs
+# The verify certificates under injected faults are rows of
+# ``faults.FAULTS``; each name below checks its rows.
+test_verify_lifting_certificate = case("R4-k2-lifting-a")
+test_verify_nonempty_descent_certificate = case("R3-k1-no-descent")
+test_verify_delta_certificate_carries_the_one_sum = case("R3-k1-r-min-max-plus-q")
+test_verify_descent_rule_certificate = case("R3-k1-descent-rule-empty")
+test_verify_hecke_expansion_certificate = case("R3-k0-bar-diagonal-dropped")
+test_verify_hecke_involution_certificate = case("R3-k1-h-min-max-plus-one")
+test_verify_hecke_fault_off_the_bases_falls_back_to_the_sums = case("R3-k1-h-off-the-bases")
+test_verify_hecke_involution_certificate_of_a_barred_fault = \
+    case("R3-k1-bar-min-max-plus-one")
+test_verify_hecke_certificates_need_no_laurent_path = case("R3-k1-bar-min-max-plus-one")
+_COLUMN_COMPARE = {
+    "barred-off-by-one": "R3-k1-bar-min-max-plus-one",
+    "r-off-by-one": "R3-k1-r-min-max-plus-one", "barred-outside": "R3-k1-bar-q-outside",
+    "r-outside": "R3-k1-r-q-outside", "r-dropped": "R3-k1-r-min-max-dropped",
+    "both-outside": "R3-k1-both-q-outside", "support-moved": "R3-k1-support-moved",
+    "dropped-from-both": "R3-k1-both-min-max-dropped"}
+test_verify_hecke_column_compare_reports_each_fault = cases(_COLUMN_COMPARE)
+test_verify_under_each_fault_reads_as_the_full_sums = cases({
+    **_COLUMN_COMPARE, "r-off-by-q": "R3-k1-r-min-max-plus-q",
+    "barred-diagonal-dropped": "R3-k0-bar-diagonal-dropped",
+    "hecke-off-by-one": "R3-k1-h-min-max-plus-one", "hecke-off-the-bases": "R3-k1-h-off-the-bases",
+    "base-doubled-k0": "R3-k0-hecke-base-doubled", "base-doubled-k1": "R3-k1-hecke-base-doubled"})
 
 
 @pytest.mark.parametrize("argv, flag", [

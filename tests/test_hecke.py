@@ -5,9 +5,11 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import (bar_Asigma_by_reduced_word, bar_Asigma_by_support, fixed_by_step,
-                     full_bound_check, hecke_bound_step, hecke_bound_tables, hecke_to_json,
-                     orbit_sum_skipping, orbit_sums_against_the_core, rpoly_bound_tables)
+from faults import case, cases, coefficient_fault, entry, full_path
+from oracles import (bar_Asigma_by_reduced_word, bar_Asigma_by_support, bar_squared_row,
+                     decode_bar_squared, fixed_by_step, full_bound_check, hecke_bound_step,
+                     hecke_bound_tables, hecke_to_json, orbit_sum_skipping,
+                     orbit_sums_against_the_core, rpoly_bound_tables)
 from rookorder import hecke, order, renner, rpoly, verify, weyl
 from rookorder.polynomials import IntPoly, Laurent, ONE
 
@@ -332,8 +334,8 @@ def test_certify_runs_once_per_clean_orbit(monkeypatch, fresh_orbits):
 
 
 @pytest.mark.parametrize("table", ["R", "R'"])
-def test_a_fault_after_the_certificate_is_kept_reaches_both_reports(table, corrupt_fill,
-                                                                    drop_product, full_sums):
+def test_a_fault_after_the_certificate_is_kept_reaches_both_reports(table, inject,
+                                                                    drop_product):
     # the reports of a clean orbit keep its certificate; a fault of R or of
     # R' installed after that reaches both reports once the R table is
     # dropped, since the certificate goes with it, and each report is then
@@ -342,35 +344,19 @@ def test_a_fault_after_the_certificate_is_kept_reaches_both_reports(table, corru
     n, k = 4, 2
     assert verify._delta_identity(n, k).passed and verify.hecke_oracle_report(n, k).passed
     assert hecke.certificate(n, k)[0]
-    a, b = 0, len(order.orbit_poset(n, k).elements) - 1
-
-    def change(packing, columns):
-        columns[b][a] += 1
-    corrupt_fill(table, n, k, change)
+    inject(table, n, k, entry(-1, 0, ONE))  # (min, max)
     drop_product(n, k)
     assert (hecke.certificate.__wrapped__, n, k) not in order.kept
     for check in (verify._delta_identity, verify.hecke_oracle_report):
         report = check(n, k)
         assert report.passed == (report.name == "hecke" and table == "R'"), report.name
-        assert full_sums(check, n, k) == (report.checked, report.violations), report.name
+        with full_path("certificate"):
+            full = check(n, k)
+        assert (full.checked, full.violations) == (report.checked, report.violations)
     assert not hecke.certificate(n, k)[0]
 
 
-def test_one_r_fault_is_flagged_by_both_reports(corrupt_fill, full_sums):
-    # R[min, max] of R_4 k = 2 off by one, applied once at R's one fill:
-    # the delta report and the Hecke report both read that table, and
-    # both flag the pair (min, max) and no other, as every sigma summed
-    # reads them
-    def r_at_min_max_plus_one(packing, columns):
-        columns[-1][0] += 1
-    corrupt_fill("R", 4, 2, r_at_min_max_plus_one)
-    ends = tuple(map(renner.format_element,
-                     (renner.orbit_minimum(4, 2), renner.orbit_maximum(4, 2))))
-    for report in (verify._delta_identity(4, 2), verify.hecke_oracle_report(4, 2)):
-        assert [(v["theta"], v["sigma"]) for v in report.violations] == [ends], report.name
-        assert full_sums(verify._delta_identity if report.name == "delta"
-                         else verify.hecke_oracle_report, 4, 2) == \
-            (report.checked, report.violations), report.name
+test_one_r_fault_is_flagged_by_both_reports = case("R4-k2-r-min-max-plus-one")
 
 
 def test_base_columns_sum_each_base_row_once(monkeypatch, fresh_orbits):
@@ -387,20 +373,21 @@ def test_base_columns_sum_each_base_row_once(monkeypatch, fresh_orbits):
     assert len({id(terms) for _, terms in summed}) == 1
 
 
-def test_the_hecke_fallback_sums_the_bases_once(monkeypatch, fallback, fresh_orbits):
+def test_the_hecke_fallback_sums_the_bases_once(monkeypatch, fresh_orbits):
     # on its fallback the Hecke report reads the base columns and then
     # the full Hecke tables, filled from those base columns: the orbit
     # sums run once for both
     calls, orbit_sums = [], hecke._orbit_sums
     monkeypatch.setattr(hecke, "_orbit_sums",
                         lambda n, k: calls.append((n, k)) or orbit_sums(n, k))
-    assert verify.hecke_oracle_report(5, 2).passed
-    assert (hecke.orbit_bars.__wrapped__, 5, 2) in order.kept
+    with full_path("clean"):
+        assert verify.hecke_oracle_report(5, 2).passed
+        assert (hecke.orbit_bars.__wrapped__, 5, 2) in order.kept
     assert calls == [(5, 2)]
 
 
 @pytest.mark.parametrize("table", ["H", "R'"])
-def test_a_fault_of_h_or_of_r_prime_stays_in_its_own_table(table, corrupt_fill):
+def test_a_fault_of_h_or_of_r_prime_stays_in_its_own_table(table, inject):
     # H and R' are both filled by the step of kind R', H from the base
     # columns and R' from the minimum, and are equal when clean; a fault
     # of one, in the column of the last base and in that of the maximum,
@@ -409,11 +396,8 @@ def test_a_fault_of_h_or_of_r_prime_stays_in_its_own_table(table, corrupt_fill):
     n, k = 4, 2
     clean = rpoly._fill(n, k, "R'", rpoly.orbit_packing(n, k))
     b, top = max(rpoly.orbit_bounds(n, k)[1]), len(clean) - 1
-
-    def change(packing, columns):
-        for column in (columns[b], columns[top]):
-            column[0] += 1
-    corrupt_fill(table, n, k, change)
+    for column in (b, top):
+        inject(table, n, k, entry(column, 0, ONE))
     holds, kept = hecke.certificate(n, k)
     rows = hecke.orbit_bars(n, k)[0]
     if table == "H":
@@ -649,27 +633,13 @@ def test_hecke_table_is_the_transposed_r_table(n, ks, delta_tables):
                 assert column == r_columns[b], (n, k, b)
 
 
-def _bar_squared_row(n, k, b):
-    # row b of bar o bar, packed, as the Hecke suite sums it
-    rows, barred = hecke.orbit_bars(n, k)
-    return rpoly.orbit_packing(n, k), rpoly.triple_sums(barred[b], rows)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_packed_bar_squared_matches_bar_element(n):
     # entry nu of row sigma is q^(l(sigma) - l(nu)) times the coefficient
     for k in range(n + 1):
         for b, sigma in enumerate(renner.orbit(n, k)):
-            packing, row = _bar_squared_row(n, k, b)
-            assert _decode_bar_squared(packing, sigma, row) == hecke.canonical(
+            assert decode_bar_squared(*bar_squared_row(n, k, b), sigma) == hecke.canonical(
                 hecke.bar_element(hecke.bar_Asigma(sigma))), sigma
-
-
-def _decode_bar_squared(packing, sigma, row):
-    elements = renner.orbit(len(sigma), renner.rank(sigma))
-    scale = renner.length(sigma)
-    return {nu: packing.unpack(x) * Laurent.q_power(renner.length(nu) - scale)
-            for nu, x in zip(elements, row) if x}
 
 
 def _columns(n, k, b, table="Bar"):
@@ -681,71 +651,18 @@ def _columns(n, k, b, table="Bar"):
             if column is not None]
 
 
-def _corrupt(monkeypatch, n, k, b, a, delta, tables=("H", "Bar")):
-    """Add ``delta`` to the coefficient c_a(b) of A_a in bar(A_b) in the
-    packed Hecke tables, scaled as they store it: in the column of c in
-    H and, where ``tables`` names Bar, in the column of bar(c) in Bar,
-    wherever it is held.  Where b is no Hecke base, only the fallback of
-    the Hecke report reads the fault."""
-    packing = rpoly.orbit_packing(n, k)
-    lengths, e = order.orbit_poset(n, k).lengths, renner.idempotent_length(n, k)
-    for column in _columns(n, k, b, "H"):
-        monkeypatch.setitem(column, a, column.get(a, 0) + packing.pack(
-            delta * Laurent.q_power(e - lengths[a])))
-    for column in _columns(n, k, b) if "Bar" in tables else ():
-        monkeypatch.setitem(column, a, column.get(a, 0) + packing.pack(
-            delta.bar() * Laurent.q_power(lengths[b] - e)))
+test_packed_bar_squared_follows_a_corrupted_input = cases({
+    "3-1": "R3-k1-hecke-min-max-plus-one", "3-3": "R3-k3-hecke-min-max-plus-one"})
+test_hecke_report_flags_every_sigma_a_corrupted_bar_reaches = case("R3-k3-h-id-to-w0")
 
 
-@pytest.mark.parametrize("n,k", [(3, 1), (3, 3)])
-def test_packed_bar_squared_follows_a_corrupted_input(n, k, monkeypatch):
-    # with one coefficient of one bar(A_sigma) off, bar o bar is no longer
-    # the identity; both paths must read the same wrong value
-    elements = renner.orbit(n, k)
-    top = elements[-1]
-    _corrupt(monkeypatch, n, k, len(elements) - 1, 0, ONE_L)
-    packing, row = _bar_squared_row(n, k, len(elements) - 1)
-    laurent = hecke.canonical(hecke.bar_element(hecke.bar_Asigma(top)))
-    assert laurent != basis(top)
-    assert _decode_bar_squared(packing, top, row) == laurent
-
-
-def test_hecke_report_flags_every_sigma_a_corrupted_bar_reaches(monkeypatch):
-    # bar(A_id) of H(W) gains a term at the longest element w0, which
-    # moves the coefficient of A_w0 in bar(bar(A_sigma)) for every sigma
-    # (each bar(A_sigma) has a coefficient at id); for every sigma but w0
-    # that entry lies past the diagonal of the packed rows.  The term,
-    # q^3, is one the scaled rows of c can hold (their bars cannot).
-    n = 3
-    identity, longest = weyl.identity(n), tuple(range(n, 0, -1))
-    index = order.orbit_poset(n, n).index
-    _corrupt(monkeypatch, n, n, index[identity], index[longest],
-             Laurent.q_power(3), tables=("H",))
-    report = verify.hecke_oracle_report(n, n)
-    flagged = [v["sigma"] for v in report.violations
-               if v.get("kind") == "not-involutive"]
-    assert flagged == [renner.format_element(w) for w in renner.orbit(n, n)]
-
-
-def test_hecke_to_json_sorted(monkeypatch, fallback):
+def test_hecke_to_json_sorted():
+    # the not-involutive certificate that verify prints has the same form
+    # and (length, text) order (fault R3-k1-hecke-min-max-plus-one)
     h = hecke.bar_Asigma(renner.rank_idempotent(2, 1))
     data = hecke_to_json(h)
     assert [d["element"]["one_line"] for d in data] == [[0, 1], [1, 0]]
     assert data[0]["laurent"] == {"var": "q", "min_exp": -1, "coeffs": [1, -1]}
-    # the not-involutive certificate that verify prints has the same form
-    # and (length, text) order: with one coefficient of bar(A_max) of
-    # R_3 k = 1 off, it is bar(bar(A_max)) as the Laurent path reads it;
-    # max is no Hecke base, so the report reads it on its fallback
-    n, k = 3, 1
-    elements = renner.orbit(n, k)
-    top = elements[-1]
-    _corrupt(monkeypatch, n, k, len(elements) - 1, 0, ONE_L)
-    certs = [v["bar_squared"] for v in verify.hecke_oracle_report(n, k).violations
-             if v.get("kind") == "not-involutive"]
-    assert len(certs) == 1
-    laurent = hecke.canonical(hecke.bar_element(hecke.bar_Asigma(top)))
-    assert certs[0] == hecke_to_json(laurent)
-    assert len({renner.length(w) for w in laurent}) > 1
 
 
 STAR_ORBITS = [pytest.param(n, k, id=f"R{n}-k{k}")
@@ -762,11 +679,10 @@ def test_hecke_tables_are_star_equivariant(n, k):
 
 
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
-def test_hecke_report_sums_one_sigma_of_each_star_pair(n, k, count_sums, full_sums,
-                                                      full_bounds, drop_product):
+def test_hecke_report_sums_one_sigma_of_each_star_pair(n, k, count_sums, drop_product):
     # on the clean path, only the rows of the Hecke bases are summed, by
-    # the orbit's certificate, with the columns of R; with the local
-    # certificate refused, every sigma, as the product skips no row: the
+    # the orbit's certificate, with the columns of R; with every skip and
+    # certificate off, every sigma, as the product skips no row: the
     # reports are one
     drop_product(n, k)
     count_sums.clear()
@@ -775,74 +691,53 @@ def test_hecke_report_sums_one_sigma_of_each_star_pair(n, k, count_sums, full_su
     table = rpoly.orbit_table(n, k)
     assert list(map(id, count_sums)) == [id(table[b]) for b in rpoly.orbit_bounds(n, k)[1]]
     count_sums.clear()
-    assert full_sums(verify.hecke_oracle_report, n, k) == \
-        (report.checked, report.violations)
-    assert list(map(id, count_sums)) == list(map(id, hecke.orbit_bars(n, k)[1]))
-    assert full_bounds(verify.hecke_oracle_report, n, k) == \
-        (report.checked, report.violations)
+    with full_path():
+        full = verify.hecke_oracle_report(n, k)
+        assert list(map(id, count_sums)) == list(map(id, hecke.orbit_bars(n, k)[1]))
+    assert (full.checked, full.violations) == (report.checked, report.violations)
 
 
 @pytest.mark.parametrize("barred", [True, False], ids=["barred", "rows"])
-def test_hecke_report_sums_every_sigma_after_a_one_sided_fault(barred, monkeypatch, fallback,
-                                                               count_sums, full_sums):
+def test_hecke_report_sums_every_sigma_after_a_one_sided_fault(barred, inject, count_sums):
     # one entry of one Hecke table off, at a sigma that star moves, which
-    # lies off the bases, where only the fallback reads it; its
+    # lies off the bases, where only the full path reads it; its
     # certificate refuses the tables before any sum, and the product then
     # sums every sigma
     n, k = 4, 2
-    rows, bars = hecke.orbit_bars(n, k)
-    star, table = order.orbit_star(n, k), bars if barred else rows
+    star = order.orbit_star(n, k)
     b = next(b for b in range(len(star)) if star[b] != b)
     assert b not in rpoly.orbit_bounds(n, k)[1]
-    a = min(table[b])
-    monkeypatch.setitem(table[b], a, table[b][a] + 1)
+
+    def change(packing, columns):
+        columns[b][min(columns[b])] += 1
+    inject("Bar" if barred else "H", n, k, change)
     hecke.certificate(n, k)
     count_sums.clear()
     report = verify.hecke_oracle_report(n, k)
     assert not report.passed
-    assert list(map(id, count_sums)) == list(map(id, bars))
-    assert full_sums(verify.hecke_oracle_report, n, k) == \
-        (report.checked, report.violations)
+    assert list(map(id, count_sums)) == list(map(id, hecke.orbit_bars(n, k)[1]))
+    with full_path("certificate"):
+        full = verify.hecke_oracle_report(n, k)
+    assert (full.checked, full.violations) == (report.checked, report.violations)
 
 
-@pytest.mark.parametrize("n,k,fault", [
-    (3, 1, "max"), (3, 3, "max"), (3, 3, "id-to-w0")],
-    ids=["R3-k1-max", "R3-k3-max", "R3-k3-id-to-w0"])
-def test_hecke_report_under_a_fault_is_the_full_sums_report(n, k, fault, monkeypatch,
-                                                          request, full_sums):
-    # the faults the tests above inject, as every sigma summed reads them;
-    # a fault of the maximum, no Hecke base, reaches only the fallback
-    elements = renner.orbit(n, k)
-    if fault == "max":
-        assert len(elements) - 1 not in rpoly.orbit_bounds(n, k)[1]
-        request.getfixturevalue("fallback")
-        _corrupt(monkeypatch, n, k, len(elements) - 1, 0, ONE_L)
-    else:
-        index = order.orbit_poset(n, k).index
-        assert index[weyl.identity(n)] in rpoly.orbit_bounds(n, k)[1]
-        _corrupt(monkeypatch, n, k, index[weyl.identity(n)], index[tuple(range(n, 0, -1))],
-                 Laurent.q_power(3), tables=("H",))
-    report = verify.hecke_oracle_report(n, k)
-    assert not report.passed
-    assert full_sums(verify.hecke_oracle_report, n, k) == \
-        (report.checked, report.violations)
+test_hecke_report_under_a_fault_is_the_full_sums_report = cases({
+    "R3-k1-max": "R3-k1-hecke-min-max-plus-one", "R3-k3-max": "R3-k3-hecke-min-max-plus-one",
+    "R3-k3-id-to-w0": "R3-k3-h-id-to-w0"})
 
 
-def test_hecke_report_flags_both_sigmas_of_a_symmetric_fault(monkeypatch, count_sums,
-                                                            full_sums, request):
+def test_hecke_report_flags_both_sigmas_of_a_symmetric_fault(inject, count_sums):
     # c_min(b) and c_(min*)(b*) = c_min(b*) off by one for a b that star
     # moves (one that the barred rows can hold it at): the tables stay
     # equivariant, bar o bar fails at b and at b*, and every sigma is
-    # summed; each certificate is bar(bar(A_sigma)) by the Laurent path.
-    # A fault off the bases reaches only the fallback
+    # summed; each certificate is bar(bar(A_sigma)) by the Laurent path
     n, k = 3, 1
     star, poset = order.orbit_star(n, k), order.orbit_poset(n, k)
     elements, e = poset.elements, renner.idempotent_length(n, k)
     b = next(b for b in range(len(star)) if star[b] > b and poset.lengths[b] >= e)
-    if not {b, star[b]} <= set(rpoly.orbit_bounds(n, k)[1]):
-        request.getfixturevalue("fallback")
     for sigma in (b, star[b]):
-        _corrupt(monkeypatch, n, k, sigma, 0, ONE_L)
+        for table, change in coefficient_fault(n, k, sigma, 0, ONE_L):
+            inject(table, n, k, change)
     # the local certificate refuses the Hecke tables, and R with the
     # columns, after the base rows it summed, if any; the report then sums
     # every sigma, last
@@ -859,8 +754,9 @@ def test_hecke_report_flags_both_sigmas_of_a_symmetric_fault(monkeypatch, count_
         if laurent != basis(sigma):
             assert certs.pop(renner.format_element(sigma)) == hecke_to_json(laurent)
     assert not certs
-    assert full_sums(verify.hecke_oracle_report, n, k) == \
-        (report.checked, report.violations)
+    with full_path("certificate"):
+        full = verify.hecke_oracle_report(n, k)
+    assert (full.checked, full.violations) == (report.checked, report.violations)
 
 
 def _plus_one(monkeypatch, column, a=0):
@@ -868,79 +764,13 @@ def _plus_one(monkeypatch, column, a=0):
 
 
 # Each part of the local certificate of bar o bar with a fault that only
-# it sees, on R_3: the column of bar(A_max) off at the minimum, which
-# only (a) reads, as max is no Hecke base; the barred column of max off
-# there, which only (b) reads; and the one column of the rank-0 orbit
-# doubled in both tables, which every left step fixes, so that only the
-# sum of its row in (c) sees it.  The columns of max are ones that only
-# the fallback of the Hecke report reads, so that report runs there.
-CERTIFICATE_PARTS = [
-    pytest.param("_left_steps_act", 1, lambda n, k: [hecke.orbit_bars(n, k)[0][-1]], True,
-                 id="a-column-of-max"),
-    pytest.param("_barred_steps_act", 1, lambda n, k: [hecke.orbit_bars(n, k)[1][-1]], True,
-                 id="b-barred-column-of-max"),
-    pytest.param("_base_rows_are_identity", 0,
-                 lambda n, k: [*_columns(n, k, 0, "H"), *_columns(n, k, 0)], False,
-                 id="c-rank-0-doubled"),
-]
-
-
-@pytest.mark.parametrize("part,k,columns,off_the_bases", CERTIFICATE_PARTS)
-def test_each_part_of_the_certificate_is_needed(part, k, columns, off_the_bases, monkeypatch,
-                                                request, full_sums):
-    # under the fault, the report is the full sums report, and bar o bar
-    # fails; with the part dropped from the certificate (a mutant that
-    # passes it), the certificate passes and the report misses that
-    n = 3
-    if off_the_bases:
-        request.getfixturevalue("fallback")
-    for column in columns(n, k):
-        _plus_one(monkeypatch, column)
-    tables = hecke.orbit_bars(n, k)
-    report = verify.hecke_oracle_report(n, k)
-    assert any(v.get("kind") == "not-involutive" for v in report.violations)
-    assert full_sums(verify.hecke_oracle_report, n, k) == (report.checked, report.violations)
-    assert not hecke.certify(*tables, n, k)
-    monkeypatch.setattr(hecke, part, lambda *args: True)
-    assert hecke.certify(*tables, n, k)
-    mutant = verify.hecke_oracle_report(n, k)
-    assert not any(v.get("kind") == "not-involutive" for v in mutant.violations)
-    assert (mutant.checked, mutant.violations) != (report.checked, report.violations)
-
-
-def _only_barred_steps_see(n, k):
-    # of the checks of the clean path, only (b) on R refuses the tables:
-    # the bases agree, the supports are the down sets, and (a) and (c)
-    # hold on the full H, which equals R' there
-    (rows, barred), table = hecke.base_columns(n, k), rpoly.orbit_table(n, k)
-    plan, bits = rpoly.orbit_plan(n, k), rpoly.orbit_packing(n, k).bits
-    bases, full_rows = rpoly.orbit_bounds(n, k)[1], hecke.orbit_bars(n, k)[0]
-    return (verify._bases_agree(rows, hecke.certificate(n, k)[1])
-            and verify._bases_agree(barred, table)
-            and verify._supports_are_downs(table, order.orbit_poset(n, k).downs)
-            and hecke._left_steps_act(full_rows, plan, bits)
-            and hecke._base_rows_are_identity(full_rows, table, bases)
-            and not hecke._barred_steps_act(table, plan, bases, bits))
-
-
-@pytest.mark.parametrize("n,k", [(3, 1), (4, 2)])
-def test_a_fault_of_r_off_the_bases_is_flagged(n, k, corrupt_fill, full_sums):
-    # one entry of the first column of R that is no Hecke base, off by one:
-    # on the fast path only (b) on R sees it, and the report flags that
-    # entry alone, as the full sums report does
-    bases = rpoly.orbit_bounds(n, k)[1]
-    b = next(b for b in range(1, len(order.orbit_poset(n, k).elements)) if b not in bases)
-
-    def off_by_one(packing, columns):
-        columns[b][min(columns[b])] += 1
-    corrupt_fill("R", n, k, off_by_one)
-    assert _only_barred_steps_see(n, k)
-    report = verify.hecke_oracle_report(n, k)
-    elements = order.orbit_poset(n, k).elements
-    a = min(rpoly.orbit_table(n, k)[b])
-    assert [(v["theta"], v["sigma"]) for v in report.violations] == \
-        [(renner.format_element(elements[a]), renner.format_element(elements[b]))]
-    assert full_sums(verify.hecke_oracle_report, n, k) == (report.checked, report.violations)
+# it sees, and a mutant that drops it, are rows of ``faults.FAULTS``.
+test_each_part_of_the_certificate_is_needed = cases({
+    "a-column-of-max": "R3-k1-h-min-max-plus-one",
+    "b-barred-column-of-max": "R3-k1-bar-min-max-plus-one",
+    "c-rank-0-doubled": "R3-k0-hecke-base-doubled"})
+test_a_fault_of_r_off_the_bases_is_flagged = cases({
+    "3-1": "R3-k1-r-off-the-bases", "4-2": "R4-k2-r-off-the-bases"})
 
 
 def _downs_gain_the_maximum(monkeypatch, n, k):

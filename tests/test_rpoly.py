@@ -6,6 +6,9 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import faults
+from faults import (base_doubled, cases, entry, first_moved, full_path, min_row_off_by_one,
+                    off_the_bases, one_sided, symmetric)
 from oracles import (degree, delta_identity_sum_laurent, descent_by_descent_sets,
                      hecke_bound_tables, pack_rows, rpoly_bound_tables, table_entry,
                      witness_leq)
@@ -140,11 +143,7 @@ def test_delta_identity_small_cases():
         rpoly.delta_identity_sum((0, 0, 0, 1), (0, 0, 1, 2))
 
 
-def _r_at_min_max_plus_one(packing, columns):
-    columns[len(columns) - 1][0] += 1
-
-
-def test_verify_delta_identity_reads_the_packed_sum(corrupt_fill, drop_product):
+def test_verify_delta_identity_reads_the_packed_sum(inject, drop_product):
     # R[min, max] of the R_3 k = 1 fill off by 1 turns the sum at
     # (min, max) from 0 into 1, which is right only on the diagonal
     # once the product that the orbit's poset keeps is dropped
@@ -152,7 +151,7 @@ def test_verify_delta_identity_reads_the_packed_sum(corrupt_fill, drop_product):
     top = len(poset.elements) - 1
     bottom, maximum = poset.elements[0], poset.elements[top]
     assert rpoly.verify_delta_identity(bottom, maximum)
-    corrupt_fill("R", 3, 1, _r_at_min_max_plus_one)
+    inject("R", 3, 1, entry(-1, 0, ONE))
     assert rpoly.verify_delta_identity(bottom, maximum)  # the kept product
     drop_product(3, 1)
     assert rpoly.delta_identity_sum(bottom, maximum) == 1
@@ -160,7 +159,7 @@ def test_verify_delta_identity_reads_the_packed_sum(corrupt_fill, drop_product):
     assert rpoly.verify_delta_identity(bottom, bottom)
 
 
-def test_corrupt_fill_reaches_each_packed_r_fill(corrupt_fill, delta_tables):
+def test_corrupt_fill_reaches_each_packed_r_fill(inject, delta_tables):
     # a fault of R sees the fill of the orbit's table alone, a fault of R'
     # the fill of R' alone, and neither the bound fill; a fault of R
     # applied at R's one fill is in the R table that the delta product
@@ -170,13 +169,10 @@ def test_corrupt_fill_reaches_each_packed_r_fill(corrupt_fill, delta_tables):
     def spy(name):
         def change(packing, columns):
             seen.append((name, packing.bits, columns))
-            if name == "R":
-                _r_at_min_max_plus_one(packing, columns)
-            else:
-                columns[-1][0] += 1
+            entry(-1, 0, ONE)(packing, columns)
         return change
     for name in ("R", "R'"):
-        corrupt_fill(name, 3, 1, spy(name))
+        inject(name, 3, 1, spy(name))
     table = rpoly.orbit_table(3, 1)
     rows, reversed_rows = delta_tables(3, 1)
     bits = rpoly.orbit_packing(3, 1).bits
@@ -214,7 +210,7 @@ def test_delta_row_cache_refuses_a_sigma_from_another_orbit():
     assert rpoly.verify_delta_identity(theta, theta)
 
 
-def test_delta_row_cache_follows_the_table(monkeypatch, drop_product):
+def test_delta_row_cache_follows_the_table(drop_product):
     # the kept product is summed from the orbit's tables: a corrupted
     # entry of R shows once R is filled and the product summed again, and
     # a cleared orbit cache answers from a fresh fill
@@ -222,15 +218,8 @@ def test_delta_row_cache_follows_the_table(monkeypatch, drop_product):
     top = len(elements) - 1
     bottom, maximum = elements[0], elements[top]
     assert rpoly.verify_delta_identity(bottom, maximum)
-    rows, fill = rpoly.delta_rows(3, 1), rpoly._fill
-
-    def corrupted(n, k, kind, packing=None, bases=None):
-        table = fill(n, k, kind, packing, bases)
-        if kind == "R" and bases is None:  # the fill of R
-            _r_at_min_max_plus_one(packing, table)
-        return table
-    with monkeypatch.context() as patch:
-        patch.setattr(rpoly, "_fill", corrupted)
+    rows = rpoly.delta_rows(3, 1)
+    with faults.inject("R", 3, 1, entry(-1, 0, ONE)):
         drop_product(3, 1)
         assert rpoly.verify_delta_identity(maximum, maximum)  # another theta
         assert rpoly.delta_identity_sum(bottom, maximum) == 1
@@ -518,51 +507,37 @@ def test_orbit_r_tables_are_star_equivariant(n, k, delta_tables):
 
 
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
-def test_delta_report_sums_one_theta_of_each_star_pair(n, k, count_sums, full_sums,
-                                                      drop_product, delta_fallback):
-    # on the fallback, where the certificate refuses R' and R, every
-    # theta is summed: the product skips no row
+def test_delta_report_sums_one_theta_of_each_star_pair(n, k, count_sums, drop_product):
+    # with the certificate refused, every theta is summed: the product
+    # skips no row, and the report is the certified one
     star = order.orbit_star(n, k)
     drop_product(n, k)
     report = verify._delta_identity(n, k)
-    assert report.passed
-    assert len(count_sums) == len(star)
     count_sums.clear()
-    assert full_sums(verify._delta_identity, n, k) == \
-        (report.checked, report.violations)
+    with full_path("certificate"):
+        full = verify._delta_identity(n, k)
+    assert full.passed and (full.checked, full.violations) == (report.checked, report.violations)
     assert len(count_sums) == len(star)
-
-
-def _one_sided(star):
-    # one entry of R, or of R', off by one at the first theta that star
-    # moves, in the last column that holds it
-    a = next(a for a in range(len(star)) if star[a] != a)
-
-    def change(packing, columns):
-        top = max(b for b, column in enumerate(columns) if a in column)
-        columns[top][a] += 1
-    return change
 
 
 @pytest.mark.parametrize("table", ["R", "R'"])
-def test_delta_report_sums_every_theta_after_a_one_sided_fault(table, corrupt_fill,
-                                                               count_sums, full_sums,
-                                                               delta_fallback):
+def test_delta_report_sums_every_theta_after_a_one_sided_fault(table, inject, count_sums):
     # one entry of one table off, at a theta that star moves: every theta
     # is summed, and the report is the one of the full sums
     n, k = 4, 2
     star = order.orbit_star(n, k)
-    corrupt_fill(table, n, k, _one_sided(star))
+    inject(table, n, k, one_sided(n, k))
     report = verify._delta_identity(n, k)
     assert not report.passed
+    count_sums.clear()
+    with full_path("certificate"):
+        full = verify._delta_identity(n, k)
     assert len(count_sums) == len(star)
-    assert full_sums(verify._delta_identity, n, k) == \
-        (report.checked, report.violations)
+    assert (full.checked, full.violations) == (report.checked, report.violations)
 
 
-def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count_sums,
-                                                             full_sums, delta_tables,
-                                                             drop_product, delta_fallback):
+def test_delta_report_flags_both_thetas_of_a_symmetric_fault(inject, count_sums, delta_tables,
+                                                             drop_product):
     # R[a, max] and R[a*, max*] = R[a*, max] off by the same q: the table
     # stays equivariant, every theta is summed, and the rows of a and a*
     # both fail; each certificate is its sum as the decoded entries give it
@@ -574,9 +549,11 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count
     def symmetric(packing, columns):
         for theta in (a, star[a]):
             columns[top][theta] += packing.pack(Q)
-    corrupt_fill("R", n, k, symmetric)
+    inject("R", n, k, symmetric)
     drop_product(n, k)  # R was filled above, before the fault
-    report = verify._delta_identity(n, k)
+    count_sums.clear()
+    with full_path("certificate"):
+        report = verify._delta_identity(n, k)
     assert len(count_sums) == len(star)
     elements = order.orbit_poset(n, k).elements
     flagged = [(v["theta"], v["sigma"]) for v in report.violations]
@@ -587,8 +564,8 @@ def test_delta_report_flags_both_thetas_of_a_symmetric_fault(corrupt_fill, count
         laurent = sum((unpack(columns[nu].get(theta, 0)) * unpack(x)
                        for nu, x in reversed_columns[top].items()), ZERO)
         assert v["sum"] == str(laurent) == "q"
-    assert full_sums(verify._delta_identity, n, k) == \
-        (report.checked, report.violations)
+    certified = verify._delta_identity(n, k)
+    assert (certified.checked, certified.violations) == (report.checked, report.violations)
 
 
 def _per_pair_answers(n, k):
@@ -597,63 +574,34 @@ def _per_pair_answers(n, k):
             for theta in elements]
 
 
-def _one_sided_fault(star):
-    # R'[a, b] off by one at the first entry (a, b) that star moves,
-    # where there is one
-    def change(packing, reversed_columns):
-        a, b = max(sorted((a, b) for b, column in enumerate(reversed_columns) for a in column),
-                   key=lambda ab: (star[ab[0]], star[ab[1]]) != ab)
-        reversed_columns[b][a] += 1
-    return change
-
-
-def _symmetric_fault(star):
-    # R[a, max] and R[a*, max*] = R[a*, max] off by the same q
-    def change(packing, columns):
-        top = len(star) - 1
-        a = max(columns[top])
-        for theta in {a, star[a]}:
-            columns[top][theta] += packing.pack(Q)
-    return change
-
-
-@pytest.mark.parametrize("fault", [None, ("R'", _one_sided_fault), ("R", _symmetric_fault)],
+@pytest.mark.parametrize("fault", [None, ("R'", first_moved), ("R", symmetric)],
                          ids=["clean", "one-sided", "symmetric"])
 @pytest.mark.parametrize("n,k", STAR_ORBITS)
-def test_per_pair_delta_answers_are_the_full_sums(n, k, fault, monkeypatch, drop_product,
-                                                  corrupt_fill, delta_tables):
+def test_per_pair_delta_answers_are_the_full_sums(n, k, fault, drop_product, inject,
+                                                  delta_tables):
     # every pair, theta by theta, answers as the column of sigma summed
     # whole gives, and as the product summed under an identity star
-    star = order.orbit_star(n, k)
     if fault:
         table, change = fault
-        corrupt_fill(table, n, k, change(star))
+        inject(table, n, k, change(n, k))
     columns, reversed_columns = delta_tables(n, k)
     sums = [rpoly.triple_sums(column, columns) for column in reversed_columns]
     answers = _per_pair_answers(n, k)
     assert answers == [[sums[b][a] == (a == b) for b in range(len(sums))]
                        for a in range(len(sums))]
     assert all(map(all, answers)) == (fault is None)
-    with monkeypatch.context() as patch:
-        patch.setattr(order, "orbit_star", lambda n, k: tuple(range(len(star))))
+    with full_path("star"):
         drop_product(n, k)
         assert _per_pair_answers(n, k) == answers
-        drop_product(n, k)
 
 
-def _min_row_off_by_one(packing, table):
-    # R[min, b] off by one at every b above the minimum
-    for column in table[1:]:
-        column[0] += 1
-
-
-def test_a_cleared_orbit_drops_its_delta_rows(corrupt_fill):
+def test_a_cleared_orbit_drops_its_delta_rows(inject):
     # the product lives on the orbit's poset: once the orbit is dropped,
     # a fault in the tables it is rebuilt from shows in the answers
     n, k = 4, 2
     rows = rpoly.delta_rows(n, k)
     assert all(map(all, _per_pair_answers(n, k)))
-    corrupt_fill("R", n, k, _min_row_off_by_one)
+    inject("R", n, k, min_row_off_by_one)
     assert rpoly.delta_rows(n, k) is rows
     assert all(map(all, _per_pair_answers(n, k)))
     order.orbit_poset.cache_clear()
@@ -674,7 +622,7 @@ def test_an_equal_theta_reads_the_kept_row(monkeypatch):
 
 
 @pytest.mark.parametrize("switch", ["cleared", "evicted"])
-def test_the_reader_reads_a_fault_after_its_orbit_is_dropped(switch, corrupt_fill):
+def test_the_reader_reads_a_fault_after_its_orbit_is_dropped(switch, inject):
     # the same theta object, asked again once its orbit was dropped, by
     # cache_clear() or by a lookup of another orbit, and a fault was put
     # into the fill with no lookup of its orbit in between, reads the
@@ -685,7 +633,7 @@ def test_the_reader_reads_a_fault_after_its_orbit_is_dropped(switch, corrupt_fil
         order.orbit_poset.cache_clear()
     else:
         order.orbit_poset(3, 2)
-    corrupt_fill("R", 3, 1, _r_at_min_max_plus_one)
+    inject("R", 3, 1, entry(-1, 0, ONE))
     assert not rpoly.verify_delta_identity(theta, top)
     assert rpoly.verify_delta_identity(theta, theta)
 
@@ -728,86 +676,30 @@ def test_delta_certificate_holds_and_sums_only_the_base_rows(n, k, count_sums, d
     assert (rpoly.delta_rows.__wrapped__, n, k) not in order.kept
 
 
-def _off_the_bases(n, k):
-    # the first column that is no Hecke base off by one at its smallest
-    # theta
-    bases = rpoly.orbit_bounds(n, k)[1]
-    b = next(b for b in range(1, len(order.orbit_poset(n, k).elements)) if b not in bases)
-
-    def change(packing, columns):
-        columns[b][min(columns[b])] += 1
-    return change
-
-
-def _base_doubled(n, k):
-    # the column of the last Hecke base doubled
-    b = max(rpoly.orbit_bounds(n, k)[1])
-
-    def change(packing, columns):
-        columns[b] = {a: 2 * x for a, x in columns[b].items()}
-    return change
-
-
-def _reversed_diagonal_stored_as_zero(packing, reversed_columns):
-    # every diagonal entry of R' held as a stored 0, which the steps of the
-    # certificate meet at indices that s raises and that it lowers
-    for b, column in enumerate(reversed_columns):
-        column[b] = 0
-
-
-def _corrupt_each(corrupt_fill, tables, n, k, fault):
-    # the change fault(n, k) installed on each table named
-    for table in tables:
-        corrupt_fill(table, n, k, fault(n, k))
-
-
-# Every fault of R or R' that the tests inject through ``corrupt_fill``,
-# as the tables it corrupts and fault(n, k) -> change, on the orbits they
-# use it on; the two that the certificate must refuse, R' off the bases
-# and a base column doubled in both tables; and stored zeros in R'.
-DELTA_FAULTS = [
-    pytest.param(3, 1, ["R"], lambda n, k: _r_at_min_max_plus_one, id="R3-k1-r-min-max"),
-    pytest.param(4, 2, ["R"], lambda n, k: _r_at_min_max_plus_one, id="R4-k2-r-min-max"),
-    pytest.param(4, 2, ["R"], lambda n, k: _min_row_off_by_one, id="R4-k2-r-min-row"),
-    *(pytest.param(4, 2, [table], lambda n, k: _one_sided(order.orbit_star(n, k)),
-                   id=f"R4-k2-{name}-one-sided") for table, name in (("R", "r"), ("R'", "r'"))),
-    *(pytest.param(n, k, [table], lambda n, k, f=f: f(order.orbit_star(n, k)),
-                   id=f"R{n}-k{k}-{name}")
-      for table, f, name in (("R'", _one_sided_fault, "r'-first-moved"),
-                             ("R", _symmetric_fault, "r-symmetric"))
-      for n, k in ((3, 1), (4, 2))),
-    *(pytest.param(n, k, [table], _off_the_bases, id=f"R{n}-k{k}-{name}-off-the-bases")
-      for table, name in (("R", "r"), ("R'", "r'")) for n, k in ((3, 1), (4, 2))),
-    *(pytest.param(n, k, ["R", "R'"], _base_doubled, id=f"R{n}-k{k}-base-doubled")
-      for n, k in ((3, 0), (3, 1), (4, 2))),
-    *(pytest.param(n, k, ["R'"], lambda n, k: _reversed_diagonal_stored_as_zero,
-                   id=f"R{n}-k{k}-r'-diagonal-stored-zero") for n, k in ((3, 1), (4, 2))),
-]
-
-
-@pytest.mark.parametrize("n,k,tables,fault", DELTA_FAULTS)
-def test_delta_report_under_a_fault_is_the_full_sums_report(n, k, tables, fault, corrupt_fill,
-                                                            full_sums):
-    # certified or summed, the report is the one that summing every sigma
-    # gives
-    _corrupt_each(corrupt_fill, tables, n, k, fault)
-    report = verify._delta_identity(n, k)
-    assert not report.passed
-    assert full_sums(verify._delta_identity, n, k) == (report.checked, report.violations)
+test_delta_report_under_a_fault_is_the_full_sums_report = cases({
+    **{name: f"{name}-plus-one" for name in ("R3-k1-r-min-max", "R4-k2-r-min-max")},
+    **{f"R{n}-k{k}-r'-first-moved": f"R{n}-k{k}-r'-off-the-bases" for n, k in ((3, 1), (4, 2))},
+    **{name: name for name in (
+        "R4-k2-r-min-row", "R4-k2-r-one-sided", "R4-k2-r'-one-sided", "R3-k1-r-symmetric",
+        "R4-k2-r-symmetric", "R3-k1-r-off-the-bases", "R4-k2-r-off-the-bases",
+        "R3-k1-r'-off-the-bases", "R4-k2-r'-off-the-bases", "R3-k0-base-doubled",
+        "R3-k1-base-doubled", "R4-k2-base-doubled", "R3-k1-r'-diagonal-stored-zero",
+        "R4-k2-r'-diagonal-stored-zero")}})
 
 
 @pytest.mark.parametrize("n,k,tables,fault", [
-    pytest.param(4, 2, ["R'"], _off_the_bases, id="R4-k2-r'-off-the-bases"),
-    pytest.param(3, 1, ["R", "R'"], _base_doubled, id="R3-k1-base-doubled"),
+    pytest.param(4, 2, ["R'"], off_the_bases, id="R4-k2-r'-off-the-bases"),
+    pytest.param(3, 1, ["R", "R'"], base_doubled, id="R3-k1-base-doubled"),
 ])
-def test_a_fault_the_certificate_refuses_reaches_the_product(n, k, tables, fault, corrupt_fill,
+def test_a_fault_the_certificate_refuses_reaches_the_product(n, k, tables, fault, inject,
                                                              delta_tables, count_sums,
                                                              monkeypatch):
     # the certificate refuses the tables, and the report fills R' again,
     # once, for its fallback, and sums the product, rows off the bases
     # included, from that R'; it keeps no product, and the certificate
     # keeps the columns of R' at the bases alone
-    _corrupt_each(corrupt_fill, tables, n, k, fault)
+    for table in tables:
+        inject(table, n, k, fault(n, k))
     table, reversed_columns = delta_tables(n, k)
     assert not hecke.certify(reversed_columns, table, n, k)
     fills, fill = [], rpoly._fill
@@ -823,42 +715,8 @@ def test_a_fault_the_certificate_refuses_reaches_the_product(n, k, tables, fault
     assert not holds and kept == {b: fills[0][1][b] for b in bases}
 
 
-def _reversed_max_off(packing, reversed_columns):
-    # R'[min, max] off by one
-    reversed_columns[-1][0] += 1
-
-
-def _doubled(packing, columns):
-    # the one column of a rank-n orbit, or of rank 0, doubled
-    columns[0] = {a: 2 * x for a, x in columns[0].items()}
-
-
-# Each part of the certificate on (R', R) with a fault of R_3 that only it
-# sees: the column of max in R' off at the minimum, which only (a) reads,
-# as max is no Hecke base; the column of max in R off there, which only
-# (b) reads; and the one column of the rank-0 orbit doubled in both, which
-# every left step fixes, so that only the sum of its row in (c) sees it.
-DELTA_CERTIFICATE_PARTS = [
-    pytest.param("_left_steps_act", 1, ["R'"], _reversed_max_off, id="a-on-r'"),
-    pytest.param("_barred_steps_act", 1, ["R"], _r_at_min_max_plus_one, id="b-on-r"),
-    pytest.param("_base_rows_are_identity", 0, ["R", "R'"], _doubled, id="c"),
-]
-
-
-@pytest.mark.parametrize("part,k,tables,fault", DELTA_CERTIFICATE_PARTS)
-def test_each_part_of_the_delta_certificate_is_needed(part, k, tables, fault, monkeypatch,
-                                                      corrupt_fill, full_sums, delta_tables):
-    # under the fault, the report is the full sums report and fails; with
-    # the part dropped from the certificate (a mutant that passes it), the
-    # certificate passes and the report misses the fault
-    n = 3
-    for table in tables:
-        corrupt_fill(table, n, k, fault)
-    report = verify._delta_identity(n, k)
-    assert not report.passed
-    assert full_sums(verify._delta_identity, n, k) == (report.checked, report.violations)
-    table, reversed_columns = delta_tables(n, k)
-    assert not hecke.certify(reversed_columns, table, n, k)
-    monkeypatch.setattr(hecke, part, lambda *args: True)
-    assert hecke.certify(reversed_columns, table, n, k)
-    assert verify._delta_identity(n, k).passed
+# Each part of the certificate on (R', R) with a fault that only it
+# sees, and a mutant that drops it, are rows of ``faults.FAULTS``.
+test_each_part_of_the_delta_certificate_is_needed = cases({
+    "a-on-r'": "R3-k1-r'-min-max-plus-one", "b-on-r": "R3-k1-r-min-max-plus-one",
+    "c": "R3-k0-base-doubled"})
